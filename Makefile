@@ -4,8 +4,8 @@
 #   make unit        unit tests only (tests/)
 #   make benchmarks  paper figure/table reproductions only (benchmarks/)
 #   make fig10       the Figure-10 scalability reproduction with its table
-#   make bench-batch batched-engine throughput suite; refreshes BENCH_batch_engine.json
-#   make bench-stream streaming-engine memory suite; refreshes BENCH_stream.json
+#   make bench-batch batched-engine throughput assertions (prints the table)
+#   make bench-stream streaming-engine memory assertions (prints the table)
 #   make docs        regenerate docs/ops_catalog.md from the operator registry
 #   make docs-check  fail when the committed catalog is out of sync (CI)
 #   make validate-recipes  schema-validate every built-in recipe (no execution)

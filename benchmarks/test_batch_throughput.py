@@ -4,15 +4,14 @@ The batched execution engine hands operators column slices instead of per-row
 dicts, with vectorised kernels behind the hottest ops (char-class counting,
 char n-gram repetition, shared batch tokenisation, bulk MinHash).  This suite
 measures end-to-end rows/sec of a mappers + fused-filters + dedup pipeline on
-a >=20k-row synthetic web corpus for both execution strategies, asserts the
-outputs are identical, and records the results in ``BENCH_batch_engine.json``
-at the repo root (refreshed by ``make bench-batch``).
+a >=20k-row synthetic web corpus for both execution strategies and asserts the
+outputs are identical and the batched path faster (``make bench-batch`` prints
+the table).  It is a one-round assertion, not a ruler: repeatable numbers come
+from ``bench/`` (``python bench/run.py``).
 """
 
-import json
 import random
 import time
-from pathlib import Path
 
 from conftest import print_table, run_once
 
@@ -20,8 +19,6 @@ from repro.core.dataset import NestedDataset
 from repro.core.sample import Fields
 from repro.ops import build_ops
 from repro.synth.generators import DocumentGenerator, NoiseInjector
-
-BENCH_FILE = Path(__file__).parent.parent / "BENCH_batch_engine.json"
 
 #: mappers + (fusible) filters + dedup — the hot ops of a web-cleaning recipe
 PROCESS = [
@@ -127,12 +124,6 @@ def reproduce_batch_throughput() -> list[dict]:
         # secondary: article-scale pages, dominated by per-text kernel time
         _measure_scenario("medium", num_samples=6000, seed=11),
     ]
-    payload = {
-        "pipeline": PROCESS,
-        "op_fusion": True,
-        "scenarios": scenarios,
-    }
-    BENCH_FILE.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return [
         {key: value for key, value in scenario.items() if key != "per_op"}
         for scenario in scenarios

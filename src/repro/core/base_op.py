@@ -299,9 +299,12 @@ class Filter(OP):
         full_stats = tracer is not None
         batch_size = self.effective_batch_size(dataset)
         if pool is not None and pool.holds(self) and len(dataset) > 1:
-            results = pool.filter_column_batches(
-                self, list(dataset.iter_batches(batch_size)), full_stats=full_stats
-            )
+            batches = list(dataset.iter_batches(batch_size))
+            if full_stats:
+                results = pool.filter_column_batches(self, batches)
+            else:
+                # a segment of one op: only the survivors come back
+                results = [(batch, None) for batch in pool.run_ops([self], batches)]
         else:
             results = []
             for batch in dataset.iter_batches(batch_size):

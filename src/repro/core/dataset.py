@@ -33,6 +33,16 @@ def _stable_hash(payload: Any) -> str:
     return hashlib.sha1(encoded).hexdigest()
 
 
+def chain_fingerprint(parent: str, op_name: str, op_config: Any = None) -> str:
+    """One link of the fingerprint chain: ``hash(parent, op_name, op_config)``.
+
+    :meth:`NestedDataset.derive_fingerprint` over a bare parent digest, for
+    callers that stamp the output of several ops at once (a pool segment)
+    without materialising the datasets in between.
+    """
+    return _stable_hash({"parent": parent, "op": op_name, "params": op_config})
+
+
 class NestedDataset:
     """Column-oriented dataset with functional transforms.
 
@@ -203,7 +213,7 @@ class NestedDataset:
         cache/checkpoint keys agree across execution strategies without ever
         re-serialising the payload.
         """
-        return _stable_hash({"parent": self._fingerprint, "op": op_name, "params": op_config})
+        return chain_fingerprint(self._fingerprint, op_name, op_config)
 
     # ------------------------------------------------------------------
     # Transforms
@@ -291,7 +301,8 @@ class NestedDataset:
         """
         del desc
         if pool is not None and pool.accepts(function, kind="map_batches") and len(self) > 1:
-            out_batches = pool.map_column_batches(function, list(self.iter_batches(batch_size)))
+            # a segment of one op over the caller's (serial-path) batch boundaries
+            out_batches = pool.run_ops([function.__self__], list(self.iter_batches(batch_size)))
         else:
             out_batches = [function(batch) for batch in self.iter_batches(batch_size)]
         for batch in out_batches:
@@ -307,7 +318,6 @@ class NestedDataset:
         function: Callable[[dict], Sequence[bool]],
         batch_size: int = 1000,
         new_fingerprint: str | None = None,
-        pool: Any = None,
     ) -> "NestedDataset":
         """Keep rows whose batch-level predicate flag is True.
 
@@ -317,17 +327,10 @@ class NestedDataset:
         """
         from repro.core.batch import batch_select
 
-        if pool is not None and pool.accepts(function, kind="filter_batches") and len(self) > 1:
-            flag_batches = pool.flag_column_batches(function, list(self.iter_batches(batch_size)))
-            kept = [
-                batch_select(batch, [i for i, keep in enumerate(flags) if keep])
-                for batch, flags in zip(self.iter_batches(batch_size), flag_batches)
-            ]
-        else:
-            kept = []
-            for batch in self.iter_batches(batch_size):
-                flags = function(batch)
-                kept.append(batch_select(batch, [i for i, keep in enumerate(flags) if keep]))
+        kept = []
+        for batch in self.iter_batches(batch_size):
+            flags = function(batch)
+            kept.append(batch_select(batch, [i for i, keep in enumerate(flags) if keep]))
         fingerprint = new_fingerprint or self._derive_fingerprint(
             "filter_batches", getattr(function, "__qualname__", repr(function))
         )

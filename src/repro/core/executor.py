@@ -7,10 +7,14 @@ checkpoint and tracing support, and export the processed dataset.
 
 When the recipe sets ``np > 1`` the executor lazily creates a persistent
 :class:`repro.parallel.WorkerPool` (workers hold the instantiated op list) and
-routes every Mapper/Filter stage through it as row chunks; dataset-level
-operators (Deduplicators, Selectors) still run globally on the merged data.
-The pool survives across ``run`` calls — close the executor (or use it as a
-context manager) to shut the workers down.
+dispatches the pipeline to it one *segment* at a time: a maximal run of
+Mappers/Filters plus the hashing stage of a closing Deduplicator travels as
+one task per column-batch chunk, so a chunk crosses the process boundary once
+per segment, not once per op.  A segment ends where the host needs the
+intermediate dataset — a Selector, a Deduplicator's global clustering, an
+enabled per-op cache or checkpoint, an open tracer.  The pool survives across
+``run`` calls — close the executor (or use it as a context manager) to shut
+the workers down.
 
 Every run — in-memory or streaming — emits a unified
 :class:`repro.core.report.RunReport` (``last_report``, also persisted to
@@ -44,6 +48,7 @@ from repro.core.faults import (
     describe_failure,
     retry_call,
     run_op_with_policy,
+    run_segment_with_policy,
 )
 from repro.core.fusion import describe_plan
 from repro.core.monitor import ResourceMonitor, RunProfiler
@@ -119,6 +124,8 @@ class Executor:
         self._pool: WorkerPool | None = None
         self._shared_pool = bool(shared_pool)
         self._profiler = RunProfiler()
+        #: the pool's lifetime dispatch counters when this run first saw it
+        self._dispatch_base = (0, 0.0, 0.0)
         self._stream_tracer: StreamingTracer | None = None
         #: the fault policy of every run of this executor (from the recipe)
         self.policy = ErrorPolicy.from_config(self.cfg)
@@ -158,14 +165,40 @@ class Executor:
                     max_rebuilds=self.policy.max_pool_rebuilds,
                     rebuild_backoff_s=self.policy.backoff_s,
                 )
+            self._dispatch_base = self._dispatch_counters()
         # the pool outlives individual runs; point it at the current ledger
         self._pool.fault_tracker = self._faults
         return self._pool
+
+    def _dispatch_counters(self) -> tuple[int, float, float]:
+        pool = self._pool
+        return (pool.tasks, pool.worker_s, pool.dispatch_s) if pool is not None else (0, 0.0, 0.0)
+
+    def _pool_segment(self, index: int) -> list:
+        """The run of ops from ``index`` that one pool task per chunk executes.
+
+        Empty when nothing can travel (serial run; an open tracer, which
+        observes every intermediate dataset; a Selector; an op the pool does
+        not hold).  Otherwise maximal — Mappers/Filters up to and including a
+        closing Deduplicator — but cut to a single op while the per-op cache
+        or checkpoint needs every intermediate result on the host.
+        """
+        if self.cfg.np <= 1 or self.tracer is not None:
+            return []
+        segment: list = []
+        for op in self.ops[index:]:
+            if not isinstance(op, (Mapper, Filter, Deduplicator)) or not self._ensure_pool().holds(op):
+                break
+            segment.append(op)
+            if isinstance(op, Deduplicator) or self.cache.enabled or self.checkpoint.enabled:
+                break
+        return segment
 
     # ------------------------------------------------------------------
     def _begin_faults(self) -> None:
         """Start a fresh fault ledger (and quarantine export) for one run."""
         self._faults = FaultTracker()
+        self._dispatch_base = self._dispatch_counters()
         if self._pool is not None:
             self._pool.fault_tracker = self._faults
         self._quarantine = (
@@ -230,9 +263,19 @@ class Executor:
         ``worker_pids`` lists the live worker processes of the pool this run
         used (empty for serial / fully cache-hit runs); together with
         ``shared`` it lets callers — the service tests in particular — prove
-        two runs executed on the same warm workers.
+        two runs executed on the same warm workers.  ``tasks`` is the exact
+        number of tasks this run sent to the pool, ``worker_s`` the CPU
+        seconds the workers spent on them and ``dispatch_s`` the host wall
+        inside dispatch beyond the busiest worker's CPU — pickling, IPC and
+        scheduling.
         """
+        tasks, worker_s, dispatch_s = (
+            now - base for now, base in zip(self._dispatch_counters(), self._dispatch_base)
+        )
         return {
+            "tasks": tasks,
+            "worker_s": worker_s,
+            "dispatch_s": dispatch_s,
             "np": self.cfg.np,
             "batch_size": self.cfg.batch_size,
             # None when no pool was needed (np=1, or every stage cache-hit)
@@ -366,8 +409,8 @@ class Executor:
                 # older checkpoint just replays the same cache hits), so a
                 # warm-cache run pays one checkpoint write instead of one per
                 # cached op
-                saved_index = start_index
-                for index in range(start_index, len(self.ops)):
+                saved_index = index = start_index
+                while index < len(self.ops):
                     op = self.ops[index]
                     cache_key = CacheManager.make_key(
                         current.fingerprint, op.name, op.config()
@@ -376,32 +419,40 @@ class Executor:
                     if cached is not None:
                         profiler.record_cached(op, len(cached))
                         current = cached
+                        index += 1
                         continue
                     faults_before = self._faults.total_faults
-                    with profiler.track(op, rows_in=len(current)) as tracking:
-                        if isinstance(op, (Mapper, Filter, Deduplicator)):
-                            # pool creation is deferred to the first actually-
-                            # executed op with a sample-level stage, so fully
-                            # cache-hit runs never fork workers (a
-                            # Deduplicator's hashing stage is sample-level;
-                            # its clustering stays global)
+                    # pool creation is deferred to the first actually-executed
+                    # op with a sample-level stage, so fully cache-hit runs
+                    # never fork workers (a Deduplicator's hashing stage is
+                    # sample-level; its clustering stays global)
+                    segment = self._pool_segment(index)
+                    if segment:
+                        current = run_segment_with_policy(
+                            segment, current, self._pool, self.policy,
+                            self._faults, self._quarantine, profiler,
+                        )
+                    else:
+                        with profiler.track(op, rows_in=len(current)) as tracking:
+                            pool = (
+                                self._ensure_pool()
+                                if isinstance(op, (Mapper, Filter, Deduplicator))
+                                else None
+                            )
                             current = run_op_with_policy(
                                 op, current, self.policy, self._faults,
-                                self._quarantine, tracer=self.tracer,
-                                pool=self._ensure_pool(),
+                                self._quarantine, tracer=self.tracer, pool=pool,
                             )
-                        else:
-                            current = run_op_with_policy(
-                                op, current, self.policy, self._faults,
-                                self._quarantine, tracer=self.tracer,
-                            )
-                        tracking.rows_out = len(current)
+                            tracking.rows_out = len(current)
+                    index += max(1, len(segment))
                     if self._faults.total_faults == faults_before:
                         # fault-shaped results must never enter the clean-run
-                        # cache (the checkpoint still records actual progress)
+                        # cache (the checkpoint still records actual progress);
+                        # an enabled cache keeps segments to one op, so the
+                        # key computed above is this result's
                         self.cache.save(cache_key, current)
-                    self.checkpoint.save(current, index + 1, op_names, op_hashes)
-                    saved_index = index + 1
+                    self.checkpoint.save(current, index, op_names, op_hashes)
+                    saved_index = index
                 if saved_index < len(self.ops):
                     # the run ended on a cache-hit streak: persist the final
                     # state once so a later resume restarts past it, not at a
@@ -740,7 +791,8 @@ class Executor:
         self, segment: StreamSegment, rows: list[dict], shard_id: str | None
     ) -> list[dict]:
         """Run one shard through its segment's sample ops + dedup hashing."""
-        shard = run_sample_ops(
+        global_op = segment.global_op
+        return run_sample_ops(
             rows,
             segment.sample_ops,
             pool_factory=self._ensure_pool,
@@ -750,22 +802,10 @@ class Executor:
             faults=self._faults,
             quarantine=self._quarantine,
             shard_id=shard_id,
-        )
-        global_op = segment.global_op
-        if isinstance(global_op, Deduplicator):
-            # the per-sample hashing stage runs shard-local (and
-            # pool-parallel); only the clustering is global.  Timed under the
-            # dedup's report section; its rows are accounted by the resolve.
-            with self._profiler.track(global_op, rows_in=len(shard)):
-                shard = shard.map_batches(
-                    global_op.compute_hash_batched,
-                    batch_size=global_op.effective_batch_size(shard),
-                    new_fingerprint=shard.derive_fingerprint(
-                        f"{global_op.name}:hash", global_op.config()
-                    ),
-                    pool=self._ensure_pool(),
-                )
-        return shard.to_list()
+            # the per-sample hashing stage runs shard-local (and in the same
+            # pool task as the sample ops); only the clustering is global
+            hash_op=global_op if isinstance(global_op, Deduplicator) else None,
+        ).to_list()
 
     def _transformed_stage(
         self,

@@ -16,6 +16,10 @@ them:
   retry with capped exponential backoff, then (under a lenient policy)
   per-row isolation for Mappers/Filters so one poison row never takes its
   batch down, or a recorded degradation-skip for dataset-level ops.
+* :func:`run_segment_with_policy` — the same contract for a whole run of ops
+  dispatched to the worker pool as one task per chunk: the op a worker
+  reports as failing re-enters :func:`run_op_with_policy` with that failure
+  as its first attempt.
 * :class:`QuarantineWriter` — the ``quarantine-00001.jsonl.gz`` export of
   dropped rows (payload + op name + exception repr + shard id + row index).
 * :class:`FaultTracker` — the counters behind the report's ``faults``
@@ -35,8 +39,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.core.base_op import Filter, Mapper
-from repro.core.dataset import NestedDataset, _stable_hash
+from repro.core.base_op import Deduplicator, Filter, Mapper
+from repro.core.dataset import NestedDataset, _stable_hash, chain_fingerprint
 from repro.core.errors import ConfigError, OpExecutionError
 from repro.core.serialization import JsonSanitizer
 
@@ -445,6 +449,7 @@ def run_op_with_policy(
     tracer: Any = None,
     pool: Any = None,
     shard_id: str | None = None,
+    first_error: BaseException | None = None,
 ) -> NestedDataset:
     """Run one operator under the error policy; the engines' single entry.
 
@@ -455,53 +460,158 @@ def run_op_with_policy(
     (``raise``), or under a lenient policy falls back to per-row isolation
     (Mappers/Filters) or a recorded degradation-skip (dataset-level ops,
     whose global stage cannot be row-isolated).
+
+    ``first_error`` is a failure of this op over this dataset that already
+    happened elsewhere (a pool worker, inside a segment task): it is
+    recorded and counted as the first attempt instead of running the op.
     """
     kwargs: dict = {"tracer": tracer}
     if pool is not None:
         kwargs["pool"] = pool
     attempt = 0
+    error = first_error
     while True:
+        if error is None:
+            try:
+                return op.run(dataset, **kwargs)
+            except Exception as caught:
+                error = caught
+        tracker.record_op_error(op.name, error, shard_id)
+        if attempt < policy.max_retries:
+            tracker.record_retry(op.name, shard_id)
+            policy.sleep(attempt)
+            attempt += 1
+            error = None
+            continue
+        if not policy.lenient:
+            row_index = (
+                _probe_failing_row(op, dataset)
+                if isinstance(op, (Mapper, Filter))
+                else None
+            )
+            raise OpExecutionError(
+                describe_failure(op.name, error, shard_id, row_index),
+                op_name=op.name,
+                shard_id=shard_id,
+                row_index=row_index,
+            ) from error
+        if isinstance(op, (Mapper, Filter)):
+            logger.warning(
+                "operator %r failed persistently (%r); isolating rows",
+                op.name,
+                error,
+            )
+            return _isolate_rows(
+                op, dataset, policy, tracker, quarantine, tracer, shard_id
+            )
+        # Deduplicators/Selectors decide globally; skipping the op keeps
+        # every row, which is the conservative lenient outcome
+        tracker.record_degradation(
+            f"dataset-level op {op.name!r} skipped after persistent failure: {error!r}"
+        )
+        return NestedDataset.from_list(
+            dataset.to_list(),
+            fingerprint=_stable_hash(
+                {"parent": dataset.fingerprint, "fault_skipped_op": op.name}
+            ),
+        )
+
+
+def _dispatch_segment(
+    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, resolve: bool
+) -> tuple[NestedDataset | None, tuple[int, BaseException] | None]:
+    """One pool round trip of a segment: ``(result, None)`` or ``(None, failure)``.
+
+    ``failure`` is ``(op index, exception)`` of the earliest failing op —
+    what a serial run would have hit first.  Worker-measured per-op rows and
+    seconds reach the profiler only when the whole segment succeeded, so a
+    replay after a failure never counts a row twice.
+    """
+    chunks = list(dataset.iter_batches(pool.chunk_size_for(len(dataset))))
+    results = pool.run_segment(ops, chunks)
+    failures = [failure for _batch, _stats, failure, _cpu in results if failure is not None]
+    if failures:
+        return None, min(failures, key=lambda failure: failure[0])
+    closing = ops[-1] if isinstance(ops[-1], Deduplicator) else None
+    fingerprint = dataset.fingerprint
+    for op in ops:
+        stage = f"{op.name}:hash" if op is closing else op.name
+        fingerprint = chain_fingerprint(fingerprint, stage, op.config())
+    result = NestedDataset.from_batches(
+        [batch for batch, _stats, _failure, _cpu in results], fingerprint=fingerprint
+    )
+    resolve_s = 0.0
+    if closing is not None and resolve:
+        start = time.perf_counter()
         try:
-            return op.run(dataset, **kwargs)
+            result = closing.process(result, show_num=0)[0]
         except Exception as error:
-            tracker.record_op_error(op.name, error, shard_id)
-            if attempt < policy.max_retries:
-                tracker.record_retry(op.name, shard_id)
-                policy.sleep(attempt)
-                attempt += 1
-                continue
-            if not policy.lenient:
-                row_index = (
-                    _probe_failing_row(op, dataset)
-                    if isinstance(op, (Mapper, Filter))
-                    else None
-                )
-                raise OpExecutionError(
-                    describe_failure(op.name, error, shard_id, row_index),
-                    op_name=op.name,
-                    shard_id=shard_id,
-                    row_index=row_index,
-                ) from error
-            if isinstance(op, (Mapper, Filter)):
-                logger.warning(
-                    "operator %r failed persistently (%r); isolating rows",
-                    op.name,
-                    error,
-                )
-                return _isolate_rows(
-                    op, dataset, policy, tracker, quarantine, tracer, shard_id
-                )
-            # Deduplicators/Selectors decide globally; skipping the op keeps
-            # every row, which is the conservative lenient outcome
-            tracker.record_degradation(
-                f"dataset-level op {op.name!r} skipped after persistent failure: {error!r}"
+            return None, (len(ops) - 1, error)
+        resolve_s = time.perf_counter() - start
+    for index, op in enumerate(ops):
+        per_chunk = [stats[index] for _batch, stats, _failure, _cpu in results]
+        rows_in, rows_out, seconds = (
+            (sum(column) for column in zip(*per_chunk)) if per_chunk else (0, 0, 0.0)
+        )
+        if op is not closing:
+            profiler.record(op, seconds, rows_in, rows_out)
+        elif resolve:
+            profiler.record(op, seconds + resolve_s, rows_in, len(result))
+        else:
+            # hashing only: the rows are accounted by the global resolve
+            profiler.record(op, seconds)
+    return result, None
+
+
+def run_segment_with_policy(
+    ops: list,
+    dataset: NestedDataset,
+    pool: Any,
+    policy: ErrorPolicy,
+    tracker: FaultTracker,
+    quarantine: QuarantineWriter | None,
+    profiler: Any,
+    shard_id: str | None = None,
+    resolve: bool = True,
+) -> NestedDataset:
+    """Run a pool segment under the error policy: one task per chunk, not per op.
+
+    ``ops`` is a run of pool-resident Mappers/Filters, optionally closed by a
+    Deduplicator whose hashing stage runs in the workers; with ``resolve``
+    (memory mode) its clustering then runs here on the reassembled dataset,
+    without it (streaming, where the resolve is global across shards) the
+    hashed dataset is returned.  The output carries the chained fingerprint
+    of the ops, equal to what running them one by one would stamp.
+
+    Faults keep the per-op contract.  When op *k* fails, the dataset entering
+    it is rebuilt by replaying ops ``< k`` (pure, and fault-free on this
+    input), op *k* goes through :func:`run_op_with_policy` with the reported
+    failure as its first attempt — same retries, error context, row
+    isolation and quarantine payloads as a serial run — and the rest of the
+    segment is dispatched again from its output.  A hashing failure with
+    ``resolve`` off re-raises untouched for the caller's shard containment.
+    """
+    while ops:
+        result, failure = _dispatch_segment(ops, dataset, pool, profiler, resolve)
+        if failure is None:
+            return result
+        failed_at, error = failure
+        op = ops[failed_at]
+        if isinstance(op, Deduplicator) and not resolve:
+            raise error
+        if failed_at:
+            dataset = run_segment_with_policy(
+                ops[:failed_at], dataset, pool, policy, tracker, quarantine,
+                profiler, shard_id, resolve,
             )
-            return NestedDataset.from_list(
-                dataset.to_list(),
-                fingerprint=_stable_hash(
-                    {"parent": dataset.fingerprint, "fault_skipped_op": op.name}
-                ),
+        with profiler.track(op, rows_in=len(dataset)) as tracking:
+            dataset = run_op_with_policy(
+                op, dataset, policy, tracker, quarantine,
+                pool=pool, shard_id=shard_id, first_error=error,
             )
+            tracking.rows_out = len(dataset)
+        ops = ops[failed_at + 1:]
+    return dataset
 
 
 def retry_call(
@@ -541,4 +651,5 @@ __all__ = [
     "describe_failure",
     "retry_call",
     "run_op_with_policy",
+    "run_segment_with_policy",
 ]

@@ -118,10 +118,13 @@ class RunProfiler:
     into a single :class:`~repro.core.report.OpReport` section, in first-touch
     (= pipeline) order.
 
-    Wall time is host wall-clock: for worker-pool stages it covers the
-    dispatch round trip, which *includes* the worker processes' compute time
-    because the host blocks on the pool.  ``max_rss_mb`` is the host
-    process's peak RSS observed after any call of the op.
+    Wall time is host wall-clock for calls timed with :meth:`track`.  Ops a
+    pool segment ran are accounted with :meth:`record` instead: their time is
+    the *sum of worker-measured op seconds* over every chunk — compute only,
+    so it can exceed the run's wall time at ``np > 1`` and no longer hides
+    the dispatch round trip (that is the report's ``parallel.dispatch_s``).
+    ``max_rss_mb`` is the host process's peak RSS observed after any call of
+    the op.
     """
 
     def __init__(self) -> None:
@@ -158,6 +161,22 @@ class RunProfiler:
             if tracking.rows_out is not None:
                 profile.rows_in += rows_in
                 profile.rows_out += tracking.rows_out
+
+    def record(
+        self, op: Any, seconds: float, rows_in: int | None = None, rows_out: int | None = None
+    ) -> None:
+        """Account one call measured elsewhere (inside the pool workers).
+
+        Rows are optional for the same reason :meth:`track` makes them so: a
+        Deduplicator's shard-local hashing has time but no row verdict.
+        """
+        profile = self.profile_for(op)
+        profile.wall_time_s += seconds
+        profile.calls += 1
+        profile.max_rss_mb = max(profile.max_rss_mb, max_rss_mb())
+        if rows_out is not None:
+            profile.rows_in += rows_in
+            profile.rows_out += rows_out
 
     def record_cached(self, op: Any, rows_out: int) -> None:
         """Account a call answered entirely from the cache (op never ran)."""

@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 from repro.core.base_op import Deduplicator, Selector
 from repro.core.dataset import NestedDataset
 from repro.core.registry import OPERATORS
-from repro.distributed.partition import partition_rows
+from repro.distributed.partition import split_dataset
 from repro.ops import load_ops, split_process_entry
 from repro.ops.common import preload_assets
-from repro.parallel import apply_sample_ops, get_shared_pool
+from repro.parallel import default_chunk_size, get_shared_pool, run_segment
 
 
 @dataclass
@@ -127,25 +127,45 @@ class RayLikeRunner:
         preload_assets()
 
         start = time.perf_counter()
-        rows = dataset.to_list()
-        partitions = partition_rows(rows, self.num_nodes)
+        partitions = split_dataset(dataset, self.num_nodes)
 
         dispatch_start = time.perf_counter()
-        worker_pids: list[int] = []
-        if pool is not None and len(partitions) > 1:
-            node_rows, node_cpu = pool.run_sample_pipeline(partitions, chunk_size=self.chunk_size)
-            # pids that actually executed tasks — evidence of out-of-process
-            # parallel execution, not just of a live pool object
-            worker_pids = list(pool.last_served_pids)
+        pooled = pool is not None and len(partitions) > 1
+        # each node's partition travels as column-batch chunks — several per
+        # node when pooled, for load balancing — and one segment task drives a
+        # chunk through every sample-level op
+        owners: list[int] = []
+        chunks: list[dict] = []
+        for node_id, partition in enumerate(partitions):
+            size = max(1, len(partition))
+            if pooled:
+                size = self.chunk_size or pool.chunk_size or default_chunk_size(size, 1)
+            for chunk in partition.iter_batches(size):
+                owners.append(node_id)
+                chunks.append(chunk)
+        if pooled:
+            results = pool.run_segment(inline_ops, chunks)
         else:
-            node_rows, node_cpu = [], []
-            for partition in partitions:
+            results = []
+            for chunk in chunks:
                 cpu_start = time.process_time()
-                node_rows.append(apply_sample_ops(inline_ops, partition))
-                node_cpu.append(time.process_time() - cpu_start)
+                results.append((*run_segment(inline_ops, chunk), time.process_time() - cpu_start))
+        # CPU seconds are measured around the op code (inside the workers when
+        # pooled), so they reflect the genuine per-node cost even when the
+        # host has fewer cores than nodes
+        batches = []
+        node_cpu = [0.0] * len(partitions)
+        for node_id, (batch, _stats, failure, cpu) in zip(owners, results):
+            if failure is not None:
+                raise failure[1]
+            batches.append(batch)
+            node_cpu[node_id] += cpu
+        # pids that actually executed tasks — evidence of out-of-process
+        # parallel execution, not just of a live pool object
+        worker_pids = list(pool.last_served_pids) if pooled else []
         dispatch_end = time.perf_counter()
 
-        merged = NestedDataset.from_list([row for part in node_rows for row in part])
+        merged = NestedDataset.from_batches(batches)
         for op in load_ops(dataset_level):
             merged = op.run(merged)
         end = time.perf_counter()

@@ -3,10 +3,11 @@
 This package is the single parallel runtime shared by the core
 :class:`~repro.core.executor.Executor` (via the ``np`` recipe knob) and the
 simulated distributed runners in :mod:`repro.distributed` (Figure 10).  The
-design follows the paper's Ray adaptation: sample-level operators (Mappers and
-Filters) are embarrassingly parallel over rows, so they are dispatched as row
-*chunks* to a pool of long-lived worker processes, while dataset-level
-operators (Deduplicators and Selectors) run globally on the merged result.
+design follows the paper's Ray adaptation: sample-level operators (Mappers,
+Filters, a Deduplicator's hashing) are embarrassingly parallel over rows, so
+they are dispatched as column-batch *chunks* to a pool of long-lived worker
+processes, while dataset-level stages (duplicate clustering, Selectors) run
+globally on the merged result.
 
 Key properties:
 
@@ -14,10 +15,9 @@ Key properties:
   across runs; workers are initialized exactly once with the instantiated
   operator list (via a ``Pool`` initializer), so per-run operator construction
   and asset loading costs are paid once, not per task.
-* **Chunked dispatch** — tasks carry ``(kind, op_index, rows)`` where the
-  operator is referenced by index into the worker-resident op list; only row
-  chunks cross the process boundary, never operator pickles or whole
-  partitions.
+* **Segment dispatch** — a ``("segment", op_refs, batch)`` task carries one
+  chunk plus references into the worker-resident op list; a chunk crosses
+  the process boundary once per pipeline segment, operators never do.
 * **Start-method fallback** — ``fork`` is preferred (workers inherit the
   already-instantiated ops and warm asset caches for free); on spawn-only
   platforms workers re-instantiate the ops from the recipe entries inside the
@@ -34,14 +34,14 @@ from repro.parallel.pool import (
     resolve_start_method,
     shutdown_shared_pools,
 )
-from repro.parallel.worker import apply_sample_ops, default_chunk_size
+from repro.parallel.worker import default_chunk_size, run_segment
 
 __all__ = [
     "WorkerPool",
-    "apply_sample_ops",
     "default_chunk_size",
     "get_shared_pool",
     "is_shared_pool",
     "resolve_start_method",
+    "run_segment",
     "shutdown_shared_pools",
 ]

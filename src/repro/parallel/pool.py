@@ -2,10 +2,13 @@
 
 A ``WorkerPool`` wraps a :mod:`multiprocessing` pool whose workers are
 initialized exactly once with the instantiated operator list (see
-:mod:`repro.parallel.worker`).  The pool stays alive across any number of
-``map_rows`` / ``filter_rows`` / ``run_sample_pipeline`` calls, which is what
-fixes the Figure-10 regression: the old runner forked a fresh pool per run and
-re-ran ``load_ops`` in every worker for every call.
+:mod:`repro.parallel.worker`).  Its dispatch surface is
+:meth:`WorkerPool.run_segment` — one task per column-batch chunk, each driven
+through a whole run of resident ops inside the worker — which the engines
+call once per pipeline segment and ``op.run(dataset, pool=pool)`` calls as a
+segment of one.  The pool stays alive across any number of calls, which is
+what fixes the Figure-10 regression: the old runner forked a fresh pool per
+run and re-ran ``load_ops`` in every worker for every call.
 
 :func:`get_shared_pool` adds process-wide pool reuse: callers that repeatedly
 run the same recipe at the same worker count (e.g. the scalability sweep, or
@@ -22,6 +25,7 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from repro.core.base_op import Filter, Mapper
@@ -29,12 +33,6 @@ from repro.core.dataset import _stable_hash
 from repro.core.faults import BACKOFF_CAP_S, DegradedExecutionWarning
 from repro.parallel import worker as _worker
 from repro.parallel.worker import chunk_rows, default_chunk_size
-
-try:  # the canonical broken-pool signal of concurrent.futures executors
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - always present on CPython
-    class BrokenProcessPool(RuntimeError):
-        """Fallback placeholder when concurrent.futures is unavailable."""
 
 logger = logging.getLogger(__name__)
 
@@ -158,6 +156,14 @@ class WorkerPool:
         #: evidence of out-of-process execution (unlike :meth:`worker_pids`,
         #: which only lists the live processes)
         self.last_served_pids: list[int] = []
+        #: lifetime dispatch counters (callers report per-run deltas): tasks
+        #: sent, worker CPU seconds, and host wall inside dispatch minus the
+        #: busiest worker's CPU — what pickling, IPC and scheduling cost
+        self.tasks = 0
+        self.worker_s = 0.0
+        self.dispatch_s = 0.0
+        #: the parent-side op table degraded mode runs tasks against
+        self._serial_ops: _worker.ResidentOps | None = None
         self._ops = list(ops)
         self._op_index = {id(op): index for index, op in enumerate(self._ops)}
         # equivalence index: ops are pure functions of their config() (the
@@ -289,14 +295,13 @@ class WorkerPool:
 
         ``kind`` is the caller's dispatch intent — ``"map"`` (row transform or
         stats annotation, served by :meth:`map_rows`), ``"filter"`` (boolean
-        keep/drop decision, served by :meth:`flag_rows`), ``"map_batches"``
-        (columnar batch transform, served by :meth:`map_column_batches`) or
-        ``"filter_batches"`` (columnar keep flags, served by
-        :meth:`flag_column_batches`) — and ``batched`` mirrors the caller's
-        ``batched=`` flag on the row-oriented kinds.  Intent and method must
-        agree: approving a method for the wrong intent would make the pool
-        execute *different* worker code than the serial path runs for the
-        same call, so mismatches fall back to serial.
+        keep/drop decision, served by :meth:`flag_rows`) or ``"map_batches"``
+        (columnar batch transform, served by :meth:`run_ops` as a segment of
+        one op) — and ``batched`` mirrors the caller's ``batched=`` flag on the
+        row-oriented kinds.  Intent and method must agree: approving a method
+        for the wrong intent would make the pool execute *different* worker
+        code than the serial path runs for the same call, so mismatches fall
+        back to serial.
         """
         owner = getattr(function, "__self__", None)
         if self._closed or owner is None or self._resolve(owner) is None:
@@ -311,9 +316,7 @@ class WorkerPool:
         if kind == "map_batches":
             if name == "process_batched":
                 return isinstance(owner, Mapper)
-            return name in ("compute_stats_batched", "compute_hash_batched")
-        if kind == "filter_batches":
-            return isinstance(owner, Filter) and name == "process_batched"
+            return name == "compute_hash_batched"
         return False
 
     def _dispatch(self, tasks: list[tuple[str, int, list[dict]]]) -> list[tuple[Any, float]]:
@@ -322,8 +325,16 @@ class WorkerPool:
         if not tasks:
             self.last_served_pids = []
             return []
+        start = time.perf_counter()
         results = self._supervised_map(tasks)
-        self.last_served_pids = sorted({pid for _payload, _cpu, pid in results})
+        wall = time.perf_counter() - start
+        busy: dict[int, float] = {}
+        for _payload, cpu, pid in results:
+            busy[pid] = busy.get(pid, 0.0) + cpu
+        self.last_served_pids = sorted(busy)
+        self.tasks += len(tasks)
+        self.worker_s += sum(busy.values())
+        self.dispatch_s += max(0.0, wall - max(busy.values()))
         return [(payload, cpu) for payload, cpu, _pid in results]
 
     def _supervised_map(self, tasks: list) -> list[tuple[Any, float, int]]:
@@ -375,6 +386,9 @@ class WorkerPool:
     def _degrade(self, error: BaseException) -> None:
         """Give up on worker processes; subsequent dispatches run in-parent."""
         self.degraded = True
+        # this pool's own table, built once from the list the parent always
+        # holds; the worker-process global stays untouched
+        self._serial_ops = _worker.ResidentOps(self._ops)
         detail = (
             f"worker pool failed {self.rebuilds} rebuild(s) deep ({error!r}); "
             "degrading to serial in-parent execution"
@@ -390,22 +404,22 @@ class WorkerPool:
 
     def _run_serial(self, tasks: list) -> list[tuple[Any, float, int]]:
         """Execute dispatched tasks in the parent process (degraded mode)."""
-        # install the op list as this process's worker state so run_task
-        # resolves op references exactly like a worker would
-        _worker.initialize_worker(*self._initargs)
-        return [_worker.run_task(task) for task in tasks]
+        return [_worker.run_task(task, self._serial_ops) for task in tasks]
 
-    def _chunks(self, rows: Sequence[dict], chunk_size: int | None = None) -> list[list[dict]]:
-        size = chunk_size or self.chunk_size or default_chunk_size(len(rows), self.num_workers)
-        return chunk_rows(rows, size)
+    def chunk_size_for(self, num_rows: int) -> int:
+        """Rows per dispatched chunk: the pool's setting, else auto-sized."""
+        return self.chunk_size or default_chunk_size(num_rows, self.num_workers)
+
+    def _chunks(self, rows: Sequence[dict]) -> list[list[dict]]:
+        return chunk_rows(rows, self.chunk_size_for(len(rows)))
 
     def map_rows(self, function: Callable, rows: list[dict]) -> list[dict]:
         """Run a per-row Mapper method (or ``compute_stats``) over rows via the pool.
 
         The task kind is derived from the bound method itself, so the workers
         always execute the same method the serial path would (columnar
-        ``process_batched`` dispatch is served by :meth:`map_column_batches`
-        instead).  Chunks preserve row order.
+        ``process_batched`` dispatch is a :meth:`run_ops` segment of one).
+        Chunks preserve row order.
         """
         owner = getattr(function, "__self__", None)
         if owner is None:
@@ -429,54 +443,37 @@ class WorkerPool:
             raise ValueError(f"{op!r} is not resident in this pool")
         return op_ref
 
-    def map_column_batches(self, function: Callable, batches: list[dict]) -> list[dict]:
-        """Run a columnar batch method over pre-sliced column batches.
+    def run_segment(self, ops: Sequence, batches: list[dict]) -> list[tuple]:
+        """Drive every column batch through ``ops`` in order, one task per batch.
 
-        ``function`` must be a pool-resident op's ``process_batched``,
-        ``compute_stats_batched`` or ``compute_hash_batched`` bound method;
-        each batch becomes one task, so the batch boundaries are exactly the
-        caller's (serial-path) boundaries.  Returns the transformed batches
-        in order.
+        The engines' unit of dispatch: a batch crosses the process boundary
+        once however many ops the segment holds.  Returns one ``(batch,
+        stats, failure, cpu_seconds)`` per input batch, in order (see
+        :func:`repro.parallel.worker.run_segment`); an op that raises in a
+        worker comes back as that batch's ``failure``, never as an exception.
         """
-        owner = getattr(function, "__self__", None)
-        if owner is None:
-            raise ValueError(f"{function!r} is not a bound op method")
-        op_ref = self._resolve_or_raise(owner)
-        method = getattr(function, "__name__", "")
-        kinds = {
-            "process_batched": "map_cols",
-            "compute_stats_batched": "stats_cols",
-            "compute_hash_batched": "hash_cols",
-        }
-        if method not in kinds or (method == "process_batched" and not isinstance(owner, Mapper)):
-            raise ValueError(f"cannot dispatch {method!r} of {type(owner).__name__} as a column map")
-        tasks = [(kinds[method], op_ref, batch) for batch in batches]
-        return [payload for payload, _cpu in self._dispatch(tasks)]
+        refs = tuple(self._resolve_or_raise(op) for op in ops)
+        tasks = [("segment", refs, batch) for batch in batches]
+        return [(*payload, cpu) for payload, cpu in self._dispatch(tasks)]
 
-    def flag_column_batches(self, function: Callable, batches: list[dict]) -> list[list[bool]]:
-        """Evaluate a Filter's batched keep/drop flags over column batches."""
-        owner = getattr(function, "__self__", None)
-        if owner is None or not isinstance(owner, Filter):
-            raise ValueError(f"{function!r} is not a method of a pool-resident Filter")
-        op_ref = self._resolve_or_raise(owner)
-        if getattr(function, "__name__", "") != "process_batched":
-            raise ValueError("flag_column_batches dispatches process_batched only")
-        tasks = [("flags_cols", op_ref, batch) for batch in batches]
-        return [payload for payload, _cpu in self._dispatch(tasks)]
+    def run_ops(self, ops: Sequence, batches: list[dict]) -> list[dict]:
+        """:meth:`run_segment` for callers that own no fault policy: returns
+        the output batches, re-raising the first op failure like an
+        in-process run would have raised it."""
+        results = self.run_segment(ops, batches)
+        for _batch, _stats, failure, _cpu in results:
+            if failure is not None:
+                raise failure[1]
+        return [batch for batch, _stats, _failure, _cpu in results]
 
     def filter_column_batches(
-        self, op: Filter, batches: list[dict], full_stats: bool = False
+        self, op: Filter, batches: list[dict]
     ) -> list[tuple[dict, list[bool]]]:
-        """Run a Filter's batched stats + decision over column batches.
-
-        Returns one ``(batch, keep_flags)`` pair per input batch.  With
-        ``full_stats`` the batch contains *every* row stat-annotated (for
-        tracing); otherwise only the surviving rows come back
-        (short-circuiting ``filter_batched``, the fast path).
-        """
+        """One ``(stat_batch, keep_flags)`` per batch with *every* row
+        stat-annotated — what a tracer needs to show rejected rows' stats;
+        the survivors-only fast path is ``run_ops([op], batches)``."""
         op_ref = self._resolve_or_raise(op)
-        kind = "filter_cols_full" if full_stats else "filter_cols"
-        tasks = [(kind, op_ref, batch) for batch in batches]
+        tasks = [("filter_cols_full", op_ref, batch) for batch in batches]
         return [payload for payload, _cpu in self._dispatch(tasks)]
 
     def flag_rows(self, function: Callable, rows: list[dict]) -> list[bool]:
@@ -504,32 +501,6 @@ class WorkerPool:
             stat_rows.extend(chunk_stats)
             keep_flags.extend(chunk_flags)
         return stat_rows, keep_flags
-
-    def run_sample_pipeline(
-        self, partitions: list[list[dict]], chunk_size: int | None = None
-    ) -> tuple[list[list[dict]], list[float]]:
-        """Run the full worker op list over per-node partitions.
-
-        Each partition (one simulated cluster node) is dispatched as several
-        row chunks for load balancing; results are re-grouped per node in
-        order.  Returns ``(surviving_rows_per_node, cpu_seconds_per_node)``
-        where the CPU seconds are measured inside the workers and therefore
-        reflect the genuine per-node cost even when the host has fewer cores
-        than workers.
-        """
-        tasks: list[tuple[str, int, list[dict]]] = []
-        owners: list[int] = []
-        for node_id, partition in enumerate(partitions):
-            size = chunk_size or self.chunk_size or default_chunk_size(len(partition), 1)
-            for chunk in chunk_rows(partition, size):
-                tasks.append(("pipeline", -1, chunk))
-                owners.append(node_id)
-        node_rows: list[list[dict]] = [[] for _ in partitions]
-        node_cpu = [0.0] * len(partitions)
-        for node_id, (payload, cpu) in zip(owners, self._dispatch(tasks)):
-            node_rows[node_id].extend(payload)
-            node_cpu[node_id] += cpu
-        return node_rows, node_cpu
 
 
 # ----------------------------------------------------------------------

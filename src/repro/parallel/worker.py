@@ -10,11 +10,10 @@ implementation.
 Tasks are small tuples ``(kind, op_ref, payload)``; operators are referenced
 by index into the worker-resident list — or, for fused filters assembled
 after pool construction, by a *tuple* of member indices (the worker builds
-and caches an equivalent ``FusedFilter`` over its resident members).  Row
-tasks carry row-dict chunks; the batched column tasks (``map_cols``,
-``stats_cols``, ``hash_cols``, ``filter_cols``…) carry column batches
-(``dict[str, list]``), so the per-row dict construction never happens on
-either side of the process boundary.
+and caches an equivalent ``FusedFilter`` over its resident members).  The
+engines dispatch ``"segment"`` tasks: several op references plus one column
+batch (``dict[str, list]``) that :func:`run_segment` drives through every op
+in order, so a chunk crosses the process boundary once per segment.
 
 Every task returns ``(payload, cpu_seconds, pid)`` where ``cpu_seconds`` is
 the CPU time this worker spent executing the operator code
@@ -29,17 +28,39 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import time
 from typing import Any, Sequence
 
-from repro.core.base_op import Filter, Mapper
-from repro.core.batch import batch_to_rows, rows_to_batch
+from repro.core.base_op import Deduplicator, Filter, Mapper
+from repro.core.batch import batch_concat, batch_length
+from repro.core.dataset import NestedDataset
 
-#: operator list of this worker process, set once by :func:`initialize_worker`
-_WORKER_OPS: list | None = None
 
-#: worker-side cache of FusedFilters referenced by member-index tuples
-_FUSED_CACHE: dict[tuple, Any] = {}
+class ResidentOps:
+    """An op list plus the fused filters assembled over it; task references
+    resolve against one: a worker's process-global, or a degraded pool's own
+    table in the parent (pools sharing a process never see each other's ops)."""
+
+    def __init__(self, ops: Sequence):
+        self.ops = list(ops)
+        self._fused: dict[tuple, Any] = {}
+
+    def resolve(self, op_ref: int | tuple) -> Any:
+        """Look up a task's operator: an index, or a member-index tuple (fused)."""
+        if isinstance(op_ref, tuple):
+            fused = self._fused.get(op_ref)
+            if fused is None:
+                from repro.core.fusion import FusedFilter
+
+                fused = FusedFilter([self.ops[index] for index in op_ref])
+                self._fused[op_ref] = fused
+            return fused
+        return self.ops[op_ref]
+
+
+#: operator table of this worker process, set once by :func:`initialize_worker`
+_RESIDENT: ResidentOps | None = None
 
 
 def initialize_worker(ops: Sequence | None, process_list: list | None, op_fusion: bool) -> None:
@@ -51,15 +72,14 @@ def initialize_worker(ops: Sequence | None, process_list: list | None, op_fusion
     re-instantiates the operators here, applying the same fusion setting the
     parent used so operator indices line up.
     """
-    global _WORKER_OPS
+    global _RESIDENT
     if ops is None:
         if process_list is None:
             raise ValueError("worker needs either instantiated ops or a process list")
         from repro.ops import build_ops
 
         ops = build_ops(process_list, op_fusion=op_fusion)
-    _WORKER_OPS = list(ops)
-    _FUSED_CACHE.clear()
+    _RESIDENT = ResidentOps(ops)
     # warm the shared assets (word lists, unigram LM) so the first dispatched
     # chunk is not billed for lazy loading — see ops.common.preload_assets
     from repro.ops.common import preload_assets
@@ -81,46 +101,71 @@ def chunk_rows(rows: Sequence[dict], chunk_size: int) -> list[list[dict]]:
     return [list(rows[start:start + chunk_size]) for start in range(0, len(rows), chunk_size)]
 
 
-def apply_sample_ops(ops: Sequence, rows: list[dict]) -> list[dict]:
-    """Run a list of sample-level ops over rows in a single fused pass.
+def _apply_batched(op: Any, batch: dict) -> dict:
+    """One op's shard-local stage over a chunk, sliced to the op's batch size.
 
-    The rows are converted to one column batch, every op executes its batched
-    path over it (Mappers transform, Filters compute stats and drop rejected
-    rows immediately via the short-circuiting ``filter_batched``), and the
-    surviving batch is materialised back to rows.  This is the common code
-    path of the inline (``np=1`` / single-node) execution and the worker-side
-    ``pipeline`` task.  Output equivalence with the serial Executor is
-    guaranteed for per-sample ops; a batched op whose output depends on batch
-    composition is not safe to run partitioned, because here the batch spans
-    the whole chunk rather than the op's own ``batch_size``.
+    Mappers transform, Filters compute stats and drop rejected rows at once
+    (the short-circuiting ``filter_batched``), a Deduplicator runs its
+    hashing stage only — its clustering is global and stays on the host.
     """
-    batch = rows_to_batch(rows)
-    for op in ops:
-        if isinstance(op, Mapper):
-            batch = op.process_batched(batch)
-        elif isinstance(op, Filter):
-            batch, _flags = op.filter_batched(batch)
-        else:
-            raise TypeError(f"apply_sample_ops only handles Mappers/Filters, got {op!r}")
-    return batch_to_rows(batch)
+    if isinstance(op, Mapper):
+        function = op.process_batched
+    elif isinstance(op, Filter):
+        def function(part: dict) -> dict:
+            return op.filter_batched(part)[0]
+    elif isinstance(op, Deduplicator):
+        function = op.compute_hash_batched
+    else:
+        raise TypeError(f"a segment only holds Mappers/Filters/Deduplicators, got {op!r}")
+    chunk = NestedDataset(batch, fingerprint="segment")
+    if len(chunk) == 0:
+        return batch
+    return batch_concat(
+        [function(part) for part in chunk.iter_batches(op.effective_batch_size(chunk))]
+    )
 
 
-def _resolve_worker_op(op_ref: int | tuple) -> Any:
-    """Look up a task's operator: an index, or a member-index tuple (fused)."""
-    assert _WORKER_OPS is not None
-    if isinstance(op_ref, tuple):
-        fused = _FUSED_CACHE.get(op_ref)
-        if fused is None:
-            from repro.core.fusion import FusedFilter
-
-            fused = FusedFilter([_WORKER_OPS[index] for index in op_ref])
-            _FUSED_CACHE[op_ref] = fused
-        return fused
-    return _WORKER_OPS[op_ref]
+def _portable(error: BaseException) -> BaseException:
+    """``error`` if it survives a pickle round trip, else a stand-in that does."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return RuntimeError(f"{type(error).__name__}: {error}")
+    return error
 
 
-def run_task(task: tuple[str, Any, Any]) -> tuple[Any, float, int]:
-    """Execute one dispatched task against the worker-resident operator list.
+def run_segment(
+    ops: Sequence, batch: dict
+) -> tuple[dict | None, list[tuple[int, int, float]], tuple[int, BaseException] | None]:
+    """Drive one column batch through ``ops`` in order.
+
+    Returns ``(batch, stats, failure)``: the surviving batch, one
+    ``(rows_in, rows_out, seconds)`` triple per completed op, and ``None`` —
+    or, when op *k* raised, ``(None, stats of ops < k, (k, exception))`` so
+    the host can hand exactly that op to the error policy.  Output equals the
+    per-op engine's for per-sample ops, whose results do not depend on batch
+    boundaries.
+    """
+    stats: list[tuple[int, int, float]] = []
+    for index, op in enumerate(ops):
+        rows_in = batch_length(batch)
+        start = time.perf_counter()
+        try:
+            batch = _apply_batched(op, batch)
+        except Exception as error:
+            return None, stats, (index, _portable(error))
+        stats.append((rows_in, batch_length(batch), time.perf_counter() - start))
+    return batch, stats, None
+
+
+def run_task(task: tuple[str, Any, Any], resident: ResidentOps | None = None) -> tuple[Any, float, int]:
+    """Execute one dispatched task against a resident operator table.
+
+    ``resident`` defaults to this worker's table; a degraded pool passes its
+    own when it runs tasks in the parent.
+
+    * ``"segment"`` — ``op_ref`` is a tuple of references, the payload one
+      column batch; see :func:`run_segment` for the returned payload.
 
     Row-chunk kinds (payload: list of row dicts):
 
@@ -128,31 +173,24 @@ def run_task(task: tuple[str, Any, Any]) -> tuple[Any, float, int]:
     * ``"stats"`` — ``op.compute_stats`` over each row; payload: stat rows.
     * ``"flags"`` — ``bool(op.process(row))`` per row; payload: keep flags.
     * ``"filter"`` — stats then decision; payload: ``(stat_rows, keep_flags)``.
-    * ``"pipeline"`` — the full worker op list via :func:`apply_sample_ops`
-      (``op_ref`` is ignored); payload: surviving rows.
 
-    Column-batch kinds (payload: ``dict[str, list]``):
+    Column-batch kind (payload: ``dict[str, list]``):
 
-    * ``"map_cols"`` — ``op.process_batched``; payload: the mapped batch.
-    * ``"stats_cols"`` — ``op.compute_stats_batched``; payload: stat batch.
-    * ``"hash_cols"`` — ``op.compute_hash_batched``; payload: hashed batch.
-    * ``"filter_cols"`` — ``op.filter_batched`` (short-circuit); payload:
-      ``(surviving_batch, keep_flags)``.
     * ``"filter_cols_full"`` — stats for *every* row then decision; payload:
       ``(stat_batch, keep_flags)`` (used when a tracer needs rejected rows).
-    * ``"flags_cols"`` — ``op.process_batched`` flags only; payload: flags.
 
-    Returns ``(payload, cpu_seconds, pid)``; the pid identifies the worker
-    process that served the task.
+    Returns ``(payload, cpu_seconds, pid)``; the pid identifies the process
+    that served the task.
     """
     kind, op_ref, payload_in = task
-    if _WORKER_OPS is None:
+    resident = resident or _RESIDENT
+    if resident is None:
         raise RuntimeError("worker not initialized; WorkerPool must set the op list")
     start_cpu = time.process_time()
-    if kind == "pipeline":
-        payload: Any = apply_sample_ops(_WORKER_OPS, payload_in)
+    if kind == "segment":
+        payload: Any = run_segment([resident.resolve(ref) for ref in op_ref], payload_in)
     else:
-        op = _resolve_worker_op(op_ref)
+        op = resident.resolve(op_ref)
         if kind == "map":
             payload = [op.process(dict(row)) for row in payload_in]
         elif kind == "stats":
@@ -162,19 +200,9 @@ def run_task(task: tuple[str, Any, Any]) -> tuple[Any, float, int]:
         elif kind == "filter":
             stat_rows = [op.compute_stats(dict(row)) for row in payload_in]
             payload = (stat_rows, [bool(op.process(row)) for row in stat_rows])
-        elif kind == "map_cols":
-            payload = op.process_batched(dict(payload_in))
-        elif kind == "stats_cols":
-            payload = op.compute_stats_batched(dict(payload_in))
-        elif kind == "hash_cols":
-            payload = op.compute_hash_batched(dict(payload_in))
-        elif kind == "filter_cols":
-            payload = op.filter_batched(dict(payload_in))
         elif kind == "filter_cols_full":
             batch = op.compute_stats_batched(dict(payload_in))
             payload = (batch, op.process_batched(batch))
-        elif kind == "flags_cols":
-            payload = [bool(flag) for flag in op.process_batched(dict(payload_in))]
         else:
             raise ValueError(f"unknown task kind {kind!r}")
     return payload, time.process_time() - start_cpu, os.getpid()

@@ -421,3 +421,128 @@ class TestCrashResumeWorstPoints:
 
         Executor(reference).run()
         assert (tmp_path / "out.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+class TestSegmentFaultParity:
+    """np=2 runs a whole run of ops as one pool task per chunk; a fault in the
+    middle of that segment must look exactly like the serial run's fault."""
+
+    #: one pool segment of three ops; the first filter drops rows, so row
+    #: indices entering the last op differ from input positions
+    PROCESS = [
+        {"whitespace_normalization_mapper": {}},
+        {"text_length_filter": {"max_len": 1700}},
+        {"words_num_filter": {"min_num": 1}},
+    ]
+
+    def config(self, tmp_path, tag, **overrides):
+        config = {
+            "process": self.PROCESS,
+            "export_path": str(tmp_path / f"{tag}.jsonl"),
+            "work_dir": str(tmp_path / f"work-{tag}"),
+            "backoff_s": 0.0,
+        }
+        config.update(overrides)
+        return config
+
+    def run(self, tmp_path, tag, rows, plan=None, **overrides):
+        with Executor(self.config(tmp_path, tag, **overrides)) as executor:
+            if plan is not None:
+                plan.install(executor.ops)
+            executor.run(NestedDataset.from_list(rows))
+        return executor.last_report, (tmp_path / f"{tag}.jsonl").read_bytes()
+
+    def test_raise_names_the_failing_op_and_first_failing_row(self, tmp_path):
+        rows = corpus_with_markers(num_samples=60)
+        errors = {}
+        for np in (1, 2):
+            executor = Executor(self.config(tmp_path, f"np{np}", np=np))
+            FaultPlan().inject("words_num_filter", match=MARKER).install(executor.ops)
+            with executor, pytest.raises(OpExecutionError) as excinfo:
+                executor.run(NestedDataset.from_list(rows))
+            errors[np] = excinfo.value
+            assert executor.last_report is not None
+        assert errors[2].op_name == errors[1].op_name == "words_num_filter"
+        assert errors[2].row_index == errors[1].row_index
+        # rows were dropped before the failing op: not the input position
+        assert errors[2].row_index not in (None, 7)
+        assert str(errors[2]) == str(errors[1])
+
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_quarantine_equals_fault_free_minus_quarantined_rows(self, tmp_path, mode):
+        rows = corpus_with_markers()
+        clean = fig8_config(tmp_path, "clean")
+        Executor(clean).run(NestedDataset.from_list(rows))
+        clean_lines = export_lines(tmp_path / "clean.jsonl")
+
+        config = fig8_config(
+            tmp_path, "faulted", on_error="quarantine", np=2, max_shard_rows=25
+        )
+        with Executor(config) as executor:
+            # clean_links_mapper is the fifth op of the recipe's first segment
+            FaultPlan().inject("clean_links_mapper", match=MARKER).install(executor.ops)
+            if mode == "memory":
+                executor.run(NestedDataset.from_list(rows))
+            else:
+                executor.run_streaming(NestedDataset.from_list(rows))
+        assert export_lines(tmp_path / "faulted.jsonl") == [
+            line for line in clean_lines if MARKER not in line
+        ]
+        faults = executor.last_report["faults"]
+        assert faults["quarantined_rows"] == len(MARKER_TEXTS)
+        import gzip
+
+        entries = []
+        for path in faults["quarantine_paths"]:
+            with gzip.open(path, "rt", encoding="utf-8") as handle:
+                entries.extend(json.loads(line) for line in handle)
+        assert len(entries) == len(MARKER_TEXTS)
+        assert all(entry["op"] == "clean_links_mapper" for entry in entries)
+        assert all(MARKER in entry["row"]["text"] for entry in entries)
+
+    def test_quarantine_payloads_match_the_serial_run(self, tmp_path):
+        rows = corpus_with_markers(num_samples=60)
+        payloads = {}
+        for np in (1, 2):
+            plan = FaultPlan().inject("words_num_filter", match=MARKER)
+            report, exported = self.run(
+                tmp_path, f"np{np}", rows, plan, np=np, on_error="quarantine"
+            )
+            import gzip
+
+            with gzip.open(report["faults"]["quarantine_paths"][0], "rb") as handle:
+                payloads[np] = (handle.read(), exported, report.op_summary())
+        assert payloads[2] == payloads[1]
+
+    def test_transient_fault_costs_one_error_and_one_retry(self, tmp_path):
+        rows = corpus_with_markers(num_samples=60)
+        _report, reference = self.run(tmp_path, "ref", rows)
+        plan = FaultPlan(state_dir=tmp_path / "fuse").inject(
+            "text_length_filter", match=MARKER_TEXTS[1][:40], times=1
+        )
+        report, exported = self.run(tmp_path, "out", rows, plan, np=2, max_retries=1)
+        faults = report["faults"]
+        assert faults["op_errors"] == {"text_length_filter": 1}
+        assert faults["retries"] == 1
+        assert faults["quarantined_rows"] == faults["skipped_rows"] == 0
+        assert exported == reference
+        assert plan.fired() == 1
+
+    @pytest.mark.parametrize("kind", ["kill", "hang"])
+    def test_kill_and_hang_inside_a_segment_rebuild_the_pool(self, tmp_path, kind):
+        rows = corpus_with_markers(num_samples=60)
+        _report, reference = self.run(tmp_path, "ref", rows)
+        # the fault fires in the segment's last op: the replayed task redoes
+        # the two ops before it as well
+        plan = FaultPlan(state_dir=tmp_path / "fuse").inject(
+            "words_num_filter", kind=kind, times=1, hang_s=30.0
+        )
+        report, exported = self.run(
+            tmp_path, "out", rows, plan, np=2, task_timeout_s=2.0, backoff_s=0.01
+        )
+        assert report["faults"]["pool_rebuilds"] >= 1
+        assert report["faults"]["degradations"] == 0
+        assert report["faults"]["op_errors"] == {}
+        assert exported == reference
+        # one segment, at most 8 chunks: the rebuild replays, it does not add tasks
+        assert report["parallel"]["tasks"] <= 8

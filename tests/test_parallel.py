@@ -7,9 +7,9 @@ from repro.core.executor import Executor
 from repro.ops import load_ops
 from repro.parallel import (
     WorkerPool,
-    apply_sample_ops,
     get_shared_pool,
     resolve_start_method,
+    run_segment,
     shutdown_shared_pools,
 )
 from repro.parallel.worker import chunk_rows, default_chunk_size
@@ -69,54 +69,151 @@ class TestChunking:
         assert default_chunk_size(3, 16) == 1
 
 
+def serial_segment(ops, dataset):
+    """The in-process reference: every op over the whole dataset as one chunk."""
+    batch, _stats, failure = run_segment(ops, dataset.to_dict())
+    assert failure is None
+    return NestedDataset.from_batches([batch]).to_list()
+
+
+def pooled_segment(pool, ops, dataset, chunk_rows_=None):
+    size = chunk_rows_ or pool.chunk_size_for(len(dataset))
+    results = pool.run_segment(ops, list(dataset.iter_batches(size)))
+    assert all(failure is None for _batch, _stats, failure, _cpu in results)
+    return results
+
+
 class TestWorkerPool:
     def test_pool_reuse_across_runs(self, corpus):
-        rows = corpus.to_list()
-        with WorkerPool(2, ops=load_ops(PROCESS)) as pool:
+        ops = load_ops(PROCESS)
+        with WorkerPool(2, ops=ops) as pool:
             pids_before = sorted(pool.worker_pids())
-            first, _ = pool.run_sample_pipeline([rows])
-            second, _ = pool.run_sample_pipeline([rows])
+            first = pool.run_ops(ops, list(corpus.iter_batches(12)))
+            second = pool.run_ops(ops, list(corpus.iter_batches(12)))
             pids_after = sorted(pool.worker_pids())
         # the same worker processes served both runs — no fork-per-run
         assert pids_before == pids_after and len(pids_before) == 2
         assert first == second
 
-    def test_chunked_dispatch_preserves_row_order(self, corpus):
+    def test_chunked_dispatch_preserves_row_order(self):
         rows = [{"text": f"word {i} " + "stable filler text for the pipeline", "idx": i} for i in range(40)]
+        dataset = NestedDataset.from_list(rows)
         ops = load_ops([{"whitespace_normalization_mapper": {}}])
-        serial = apply_sample_ops(ops, rows)
+        serial = serial_segment(ops, dataset)
         with WorkerPool(3, ops=ops, chunk_size=4) as pool:
-            node_rows, _cpu = pool.run_sample_pipeline([rows])
-        assert [r["idx"] for r in node_rows[0]] == [r["idx"] for r in serial]
-        assert node_rows[0] == serial
+            results = pooled_segment(pool, ops, dataset)
+        assert len(results) == 10  # the pool's chunk_size sliced the dispatch
+        pooled = NestedDataset.from_batches([batch for batch, *_rest in results]).to_list()
+        assert [row["idx"] for row in pooled] == list(range(40))
+        assert pooled == serial
 
-    def test_per_node_cpu_accounting(self, corpus):
-        rows = corpus.to_list()
-        with WorkerPool(2, ops=load_ops(PROCESS)) as pool:
-            node_rows, node_cpu = pool.run_sample_pipeline([rows[:24], rows[24:]])
-        assert len(node_rows) == 2 and len(node_cpu) == 2
-        assert all(cpu >= 0.0 for cpu in node_cpu)
-        assert sum(len(part) for part in node_rows) <= len(rows)
+    def test_segment_reports_per_op_rows_and_worker_cpu(self, corpus):
+        ops = load_ops(PROCESS)
+        with WorkerPool(2, ops=ops) as pool:
+            half = len(corpus) // 2
+            results = pooled_segment(pool, ops, corpus, chunk_rows_=half)
+        assert len(results) == 2 and len(corpus) == 2 * half
+        for batch, stats, _failure, cpu in results:
+            assert len(stats) == len(ops) and cpu >= 0.0
+            # each op's rows_in is the previous op's rows_out
+            assert [rows_in for rows_in, _out, _s in stats][1:] == [
+                rows_out for _in, rows_out, _s in stats
+            ][:-1]
+            assert stats[0][0] == half and stats[-1][1] == len(batch["text"])
 
     def test_spawn_fallback_matches_fork_results(self, corpus):
-        rows = corpus.to_list()
-        serial = apply_sample_ops(load_ops(PROCESS), rows)
+        ops = load_ops(PROCESS)
+        serial = serial_segment(ops, corpus)
         with WorkerPool(2, process_list=PROCESS, start_method="spawn") as pool:
             assert pool.start_method == "spawn"
             # workers re-instantiate the ops from the recipe inside spawn init
-            (spawned,), _cpu = pool.run_sample_pipeline([rows])
+            results = pooled_segment(pool, ops, corpus)
+        spawned = NestedDataset.from_batches([batch for batch, *_rest in results]).to_list()
         assert spawned == serial
 
     def test_closed_pool_rejects_work(self, corpus):
-        pool = WorkerPool(2, ops=load_ops(PROCESS))
+        ops = load_ops(PROCESS)
+        pool = WorkerPool(2, ops=ops)
         pool.close()
         assert not pool.alive
         with pytest.raises(RuntimeError):
-            pool.run_sample_pipeline([corpus.to_list()])
+            pool.run_segment(ops, [corpus.to_dict()])
+
+    def test_worker_failure_is_reported_not_raised(self, corpus):
+        """An op raising inside a worker comes back as (op index, exception)
+        with the stats of the ops before it; run_ops re-raises it."""
+        from repro.testing import FaultPlan
+        from repro.testing.chaos import ChaosFault
+
+        ops = load_ops(PROCESS)
+        FaultPlan().inject("text_length_filter").install(ops)
+        with WorkerPool(2, ops=ops) as pool:
+            (batch, stats, failure, _cpu), = pool.run_segment(ops, [corpus.to_dict()])
+            assert batch is None and len(stats) == 2
+            assert failure[0] == 2 and isinstance(failure[1], ChaosFault)
+            with pytest.raises(ChaosFault):
+                pool.run_ops(ops, [corpus.to_dict()])
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             WorkerPool(0, ops=[])
+
+
+class TestDegradedMode:
+    """Regression: a degraded pool re-ran ``initialize_worker`` on every
+    dispatch — rebuilding ops under spawn and overwriting the process-global
+    op list, so two degraded pools in one process clobbered each other."""
+
+    def degraded_pool(self, process):
+        from repro.core.faults import DegradedExecutionWarning
+
+        pool = WorkerPool(1, process_list=process, start_method="spawn")
+        with pytest.warns(DegradedExecutionWarning):
+            pool._degrade(RuntimeError("simulated infrastructure failure"))
+        return pool
+
+    def test_two_degraded_pools_keep_their_own_ops(self, monkeypatch):
+        import threading
+
+        from repro.parallel import worker
+
+        # index 0 means a different op in each pool
+        lower = [{"lowercase_mapper": {}}]
+        strip = [{"whitespace_normalization_mapper": {}}]
+        batch = {"text": ["  Mixed   CASE  text  "] * 8}
+        expected = {
+            "lower": load_ops(lower)[0].process_batched(dict(batch)),
+            "strip": load_ops(strip)[0].process_batched(dict(batch)),
+        }
+        assert expected["lower"] != expected["strip"]
+        pools = {"lower": self.degraded_pool(lower), "strip": self.degraded_pool(strip)}
+        installs = []
+        monkeypatch.setattr(
+            worker, "initialize_worker", lambda *args: installs.append(args)
+        )
+        failures = []
+
+        def hammer(name):
+            pool = pools[name]
+            for _ in range(50):
+                (out,) = pool.run_ops(pool._ops, [dict(batch)])
+                if out != expected[name]:
+                    failures.append(name)
+
+        try:
+            threads = [threading.Thread(target=hammer, args=(name,)) for name in pools]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            for pool in pools.values():
+                pool.close()
+        assert failures == []
+        # degraded dispatch neither re-instantiates ops nor touches the
+        # worker-process global of the parent
+        assert installs == [] and worker._RESIDENT is None
 
 
 class TestSharedPools:
@@ -295,11 +392,11 @@ class TestDatasetPoolHandle:
             assert not pool.accepts(text_filter.process, kind="map")
             # columnar batch methods dispatch via the *_batches kinds only
             assert pool.accepts(mapper.process_batched, kind="map_batches")
-            assert pool.accepts(text_filter.compute_stats_batched, kind="map_batches")
+            # a Filter's stats annotation is not a column map: as a segment
+            # of one it would also drop the rejected rows
+            assert not pool.accepts(text_filter.compute_stats_batched, kind="map_batches")
             assert not pool.accepts(mapper.process_batched, kind="map")
             assert not pool.accepts(mapper.process, kind="map_batches")
-            assert pool.accepts(text_filter.process_batched, kind="filter_batches")
-            assert not pool.accepts(mapper.process_batched, kind="filter_batches")
             assert not pool.accepts(mapper.process, kind="map", batched=True)
             assert pool.holds(text_filter) and not pool.holds(object())
 
@@ -408,13 +505,24 @@ def test_preload_assets_is_idempotent():
     preload_assets()
 
 
-class TestApplySampleOps:
-    def test_rejects_dataset_level_ops(self):
-        with pytest.raises(TypeError):
-            apply_sample_ops(load_ops([{"document_deduplicator": {}}]), [{"text": "x"}])
+class TestRunSegment:
+    def test_rejects_selectors(self):
+        _batch, _stats, failure = run_segment(
+            load_ops([{"topk_specified_field_selector": {"field_key": "text", "topk": 1}}]),
+            {"text": ["x"]},
+        )
+        assert failure[0] == 0 and isinstance(failure[1], TypeError)
 
     def test_filter_drops_rows_immediately(self):
         ops = load_ops([{"text_length_filter": {"min_len": 10}}])
-        rows = [{"text": "tiny"}, {"text": "long enough to survive the filter"}]
-        surviving = apply_sample_ops(ops, rows)
-        assert len(surviving) == 1 and "survive" in surviving[0]["text"]
+        batch, stats, failure = run_segment(
+            ops, {"text": ["tiny", "long enough to survive the filter"]}
+        )
+        assert failure is None and [stat[:2] for stat in stats] == [(2, 1)]
+        assert len(batch["text"]) == 1 and "survive" in batch["text"][0]
+
+    def test_deduplicator_runs_its_hashing_stage_only(self):
+        ops = load_ops([{"document_deduplicator": {}}])
+        batch, stats, failure = run_segment(ops, {"text": ["same", "same"]})
+        assert failure is None and [stat[:2] for stat in stats] == [(2, 2)]
+        assert len(batch) == 2  # text + the hash column; clustering is the host's
