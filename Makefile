@@ -14,13 +14,15 @@
 #   make chaos       deterministic fault-injection suite (tests/test_chaos.py)
 #   make serve-smoke end-to-end serving check: ephemeral-port server, fig8 job,
 #                    warm-cache resubmission, export diff vs the CLI path
+#   make loc         lines per package under src/repro + total (the number the
+#                    ROADMAP's "net-negative" goal is judged by)
 #   make check       docs-check + validate-recipes + lint + dataflow + unit + chaos
 #                    + serve-smoke (the CI gate)
 
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
 REPRO = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro
 
-.PHONY: smoke test unit benchmarks fig10 bench-batch bench-stream docs docs-check validate-recipes lint dataflow chaos serve-smoke check
+.PHONY: smoke test unit benchmarks fig10 bench-batch bench-stream docs docs-check validate-recipes lint dataflow chaos serve-smoke loc check
 
 smoke:
 	$(PYTEST) -x -q
@@ -62,5 +64,12 @@ chaos:
 
 serve-smoke:
 	$(REPRO) serve-smoke
+
+loc:
+	@for package in src/repro/*/; do \
+		printf '%7d  %s\n' $$(find $$package -name '*.py' | xargs cat | wc -l) $$package; \
+	done
+	@printf '%7d  %s\n' $$(cat src/repro/*.py | wc -l) 'src/repro/*.py'
+	@printf '%7d  total\n' $$(find src/repro -name '*.py' | xargs cat | wc -l)
 
 check: docs-check validate-recipes lint dataflow unit chaos serve-smoke

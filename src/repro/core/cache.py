@@ -1,24 +1,26 @@
-"""On-disk cache of intermediate datasets, keyed by fingerprint, with compression.
+"""One content-addressed store: the cache is the checkpoint is the spill.
 
-Reproduces the cache management described in Sec. 4.1.1 / 6 of the paper: every
-operator's output can be cached to disk keyed by (input fingerprint, operator
-configuration), so re-running a recipe after tweaking a late operator skips the
-unchanged prefix.  Cache files can be transparently compressed; zlib / lzma /
-gzip stand in for the zstd / LZ4 codecs used by the original system.
+Reproduces the cache/checkpoint layer of Sec. 4.1.1 / 6 of the paper (space
+model in Appendix A.2) with a single mechanism.  Every intermediate result —
+an operator's output dataset in memory mode, one shard's stage output in
+streaming mode — is written **once**, as one entry of a :class:`CacheManager`:
 
-Two granularities share one manager and one directory:
+* the **cache** is the set of entries under content keys —
+  ``(input fingerprint, op name, op config)`` for a dataset
+  (:meth:`CacheManager.make_key`), ``(stage chain hash, shard signature)`` for
+  a shard (:meth:`CacheManager.make_shard_key`) — so a re-run after a late
+  recipe tweak replays the unchanged prefix;
+* the **checkpoint** is a small state file *pointing at* an entry
+  (:class:`repro.core.checkpoint.CheckpointManager`), never a second copy;
+* the **spill** the streaming two-pass resolve reads back in its mask pass is
+  the very entry the signature pass wrote (or found).
 
-* **dataset-level** (``save`` / ``load``): whole intermediate datasets, keyed
-  by ``(input fingerprint, op name, op params)`` — the in-memory
-  ``Executor.run`` path.
-* **shard-level** (``save_shard_rows`` / ``load_shard_rows``): one processed
-  shard of a streaming stage, keyed by ``(op fingerprint chain, shard
-  signature)`` via :meth:`CacheManager.make_shard_key`.  Shard entries are
-  pickled (lossless for any Python payload, exactly like the streaming spill
-  store) and answer ``Executor.run_streaming`` re-runs over unchanged inputs
-  without recomputing the shard.  Hits and misses are counted separately
-  (``shard_hits`` / ``shard_misses``) so run reports can distinguish the two
-  modes.
+Entries are pickled — lossless for every Python payload, so a replay can
+never differ from recomputation — and optionally compressed; zlib / lzma /
+gzip stand in for the zstd / LZ4 codecs of the original system.  Every write
+is a uniquely named same-directory temp file + ``os.replace``, so runs sharing
+a directory never observe a torn entry, and a missing, truncated or
+undecodable entry reads as a miss.
 """
 
 from __future__ import annotations
@@ -28,68 +30,72 @@ import gzip
 import hashlib
 import json
 import lzma
+import os
 import pickle
+import uuid
 import zlib
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
-from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
 
-_COMPRESSORS: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes], str]] = {
-    "none": (lambda data: data, lambda data: data, ".json"),
-    "zlib": (zlib.compress, zlib.decompress, ".json.zlib"),
-    "gzip": (gzip.compress, gzip.decompress, ".json.gz"),
-    "lzma": (lzma.compress, lzma.decompress, ".json.xz"),
-    "bz2": (bz2.compress, bz2.decompress, ".json.bz2"),
+_CODECS: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
+    "none": (lambda data: data, lambda data: data),
+    "zlib": (zlib.compress, zlib.decompress),
+    "gzip": (gzip.compress, gzip.decompress),
+    "lzma": (lzma.compress, lzma.decompress),
+    "bz2": (bz2.compress, bz2.decompress),
 }
 
 
 def available_codecs() -> list[str]:
     """Names of the supported cache compression codecs."""
-    return sorted(_COMPRESSORS)
+    return sorted(_CODECS)
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (same-directory tmp + replace).
+
+    A crash mid-write leaves either the previous file or a stray ``.tmp``
+    behind — never a truncated target — which is the property every resume
+    path relies on.  The temp name is unique per call, so two writers of the
+    same target never truncate each other's temp file; the last complete
+    write wins.
+    """
+    temp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 class CacheManager:
-    """Fingerprint-keyed dataset cache with optional compression.
+    """Directory of content-addressed, pickled entries with optional compression.
 
     Parameters
     ----------
     cache_dir:
-        Directory where cache files are written (created on demand).
+        Directory the entries live in (created on the first write).
     compression:
         One of :func:`available_codecs`; ``"none"`` disables compression.
-    enabled:
-        When False, all operations are no-ops (useful for benchmarking the
-        uncached path).
     """
 
-    def __init__(self, cache_dir: str | Path, compression: str = "none", enabled: bool = True):
-        if compression not in _COMPRESSORS:
+    def __init__(self, cache_dir: str | Path, compression: str = "none"):
+        if compression not in _CODECS:
             raise ReproError(
                 f"unknown compression codec {compression!r}; choose from {available_codecs()}"
             )
         self.cache_dir = Path(cache_dir)
         self.compression = compression
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.shard_hits = 0
-        self.shard_misses = 0
 
-    # ------------------------------------------------------------------
     def _path_for(self, key: str) -> Path:
         digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
-        suffix = _COMPRESSORS[self.compression][2]
-        return self.cache_dir / f"cache-{digest}{suffix}"
-
-    def _shard_path_for(self, key: str) -> Path:
-        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
-        return self.cache_dir / f"shard-{digest}.pkl"
+        return self.cache_dir / f"entry-{digest}.pkl"
 
     @staticmethod
     def make_key(dataset_fingerprint: str, op_name: str, op_params: dict) -> str:
-        """Build the cache key of an operator applied to a dataset."""
+        """Build the key of an operator's output over a dataset."""
         return json.dumps(
             {"fingerprint": dataset_fingerprint, "op": op_name, "params": op_params},
             sort_keys=True,
@@ -98,7 +104,7 @@ class CacheManager:
 
     @staticmethod
     def make_shard_key(op_chain: str, shard_signature: str) -> str:
-        """Build the cache key of a streaming stage applied to one shard.
+        """Build the key of a streaming stage's output over one shard.
 
         ``op_chain`` digests the ordered operator configurations of the stage
         (every shard-local op, plus a Deduplicator's hashing stage when the
@@ -111,105 +117,46 @@ class CacheManager:
         )
 
     # ------------------------------------------------------------------
-    def save(self, key: str, dataset: NestedDataset) -> Path | None:
-        """Serialise a dataset into the cache; returns the written path (or None)."""
-        if not self.enabled:
-            return None
+    def put(self, key: str, payload: Any) -> Path:
+        """Atomically write ``payload`` as the entry of ``key``; returns its path."""
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        compress, _, _ = _COMPRESSORS[self.compression]
-        payload = json.dumps(
-            {"fingerprint": dataset.fingerprint, "columns": dataset.to_dict()},
-            ensure_ascii=False,
-            default=repr,
-        ).encode("utf-8")
         path = self._path_for(key)
-        path.write_bytes(compress(payload))
+        compress = _CODECS[self.compression][0]
+        atomic_write(path, compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)))
         return path
 
-    def load(self, key: str) -> NestedDataset | None:
-        """Load a dataset from the cache; returns None on a miss."""
-        if not self.enabled:
-            return None
-        path = self._path_for(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        _, decompress, _ = _COMPRESSORS[self.compression]
-        try:
-            payload = json.loads(decompress(path.read_bytes()).decode("utf-8"))
-        except (OSError, ValueError, zlib.error, lzma.LZMAError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        dataset = NestedDataset.from_dict(payload["columns"])
-        dataset._fingerprint = payload.get("fingerprint", dataset.fingerprint)
-        return dataset
+    def get(self, key: str) -> Any | None:
+        """The payload stored under ``key``, or None on a miss.
 
-    def contains(self, key: str) -> bool:
-        """Return True when a cache entry exists for ``key``."""
-        return self.enabled and self._path_for(key).exists()
-
-    # ------------------------------------------------------------------
-    # Shard-level entries (streaming mode)
-    # ------------------------------------------------------------------
-    def save_shard_rows(self, key: str, rows: list[dict]) -> Path | None:
-        """Cache one processed shard of a streaming stage.
-
-        Rows are pickled (like the streaming spill store): lossless for every
-        Python payload, so a cache replay can never differ from recomputation.
-        The configured compression codec applies to the pickled bytes.
-        Writes are atomic (temp file + rename), so concurrent runs sharing a
-        cache directory never observe a torn entry.
+        An entry that cannot be read back — truncated, written with another
+        codec, not a pickle at all — is a miss too: the caller recomputes and
+        overwrites it.
         """
-        if not self.enabled:
-            return None
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        compress, _, _ = _COMPRESSORS[self.compression]
-        path = self._shard_path_for(key)
-        temp = path.with_suffix(".tmp")
-        temp.write_bytes(compress(pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)))
-        temp.replace(path)
-        return path
-
-    def load_shard_rows(self, key: str) -> list[dict] | None:
-        """Replay a cached shard; returns None (and counts a miss) when absent."""
-        if not self.enabled:
-            return None
-        path = self._shard_path_for(key)
-        if not path.exists():
-            self.shard_misses += 1
-            return None
-        _, decompress, _ = _COMPRESSORS[self.compression]
+        decompress = _CODECS[self.compression][1]
         try:
-            rows = pickle.loads(decompress(path.read_bytes()))
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                zlib.error, lzma.LZMAError):
-            self.shard_misses += 1
+            return pickle.loads(decompress(self._path_for(key).read_bytes()))
+        except Exception:  # noqa: BLE001 - unpickling garbage can raise anything
             return None
-        self.shard_hits += 1
-        return rows
 
-    # ------------------------------------------------------------------
+    def has(self, key: str) -> bool:
+        """True when a completely written entry exists for ``key``."""
+        return self._path_for(key).exists()
+
+    def delete(self, key: str) -> None:
+        """Remove the entry of ``key`` (a no-op when absent)."""
+        self._path_for(key).unlink(missing_ok=True)
+
     def clear(self) -> int:
-        """Delete every cache file (both granularities); returns the count."""
-        if not self.cache_dir.exists():
-            return 0
+        """Delete every entry (and stray temp file); returns the count."""
         removed = 0
-        for pattern in ("cache-*", "shard-*"):
-            for path in self.cache_dir.glob(pattern):
-                path.unlink()
-                removed += 1
+        for path in self.cache_dir.glob("entry-*"):
+            path.unlink(missing_ok=True)
+            removed += 1
         return removed
 
     def total_bytes(self) -> int:
-        """Total on-disk size of all cache files (bytes, both granularities)."""
-        if not self.cache_dir.exists():
-            return 0
-        return sum(
-            path.stat().st_size
-            for pattern in ("cache-*", "shard-*")
-            for path in self.cache_dir.glob(pattern)
-        )
+        """Total on-disk size of all entries (bytes)."""
+        return sum(path.stat().st_size for path in self.cache_dir.glob("entry-*"))
 
 
 def estimate_cache_space(

@@ -1,188 +1,62 @@
-"""Checkpoint manager: persist the full processing state for crash recovery.
+"""Checkpoint manager: the resume pointer of a run, not a copy of its data.
 
-The paper's checkpoint mechanism (Sec. 4.1.1) stores the whole dataset plus the
-index of the last completed operator so a failed or interrupted run can resume
-from the most recent state instead of re-executing the whole recipe.
+The paper's checkpoint mechanism (Sec. 4.1.1) lets a failed or interrupted run
+resume from the most recent state instead of re-executing the whole recipe.
+The data of that state already lives in the one store
+(:class:`repro.core.cache.CacheManager`); the checkpoint is a small state
+file recording *which run* it belongs to and *where* that run got to:
 
-Two granularities are supported:
+* ``op_names`` / ``op_hashes`` — the recipe chain; ``op_hashes`` are per-op
+  digests of each operator's ``config()``, so editing an operator's
+  parameters invalidates the resume instead of silently reusing data produced
+  by the old configuration;
+* ``input`` — the input's identity (the dataset fingerprint in memory mode,
+  the shard budget in streaming mode, whose shard entries are keyed on their
+  input rows);
+* ``op_index`` / ``key`` (memory mode) — one past the last completed operator
+  and the store key of its output.
 
-* **run-level** (``save`` / ``load``): the classic whole-dataset checkpoint
-  written after every completed operator.  The state records a per-op
-  *config hash* besides the op name, so editing an operator's parameters
-  invalidates the resume instead of silently reusing data produced by the
-  old configuration.
-* **shard-level** (``stream_dir`` / ``*_stream_state``): the streaming run
-  mode spills every processed shard under ``<checkpoint_dir>/stream`` (see
-  :class:`repro.core.stream.ShardStore`), so a crash resumes mid-corpus.
-  The manager owns the persistent directory and the state file that guards
-  it against recipe / shard-budget changes.
+The state file is written atomically and only *after* the entry it points at,
+so a crash at any point leaves either the previous checkpoint or a complete
+new one.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-from repro.core.dataset import NestedDataset
-from repro.core.errors import CheckpointError
-from repro.core.serialization import JsonSanitizer
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (same-directory tmp + replace).
-
-    A crash mid-write leaves either the previous file or the stray ``.tmp``
-    behind — never a truncated target — which is the property every resume
-    path relies on.
-    """
-    temp = path.with_name(path.name + ".tmp")
-    temp.write_text(text, encoding="utf-8")
-    os.replace(temp, path)
+from repro.core.cache import atomic_write
 
 
 class CheckpointManager:
-    """Save/load dataset + pipeline-position checkpoints under a directory."""
+    """Read/write the checkpoint state file under a directory."""
 
     STATE_FILE = "checkpoint_state.json"
-    DATA_FILE = "checkpoint_data.jsonl"
-    STREAM_STATE_FILE = "stream_state.json"
-    STREAM_DIR = "stream"
 
-    def __init__(self, checkpoint_dir: str | Path, enabled: bool = True):
+    def __init__(self, checkpoint_dir: str | Path):
         self.checkpoint_dir = Path(checkpoint_dir)
-        self.enabled = enabled
 
-    # ------------------------------------------------------------------
-    # Run-level checkpoints
-    # ------------------------------------------------------------------
-    def exists(self) -> bool:
-        """Return True when a complete checkpoint is present on disk."""
-        return (
-            self.enabled
-            and (self.checkpoint_dir / self.STATE_FILE).exists()
-            and (self.checkpoint_dir / self.DATA_FILE).exists()
-        )
-
-    def save(
-        self,
-        dataset: NestedDataset,
-        op_index: int,
-        op_names: list[str],
-        op_hashes: list[str] | None = None,
-    ) -> None:
-        """Persist the dataset and the index of the last completed operator.
-
-        ``op_hashes`` are per-op digests of each operator's ``config()``;
-        a later resume is only honoured when the hash prefix still matches,
-        so re-running after editing an op's parameters re-executes instead
-        of silently reusing stale data.
-        """
-        if not self.enabled:
-            return
+    def write_state(self, state: dict) -> None:
+        """Atomically persist the state dict."""
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        data_path = self.checkpoint_dir / self.DATA_FILE
-        sanitizer = JsonSanitizer()
-        # both files are written atomically (tmp + os.replace), data before
-        # state: a crash at any point leaves either no new checkpoint or a
-        # complete one, never a state file pointing at truncated data
-        temp_data = data_path.with_name(data_path.name + ".tmp")
-        with temp_data.open("w", encoding="utf-8") as handle:
-            for row in dataset:
-                handle.write(sanitizer.dumps(row, ensure_ascii=False) + "\n")
-        os.replace(temp_data, data_path)
-        sanitizer.warn(f"checkpoint {data_path}")
-        state = {
-            "op_index": op_index,
-            "op_names": op_names,
-            "op_hashes": list(op_hashes) if op_hashes is not None else None,
-            "num_rows": len(dataset),
-            "fingerprint": dataset.fingerprint,
-        }
-        atomic_write_text(
-            self.checkpoint_dir / self.STATE_FILE, json.dumps(state, indent=2)
+        atomic_write(
+            self.checkpoint_dir / self.STATE_FILE, json.dumps(state, indent=2).encode("utf-8")
         )
 
     def read_state(self) -> dict | None:
-        """Return the saved checkpoint state dict, or ``None`` when absent.
+        """Return the saved state dict, or ``None`` when absent.
 
         A corrupt state file (e.g. from a crash predating atomic writes)
         reads as ``None`` — the run re-executes from scratch instead of
         failing on resume.
         """
-        path = self.checkpoint_dir / self.STATE_FILE
-        if not (self.enabled and path.exists()):
-            return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
+            state = json.loads((self.checkpoint_dir / self.STATE_FILE).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             return None
-
-    def load(self) -> tuple[NestedDataset, int, list[str]]:
-        """Load the checkpointed dataset and pipeline position.
-
-        Raises :class:`CheckpointError` when no checkpoint is available.
-        """
-        if not self.exists():
-            raise CheckpointError(f"no checkpoint found under {self.checkpoint_dir}")
-        state = self.read_state()
-        if state is None:
-            raise CheckpointError(
-                f"checkpoint state under {self.checkpoint_dir} is unreadable"
-            )
-        rows = []
-        with (self.checkpoint_dir / self.DATA_FILE).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        # restore the saved fingerprint: with incremental fingerprints the
-        # content probe of from_list could never match what the original run
-        # stamped, and every downstream cache key would miss after a resume
-        dataset = NestedDataset.from_list(rows, fingerprint=state.get("fingerprint"))
-        return dataset, int(state["op_index"]), list(state.get("op_names", []))
+        return state if isinstance(state, dict) else None
 
     def clear(self) -> None:
-        """Remove any existing run-level checkpoint files."""
-        for name in (self.STATE_FILE, self.DATA_FILE):
-            path = self.checkpoint_dir / name
-            if path.exists():
-                path.unlink()
-
-    # ------------------------------------------------------------------
-    # Shard-level (streaming) checkpoints
-    # ------------------------------------------------------------------
-    @property
-    def stream_dir(self) -> Path:
-        """Directory holding the streaming run's spilled shards."""
-        return self.checkpoint_dir / self.STREAM_DIR
-
-    def load_stream_state(self) -> dict | None:
-        """Return the persisted streaming state, or ``None`` when absent."""
-        path = self.checkpoint_dir / self.STREAM_STATE_FILE
-        if not (self.enabled and path.exists()):
-            return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            return None
-
-    def save_stream_state(self, state: dict) -> None:
-        """Persist the streaming state (op hashes, shard budget, progress)."""
-        if not self.enabled:
-            return
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            self.checkpoint_dir / self.STREAM_STATE_FILE, json.dumps(state, indent=2)
-        )
-
-    def clear_stream(self) -> None:
-        """Drop the streaming state file and every spilled shard."""
-        from repro.core.stream import ShardStore
-
-        path = self.checkpoint_dir / self.STREAM_STATE_FILE
-        if path.exists():
-            path.unlink()
-        if self.stream_dir.exists():
-            ShardStore(self.stream_dir).clear()
-            self.stream_dir.rmdir()
+        """Remove the state file (the run then starts over)."""
+        (self.checkpoint_dir / self.STATE_FILE).unlink(missing_ok=True)

@@ -44,10 +44,6 @@ class FormatError(ReproError):
     """Raised when a data file cannot be loaded or unified."""
 
 
-class CheckpointError(ReproError):
-    """Raised when checkpoint saving or loading fails."""
-
-
 class OpExecutionError(ReproError):
     """Raised when an operator fails permanently during engine execution.
 

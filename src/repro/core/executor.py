@@ -23,12 +23,18 @@ peak RSS from the :class:`repro.core.monitor.RunProfiler`, plus cache
 counters, the tracer summary and the run-level resource profile.  Streaming
 runs reach observability parity with the in-memory path: the tracer
 accumulates incrementally across shards (:class:`repro.core.tracer.
-StreamingTracer`) and ``use_cache`` replays cached *shard* outputs keyed on
-``(op fingerprint chain, shard signature)``.
+StreamingTracer`).
+
+Persistence is one content-addressed store (:mod:`repro.core.cache`): each op
+output (memory mode) or shard stage output (streaming) is written once, under
+``cache_dir`` when ``use_cache``, else under ``checkpoint_dir`` when
+``use_checkpoint``; the checkpoint is a state file pointing at an entry, and
+the streaming spill is the same entry the mask pass reads back.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -38,7 +44,7 @@ from repro.core.base_op import Deduplicator, Filter, Mapper, Selector, op_catego
 from repro.core.cache import CacheManager
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
-from repro.core.errors import ConfigError, DataflowWarning, OpExecutionError
+from repro.core.errors import ConfigError, DataflowWarning, DatasetError, OpExecutionError
 from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.exporter import Exporter
 from repro.core.faults import (
@@ -57,7 +63,6 @@ from repro.core.report import REPORT_FILE, RunReport
 from repro.core.sample import Fields, HashKeys
 from repro.core.stream import (
     ROW_ID_COLUMN,
-    ShardStore,
     StreamSegment,
     apply_keep_mask,
     iter_record_shards,
@@ -70,6 +75,9 @@ from repro.core.stream import (
 )
 from repro.core.tracer import StreamingTracer, Tracer
 from repro.parallel import WorkerPool
+
+#: key suffix of fault-shaped output (see :meth:`Executor._put_result`)
+_FAULTED = "#faulted"
 
 
 class Executor:
@@ -102,15 +110,18 @@ class Executor:
             if self.cfg.open_tracer
             else None
         )
-        self.cache = CacheManager(
-            cache_dir=self.cfg.cache_dir or (work_dir / "cache"),
-            compression=self.cfg.cache_compression,
-            enabled=self.cfg.use_cache,
-        )
-        self.checkpoint = CheckpointManager(
-            checkpoint_dir=self.cfg.checkpoint_dir or (work_dir / "checkpoint"),
-            enabled=self.cfg.use_checkpoint,
-        )
+        checkpoint_dir = self.cfg.checkpoint_dir or (work_dir / "checkpoint")
+        #: the resume pointer (None unless ``use_checkpoint``)
+        self.checkpoint = CheckpointManager(checkpoint_dir) if self.cfg.use_checkpoint else None
+        #: the one store of intermediate datasets/shards (placement: see the
+        #: module docstring); None when the recipe configures no persistence
+        self.store: CacheManager | None = None
+        if self.cfg.use_cache or self.cfg.use_checkpoint:
+            self.store = CacheManager(
+                (self.cfg.cache_dir or work_dir / "cache") if self.cfg.use_cache else checkpoint_dir,
+                compression=self.cfg.cache_compression,
+            )
+        self._cache_stats = {"hits": 0, "misses": 0, "shard_hits": 0, "shard_misses": 0}
         self.ops = build_ops(
             self.cfg.process, op_fusion=self.cfg.op_fusion, batch_size=self.cfg.batch_size
         )
@@ -127,6 +138,10 @@ class Executor:
         #: the pool's lifetime dispatch counters when this run first saw it
         self._dispatch_base = (0, 0.0, 0.0)
         self._stream_tracer: StreamingTracer | None = None
+        #: where the current streaming run stores shards (``store``, or a
+        #: per-run temp directory), and whether its checkpoint state matched
+        self._spill: CacheManager | None = None
+        self._resuming = False
         #: the fault policy of every run of this executor (from the recipe)
         self.policy = ErrorPolicy.from_config(self.cfg)
         self._faults = FaultTracker()
@@ -190,7 +205,7 @@ class Executor:
             if not isinstance(op, (Mapper, Filter, Deduplicator)) or not self._ensure_pool().holds(op):
                 break
             segment.append(op)
-            if isinstance(op, Deduplicator) or self.cache.enabled or self.checkpoint.enabled:
+            if isinstance(op, Deduplicator) or self.store is not None:
                 break
         return segment
 
@@ -248,14 +263,63 @@ class Executor:
             raise ValueError("no dataset given and no dataset_path configured")
         return load_dataset(self.cfg.dataset_path, text_keys=tuple(self.cfg.text_keys))
 
-    def _cache_counters(self) -> dict[str, int]:
-        """Both cache granularities' hit/miss counters (for run reports)."""
+    def _run_state(self, input_identity: Any) -> dict:
+        """The run identity a checkpoint state file records (and must match)."""
         return {
-            "hits": self.cache.hits,
-            "misses": self.cache.misses,
-            "shard_hits": self.cache.shard_hits,
-            "shard_misses": self.cache.shard_misses,
+            "op_names": [op.name for op in self.ops],
+            "op_hashes": [op_config_hash(op) for op in self.ops],
+            "input": input_identity,
         }
+
+    def _resume(
+        self, current: NestedDataset, run_state: dict
+    ) -> tuple[NestedDataset, int, str | None]:
+        """Where a checkpointed memory run starts: ``(dataset, op index, key)``.
+
+        The state file is honoured only when it describes *this* run — same
+        input fingerprint, and for every already-applied op the same name
+        *and* config hash (an edited recipe must re-execute, not reuse data
+        of the old configuration) — and the entry it points at reads back.
+        Anything else starts over, emptying a checkpoint-only store.
+        """
+        if self.checkpoint is None:
+            return current, 0, None
+        saved = self.checkpoint.read_state() or {}
+        done = saved.get("op_index")
+        if (
+            isinstance(done, int)
+            and saved.get("input") == run_state["input"]
+            and saved.get("op_names", [])[:done] == run_state["op_names"][:done]
+            and saved.get("op_hashes", [])[:done] == run_state["op_hashes"][:done]
+        ):
+            restored = self.store.get(saved.get("key"))
+            if restored is not None:
+                return restored, done, saved["key"]
+        if not self.cfg.use_cache:
+            self.store.clear()
+        return current, 0, None
+
+    def _put_result(
+        self, store: CacheManager, key: str, payload: Any, faults_before: int, spill: bool = False
+    ) -> str:
+        """Store one op/shard result, once; returns the key it went under.
+
+        Output shaped by a fault (rows dropped by a lenient policy) goes under
+        a key no clean run ever computes, and only when something reads it
+        back: this run's checkpoint — it is the actual progress — or the mask
+        pass (``spill``).  Content keys only ever hold clean results.
+        """
+        clean = self._faults.total_faults == faults_before
+        if not clean:
+            key += _FAULTED
+        if spill or clean or self.checkpoint is not None:
+            store.put(key, payload)
+        return key
+
+    def _count_cache(self, counter: str) -> None:
+        """Count one ``use_cache`` lookup (checkpoint-only runs report zeros)."""
+        if self.cfg.use_cache:
+            self._cache_stats[counter] += 1
 
     def _parallel_payload(self) -> dict:
         """The report's ``parallel`` section.
@@ -380,84 +444,59 @@ class Executor:
         try:
             with monitor:
                 current = self._load_input(dataset)
-                start_index = 0
-                op_names = [op.name for op in self.ops]
-                op_hashes = [op_config_hash(op) for op in self.ops]
+                store, checkpoint = self.store, self.checkpoint
+                run_state = self._run_state(current.fingerprint)
+                # held: the store key the checkpoint state currently points at
+                current, index, held = self._resume(current, run_state)
 
-                if self.checkpoint.enabled and self.checkpoint.exists():
-                    # Validate the cheap state file before parsing the
-                    # (possibly huge) checkpointed dataset: resume only when
-                    # both the op-name prefix *and* the per-op config hashes
-                    # match — a recipe whose parameters changed must
-                    # re-execute instead of silently reusing data produced by
-                    # the old configuration.  A corrupt state file reads as
-                    # None and the run starts over.
-                    state = self.checkpoint.read_state()
-                    if state:
-                        op_index = int(state.get("op_index", 0))
-                        saved_names = list(state.get("op_names", []))
-                        saved_hashes = state.get("op_hashes") or []
-                        if (
-                            saved_names[:op_index] == op_names[:op_index]
-                            and saved_hashes[:op_index] == op_hashes[:op_index]
-                        ):
-                            restored, op_index, _names = self.checkpoint.load()
-                            current, start_index = restored, op_index
-
-                # index one past the last op whose result the checkpoint
-                # holds; cache-hit streaks defer their save (a resume from an
-                # older checkpoint just replays the same cache hits), so a
-                # warm-cache run pays one checkpoint write instead of one per
-                # cached op
-                saved_index = index = start_index
                 while index < len(self.ops):
                     op = self.ops[index]
-                    cache_key = CacheManager.make_key(
-                        current.fingerprint, op.name, op.config()
-                    )
-                    cached = self.cache.load(cache_key)
+                    key = CacheManager.make_key(current.fingerprint, op.name, op.config())
+                    cached = store.get(key) if self.cfg.use_cache else None
                     if cached is not None:
-                        profiler.record_cached(op, len(cached))
+                        self._count_cache("hits")
                         current = cached
+                        profiler.record_cached(op, len(current))
                         index += 1
-                        continue
-                    faults_before = self._faults.total_faults
-                    # pool creation is deferred to the first actually-executed
-                    # op with a sample-level stage, so fully cache-hit runs
-                    # never fork workers (a Deduplicator's hashing stage is
-                    # sample-level; its clustering stays global)
-                    segment = self._pool_segment(index)
-                    if segment:
-                        current = run_segment_with_policy(
-                            segment, current, self._pool, self.policy,
-                            self._faults, self._quarantine, profiler,
-                        )
                     else:
-                        with profiler.track(op, rows_in=len(current)) as tracking:
-                            pool = (
-                                self._ensure_pool()
-                                if isinstance(op, (Mapper, Filter, Deduplicator))
-                                else None
+                        self._count_cache("misses")
+                        faults_before = self._faults.total_faults
+                        # pool creation is deferred to the first actually-executed
+                        # op with a sample-level stage, so fully cache-hit runs
+                        # never fork workers (a Deduplicator's hashing stage is
+                        # sample-level; its clustering stays global)
+                        segment = self._pool_segment(index)
+                        if segment:
+                            current = run_segment_with_policy(
+                                segment, current, self._pool, self.policy,
+                                self._faults, self._quarantine, profiler,
                             )
-                            current = run_op_with_policy(
-                                op, current, self.policy, self._faults,
-                                self._quarantine, tracer=self.tracer, pool=pool,
-                            )
-                            tracking.rows_out = len(current)
-                    index += max(1, len(segment))
-                    if self._faults.total_faults == faults_before:
-                        # fault-shaped results must never enter the clean-run
-                        # cache (the checkpoint still records actual progress);
-                        # an enabled cache keeps segments to one op, so the
-                        # key computed above is this result's
-                        self.cache.save(cache_key, current)
-                    self.checkpoint.save(current, index, op_names, op_hashes)
-                    saved_index = index
-                if saved_index < len(self.ops):
-                    # the run ended on a cache-hit streak: persist the final
-                    # state once so a later resume restarts past it, not at a
-                    # stale index
-                    self.checkpoint.save(current, len(self.ops), op_names, op_hashes)
+                        else:
+                            with profiler.track(op, rows_in=len(current)) as tracking:
+                                pool = (
+                                    self._ensure_pool()
+                                    if isinstance(op, (Mapper, Filter, Deduplicator))
+                                    else None
+                                )
+                                current = run_op_with_policy(
+                                    op, current, self.policy, self._faults,
+                                    self._quarantine, tracer=self.tracer, pool=pool,
+                                )
+                                tracking.rows_out = len(current)
+                        index += max(1, len(segment))
+                        if store is not None:
+                            # a store keeps segments to one op: ``key`` is this result's
+                            key = self._put_result(store, key, current, faults_before)
+                    if checkpoint is not None:
+                        # entry first, pointer second: a crash in between
+                        # leaves the previous (complete) checkpoint
+                        checkpoint.write_state({**run_state, "op_index": index, "key": key})
+                        if held not in (None, key) and (
+                            not self.cfg.use_cache or held.endswith(_FAULTED)
+                        ):
+                            # only the replaced checkpoint wanted this entry
+                            store.delete(held)
+                        held = key
 
                 if self.cfg.export_path:
                     export_paths = [
@@ -476,7 +515,7 @@ class Executor:
             num_output_samples=len(current),
             ops=profiler.reports(),
             resources=monitor.report.as_dict() if monitor.report else {},
-            cache=self._cache_counters(),
+            cache=dict(self._cache_stats),
             trace=self.tracer.summary() if self.tracer else [],
             parallel=self._parallel_payload(),
             export_paths=export_paths,
@@ -489,48 +528,36 @@ class Executor:
     # ------------------------------------------------------------------
     # Streaming (out-of-core) execution
     # ------------------------------------------------------------------
-    def _input_formatter(self) -> Any:
-        """Build the input formatter once per streaming run (one path walk)."""
+    def _input_shards(
+        self, dataset: NestedDataset | None, progress: dict[str, int]
+    ) -> Iterator[list[dict]]:
+        """Lazily chunk the input into bounded shards, never materialising it.
+
+        The formatter is built here, once per run (one path walk); every
+        shard drawn is counted as an ``input_shards`` shard.
+        """
         from repro.formats.load import load_formatter
 
-        if not self.cfg.dataset_path:
-            raise ValueError("no dataset given and no dataset_path configured")
-        return load_formatter(self.cfg.dataset_path, text_keys=tuple(self.cfg.text_keys))
-
-    def _input_signature(self, dataset: NestedDataset | None, formatter: Any) -> dict:
-        """Identity of the streaming input, guarding shard-checkpoint reuse.
-
-        For file inputs the signature digests the resolved shard list with
-        each file's size and mtime, so editing (or re-sharding) the input
-        invalidates the spilled shards instead of silently resuming over
-        stale data.
-        """
-        from repro.core.dataset import _stable_hash
-
         if dataset is not None:
-            return {"fingerprint": dataset.fingerprint}
-        files = []
-        for path in getattr(formatter, "resolve_paths", lambda: [])():
-            stat = path.stat()
-            files.append([str(path), stat.st_size, stat.st_mtime_ns])
-        return {
-            "dataset_path": str(self.cfg.dataset_path),
-            "text_keys": list(self.cfg.text_keys),
-            "files_digest": _stable_hash(files),
-        }
+            records: Any = iter(dataset)
+        elif not self.cfg.dataset_path:
+            raise ValueError("no dataset given and no dataset_path configured")
+        else:
+            records = load_formatter(
+                self.cfg.dataset_path, text_keys=tuple(self.cfg.text_keys)
+            ).iter_records()
 
-    def _input_shards(
-        self,
-        dataset: NestedDataset | None,
-        formatter: Any,
-        shard_rows: int | None,
-        shard_chars: int | None,
-    ) -> Iterator[list[dict]]:
-        """Lazily chunk the input into bounded shards, never materialising it."""
-        records: Any = iter(dataset) if dataset is not None else formatter.iter_records()
-        return iter_record_shards(
-            records, max_rows=shard_rows, max_chars=shard_chars, text_key=Fields.text
-        )
+        def counted() -> Iterator[list[dict]]:
+            for shard in iter_record_shards(
+                records,
+                max_rows=self.cfg.max_shard_rows,
+                max_chars=self.cfg.max_shard_chars,
+                text_key=Fields.text,
+            ):
+                progress["input_shards"] += 1
+                yield shard
+
+        return counted()
 
     def run_streaming(
         self, dataset: NestedDataset | None = None, shard_output: bool = False
@@ -545,19 +572,21 @@ class Executor:
         rows stream straight into the :class:`Exporter` — with
         ``shard_output`` they are written as size-capped output shards.
 
-        Every processed shard is spilled to disk; with ``use_checkpoint``
-        the spill persists under the checkpoint directory, so an interrupted
-        run resumes mid-corpus, skipping every shard already processed.
-        Results are row-identical to :meth:`run` (byte-identical exports).
+        Every stored shard is one store entry keyed on ``(stage chain hash,
+        shard signature)``: with ``use_cache`` a re-run over unchanged inputs
+        replays it (``cached_shards``); with ``use_checkpoint`` an
+        interrupted run resumes mid-corpus (``resumed_shards``), and editing
+        the recipe, the shard budget or the input rows invalidates the resume.
+        With neither, the two-pass resolve spills to a per-run temp directory
+        that is removed when the run ends, failed or not.  Results are
+        row-identical to :meth:`run` (byte-identical exports).
 
-        Observability matches the in-memory path: with ``use_cache`` every
-        shard's stage output is cached keyed on ``(op fingerprint chain,
-        shard signature)`` and replayed instead of recomputed on unchanged
-        inputs; with ``open_tracer`` a :class:`~repro.core.tracer.
-        StreamingTracer` accumulates per-op kept/dropped/changed counts and
-        bounded example reservoirs across shards; and the per-op
-        :class:`~repro.core.monitor.RunProfiler` sections aggregate wall
-        time, rows/sec and peak RSS over every executed shard.
+        Observability matches the in-memory path: with ``open_tracer`` a
+        :class:`~repro.core.tracer.StreamingTracer` accumulates per-op
+        kept/dropped/changed counts and bounded example reservoirs across
+        shards; and the per-op :class:`~repro.core.monitor.RunProfiler`
+        sections aggregate wall time, rows/sec and peak RSS over every
+        executed shard.
 
         Returns the unified :class:`RunReport` (also stored as
         ``last_report`` and persisted to ``<work_dir>/report.json``) instead
@@ -574,7 +603,6 @@ class Executor:
         self._begin_faults()
         with monitor:
             segments = plan_segments(self.ops)
-            op_hashes = [op_config_hash(op) for op in self.ops]
             if tracer is not None:
                 # pre-register every op so accumulator (= summary) order is
                 # pipeline order even for ops an empty input never reaches
@@ -587,50 +615,36 @@ class Executor:
                 "executed_shards": 0,
                 "cached_shards": 0,
             }
-            formatter = self._input_formatter() if dataset is None else None
+            source = self._input_shards(dataset, progress)
 
-            persistent = self.checkpoint.enabled
-            if persistent:
-                store = ShardStore(self.checkpoint.stream_dir)
-                expected_state = {
-                    "op_hashes": op_hashes,
-                    "max_shard_rows": shard_rows,
-                    "max_shard_chars": shard_chars,
-                    "input": self._input_signature(dataset, formatter),
-                }
-                if self.checkpoint.load_stream_state() != expected_state:
-                    # recipe, shard budget or input changed: the spilled
-                    # shards describe a different run and must not be reused
-                    self.checkpoint.clear_stream()
-                    self.checkpoint.save_stream_state(expected_state)
-            else:
-                # per-run unique spill directory: concurrent non-checkpointed
-                # runs sharing a work_dir must not clear or read each other's
-                # shards
-                spill_root = Path(self.cfg.work_dir) / "stream-spill"
+            self._spill, self._resuming = self.store, False
+            if self.store is None:
+                # per-run unique spill directory: concurrent runs sharing a
+                # work_dir must not clear or read each other's shards
+                spill_root = work_dir / "stream-spill"
                 spill_root.mkdir(parents=True, exist_ok=True)
-                store = ShardStore(tempfile.mkdtemp(prefix="run-", dir=spill_root))
+                self._spill = CacheManager(tempfile.mkdtemp(prefix="run-", dir=spill_root))
+            elif self.checkpoint is not None:
+                run_state = self._run_state(
+                    {"max_shard_rows": shard_rows, "max_shard_chars": shard_chars}
+                )
+                self._resuming = self.checkpoint.read_state() == run_state
+                if not self._resuming:
+                    # recipe or shard budget changed: a checkpoint-only store
+                    # describes a different run and must not be reused (an
+                    # edited input needs no guard — its shards key differently)
+                    if not self.cfg.use_cache:
+                        self.store.clear()
+                    self.checkpoint.write_state(run_state)
 
             try:
-                source = self._count_shards(
-                    self._input_shards(dataset, formatter, shard_rows, shard_chars), progress
-                )
                 for stage, segment in enumerate(segments):
                     if segment.global_op is None:
                         # only the final segment can lack a global op; its
-                        # shards flow straight through (spilled when
-                        # checkpointing, so a crash during export still
-                        # resumes mid-corpus)
-                        if persistent:
-                            source = self._spilled_stage(
-                                stage, segment, source, store, progress
-                            )
-                        else:
-                            source = self._transformed_stage(
-                                stage, segment, source, progress
-                            )
+                        # shards flow straight through
+                        source = self._local_stage(stage, segment, source, progress)
                     else:
-                        source = self._resolved_stage(stage, segment, source, store, progress)
+                        source = self._resolved_stage(stage, segment, source, progress)
 
                 total_rows = 0
                 export_paths: list[str] = []
@@ -661,10 +675,9 @@ class Executor:
                         pass
             finally:
                 self._end_faults()
-                if not persistent:
+                if self._spill is not self.store:
                     # failed runs must not leak a pickled copy of the corpus
-                    store.clear()
-                    store.root.rmdir()
+                    shutil.rmtree(self._spill.cache_dir, ignore_errors=True)
 
         if tracer is not None:
             tracer.finalize()
@@ -678,7 +691,7 @@ class Executor:
             shard_budget={"max_shard_rows": shard_rows, "max_shard_chars": shard_chars},
             export_paths=export_paths,
             resources=monitor.report.as_dict() if monitor.report else {},
-            cache=self._cache_counters(),
+            cache=dict(self._cache_stats),
             trace=tracer.summary() if tracer else [],
             parallel=self._parallel_payload(),
             planner=self._planner_payload,
@@ -686,14 +699,6 @@ class Executor:
         )
         self._persist_report(self.last_report)
         return self.last_report
-
-    @staticmethod
-    def _count_shards(
-        shards: Iterator[list[dict]], progress: dict[str, int]
-    ) -> Iterator[list[dict]]:
-        for shard in shards:
-            progress["input_shards"] += 1
-            yield shard
 
     @staticmethod
     def _trace_type(op: Any) -> str:
@@ -708,44 +713,56 @@ class Executor:
             return "filter"
         return op_category(op)
 
-    @staticmethod
-    def _shard_label(stage: int, index: int) -> str:
-        """Human-readable shard id used in fault records and error messages."""
-        return f"stage{stage}:shard{index:05d}"
-
-    def _execute_shard(
+    def _shard_output(
         self,
+        stage: int,
+        index: int,
         segment: StreamSegment,
         chain: str,
         rows: list[dict],
         progress: dict[str, int],
-        shard_id: str | None = None,
-    ) -> list[dict]:
-        """One shard's shard-local work (sample ops + dedup hashing), cached.
+        spill: bool = False,
+    ) -> tuple[str | None, list[dict]]:
+        """One shard's shard-local work (sample ops + dedup hashing), stored once.
 
-        With ``use_cache`` the shard's stage output is keyed on
-        ``(op fingerprint chain, shard signature)``; a hit replays the rows
-        without touching any operator (counted per op as a cached call and
-        per run as a ``cached_shards`` shard).
+        Returns the stage output and its store key (for the mask pass of a
+        ``spill`` caller).  With ``use_cache`` / ``use_checkpoint`` the key
+        is ``(stage chain hash, shard signature)``; an existing entry replays
+        the rows without touching any operator — a ``resumed_shards`` shard
+        when the checkpoint state matched this run, else a ``cached_shards``
+        one (counted per op as a cached call).  Without persistence only a
+        ``spill`` the mask pass will read back is stored, under a positional
+        key in the run's temp directory.
 
         Failures are contained per shard: sample-op errors are handled row-
         wise by the error policy inside :func:`run_sample_ops`; anything that
         still escapes (the dedup hashing stage has no row-isolated fallback)
         retries the whole shard, and under a lenient policy a persistently
         failing shard is dropped/quarantined whole instead of wedging the
-        run.  Fault-shaped shard output never enters the shard cache.
+        run.  Fault-shaped shard output is stored under a key only a resumed
+        run of the same checkpoint looks up (see :meth:`_put_result`).
         """
-        cache_key = None
-        if self.cache.enabled:
-            cache_key = CacheManager.make_shard_key(chain, _stable_hash(rows))
-            cached = self.cache.load_shard_rows(cache_key)
-            if cached is not None:
-                for op in segment.sample_ops:
-                    self._profiler.record_cached(op, len(cached))
-                if isinstance(segment.global_op, Deduplicator):
-                    self._profiler.record_cached(segment.global_op, len(cached))
-                progress["cached_shards"] += 1
-                return cached
+        store = self._spill
+        # a closing Deduplicator's per-sample hashing stage runs shard-local
+        # (in the same pool task as the sample ops); only its clustering is global
+        hash_op = segment.global_op if isinstance(segment.global_op, Deduplicator) else None
+        shard_id = f"stage{stage}:shard{index:05d}"  # names the shard in fault records
+        key = f"{stage}:{index}" if spill else None
+        if store is self.store:
+            key = CacheManager.make_shard_key(chain, _stable_hash(rows))
+            for found in (key, key + _FAULTED) if self._resuming else (key,):
+                stored = store.get(found)
+                if stored is None:
+                    continue
+                if self._resuming:
+                    progress["resumed_shards"] += 1
+                else:
+                    self._count_cache("shard_hits")
+                    progress["cached_shards"] += 1
+                    for op in segment.sample_ops + ([hash_op] if hash_op else []):
+                        self._profiler.record_cached(op, len(stored))
+                return found, stored
+            self._count_cache("shard_misses")
         faults_before = self._faults.total_faults
         stage_name = getattr(segment.global_op, "name", None) or (
             segment.sample_ops[0].name if segment.sample_ops else "shard"
@@ -753,7 +770,18 @@ class Executor:
         attempt = 0
         while True:
             try:
-                out_rows = self._run_shard_ops(segment, rows, shard_id)
+                out_rows = run_sample_ops(
+                    rows,
+                    segment.sample_ops,
+                    pool_factory=self._ensure_pool,
+                    profiler=self._profiler,
+                    tracer=self._stream_tracer,
+                    policy=self.policy,
+                    faults=self._faults,
+                    quarantine=self._quarantine,
+                    shard_id=shard_id,
+                    hash_op=hash_op,
+                ).to_list()
                 break
             except OpExecutionError:
                 # already contextualised by the per-op policy layer (raise
@@ -782,97 +810,49 @@ class Executor:
                     )
                 out_rows = []
                 break
-        if cache_key is not None and self._faults.total_faults == faults_before:
-            self.cache.save_shard_rows(cache_key, out_rows)
+        if key is not None:
+            key = self._put_result(store, key, out_rows, faults_before, spill)
         progress["executed_shards"] += 1
-        return out_rows
+        return key, out_rows
 
-    def _run_shard_ops(
-        self, segment: StreamSegment, rows: list[dict], shard_id: str | None
-    ) -> list[dict]:
-        """Run one shard through its segment's sample ops + dedup hashing."""
-        global_op = segment.global_op
-        return run_sample_ops(
-            rows,
-            segment.sample_ops,
-            pool_factory=self._ensure_pool,
-            profiler=self._profiler,
-            tracer=self._stream_tracer,
-            policy=self.policy,
-            faults=self._faults,
-            quarantine=self._quarantine,
-            shard_id=shard_id,
-            # the per-sample hashing stage runs shard-local (and in the same
-            # pool task as the sample ops); only the clustering is global
-            hash_op=global_op if isinstance(global_op, Deduplicator) else None,
-        ).to_list()
-
-    def _transformed_stage(
+    def _local_stage(
         self,
         stage: int,
         segment: StreamSegment,
         source: Iterator[list[dict]],
         progress: dict[str, int],
     ) -> Iterator[list[dict]]:
-        """Shard-local transform with no spill (checkpointing disabled)."""
+        """Shard-local transform of the final segment (nothing reads it back)."""
         chain = stage_chain_hash(segment)
         for index, rows in enumerate(source):
-            yield self._execute_shard(
-                segment, chain, rows, progress, self._shard_label(stage, index)
-            )
-
-    def _spilled_stage(
-        self,
-        stage: int,
-        segment: StreamSegment,
-        source: Iterator[list[dict]],
-        store: ShardStore,
-        progress: dict[str, int],
-    ) -> Iterator[list[dict]]:
-        """Shard-local transform that spills (and resumes) every shard."""
-        chain = stage_chain_hash(segment)
-        for index, rows in enumerate(source):
-            if store.has_shard(stage, index):
-                progress["resumed_shards"] += 1
-                yield store.read_shard_rows(stage, index)
-                continue
-            out_rows = self._execute_shard(
-                segment, chain, rows, progress, self._shard_label(stage, index)
-            )
-            store.write_shard(stage, index, out_rows)
-            yield out_rows
+            yield self._shard_output(stage, index, segment, chain, rows, progress)[1]
 
     def _resolved_stage(
         self,
         stage: int,
         segment: Any,
         source: Iterator[list[dict]],
-        store: ShardStore,
         progress: dict[str, int],
     ) -> Iterator[list[dict]]:
         """Two-pass execution of a segment closed by a dataset-level op.
 
         Pass one runs eagerly: each shard is transformed, hashed (for
-        Deduplicators), spilled, and its skinny signature rows accumulated.
+        Deduplicators), stored, and its skinny signature rows accumulated.
         The global op then resolves once over the signatures, and the
-        returned iterator streams the spilled shards back out with the keep
+        returned iterator streams the stored shards back out with the keep
         mask applied.
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
         signature_rows: list[dict] = []
-        shard_row_counts: list[int] = []
+        #: (store key, row count) of every shard, in corpus order
+        stored_shards: list[tuple[str, int]] = []
 
         for index, rows in enumerate(source):
-            if store.has_shard(stage, index):
-                progress["resumed_shards"] += 1
-                out_rows = store.read_shard_rows(stage, index)
-            else:
-                out_rows = self._execute_shard(
-                    segment, chain, rows, progress, self._shard_label(stage, index)
-                )
-                store.write_shard(stage, index, out_rows)
-            shard_row_counts.append(len(out_rows))
+            key, out_rows = self._shard_output(
+                stage, index, segment, chain, rows, progress, spill=True
+            )
+            stored_shards.append((key, len(out_rows)))
             if out_rows:
                 # every row of a shard carries the same keys (to_list unions
                 # columns shard-wide); keys differing *across* shards are
@@ -927,8 +907,13 @@ class Executor:
 
         def masked_shards() -> Iterator[list[dict]]:
             offset = 0
-            for index, count in enumerate(shard_row_counts):
-                rows = store.read_shard_rows(stage, index)
+            for key, count in stored_shards:
+                rows = self._spill.get(key)
+                if rows is None:
+                    raise DatasetError(
+                        f"stage {stage} shard entry vanished from {self._spill.cache_dir} "
+                        "before the mask pass (was the store cleared mid-run?)"
+                    )
                 mask = keep_mask[offset:offset + count]
                 if tracer is not None and tracer.wants_examples(global_op.name, trace_type):
                     # the resolve only saw skinny signature rows; harvest

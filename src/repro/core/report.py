@@ -196,12 +196,13 @@ class RunReport(Mapping):
         Atomic (tmp + replace) so a crash mid-write never leaves a truncated
         ``report.json`` behind a completed run.
         """
-        from repro.core.checkpoint import atomic_write_text
+        from repro.core.cache import atomic_write
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            path, json.dumps(self.as_dict(), indent=2, ensure_ascii=False, default=repr)
+        atomic_write(
+            path,
+            json.dumps(self.as_dict(), indent=2, ensure_ascii=False, default=repr).encode("utf-8"),
         )
         return path
 

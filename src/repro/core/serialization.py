@@ -1,9 +1,10 @@
 """Explicit JSON sanitization for rows written to disk.
 
-Exports, checkpoints and streaming spill shards all persist sample rows as
-JSON.  Serialising unexpected payloads with ``json.dumps(..., default=repr)``
-would silently replace them with their ``repr`` string, so a checkpoint
-round-trip (or an export) could corrupt data without anyone noticing.  The
+Exports and quarantine files persist sample rows as JSON (intermediate
+datasets and shards are pickled by the store and need no conversion).
+Serialising unexpected payloads with ``json.dumps(..., default=repr)`` would
+silently replace them with their ``repr`` string, so an export could corrupt
+data without anyone noticing.  The
 :class:`JsonSanitizer` here makes that conversion *explicit*: clean rows take
 a zero-copy fast path, dirty rows are deep-sanitised, and every writer emits
 exactly one warning naming the offending key paths.

@@ -1,4 +1,4 @@
-"""Out-of-core streaming execution: shard chunking, spill store, global resolve.
+"""Out-of-core streaming execution: shard chunking, segmentation, global resolve.
 
 The streaming run mode (``Executor.run_streaming`` / CLI ``--stream``) never
 holds the whole corpus in memory.  Records are drawn lazily from a formatter,
@@ -12,26 +12,25 @@ ever holds more than one shard of payload.
 
 1. *Signature pass* — every shard is transformed by the pending sample ops,
    the global op's per-sample stage (hashing) runs shard-wise, and the shard
-   is spilled to disk (:class:`ShardStore`).  Only the op's small *signature
-   columns* (hashes, the selection field, stats — never the text payload) are
-   accumulated in memory, each row tagged with a global row id.
+   is written to the store (:class:`repro.core.cache.CacheManager`).  Only the
+   op's small *signature columns* (hashes, the selection field, stats — never
+   the text payload) are accumulated in memory, each row tagged with a global
+   row id.
 2. *Global resolve* — the op's unmodified ``process`` runs once over the
    skinny signature dataset (:func:`resolve_global_keep`), yielding a keep
    mask over global row ids.  Because every built-in Deduplicator/Selector
    preserves input order, the mask reproduces the in-memory result exactly.
-3. *Mask pass* — spilled shards are streamed back out with the mask applied
+3. *Mask pass* — the stored shards are streamed back out with the mask applied
    (and the op's hash columns dropped), feeding the next pipeline segment.
 
-Shard spilling doubles as **shard-granular checkpointing**: with
-``use_checkpoint`` the spill directory lives under the checkpoint manager and
-survives crashes, so a resumed run skips every shard already processed.
+The spill *is* the cache *is* the shard-granular checkpoint: with ``use_cache``
+or ``use_checkpoint`` the entries are content-keyed and survive the run, so a
+re-run or a resume after a crash skips every shard already processed.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.base_op import OP, Deduplicator, Filter, Mapper, Selector
@@ -51,9 +50,9 @@ ROW_ID_COLUMN = "__row_id__"
 def op_config_hash(op: OP) -> str:
     """Digest of an operator's identity *and* parameters.
 
-    Used by both checkpoint granularities to detect that a recipe edit
-    changed what an operator would produce — a resume is only valid while
-    every already-applied op hashes the same.
+    Recorded in the checkpoint state of both modes to detect that a recipe
+    edit changed what an operator would produce — a resume is only valid
+    while every already-applied op hashes the same.
     """
     return _stable_hash({"name": op.name, "config": op.config()})
 
@@ -137,62 +136,6 @@ def plan_segments(ops: Iterable[OP]) -> list[StreamSegment]:
 
 
 # ----------------------------------------------------------------------
-# Spill store (doubles as the shard-granular checkpoint)
-# ----------------------------------------------------------------------
-class ShardStore:
-    """A directory of spilled shard files, organised per pipeline stage.
-
-    Shards are internal temporaries (never user-facing), so they are stored
-    as pickles: several times faster than JSON on the spill-heavy two-pass
-    path and lossless for every Python payload (tuples stay tuples, so a
-    spill round-trip can never change what the in-memory path would have
-    produced).  Writes are atomic (temp file + rename), so a shard that
-    exists is a shard that was written completely — the property crash
-    recovery relies on.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def stage_dir(self, stage: int) -> Path:
-        """Directory holding one pipeline stage's spilled shards."""
-        return self.root / f"stage-{stage:02d}"
-
-    def shard_path(self, stage: int, index: int) -> Path:
-        """On-disk path of one spilled shard."""
-        return self.stage_dir(stage) / f"shard-{index:05d}.pkl"
-
-    def has_shard(self, stage: int, index: int) -> bool:
-        """True when a completely-written spill exists for (stage, index)."""
-        return self.shard_path(stage, index).exists()
-
-    def write_shard(self, stage: int, index: int, rows: list[dict]) -> Path:
-        """Atomically spill one shard's rows; returns the written path."""
-        path = self.shard_path(stage, index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.with_suffix(".tmp")
-        with temp.open("wb") as handle:
-            pickle.dump(rows, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        temp.replace(path)
-        return path
-
-    def read_shard_rows(self, stage: int, index: int) -> list[dict]:
-        """Load one spilled shard back into memory."""
-        with self.shard_path(stage, index).open("rb") as handle:
-            return pickle.load(handle)
-
-    def clear(self) -> None:
-        """Remove every spilled shard and manifest."""
-        if not self.root.exists():
-            return
-        for child in sorted(self.root.rglob("*"), reverse=True):
-            if child.is_file():
-                child.unlink()
-            else:
-                child.rmdir()
-
-
-# ----------------------------------------------------------------------
 # Global (two-pass) resolution of dataset-level ops
 # ----------------------------------------------------------------------
 _HASH_COLUMNS = (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
@@ -231,7 +174,7 @@ def resolve_global_keep(op: Any, signature: NestedDataset) -> tuple[list[bool], 
     ``signature`` must carry a :data:`ROW_ID_COLUMN`.  Returns the keep mask
     over global row ids plus the columns the op removed (a deduplicator
     drops its own hash column), which the mask pass then strips from the
-    spilled rows.  Exact because every built-in Deduplicator/Selector keeps
+    stored rows.  Exact because every built-in Deduplicator/Selector keeps
     surviving rows in input order.
     """
     if len(signature) == 0:
@@ -347,9 +290,9 @@ def stage_chain_hash(segment: StreamSegment) -> str:
 
     Digests the ordered config hashes of every shard-local op, plus the
     hashing stage of a closing Deduplicator (whose hash columns are part of
-    the shard output that gets spilled/cached).  Together with a shard's
-    input signature this keys the shard-level cache: equal keys guarantee a
-    replayed shard is byte-equal to recomputation.
+    the stored shard output).  Together with a shard's input signature this
+    keys the shard's store entry: equal keys guarantee a replayed shard is
+    byte-equal to recomputation.
     """
     parts = [op_config_hash(op) for op in segment.sample_ops]
     if isinstance(segment.global_op, Deduplicator):
@@ -360,7 +303,6 @@ def stage_chain_hash(segment: StreamSegment) -> str:
 __all__ = [
     "DEFAULT_SHARD_ROWS",
     "ROW_ID_COLUMN",
-    "ShardStore",
     "StreamSegment",
     "apply_keep_mask",
     "iter_record_shards",

@@ -192,14 +192,14 @@ def test_fused_filter_config_embeds_member_parameters(corpus):
 def test_checkpoint_resume_preserves_fingerprint(tmp_path, corpus):
     """Regression: checkpoint load rebuilt the dataset with a content-probe
     fingerprint, so every downstream cache key missed after a resume."""
-    from repro.core.checkpoint import CheckpointManager
+    from repro.core.cache import CacheManager
 
     op = load_ops([{"text_length_filter": {"min_len": 30}}])[0]
     out = op.run(corpus)
-    manager = CheckpointManager(tmp_path)
-    manager.save(out, 1, [op.name])
-    restored, op_index, _names = manager.load()
-    assert op_index == 1
+    store = CacheManager(tmp_path)
+    store.put("after-op-1", out)
+    restored = store.get("after-op-1")
+    assert restored == out
     assert restored.fingerprint == out.fingerprint
 
 

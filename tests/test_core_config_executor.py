@@ -165,9 +165,11 @@ class TestExecutor:
         second.checkpoint.clear()
         second.run(data)
         assert second.last_report["cache"]["hits"] == len(PROCESS)
-        _, op_index, op_names = second.checkpoint.load()
-        assert op_index == len(PROCESS)
-        assert op_names == [op.name for op in second.ops]
+        state = second.checkpoint.read_state()
+        assert state["op_index"] == len(PROCESS)
+        assert state["op_names"] == [op.name for op in second.ops]
+        # the checkpoint points at the cache entry; no second copy was written
+        assert second.store.has(state["key"])
 
     def test_plan_describes_ops(self):
         executor = Executor({"process": PROCESS, "op_fusion": False})

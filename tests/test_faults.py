@@ -310,7 +310,7 @@ class TestCorruptCheckpointState:
     def test_read_state_returns_none_on_garbage(self, tmp_path):
         from repro.core.checkpoint import CheckpointManager
 
-        manager = CheckpointManager(tmp_path, enabled=True)
+        manager = CheckpointManager(tmp_path)
         (tmp_path / CheckpointManager.STATE_FILE).write_text("not json", encoding="utf-8")
         assert manager.read_state() is None
 

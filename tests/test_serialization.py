@@ -1,11 +1,10 @@
-"""Tests for explicit JSON sanitization of exports, checkpoints and spill shards."""
+"""Tests for explicit JSON sanitization of exports (store entries are pickled: see test_store)."""
 
 import json
 import warnings
 
 import pytest
 
-from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
 from repro.core.exporter import Exporter
 from repro.core.serialization import JsonSanitizer, SerializationWarning
@@ -70,22 +69,3 @@ class TestExporterSanitization:
         with warnings.catch_warnings():
             warnings.simplefilter("error", SerializationWarning)
             Exporter(tmp_path / "out.jsonl").export(dataset)
-
-
-class TestCheckpointSanitization:
-    def test_checkpoint_save_warns_and_round_trips(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        dataset = NestedDataset.from_list([{"text": "a", "meta": {"blob": b"raw-bytes"}}])
-        with pytest.warns(SerializationWarning, match=r"meta\.blob"):
-            manager.save(dataset, op_index=1, op_names=["op"], op_hashes=["h"])
-        restored, op_index, names = manager.load()
-        assert op_index == 1 and names == ["op"]
-        # the conversion is explicit (and was warned about): repr string survives
-        assert restored[0]["meta"]["blob"] == repr(b"raw-bytes")
-
-    def test_clean_checkpoint_does_not_warn(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        dataset = NestedDataset.from_list([{"text": "a"}])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", SerializationWarning)
-            manager.save(dataset, op_index=1, op_names=["op"])

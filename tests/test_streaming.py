@@ -19,7 +19,6 @@ from repro.core.exporter import Exporter
 from repro.core.sample import Fields
 from repro.core.stream import (
     DEFAULT_SHARD_ROWS,
-    ShardStore,
     iter_record_shards,
     op_config_hash,
     plan_segments,
@@ -377,24 +376,6 @@ class TestShardCheckpointing:
         assert report["shards"]["resumed_shards"] == 0
         first_line = json.loads((tmp_path / "out.jsonl").read_text().splitlines()[0])
         assert first_line["text"].startswith("completely new")
-
-
-class TestShardStore:
-    def test_atomic_write_and_read(self, tmp_path):
-        store = ShardStore(tmp_path / "spill")
-        rows = [{"text": "a", "n": 1}, {"text": "b", "n": 2}]
-        store.write_shard(0, 0, rows)
-        assert store.has_shard(0, 0)
-        assert store.read_shard_rows(0, 0) == rows
-        assert not store.has_shard(0, 1)
-
-    def test_clear(self, tmp_path):
-        store = ShardStore(tmp_path / "spill")
-        store.write_shard(0, 0, [{"text": "a"}])
-        store.write_shard(1, 3, [{"text": "b"}])
-        store.clear()
-        assert not store.has_shard(0, 0)
-        assert not store.has_shard(1, 3)
 
 
 # ----------------------------------------------------------------------
