@@ -56,6 +56,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def best_of_interleaved(legs: dict, seconds, repetitions: int = 3) -> dict:
+    """Each leg's fastest result over ``repetitions`` interleaved rounds (A B A B …).
+
+    A single-shot comparison of two legs reads the host's drift of the moment
+    as a difference between them; interleaving exposes both legs to the same
+    drift and the minimum discards the rounds it slowed.  ``legs`` maps a name
+    to a zero-argument callable, ``seconds`` reads the time off its result.
+    """
+    best: dict = {}
+    for _round in range(repetitions):
+        for name, run in legs.items():
+            result = run()
+            if name not in best or seconds(result) < seconds(best[name]):
+                best[name] = result
+    return best
+
+
 def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` exactly once under the pytest-benchmark fixture."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)

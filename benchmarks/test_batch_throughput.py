@@ -1,24 +1,27 @@
-"""Batched columnar engine — rows/sec of the batched vs the per-row op path.
+"""Columnar op engine — rows/sec of ``op.run`` vs the per-row reference.
 
-The batched execution engine hands operators column slices instead of per-row
-dicts, with vectorised kernels behind the hottest ops (char-class counting,
-char n-gram repetition, shared batch tokenisation, bulk MinHash).  This suite
-measures end-to-end rows/sec of a mappers + fused-filters + dedup pipeline on
-a >=20k-row synthetic web corpus for both execution strategies and asserts the
-outputs are identical and the batched path faster (``make bench-batch`` prints
-the table).  It is a one-round assertion, not a ruler: repeatable numbers come
-from ``bench/`` (``python bench/run.py``).
+The engine hands operators column slices instead of per-row dicts, with
+vectorised kernels behind the hottest ops (char-class counting, char n-gram
+repetition, shared batch tokenisation, bulk MinHash).  This suite measures
+end-to-end rows/sec of a mappers + fused-filters + dedup pipeline on a
+>=20k-row synthetic web corpus through ``op.run`` and through the per-row
+oracle (:func:`repro.testing.reference.run_per_row`), and asserts the outputs
+are identical and the engine faster (``make bench-batch`` prints the table).
+Each leg is the fastest of three interleaved rounds; it is still an
+assertion, not a ruler: repeatable numbers come from ``bench/``
+(``python bench/run.py``).
 """
 
 import random
 import time
 
-from conftest import print_table, run_once
+from conftest import best_of_interleaved, print_table, run_once
 
 from repro.core.dataset import NestedDataset
 from repro.core.sample import Fields
 from repro.ops import build_ops
 from repro.synth.generators import DocumentGenerator, NoiseInjector
+from repro.testing.reference import run_per_row
 
 #: mappers + (fusible) filters + dedup — the hot ops of a web-cleaning recipe
 PROCESS = [
@@ -80,8 +83,10 @@ def web_corpus(num_samples: int, seed: int, kind: str, duplicate_ratio: float = 
     return NestedDataset.from_list(samples)
 
 
-def _run_pipeline(corpus: NestedDataset, batched: bool) -> tuple[NestedDataset, float, list]:
-    """Run the pipeline one op at a time, returning output, seconds, per-op times."""
+def _run_pipeline(corpus: NestedDataset, run_op) -> tuple[NestedDataset, float, list]:
+    """Run the pipeline one op at a time through ``run_op(op, dataset)``.
+
+    Returns the output, the seconds and the per-op times."""
     import repro.ops.common.helper_funcs as helper_funcs
 
     helper_funcs._REFINE_CACHE.clear()  # neither strategy inherits warm caches
@@ -91,16 +96,23 @@ def _run_pipeline(corpus: NestedDataset, batched: bool) -> tuple[NestedDataset, 
     start = time.perf_counter()
     for op in ops:
         op_start = time.perf_counter()
-        dataset = op.run(dataset, batched=batched)
+        dataset = run_op(op, dataset)
         per_op.append({"op": op.name, "seconds": round(time.perf_counter() - op_start, 4)})
     return dataset, time.perf_counter() - start, per_op
 
 
 def _measure_scenario(kind: str, num_samples: int, seed: int) -> dict:
     corpus = web_corpus(num_samples, seed=seed, kind=kind)
-    batched_out, batched_s, batched_ops = _run_pipeline(corpus, batched=True)
-    per_row_out, per_row_s, per_row_ops = _run_pipeline(corpus, batched=False)
-    # the whole point: a pure execution-strategy change, identical outputs
+    best = best_of_interleaved(
+        {
+            "batched": lambda: _run_pipeline(corpus, lambda op, dataset: op.run(dataset)),
+            "per_row": lambda: _run_pipeline(corpus, run_per_row),
+        },
+        seconds=lambda result: result[1],
+    )
+    batched_out, batched_s, batched_ops = best["batched"]
+    per_row_out, per_row_s, per_row_ops = best["per_row"]
+    # the whole point: the engine is a pure execution strategy, identical outputs
     assert batched_out.to_list() == per_row_out.to_list()
     assert batched_out.fingerprint == per_row_out.fingerprint
     return {

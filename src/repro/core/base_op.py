@@ -8,14 +8,20 @@ the boolean keep/drop decision in Filters (``compute_stats`` vs ``process``),
 which lets the Analyzer consume statistics for the *whole* dataset and lets
 fused operators share per-sample contexts.
 
-Execution is **batched columnar by default**: ``run`` hands operators column
-batches (``dict[str, list]`` slices, see :mod:`repro.core.batch`) instead of
-materialising one dict per row.  Every batched entry point
-(``process_batched`` / ``compute_stats_batched``/ ``compute_hash_batched``)
-has a per-row fallback, so subclasses only implement the per-sample method
-unless they have a genuinely vectorised implementation.  ``run(...,
-batched=False)`` forces the legacy per-row path; the equivalence test suite
-asserts both paths produce identical rows, stats and fingerprints.
+There is one way to run an op: ``op.run(dataset, tracer=, pool=)`` hands the
+operator column batches (``dict[str, list]`` slices, see
+:mod:`repro.core.batch`) — in the worker processes when ``pool`` holds the op,
+else in-process.  Every batched entry point (``process_batched`` /
+``compute_stats_batched`` / ``compute_hash_batched``) defaults to mapping the
+per-sample method over the batch's rows, so subclasses only implement the
+per-sample method unless they have a genuinely vectorised implementation.
+
+The per-sample methods (``process`` / ``compute_stats`` / ``compute_hash``)
+are the op-authoring API, and what the Analyzer, fused execution and the fault
+layer's row isolation call.  They are also the test oracle:
+:func:`repro.testing.reference.run_per_row` drives a dataset through them one
+row at a time, and the equivalence suite asserts ``run`` yields the same rows,
+stats and fingerprint.
 """
 
 from __future__ import annotations
@@ -36,9 +42,6 @@ class OP:
     """Common behaviour of every operator: a name, a text key and parameters."""
 
     _name = "op"
-
-    #: whether ``run`` uses the batched columnar path by default
-    _batched = True
 
     #: per-parameter schema overrides (bounds, choices, docs) merged into the
     #: signature-derived :class:`repro.core.schema.OpSchema`; subclasses add
@@ -120,6 +123,22 @@ class OP:
         """Write the text back to the sample at this OP's text key."""
         return set_field(sample, self.text_key, text)
 
+    def _map_stage(
+        self, function: Any, stage: str, dataset: NestedDataset, pool: Any
+    ) -> NestedDataset:
+        """One column-batch stage of this op (``function``) over ``dataset``.
+
+        A :class:`repro.parallel.WorkerPool` holding the op runs the batches
+        in its workers (a segment of one op); the output is stamped with the
+        ``stage`` link of the fingerprint chain either way.
+        """
+        fingerprint = dataset.derive_fingerprint(stage, self.config())
+        batch_size = self.effective_batch_size(dataset)
+        if pool is not None and pool.holds(self) and len(dataset) > 1:
+            batches = pool.run_ops([self], list(dataset.iter_batches(batch_size)))
+            return NestedDataset.from_batches(batches, fingerprint=fingerprint)
+        return dataset.map_batches(function, batch_size=batch_size, new_fingerprint=fingerprint)
+
     def run(self, dataset: NestedDataset, **kwargs: Any) -> NestedDataset:  # pragma: no cover
         """Apply the OP to a dataset; implemented by category base classes."""
         raise NotImplementedError
@@ -166,33 +185,17 @@ class Mapper(OP):
         return rows_to_batch(rows, column_order=samples)
 
     def run(
-        self,
-        dataset: NestedDataset,
-        tracer: Any = None,
-        pool: Any = None,
-        batched: bool | None = None,
-        **kwargs: Any,
+        self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
     ) -> NestedDataset:
         """Apply the mapper to every sample of the dataset.
 
-        Batched columnar execution is the default; ``batched=False`` forces
-        the legacy per-row path (the fingerprint is identical either way).
         ``pool`` is an optional :class:`repro.parallel.WorkerPool` handle; when
-        this mapper is resident in the pool the batches (or rows) are
-        processed by the worker processes instead of in-process.
+        this mapper is resident in the pool the batches are processed by the
+        worker processes instead of in-process (same rows, same fingerprint).
         """
-        fingerprint = dataset.derive_fingerprint(self.name, self.config())
-        if self._batched if batched is None else batched:
-            mapped = dataset.map_batches(
-                self.process_batched,
-                batch_size=self.effective_batch_size(dataset),
-                new_fingerprint=fingerprint,
-                pool=pool,
-            )
-        else:
-            mapped = dataset.map(self.process, pool=pool, new_fingerprint=fingerprint)
+        mapped = self._map_stage(self.process_batched, self.name, dataset, pool)
         if tracer is not None:
-            tracer.trace_mapper(self.name, dataset, mapped, self.text_key)
+            tracer.trace_mapper(self, dataset, mapped, self.text_key)
         return mapped
 
 
@@ -245,88 +248,46 @@ class Filter(OP):
         return kept, flags
 
     def run(
-        self,
-        dataset: NestedDataset,
-        tracer: Any = None,
-        pool: Any = None,
-        batched: bool | None = None,
-        **kwargs: Any,
+        self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
     ) -> NestedDataset:
         """Compute stats for every sample, then keep only the passing samples.
 
-        Stats computation and the keep/drop decision happen in one pass (the
-        decoupled ``compute_stats`` / ``process`` methods are still exposed
-        separately for the Analyzer and for fused execution).  The default
-        path is batched columnar; ``batched=False`` forces the legacy per-row
-        loop.  With a :class:`repro.parallel.WorkerPool` handle holding this
-        filter the pass runs chunk-parallel in the worker processes; rows,
-        fingerprints and cache keys are identical for every strategy.
+        Stats computation and the keep/drop decision happen in one pass over
+        column batches (the decoupled ``compute_stats`` / ``process`` methods
+        are still exposed separately for the Analyzer and for fused
+        execution).  Without a tracer, batches take the short-circuit
+        :meth:`filter_batched` path that only returns surviving rows; with a
+        tracer, full stats are computed for every row so the trace shows the
+        rejected rows' statistics.  With a :class:`repro.parallel.WorkerPool`
+        handle holding this filter the pass runs chunk-parallel in the worker
+        processes; rows, fingerprints and cache keys are identical either way.
         """
         fingerprint = dataset.derive_fingerprint(self.name, self.config())
-        use_batched = self._batched if batched is None else batched
-        if use_batched:
-            return self._run_batched(dataset, fingerprint, tracer=tracer, pool=pool)
-        if pool is not None and pool.holds(self) and len(dataset) > 1:
-            stat_rows, keep_flags = pool.filter_rows(self, dataset.to_list())
-        else:
-            stat_rows = []
-            keep_flags = []
-            for row in dataset:
-                row = self.compute_stats(dict(row))
-                stat_rows.append(row)
-                keep_flags.append(bool(self.process(row)))
-        kept_rows = [row for row, keep in zip(stat_rows, keep_flags) if keep]
-        filtered = NestedDataset.from_list(kept_rows, fingerprint=fingerprint)
-        if tracer is not None:
-            with_stats = NestedDataset.from_list(stat_rows)
-            tracer.trace_filter(self.name, with_stats, filtered)
-        return filtered
-
-    def _run_batched(
-        self,
-        dataset: NestedDataset,
-        fingerprint: str,
-        tracer: Any = None,
-        pool: Any = None,
-    ) -> NestedDataset:
-        """Batched columnar filter pass (optionally dispatched to a pool).
-
-        Without a tracer, batches take the short-circuit
-        :meth:`filter_batched` path that only returns surviving rows; with a
-        tracer, full stats are computed for every row so the trace reflects
-        the rejected rows' statistics, exactly like the per-row path.
-        """
-        full_stats = tracer is not None
-        batch_size = self.effective_batch_size(dataset)
-        if pool is not None and pool.holds(self) and len(dataset) > 1:
-            batches = list(dataset.iter_batches(batch_size))
-            if full_stats:
-                results = pool.filter_column_batches(self, batches)
-            else:
+        batches = dataset.iter_batches(self.effective_batch_size(dataset))
+        pooled = pool is not None and pool.holds(self) and len(dataset) > 1
+        if tracer is None:
+            if pooled:
                 # a segment of one op: only the survivors come back
-                results = [(batch, None) for batch in pool.run_ops([self], batches)]
+                kept_batches = pool.run_ops([self], list(batches))
+            else:
+                kept_batches = [self.filter_batched(batch)[0] for batch in batches]
+            return NestedDataset.from_batches(kept_batches, fingerprint=fingerprint)
+        if pooled:
+            results = pool.filter_column_batches(self, list(batches))
         else:
             results = []
-            for batch in dataset.iter_batches(batch_size):
-                if full_stats:
-                    batch = self.compute_stats_batched(batch)
-                    flags = self.process_batched(batch)
-                    results.append((batch, flags))
-                else:
-                    results.append(self.filter_batched(batch))
-        if full_stats:
-            kept_batches = [
+            for batch in batches:
+                batch = self.compute_stats_batched(batch)
+                results.append((batch, self.process_batched(batch)))
+        filtered = NestedDataset.from_batches(
+            [
                 batch_select(batch, [i for i, keep in enumerate(flags) if keep])
                 for batch, flags in results
-            ]
-            stat_batches = [batch for batch, _flags in results]
-        else:
-            kept_batches = [batch for batch, _flags in results]
-            stat_batches = []
-        filtered = NestedDataset.from_batches(kept_batches, fingerprint=fingerprint)
-        if tracer is not None:
-            with_stats = NestedDataset.from_batches(stat_batches)
-            tracer.trace_filter(self.name, with_stats, filtered)
+            ],
+            fingerprint=fingerprint,
+        )
+        with_stats = NestedDataset.from_batches([batch for batch, _flags in results])
+        tracer.trace_filter(self, with_stats, filtered)
         return filtered
 
 
@@ -346,37 +307,24 @@ class Deduplicator(OP):
         """Return the deduplicated dataset and up to ``show_num`` duplicate pairs."""
         raise NotImplementedError
 
-    def run(
-        self,
-        dataset: NestedDataset,
-        tracer: Any = None,
-        pool: Any = None,
-        batched: bool | None = None,
-        **kwargs: Any,
-    ) -> NestedDataset:
-        """Hash every sample and drop duplicates, tracing pairs when requested.
+    def hash_stage(self, dataset: NestedDataset, pool: Any = None) -> NestedDataset:
+        """The sample-level stage: ``dataset`` with every row's hash/signature added.
 
-        The hashing stage is sample-level, so a :class:`repro.parallel.
-        WorkerPool` handle parallelises it; the duplicate clustering itself
-        stays global.
+        This is the part of a Deduplicator a :class:`repro.parallel.WorkerPool`
+        parallelises and the streaming engine runs shard by shard; the
+        duplicate clustering (:meth:`process`) stays global.
         """
-        hash_fingerprint = dataset.derive_fingerprint(f"{self.name}:hash", self.config())
-        if self._batched if batched is None else batched:
-            hashed = dataset.map_batches(
-                self.compute_hash_batched,
-                batch_size=self.effective_batch_size(dataset),
-                new_fingerprint=hash_fingerprint,
-                pool=pool,
-            )
-        else:
-            hashed = dataset.map(
-                lambda sample: self.compute_hash(dict(sample)),
-                new_fingerprint=hash_fingerprint,
-            )
+        return self._map_stage(self.compute_hash_batched, f"{self.name}:hash", dataset, pool)
+
+    def run(
+        self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
+    ) -> NestedDataset:
+        """Hash every sample and drop duplicates, tracing pairs when requested."""
+        hashed = self.hash_stage(dataset, pool)
         show_num = 10 if tracer is not None else 0
         deduped, duplicate_pairs = self.process(hashed, show_num=show_num)
         if tracer is not None:
-            tracer.trace_deduplicator(self.name, len(hashed), len(deduped), duplicate_pairs)
+            tracer.trace_deduplicator(self, len(hashed), len(deduped), duplicate_pairs)
         return deduped
 
 
@@ -391,7 +339,7 @@ class Selector(OP):
         """Apply the selector and trace the size change."""
         selected = self.process(dataset)
         if tracer is not None:
-            tracer.trace_filter(self.name, dataset, selected)
+            tracer.trace_filter(self, dataset, selected)
         return selected
 
 

@@ -223,35 +223,20 @@ class NestedDataset:
         function: Callable[[dict], dict],
         batched: bool = False,
         batch_size: int = 1000,
-        num_proc: int = 1,
         new_fingerprint: str | None = None,
-        desc: str | None = None,
-        pool: Any = None,
     ) -> "NestedDataset":
         """Apply ``function`` to every sample and return a new dataset.
 
         With ``batched=True`` the function receives and returns a *list* of
         samples, enabling multi-sample row functions.  This is the row-dict
-        API for arbitrary callables; operator ``process_batched`` methods use
-        the *columnar* contract (``dict[str, list]``) and must go through
-        :meth:`map_batches` instead.  ``num_proc`` is accepted for interface
-        compatibility with the original system; real parallelism comes from
-        ``pool`` — a :class:`repro.parallel.WorkerPool` handle.  When the
-        pool can execute ``function`` (a per-row method of a pool-resident
-        operator) the rows are dispatched to it in chunks; the derived
-        fingerprint is identical to the serial path, so cache and checkpoint
-        semantics are preserved.
+        API for arbitrary callables (the Analyzer, tools, user code);
+        operators run through ``op.run``, whose ``process_batched`` methods
+        use the *columnar* contract (``dict[str, list]``) of
+        :meth:`map_batches`.
         """
-        del num_proc, desc  # kept for API parity with the original system
         rows = self.to_list()
         new_rows: list[dict] = []
-        if pool is not None and pool.accepts(function, kind="map", batched=batched) and len(rows) > 1:
-            new_rows = pool.map_rows(function, rows)
-            if not isinstance(new_rows, list) or not all(
-                isinstance(row, dict) for row in new_rows
-            ):
-                raise DatasetError("map function must return a sample dict")
-        elif batched:
+        if batched:
             for start in range(0, len(rows), batch_size):
                 batch = rows[start:start + batch_size]
                 result = function(batch)
@@ -287,24 +272,15 @@ class NestedDataset:
         function: Callable[[dict], dict],
         batch_size: int = 1000,
         new_fingerprint: str | None = None,
-        pool: Any = None,
-        desc: str | None = None,
     ) -> "NestedDataset":
         """Apply a columnar function to every batch and return a new dataset.
 
         ``function`` receives a column batch (``dict[str, list]``) and returns
         one (of any length, so multi-sample ops compose).  This is the hot
-        path of the batched op engine: no per-row dict is ever constructed by
-        the dataset itself.  A :class:`repro.parallel.WorkerPool` handle that
-        accepts ``function`` dispatches the batches to the worker processes;
-        the fingerprint is identical either way.
+        path of the op engine: no per-row dict is ever constructed by the
+        dataset itself.
         """
-        del desc
-        if pool is not None and pool.accepts(function, kind="map_batches") and len(self) > 1:
-            # a segment of one op over the caller's (serial-path) batch boundaries
-            out_batches = pool.run_ops([function.__self__], list(self.iter_batches(batch_size)))
-        else:
-            out_batches = [function(batch) for batch in self.iter_batches(batch_size)]
+        out_batches = [function(batch) for batch in self.iter_batches(batch_size)]
         for batch in out_batches:
             if not isinstance(batch, dict):
                 raise DatasetError("batched map function must return a column batch dict")
@@ -339,24 +315,10 @@ class NestedDataset:
     def filter(
         self,
         function: Callable[[dict], bool],
-        num_proc: int = 1,
         new_fingerprint: str | None = None,
-        desc: str | None = None,
-        pool: Any = None,
     ) -> "NestedDataset":
-        """Keep only the samples for which ``function`` returns True.
-
-        Like :meth:`map`, a ``pool`` handle routes the boolean decision
-        through the parallel engine when ``function`` belongs to a
-        pool-resident Filter.
-        """
-        del num_proc, desc
-        if pool is not None and pool.accepts(function, kind="filter") and len(self) > 1:
-            flags = pool.flag_rows(function, self.to_list())
-            keep_indices = [index for index, keep in enumerate(flags) if keep]
-        else:
-            keep_indices = [index for index, row in enumerate(self) if function(row)]
-        dataset = self.select(keep_indices)
+        """Keep only the samples for which ``function`` returns True."""
+        dataset = self.select([index for index, row in enumerate(self) if function(row)])
         dataset._fingerprint = new_fingerprint or self._derive_fingerprint(
             "filter", getattr(function, "__qualname__", repr(function))
         )

@@ -5,9 +5,12 @@ runs the full pipeline: load/unify the dataset via a Formatter, instantiate the
 operator list, optionally fuse and reorder operators, execute them with cache,
 checkpoint and tracing support, and export the processed dataset.
 
-When the recipe sets ``np > 1`` the executor lazily creates a persistent
-:class:`repro.parallel.WorkerPool` (workers hold the instantiated op list) and
-dispatches the pipeline to it one *segment* at a time: a maximal run of
+There are two run loops — :meth:`Executor.run` persists per *op* (the paper's
+cache/checkpoint model), :meth:`Executor.run_streaming` per *(stage, shard)* —
+over one op-run driver, :meth:`Executor._drive`: the only place that decides
+how a run of ops executes.  When the recipe sets ``np > 1`` it lazily creates
+a persistent :class:`repro.parallel.WorkerPool` (workers hold the instantiated
+op list) and dispatches one *segment* at a time: a maximal run of pool-resident
 Mappers/Filters plus the hashing stage of a closing Deduplicator travels as
 one task per column-batch chunk, so a chunk crosses the process boundary once
 per segment, not once per op.  A segment ends where the host needs the
@@ -20,10 +23,8 @@ Every run — in-memory or streaming — emits a unified
 :class:`repro.core.report.RunReport` (``last_report``, also persisted to
 ``<work_dir>/report.json``): per-op rows in/out, wall time, throughput and
 peak RSS from the :class:`repro.core.monitor.RunProfiler`, plus cache
-counters, the tracer summary and the run-level resource profile.  Streaming
-runs reach observability parity with the in-memory path: the tracer
-accumulates incrementally across shards (:class:`repro.core.tracer.
-StreamingTracer`).
+counters, the tracer summary and the run-level resource profile.  Profiler,
+fault ledger and :class:`repro.core.tracer.Tracer` are created per run.
 
 Persistence is one content-addressed store (:mod:`repro.core.cache`): each op
 output (memory mode) or shard stage output (streaming) is written once, under
@@ -37,10 +38,11 @@ from __future__ import annotations
 import shutil
 import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.base_op import Deduplicator, Filter, Mapper, Selector, op_category
+from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.cache import CacheManager
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
@@ -69,11 +71,10 @@ from repro.core.stream import (
     op_config_hash,
     plan_segments,
     resolve_global_keep,
-    run_sample_ops,
     signature_column_names,
     stage_chain_hash,
 )
-from repro.core.tracer import StreamingTracer, Tracer
+from repro.core.tracer import Tracer
 from repro.parallel import WorkerPool
 
 #: key suffix of fault-shaped output (see :meth:`Executor._put_result`)
@@ -105,11 +106,8 @@ class Executor:
 
         self.cfg = load_config(config)
         work_dir = Path(self.cfg.work_dir)
-        self.tracer = (
-            Tracer(show_num=self.cfg.trace_num, trace_dir=work_dir / "trace")
-            if self.cfg.open_tracer
-            else None
-        )
+        #: the tracer of the current / most recent run (None unless ``open_tracer``)
+        self.tracer: Tracer | None = None
         checkpoint_dir = self.cfg.checkpoint_dir or (work_dir / "checkpoint")
         #: the resume pointer (None unless ``use_checkpoint``)
         self.checkpoint = CheckpointManager(checkpoint_dir) if self.cfg.use_checkpoint else None
@@ -137,7 +135,6 @@ class Executor:
         self._profiler = RunProfiler()
         #: the pool's lifetime dispatch counters when this run first saw it
         self._dispatch_base = (0, 0.0, 0.0)
-        self._stream_tracer: StreamingTracer | None = None
         #: where the current streaming run stores shards (``store``, or a
         #: per-run temp directory), and whether its checkpoint state matched
         self._spill: CacheManager | None = None
@@ -189,44 +186,65 @@ class Executor:
         pool = self._pool
         return (pool.tasks, pool.worker_s, pool.dispatch_s) if pool is not None else (0, 0.0, 0.0)
 
-    def _pool_segment(self, index: int) -> list:
-        """The run of ops from ``index`` that one pool task per chunk executes.
+    def _drive(
+        self,
+        ops: list,
+        dataset: NestedDataset,
+        shard_id: str | None = None,
+        resolve: bool = True,
+    ) -> NestedDataset:
+        """Run ``ops`` over ``dataset`` under the fault policy: the one op-run driver.
 
-        Empty when nothing can travel (serial run; an open tracer, which
-        observes every intermediate dataset; a Selector; an op the pool does
-        not hold).  Otherwise maximal — Mappers/Filters up to and including a
-        closing Deduplicator — but cut to a single op while the per-op cache
-        or checkpoint needs every intermediate result on the host.
+        Memory mode hands it the whole dataset (one op at a time while a
+        store needs every intermediate result, else the whole op list),
+        streaming one shard's sample ops plus its closing Deduplicator with
+        ``resolve`` off: that op then runs its hashing stage only, and a
+        hashing failure propagates for the caller's shard containment.
+
+        The longest prefix of ``ops`` that can travel — pool-resident
+        Mappers/Filters up to and including a closing Deduplicator — goes to
+        the pool as one segment (one task per chunk); nothing travels in a
+        serial run or under an open tracer, which observes every
+        intermediate dataset.  The op after such a prefix runs on the host,
+        handing the pool to ``op.run``.  Pool creation is deferred to the
+        first op with a sample-level stage, so fully cache-hit runs never
+        fork workers.
         """
-        if self.cfg.np <= 1 or self.tracer is not None:
-            return []
-        segment: list = []
-        for op in self.ops[index:]:
-            if not isinstance(op, (Mapper, Filter, Deduplicator)) or not self._ensure_pool().holds(op):
-                break
-            segment.append(op)
-            if isinstance(op, Deduplicator) or self.store is not None:
-                break
-        return segment
+        profiler = self._profiler
+        while ops:
+            segment: list = []
+            if self.cfg.np > 1 and self.tracer is None:
+                for op in ops:
+                    if not (
+                        isinstance(op, (Mapper, Filter, Deduplicator))
+                        and self._ensure_pool().holds(op)
+                    ):
+                        break
+                    segment.append(op)
+                    if isinstance(op, Deduplicator):
+                        break
+            if segment:
+                dataset = run_segment_with_policy(
+                    segment, dataset, self._pool, self.policy, self._faults,
+                    self._quarantine, profiler, shard_id=shard_id, resolve=resolve,
+                )
+            else:
+                op = ops[0]
+                pool = self._ensure_pool() if isinstance(op, (Mapper, Filter, Deduplicator)) else None
+                with profiler.track(op, rows_in=len(dataset)) as tracking:
+                    if isinstance(op, Deduplicator) and not resolve:
+                        # hashing only: the rows are accounted by the global resolve
+                        dataset = op.hash_stage(dataset, pool)
+                    else:
+                        dataset = run_op_with_policy(
+                            op, dataset, self.policy, self._faults, self._quarantine,
+                            tracer=self.tracer, pool=pool, shard_id=shard_id,
+                        )
+                        tracking.rows_out = len(dataset)
+            ops = ops[max(1, len(segment)):]
+        return dataset
 
     # ------------------------------------------------------------------
-    def _begin_faults(self) -> None:
-        """Start a fresh fault ledger (and quarantine export) for one run."""
-        self._faults = FaultTracker()
-        self._dispatch_base = self._dispatch_counters()
-        if self._pool is not None:
-            self._pool.fault_tracker = self._faults
-        self._quarantine = (
-            QuarantineWriter(Path(self.cfg.work_dir) / "quarantine")
-            if self.policy.on_error == "quarantine"
-            else None
-        )
-
-    def _end_faults(self) -> None:
-        """Flush and detach the quarantine export after a run."""
-        if self._quarantine is not None:
-            self._quarantine.close()
-
     def _faults_payload(self) -> dict:
         """The report's ``faults`` section: policy + every counter."""
         payload = self._faults.as_dict()
@@ -430,6 +448,53 @@ class Executor:
             self._planner_payload = None
         return self.last_report
 
+    @contextmanager
+    def _reporting(self, mode: str) -> Iterator[dict]:
+        """Prologue and epilogue of a run, written once for both run loops.
+
+        Starts the run's monitor, profiler, tracer, fault ledger and
+        quarantine export, yields the dict the loop fills with its own report
+        fields (``num_output_samples``, ``export_paths``, shard accounting),
+        and — when the loop completed — assembles and persists the
+        :class:`RunReport`.  The quarantine export is flushed either way.
+        """
+        monitor = ResourceMonitor()
+        self._profiler = RunProfiler()
+        self.tracer = (
+            Tracer(show_num=self.cfg.trace_num, trace_dir=Path(self.cfg.work_dir) / "trace")
+            if self.cfg.open_tracer
+            else None
+        )
+        self._faults = FaultTracker()
+        self._dispatch_base = self._dispatch_counters()
+        if self._pool is not None:
+            self._pool.fault_tracker = self._faults
+        self._quarantine = (
+            QuarantineWriter(Path(self.cfg.work_dir) / "quarantine")
+            if self.policy.on_error == "quarantine"
+            else None
+        )
+        fields: dict = {}
+        try:
+            with monitor:
+                yield fields
+        finally:
+            if self._quarantine is not None:
+                self._quarantine.close()
+        self.last_report = RunReport(
+            mode=mode,
+            plan=self.plan,
+            ops=self._profiler.reports(),
+            resources=monitor.report.as_dict() if monitor.report else {},
+            cache=dict(self._cache_stats),
+            trace=self.tracer.summary() if self.tracer else [],
+            parallel=self._parallel_payload(),
+            planner=self._planner_payload,
+            faults=self._faults_payload(),
+            **fields,
+        )
+        self._persist_report(self.last_report)
+
     def run(self, dataset: NestedDataset | None = None) -> NestedDataset:
         """Execute the configured pipeline and return the processed dataset.
 
@@ -437,60 +502,36 @@ class Executor:
         (``last_report``, persisted to ``<work_dir>/report.json``) with one
         per-op section each covering rows in/out, wall time and throughput.
         """
-        monitor = ResourceMonitor()
-        profiler = self._profiler = RunProfiler()
-        export_paths: list[str] = []
-        self._begin_faults()
-        try:
-            with monitor:
+        with self._reporting("memory") as report:
+            store, checkpoint = self.store, self.checkpoint
+            if store is None:
+                # nothing needs an intermediate dataset on the host: the
+                # driver cuts the whole op list into pool segments itself.
+                # The input is handed over unnamed, so this frame does not
+                # keep the loaded corpus alive while the pipeline runs
+                current = self._drive(self.ops, self._load_input(dataset))
+            else:
                 current = self._load_input(dataset)
-                store, checkpoint = self.store, self.checkpoint
                 run_state = self._run_state(current.fingerprint)
                 # held: the store key the checkpoint state currently points at
-                current, index, held = self._resume(current, run_state)
-
-                while index < len(self.ops):
+                current, start, held = self._resume(current, run_state)
+                for index in range(start, len(self.ops)):
                     op = self.ops[index]
                     key = CacheManager.make_key(current.fingerprint, op.name, op.config())
                     cached = store.get(key) if self.cfg.use_cache else None
                     if cached is not None:
                         self._count_cache("hits")
                         current = cached
-                        profiler.record_cached(op, len(current))
-                        index += 1
+                        self._profiler.record_cached(op, len(current))
                     else:
                         self._count_cache("misses")
                         faults_before = self._faults.total_faults
-                        # pool creation is deferred to the first actually-executed
-                        # op with a sample-level stage, so fully cache-hit runs
-                        # never fork workers (a Deduplicator's hashing stage is
-                        # sample-level; its clustering stays global)
-                        segment = self._pool_segment(index)
-                        if segment:
-                            current = run_segment_with_policy(
-                                segment, current, self._pool, self.policy,
-                                self._faults, self._quarantine, profiler,
-                            )
-                        else:
-                            with profiler.track(op, rows_in=len(current)) as tracking:
-                                pool = (
-                                    self._ensure_pool()
-                                    if isinstance(op, (Mapper, Filter, Deduplicator))
-                                    else None
-                                )
-                                current = run_op_with_policy(
-                                    op, current, self.policy, self._faults,
-                                    self._quarantine, tracer=self.tracer, pool=pool,
-                                )
-                                tracking.rows_out = len(current)
-                        index += max(1, len(segment))
-                        if store is not None:
-                            # a store keeps segments to one op: ``key`` is this result's
-                            key = self._put_result(store, key, current, faults_before)
+                        current = self._drive([op], current)
+                        key = self._put_result(store, key, current, faults_before)
                     if checkpoint is not None:
                         # entry first, pointer second: a crash in between
                         # leaves the previous (complete) checkpoint
-                        checkpoint.write_state({**run_state, "op_index": index, "key": key})
+                        checkpoint.write_state({**run_state, "op_index": index + 1, "key": key})
                         if held not in (None, key) and (
                             not self.cfg.use_cache or held.endswith(_FAULTED)
                         ):
@@ -498,31 +539,15 @@ class Executor:
                             store.delete(held)
                         held = key
 
-                if self.cfg.export_path:
-                    export_paths = [
-                        str(
-                            Exporter(
-                                self.cfg.export_path,
-                                keep_stats=self.cfg.keep_stats_in_export,
-                            ).export(current)
-                        )
-                    ]
-        finally:
-            self._end_faults()
-        self.last_report = RunReport(
-            mode="memory",
-            plan=self.plan,
-            num_output_samples=len(current),
-            ops=profiler.reports(),
-            resources=monitor.report.as_dict() if monitor.report else {},
-            cache=dict(self._cache_stats),
-            trace=self.tracer.summary() if self.tracer else [],
-            parallel=self._parallel_payload(),
-            export_paths=export_paths,
-            planner=self._planner_payload,
-            faults=self._faults_payload(),
-        )
-        self._persist_report(self.last_report)
+            report["num_output_samples"] = len(current)
+            if self.cfg.export_path:
+                report["export_paths"] = [
+                    str(
+                        Exporter(
+                            self.cfg.export_path, keep_stats=self.cfg.keep_stats_in_export
+                        ).export(current)
+                    )
+                ]
         return current
 
     # ------------------------------------------------------------------
@@ -581,8 +606,8 @@ class Executor:
         that is removed when the run ends, failed or not.  Results are
         row-identical to :meth:`run` (byte-identical exports).
 
-        Observability matches the in-memory path: with ``open_tracer`` a
-        :class:`~repro.core.tracer.StreamingTracer` accumulates per-op
+        Observability matches the in-memory path: the one
+        :class:`~repro.core.tracer.Tracer` accumulates per-op
         kept/dropped/changed counts and bounded example reservoirs across
         shards; and the per-op :class:`~repro.core.monitor.RunProfiler`
         sections aggregate wall time, rows/sec and peak RSS over every
@@ -592,22 +617,9 @@ class Executor:
         ``last_report`` and persisted to ``<work_dir>/report.json``) instead
         of a materialised dataset.
         """
-        monitor = ResourceMonitor()
-        profiler = self._profiler = RunProfiler()
         work_dir = Path(self.cfg.work_dir)
-        tracer = self._stream_tracer = (
-            StreamingTracer(show_num=self.cfg.trace_num, trace_dir=work_dir / "trace")
-            if self.cfg.open_tracer
-            else None
-        )
-        self._begin_faults()
-        with monitor:
+        with self._reporting("streaming") as report:
             segments = plan_segments(self.ops)
-            if tracer is not None:
-                # pre-register every op so accumulator (= summary) order is
-                # pipeline order even for ops an empty input never reaches
-                for op in self.ops:
-                    tracer.register(op.name, self._trace_type(op))
             shard_rows, shard_chars = self.cfg.max_shard_rows, self.cfg.max_shard_chars
             progress = {
                 "input_shards": 0,
@@ -674,44 +686,18 @@ class Executor:
                     for _row in final_rows():
                         pass
             finally:
-                self._end_faults()
                 if self._spill is not self.store:
                     # failed runs must not leak a pickled copy of the corpus
                     shutil.rmtree(self._spill.cache_dir, ignore_errors=True)
 
-        if tracer is not None:
-            tracer.finalize()
-        self.last_report = RunReport(
-            mode="streaming",
-            plan=self.plan,
-            num_output_samples=total_rows,
-            ops=profiler.reports(),
-            segments=len(segments),
-            shards=dict(progress),
-            shard_budget={"max_shard_rows": shard_rows, "max_shard_chars": shard_chars},
-            export_paths=export_paths,
-            resources=monitor.report.as_dict() if monitor.report else {},
-            cache=dict(self._cache_stats),
-            trace=tracer.summary() if tracer else [],
-            parallel=self._parallel_payload(),
-            planner=self._planner_payload,
-            faults=self._faults_payload(),
-        )
-        self._persist_report(self.last_report)
+            report.update(
+                num_output_samples=total_rows,
+                segments=len(segments),
+                shards=dict(progress),
+                shard_budget={"max_shard_rows": shard_rows, "max_shard_chars": shard_chars},
+                export_paths=export_paths,
+            )
         return self.last_report
-
-    @staticmethod
-    def _trace_type(op: Any) -> str:
-        """Trace-record type label of an op (matches the in-memory tracer).
-
-        The in-memory path records Selectors through ``trace_filter`` — the
-        streaming tracer mirrors that so summaries compare structurally.
-        """
-        if isinstance(op, Deduplicator):
-            return "deduplicator"
-        if isinstance(op, Selector):
-            return "filter"
-        return op_category(op)
 
     def _shard_output(
         self,
@@ -735,7 +721,7 @@ class Executor:
         key in the run's temp directory.
 
         Failures are contained per shard: sample-op errors are handled row-
-        wise by the error policy inside :func:`run_sample_ops`; anything that
+        wise by the error policy inside :meth:`_drive`; anything that
         still escapes (the dedup hashing stage has no row-isolated fallback)
         retries the whole shard, and under a lenient policy a persistently
         failing shard is dropped/quarantined whole instead of wedging the
@@ -745,7 +731,9 @@ class Executor:
         store = self._spill
         # a closing Deduplicator's per-sample hashing stage runs shard-local
         # (in the same pool task as the sample ops); only its clustering is global
-        hash_op = segment.global_op if isinstance(segment.global_op, Deduplicator) else None
+        shard_ops = segment.sample_ops + (
+            [segment.global_op] if isinstance(segment.global_op, Deduplicator) else []
+        )
         shard_id = f"stage{stage}:shard{index:05d}"  # names the shard in fault records
         key = f"{stage}:{index}" if spill else None
         if store is self.store:
@@ -759,7 +747,7 @@ class Executor:
                 else:
                     self._count_cache("shard_hits")
                     progress["cached_shards"] += 1
-                    for op in segment.sample_ops + ([hash_op] if hash_op else []):
+                    for op in shard_ops:
                         self._profiler.record_cached(op, len(stored))
                 return found, stored
             self._count_cache("shard_misses")
@@ -770,17 +758,8 @@ class Executor:
         attempt = 0
         while True:
             try:
-                out_rows = run_sample_ops(
-                    rows,
-                    segment.sample_ops,
-                    pool_factory=self._ensure_pool,
-                    profiler=self._profiler,
-                    tracer=self._stream_tracer,
-                    policy=self.policy,
-                    faults=self._faults,
-                    quarantine=self._quarantine,
-                    shard_id=shard_id,
-                    hash_op=hash_op,
+                out_rows = self._drive(
+                    shard_ops, NestedDataset.from_list(rows), shard_id=shard_id, resolve=False
                 ).to_list()
                 break
             except OpExecutionError:
@@ -897,12 +876,11 @@ class Executor:
                     if signature_rows and name in signature_rows[0]
                 ]
             tracking.rows_out = sum(keep_mask)
-        tracer = self._stream_tracer
-        trace_type = self._trace_type(global_op)
+        tracer = self.tracer
         if tracer is not None:
-            tracer.observe_global(
-                global_op.name, trace_type, len(keep_mask), sum(keep_mask)
-            )
+            # Selectors trace as filters, exactly like ``Selector.run``
+            trace_type = "deduplicator" if isinstance(global_op, Deduplicator) else "filter"
+            tracer.observe_global(global_op, trace_type, len(keep_mask), sum(keep_mask))
         del signature, signature_rows
 
         def masked_shards() -> Iterator[list[dict]]:
@@ -915,7 +893,7 @@ class Executor:
                         "before the mask pass (was the store cleared mid-run?)"
                     )
                 mask = keep_mask[offset:offset + count]
-                if tracer is not None and tracer.wants_examples(global_op.name, trace_type):
+                if tracer is not None and tracer.wants_examples(global_op):
                     # the resolve only saw skinny signature rows; harvest
                     # dropped-row examples (with payload) as shards stream
                     # back out, until the bounded reservoir fills
@@ -928,9 +906,7 @@ class Executor:
                         }
                         if not isinstance(global_op, Deduplicator):
                             example["stats"] = row.get(Fields.stats, {})
-                        if not tracer.add_dropped_example(
-                            global_op.name, trace_type, example
-                        ):
+                        if not tracer.add_dropped_example(global_op, example):
                             break
                 yield apply_keep_mask(rows, mask, dropped_columns)
                 offset += count

@@ -432,11 +432,9 @@ def _isolate_rows(
     result = NestedDataset.from_list(survivors, fingerprint=fingerprint)
     if tracer is not None:
         if isinstance(op, Filter):
-            tracer.trace_filter(op.name, NestedDataset.from_list(stat_rows), result)
+            tracer.trace_filter(op, NestedDataset.from_list(stat_rows), result)
         else:
-            tracer.trace_mapper(
-                op.name, NestedDataset.from_list(source_rows), result, op.text_key
-            )
+            tracer.trace_mapper(op, NestedDataset.from_list(source_rows), result, op.text_key)
     return result
 
 

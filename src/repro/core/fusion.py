@@ -89,7 +89,7 @@ class FusedFilter(Filter):
         rejected rows are removed from the working batch (and from the shared
         context columns) before the next — typically more expensive — member
         runs.  Surviving rows end up with every member's stats, identical to
-        the per-row path; rejected rows may carry partial stats but are
+        the per-sample methods; rejected rows may carry partial stats but are
         dropped from the output either way.
         """
         total = batch_length(samples)

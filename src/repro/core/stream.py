@@ -3,7 +3,10 @@
 The streaming run mode (``Executor.run_streaming`` / CLI ``--stream``) never
 holds the whole corpus in memory.  Records are drawn lazily from a formatter,
 chunked into bounded *shards* (:func:`iter_record_shards`), and each shard is
-driven through the existing batched columnar engine one at a time.
+driven through the op engine one at a time — by the same op-run driver
+(``Executor._drive``) that memory mode hands the whole dataset.  This module
+holds the pure pieces around that driver: chunking, segmentation, the global
+resolve and the keys of the stored shards.
 
 Sample-level operators (Mappers, Filters) are embarrassingly shard-parallel.
 Dataset-level operators (Deduplicators, Selectors) use a **two-pass**
@@ -31,12 +34,11 @@ re-run or a resume after a crash skips every shard already processed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.base_op import OP, Deduplicator, Filter, Mapper, Selector
 from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.errors import DatasetError
-from repro.core.monitor import RunProfiler
 from repro.core.sample import Fields, HashKeys
 
 #: default shard budget when neither ``max_shard_rows`` nor
@@ -207,84 +209,6 @@ def apply_keep_mask(
     return [row for row, keep in zip(rows, mask) if keep]
 
 
-def run_sample_ops(
-    rows: list[dict],
-    sample_ops: list,
-    pool_factory: Callable[[], Any] | None = None,
-    profiler: Any = None,
-    tracer: Any = None,
-    policy: Any = None,
-    faults: Any = None,
-    quarantine: Any = None,
-    shard_id: str | None = None,
-    hash_op: Any = None,
-) -> NestedDataset:
-    """Drive one shard through a run of Mappers/Filters (batched engine).
-
-    ``pool_factory`` lazily provides a :class:`repro.parallel.WorkerPool`
-    handle exactly like the in-memory executor — the pool is only created
-    when an op actually executes.  ``profiler`` is the
-    :class:`repro.core.monitor.RunProfiler` accumulating per-op time and row
-    counts across shards (a throwaway one when omitted); ``tracer`` is an
-    optional :class:`repro.core.tracer.StreamingTracer` whose per-op
-    accumulators every shard feeds incrementally.  ``hash_op`` is the segment's closing
-    Deduplicator, if any: its shard-local hashing stage runs after the sample
-    ops (timed under its profile; its rows are accounted by the resolve).
-
-    With a ``policy`` (:class:`repro.core.faults.ErrorPolicy`, plus the
-    matching ``faults`` tracker and optional ``quarantine`` writer) every op
-    runs through :func:`repro.core.faults.run_op_with_policy` — retried, and
-    under a lenient policy row-isolated so one poison row only removes
-    itself from the shard.  ``shard_id`` labels fault records and error
-    messages with the shard being processed.
-
-    With a pool that holds every op, a policy and no tracer (which observes
-    each op's input and output), the whole run plus the hashing is one pool
-    segment — one task per chunk of the shard, see
-    :func:`repro.core.faults.run_segment_with_policy`.
-    """
-    from repro.core.faults import run_op_with_policy, run_segment_with_policy
-
-    profiler = profiler or RunProfiler()
-    dataset = NestedDataset.from_list(rows)
-    segment = list(sample_ops) + ([hash_op] if hash_op is not None else [])
-    pool = pool_factory() if pool_factory is not None and segment else None
-    if (
-        pool is not None
-        and policy is not None
-        and tracer is None
-        and all(pool.holds(op) for op in segment)
-    ):
-        return run_segment_with_policy(
-            segment, dataset, pool, policy, faults, quarantine, profiler,
-            shard_id=shard_id, resolve=False,
-        )
-
-    def apply(op: Any, dataset: NestedDataset) -> NestedDataset:
-        if policy is None:
-            return op.run(dataset, tracer=tracer, pool=pool)
-        return run_op_with_policy(
-            op, dataset, policy, faults, quarantine,
-            tracer=tracer, pool=pool, shard_id=shard_id,
-        )
-
-    for op in sample_ops:
-        with profiler.track(op, rows_in=len(dataset)) as tracking:
-            dataset = apply(op, dataset)
-            tracking.rows_out = len(dataset)
-    if hash_op is not None:
-        with profiler.track(hash_op, rows_in=len(dataset)):
-            dataset = dataset.map_batches(
-                hash_op.compute_hash_batched,
-                batch_size=hash_op.effective_batch_size(dataset),
-                new_fingerprint=dataset.derive_fingerprint(
-                    f"{hash_op.name}:hash", hash_op.config()
-                ),
-                pool=pool,
-            )
-    return dataset
-
-
 def stage_chain_hash(segment: StreamSegment) -> str:
     """Fingerprint of the shard-local work of one streaming segment.
 
@@ -309,7 +233,6 @@ __all__ = [
     "op_config_hash",
     "plan_segments",
     "resolve_global_keep",
-    "run_sample_ops",
     "signature_column_names",
     "stage_chain_hash",
 ]

@@ -5,6 +5,10 @@ individual samples changed: edited text for Mappers, discarded samples for
 Filters/Selectors, and (near-)duplicate pairs for Deduplicators.  The records
 back the interactive visualization of the original system; here they are
 available programmatically and can be dumped to JSONL files.
+
+There is one :class:`Tracer` for every execution mode: it accumulates, so an
+operator that runs once per shard (streaming) and one that runs once over the
+whole dataset (memory mode) produce the same record.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.core.dataset import NestedDataset
 from repro.core.sample import Fields, get_field
@@ -26,6 +31,8 @@ class TraceRecord:
     input_size: int
     output_size: int
     examples: list = field(default_factory=list)
+    #: 1-based pipeline position of the operator (names its trace file)
+    position: int = 0
 
     @property
     def removed(self) -> int:
@@ -71,78 +78,140 @@ def _discarded_examples(
 
 
 class Tracer:
-    """Collect :class:`TraceRecord` objects for each executed operator."""
+    """Accumulate one :class:`TraceRecord` per operator of one run.
+
+    Records are keyed by operator *identity* (a bare name also works as a
+    key, for callers without an op instance) and kept in first-touch — that
+    is, pipeline — order, like :class:`repro.core.monitor.RunProfiler`: a
+    recipe that lists the same op name twice gets one record per pipeline
+    position.  Every ``trace_*`` call adds its sizes to the op's record and
+    fills a bounded first-``show_num`` example reservoir, so memory never
+    grows with the corpus: streaming mode calls once per shard (example
+    indexes are corpus-global), memory mode is the one-call case.
+
+    Operators resolved globally from a keep mask (streaming Deduplicators /
+    Selectors) report through :meth:`observe_global`, and the mask pass
+    contributes dropped-row examples via :meth:`add_dropped_example` — the
+    signature rows driving the resolve carry no text payload, so examples are
+    harvested while the stored shards stream back out.
+
+    With a ``trace_dir`` every update rewrites the op's
+    ``trace-NNN-<op>.jsonl`` (``NNN`` = pipeline position), so the files of
+    every op that ran exist whether or not the run completed.  A tracer
+    lives for one run; the executor creates a fresh one per run.
+    """
 
     def __init__(self, show_num: int = 10, trace_dir: str | Path | None = None):
         self.show_num = show_num
         self.trace_dir = Path(trace_dir) if trace_dir else None
-        self.records: list[TraceRecord] = []
+        self._records: dict[Any, TraceRecord] = {}
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The accumulated records, in pipeline order."""
+        return list(self._records.values())
+
+    def _record(self, op: Any, op_type: str) -> TraceRecord:
+        """The record of ``op`` (an operator or a bare name), created on first touch."""
+        record = self._records.get(op)
+        if record is None:
+            record = self._records[op] = TraceRecord(
+                getattr(op, "name", op), op_type, 0, 0, position=len(self._records) + 1
+            )
+        return record
+
+    def _budget(self, record: TraceRecord) -> int:
+        return max(0, self.show_num - len(record.examples))
+
+    def _grow(self, record: TraceRecord, input_size: int, output_size: int) -> TraceRecord:
+        record.input_size += input_size
+        record.output_size += output_size
+        self._write(record)
+        return record
 
     # ------------------------------------------------------------------
     def trace_mapper(
         self,
-        op_name: str,
+        op: Any,
         before: NestedDataset,
         after: NestedDataset,
         text_key: str = Fields.text,
     ) -> TraceRecord:
         """Record pre/post-edit text pairs for samples changed by a Mapper."""
-        examples = []
-        for index in range(min(len(before), len(after))):
-            original = get_field(before[index], text_key, "")
-            edited = get_field(after[index], text_key, "")
-            if original != edited:
-                examples.append({"index": index, "before": original, "after": edited})
-                if len(examples) >= self.show_num:
-                    break
-        record = TraceRecord(op_name, "mapper", len(before), len(after), examples)
-        self._store(record)
-        return record
+        record = self._record(op, "mapper")
+        if self._budget(record) > 0:
+            for index in range(min(len(before), len(after))):
+                original = get_field(before[index], text_key, "")
+                edited = get_field(after[index], text_key, "")
+                if original != edited:
+                    record.examples.append(
+                        {"index": record.input_size + index, "before": original, "after": edited}
+                    )
+                    if len(record.examples) >= self.show_num:
+                        break
+        return self._grow(record, len(before), len(after))
 
-    def trace_filter(
-        self, op_name: str, before: NestedDataset, after: NestedDataset
-    ) -> TraceRecord:
+    def trace_filter(self, op: Any, before: NestedDataset, after: NestedDataset) -> TraceRecord:
         """Record the samples discarded by a Filter or Selector."""
-        examples = _discarded_examples(before, after, self.show_num)
-        record = TraceRecord(op_name, "filter", len(before), len(after), examples)
-        self._store(record)
-        return record
+        record = self._record(op, "filter")
+        record.examples.extend(
+            _discarded_examples(before, after, self._budget(record), offset=record.input_size)
+        )
+        return self._grow(record, len(before), len(after))
 
     def trace_deduplicator(
-        self, op_name: str, input_size: int, output_size: int, duplicate_pairs: list
+        self, op: Any, input_size: int, output_size: int, duplicate_pairs: list
     ) -> TraceRecord:
         """Record (near-)duplicate pairs found by a Deduplicator."""
-        examples = []
-        for original, duplicate in duplicate_pairs[: self.show_num]:
-            examples.append(
+        record = self._record(op, "deduplicator")
+        for original, duplicate in duplicate_pairs[: self._budget(record)]:
+            record.examples.append(
                 {
                     "original": original.get(Fields.text, ""),
                     "duplicate": duplicate.get(Fields.text, ""),
                 }
             )
-        record = TraceRecord(op_name, "deduplicator", input_size, output_size, examples)
-        self._store(record)
-        return record
+        return self._grow(record, input_size, output_size)
 
     # ------------------------------------------------------------------
-    def _store(self, record: TraceRecord) -> None:
-        self.records.append(record)
-        if self.trace_dir is not None:
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
-            path = self.trace_dir / f"trace-{len(self.records):03d}-{record.op_name}.jsonl"
-            with path.open("w", encoding="utf-8") as handle:
-                header = {
-                    "op_name": record.op_name,
-                    "op_type": record.op_type,
-                    "input_size": record.input_size,
-                    "output_size": record.output_size,
-                }
-                handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-                for example in record.examples:
-                    handle.write(json.dumps(example, ensure_ascii=False, default=repr) + "\n")
+    def observe_global(
+        self, op: Any, op_type: str, input_size: int, output_size: int
+    ) -> TraceRecord:
+        """Record the sizes of a globally-resolved op (mask already applied)."""
+        return self._grow(self._record(op, op_type), input_size, output_size)
+
+    def wants_examples(self, op: Any) -> bool:
+        """True while the observed op's example reservoir still has room."""
+        return self._budget(self._records[op]) > 0
+
+    def add_dropped_example(self, op: Any, example: dict) -> bool:
+        """Attach one dropped-row example to an observed op; False once full."""
+        record = self._records[op]
+        if self._budget(record) <= 0:
+            return False
+        record.examples.append(example)
+        self._write(record)
+        return True
+
+    # ------------------------------------------------------------------
+    def _write(self, record: TraceRecord) -> None:
+        if self.trace_dir is None:
+            return
+        self.trace_dir.mkdir(parents=True, exist_ok=True)
+        path = self.trace_dir / f"trace-{record.position:03d}-{record.op_name}.jsonl"
+        with path.open("w", encoding="utf-8") as handle:
+            header = {
+                "op_name": record.op_name,
+                "op_type": record.op_type,
+                "input_size": record.input_size,
+                "output_size": record.output_size,
+            }
+            handle.write(json.dumps(header, ensure_ascii=False) + "\n")
+            for example in record.examples:
+                handle.write(json.dumps(example, ensure_ascii=False, default=repr) + "\n")
 
     def summary(self) -> list[dict]:
-        """Per-operator size changes, in execution order (drives Figure 4.(b))."""
+        """Per-operator size changes, in pipeline order (drives Figure 4.(b))."""
         return [
             {
                 "op_name": record.op_name,
@@ -151,149 +220,5 @@ class Tracer:
                 "output_size": record.output_size,
                 "removed": record.removed,
             }
-            for record in self.records
+            for record in self._records.values()
         ]
-
-
-class StreamingTracer(Tracer):
-    """Tracer variant that accumulates incrementally across shards.
-
-    The base :class:`Tracer` assumes each ``trace_*`` call sees the *whole*
-    dataset and stores one record per call.  In streaming mode an operator
-    runs once per shard, so this subclass merges every call into one
-    per-operator accumulator instead: kept/dropped/changed counts add up
-    across shards, and examples fill a bounded first-``show_num`` reservoir —
-    memory never grows with the corpus, only with ``show_num``.
-
-    Operators resolved globally from a keep mask (Deduplicators, Selectors)
-    report through :meth:`observe_global`, and the mask pass contributes
-    dropped-row examples via :meth:`add_dropped_example` — the signature rows
-    driving the resolve carry no text payload, so examples are harvested
-    while the spilled shards stream back out.
-
-    Call :meth:`finalize` once at the end of the run: it emits the
-    accumulated :class:`TraceRecord` objects in pipeline order (writing trace
-    files exactly like the in-memory tracer).  :meth:`summary` finalizes
-    implicitly, so ``run()`` and ``run_streaming()`` trace summaries are
-    structurally interchangeable.
-    """
-
-    def __init__(self, show_num: int = 10, trace_dir: str | Path | None = None):
-        super().__init__(show_num=show_num, trace_dir=trace_dir)
-        self._accumulators: dict[str, TraceRecord] = {}
-        self._finalized = False
-
-    # ------------------------------------------------------------------
-    def register(self, op_name: str, op_type: str) -> TraceRecord:
-        """Return (creating on first touch) the accumulator of an operator.
-
-        The executor pre-registers every pipeline op before the first shard
-        flows, so accumulator order — and therefore record and summary order
-        — is pipeline order even for ops an empty input never reaches.
-        """
-        if op_name not in self._accumulators:
-            self._accumulators[op_name] = TraceRecord(op_name, op_type, 0, 0, [])
-        return self._accumulators[op_name]
-
-    def _example_budget(self, record: TraceRecord) -> int:
-        return max(0, self.show_num - len(record.examples))
-
-    # ------------------------------------------------------------------
-    def trace_mapper(
-        self,
-        op_name: str,
-        before: NestedDataset,
-        after: NestedDataset,
-        text_key: str = Fields.text,
-    ) -> TraceRecord:
-        """Accumulate one shard of a Mapper: changed counts + sampled diffs."""
-        record = self.register(op_name, "mapper")
-        budget = self._example_budget(record)
-        offset = record.input_size
-        if budget > 0:
-            for index in range(min(len(before), len(after))):
-                original = get_field(before[index], text_key, "")
-                edited = get_field(after[index], text_key, "")
-                if original != edited:
-                    record.examples.append(
-                        {"index": offset + index, "before": original, "after": edited}
-                    )
-                    if len(record.examples) >= self.show_num:
-                        break
-        record.input_size += len(before)
-        record.output_size += len(after)
-        return record
-
-    def trace_filter(
-        self, op_name: str, before: NestedDataset, after: NestedDataset
-    ) -> TraceRecord:
-        """Accumulate one shard of a Filter: drop counts + sampled rejects."""
-        record = self.register(op_name, "filter")
-        record.examples.extend(
-            _discarded_examples(
-                before, after, self._example_budget(record), offset=record.input_size
-            )
-        )
-        record.input_size += len(before)
-        record.output_size += len(after)
-        return record
-
-    def trace_deduplicator(
-        self, op_name: str, input_size: int, output_size: int, duplicate_pairs: list
-    ) -> TraceRecord:
-        """Accumulate one shard-level call of a Deduplicator.
-
-        The streaming executor itself reports Deduplicators through
-        :meth:`observe_global` (their clustering is never shard-local); this
-        override exists so code driving ``Deduplicator.run`` manually with a
-        streaming tracer still accumulates instead of storing per-call
-        records.
-        """
-        record = self.register(op_name, "deduplicator")
-        budget = self._example_budget(record)
-        for original, duplicate in duplicate_pairs[:budget]:
-            record.examples.append(
-                {
-                    "original": original.get(Fields.text, ""),
-                    "duplicate": duplicate.get(Fields.text, ""),
-                }
-            )
-        record.input_size += input_size
-        record.output_size += output_size
-        return record
-
-    # ------------------------------------------------------------------
-    def observe_global(
-        self, op_name: str, op_type: str, input_size: int, output_size: int
-    ) -> TraceRecord:
-        """Record the sizes of a globally-resolved op (mask already applied)."""
-        record = self.register(op_name, op_type)
-        record.input_size += input_size
-        record.output_size += output_size
-        return record
-
-    def add_dropped_example(self, op_name: str, op_type: str, example: dict) -> bool:
-        """Attach one dropped-row example to an op; False once the reservoir is full."""
-        record = self.register(op_name, op_type)
-        if self._example_budget(record) <= 0:
-            return False
-        record.examples.append(example)
-        return True
-
-    def wants_examples(self, op_name: str, op_type: str) -> bool:
-        """True while the op's example reservoir still has room."""
-        return self._example_budget(self.register(op_name, op_type)) > 0
-
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Emit the accumulated records (once) in pipeline order."""
-        if self._finalized:
-            return
-        self._finalized = True
-        for record in self._accumulators.values():
-            self._store(record)
-
-    def summary(self) -> list[dict]:
-        """Finalize (idempotent) and return the per-operator summary."""
-        self.finalize()
-        return super().summary()

@@ -2,13 +2,17 @@
 
 A ``WorkerPool`` wraps a :mod:`multiprocessing` pool whose workers are
 initialized exactly once with the instantiated operator list (see
-:mod:`repro.parallel.worker`).  Its dispatch surface is
-:meth:`WorkerPool.run_segment` — one task per column-batch chunk, each driven
-through a whole run of resident ops inside the worker — which the engines
-call once per pipeline segment and ``op.run(dataset, pool=pool)`` calls as a
-segment of one.  The pool stays alive across any number of calls, which is
-what fixes the Figure-10 regression: the old runner forked a fresh pool per
-run and re-ran ``load_ops`` in every worker for every call.
+:mod:`repro.parallel.worker`).  Its dispatch surface is three methods over
+two task kinds.  :meth:`WorkerPool.run_segment` sends one ``segment`` task per
+column-batch chunk, each driven through a whole run of resident ops inside the
+worker — the executor's op-run driver calls it once per pipeline segment, and
+:meth:`WorkerPool.run_ops` is the same for callers that own no fault policy
+(``op.run(dataset, pool=pool)`` is a segment of one).
+:meth:`WorkerPool.filter_column_batches` sends ``filter_cols_full`` tasks: a
+Filter's stats for *every* row plus the keep flags, which only a tracer needs.
+The pool stays alive across any number of calls, which is what fixes the
+Figure-10 regression: the old runner forked a fresh pool per run and re-ran
+``load_ops`` in every worker for every call.
 
 :func:`get_shared_pool` adds process-wide pool reuse: callers that repeatedly
 run the same recipe at the same worker count (e.g. the scalability sweep, or
@@ -26,13 +30,13 @@ import time
 import warnings
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.core.base_op import Filter, Mapper
+from repro.core.base_op import Filter
 from repro.core.dataset import _stable_hash
 from repro.core.faults import BACKOFF_CAP_S, DegradedExecutionWarning
 from repro.parallel import worker as _worker
-from repro.parallel.worker import chunk_rows, default_chunk_size
+from repro.parallel.worker import default_chunk_size
 
 logger = logging.getLogger(__name__)
 
@@ -290,35 +294,6 @@ class WorkerPool:
         """
         return not self._closed and self._resolve(op) is not None
 
-    def accepts(self, function: Callable, kind: str = "map", batched: bool = False) -> bool:
-        """True when ``function`` can be dispatched to the pool as ``kind``.
-
-        ``kind`` is the caller's dispatch intent — ``"map"`` (row transform or
-        stats annotation, served by :meth:`map_rows`), ``"filter"`` (boolean
-        keep/drop decision, served by :meth:`flag_rows`) or ``"map_batches"``
-        (columnar batch transform, served by :meth:`run_ops` as a segment of
-        one op) — and ``batched`` mirrors the caller's ``batched=`` flag on the
-        row-oriented kinds.  Intent and method must agree: approving a method
-        for the wrong intent would make the pool execute *different* worker
-        code than the serial path runs for the same call, so mismatches fall
-        back to serial.
-        """
-        owner = getattr(function, "__self__", None)
-        if self._closed or owner is None or self._resolve(owner) is None:
-            return False
-        name = getattr(function, "__name__", "")
-        if kind == "filter":
-            return not batched and isinstance(owner, Filter) and name == "process"
-        if kind == "map":
-            if name == "compute_stats":
-                return not batched
-            return not batched and name == "process" and isinstance(owner, Mapper)
-        if kind == "map_batches":
-            if name == "process_batched":
-                return isinstance(owner, Mapper)
-            return name == "compute_hash_batched"
-        return False
-
     def _dispatch(self, tasks: list[tuple[str, int, list[dict]]]) -> list[tuple[Any, float]]:
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
@@ -410,33 +385,6 @@ class WorkerPool:
         """Rows per dispatched chunk: the pool's setting, else auto-sized."""
         return self.chunk_size or default_chunk_size(num_rows, self.num_workers)
 
-    def _chunks(self, rows: Sequence[dict]) -> list[list[dict]]:
-        return chunk_rows(rows, self.chunk_size_for(len(rows)))
-
-    def map_rows(self, function: Callable, rows: list[dict]) -> list[dict]:
-        """Run a per-row Mapper method (or ``compute_stats``) over rows via the pool.
-
-        The task kind is derived from the bound method itself, so the workers
-        always execute the same method the serial path would (columnar
-        ``process_batched`` dispatch is a :meth:`run_ops` segment of one).
-        Chunks preserve row order.
-        """
-        owner = getattr(function, "__self__", None)
-        if owner is None:
-            raise ValueError(f"{function!r} is not a bound op method")
-        op_ref = self._resolve_or_raise(owner)
-        method = getattr(function, "__name__", "")
-        if method == "compute_stats":
-            kind, chunks = "stats", self._chunks(rows)
-        elif method == "process" and isinstance(owner, Mapper):
-            kind, chunks = "map", self._chunks(rows)
-        else:
-            raise ValueError(f"cannot map {method!r} of {type(owner).__name__} over rows")
-        merged: list[dict] = []
-        for payload, _cpu in self._dispatch([(kind, op_ref, chunk) for chunk in chunks]):
-            merged.extend(payload)
-        return merged
-
     def _resolve_or_raise(self, op: Any) -> int | tuple:
         op_ref = self._resolve(op)
         if op_ref is None:
@@ -475,32 +423,6 @@ class WorkerPool:
         op_ref = self._resolve_or_raise(op)
         tasks = [("filter_cols_full", op_ref, batch) for batch in batches]
         return [payload for payload, _cpu in self._dispatch(tasks)]
-
-    def flag_rows(self, function: Callable, rows: list[dict]) -> list[bool]:
-        """Evaluate a Filter's boolean ``process`` over rows via the pool."""
-        owner = getattr(function, "__self__", None)
-        if owner is None or not isinstance(owner, Filter):
-            raise ValueError(f"{function!r} is not a method of a pool-resident Filter")
-        op_ref = self._resolve_or_raise(owner)
-        flags: list[bool] = []
-        for payload, _cpu in self._dispatch([("flags", op_ref, chunk) for chunk in self._chunks(rows)]):
-            flags.extend(payload)
-        return flags
-
-    def filter_rows(self, op: Filter, rows: list[dict]) -> tuple[list[dict], list[bool]]:
-        """Run a Filter's stats + keep/drop decision over rows via the pool.
-
-        Returns the stat-annotated rows and the parallel list of keep flags,
-        mirroring the serial :meth:`repro.core.base_op.Filter.run` loop.
-        """
-        op_ref = self._resolve_or_raise(op)
-        stat_rows: list[dict] = []
-        keep_flags: list[bool] = []
-        for payload, _cpu in self._dispatch([("filter", op_ref, chunk) for chunk in self._chunks(rows)]):
-            chunk_stats, chunk_flags = payload
-            stat_rows.extend(chunk_stats)
-            keep_flags.extend(chunk_flags)
-        return stat_rows, keep_flags
 
 
 # ----------------------------------------------------------------------

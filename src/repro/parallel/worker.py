@@ -10,10 +10,12 @@ implementation.
 Tasks are small tuples ``(kind, op_ref, payload)``; operators are referenced
 by index into the worker-resident list — or, for fused filters assembled
 after pool construction, by a *tuple* of member indices (the worker builds
-and caches an equivalent ``FusedFilter`` over its resident members).  The
-engines dispatch ``"segment"`` tasks: several op references plus one column
-batch (``dict[str, list]``) that :func:`run_segment` drives through every op
-in order, so a chunk crosses the process boundary once per segment.
+and caches an equivalent ``FusedFilter`` over its resident members).  There
+are two kinds, both over one column batch (``dict[str, list]``).  The engines
+dispatch ``"segment"`` tasks: several op references plus a batch that
+:func:`run_segment` drives through every op in order, so a chunk crosses the
+process boundary once per segment.  ``"filter_cols_full"`` is a traced
+Filter's pass, returning every row's stats plus the keep flags.
 
 Every task returns ``(payload, cpu_seconds, pid)`` where ``cpu_seconds`` is
 the CPU time this worker spent executing the operator code
@@ -94,13 +96,6 @@ def default_chunk_size(num_rows: int, num_workers: int, tasks_per_worker: int = 
     return max(1, math.ceil(num_rows / max(1, num_workers * tasks_per_worker)))
 
 
-def chunk_rows(rows: Sequence[dict], chunk_size: int) -> list[list[dict]]:
-    """Split rows into consecutive chunks of at most ``chunk_size`` rows."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    return [list(rows[start:start + chunk_size]) for start in range(0, len(rows), chunk_size)]
-
-
 def _apply_batched(op: Any, batch: dict) -> dict:
     """One op's shard-local stage over a chunk, sliced to the op's batch size.
 
@@ -164,18 +159,10 @@ def run_task(task: tuple[str, Any, Any], resident: ResidentOps | None = None) ->
     ``resident`` defaults to this worker's table; a degraded pool passes its
     own when it runs tasks in the parent.
 
-    * ``"segment"`` — ``op_ref`` is a tuple of references, the payload one
-      column batch; see :func:`run_segment` for the returned payload.
+    Both kinds carry one column batch (``dict[str, list]``):
 
-    Row-chunk kinds (payload: list of row dicts):
-
-    * ``"map"`` — ``op.process`` over each row; payload: transformed rows.
-    * ``"stats"`` — ``op.compute_stats`` over each row; payload: stat rows.
-    * ``"flags"`` — ``bool(op.process(row))`` per row; payload: keep flags.
-    * ``"filter"`` — stats then decision; payload: ``(stat_rows, keep_flags)``.
-
-    Column-batch kind (payload: ``dict[str, list]``):
-
+    * ``"segment"`` — ``op_ref`` is a tuple of references; see
+      :func:`run_segment` for the returned payload.
     * ``"filter_cols_full"`` — stats for *every* row then decision; payload:
       ``(stat_batch, keep_flags)`` (used when a tracer needs rejected rows).
 
@@ -189,20 +176,10 @@ def run_task(task: tuple[str, Any, Any], resident: ResidentOps | None = None) ->
     start_cpu = time.process_time()
     if kind == "segment":
         payload: Any = run_segment([resident.resolve(ref) for ref in op_ref], payload_in)
-    else:
+    elif kind == "filter_cols_full":
         op = resident.resolve(op_ref)
-        if kind == "map":
-            payload = [op.process(dict(row)) for row in payload_in]
-        elif kind == "stats":
-            payload = [op.compute_stats(dict(row)) for row in payload_in]
-        elif kind == "flags":
-            payload = [bool(op.process(dict(row))) for row in payload_in]
-        elif kind == "filter":
-            stat_rows = [op.compute_stats(dict(row)) for row in payload_in]
-            payload = (stat_rows, [bool(op.process(row)) for row in stat_rows])
-        elif kind == "filter_cols_full":
-            batch = op.compute_stats_batched(dict(payload_in))
-            payload = (batch, op.process_batched(batch))
-        else:
-            raise ValueError(f"unknown task kind {kind!r}")
+        batch = op.compute_stats_batched(dict(payload_in))
+        payload = (batch, op.process_batched(batch))
+    else:
+        raise ValueError(f"unknown task kind {kind!r}")
     return payload, time.process_time() - start_cpu, os.getpid()

@@ -1,10 +1,11 @@
-"""Batched/per-row equivalence: every op, identical rows, stats, fingerprints.
+"""Engine/oracle equivalence: every op, identical rows, stats, fingerprints.
 
-The batched columnar engine must be a pure execution-strategy change: for
-every registered operator, ``run(dataset, batched=True)`` (the default) and
-``run(dataset, batched=False)`` (the legacy per-row path) must yield the same
-surviving rows, the same stats values and the same dataset fingerprint — so
-cache and checkpoint keys are independent of the execution strategy.
+``op.run`` executes column batches; the per-sample methods are the
+op-authoring API.  For every registered operator, ``op.run(dataset)`` must
+yield the same surviving rows, the same stats values and the same dataset
+fingerprint as the serial per-row reference
+(:func:`repro.testing.reference.run_per_row`) — so a vectorised
+``*_batched`` override can never drift from its per-sample method.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.registry import OPERATORS
 from repro.core.tracer import Tracer
 from repro.ops import load_ops
 from repro.synth import common_crawl_like
+from repro.testing.reference import run_per_row
 
 #: ops where the default parameters need a nudge so the test corpus actually
 #: exercises both kept and dropped rows / non-trivial rewrites
@@ -57,10 +59,8 @@ def corpus():
     return NestedDataset.from_list(base)
 
 
-def run_both_ways(op, dataset, tracer=None):
-    batched = op.run(dataset, batched=True, tracer=tracer)
-    per_row = op.run(dataset, batched=False, tracer=tracer)
-    return batched, per_row
+def run_both_ways(op, dataset):
+    return op.run(dataset), run_per_row(op, dataset)
 
 
 @pytest.mark.parametrize("op_name", sample_level_op_names())
@@ -109,10 +109,11 @@ def test_fused_filter_with_tracer_records_all_rows(corpus):
     )
     fused_op = next(op for op in fuse_operators(ops) if isinstance(op, FusedFilter))
     tracer_batched, tracer_per_row = Tracer(), Tracer()
-    batched = fused_op.run(corpus, batched=True, tracer=tracer_batched)
-    per_row = fused_op.run(corpus, batched=False, tracer=tracer_per_row)
+    batched = fused_op.run(corpus, tracer=tracer_batched)
+    per_row = run_per_row(fused_op, corpus, tracer=tracer_per_row)
     assert batched.to_list() == per_row.to_list()
-    assert len(tracer_batched.records) == len(tracer_per_row.records)
+    assert tracer_batched.summary() == tracer_per_row.summary()
+    assert tracer_batched.records[0].examples == tracer_per_row.records[0].examples
 
 
 @pytest.mark.parametrize(
@@ -162,8 +163,8 @@ def test_pipeline_fingerprints_are_incremental_and_strategy_independent(corpus):
     batched_ds, per_row_ds = corpus, corpus
     for op_batched, op_per_row in zip(load_ops(process), load_ops(process)):
         expected = batched_ds.derive_fingerprint(op_batched.name, op_batched.config())
-        batched_ds = op_batched.run(batched_ds, batched=True)
-        per_row_ds = op_per_row.run(per_row_ds, batched=False)
+        batched_ds = op_batched.run(batched_ds)
+        per_row_ds = run_per_row(op_per_row, per_row_ds)
         if not isinstance(op_batched, Deduplicator):
             # Mapper/Filter outputs carry the incremental fingerprint directly
             assert batched_ds.fingerprint == expected

@@ -8,8 +8,9 @@ The invariants under test:
 * A streaming re-run with ``use_cache`` over unchanged inputs replays cached
   shard outputs instead of recomputing them (the ISSUE-4 acceptance
   criterion).
-* The streaming tracer's memory stays bounded (first-``show_num``
-  reservoirs), never O(corpus).
+* The tracer's memory stays bounded across shards (first-``show_num``
+  reservoirs), never O(corpus), and it keeps one record per pipeline
+  position — per run.
 """
 
 import json
@@ -19,11 +20,10 @@ import pytest
 from repro.core.executor import Executor
 from repro.core.monitor import RunProfiler
 from repro.core.report import OpReport, REPORT_FILE, RunReport
-from repro.core.tracer import StreamingTracer
+from repro.core.tracer import Tracer
 from repro.ops import build_ops
-from repro.recipes import get_recipe
 
-from tests.test_streaming import messy_corpus_rows, write_jsonl
+from tests.test_streaming import messy_corpus_rows, recipe_process, write_jsonl
 
 
 # ----------------------------------------------------------------------
@@ -101,13 +101,13 @@ class TestRunProfiler:
 
 
 # ----------------------------------------------------------------------
-# Streaming tracer
+# The tracer under streaming use: one call per shard
 # ----------------------------------------------------------------------
 class TestStreamingTracer:
     def test_examples_stay_bounded_across_shards(self):
         from repro.core.dataset import NestedDataset
 
-        tracer = StreamingTracer(show_num=4)
+        tracer = Tracer(show_num=4)
         for shard in range(10):
             before = NestedDataset.from_list(
                 [{"text": f"shard {shard} row {i}"} for i in range(20)]
@@ -126,44 +126,65 @@ class TestStreamingTracer:
     def test_filter_accumulates_with_global_indexes(self):
         from repro.core.dataset import NestedDataset
 
-        tracer = StreamingTracer(show_num=10)
+        tracer = Tracer(show_num=10)
         first = NestedDataset.from_list([{"text": "keep"}, {"text": "drop-a"}])
         second = NestedDataset.from_list([{"text": "drop-b"}, {"text": "keep"}])
         kept = NestedDataset.from_list([{"text": "keep"}])
         tracer.trace_filter("f", first, kept)
         tracer.trace_filter("f", second, kept)
-        record = tracer.register("f", "filter")
+        (record,) = tracer.records
         assert (record.input_size, record.output_size) == (4, 2)
         assert [example["index"] for example in record.examples] == [1, 2]
 
-    def test_finalize_is_idempotent_and_writes_files(self, tmp_path):
+    def test_every_shard_rewrites_the_one_file_of_its_op(self, tmp_path):
         from repro.core.dataset import NestedDataset
 
-        tracer = StreamingTracer(show_num=2, trace_dir=tmp_path)
+        tracer = Tracer(show_num=2, trace_dir=tmp_path)
         dataset = NestedDataset.from_list([{"text": "a"}])
         tracer.trace_filter("f", dataset, dataset)
-        tracer.finalize()
-        tracer.finalize()
+        tracer.trace_filter("f", dataset, dataset)
         assert len(tracer.records) == 1
-        assert len(list(tmp_path.glob("trace-*.jsonl"))) == 1
+        (path,) = tmp_path.glob("trace-*.jsonl")
+        assert path.name == "trace-001-f.jsonl"
+        assert json.loads(path.read_text().splitlines()[0])["input_size"] == 2
 
-    def test_preregistration_fixes_summary_order(self):
-        tracer = StreamingTracer()
-        tracer.register("first_op", "mapper")
-        tracer.register("second_op", "filter")
-        tracer.observe_global("second_op", "filter", 10, 5)
-        names = [entry["op_name"] for entry in tracer.summary()]
-        assert names == ["first_op", "second_op"]
+    def test_records_are_per_op_instance_in_first_touch_order(self, tmp_path):
+        from repro.core.dataset import NestedDataset
+
+        first, mapper, second = build_ops([
+            {"text_length_filter": {"min_len": 1}},
+            {"lowercase_mapper": {}},
+            {"text_length_filter": {"min_len": 2}},
+        ])
+        tracer = Tracer(trace_dir=tmp_path)
+        dataset = NestedDataset.from_list([{"text": "a"}, {"text": "BB"}])
+        for _shard in range(2):
+            first.run(dataset, tracer=tracer)
+            mapper.run(dataset, tracer=tracer)
+            second.run(dataset, tracer=tracer)
+        tracer.observe_global("selector", "filter", 10, 5)
+        assert [(r.op_name, r.input_size, r.output_size) for r in tracer.records] == [
+            ("text_length_filter", 4, 4),
+            ("lowercase_mapper", 4, 4),
+            ("text_length_filter", 4, 2),
+            ("selector", 10, 5),
+        ]
+        assert sorted(path.name for path in tmp_path.glob("trace-*.jsonl")) == [
+            "trace-001-text_length_filter.jsonl",
+            "trace-002-lowercase_mapper.jsonl",
+            "trace-003-text_length_filter.jsonl",
+            "trace-004-selector.jsonl",
+        ]
 
 
 # ----------------------------------------------------------------------
 # Mode parity: run() vs run_streaming() reports
 # ----------------------------------------------------------------------
 class TestReportParity:
-    @pytest.mark.parametrize("recipe_name", ["pretrain-c4-refine-en"])
+    @pytest.mark.parametrize("recipe_name", ["pretrain-c4-refine-en", "repeated-op"])
     def test_fig8_recipe_reports_structurally_identical(self, tmp_path, recipe_name):
         input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(160))
-        process = get_recipe(recipe_name)["process"]
+        process = recipe_process(recipe_name)
         memory = Executor({
             "dataset_path": str(input_path),
             "export_path": str(tmp_path / "memory.jsonl"),
@@ -187,12 +208,42 @@ class TestReportParity:
         # same ops, same kept/dropped counts — the acceptance criterion
         assert memory.last_report.op_summary() == stream_report.op_summary()
         assert memory.last_report["trace"] == stream_report["trace"]
+        # one trace record and one trace file per pipeline position — an op
+        # name listed twice is two records — in both modes
+        assert [entry["op_name"] for entry in stream_report["trace"]] == [
+            op.name for op in streaming.ops
+        ]
+        for work_dir in ("wm", "ws"):
+            assert sorted(path.name for path in (tmp_path / work_dir / "trace").iterdir()) == [
+                f"trace-{position:03d}-{op.name}.jsonl"
+                for position, op in enumerate(streaming.ops, 1)
+            ]
         assert memory.last_report["num_output_samples"] == len(result)
         assert stream_report["num_output_samples"] == len(result)
         # per-op sections carry real measurements in both modes
         for report in (memory.last_report, stream_report):
             assert all(op.wall_time_s > 0 for op in report.ops)
             assert all(op.max_rss_mb > 0 for op in report.ops)
+
+    def test_consecutive_runs_report_their_own_trace(self, tmp_path):
+        """Regression: the tracer lived as long as the executor, so a second
+        ``run()`` reported the first run's records again and wrote
+        ``trace-002-…`` next to ``trace-001-…``."""
+        input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(40))
+        executor = Executor({
+            "dataset_path": str(input_path),
+            "process": [{"text_length_filter": {"min_len": 40}}],
+            "work_dir": str(tmp_path / "work"),
+            "open_tracer": True,
+        })
+        traces = []
+        for _run in range(2):
+            executor.run()
+            traces.append(executor.last_report["trace"])
+            assert [path.name for path in (tmp_path / "work" / "trace").iterdir()] == [
+                "trace-001-text_length_filter.jsonl"
+            ]
+        assert len(traces[0]) == 1 and traces[1] == traces[0]
 
     def test_reports_persisted_to_work_dir(self, tmp_path):
         input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(40))

@@ -12,7 +12,7 @@ from repro.parallel import (
     run_segment,
     shutdown_shared_pools,
 )
-from repro.parallel.worker import chunk_rows, default_chunk_size
+from repro.parallel.worker import default_chunk_size, run_task
 from repro.synth import common_crawl_like
 
 PROCESS = [
@@ -53,16 +53,6 @@ class TestStartMethodResolution:
 
 
 class TestChunking:
-    def test_chunk_rows_partitions_in_order(self):
-        rows = [{"i": i} for i in range(7)]
-        chunks = chunk_rows(rows, 3)
-        assert [len(c) for c in chunks] == [3, 3, 1]
-        assert [r["i"] for c in chunks for r in c] == list(range(7))
-
-    def test_chunk_rows_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            chunk_rows([{"i": 0}], 0)
-
     def test_default_chunk_size_bounds(self):
         assert default_chunk_size(0, 4) == 1
         assert default_chunk_size(100, 4) == 7  # ~4 tasks per worker
@@ -305,16 +295,14 @@ class TestConfigEquivalenceDispatch:
             assert not pool.holds(other)
 
     def test_foreign_instance_dispatch_matches_serial(self, corpus):
-        rows = corpus.to_list()
         recipe = [{"whitespace_normalization_mapper": {}}]
-        op = load_ops(recipe)[0]
-        serial = [op.process(dict(row)) for row in rows]
+        serial = serial_segment(load_ops(recipe), corpus)
         with WorkerPool(2, process_list=recipe) as pool:
             foreign = load_ops(recipe)[0]  # fresh instance, same config
-            assert foreign is not op
-            pooled = pool.map_rows(foreign.process, rows)
+            assert foreign is not pool._ops[0]
+            pooled = pool.run_ops([foreign], list(corpus.iter_batches(12)))
             assert pool.last_served_pids  # executed out of process
-        assert pooled == serial
+        assert NestedDataset.from_batches(pooled).to_list() == serial
 
 
 class TestExecutorParallel:
@@ -357,60 +345,6 @@ class TestExecutorParallel:
         executor.close()
 
 
-class TestDatasetPoolHandle:
-    def test_map_and_filter_accept_pool_handle(self, corpus):
-        ops = load_ops(PROCESS)
-        mapper, text_filter = ops[0], ops[2]
-        with WorkerPool(2, ops=ops) as pool:
-            mapped = corpus.map(mapper.process, pool=pool)
-            filtered = mapped.filter(text_filter.process, pool=pool)
-        serial_mapped = corpus.map(mapper.process)
-        assert mapped.to_list() == serial_mapped.to_list()
-        assert mapped.fingerprint == serial_mapped.fingerprint
-        assert len(filtered) <= len(mapped)
-
-    def test_foreign_function_falls_back_to_serial(self, corpus):
-        with WorkerPool(2, ops=load_ops(PROCESS)) as pool:
-            # a plain function is not pool-resident: the dataset silently
-            # executes it in-process instead of failing
-            result = corpus.map(lambda row: dict(row, tagged=True), pool=pool)
-        assert all(row["tagged"] for row in result)
-
-    def test_accepts_discriminates_dispatch_intent(self):
-        """Approving a method for the wrong intent would run different worker
-        code than the serial path runs for the same call."""
-        ops = load_ops(PROCESS)
-        mapper, text_filter = ops[0], ops[2]
-        with WorkerPool(2, ops=ops) as pool:
-            assert pool.accepts(text_filter.process, kind="filter")
-            # a Filter's stats method is not a boolean keep/drop predicate …
-            assert not pool.accepts(text_filter.compute_stats, kind="filter")
-            assert not pool.accepts(mapper.process, kind="filter")
-            # … and a Filter's boolean predicate is not a row transform
-            assert pool.accepts(mapper.process, kind="map")
-            assert pool.accepts(text_filter.compute_stats, kind="map")
-            assert not pool.accepts(text_filter.process, kind="map")
-            # columnar batch methods dispatch via the *_batches kinds only
-            assert pool.accepts(mapper.process_batched, kind="map_batches")
-            # a Filter's stats annotation is not a column map: as a segment
-            # of one it would also drop the rejected rows
-            assert not pool.accepts(text_filter.compute_stats_batched, kind="map_batches")
-            assert not pool.accepts(mapper.process_batched, kind="map")
-            assert not pool.accepts(mapper.process, kind="map_batches")
-            assert not pool.accepts(mapper.process, kind="map", batched=True)
-            assert pool.holds(text_filter) and not pool.holds(object())
-
-    def test_filter_with_stats_method_matches_serial(self, corpus):
-        """dataset.filter with a non-predicate method falls back to the serial
-        path instead of silently evaluating a different function in the pool."""
-        ops = load_ops(PROCESS)
-        text_filter = ops[2]
-        with WorkerPool(2, ops=ops) as pool:
-            pooled = corpus.filter(text_filter.compute_stats, pool=pool)
-        serial = corpus.filter(text_filter.compute_stats)
-        assert pooled.to_list() == serial.to_list()
-
-
 class TestBatchedPoolDispatch:
     def test_map_column_batches_matches_serial(self, corpus):
         ops = load_ops(PROCESS)
@@ -451,24 +385,6 @@ class TestBatchedPoolDispatch:
         assert pooled.to_list() == serial.to_list()
         assert pooled.fingerprint == serial.fingerprint
 
-    def test_fused_filter_per_row_methods_dispatch_too(self, corpus):
-        """accepts() approving a fused method must mean row dispatch succeeds."""
-        from repro.core.fusion import FusedFilter, fuse_operators
-
-        ops = load_ops(
-            PROCESS + [{"stopwords_filter": {"min_ratio": 0.0}}, {"flagged_words_filter": {"max_ratio": 1.0}}]
-        )
-        fused = next(op for op in fuse_operators(ops) if isinstance(op, FusedFilter))
-        with WorkerPool(2, ops=ops) as pool:
-            assert pool.accepts(fused.compute_stats, kind="map")
-            pooled = corpus.map(fused.compute_stats, pool=pool)
-            assert pool.last_served_pids
-            assert pool.accepts(fused.process, kind="filter")
-            corpus.filter(fused.process, pool=pool)
-            assert pool.last_served_pids
-        serial = corpus.map(fused.compute_stats)
-        assert pooled.to_list() == serial.to_list()
-
     def test_deduplicator_hash_stage_uses_pool(self, corpus):
         ops = load_ops([{"document_minhash_deduplicator": {}}])
         dedup = ops[0]
@@ -476,8 +392,12 @@ class TestBatchedPoolDispatch:
         with WorkerPool(2, ops=ops) as pool:
             pooled = dedup.run(corpus, pool=pool)
             assert pool.last_served_pids  # hashing ran in the workers
+            hashed = dedup.hash_stage(corpus, pool)
         assert pooled.to_list() == serial.to_list()
         assert pooled.fingerprint == serial.fingerprint
+        # the one hashing method run() and the streaming engine share
+        assert hashed.to_list() == dedup.hash_stage(corpus).to_list()
+        assert hashed.fingerprint == dedup.hash_stage(corpus).fingerprint
 
     def test_fused_filter_with_foreign_members_not_held(self):
         from repro.core.fusion import FusedFilter
@@ -506,6 +426,19 @@ def test_preload_assets_is_idempotent():
 
 
 class TestRunSegment:
+    def test_worker_knows_exactly_two_task_kinds(self):
+        from repro.parallel.worker import ResidentOps
+
+        resident = ResidentOps(load_ops([{"text_length_filter": {"min_len": 10}}]))
+        batch = {"text": ["tiny", "long enough to survive the filter"]}
+        (kept, _stats, failure), _cpu, _pid = run_task(("segment", (0,), dict(batch)), resident)
+        assert failure is None and len(kept["text"]) == 1
+        (stat_batch, flags), _cpu, _pid = run_task(("filter_cols_full", 0, dict(batch)), resident)
+        assert flags == [False, True] and len(stat_batch["text"]) == 2
+        for gone in ("map", "stats", "flags", "filter"):
+            with pytest.raises(ValueError, match="unknown task kind"):
+                run_task((gone, 0, [{"text": "row"}]), resident)
+
     def test_rejects_selectors(self):
         _batch, _stats, failure = run_segment(
             load_ops([{"topk_specified_field_selector": {"field_key": "text", "topk": 1}}]),

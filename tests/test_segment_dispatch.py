@@ -2,9 +2,12 @@
 
 The contracts under test:
 
-* **Byte identity** — one export and one ``op_summary()`` however a recipe is
-  run: np 1/2 x memory/streaming x tracer on/off x cache on/off, for fusion on
-  and off; and the dataset a pooled run returns carries the np=1 fingerprint.
+* **Byte identity** — one export, one ``op_summary()`` and (tracer on) one
+  ``trace`` summary however a recipe is run: np 1/2 x memory/streaming x
+  tracer on/off x cache on/off, for fusion on and off; and the dataset a
+  pooled run returns carries the np=1 fingerprint.
+* **One driver** — both run loops cut an op list the same way: the longest
+  pool-resident prefix travels as a segment, the rest runs on the host.
 * **Dispatch count** — with nothing that needs an intermediate dataset on the
   host, a pooled run sends at most chunks x segments tasks.
 * **Observability** — a pooled op's ``seconds`` is worker-measured, and the
@@ -17,9 +20,9 @@ import pytest
 
 from repro.core.executor import Executor
 from repro.core.stream import plan_segments
-from repro.recipes import get_recipe
+from repro.parallel import WorkerPool
 
-from tests.test_streaming import FIG8_RECIPES, messy_corpus_rows, write_jsonl
+from tests.test_streaming import FIG8_RECIPES, messy_corpus_rows, recipe_process, write_jsonl
 
 #: the 13-op web-cleaning list of bench/ and benchmarks/test_batch_throughput.py
 WEB_CLEAN = [
@@ -62,11 +65,11 @@ def run_config(tmp_path, tag, input_path, process, np, mode, **options):
 
 class TestByteIdentityAndFingerprints:
     @pytest.mark.parametrize("op_fusion", [False, True], ids=["plain", "fused"])
-    @pytest.mark.parametrize("recipe_name", FIG8_RECIPES)
+    @pytest.mark.parametrize("recipe_name", FIG8_RECIPES + ["repeated-op"])
     def test_one_export_and_one_summary_however_it_runs(self, tmp_path, recipe_name, op_fusion):
         input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(160, duplicates=30))
-        process = get_recipe(recipe_name)["process"]
-        exports, summaries, fingerprints = {}, {}, {}
+        process = recipe_process(recipe_name)
+        exports, summaries, fingerprints, traces = {}, {}, {}, {}
         for np, mode, tracer, cache in GRID:
             tag = f"np{np}-{mode}-t{int(tracer)}-c{int(cache)}"
             exported, executor, dataset = run_config(
@@ -75,6 +78,8 @@ class TestByteIdentityAndFingerprints:
             )
             exports[tag] = exported
             summaries[tag] = executor.last_report.op_summary()
+            if tracer:
+                traces[tag] = executor.last_report["trace"]
             if dataset is not None:
                 fingerprints[tag] = dataset.fingerprint
         reference = "np1-memory-t0-c0"
@@ -86,6 +91,10 @@ class TestByteIdentityAndFingerprints:
         # cache keys agree across strategies: a pooled segment stamps the
         # chained fingerprint the ops would have stamped one by one
         assert set(fingerprints.values()) == {fingerprints[reference]}
+        # one tracer for both modes: a record per pipeline position
+        traced = traces["np1-memory-t1-c0"]
+        assert len(traced) == len(executor.ops)
+        assert {tag for tag, trace in traces.items() if trace != traced} == set()
 
 
 class TestDispatchCount:
@@ -113,6 +122,46 @@ class TestDispatchCount:
         )
         report = executor.last_report
         assert report["parallel"]["tasks"] <= 2 * 4 * report["shards"]["executed_shards"]
+
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_partly_resident_op_list_sends_its_prefix_as_a_segment(
+        self, tmp_path, input_path, mode
+    ):
+        """Both run loops share the driver's rule: the ops the pool holds up
+        to the first one it does not travel as one segment; the rest run on
+        the host (streaming used to give up on the pool altogether)."""
+        reference, serial, serial_dataset = run_config(
+            tmp_path, "serial", input_path, WEB_CLEAN, 1, mode, op_fusion=True
+        )
+        config = {
+            "dataset_path": str(input_path),
+            "export_path": str(tmp_path / "partial.jsonl"),
+            "work_dir": str(tmp_path / "work-partial"),
+            "process": WEB_CLEAN,
+            "op_fusion": True,
+            "np": 2,
+            "max_shard_rows": 50,
+        }
+        with Executor(config) as executor:
+            resident = executor.ops[:4]
+            # stand in for the executor's own pool: it holds a prefix only
+            executor._pool = WorkerPool(2, ops=resident)
+            assert not executor._pool.holds(executor.ops[4])
+            dispatch, sent = executor._pool.run_segment, []
+            executor._pool.run_segment = lambda ops, batches: (
+                sent.append(len(ops)) or dispatch(ops, batches)
+            )
+            dataset = executor.run() if mode == "memory" else None
+            if mode == "streaming":
+                executor.run_streaming()
+            report = executor.last_report
+        assert (tmp_path / "partial.jsonl").read_bytes() == reference
+        assert report.op_summary() == serial.last_report.op_summary()
+        if dataset is not None:
+            assert dataset.fingerprint == serial_dataset.fingerprint
+        units = 1 if mode == "memory" else report["shards"]["executed_shards"]
+        assert sent == [len(resident)] * units
+        assert 0 < report["parallel"]["tasks"] <= 2 * 4 * units
 
     @pytest.mark.parametrize("option", ["open_tracer", "use_cache", "use_checkpoint"])
     def test_host_side_consumers_cut_segments_to_one_op(self, tmp_path, input_path, option):

@@ -153,6 +153,19 @@ FIG8_RECIPES = [
     "pretrain-c4-refine-en",
 ]
 
+#: one op name at two pipeline positions: profiles and trace records are per
+#: position, never merged by name
+REPEATED_OP_PROCESS = [
+    {"text_length_filter": {"min_len": 20}},
+    {"lowercase_mapper": {}},
+    {"text_length_filter": {"min_len": 120}},
+]
+
+
+def recipe_process(name):
+    """The op list of a built-in recipe, or of the test-only ``repeated-op`` one."""
+    return REPEATED_OP_PROCESS if name == "repeated-op" else get_recipe(name)["process"]
+
 
 class TestStreamingEquality:
     @pytest.mark.parametrize("recipe_name", FIG8_RECIPES)
