@@ -307,6 +307,18 @@ class Deduplicator(OP):
         """Return the deduplicated dataset and up to ``show_num`` duplicate pairs."""
         raise NotImplementedError
 
+    @staticmethod
+    def hash_column(dataset: NestedDataset, key: str, default: Any = None) -> list:
+        """The hash values :meth:`process` clusters on, one per row.
+
+        Reads the column instead of building a row dict per row; a dataset
+        that was never hashed reads as ``default`` everywhere, like
+        ``sample.get(key, default)`` did.
+        """
+        if key in dataset.column_names:
+            return dataset.column(key)
+        return [default] * len(dataset)
+
     def hash_stage(self, dataset: NestedDataset, pool: Any = None) -> NestedDataset:
         """The sample-level stage: ``dataset`` with every row's hash/signature added.
 

@@ -5,12 +5,27 @@ Python helper it accelerates — the batched/per-row equivalence suite asserts
 exactly that.  The kernels operate on whole batches (lists of texts / token
 lists) so the numpy import and any table setup are amortised across rows.
 
+Repetition ratios are counted by one scheme — dense ids, ``n`` of them
+bit-packed into one uint64 key per window, sort, compare neighbours — and a
+document's length decides how it gets there:
+
+* characters, ``len <= _GROUPED_MAX_DOC_CHARS`` and ``n <= 8``: the grouped
+  kernel, hundreds of documents per sort, ids from the shared 7-bit table;
+* characters otherwise (long documents, ``n > 8``, alphabet overflows): one
+  sort per document, ids from the shared table when the document fits it
+  and ``7 * n <= 64``, else from a presence table of the document's own
+  alphabet; the substring ``Counter`` only when an n-gram of that alphabet
+  does not fit one key;
+* tokens: the tuple ``Counter`` below ``_TOKEN_IDS_MIN_TOKENS`` tokens, per
+  document interned ids above it (when the vocabulary fits one key).
+
 All kernels degrade gracefully to the pure Python helpers when numpy is
 unavailable, so the batched path never *requires* the accelerator.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Sequence
 
 from repro.ops.common.helper_funcs import (
@@ -36,14 +51,18 @@ def _codepoints(text: str):
 
 
 def _repeated_in_sorted_keys(key) -> int:
-    """Occurrences belonging to duplicated values of a sorted key array."""
-    total = key.size
-    distinct = _np.empty(total, dtype=bool)
-    distinct[0] = True
-    _np.not_equal(key[1:], key[:-1], out=distinct[1:])
-    starts = _np.flatnonzero(distinct)
-    lengths = _np.diff(_np.append(starts, total))
-    return int(lengths[lengths > 1].sum())
+    """Occurrences belonging to duplicated values of a sorted key array.
+
+    An occurrence is *not* repeated exactly when it differs from both of its
+    neighbours, so three passes over a bool array replace the run-length
+    bookkeeping (``flatnonzero`` / ``diff`` / masked sum).
+    """
+    total = int(key.size)
+    if total < 2:
+        return 0
+    differs = key[1:] != key[:-1]
+    singles = int(_np.count_nonzero(differs[1:] & differs[:-1]))
+    return total - singles - int(differs[0]) - int(differs[-1])
 
 
 def _pack_window_keys(ids, width: int, bits: int):
@@ -79,6 +98,11 @@ def _pack_window_keys(ids, width: int, bits: int):
     return acc[: ids.size - width + 1]
 
 
+def _id_bits(num_ids: int) -> int:
+    """Bits one id of a ``num_ids``-letter alphabet takes in a sort key."""
+    return max(1, (num_ids - 1).bit_length())
+
+
 def _repetition_ratio_from_ids(ids, num_ids: int, n: int) -> float:
     """Fraction of duplicated n-gram occurrences over a dense-id sequence.
 
@@ -90,7 +114,7 @@ def _repetition_ratio_from_ids(ids, num_ids: int, n: int) -> float:
     total = int(ids.size) - n + 1
     if total <= 0:
         return 0.0
-    bits = max(1, (num_ids - 1).bit_length())
+    bits = _id_bits(num_ids)
     if bits * n > 64:
         raise ValueError(f"{n}-grams of a {num_ids}-id alphabet do not fit one sort key")
     key = _pack_window_keys(ids, n, bits)
@@ -108,20 +132,31 @@ _DENSE_IDS = None
 _DENSE_NEXT = 1
 
 
-def _assign_dense_ids(codepoints) -> None:
-    """Assign dense alphabet ids to any unassigned codepoints (id 0) seen.
+def _dense_ids(codepoints):
+    """Shared-table ids (uint8) of a codepoint array; 0 marks "no id".
 
-    Stops silently at the 7-bit budget; codepoints left at id 0 route their
-    documents to the per-document fallback.
+    Codepoints seen for the first time are assigned the next free id while
+    the 7-bit budget lasts — ``"\x00"`` never gets one (it is the batch
+    separator of the grouped kernel) — so id 0 is left on separators and on
+    characters that overflowed the budget; documents holding the latter are
+    remapped per document by :func:`_char_repetition_fallback`.
     """
     global _DENSE_IDS, _DENSE_NEXT
     if _DENSE_IDS is None:
         _DENSE_IDS = _np.zeros(0x110000, dtype=_np.uint8)
-    for codepoint in codepoints:
+    ids = _DENSE_IDS.take(codepoints)
+    if _DENSE_NEXT > _DENSE_ID_MAX:
+        return ids
+    unassigned = codepoints[ids == 0]
+    unassigned = unassigned[unassigned != 0]
+    if not unassigned.size:
+        return ids
+    for codepoint in _np.unique(unassigned).tolist():
         if _DENSE_NEXT > _DENSE_ID_MAX:
-            return
+            break
         _DENSE_IDS[codepoint] = _DENSE_NEXT
         _DENSE_NEXT += 1
+    return _DENSE_IDS.take(codepoints)
 
 
 def _segment_sums(values, starts, lengths):
@@ -187,20 +222,23 @@ def _grouped_char_repetition(ids, starts, lengths, n: int):
     return ratios
 
 
-#: documents longer than this skip the grouped kernel: per-row overhead is
-#: negligible for them anyway, and keeping them out bounds the grouped
-#: kernel's transient allocations (long-document workloads stay lean)
+#: documents longer than this skip the grouped kernel for one sort each:
+#: per-document numpy call overhead is negligible at this size, and keeping
+#: them out bounds the grouped kernel's transient allocations
+#: (long-document workloads stay lean)
 _GROUPED_MAX_DOC_CHARS = 2048
 
 
 def char_repetition_ratios(texts: Sequence[str], n: int) -> list[float]:
     """Char n-gram repetition ratio per text (vectorised Counter replacement).
 
-    Short/medium texts whose characters fit the shared 7-bit dense alphabet
-    are encoded once and processed by the grouped kernel (hundreds of
-    documents per sort).  Long texts and alphabet overflows fall back to a
-    per-document kernel (dense remap via ``np.unique``), and when even one
-    key cannot hold an n-gram, to the substring Counter.
+    Texts of at most :data:`_GROUPED_MAX_DOC_CHARS` characters are encoded
+    once and processed by the grouped kernel (hundreds of documents per
+    sort) — when ``n <= 8``: the kernel keeps 8 of a key's 64 bits for the
+    document index, so ``rep_len > 8`` (the default is 10) never uses it.
+    Every other text — longer, ``n > 8``, or holding a character the shared
+    7-bit alphabet had no id left for — takes the per-document kernel
+    :func:`_char_repetition_fallback`.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -220,9 +258,6 @@ def char_repetition_ratios(texts: Sequence[str], n: int) -> list[float]:
             grouped_texts.append(text)
     if not grouped_texts:
         return results
-    global _DENSE_IDS
-    if _DENSE_IDS is None:
-        _DENSE_IDS = _np.zeros(0x110000, dtype=_np.uint8)
     try:
         codepoints = _codepoints("\x00".join(grouped_texts))
     except UnicodeEncodeError:
@@ -230,14 +265,7 @@ def char_repetition_ratios(texts: Sequence[str], n: int) -> list[float]:
         for index, text in zip(grouped_at, grouped_texts):
             results[index] = char_ngram_repetition_ratio(text, n)
         return results
-    ids = _DENSE_IDS[codepoints]
-    unassigned = codepoints[ids == 0]
-    if unassigned.size:
-        # "\x00" stays id 0 — separator windows are never selected anyway
-        _assign_dense_ids(
-            cp for cp in _np.unique(unassigned).tolist() if cp != 0
-        )
-        ids = _DENSE_IDS[codepoints]
+    ids = _dense_ids(codepoints)
     lengths = _np.fromiter(
         (len(text) for text in grouped_texts), dtype=_np.int64, count=len(grouped_texts)
     )
@@ -256,32 +284,72 @@ def char_repetition_ratios(texts: Sequence[str], n: int) -> list[float]:
 
 
 def _char_repetition_fallback(text: str, n: int) -> float:
-    """Per-document kernel for texts outside the shared dense alphabet."""
+    """Per-document kernel for texts the grouped kernel does not take.
+
+    Ids come from the shared dense table when every character has one and a
+    7-bit n-gram fits a sort key; otherwise from a presence-table remap of
+    the document's own alphabet, O(len + max codepoint) with no sort.  Only
+    an alphabet whose n-grams overflow one uint64 key reaches the substring
+    Counter.
+    """
     if len(text) < n:
         return 0.0
     try:
         codepoints = _codepoints(text)
     except UnicodeEncodeError:
         return char_ngram_repetition_ratio(text, n)
-    unique, inverse = _np.unique(codepoints, return_inverse=True)
-    bits = max(1, (int(unique.size) - 1).bit_length())
-    if bits * n <= 64:
-        return _repetition_ratio_from_ids(inverse.astype(_np.uint64), int(unique.size), n)
-    return char_ngram_repetition_ratio(text, n)
+    if _DENSE_ID_BITS * n <= 64:
+        ids = _dense_ids(codepoints)
+        if ids.all():
+            return _repetition_ratio_from_ids(ids.astype(_np.uint64), _DENSE_ID_MAX + 1, n)
+    positions = codepoints.astype(_np.intp)
+    table = _np.zeros(int(codepoints.max()) + 1, dtype=_np.uint64)
+    table[positions] = 1
+    alphabet = _np.flatnonzero(table)
+    if _id_bits(int(alphabet.size)) * n > 64:
+        return char_ngram_repetition_ratio(text, n)
+    table[alphabet] = _np.arange(alphabet.size, dtype=_np.uint64)
+    return _repetition_ratio_from_ids(table.take(positions), int(alphabet.size), n)
+
+
+#: token lists shorter than this keep the tuple Counter: interning to ids
+#: costs one set + one dict + one ``fromiter`` per document before numpy sees
+#: anything.  Measured on refined long-web word lists cut to length
+#: (us per list, Counter | ids; 2 vCPUs, numpy 2.4):
+#:   n=3:  128: 20 | 30   256: 37 | 40   384: 55 | 48   512: 72 | 57   1024: 134 | 87
+#:   n=5:  128: 22 | 32   256: 42 | 42   384: 62 | 50   512: 79 | 59   1024: 151 | 90
+#:   n=8:  128: 26 | 31   256: 50 | 42   384: 74 | 50   512: 94 | 59   1024: 180 | 89
+_TOKEN_IDS_MIN_TOKENS = 256
 
 
 def token_repetition_ratios(token_lists: Sequence[Sequence[str]], n: int) -> list[float]:
     """Token n-gram repetition ratio per token list.
 
-    Unlike characters, tokens would first need per-document interning to
-    dense ids — a per-token Python loop that costs as much as the tuple
-    Counter it would replace (measured at 50-400 tokens/doc) — so this simply
-    maps the shared helper; the batched win for word-level filters comes from
-    tokenising each batch once, not from the counting kernel.
+    A list of at least :data:`_TOKEN_IDS_MIN_TOKENS` tokens whose vocabulary
+    fits (``bits_per_id * n <= 64``) is interned to per-document dense ids —
+    one ``dict(zip(set(tokens), count()))`` and a C-level ``map`` — and
+    counted by the same pack-and-sort kernel as characters.  Shorter lists,
+    and vocabularies too large for one sort key (with the default
+    ``rep_len=10``: more than 64 distinct tokens), keep the tuple Counter of
+    :func:`ngram_repetition_ratio`; for them the batched win of the
+    word-level filters is tokenising each batch once.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    return [ngram_repetition_ratio(tokens, n) for tokens in token_lists]
+    if _np is None:
+        return [ngram_repetition_ratio(tokens, n) for tokens in token_lists]
+    ratios = []
+    for tokens in token_lists:
+        vocabulary = set(tokens) if len(tokens) >= _TOKEN_IDS_MIN_TOKENS else ()
+        if vocabulary and _id_bits(len(vocabulary)) * n <= 64:
+            ids_of = dict(zip(vocabulary, count()))
+            ids = _np.fromiter(
+                map(ids_of.__getitem__, tokens), dtype=_np.uint64, count=len(tokens)
+            )
+            ratios.append(_repetition_ratio_from_ids(ids, len(ids_of), n))
+        else:
+            ratios.append(ngram_repetition_ratio(tokens, n))
+    return ratios
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 import string
 
 from repro.core.base_op import Deduplicator
+from repro.core.batch import get_text_column
 from repro.core.dataset import NestedDataset
 from repro.core.registry import OPERATORS
 from repro.core.sample import HashKeys
@@ -55,15 +56,27 @@ class DocumentDeduplicator(Deduplicator):
         sample[HashKeys.hash] = digest
         return sample
 
+    def compute_hash_batched(self, samples: dict) -> dict:
+        texts = get_text_column(samples, self.text_key)
+        if texts is None:
+            return super().compute_hash_batched(samples)
+        if self.lowercase:
+            texts = [text.lower() for text in texts]
+        if self.ignore_non_character:
+            strip = self._non_char_pattern.sub
+            texts = [strip("", text) for text in texts]
+        hasher = getattr(hashlib, self.hash_func)
+        samples[HashKeys.hash] = [hasher(text.encode("utf-8")).hexdigest() for text in texts]
+        return samples
+
     def process(self, dataset: NestedDataset, show_num: int = 0) -> tuple[NestedDataset, list]:
         seen: dict[str, int] = {}
         keep_indices: list[int] = []
         duplicate_pairs: list[tuple[dict, dict]] = []
-        for index, sample in enumerate(dataset):
-            digest = sample.get(HashKeys.hash)
+        for index, digest in enumerate(self.hash_column(dataset, HashKeys.hash)):
             if digest in seen:
                 if len(duplicate_pairs) < show_num:
-                    duplicate_pairs.append((dataset[seen[digest]], sample))
+                    duplicate_pairs.append((dataset[seen[digest]], dataset[index]))
             else:
                 seen[digest] = index
                 keep_indices.append(index)

@@ -208,7 +208,9 @@ class DocumentMinhashDeduplicator(Deduplicator):
         return matches / len(sig_a) if sig_a else 0.0
 
     def process(self, dataset: NestedDataset, show_num: int = 0) -> tuple[NestedDataset, list]:
-        signatures = [sample.get(HashKeys.minhash) or [] for sample in dataset]
+        signatures = [
+            signature or [] for signature in self.hash_column(dataset, HashKeys.minhash)
+        ]
         union_find = _UnionFind(len(signatures))
         buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
         for index, signature in enumerate(signatures):

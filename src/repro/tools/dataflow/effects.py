@@ -26,7 +26,8 @@ The extractor recognises the accessor idioms the operator pool actually uses
 * ``get_or_compute`` / ``get_or_compute_column`` and the declarative
   ``context_keys`` class attribute — shared-context production/consumption;
 * ``remove_columns(...)`` — column removal (deduplicators dropping their
-  signature columns).
+  signature columns), and ``hash_column(dataset, key)`` — the column read
+  their clustering starts from.
 
 The catalog is versioned (:data:`EFFECT_SIGNATURE_VERSION`) so downstream
 consumers — the dataflow checker, ``docs/ops_catalog.md``, the future
@@ -409,6 +410,8 @@ def _extract_call(node: ast.Call, resolver: _KeyResolver, effects: _Effects) -> 
     elif short == "remove_columns":
         for arg in node.args:
             effects.record(None, resolver.resolve(arg), effects.removes, resolver)
+    elif short == "hash_column" and len(node.args) > 1:
+        effects.record(None, resolver.resolve(node.args[1]), effects.reads, resolver)
     elif isinstance(func, ast.Attribute) and func.attr == "get" and node.args:
         base = func.value
         if _is_stats_base(base, resolver) or _is_sample_base(base):

@@ -19,6 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 import repro.ops  # noqa: F401  (populates the registry as an import side effect)
+from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.registry import OPERATORS
 from repro.core.schema import ParamSpec, schema_for
 
@@ -45,7 +46,15 @@ Each entry also carries its statically-inferred **effect signature**
 `<text_key>`), the shared context keys it produces or consumes, and its
 effect on the row set.  The `repro dataflow` checker verifies whole recipes
 against these signatures; see `docs/dataflow.md`.
+
+Mappers, filters and deduplicators also say how the batched engine executes
+them: **batched kernel** when the class overrides `process_batched` /
+`compute_stats_batched` / `compute_hash_batched`, **per-row default** when a
+batch is mapped row by row through the per-sample method.
 """
+
+#: the column-batch entry points an op overrides to leave the per-row default
+_BATCHED_ENTRY_POINTS = ("process_batched", "compute_stats_batched", "compute_hash_batched")
 
 
 def op_doc_summary(cls: type) -> str:
@@ -102,6 +111,22 @@ def _effects_label(signature) -> str:
     return "*Dataflow:* " + "; ".join(parts) + "."
 
 
+def op_execution(cls: type) -> str | None:
+    """How ``op.run`` executes a sample-level op's batches (``None`` for selectors).
+
+    Generated into the catalog so an op that falls off the batched path shows
+    up in a ``make docs-check`` diff instead of in a profile.
+    """
+    for base in (Mapper, Filter, Deduplicator):
+        if issubclass(cls, base):
+            overrides = any(
+                getattr(cls, name, None) is not getattr(base, name, None)
+                for name in _BATCHED_ENTRY_POINTS
+            )
+            return "batched kernel" if overrides else "per-row default"
+    return None
+
+
 def op_catalog_entries() -> list[dict]:
     """One catalog entry per registered operator, in rendering order."""
     from repro.tools.dataflow import effect_catalog
@@ -109,7 +134,8 @@ def op_catalog_entries() -> list[dict]:
     signatures = effect_catalog()
     entries = []
     for name in OPERATORS.list():
-        schema = schema_for(OPERATORS.get(name), name=name)
+        cls = OPERATORS.get(name)
+        schema = schema_for(cls, name=name)
         entries.append(
             {
                 "name": name,
@@ -117,6 +143,7 @@ def op_catalog_entries() -> list[dict]:
                 "summary": schema.summary,
                 "parameters": list(schema.params),
                 "effects": signatures.get(name),
+                "execution": op_execution(cls),
             }
         )
     order = {category: index for index, category in enumerate(CATEGORY_ORDER)}
@@ -149,6 +176,8 @@ def render_ops_catalog() -> str:
         effects_line = _effects_label(entry.get("effects"))
         if effects_line:
             lines.append(effects_line + "\n")
+        if entry["execution"]:
+            lines.append(f"*Execution:* `{entry['execution']}`.\n")
         if entry["parameters"]:
             lines.append("| parameter | type | default | constraints | description |")
             lines.append("|---|---|---|---|---|")
@@ -189,6 +218,7 @@ __all__ = [
     "catalog_in_sync",
     "op_catalog_entries",
     "op_doc_summary",
+    "op_execution",
     "op_parameters",
     "render_ops_catalog",
     "write_ops_catalog",

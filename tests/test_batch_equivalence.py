@@ -8,6 +8,8 @@ fingerprint as the serial per-row reference
 ``*_batched`` override can never drift from its per-sample method.
 """
 
+import random
+
 import pytest
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
@@ -16,6 +18,8 @@ from repro.core.fusion import FusedFilter, fuse_operators
 from repro.core.registry import OPERATORS
 from repro.core.tracer import Tracer
 from repro.ops import load_ops
+from repro.ops.common import vectorized
+from repro.ops.common.helper_funcs import get_words_from_text, words_refinement
 from repro.synth import common_crawl_like
 from repro.testing.reference import run_per_row
 
@@ -32,6 +36,28 @@ PARAM_OVERRIDES = {
     "alphanumeric_filter": {"min_ratio": 0.4},
     "truncate_text_mapper": {"max_chars": 120},
 }
+
+
+#: rows that reach the per-document kernels of ``repro.ops.common.vectorized``
+#: and the edges of the batched SimHash (see the comments per row)
+_CROSSOVER = vectorized._TOKEN_IDS_MIN_TOKENS
+KERNEL_PATH_ROWS = [
+    # > _GROUPED_MAX_DOC_CHARS, ASCII: the fallback's shared dense table;
+    # >= _CROSSOVER words with a 98-word vocabulary: the token id kernel;
+    # > 255 SimHash features
+    {"text": " ".join(f"word{number} and" for number in random.Random(7).choices(range(97), k=400))},
+    # > 127 distinct codepoints: dense-table overflow -> presence-table remap
+    {"text": "".join(chr(0x400 + i) for i in range(200)) * 2},
+    # > 4096 distinct codepoints: 5-grams of a 13-bit alphabet do not fit one
+    # uint64 key -> substring Counter
+    {"text": "".join(chr(0x4E00 + i) for i in range(4200)) + "".join(chr(0x4E00 + i) for i in range(60))},
+    # one token short of the crossover (tuple Counter) and exactly on it (ids)
+    {"text": " ".join(f"w{number}" for number in random.Random(8).choices(range(50), k=_CROSSOVER - 1))},
+    {"text": " ".join(f"w{number}" for number in random.Random(9).choices(range(50), k=_CROSSOVER))},
+    # SimHash: no feature at all, and fewer words than ngram_size
+    {"text": "?! ... --- !?"},
+    {"text": "two words"},
+]
 
 
 def sample_level_op_names():
@@ -56,7 +82,24 @@ def corpus():
         {"text": "ÃƒÂ© mojibake â€™ text Â· with ugly bytes", "__stats__": {}},
         {"text": "short"},
     ]
-    return NestedDataset.from_list(base)
+    return NestedDataset.from_list(base + KERNEL_PATH_ROWS)
+
+
+def test_kernel_path_rows_reach_the_paths_they_name():
+    """Guard the corpus against vacuity if a threshold moves."""
+    long_ascii, overflow, wide_alphabet, below, on, no_feature, two_words = (
+        row["text"] for row in KERNEL_PATH_ROWS
+    )
+    rep_len = PARAM_OVERRIDES["character_repetition_filter"]["rep_len"]
+    assert len(long_ascii) > vectorized._GROUPED_MAX_DOC_CHARS and long_ascii.isascii()
+    assert len(set(overflow)) > vectorized._DENSE_ID_MAX
+    assert vectorized._id_bits(len(set(wide_alphabet))) * rep_len > 64
+    refined = [words_refinement(get_words_from_text(text)) for text in (long_ascii, below, on)]
+    assert [len(words) >= _CROSSOVER for words in refined] == [True, False, True]
+    simhash = load_ops([{"document_simhash_deduplicator": {}}])[0]
+    assert len(refined[0]) - simhash.ngram_size + 1 > 255
+    assert words_refinement(get_words_from_text(no_feature)) == []
+    assert len(two_words.split()) < simhash.ngram_size
 
 
 def run_both_ways(op, dataset):
@@ -139,6 +182,41 @@ def test_unpaired_surrogates_do_not_crash_batched_path(op_name):
     batched, per_row = run_both_ways(op, dataset)
     assert batched.to_list() == per_row.to_list()
     assert batched.fingerprint == per_row.fingerprint
+
+
+@pytest.mark.parametrize(
+    "op_name",
+    ["document_deduplicator", "document_minhash_deduplicator", "document_simhash_deduplicator"],
+)
+def test_unpaired_surrogates_fail_the_batched_hash_like_the_per_row_hash(op_name):
+    """A lone surrogate has no utf-8 form, so ``compute_hash`` raises on it;
+    the batched hash stage must fail the same way, not hash something else."""
+    import json
+
+    bad = json.loads('"broken \\ud800 surrogate text here, long enough to count"')
+    dataset = NestedDataset.from_list(
+        [{"text": "a perfectly ordinary clean document right here"}, {"text": bad}]
+    )
+    op = load_ops([{op_name: {}}])[0]
+    with pytest.raises(UnicodeEncodeError):
+        run_per_row(op, dataset)
+    with pytest.raises(UnicodeEncodeError):
+        op.run(dataset)
+
+
+@pytest.mark.parametrize(
+    "op_name",
+    ["document_deduplicator", "document_minhash_deduplicator", "document_simhash_deduplicator"],
+)
+def test_deduplicator_dotted_text_key_keeps_the_per_row_hash(op_name):
+    nested = NestedDataset.from_list(
+        [{"meta": {"body": text}} for text in ("same nested body text", "same nested body text", "x")]
+    )
+    op = load_ops([{op_name: {"text_key": "meta.body"}}])[0]
+    batched, per_row = run_both_ways(op, nested)
+    assert batched.to_list() == per_row.to_list()
+    assert batched.fingerprint == per_row.fingerprint
+    assert len(batched) == 2
 
 
 def test_dotted_text_key_falls_back_to_per_row(corpus):

@@ -64,6 +64,25 @@ class TestOpsCatalog:
         # choices render for schema-declared enumerations
         assert "one of " in rendered
 
+    def test_entries_say_how_the_batched_engine_executes_them(self):
+        """An op that falls off the batched path shows up as a catalog diff."""
+        execution = {entry["name"]: entry["execution"] for entry in op_catalog_entries()}
+        for name in (
+            "character_repetition_filter",
+            "word_repetition_filter",
+            "lowercase_mapper",
+            "document_deduplicator",
+            "document_minhash_deduplicator",
+            "document_simhash_deduplicator",
+        ):
+            assert execution[name] == "batched kernel", name
+        assert execution["clean_html_mapper"] == "per-row default"
+        assert execution["perplexity_filter"] == "per-row default"
+        assert execution["topk_specified_field_selector"] is None  # dataset-level
+        rendered = render_ops_catalog()
+        sample_level = [name for name, how in execution.items() if how is not None]
+        assert rendered.count("*Execution:* `") == len(sample_level)
+
     def test_render_is_deterministic(self):
         assert render_ops_catalog() == render_ops_catalog()
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ops.common import vectorized
 from repro.ops.common.helper_funcs import (
+    char_ngram_repetition_ratio,
     cjk_ratio,
     get_char_ngrams,
     get_ngrams,
@@ -19,6 +21,8 @@ from repro.ops.common.helper_funcs import (
 from repro.ops.common.lang_detect import detect_language
 from repro.ops.common.special_characters import is_special_character, special_character_ratio
 from repro.ops.common.unigram_lm import perplexity
+from repro.ops.common.vectorized import char_repetition_ratios, token_repetition_ratios
+from repro.ops.deduplicators.document_simhash_deduplicator import DocumentSimhashDeduplicator
 
 
 class TestTokenization:
@@ -144,3 +148,66 @@ class TestProperties:
     @settings(max_examples=50, deadline=None)
     def test_repetition_ratio_in_unit_interval(self, items, n):
         assert 0.0 <= ngram_repetition_ratio(items, n) <= 1.0
+
+
+#: texts from a small alphabet (repeats are likely), from every codepoint
+#: (lone surrogates included), and long enough to leave the grouped kernel
+_CHUNKS = st.text(alphabet="abcdefgh \u0416\u4e2d", min_size=1, max_size=30)
+_TEXTS = st.one_of(
+    st.text(alphabet="ab c", max_size=80),
+    st.text(alphabet=st.characters(), max_size=40),
+    st.tuples(_CHUNKS, _CHUNKS).map(lambda pair: pair[0] * 50 + pair[1] * 50 + pair[0][::-1] * 20),
+)
+_TOKENS = st.sampled_from(["a", "b", "the", "of", "\u6570", "x1"])
+
+
+class TestVectorizedKernelsMatchTheHelpers:
+    """The batched kernels are bit-identical to the per-sample helpers on
+    every path a document can take, with and without numpy."""
+
+    @given(st.lists(_TEXTS, max_size=6), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_char_repetition_ratios(self, texts, n):
+        expected = [char_ngram_repetition_ratio(text, n) for text in texts]
+        assert char_repetition_ratios(texts, n) == expected
+        assert expected == [ngram_repetition_ratio(text, n) for text in texts]
+
+    @given(
+        st.lists(
+            st.one_of(st.lists(_TOKENS, max_size=40), st.lists(_TOKENS, min_size=250, max_size=300)),
+            max_size=4,
+        ),
+        st.integers(1, 70),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_token_repetition_ratios(self, token_lists, n):
+        """Lists on both sides of the id-kernel crossover, n past one sort key."""
+        expected = [ngram_repetition_ratio(tokens, n) for tokens in token_lists]
+        assert token_repetition_ratios(token_lists, n) == expected
+
+    def test_pure_python_fallbacks_return_the_same_values(self, monkeypatch):
+        texts = ["abcabcabc " * 300, "\u0416" * 40, "", "ab"]
+        token_lists = [text.split() * 40 for text in ("a b c a b d", "x")]
+        with_numpy = char_repetition_ratios(texts, 4), token_repetition_ratios(token_lists, 2)
+        monkeypatch.setattr(vectorized, "_np", None)
+        assert (char_repetition_ratios(texts, 4), token_repetition_ratios(token_lists, 2)) == with_numpy
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet="ab ,.", max_size=60),
+                st.text(max_size=30),
+                st.lists(st.sampled_from(["data", "juicer", "the", "of", "Model"]), max_size=8).map(
+                    lambda words: " ".join(words * 45)
+                ),
+            ),
+            max_size=5,
+        ),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_simhash_fingerprints_batched(self, texts, ngram_size, lowercase):
+        """Rows with no feature, fewer words than a shingle, and > 255 features."""
+        op = DocumentSimhashDeduplicator(ngram_size=ngram_size, lowercase=lowercase)
+        assert op._fingerprints_batched(texts) == [op._fingerprint(text) for text in texts]

@@ -117,6 +117,35 @@ class TestRepetitionFilters:
         text = "every word in this particular sentence appears exactly once today friends"
         assert keep(WordRepetitionFilter(rep_len=2, max_ratio=0.2), text)
 
+    def test_long_ascii_document_is_counted_without_a_per_document_argsort(self, monkeypatch):
+        """Counted, not timed: past the grouped kernel's length cap the alphabet
+        comes from a table lookup, never from ``np.unique(return_inverse=True)``."""
+        import random
+
+        import numpy
+
+        from repro.core.dataset import NestedDataset
+        from repro.ops.common.helper_funcs import char_ngram_repetition_ratio
+
+        words = "the data juicer cleans a large corpus of web text, every day.".split()
+        text = " ".join(random.Random(3).choices(words, k=2_000))
+        assert len(text) > 10_000 and text.isascii()
+        inverse_calls = []
+        real_unique = numpy.unique
+
+        def counting_unique(*args, **kwargs):
+            if kwargs.get("return_inverse") or (len(args) > 2 and args[2]):
+                inverse_calls.append(args)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(numpy, "unique", counting_unique)
+        for rep_len in (8, 10):  # shared dense table / per-document presence table
+            filter_op = CharacterRepetitionFilter(rep_len=rep_len, max_ratio=1.0)
+            out = filter_op.run(NestedDataset.from_list([{"text": text}]))
+            ratio = out[0][Fields.stats][StatsKeys.char_rep_ratio]
+            assert ratio == char_ngram_repetition_ratio(text, rep_len) > 0.0
+        assert inverse_calls == []
+
     def test_invalid_rep_len(self):
         import pytest
 
