@@ -294,6 +294,12 @@ class Filter(OP):
 class Deduplicator(OP):
     """Duplicate removal operating at the dataset level via per-sample hashes."""
 
+    #: version of the hash-column cells :meth:`compute_hash` writes.  Stored
+    #: streaming shards carry those cells, so their keys digest it
+    #: (:func:`repro.core.stream.stage_chain_hash`): a subclass that changes
+    #: its cell representation bumps this and old entries read as misses
+    HASH_FORMAT = 0
+
     def compute_hash(self, sample: dict) -> dict:
         """Compute and store this deduplicator's hash/signature on the sample."""
         raise NotImplementedError

@@ -36,6 +36,7 @@ the streaming spill is the same entry the mask pass reads back.
 from __future__ import annotations
 
 import shutil
+import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
@@ -626,6 +627,10 @@ class Executor:
                 "resumed_shards": 0,
                 "executed_shards": 0,
                 "cached_shards": 0,
+                # the largest signature table a global resolve held on the
+                # host: its rows and the ``sys.getsizeof`` of its cells
+                "signature_rows": 0,
+                "signature_bytes": 0,
             }
             source = self._input_shards(dataset, progress)
 
@@ -823,7 +828,10 @@ class Executor:
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
-        signature_rows: list[dict] = []
+        text_key = getattr(global_op, "text_key", Fields.text)
+        #: the signature columns, grown shard by shard (never a dict per row)
+        columns: dict[str, list] = {}
+        total = 0
         #: (store key, row count) of every shard, in corpus order
         stored_shards: list[tuple[str, int]] = []
 
@@ -834,19 +842,26 @@ class Executor:
             stored_shards.append((key, len(out_rows)))
             if out_rows:
                 # every row of a shard carries the same keys (to_list unions
-                # columns shard-wide); keys differing *across* shards are
-                # None-filled by the signature from_list, exactly like the
+                # columns shard-wide); a column first seen in a later shard,
+                # or absent from one, is None-filled, exactly like the
                 # in-memory dataset's global column union
-                columns = signature_column_names(
-                    global_op, list(out_rows[0].keys()), getattr(global_op, "text_key", Fields.text)
-                )
-                base_id = len(signature_rows)
-                for offset, row in enumerate(out_rows):
-                    skinny = {name: row.get(name) for name in columns}
-                    skinny[ROW_ID_COLUMN] = base_id + offset
-                    signature_rows.append(skinny)
+                names = signature_column_names(global_op, list(out_rows[0].keys()), text_key)
+                for name in names:
+                    if name not in columns:
+                        columns[name] = [None] * total
+                    columns[name].extend([row.get(name) for row in out_rows])
+                total += len(out_rows)
+                for column in columns.values():
+                    column.extend([None] * (total - len(column)))
 
-        signature = NestedDataset.from_list(signature_rows)
+        progress["signature_rows"] = max(progress["signature_rows"], total)
+        progress["signature_bytes"] = max(
+            progress["signature_bytes"],
+            sum(sum(map(sys.getsizeof, column)) for column in columns.values()),
+        )
+        columns[ROW_ID_COLUMN] = list(range(total))
+        signature = NestedDataset(columns)
+        del columns
         with self._profiler.track(global_op, rows_in=len(signature)) as tracking:
             # the global resolve has no shard to contain failures to: retry
             # per the policy, abort with full context under ``raise``, and
@@ -873,7 +888,7 @@ class Executor:
                 dropped_columns = [
                     name
                     for name in (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
-                    if signature_rows and name in signature_rows[0]
+                    if name in signature.column_names
                 ]
             tracking.rows_out = sum(keep_mask)
         tracer = self.tracer
@@ -881,7 +896,7 @@ class Executor:
             # Selectors trace as filters, exactly like ``Selector.run``
             trace_type = "deduplicator" if isinstance(global_op, Deduplicator) else "filter"
             tracer.observe_global(global_op, trace_type, len(keep_mask), sum(keep_mask))
-        del signature, signature_rows
+        del signature
 
         def masked_shards() -> Iterator[list[dict]]:
             offset = 0

@@ -214,13 +214,17 @@ def stage_chain_hash(segment: StreamSegment) -> str:
 
     Digests the ordered config hashes of every shard-local op, plus the
     hashing stage of a closing Deduplicator (whose hash columns are part of
-    the stored shard output).  Together with a shard's input signature this
-    keys the shard's store entry: equal keys guarantee a replayed shard is
-    byte-equal to recomputation.
+    the stored shard output) and, once it is past 0, the version of that
+    op's hash cells — store keys carry no payload version of their own.
+    Together with a shard's input signature this keys the shard's store
+    entry: equal keys guarantee a replayed shard is byte-equal to
+    recomputation.
     """
     parts = [op_config_hash(op) for op in segment.sample_ops]
-    if isinstance(segment.global_op, Deduplicator):
-        parts.append("hash:" + op_config_hash(segment.global_op))
+    global_op = segment.global_op
+    if isinstance(global_op, Deduplicator):
+        version = f"v{global_op.HASH_FORMAT}:" if global_op.HASH_FORMAT else ""
+        parts.append("hash:" + version + op_config_hash(global_op))
     return _stable_hash(parts)
 
 

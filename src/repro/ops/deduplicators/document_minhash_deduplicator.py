@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from itertools import chain
+from typing import Iterable
 
 from repro.core.base_op import Deduplicator
 from repro.core.batch import get_text_column
 from repro.core.dataset import NestedDataset
 from repro.core.registry import OPERATORS
 from repro.core.sample import HashKeys
-from repro.ops.common.helper_funcs import get_words_from_text, words_refinement
+from repro.ops.common.helper_funcs import get_ngrams, get_words_from_text, words_refinement
 
 _MERSENNE_PRIME = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
@@ -21,7 +23,7 @@ def _shingle_hash(shingle: tuple[str, ...]) -> int:
     return struct.unpack("<I", digest[:4])[0]
 
 
-def _bulk_shingle_hashes(keys: list[str]):
+def _bulk_shingle_hashes(keys: Iterable[str]):
     """Hash many joined shingles in one pass, returning a uint64 numpy array.
 
     Equivalent to ``[_shingle_hash(...)]`` per shingle (same md5, same 4
@@ -62,6 +64,11 @@ class DocumentMinhashDeduplicator(Deduplicator):
     candidate pairs whose estimated Jaccard similarity exceeds
     ``jaccard_threshold`` are clustered and only the first document of each
     cluster is kept.
+
+    The signature travels as one packed ``__minhash__`` cell per row:
+    ``num_permutations`` little-endian uint32 values in a ``bytes`` object
+    (``4 * num_permutations`` bytes of payload), so the global clustering
+    reads the whole column as one ``(rows, num_permutations)`` array.
     """
 
     PARAM_SPECS = {
@@ -76,6 +83,10 @@ class DocumentMinhashDeduplicator(Deduplicator):
         "lowercase": {"doc": "lowercase text before shingling"},
         "seed": {"doc": "permutation RNG seed"},
     }
+
+    #: 1 = packed bytes; a store holding format-0 cells (a list of ints each)
+    #: must read as a miss, :meth:`process` cannot cluster them
+    HASH_FORMAT = 1
 
     def __init__(
         self,
@@ -111,85 +122,140 @@ class DocumentMinhashDeduplicator(Deduplicator):
             for _ in range(self.num_permutations)
         ]
 
-    def _shingle_keys(self, text: str) -> list[str]:
-        """Joined word shingles of a text (empty when the text has no words).
-
-        Builds the space-joined keys directly from word slices — identical to
-        ``" ".join`` over :func:`get_ngrams` tuples, without materialising the
-        tuples.
-        """
-        words = words_refinement(
+    def _words(self, text: str) -> list[str]:
+        return words_refinement(
             get_words_from_text(text, lowercase=self.lowercase), lower_case=self.lowercase
         )
-        if not words:
-            return []
-        total = len(words) - self.ngram_size + 1
-        if total <= 0:
-            return [" ".join(words)]
-        join = " ".join
-        size = self.ngram_size
-        return [join(words[index:index + size]) for index in range(total)]
 
-    #: unique-shingle cap per signature group; bounds the (U, P) permuted
-    #: matrix to a few MB regardless of the caller's batch size
-    _MAX_GROUP_SHINGLES = 1 << 11
+    def _coefficients(self):
+        """The permutations as two (P,) uint64 arrays ``a``, ``b`` of ``a·h + b``."""
+        import numpy as np
 
-    def _signatures_batched(self, texts: list[str]) -> list[list[int]]:
+        coeff_a, coeff_b = zip(*self._permutations)
+        return np.array(coeff_a, dtype=np.uint64), np.array(coeff_b, dtype=np.uint64)
+
+    def _signature(self, text: str) -> bytes:
+        """The per-sample reference: one md5 per shingle occurrence, one (P, S) matrix.
+
+        :meth:`_signatures_batched` must return exactly these bytes; a text
+        without words signs as all ``0xFFFFFFFF``, one with fewer words than
+        ``ngram_size`` as its single short shingle.
+        """
+        import numpy as np
+
+        words = self._words(text)
+        shingles = (get_ngrams(words, self.ngram_size) or [tuple(words)]) if words else []
+        if not shingles:
+            return b"\xff" * (4 * self.num_permutations)
+        hashes = np.array([_shingle_hash(shingle) for shingle in shingles], dtype=np.uint64)
+        coeff_a, coeff_b = self._coefficients()
+        permuted = (coeff_a[:, None] * hashes[None, :] + coeff_b[:, None]) % _MERSENNE_PRIME
+        return self._pack(permuted.min(axis=1))
+
+    #: Shingle occurrences (counted once per document) of one signature
+    #: group, which closes between documents once it holds this many.  A
+    #: longer document is folded on its own in runs of this many
+    #: (:meth:`_signature_folded`), so no group exceeds twice the cap and its
+    #: two uint64 matrices — (distinct, P) permuted and the (occurrences, P)
+    #: one gathered from it, distinct <= occurrences — stay under 1 MB each
+    #: at the default 64 permutations, whatever the caller's batch size or
+    #: the document length.  Measured: the C4 recipe of fig8 peaks at 2.1 MB
+    #: of Python heap with 1024, at 3.3 MB with 2048; hashing is no slower.
+    _MAX_GROUP_SHINGLES = 1 << 10
+
+    def _signatures_batched(self, texts: list[str]) -> list[bytes]:
         """MinHash signatures for many texts with a bulk-hash pass per group.
 
         All distinct shingles of a group of documents are md5-hashed once
         (duplicate shingles — common in repetitive web text — are hashed a
-        single time), then each document's signature reduces its shingle-hash
-        vector under the shared permutations.  Signatures are bit-identical
-        to the per-shingle ``_shingle_hash`` loop this replaces.
+        single time) and interned as row numbers of the group's permuted
+        matrix while they are cut; a document is the *set* of its rows, since
+        a minimum does not care about repeats.  Signatures are bit-identical
+        to the per-sample :meth:`_signature`.
         """
-        signatures: list[list[int]] = []
-        group: list[list[str]] = []
+        size, join, cap = self.ngram_size, " ".join, self._MAX_GROUP_SHINGLES
+        signatures: list[bytes] = []
+        group: list[set[int]] = []
         unique: dict[str, int] = {}
+        occurrences = 0
         for text in texts:
-            keys = self._shingle_keys(text)
-            group.append(keys)
-            for key in keys:
-                if key not in unique:
-                    unique[key] = len(unique)
-            if len(unique) >= self._MAX_GROUP_SHINGLES:
+            words = self._words(text)
+            # fewer words than ``ngram_size`` make one short shingle
+            total = max(len(words) - size + 1, 1) if words else 0
+            if total <= cap:
+                intern = unique.setdefault
+                rows = {
+                    intern(join(words[index:index + size]), len(unique)) for index in range(total)
+                }
+                group.append(rows)
+                occurrences += len(rows)
+            if total > cap or occurrences >= cap:
                 signatures.extend(self._signatures_group(group, unique))
-                group, unique = [], {}
-        if group:
-            signatures.extend(self._signatures_group(group, unique))
+                group, unique, occurrences = [], {}, 0
+            if total > cap:
+                signatures.append(self._signature_folded(words))
+        signatures.extend(self._signatures_group(group, unique))
         return signatures
 
-    def _signatures_group(self, doc_keys: list[list[str]], unique: dict[str, int]) -> list[list[int]]:
+    def _permuted(self, keys: Iterable[str]):
+        """``(a·h + b) mod p`` of every shingle under every permutation: (keys, P) uint64."""
         import numpy as np
 
-        hashes = _bulk_shingle_hashes(list(unique))
-        coeff_a = np.array([a for a, _ in self._permutations], dtype=np.uint64)[None, :]
-        coeff_b = np.array([b for _, b in self._permutations], dtype=np.uint64)[None, :]
-        # permute every *unique* shingle hash once for the whole group (row
-        # chunks bound the multiply temporaries); layout is (U, P) so a
-        # document's gather reads contiguous rows
-        permuted = np.empty((hashes.size, self.num_permutations), dtype=np.uint64)
-        chunk = 1 << 9
-        with np.errstate(over="ignore"):
-            for start in range(0, hashes.size, chunk):
-                stop = start + chunk
-                permuted[start:stop] = (
-                    hashes[start:stop, None] * coeff_a + coeff_b
-                ) % _MERSENNE_PRIME
-        mask = np.uint64(_MAX_HASH)
-        empty = [_MAX_HASH] * self.num_permutations
-        signatures: list[list[int]] = []
-        for keys in doc_keys:
-            if not keys:
-                signatures.append(list(empty))
-                continue
-            indices = np.fromiter((unique[key] for key in keys), dtype=np.intp, count=len(keys))
-            signature = (permuted[indices].min(axis=0) & mask).astype(np.uint64)
-            signatures.append([int(value) for value in signature])
+        hashes = _bulk_shingle_hashes(keys)
+        coeff_a, coeff_b = self._coefficients()
+        # in place: the matrix is the only allocation of its size
+        permuted = np.multiply(hashes[:, None], coeff_a)
+        permuted += coeff_b
+        permuted %= _MERSENNE_PRIME
+        return permuted
+
+    @staticmethod
+    def _pack(minima) -> bytes:
+        """Per-permutation minima (trailing axis P, uint64) as packed signature bytes."""
+        import numpy as np
+
+        return (minima & np.uint64(_MAX_HASH)).astype("<u4").tobytes()
+
+    def _signatures_group(self, group: list[set[int]], unique: dict[str, int]) -> list[bytes]:
+        """Signatures of one group: one gather and one segmented minimum."""
+        import numpy as np
+
+        width = 4 * self.num_permutations
+        signatures = [b"\xff" * width] * len(group)  # what a text without words signs as
+        # an empty set gets no segment: reduceat would read the next row
+        shingled = [index for index, rows in enumerate(group) if rows]
+        if not shingled:
+            return signatures
+        lengths = np.array([len(group[index]) for index in shingled])
+        rows = np.fromiter(chain.from_iterable(group), dtype=np.intp, count=int(lengths.sum()))
+        packed = self._pack(
+            np.minimum.reduceat(
+                self._permuted(unique).take(rows, axis=0), np.cumsum(lengths) - lengths, axis=0
+            )
+        )
+        for slot, index in enumerate(shingled):
+            signatures[index] = packed[slot * width:(slot + 1) * width]
         return signatures
 
-    def _signature(self, text: str) -> list[int]:
-        return self._signatures_batched([text])[0]
+    def _signature_folded(self, words: list[str]) -> bytes:
+        """Signature of one document with more shingles than a group holds.
+
+        A running minimum over runs of ``_MAX_GROUP_SHINGLES`` consecutive
+        shingles, so neither the shingle strings nor the permuted matrix of
+        the whole document ever exist at once.
+        """
+        import numpy as np
+
+        size, join, run = self.ngram_size, " ".join, self._MAX_GROUP_SHINGLES
+        total = len(words) - size + 1
+        minima = None
+        for start in range(0, total, run):
+            keys = {
+                join(words[index:index + size]) for index in range(start, min(start + run, total))
+            }
+            lowest = self._permuted(keys).min(axis=0)
+            minima = lowest if minima is None else np.minimum(minima, lowest)
+        return self._pack(minima)
 
     def compute_hash(self, sample: dict) -> dict:
         sample[HashKeys.minhash] = self._signature(self.get_text(sample))
@@ -202,39 +268,72 @@ class DocumentMinhashDeduplicator(Deduplicator):
         samples[HashKeys.minhash] = self._signatures_batched(texts)
         return samples
 
-    @staticmethod
-    def _estimated_jaccard(sig_a: list[int], sig_b: list[int]) -> float:
-        matches = sum(1 for a, b in zip(sig_a, sig_b) if a == b)
-        return matches / len(sig_a) if sig_a else 0.0
+    #: candidate pairs compared at once: two gathered (pairs, P) uint32
+    #: blocks and their comparison, ~1.2 MB at 64 permutations
+    _COMPARE_CHUNK = 1 << 11
+
+    def _similar_pairs(self, table):
+        """Row pairs of the signature ``table`` that share a band and pass the threshold.
+
+        Per band, rows are grouped on the band's columns and every other
+        member of a bucket is paired with the bucket's first row.  The
+        passing pairs come back as two index arrays ``(first, other)``
+        ordered by (first, band, other) — bucket by bucket in the order a
+        row-by-row insertion would have created the buckets — each pair once,
+        under the first band it shares.
+        """
+        import numpy as np
+
+        rows = len(table)
+        found: list[tuple] = []
+        for band in range(self.num_bands):
+            keys = table[:, band * self._rows_per_band:(band + 1) * self._rows_per_band]
+            order = np.lexsort(keys.T[::-1])  # stable: a bucket's rows stay in row order
+            ordered = keys[order]
+            first = np.ones(rows, dtype=bool)
+            first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+            others = np.flatnonzero(~first)
+            anchors = order[np.flatnonzero(first)[np.cumsum(first)[others] - 1]]
+            others = order[others]
+            for start in range(0, others.size, self._COMPARE_CHUNK):
+                anchor = anchors[start:start + self._COMPARE_CHUNK]
+                other = others[start:start + self._COMPARE_CHUNK]
+                similar = (table[anchor] == table[other]).sum(axis=1) / self.num_permutations
+                passing = similar >= self.jaccard_threshold
+                if passing.any():
+                    anchor = anchor[passing]
+                    found.append((anchor, np.full(anchor.size, band), other[passing]))
+        if not found:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        anchor, band, other = (np.concatenate(column) for column in zip(*found))
+        # near-duplicates meet again in most further bands, where uniting
+        # them a second time changes nothing: keep each pair's first band
+        _, kept = np.unique(anchor * rows + other, return_index=True)
+        anchor, band, other = anchor[kept], band[kept], other[kept]
+        order = np.lexsort((other, band, anchor))
+        return anchor[order], other[order]
 
     def process(self, dataset: NestedDataset, show_num: int = 0) -> tuple[NestedDataset, list]:
-        signatures = [
-            signature or [] for signature in self.hash_column(dataset, HashKeys.minhash)
-        ]
-        union_find = _UnionFind(len(signatures))
-        buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        for index, signature in enumerate(signatures):
-            if not signature:
-                continue
-            for band in range(self.num_bands):
-                start = band * self._rows_per_band
-                key = (band, tuple(signature[start:start + self._rows_per_band]))
-                buckets.setdefault(key, []).append(index)
+        import numpy as np
+
+        cells = self.hash_column(dataset, HashKeys.minhash)
+        # rows without a signature (never hashed, None-filled) stay unclustered
+        signed = np.flatnonzero(np.fromiter(map(bool, cells), dtype=bool, count=len(cells)))
+        table = np.frombuffer(b"".join(filter(None, cells)), dtype="<u4").reshape(
+            signed.size, self.num_permutations
+        )
+        del cells
+        anchors, others = self._similar_pairs(table)
+        union_find = _UnionFind(len(dataset))
         duplicate_pairs: list[tuple[dict, dict]] = []
-        for indices in buckets.values():
-            if len(indices) < 2:
+        for anchor, other in zip(signed[anchors].tolist(), signed[others].tolist()):
+            if union_find.find(anchor) == union_find.find(other):
                 continue
-            anchor = indices[0]
-            for other in indices[1:]:
-                if union_find.find(anchor) == union_find.find(other):
-                    continue
-                similarity = self._estimated_jaccard(signatures[anchor], signatures[other])
-                if similarity >= self.jaccard_threshold:
-                    union_find.union(anchor, other)
-                    if len(duplicate_pairs) < show_num:
-                        duplicate_pairs.append((dataset[anchor], dataset[other]))
+            union_find.union(anchor, other)
+            if len(duplicate_pairs) < show_num:
+                duplicate_pairs.append((dataset[anchor], dataset[other]))
         keep_indices = [
-            index for index in range(len(signatures)) if union_find.find(index) == index
+            index for index in range(len(dataset)) if union_find.find(index) == index
         ]
         deduped = dataset.select(keep_indices).remove_columns(HashKeys.minhash)
         return deduped, duplicate_pairs

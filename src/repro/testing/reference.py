@@ -1,15 +1,22 @@
-"""The per-row reference the op engine is tested against.
+"""The per-row references the op engine is tested against.
 
 ``op.run`` executes column batches.  :func:`run_per_row` is the oracle for
 it: a serial loop over the per-sample methods (``process`` / ``compute_stats``
 / ``compute_hash``) that must yield the same rows, the same stats and the
 same fingerprint for every registered sample-level operator
 (``tests/test_batch_equivalence.py``, ``benchmarks/test_batch_throughput.py``).
+
+The MinHash deduplicator computes on packed arrays end to end, so it has two
+plain-Python oracles of its own here: :func:`minhash_signature` (exact
+integer arithmetic, no numpy) for the signature kernels and
+:func:`minhash_clusters` (the row-by-row bucket / union-find loop) for the
+array-level LSH clustering of its ``process``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import struct
+from typing import Any, Sequence
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.dataset import NestedDataset
@@ -38,3 +45,76 @@ def run_per_row(op: Any, dataset: NestedDataset, tracer: Any = None) -> NestedDa
     else:
         raise TypeError(f"{type(op).__name__} has no per-row execution path")
     return result
+
+
+def minhash_signature(op: Any, text: str) -> bytes:
+    """The packed MinHash signature of ``text``, in Python integers only.
+
+    One ``_shingle_hash`` per shingle occurrence, ``(a·h + b) mod p`` for
+    every permutation without a fixed-width integer in sight, the minimum,
+    its low 32 bits.  Slow by design (shingles x permutations big-int
+    operations): it is what :meth:`DocumentMinhashDeduplicator._signature`
+    and ``_signatures_batched`` are held to, not what any run calls.
+    """
+    from repro.ops.common.helper_funcs import get_ngrams, get_words_from_text, words_refinement
+    from repro.ops.deduplicators.document_minhash_deduplicator import (
+        _MAX_HASH,
+        _MERSENNE_PRIME,
+        _shingle_hash,
+    )
+
+    words = words_refinement(
+        get_words_from_text(text, lowercase=op.lowercase), lower_case=op.lowercase
+    )
+    shingles = (get_ngrams(words, op.ngram_size) or [tuple(words)]) if words else []
+    hashes = [_shingle_hash(shingle) for shingle in shingles]
+    return struct.pack(
+        f"<{op.num_permutations}I",
+        *(
+            min((a * value + b) % _MERSENNE_PRIME for value in hashes) & _MAX_HASH
+            if hashes
+            else _MAX_HASH
+            for a, b in op._permutations
+        ),
+    )
+
+
+def minhash_clusters(
+    op: Any, signatures: Sequence[Sequence[int] | None], show_num: int = 0
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Kept row indices and the first ``show_num`` united pairs, row by row.
+
+    The loop ``DocumentMinhashDeduplicator.process`` ran before it clustered
+    on arrays: every signed row enters one bucket per LSH band, buckets are
+    visited in creation order, each member is compared with its bucket's
+    first row (estimated Jaccard = share of equal positions) and united with
+    it when the threshold is met.  ``signatures`` holds one sequence of
+    ``num_permutations`` ints per row; a row with ``None`` or an empty one is
+    never clustered.
+    """
+    from repro.ops.deduplicators.document_minhash_deduplicator import _UnionFind
+
+    band_width = op.num_permutations // op.num_bands
+    union_find = _UnionFind(len(signatures))
+    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for index, signature in enumerate(signatures):
+        if not signature:
+            continue
+        for band in range(op.num_bands):
+            key = (band, tuple(signature[band * band_width:(band + 1) * band_width]))
+            buckets.setdefault(key, []).append(index)
+    united: list[tuple[int, int]] = []
+    for indices in buckets.values():
+        anchor = indices[0]
+        for other in indices[1:]:
+            if union_find.find(anchor) == union_find.find(other):
+                continue
+            matches = sum(
+                1 for left, right in zip(signatures[anchor], signatures[other]) if left == right
+            )
+            if matches / len(signatures[anchor]) >= op.jaccard_threshold:
+                union_find.union(anchor, other)
+                if len(united) < show_num:
+                    united.append((anchor, other))
+    kept = [index for index in range(len(signatures)) if union_find.find(index) == index]
+    return kept, united

@@ -22,7 +22,9 @@ from repro.ops.common.lang_detect import detect_language
 from repro.ops.common.special_characters import is_special_character, special_character_ratio
 from repro.ops.common.unigram_lm import perplexity
 from repro.ops.common.vectorized import char_repetition_ratios, token_repetition_ratios
+from repro.ops.deduplicators.document_minhash_deduplicator import DocumentMinhashDeduplicator
 from repro.ops.deduplicators.document_simhash_deduplicator import DocumentSimhashDeduplicator
+from repro.testing.reference import minhash_signature
 
 
 class TestTokenization:
@@ -211,3 +213,38 @@ class TestVectorizedKernelsMatchTheHelpers:
         """Rows with no feature, fewer words than a shingle, and > 255 features."""
         op = DocumentSimhashDeduplicator(ngram_size=ngram_size, lowercase=lowercase)
         assert op._fingerprints_batched(texts) == [op._fingerprint(text) for text in texts]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(""),
+                st.text(alphabet="ab ,.", max_size=60),
+                st.text(max_size=30),
+                st.lists(st.sampled_from(["data", "juicer", "the", "of", "Model"]), max_size=8).map(
+                    lambda words: " ".join(words * 5)
+                ),
+                st.lists(st.integers(0, 40), min_size=12, max_size=40).map(
+                    lambda numbers: " ".join(f"w{number}" for number in numbers)
+                ),
+            ),
+            max_size=6,
+        ),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([1, 7, 1 << 10, 1 << 20]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_minhash_signatures_batched(self, texts, ngram_size, lowercase, cap):
+        """Empty texts, fewer words than a shingle, repeated shingles, mostly
+        distinct ones; a cap of 1 folds every document shingle by shingle, 7
+        mixes grouped and folded documents (with a partial last run), the
+        huge one puts the whole batch into one group.
+        Both the batched kernel and the per-sample numpy reference equal the
+        Python-integer oracle."""
+        op = DocumentMinhashDeduplicator(
+            ngram_size=ngram_size, lowercase=lowercase, num_permutations=8, num_bands=2
+        )
+        op._MAX_GROUP_SHINGLES = cap
+        expected = [minhash_signature(op, text) for text in texts]
+        assert [op._signature(text) for text in texts] == expected
+        assert op._signatures_batched(texts) == expected

@@ -1,6 +1,11 @@
 """Tests for the exact-hash, MinHash-LSH and SimHash deduplicators."""
 
+import struct
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataset import NestedDataset
 from repro.core.sample import HashKeys
@@ -12,6 +17,7 @@ from repro.ops.deduplicators.document_simhash_deduplicator import (
     DocumentSimhashDeduplicator,
     hamming_distance,
 )
+from repro.testing.reference import minhash_clusters, minhash_signature
 
 BASE = (
     "The data processing system cleans and filters the large training corpus "
@@ -82,8 +88,10 @@ class TestMinhashDeduplicator:
 
     def test_signature_width_matches_permutations(self):
         dedup = DocumentMinhashDeduplicator(num_permutations=32, num_bands=8)
-        hashed = dedup.compute_hash({"text": BASE})
-        assert len(hashed[HashKeys.minhash]) == 32
+        cell = dedup.compute_hash({"text": BASE})[HashKeys.minhash]
+        # one packed cell: 32 little-endian uint32 values
+        assert isinstance(cell, bytes) and len(cell) == 4 * 32
+        assert dedup.compute_hash({"text": ""})[HashKeys.minhash] == b"\xff" * (4 * 32)
 
     def test_bands_must_divide_permutations(self):
         with pytest.raises(ValueError):
@@ -92,6 +100,59 @@ class TestMinhashDeduplicator:
     def test_empty_text_does_not_crash(self):
         out = DocumentMinhashDeduplicator().run(dataset(["", BASE]))
         assert len(out) >= 1
+
+    def test_a_document_longer_than_a_group_is_folded_in_bounded_memory(self):
+        """A 100 000-distinct-word text (0.69 MB) once took 134 MB of traced
+        heap: a group only closed *between* documents.  Folded in runs it stays
+        far below its own (shingles, P) matrix (51 MB)."""
+        dedup = DocumentMinhashDeduplicator()
+        text = " ".join(f"w{index}" for index in range(100_000))
+        tracemalloc.start()
+        try:
+            (cell,) = dedup._signatures_batched([text])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45e6
+        # the permutations are drawn in order, so a 4-wide op is the oracle
+        # for the first 4 values at a sixteenth of the big-integer work
+        prefix = DocumentMinhashDeduplicator(num_permutations=4, num_bands=1)
+        assert cell[:16] == minhash_signature(prefix, text)
+        assert len(cell) == 256 and cell != b"\xff" * 256
+
+    def test_one_segmented_minimum_per_group_and_no_array_per_document(self, monkeypatch):
+        """Counted, not timed: ``np.minimum.reduceat`` once per group (a
+        folded document has none) and ``np.fromiter`` once per group, never
+        once per document."""
+        import numpy as np
+
+        calls = {"reduceat": 0, "fromiter": 0}
+
+        class CountingMinimum:
+            def __call__(self, *args, **kwargs):
+                return real_minimum(*args, **kwargs)
+
+            def reduceat(self, *args, **kwargs):
+                calls["reduceat"] += 1
+                return real_minimum.reduceat(*args, **kwargs)
+
+        def counting_fromiter(*args, **kwargs):
+            calls["fromiter"] += 1
+            return real_fromiter(*args, **kwargs)
+
+        real_minimum, real_fromiter = np.minimum, np.fromiter
+        dedup = DocumentMinhashDeduplicator(ngram_size=1)
+        dedup._MAX_GROUP_SHINGLES = 40
+        # 10 shingles a document, so a group closes with every fourth one:
+        # 2 groups, then the 61-shingle document closes the open third and is
+        # folded alone, then 20 documents make 5 more
+        texts = [" ".join(f"d{index}w{word}" for word in range(10)) for index in range(30)]
+        texts.insert(10, " ".join(f"w{index}" for index in range(61)))
+        expected = [dedup._signature(text) for text in texts]
+        monkeypatch.setattr(np, "minimum", CountingMinimum())
+        monkeypatch.setattr(np, "fromiter", counting_fromiter)
+        assert dedup._signatures_batched(texts) == expected
+        assert calls == {"reduceat": 8, "fromiter": 8}
 
 
 class TestSimhashDeduplicator:
@@ -169,6 +230,73 @@ class TestSimhashDeduplicator:
         for cap in (1, 25, 1 << 16):
             monkeypatch.setattr(DocumentSimhashDeduplicator, "_MAX_GROUP_FEATURES", cap)
             assert dedup._fingerprints_batched(texts) == expected
+
+
+def _edited(base: int, column: int, value: int) -> list[int]:
+    signature = [base] * 8
+    signature[column] = value
+    return signature
+
+
+#: signature tables whose bands collide all the time: rows over a tiny
+#: alphabet, and one-value edits of three base rows (near-duplicates that
+#: meet in some bands and not in others, so the order buckets are visited in
+#: decides which pairs are shown).  ``None`` is a row that was never hashed,
+#: ``"empty"`` a text without words
+_SIGNATURES = st.lists(
+    st.one_of(
+        st.none(),
+        st.just("empty"),
+        st.lists(st.integers(0, 2), min_size=8, max_size=8),
+        st.lists(st.sampled_from([0, 1, (1 << 32) - 1]), min_size=8, max_size=8),
+        st.builds(_edited, st.integers(0, 2), st.integers(0, 7), st.integers(0, 3)),
+        st.builds(_edited, st.integers(0, 2), st.integers(0, 7), st.integers(0, 3)),
+    ),
+    max_size=40,
+)
+
+
+class TestMinhashClusteringMatchesTheRowByRowLoop:
+    @given(
+        _SIGNATURES,
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]),
+        st.sampled_from([1, 3, 1 << 11]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_kept_rows_and_shown_pairs(self, signatures, num_bands, threshold, chunk):
+        """Array-level LSH clustering == the bucket / union-find loop it
+        replaced, on the kept rows *and* on the pairs a tracer is shown —
+        also when candidate pairs are compared one or three at a time."""
+        dedup = DocumentMinhashDeduplicator(
+            num_permutations=8, num_bands=num_bands, jaccard_threshold=threshold
+        )
+        dedup._COMPARE_CHUNK = chunk
+        signatures = [[(1 << 32) - 1] * 8 if row == "empty" else row for row in signatures]
+        hashed = NestedDataset.from_list(
+            [
+                {"rid": rid, HashKeys.minhash: row and struct.pack("<8I", *row)}
+                for rid, row in enumerate(signatures)
+            ]
+        )
+        deduped, pairs = dedup.process(hashed, show_num=10)
+        kept, united = minhash_clusters(dedup, signatures, show_num=10)
+        assert deduped.column("rid") == kept if kept else len(deduped) == 0
+        assert [(left["rid"], right["rid"]) for left, right in pairs] == united
+        assert HashKeys.minhash not in deduped.column_names
+
+    def test_real_signatures_cluster_like_the_loop(self):
+        dedup = DocumentMinhashDeduplicator(jaccard_threshold=0.5)
+        texts = [BASE, OTHER, NEAR, "", BASE, NEAR + " and more", "", OTHER + " indeed"]
+        hashed = dedup.hash_stage(dataset(texts))
+        signatures = [struct.unpack("<64I", cell) for cell in hashed.column(HashKeys.minhash)]
+        deduped, pairs = dedup.process(hashed, show_num=10)
+        kept, united = minhash_clusters(dedup, signatures, show_num=10)
+        assert [row["text"] for row in deduped] == [texts[index] for index in kept]
+        assert [(a["text"], b["text"]) for a, b in pairs] == [
+            (texts[a], texts[b]) for a, b in united
+        ]
+        assert 1 < len(kept) < len(texts)
 
 
 DEDUPLICATORS = [DocumentDeduplicator, DocumentMinhashDeduplicator, DocumentSimhashDeduplicator]

@@ -17,6 +17,8 @@ Three layers under test:
 """
 
 import os
+import pickle
+import struct
 import sys
 import threading
 
@@ -33,6 +35,10 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
 from repro.core.errors import OpExecutionError, ReproError
 from repro.core.executor import Executor
+from repro.core.sample import HashKeys
+from repro.core.stream import StreamSegment, op_config_hash, stage_chain_hash
+from repro.ops import build_ops
+from repro.ops.deduplicators.document_minhash_deduplicator import DocumentMinhashDeduplicator
 from repro.recipes import get_recipe
 from repro.testing import FaultPlan
 
@@ -460,6 +466,55 @@ class TestStartOver:
         if mode == "streaming":
             assert second.last_report["shards"]["resumed_shards"] == 0
         assert second.checkpoint.read_state() == good_state
+
+
+class TestHashCellFormatIsPartOfTheKey:
+    """Store keys carry no payload version; a stored shard carries hash cells."""
+
+    PROCESS = [{"whitespace_normalization_mapper": {}}, {"document_minhash_deduplicator": {}}]
+
+    def test_a_store_of_the_older_minhash_cells_is_a_miss_not_a_crash(
+        self, tmp_path, input_path, monkeypatch
+    ):
+        reference, _ = run(tmp_path, "reference", input_path, self.PROCESS, "streaming", work="plain")
+        cache_dir = tmp_path / "work" / "cache"
+        # a cache_dir as the list-of-ints format left it: keys without a
+        # version, 64 boxed ints per cell
+        with monkeypatch.context() as older:
+            older.setattr(DocumentMinhashDeduplicator, "HASH_FORMAT", 0)
+            run(tmp_path, "older", input_path, self.PROCESS, "streaming", use_cache=True)
+            old_entries = entry_files(cache_dir)
+            for path in old_entries:
+                rows = pickle.loads(path.read_bytes())
+                for row in rows:
+                    row[HashKeys.minhash] = list(struct.unpack("<64I", row[HashKeys.minhash]))
+                path.write_bytes(pickle.dumps(rows))
+            # replayed into the array clustering, those cells end the run
+            with pytest.raises(OpExecutionError, match="document_minhash_deduplicator"):
+                run(tmp_path, "stale", input_path, self.PROCESS, "streaming", use_cache=True)
+        again, executor = run(tmp_path, "again", input_path, self.PROCESS, "streaming", use_cache=True)
+        assert again == reference
+        report = executor.last_report
+        assert report["cache"]["shard_hits"] == 0
+        assert report["shards"]["executed_shards"] == report["shards"]["input_shards"] > 2
+        assert len(entry_files(cache_dir)) == 2 * len(old_entries)
+
+    def test_only_a_bumped_format_changes_a_stage_key(self):
+        from repro.core.dataset import _stable_hash
+
+        formats = {}
+        for name in ("document_deduplicator", "document_minhash_deduplicator",
+                     "document_simhash_deduplicator"):
+            mapper, dedup = build_ops([{"lowercase_mapper": {}}, {name: {}}])
+            unversioned = _stable_hash([op_config_hash(mapper), "hash:" + op_config_hash(dedup)])
+            chain = stage_chain_hash(StreamSegment([mapper], dedup))
+            assert (chain == unversioned) == (dedup.HASH_FORMAT == 0)
+            formats[name] = dedup.HASH_FORMAT
+        assert formats == {
+            "document_deduplicator": 0,
+            "document_minhash_deduplicator": 1,
+            "document_simhash_deduplicator": 0,
+        }
 
 
 class TestMemoryResumeGuards:

@@ -7,6 +7,8 @@ holding more than one shard of payload in memory.
 
 import json
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -498,3 +500,106 @@ class TestStreamingFailureSafety:
 
         with pytest.raises(DatasetError, match="odd_deduplicator"):
             signature_column_names(OddDeduplicator(), ["text", "__odd_hash__"], "text")
+
+
+# ----------------------------------------------------------------------
+# The signature table of the global resolve
+# ----------------------------------------------------------------------
+def near_duplicate_rows(num_samples: int = 1500, seed: int = 5) -> list[dict]:
+    """Short paragraphs, three in ten a one-word edit of an earlier row."""
+    generator = DocumentGenerator(seed)
+    rng = random.Random(seed + 1)
+    rows: list[dict] = []
+    for _ in range(num_samples):
+        if rows and rng.random() < 0.3:
+            words = rng.choice(rows)["text"].split()
+            words[rng.randrange(len(words))] = "edited"
+            rows.append({"text": " ".join(words)})
+        else:
+            rows.append({"text": generator.paragraph(num_sentences=3)})
+    return rows
+
+
+class TestSignatureTable:
+    def test_minhash_resolve_holds_under_1kb_of_heap_per_row(self, tmp_path, monkeypatch):
+        """Counted, not timed.  What the host keeps per row of a MinHash
+        stage — from its first shard to the peak of its resolve — is the
+        packed cell (4·P + 33 B), the table copy (4·P) and the clustering's
+        index arrays; as int lists, per-row dicts and a tuple-keyed bucket
+        dict it was 6.3 KB.  The corpus is handed over in memory and its
+        shards are small, so no payload hides in the baseline."""
+        import repro.core.executor as executor_module
+
+        marks: dict[str, int] = {}
+        real_shard_output = Executor._shard_output
+        real_resolve = executor_module.resolve_global_keep
+
+        def shard_output(self, *args, **kwargs):
+            marks.setdefault("first_shard", tracemalloc.get_traced_memory()[0])
+            return real_shard_output(self, *args, **kwargs)
+
+        def resolve(op, signature):
+            tracemalloc.reset_peak()
+            try:
+                return real_resolve(op, signature)
+            finally:
+                marks["resolve_peak"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(Executor, "_shard_output", shard_output)
+        monkeypatch.setattr(executor_module, "resolve_global_keep", resolve)
+        corpus = NestedDataset.from_list(near_duplicate_rows())
+        executor = Executor(
+            {
+                "process": [{"document_minhash_deduplicator": {}}],
+                "work_dir": str(tmp_path / "work"),
+                "max_shard_rows": 100,
+            }
+        )
+        tracemalloc.start()
+        try:
+            report = executor.run_streaming(corpus)
+        finally:
+            tracemalloc.stop()
+        rows = report["shards"]["signature_rows"]
+        assert rows == len(corpus) > report["num_output_samples"]
+        assert report["shards"]["signature_bytes"] == rows * sys.getsizeof(bytes(4 * 64))
+        assert (marks["resolve_peak"] - marks["first_shard"]) / rows <= 1024
+
+    def test_report_carries_the_largest_signature_table(self, tmp_path):
+        """Max over the resolved stages: every row reaches the exact dedup
+        (a 32-char hex digest each), fewer reach the MinHash stage but its
+        cells are the bigger ones."""
+        rows = messy_corpus_rows(120)
+        config = {
+            "dataset_path": str(write_jsonl(tmp_path / "in.jsonl", rows)),
+            "process": [{"document_deduplicator": {}}, {"document_minhash_deduplicator": {}}],
+            "work_dir": str(tmp_path / "work"),
+            "max_shard_rows": 50,
+        }
+        report = Executor(config).run_streaming()
+        survivors = len({row["text"] for row in rows})
+        assert report["shards"]["signature_rows"] == len(rows)
+        assert report["shards"]["signature_bytes"] == max(
+            len(rows) * sys.getsizeof("0" * 32), survivors * sys.getsizeof(bytes(256))
+        )
+        rendered = report.render()
+        assert f"signature_rows={len(rows)}" in rendered and "signature_bytes=" in rendered
+
+    @pytest.mark.parametrize("field_key, kept", [("score", range(50, 70)), ("early", range(20, 30))])
+    def test_a_column_missing_from_some_shards_is_none_filled(self, tmp_path, field_key, kept):
+        """``score`` first appears in the second shard, ``early`` is gone
+        after it: both read as ``None`` where absent, so the ranking sees the
+        same column the in-memory dataset's column union gives it."""
+        rows = [{"text": f"early document number {index}", "early": index} for index in range(30)]
+        rows += [{"text": f"late document number {index}", "score": index} for index in range(30, 70)]
+        config = {
+            "process": [{"topk_specified_field_selector": {"field_key": field_key, "topk": len(kept)}}],
+            "work_dir": str(tmp_path / "work"),
+            "export_path": str(tmp_path / "out.jsonl"),
+            "max_shard_rows": 25,
+        }
+        Executor(config).run_streaming(NestedDataset.from_list(rows))
+        exported = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
+        assert [row["text"] for row in exported] == [rows[index]["text"] for index in kept]
+        in_memory = Executor({**config, "export_path": None}).run(NestedDataset.from_list(rows))
+        assert in_memory.column("text") == [row["text"] for row in exported]
