@@ -60,7 +60,7 @@ def reproduce_dedup_ablation() -> list[dict]:
     for name, (dedup, hash_key) in methods.items():
         digests = 0
         with mock.patch.object(hashlib, "md5", counting_md5):
-            cells = dedup.hash_stage(corpus).column(hash_key)
+            cells = dedup.sample_stage(corpus).column(hash_key)
         elapsed, output = time_call(dedup.run, corpus)
         rows.append(
             {

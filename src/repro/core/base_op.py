@@ -8,13 +8,15 @@ the boolean keep/drop decision in Filters (``compute_stats`` vs ``process``),
 which lets the Analyzer consume statistics for the *whole* dataset and lets
 fused operators share per-sample contexts.
 
-There is one way to run an op: ``op.run(dataset, tracer=, pool=)`` hands the
-operator column batches (``dict[str, list]`` slices, see
-:mod:`repro.core.batch`) — in the worker processes when ``pool`` holds the op,
-else in-process.  Every batched entry point (``process_batched`` /
-``compute_stats_batched`` / ``compute_hash_batched``) defaults to mapping the
-per-sample method over the batch's rows, so subclasses only implement the
-per-sample method unless they have a genuinely vectorised implementation.
+There is one way to run an op: ``op.run(dataset, tracer=, pool=)`` is a
+segment of one (:mod:`repro.core.segment`) — the operator is handed column
+batches (``dict[str, list]`` slices, see :mod:`repro.core.batch`) by the same
+function in the worker processes when ``pool`` holds the op and in-process
+otherwise, and a tracer only observes the datasets on either side.  Every
+batched entry point (``process_batched`` / ``compute_stats_batched`` /
+``compute_hash_batched``) defaults to mapping the per-sample method over the
+batch's rows, so subclasses only implement the per-sample method unless they
+have a genuinely vectorised implementation.
 
 The per-sample methods (``process`` / ``compute_stats`` / ``compute_hash``)
 are the op-authoring API, and what the Analyzer, fused execution and the fault
@@ -91,23 +93,31 @@ class OP:
         return resolve_batch_size(self._batch_size)
 
     def effective_batch_size(self, dataset: NestedDataset) -> int:
-        """Batch size adapted to the dataset's average text length.
+        """Batch size adapted to the dataset's average text length
+        (:meth:`adaptive_batch_size` over its columns)."""
+        return self.adaptive_batch_size(dataset._columns, len(dataset))
+
+    def adaptive_batch_size(self, columns: dict[str, list], rows: int) -> int:
+        """Rows per batch for ``rows`` rows of a dataset or column batch.
 
         An explicit per-op/recipe ``batch_size`` is honoured as-is; the
         default shrinks so a batch holds roughly :data:`TARGET_BATCH_CHARS`
-        characters of text.
+        characters of text.  The bound is soft: under two such batches of
+        rows are one batch, so a chunk that was cut by this rule is not cut
+        again, raggedly, on a second estimate from its own rows.
         """
         size = self.batch_size
-        if self._batch_size is not None or len(dataset) == 0:
+        if self._batch_size is not None or rows == 0:
             return size
-        column = dataset._columns.get(self.text_key) if "." not in self.text_key else None
+        column = columns.get(self.text_key) if "." not in self.text_key else None
         if not column:
             return size
         probe = column[:32]
         average = sum(len(text) for text in probe if isinstance(text, str)) / len(probe)
         if average <= 0:
             return size
-        return max(16, min(size, int(self.TARGET_BATCH_CHARS / average)))
+        adaptive = max(16, min(size, int(self.TARGET_BATCH_CHARS / average)))
+        return rows if adaptive < rows < 2 * adaptive and rows <= size else adaptive
 
     def set_batch_size(self, batch_size: int | None, override: bool = False) -> None:
         """Apply a recipe-level batch size; per-op settings win unless ``override``."""
@@ -123,25 +133,38 @@ class OP:
         """Write the text back to the sample at this OP's text key."""
         return set_field(sample, self.text_key, text)
 
-    def _map_stage(
-        self, function: Any, stage: str, dataset: NestedDataset, pool: Any
-    ) -> NestedDataset:
-        """One column-batch stage of this op (``function``) over ``dataset``.
+    def sample_stage(self, dataset: NestedDataset, pool: Any = None) -> NestedDataset:
+        """This op's sample-level stage over ``dataset``: a segment of one.
 
-        A :class:`repro.parallel.WorkerPool` holding the op runs the batches
-        in its workers (a segment of one op); the output is stamped with the
-        ``stage`` link of the fingerprint chain either way.
+        The chunks run in the workers of a :class:`repro.parallel.WorkerPool`
+        that holds the op, else in-process — the same function either way
+        (:func:`repro.core.segment.run_segment`), and the same rows and
+        fingerprint.  A failure is raised as the in-process call raised it.
         """
-        fingerprint = dataset.derive_fingerprint(stage, self.config())
-        batch_size = self.effective_batch_size(dataset)
-        if pool is not None and pool.holds(self) and len(dataset) > 1:
-            batches = pool.run_ops([self], list(dataset.iter_batches(batch_size)))
-            return NestedDataset.from_batches(batches, fingerprint=fingerprint)
-        return dataset.map_batches(function, batch_size=batch_size, new_fingerprint=fingerprint)
+        from repro.core.segment import run_dataset_segment
 
-    def run(self, dataset: NestedDataset, **kwargs: Any) -> NestedDataset:  # pragma: no cover
-        """Apply the OP to a dataset; implemented by category base classes."""
-        raise NotImplementedError
+        if pool is not None and not pool.holds(self):
+            pool = None
+        result, _stats, failure = run_dataset_segment([self], dataset, pool)
+        if failure is not None:
+            raise failure[1]
+        return result
+
+    def run(
+        self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
+    ) -> NestedDataset:
+        """Apply the op to every sample of the dataset (Mappers and Filters).
+
+        A Mapper transforms; a Filter computes stats and keeps the passing
+        samples in one pass (the decoupled ``compute_stats`` / ``process``
+        methods stay exposed for the Analyzer and for fused execution).  A
+        ``tracer`` observes the datasets before and after — it does not
+        change how the op executes.
+        """
+        result = self.sample_stage(dataset, pool)
+        if tracer is not None:
+            tracer.observe(self, dataset, result)
+        return result
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -183,20 +206,6 @@ class Mapper(OP):
         """
         rows = [self.process(row) for row in batch_to_rows(samples)]
         return rows_to_batch(rows, column_order=samples)
-
-    def run(
-        self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
-    ) -> NestedDataset:
-        """Apply the mapper to every sample of the dataset.
-
-        ``pool`` is an optional :class:`repro.parallel.WorkerPool` handle; when
-        this mapper is resident in the pool the batches are processed by the
-        worker processes instead of in-process (same rows, same fingerprint).
-        """
-        mapped = self._map_stage(self.process_batched, self.name, dataset, pool)
-        if tracer is not None:
-            tracer.trace_mapper(self, dataset, mapped, self.text_key)
-        return mapped
 
 
 class Filter(OP):
@@ -247,49 +256,6 @@ class Filter(OP):
         kept = batch_select(samples, [i for i, keep in enumerate(flags) if keep])
         return kept, flags
 
-    def run(
-        self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
-    ) -> NestedDataset:
-        """Compute stats for every sample, then keep only the passing samples.
-
-        Stats computation and the keep/drop decision happen in one pass over
-        column batches (the decoupled ``compute_stats`` / ``process`` methods
-        are still exposed separately for the Analyzer and for fused
-        execution).  Without a tracer, batches take the short-circuit
-        :meth:`filter_batched` path that only returns surviving rows; with a
-        tracer, full stats are computed for every row so the trace shows the
-        rejected rows' statistics.  With a :class:`repro.parallel.WorkerPool`
-        handle holding this filter the pass runs chunk-parallel in the worker
-        processes; rows, fingerprints and cache keys are identical either way.
-        """
-        fingerprint = dataset.derive_fingerprint(self.name, self.config())
-        batches = dataset.iter_batches(self.effective_batch_size(dataset))
-        pooled = pool is not None and pool.holds(self) and len(dataset) > 1
-        if tracer is None:
-            if pooled:
-                # a segment of one op: only the survivors come back
-                kept_batches = pool.run_ops([self], list(batches))
-            else:
-                kept_batches = [self.filter_batched(batch)[0] for batch in batches]
-            return NestedDataset.from_batches(kept_batches, fingerprint=fingerprint)
-        if pooled:
-            results = pool.filter_column_batches(self, list(batches))
-        else:
-            results = []
-            for batch in batches:
-                batch = self.compute_stats_batched(batch)
-                results.append((batch, self.process_batched(batch)))
-        filtered = NestedDataset.from_batches(
-            [
-                batch_select(batch, [i for i, keep in enumerate(flags) if keep])
-                for batch, flags in results
-            ],
-            fingerprint=fingerprint,
-        )
-        with_stats = NestedDataset.from_batches([batch for batch, _flags in results])
-        tracer.trace_filter(self, with_stats, filtered)
-        return filtered
-
 
 class Deduplicator(OP):
     """Duplicate removal operating at the dataset level via per-sample hashes."""
@@ -325,24 +291,19 @@ class Deduplicator(OP):
             return dataset.column(key)
         return [default] * len(dataset)
 
-    def hash_stage(self, dataset: NestedDataset, pool: Any = None) -> NestedDataset:
-        """The sample-level stage: ``dataset`` with every row's hash/signature added.
-
-        This is the part of a Deduplicator a :class:`repro.parallel.WorkerPool`
-        parallelises and the streaming engine runs shard by shard; the
-        duplicate clustering (:meth:`process`) stays global.
-        """
-        return self._map_stage(self.compute_hash_batched, f"{self.name}:hash", dataset, pool)
-
     def run(
         self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
     ) -> NestedDataset:
-        """Hash every sample and drop duplicates, tracing pairs when requested."""
-        hashed = self.hash_stage(dataset, pool)
-        show_num = 10 if tracer is not None else 0
-        deduped, duplicate_pairs = self.process(hashed, show_num=show_num)
+        """Hash every sample and drop duplicates, tracing pairs when requested.
+
+        The hashing is the sample-level stage (:meth:`OP.sample_stage` — what
+        a pool parallelises and the streaming engine runs shard by shard);
+        the duplicate clustering (:meth:`process`) is global.
+        """
+        hashed = self.sample_stage(dataset, pool)
+        deduped, duplicate_pairs = self.process(hashed, show_num=10 if tracer is not None else 0)
         if tracer is not None:
-            tracer.trace_deduplicator(self, len(hashed), len(deduped), duplicate_pairs)
+            tracer.observe(self, hashed, deduped, duplicate_pairs)
         return deduped
 
 
@@ -357,7 +318,7 @@ class Selector(OP):
         """Apply the selector and trace the size change."""
         selected = self.process(dataset)
         if tracer is not None:
-            tracer.trace_filter(self, dataset, selected)
+            tracer.observe(self, dataset, selected)
         return selected
 
 

@@ -289,29 +289,6 @@ class NestedDataset:
         )
         return NestedDataset.from_batches(out_batches, fingerprint=fingerprint)
 
-    def filter_batches(
-        self,
-        function: Callable[[dict], Sequence[bool]],
-        batch_size: int = 1000,
-        new_fingerprint: str | None = None,
-    ) -> "NestedDataset":
-        """Keep rows whose batch-level predicate flag is True.
-
-        ``function`` receives a column batch and returns one boolean per row.
-        Surviving rows are collected columnar — no row dicts, no re-probing
-        of content for the fingerprint.
-        """
-        from repro.core.batch import batch_select
-
-        kept = []
-        for batch in self.iter_batches(batch_size):
-            flags = function(batch)
-            kept.append(batch_select(batch, [i for i, keep in enumerate(flags) if keep]))
-        fingerprint = new_fingerprint or self._derive_fingerprint(
-            "filter_batches", getattr(function, "__qualname__", repr(function))
-        )
-        return NestedDataset.from_batches(kept, fingerprint=fingerprint)
-
     def filter(
         self,
         function: Callable[[dict], bool],

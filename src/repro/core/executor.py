@@ -7,17 +7,18 @@ checkpoint and tracing support, and export the processed dataset.
 
 There are two run loops — :meth:`Executor.run` persists per *op* (the paper's
 cache/checkpoint model), :meth:`Executor.run_streaming` per *(stage, shard)* —
-over one op-run driver, :meth:`Executor._drive`: the only place that decides
-how a run of ops executes.  When the recipe sets ``np > 1`` it lazily creates
-a persistent :class:`repro.parallel.WorkerPool` (workers hold the instantiated
-op list) and dispatches one *segment* at a time: a maximal run of pool-resident
-Mappers/Filters plus the hashing stage of a closing Deduplicator travels as
-one task per column-batch chunk, so a chunk crosses the process boundary once
-per segment, not once per op.  A segment ends where the host needs the
-intermediate dataset — a Selector, a Deduplicator's global clustering, an
-enabled per-op cache or checkpoint, an open tracer.  The pool survives across
-``run`` calls — close the executor (or use it as a context manager) to shut
-the workers down.
+over one op-run driver, :meth:`Executor._drive`, which cuts a run of ops into
+*segments* (:mod:`repro.core.segment`): a maximal run of Mappers/Filters plus
+the hashing stage of a closing Deduplicator, applied to the dataset chunk by
+chunk by one function.  At ``np = 1`` the chunks run in this process; when
+the recipe sets ``np > 1`` the executor lazily creates a persistent
+:class:`repro.parallel.WorkerPool` (workers hold the instantiated op list)
+and a chunk crosses the process boundary once per segment, not once per op.
+A segment ends where the host needs the intermediate dataset — a Selector, a
+Deduplicator's global clustering, an enabled per-op cache or checkpoint, an
+open tracer (which is shown the boundary of each one-op segment).  The pool
+survives across ``run`` calls — close the executor (or use it as a context
+manager) to shut the workers down.
 
 Every run — in-memory or streaming — emits a unified
 :class:`repro.core.report.RunReport` (``last_report``, also persisted to
@@ -202,46 +203,43 @@ class Executor:
         ``resolve`` off: that op then runs its hashing stage only, and a
         hashing failure propagates for the caller's shard containment.
 
-        The longest prefix of ``ops`` that can travel — pool-resident
-        Mappers/Filters up to and including a closing Deduplicator — goes to
-        the pool as one segment (one task per chunk); nothing travels in a
-        serial run or under an open tracer, which observes every
-        intermediate dataset.  The op after such a prefix runs on the host,
-        handing the pool to ``op.run``.  Pool creation is deferred to the
-        first op with a sample-level stage, so fully cache-hit runs never
-        fork workers.
+        The op list is cut into segments — maximal runs of Mappers/Filters up
+        to and including a closing Deduplicator — and every segment goes to
+        :func:`run_segment_with_policy`, which applies it chunk by chunk: in
+        the workers of the pool when ``np > 1`` (one task per chunk), in this
+        process otherwise, and also for a run of ops the pool does not hold.
+        An open tracer cuts segments to one op, whose boundary it is shown.
+        Only a Selector runs as a host-side op.  Pool creation is deferred
+        to the first op with a sample-level stage, so fully cache-hit runs
+        never fork workers.
         """
-        profiler = self._profiler
         while ops:
-            segment: list = []
-            if self.cfg.np > 1 and self.tracer is None:
-                for op in ops:
-                    if not (
-                        isinstance(op, (Mapper, Filter, Deduplicator))
-                        and self._ensure_pool().holds(op)
-                    ):
-                        break
-                    segment.append(op)
-                    if isinstance(op, Deduplicator):
-                        break
+            # where the segment runs: the pool holding its ops, or None = here
+            segment, where = [], None
+            for op in ops:
+                if not isinstance(op, (Mapper, Filter, Deduplicator)):
+                    break
+                pool = self._ensure_pool()
+                target = pool if pool is not None and pool.holds(op) else None
+                if segment and target is not where:
+                    break
+                where = target
+                segment.append(op)
+                if isinstance(op, Deduplicator) or self.tracer is not None:
+                    break
             if segment:
                 dataset = run_segment_with_policy(
-                    segment, dataset, self._pool, self.policy, self._faults,
-                    self._quarantine, profiler, shard_id=shard_id, resolve=resolve,
+                    segment, dataset, where, self.policy, self._faults, self._quarantine,
+                    self._profiler, shard_id=shard_id, resolve=resolve, tracer=self.tracer,
                 )
             else:
                 op = ops[0]
-                pool = self._ensure_pool() if isinstance(op, (Mapper, Filter, Deduplicator)) else None
-                with profiler.track(op, rows_in=len(dataset)) as tracking:
-                    if isinstance(op, Deduplicator) and not resolve:
-                        # hashing only: the rows are accounted by the global resolve
-                        dataset = op.hash_stage(dataset, pool)
-                    else:
-                        dataset = run_op_with_policy(
-                            op, dataset, self.policy, self._faults, self._quarantine,
-                            tracer=self.tracer, pool=pool, shard_id=shard_id,
-                        )
-                        tracking.rows_out = len(dataset)
+                with self._profiler.track(op, rows_in=len(dataset)) as tracking:
+                    dataset = run_op_with_policy(
+                        op, dataset, self.policy, self._faults, self._quarantine,
+                        tracer=self.tracer, shard_id=shard_id,
+                    )
+                    tracking.rows_out = len(dataset)
             ops = ops[max(1, len(segment)):]
         return dataset
 
@@ -728,10 +726,11 @@ class Executor:
         Failures are contained per shard: sample-op errors are handled row-
         wise by the error policy inside :meth:`_drive`; anything that
         still escapes (the dedup hashing stage has no row-isolated fallback)
-        retries the whole shard, and under a lenient policy a persistently
-        failing shard is dropped/quarantined whole instead of wedging the
-        run.  Fault-shaped shard output is stored under a key only a resumed
-        run of the same checkpoint looks up (see :meth:`_put_result`).
+        retries the whole shard (:func:`retry_call`, under every policy), and
+        a persistently failing shard then aborts the run (``raise``) or is
+        dropped/quarantined whole instead of wedging it (lenient).
+        Fault-shaped shard output is stored under a key only a resumed run of
+        the same checkpoint looks up (see :meth:`_put_result`).
         """
         store = self._spill
         # a closing Deduplicator's per-sample hashing stage runs shard-local
@@ -760,40 +759,34 @@ class Executor:
         stage_name = getattr(segment.global_op, "name", None) or (
             segment.sample_ops[0].name if segment.sample_ops else "shard"
         )
-        attempt = 0
-        while True:
-            try:
-                out_rows = self._drive(
+        try:
+            out_rows = retry_call(
+                lambda: self._drive(
                     shard_ops, NestedDataset.from_list(rows), shard_id=shard_id, resolve=False
-                ).to_list()
-                break
-            except OpExecutionError:
-                # already contextualised by the per-op policy layer (raise
-                # policy); containment does not apply
-                raise
-            except Exception as error:
-                self._faults.record_op_error(stage_name, error, shard_id)
-                if not self.policy.lenient:
-                    raise OpExecutionError(
-                        describe_failure(stage_name, error, shard_id),
-                        op_name=stage_name,
-                        shard_id=shard_id,
-                    ) from error
-                if attempt < self.policy.max_retries:
-                    self._faults.record_retry(stage_name, shard_id)
-                    self.policy.sleep(attempt)
-                    attempt += 1
-                    continue
-                # persistent shard failure under a lenient policy: drop the
-                # shard whole (quarantining its rows when configured) so the
-                # rest of the corpus still completes
-                self._faults.record_dropped_shard(shard_id, len(rows))
-                if self._quarantine is not None:
-                    self._quarantine.write_rows(
-                        rows, stage_name, error, shard_id=shard_id
-                    )
-                out_rows = []
-                break
+                ).to_list(),
+                self.policy,
+                self._faults,
+                stage_name,
+                shard_id,
+            )
+        except OpExecutionError:
+            # already contextualised by the per-op policy layer (raise
+            # policy); containment does not apply
+            raise
+        except Exception as error:
+            if not self.policy.lenient:
+                raise OpExecutionError(
+                    describe_failure(stage_name, error, shard_id),
+                    op_name=stage_name,
+                    shard_id=shard_id,
+                ) from error
+            # persistent shard failure under a lenient policy: drop the
+            # shard whole (quarantining its rows when configured) so the
+            # rest of the corpus still completes
+            self._faults.record_dropped_shard(shard_id, len(rows))
+            if self._quarantine is not None:
+                self._quarantine.write_rows(rows, stage_name, error, shard_id=shard_id)
+            out_rows = []
         if key is not None:
             key = self._put_result(store, key, out_rows, faults_before, spill)
         progress["executed_shards"] += 1

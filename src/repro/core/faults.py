@@ -17,9 +17,9 @@ them:
   per-row isolation for Mappers/Filters so one poison row never takes its
   batch down, or a recorded degradation-skip for dataset-level ops.
 * :func:`run_segment_with_policy` — the same contract for a whole run of ops
-  dispatched to the worker pool as one task per chunk: the op a worker
-  reports as failing re-enters :func:`run_op_with_policy` with that failure
-  as its first attempt.
+  applied chunk by chunk (:mod:`repro.core.segment`), in the worker pool or
+  in-process: the op a chunk reports as failing re-enters
+  :func:`run_op_with_policy` with that failure as its first attempt.
 * :class:`QuarantineWriter` — the ``quarantine-00001.jsonl.gz`` export of
   dropped rows (payload + op name + exception repr + shard id + row index).
 * :class:`FaultTracker` — the counters behind the report's ``faults``
@@ -40,8 +40,9 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
-from repro.core.dataset import NestedDataset, _stable_hash, chain_fingerprint
+from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.errors import ConfigError, OpExecutionError
+from repro.core.segment import run_dataset_segment
 from repro.core.serialization import JsonSanitizer
 
 logger = logging.getLogger(__name__)
@@ -396,45 +397,29 @@ def _isolate_rows(
     """
     quarantined = policy.on_error == "quarantine"
     survivors: list[dict] = []
-    stat_rows: list[dict] = []
-    source_rows: list[dict] = []
     dropped: list[int] = []
     for index in range(len(dataset)):
         row_in = dict(dataset[index])
-        attempt = 0
-        while True:
-            try:
-                keep, row_out = _run_single_row(op, dict(row_in))
-                break
-            except Exception as error:
-                tracker.record_op_error(op.name, error, shard_id)
-                if attempt < policy.max_retries:
-                    tracker.record_retry(op.name, shard_id)
-                    policy.sleep(attempt)
-                    attempt += 1
-                    continue
-                keep, row_out = False, None
-                dropped.append(index)
-                tracker.record_dropped_rows(op.name, 1, quarantined, shard_id)
-                if quarantine is not None and quarantined:
-                    quarantine.write(
-                        row_in, op.name, error, shard_id=shard_id, row_index=index
-                    )
-                break
-        if row_out is not None:
-            stat_rows.append(row_out)
-            source_rows.append(row_in)
-            if keep:
-                survivors.append(row_out)
+        try:
+            keep, row_out = retry_call(
+                lambda: _run_single_row(op, dict(row_in)), policy, tracker, op.name, shard_id
+            )
+        except Exception as error:
+            dropped.append(index)
+            tracker.record_dropped_rows(op.name, 1, quarantined, shard_id)
+            if quarantine is not None and quarantined:
+                quarantine.write(row_in, op.name, error, shard_id=shard_id, row_index=index)
+            continue
+        if keep:
+            survivors.append(row_out)
     fingerprint = dataset.derive_fingerprint(op.name, op.config())
     if dropped:
         fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": dropped})
     result = NestedDataset.from_list(survivors, fingerprint=fingerprint)
     if tracer is not None:
-        if isinstance(op, Filter):
-            tracer.trace_filter(op, NestedDataset.from_list(stat_rows), result)
-        else:
-            tracer.trace_mapper(op, NestedDataset.from_list(source_rows), result, op.text_key)
+        # the op's boundary is the rows it did run on: poison rows left before it
+        healthy = sorted(set(range(len(dataset))).difference(dropped))
+        tracer.observe(op, dataset.select(healthy), result)
     return result
 
 
@@ -460,18 +445,15 @@ def run_op_with_policy(
     whose global stage cannot be row-isolated).
 
     ``first_error`` is a failure of this op over this dataset that already
-    happened elsewhere (a pool worker, inside a segment task): it is
+    happened inside a segment (in a pool worker or in-process): it is
     recorded and counted as the first attempt instead of running the op.
     """
-    kwargs: dict = {"tracer": tracer}
-    if pool is not None:
-        kwargs["pool"] = pool
     attempt = 0
     error = first_error
     while True:
         if error is None:
             try:
-                return op.run(dataset, **kwargs)
+                return op.run(dataset, tracer=tracer, pool=pool)
             except Exception as caught:
                 error = caught
         tracker.record_op_error(op.name, error, shard_id)
@@ -516,40 +498,35 @@ def run_op_with_policy(
 
 
 def _dispatch_segment(
-    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, resolve: bool
+    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, resolve: bool, tracer: Any
 ) -> tuple[NestedDataset | None, tuple[int, BaseException] | None]:
-    """One pool round trip of a segment: ``(result, None)`` or ``(None, failure)``.
+    """One attempt at a segment: ``(result, None)`` or ``(None, failure)``.
 
     ``failure`` is ``(op index, exception)`` of the earliest failing op —
-    what a serial run would have hit first.  Worker-measured per-op rows and
-    seconds reach the profiler only when the whole segment succeeded, so a
-    replay after a failure never counts a row twice.
+    what a serial run would have hit first.  Per-op rows and seconds,
+    measured where the ops ran, reach the profiler (and the boundary the
+    tracer) only when the whole segment succeeded, so a replay after a
+    failure never counts a row twice.
     """
-    chunks = list(dataset.iter_batches(pool.chunk_size_for(len(dataset))))
-    results = pool.run_segment(ops, chunks)
-    failures = [failure for _batch, _stats, failure, _cpu in results if failure is not None]
-    if failures:
-        return None, min(failures, key=lambda failure: failure[0])
+    result, per_chunk, failure = run_dataset_segment(ops, dataset, pool)
+    if failure is not None:
+        return None, failure
     closing = ops[-1] if isinstance(ops[-1], Deduplicator) else None
-    fingerprint = dataset.fingerprint
-    for op in ops:
-        stage = f"{op.name}:hash" if op is closing else op.name
-        fingerprint = chain_fingerprint(fingerprint, stage, op.config())
-    result = NestedDataset.from_batches(
-        [batch for batch, _stats, _failure, _cpu in results], fingerprint=fingerprint
-    )
+    hashed, duplicate_pairs = result, ()
     resolve_s = 0.0
     if closing is not None and resolve:
         start = time.perf_counter()
         try:
-            result = closing.process(result, show_num=0)[0]
+            result, duplicate_pairs = closing.process(
+                hashed, show_num=10 if tracer is not None else 0
+            )
         except Exception as error:
             return None, (len(ops) - 1, error)
         resolve_s = time.perf_counter() - start
     for index, op in enumerate(ops):
-        per_chunk = [stats[index] for _batch, stats, _failure, _cpu in results]
+        stats = [chunk[index] for chunk in per_chunk]
         rows_in, rows_out, seconds = (
-            (sum(column) for column in zip(*per_chunk)) if per_chunk else (0, 0, 0.0)
+            (sum(column) for column in zip(*stats)) if stats else (0, 0, 0.0)
         )
         if op is not closing:
             profiler.record(op, seconds, rows_in, rows_out)
@@ -558,6 +535,10 @@ def _dispatch_segment(
         else:
             # hashing only: the rows are accounted by the global resolve
             profiler.record(op, seconds)
+    if tracer is not None and (closing is None or resolve):
+        # a traced segment is one op (the caller cuts it): its boundary is
+        # the dataset on either side, a Deduplicator's its hashed input
+        tracer.observe(ops[0], dataset if closing is None else hashed, result, duplicate_pairs)
     return result, None
 
 
@@ -571,26 +552,31 @@ def run_segment_with_policy(
     profiler: Any,
     shard_id: str | None = None,
     resolve: bool = True,
+    tracer: Any = None,
 ) -> NestedDataset:
-    """Run a pool segment under the error policy: one task per chunk, not per op.
+    """Run a segment under the error policy: one task per chunk, not per op.
 
-    ``ops`` is a run of pool-resident Mappers/Filters, optionally closed by a
-    Deduplicator whose hashing stage runs in the workers; with ``resolve``
-    (memory mode) its clustering then runs here on the reassembled dataset,
-    without it (streaming, where the resolve is global across shards) the
-    hashed dataset is returned.  The output carries the chained fingerprint
-    of the ops, equal to what running them one by one would stamp.
+    ``ops`` is a run of Mappers/Filters, optionally closed by a Deduplicator
+    whose hashing stage is part of the segment; the chunks run in the workers
+    of ``pool`` (which holds every op) or, with ``pool`` ``None``, in the
+    calling process — the same :func:`repro.core.segment.run_segment` either
+    way.  With ``resolve`` (memory mode) the Deduplicator's clustering then
+    runs here on the reassembled dataset, without it (streaming, where the
+    resolve is global across shards) the hashed dataset is returned.  The
+    output carries the chained fingerprint of the ops, equal to what running
+    them one by one would stamp.  A ``tracer`` is shown the boundary of a
+    segment of one op; the caller cuts traced segments to that.
 
     Faults keep the per-op contract.  When op *k* fails, the dataset entering
     it is rebuilt by replaying ops ``< k`` (pure, and fault-free on this
     input), op *k* goes through :func:`run_op_with_policy` with the reported
-    failure as its first attempt — same retries, error context, row
-    isolation and quarantine payloads as a serial run — and the rest of the
-    segment is dispatched again from its output.  A hashing failure with
+    failure as its first attempt — retries, error context, row isolation and
+    quarantine payloads do not depend on where the chunks ran — and the rest
+    of the segment is run again from its output.  A hashing failure with
     ``resolve`` off re-raises untouched for the caller's shard containment.
     """
     while ops:
-        result, failure = _dispatch_segment(ops, dataset, pool, profiler, resolve)
+        result, failure = _dispatch_segment(ops, dataset, pool, profiler, resolve, tracer)
         if failure is None:
             return result
         failed_at, error = failure
@@ -605,7 +591,7 @@ def run_segment_with_policy(
         with profiler.track(op, rows_in=len(dataset)) as tracking:
             dataset = run_op_with_policy(
                 op, dataset, policy, tracker, quarantine,
-                pool=pool, shard_id=shard_id, first_error=error,
+                tracer=tracer, pool=pool, shard_id=shard_id, first_error=error,
             )
             tracking.rows_out = len(dataset)
         ops = ops[failed_at + 1:]
@@ -621,14 +607,18 @@ def retry_call(
 ) -> Any:
     """Call ``function()`` with the policy's retry/backoff loop.
 
-    Used for non-op engine stages (e.g. the streaming global resolve).  The
-    final failure is re-raised unwrapped, so the caller applies its own
-    policy verdict.
+    The one retry loop of the non-op engine stages (a streaming shard's local
+    work, the global resolve): retry first, verdict after — the final failure
+    is re-raised unwrapped, so the caller applies its own policy verdict.  An
+    :class:`OpExecutionError` is a verdict the per-op layer already reached
+    and passes straight through.
     """
     attempt = 0
     while True:
         try:
             return function()
+        except OpExecutionError:
+            raise
         except Exception as error:
             tracker.record_op_error(op_name, error, shard_id)
             if attempt >= policy.max_retries:

@@ -118,11 +118,12 @@ class RunProfiler:
     into a single :class:`~repro.core.report.OpReport` section, in first-touch
     (= pipeline) order.
 
-    Wall time is host wall-clock for calls timed with :meth:`track`.  Ops a
-    pool segment ran are accounted with :meth:`record` instead: their time is
-    the *sum of worker-measured op seconds* over every chunk — compute only,
-    so it can exceed the run's wall time at ``np > 1`` and no longer hides
-    the dispatch round trip (that is the report's ``parallel.dispatch_s``).
+    Wall time is host wall-clock for calls timed with :meth:`track` (host-side
+    ops).  Ops a segment ran are accounted with :meth:`record` instead: their
+    time is the *sum of the op seconds measured around each chunk*, where the
+    chunk ran — compute only, so it can exceed the run's wall time at
+    ``np > 1`` and never hides the dispatch round trip (that is the report's
+    ``parallel.dispatch_s``).
     ``max_rss_mb`` is the host process's peak RSS observed after any call of
     the op.
     """
@@ -165,7 +166,7 @@ class RunProfiler:
     def record(
         self, op: Any, seconds: float, rows_in: int | None = None, rows_out: int | None = None
     ) -> None:
-        """Account one call measured elsewhere (inside the pool workers).
+        """Account one call measured elsewhere (inside a segment's chunks).
 
         Rows are optional for the same reason :meth:`track` makes them so: a
         Deduplicator's shard-local hashing has time but no row verdict.

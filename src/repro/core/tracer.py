@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
+from repro.core.base_op import op_category
 from repro.core.dataset import NestedDataset
 from repro.core.sample import Fields, get_field
 
@@ -41,30 +42,42 @@ class TraceRecord:
 
 
 def _discarded_examples(
-    before: NestedDataset, after: NestedDataset, budget: int, offset: int = 0
+    op: Any, before: NestedDataset, after: NestedDataset, budget: int, offset: int = 0
 ) -> list[dict]:
-    """Up to ``budget`` rows of ``before`` whose text did not survive into ``after``.
+    """Up to ``budget`` rows of ``before`` that did not survive into ``after``.
 
-    Membership is by text value (the surviving rows of a filter keep their
-    text verbatim), with ``None`` texts matched against whether *any*
-    surviving row has a ``None`` text.  ``offset`` shifts the reported
-    indexes, so streaming shards report corpus-global positions.
+    Filters, Selectors and the built-in Deduplicators keep survivors in input
+    order, so ``after`` is aligned as an ordered subsequence of ``before``
+    over every column ``before`` has except the stats (which the op itself
+    rewrites): a dropped row is shown even when a kept row shares its text.
+    The stats shown are the ones ``op`` gives the row — computed here, on a
+    copy, with the per-sample ``compute_stats`` of a Filter (a fused filter
+    fills every member's), since the engine drops rejected rows before their
+    stats are complete; an op without one (a Selector, a bare name) shows
+    the stats the row came with.  ``offset`` shifts the reported indexes, so
+    streaming shards report corpus-global positions.
     """
     if budget <= 0:
         return []
-    kept_texts = set()
-    none_kept = False
-    for row in after:
-        text = row.get(Fields.text)
-        if text is None:
-            none_kept = True
-        else:
-            kept_texts.add(text)
+    names = [name for name in before.column_names if name != Fields.stats]
+    columns = [before._columns[name] for name in names]
+    kept = [after._columns.get(name) for name in names]
+    compute_stats = getattr(op, "compute_stats", None)
     examples: list[dict] = []
-    for index, row in enumerate(before):
-        text = row.get(Fields.text)
-        if (none_kept if text is None else text in kept_texts):
+    cursor, survivors = 0, len(after)
+    for index in range(len(before)):
+        if cursor < survivors and all(
+            values is not None and values[cursor] == column[index]
+            for values, column in zip(kept, columns)
+        ):
+            cursor += 1
             continue
+        row = before[index]
+        if compute_stats is not None:
+            stats = row.get(Fields.stats)
+            row[Fields.stats] = dict(stats) if isinstance(stats, dict) else {}
+            row = compute_stats(row)
+        text = row.get(Fields.text)
         examples.append(
             {
                 "index": offset + index,
@@ -130,6 +143,23 @@ class Tracer:
         return record
 
     # ------------------------------------------------------------------
+    def observe(
+        self, op: Any, before: NestedDataset, after: NestedDataset, duplicate_pairs: Sequence = ()
+    ) -> TraceRecord:
+        """Record what ``op`` did between the datasets on either side of it.
+
+        This is all a tracer needs of a run: the engine executes a traced op
+        exactly like an untraced one (a segment of one) and hands over its
+        boundary.  A Deduplicator's ``before`` is its hashed input and its
+        ``duplicate_pairs`` come from the clustering.
+        """
+        category = op_category(op)
+        if category == "mapper":
+            return self.trace_mapper(op, before, after, op.text_key)
+        if category == "deduplicator":
+            return self.trace_deduplicator(op, len(before), len(after), duplicate_pairs)
+        return self.trace_filter(op, before, after)
+
     def trace_mapper(
         self,
         op: Any,
@@ -155,7 +185,7 @@ class Tracer:
         """Record the samples discarded by a Filter or Selector."""
         record = self._record(op, "filter")
         record.examples.extend(
-            _discarded_examples(before, after, self._budget(record), offset=record.input_size)
+            _discarded_examples(op, before, after, self._budget(record), offset=record.input_size)
         )
         return self._grow(record, len(before), len(after))
 

@@ -43,10 +43,11 @@ from dataclasses import dataclass, field
 from repro.core.base_op import Deduplicator, Selector
 from repro.core.dataset import NestedDataset
 from repro.core.registry import OPERATORS
+from repro.core.segment import run_chunks
 from repro.distributed.partition import split_dataset
 from repro.ops import load_ops, split_process_entry
 from repro.ops.common import preload_assets
-from repro.parallel import default_chunk_size, get_shared_pool, run_segment
+from repro.parallel import default_chunk_size, get_shared_pool
 
 
 @dataclass
@@ -146,10 +147,7 @@ class RayLikeRunner:
         if pooled:
             results = pool.run_segment(inline_ops, chunks)
         else:
-            results = []
-            for chunk in chunks:
-                cpu_start = time.process_time()
-                results.append((*run_segment(inline_ops, chunk), time.process_time() - cpu_start))
+            results = run_chunks(inline_ops, chunks)
         # CPU seconds are measured around the op code (inside the workers when
         # pooled), so they reflect the genuine per-node cost even when the
         # host has fewer cores than nodes

@@ -15,9 +15,12 @@ Key properties:
   across runs; workers are initialized exactly once with the instantiated
   operator list (via a ``Pool`` initializer), so per-run operator construction
   and asset loading costs are paid once, not per task.
-* **Segment dispatch** — a ``("segment", op_refs, batch)`` task carries one
-  chunk plus references into the worker-resident op list; a chunk crosses
-  the process boundary once per pipeline segment, operators never do.
+* **Segment dispatch** — a ``("segment", op_refs, batch)`` task, the only
+  kind, carries one chunk plus references into the worker-resident op list;
+  a chunk crosses the process boundary once per pipeline segment, operators
+  never do.  What a worker does with it is :func:`repro.core.segment.run_segment`,
+  the function a serial run calls in-process: this package decides *where*
+  a segment runs, never *how*.
 * **Start-method fallback** — ``fork`` is preferred (workers inherit the
   already-instantiated ops and warm asset caches for free); on spawn-only
   platforms workers re-instantiate the ops from the recipe entries inside the
@@ -34,7 +37,7 @@ from repro.parallel.pool import (
     resolve_start_method,
     shutdown_shared_pools,
 )
-from repro.parallel.worker import default_chunk_size, run_segment
+from repro.parallel.worker import default_chunk_size
 
 __all__ = [
     "WorkerPool",
@@ -42,6 +45,5 @@ __all__ = [
     "get_shared_pool",
     "is_shared_pool",
     "resolve_start_method",
-    "run_segment",
     "shutdown_shared_pools",
 ]

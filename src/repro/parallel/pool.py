@@ -2,15 +2,13 @@
 
 A ``WorkerPool`` wraps a :mod:`multiprocessing` pool whose workers are
 initialized exactly once with the instantiated operator list (see
-:mod:`repro.parallel.worker`).  Its dispatch surface is three methods over
-two task kinds.  :meth:`WorkerPool.run_segment` sends one ``segment`` task per
+:mod:`repro.parallel.worker`).  Its dispatch surface is one method over one
+task kind: :meth:`WorkerPool.run_segment` sends one ``segment`` task per
 column-batch chunk, each driven through a whole run of resident ops inside the
-worker — the executor's op-run driver calls it once per pipeline segment, and
-:meth:`WorkerPool.run_ops` is the same for callers that own no fault policy
-(``op.run(dataset, pool=pool)`` is a segment of one).
-:meth:`WorkerPool.filter_column_batches` sends ``filter_cols_full`` tasks: a
-Filter's stats for *every* row plus the keep flags, which only a tracer needs.
-The pool stays alive across any number of calls, which is what fixes the
+worker by :func:`repro.core.segment.run_segment` — the function an ``np = 1``
+run calls in-process.  The executor's op-run driver reaches it once per
+pipeline segment, ``op.run(dataset, pool=pool)`` as a segment of one, traced
+or not.  The pool stays alive across any number of calls, which is what fixes the
 Figure-10 regression: the old runner forked a fresh pool per run and re-ran
 ``load_ops`` in every worker for every call.
 
@@ -25,6 +23,7 @@ import atexit
 import json
 import logging
 import multiprocessing
+import os
 import threading
 import time
 import warnings
@@ -32,9 +31,9 @@ from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
-from repro.core.base_op import Filter
 from repro.core.dataset import _stable_hash
 from repro.core.faults import BACKOFF_CAP_S, DegradedExecutionWarning
+from repro.core.segment import run_chunks
 from repro.parallel import worker as _worker
 from repro.parallel.worker import default_chunk_size
 
@@ -294,24 +293,6 @@ class WorkerPool:
         """
         return not self._closed and self._resolve(op) is not None
 
-    def _dispatch(self, tasks: list[tuple[str, int, list[dict]]]) -> list[tuple[Any, float]]:
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        if not tasks:
-            self.last_served_pids = []
-            return []
-        start = time.perf_counter()
-        results = self._supervised_map(tasks)
-        wall = time.perf_counter() - start
-        busy: dict[int, float] = {}
-        for _payload, cpu, pid in results:
-            busy[pid] = busy.get(pid, 0.0) + cpu
-        self.last_served_pids = sorted(busy)
-        self.tasks += len(tasks)
-        self.worker_s += sum(busy.values())
-        self.dispatch_s += max(0.0, wall - max(busy.values()))
-        return [(payload, cpu) for payload, cpu, _pid in results]
-
     def _supervised_map(self, tasks: list) -> list[tuple[Any, float, int]]:
         """Dispatch with dead/hung-worker detection, rebuild and degradation.
 
@@ -378,18 +359,17 @@ class WorkerPool:
             logger.warning("terminating the degraded pool failed; abandoning it")
 
     def _run_serial(self, tasks: list) -> list[tuple[Any, float, int]]:
-        """Execute dispatched tasks in the parent process (degraded mode)."""
-        return [_worker.run_task(task, self._serial_ops) for task in tasks]
+        """Execute one dispatch's tasks in the parent process (degraded mode)."""
+        ops = [self._serial_ops.resolve(ref) for ref in tasks[0][1]]
+        chunks = (batch for _kind, _refs, batch in tasks)
+        return [
+            ((batch, stats, failure), cpu, os.getpid())
+            for batch, stats, failure, cpu in run_chunks(ops, chunks)
+        ]
 
     def chunk_size_for(self, num_rows: int) -> int:
         """Rows per dispatched chunk: the pool's setting, else auto-sized."""
         return self.chunk_size or default_chunk_size(num_rows, self.num_workers)
-
-    def _resolve_or_raise(self, op: Any) -> int | tuple:
-        op_ref = self._resolve(op)
-        if op_ref is None:
-            raise ValueError(f"{op!r} is not resident in this pool")
-        return op_ref
 
     def run_segment(self, ops: Sequence, batches: list[dict]) -> list[tuple]:
         """Drive every column batch through ``ops`` in order, one task per batch.
@@ -397,32 +377,28 @@ class WorkerPool:
         The engines' unit of dispatch: a batch crosses the process boundary
         once however many ops the segment holds.  Returns one ``(batch,
         stats, failure, cpu_seconds)`` per input batch, in order (see
-        :func:`repro.parallel.worker.run_segment`); an op that raises in a
+        :func:`repro.core.segment.run_segment`); an op that raises in a
         worker comes back as that batch's ``failure``, never as an exception.
         """
-        refs = tuple(self._resolve_or_raise(op) for op in ops)
-        tasks = [("segment", refs, batch) for batch in batches]
-        return [(*payload, cpu) for payload, cpu in self._dispatch(tasks)]
-
-    def run_ops(self, ops: Sequence, batches: list[dict]) -> list[dict]:
-        """:meth:`run_segment` for callers that own no fault policy: returns
-        the output batches, re-raising the first op failure like an
-        in-process run would have raised it."""
-        results = self.run_segment(ops, batches)
-        for _batch, _stats, failure, _cpu in results:
-            if failure is not None:
-                raise failure[1]
-        return [batch for batch, _stats, _failure, _cpu in results]
-
-    def filter_column_batches(
-        self, op: Filter, batches: list[dict]
-    ) -> list[tuple[dict, list[bool]]]:
-        """One ``(stat_batch, keep_flags)`` per batch with *every* row
-        stat-annotated — what a tracer needs to show rejected rows' stats;
-        the survivors-only fast path is ``run_ops([op], batches)``."""
-        op_ref = self._resolve_or_raise(op)
-        tasks = [("filter_cols_full", op_ref, batch) for batch in batches]
-        return [payload for payload, _cpu in self._dispatch(tasks)]
+        if self._closed:
+            raise RuntimeError("WorkerPool is closed")
+        refs = tuple(self._resolve(op) for op in ops)
+        if None in refs:
+            raise ValueError(f"{ops[refs.index(None)]!r} is not resident in this pool")
+        if not batches:
+            self.last_served_pids = []
+            return []
+        start = time.perf_counter()
+        results = self._supervised_map([("segment", refs, batch) for batch in batches])
+        wall = time.perf_counter() - start
+        busy: dict[int, float] = {}
+        for _payload, cpu, pid in results:
+            busy[pid] = busy.get(pid, 0.0) + cpu
+        self.last_served_pids = sorted(busy)
+        self.tasks += len(batches)
+        self.worker_s += sum(busy.values())
+        self.dispatch_s += max(0.0, wall - max(busy.values()))
+        return [(*payload, cpu) for payload, cpu, _pid in results]
 
 
 # ----------------------------------------------------------------------

@@ -7,15 +7,14 @@ unigram LM) exactly once, at pool start-up, instead of once per dispatched
 task — the root cause of the Figure-10 regression in the original fork-per-run
 implementation.
 
-Tasks are small tuples ``(kind, op_ref, payload)``; operators are referenced
+Tasks are small tuples ``(kind, op_refs, batch)``; operators are referenced
 by index into the worker-resident list — or, for fused filters assembled
 after pool construction, by a *tuple* of member indices (the worker builds
 and caches an equivalent ``FusedFilter`` over its resident members).  There
-are two kinds, both over one column batch (``dict[str, list]``).  The engines
-dispatch ``"segment"`` tasks: several op references plus a batch that
-:func:`run_segment` drives through every op in order, so a chunk crosses the
-process boundary once per segment.  ``"filter_cols_full"`` is a traced
-Filter's pass, returning every row's stats plus the keep flags.
+is one kind, ``"segment"``: several op references plus one column batch
+(``dict[str, list]``) that :func:`repro.core.segment.run_segment` — the same
+function an ``np = 1`` run calls in-process — drives through every op in
+order, so a chunk crosses the process boundary once per segment.
 
 Every task returns ``(payload, cpu_seconds, pid)`` where ``cpu_seconds`` is
 the CPU time this worker spent executing the operator code
@@ -30,13 +29,10 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import time
 from typing import Any, Sequence
 
-from repro.core.base_op import Deduplicator, Filter, Mapper
-from repro.core.batch import batch_concat, batch_length
-from repro.core.dataset import NestedDataset
+from repro.core.segment import run_segment
 
 
 class ResidentOps:
@@ -96,90 +92,18 @@ def default_chunk_size(num_rows: int, num_workers: int, tasks_per_worker: int = 
     return max(1, math.ceil(num_rows / max(1, num_workers * tasks_per_worker)))
 
 
-def _apply_batched(op: Any, batch: dict) -> dict:
-    """One op's shard-local stage over a chunk, sliced to the op's batch size.
+def run_task(task: tuple[str, tuple, dict]) -> tuple[Any, float, int]:
+    """Execute one dispatched ``("segment", op_refs, batch)`` task in this worker.
 
-    Mappers transform, Filters compute stats and drop rejected rows at once
-    (the short-circuiting ``filter_batched``), a Deduplicator runs its
-    hashing stage only — its clustering is global and stays on the host.
+    Returns ``(payload, cpu_seconds, pid)``: the ``(batch, stats, failure)``
+    of :func:`repro.core.segment.run_segment` over the referenced resident
+    ops, and the process that served the task.
     """
-    if isinstance(op, Mapper):
-        function = op.process_batched
-    elif isinstance(op, Filter):
-        def function(part: dict) -> dict:
-            return op.filter_batched(part)[0]
-    elif isinstance(op, Deduplicator):
-        function = op.compute_hash_batched
-    else:
-        raise TypeError(f"a segment only holds Mappers/Filters/Deduplicators, got {op!r}")
-    chunk = NestedDataset(batch, fingerprint="segment")
-    if len(chunk) == 0:
-        return batch
-    return batch_concat(
-        [function(part) for part in chunk.iter_batches(op.effective_batch_size(chunk))]
-    )
-
-
-def _portable(error: BaseException) -> BaseException:
-    """``error`` if it survives a pickle round trip, else a stand-in that does."""
-    try:
-        pickle.loads(pickle.dumps(error))
-    except Exception:
-        return RuntimeError(f"{type(error).__name__}: {error}")
-    return error
-
-
-def run_segment(
-    ops: Sequence, batch: dict
-) -> tuple[dict | None, list[tuple[int, int, float]], tuple[int, BaseException] | None]:
-    """Drive one column batch through ``ops`` in order.
-
-    Returns ``(batch, stats, failure)``: the surviving batch, one
-    ``(rows_in, rows_out, seconds)`` triple per completed op, and ``None`` —
-    or, when op *k* raised, ``(None, stats of ops < k, (k, exception))`` so
-    the host can hand exactly that op to the error policy.  Output equals the
-    per-op engine's for per-sample ops, whose results do not depend on batch
-    boundaries.
-    """
-    stats: list[tuple[int, int, float]] = []
-    for index, op in enumerate(ops):
-        rows_in = batch_length(batch)
-        start = time.perf_counter()
-        try:
-            batch = _apply_batched(op, batch)
-        except Exception as error:
-            return None, stats, (index, _portable(error))
-        stats.append((rows_in, batch_length(batch), time.perf_counter() - start))
-    return batch, stats, None
-
-
-def run_task(task: tuple[str, Any, Any], resident: ResidentOps | None = None) -> tuple[Any, float, int]:
-    """Execute one dispatched task against a resident operator table.
-
-    ``resident`` defaults to this worker's table; a degraded pool passes its
-    own when it runs tasks in the parent.
-
-    Both kinds carry one column batch (``dict[str, list]``):
-
-    * ``"segment"`` — ``op_ref`` is a tuple of references; see
-      :func:`run_segment` for the returned payload.
-    * ``"filter_cols_full"`` — stats for *every* row then decision; payload:
-      ``(stat_batch, keep_flags)`` (used when a tracer needs rejected rows).
-
-    Returns ``(payload, cpu_seconds, pid)``; the pid identifies the process
-    that served the task.
-    """
-    kind, op_ref, payload_in = task
-    resident = resident or _RESIDENT
-    if resident is None:
+    kind, op_refs, batch = task
+    if _RESIDENT is None:
         raise RuntimeError("worker not initialized; WorkerPool must set the op list")
-    start_cpu = time.process_time()
-    if kind == "segment":
-        payload: Any = run_segment([resident.resolve(ref) for ref in op_ref], payload_in)
-    elif kind == "filter_cols_full":
-        op = resident.resolve(op_ref)
-        batch = op.compute_stats_batched(dict(payload_in))
-        payload = (batch, op.process_batched(batch))
-    else:
+    if kind != "segment":
         raise ValueError(f"unknown task kind {kind!r}")
+    start_cpu = time.process_time()
+    payload = run_segment([_RESIDENT.resolve(ref) for ref in op_refs], batch)
     return payload, time.process_time() - start_cpu, os.getpid()

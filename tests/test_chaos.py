@@ -165,6 +165,37 @@ class TestTransientFaultRetries:
         Executor(reference).run(NestedDataset.from_list(rows))
         assert (tmp_path / "out.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_raise_policy_retries_a_dedup_hashing_fault_in_both_modes(self, tmp_path, mode):
+        """Regression: streaming's hand-written shard loop asked ``lenient``
+        before ``max_retries``, so under ``on_error: raise`` a one-shot fault
+        in a hashing stage aborted the streaming run memory mode healed."""
+        rows = [
+            {"text": f"{row['text'].strip()} document number {index}"}
+            for index, row in enumerate(c4_like(num_samples=50, seed=23).to_list()[:40])
+        ]
+        config = {
+            "process": [{"whitespace_normalization_mapper": {}}, {"document_deduplicator": {}}],
+            "export_path": str(tmp_path / "out.jsonl"),
+            "work_dir": str(tmp_path / "work"),
+            "max_shard_rows": 10,
+            "on_error": "raise",
+            "max_retries": 2,
+            "backoff_s": 0.0,
+        }
+        executor = Executor(config)
+        FaultPlan(state_dir=tmp_path / "fuse").inject(
+            "document_deduplicator", kind="raise", times=1
+        ).install(executor.ops)
+        dataset = NestedDataset.from_list(rows)
+        if mode == "memory":
+            executor.run(dataset)
+        else:
+            executor.run_streaming(dataset)
+        faults = executor.last_report["faults"]
+        assert faults["retries"] == 1 and faults["op_errors"] == {"document_deduplicator": 1}
+        assert len(export_lines(tmp_path / "out.jsonl")) == 40
+
 
 class TestWorkerSupervision:
     """Dead and hung workers are detected, the pool rebuilt, the chunk retried."""

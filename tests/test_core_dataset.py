@@ -225,19 +225,6 @@ class TestColumnBatches:
         with pytest.raises(DatasetError):
             make_dataset(3).map_batches(lambda batch: [batch])
 
-    def test_filter_batches_matches_filter(self):
-        dataset = make_dataset(9)
-        keep = lambda text: len(text) % 2 == 0
-        fingerprint = "shared-fp"
-        batched = dataset.filter_batches(
-            lambda batch: [keep(text) for text in batch["text"]],
-            batch_size=4,
-            new_fingerprint=fingerprint,
-        )
-        per_row = dataset.filter(lambda row: keep(row["text"]), new_fingerprint=fingerprint)
-        assert batched.to_list() == per_row.to_list()
-        assert batched.fingerprint == per_row.fingerprint
-
     def test_batches_share_cells_but_not_columns(self):
         dataset = make_dataset(4)
         batch = next(dataset.iter_batches(4))

@@ -54,6 +54,48 @@ class TestTracer:
         header = json.loads(files[0].read_text().splitlines()[0])
         assert header["op_name"] == "upper"
 
+    def test_filter_on_a_meta_field_shows_a_dropped_row_sharing_its_text(self):
+        """Regression: "discarded" was decided by text value, so a dropped row
+        whose text a kept row shares was never shown."""
+        from repro.ops import load_ops
+
+        (op,) = load_ops(
+            [{"specified_numeric_field_filter": {"field_key": "meta.score", "min_value": 5}}]
+        )
+        rows = [("same words here", 1), ("same words here", 9), ("other", 9)]
+        dataset = NestedDataset.from_list(
+            [{"text": text, "meta": {"score": score}} for text, score in rows]
+        )
+        tracer = Tracer()
+        kept = op.run(dataset, tracer=tracer)
+        (record,) = tracer.records
+        assert (record.input_size, record.output_size, len(kept)) == (3, 2, 2)
+        assert [(example["index"], example["discarded"]) for example in record.examples] == [
+            (0, "same words here")
+        ]
+
+    def test_selector_over_duplicate_texts_shows_the_dropped_rows(self):
+        from repro.ops import load_ops
+
+        (op,) = load_ops(
+            [{"topk_specified_field_selector": {"field_key": "meta.score", "topk": 2}}]
+        )
+        dataset = NestedDataset.from_list(
+            [
+                {"text": "dup", "meta": {"score": score}, Fields.stats: {"seen": score}}
+                for score in (3, 9, 1, 7)
+            ]
+        )
+        tracer = Tracer()
+        kept = op.run(dataset, tracer=tracer)
+        assert [row["meta"]["score"] for row in kept] == [9, 7]
+        (record,) = tracer.records
+        # a Selector computes no stats: the rows show the ones they came with
+        assert [(example["index"], example["stats"]) for example in record.examples] == [
+            (0, {"seen": 3}),
+            (2, {"seen": 1}),
+        ]
+
     def test_summary_in_execution_order(self):
         tracer = Tracer()
         before, after = before_after()

@@ -288,7 +288,7 @@ class TestMinhashClusteringMatchesTheRowByRowLoop:
     def test_real_signatures_cluster_like_the_loop(self):
         dedup = DocumentMinhashDeduplicator(jaccard_threshold=0.5)
         texts = [BASE, OTHER, NEAR, "", BASE, NEAR + " and more", "", OTHER + " indeed"]
-        hashed = dedup.hash_stage(dataset(texts))
+        hashed = dedup.sample_stage(dataset(texts))
         signatures = [struct.unpack("<64I", cell) for cell in hashed.column(HashKeys.minhash)]
         deduped, pairs = dedup.process(hashed, show_num=10)
         kept, united = minhash_clusters(dedup, signatures, show_num=10)
@@ -306,7 +306,7 @@ class TestClusteringReadsTheHashColumn:
     @pytest.mark.parametrize("dedup_cls", DEDUPLICATORS)
     def test_row_dicts_are_built_only_for_the_shown_pairs(self, dedup_cls, monkeypatch):
         dedup = dedup_cls()
-        hashed = dedup.hash_stage(dataset([BASE, OTHER, BASE, BASE, OTHER]))
+        hashed = dedup.sample_stage(dataset([BASE, OTHER, BASE, BASE, OTHER]))
         row_reads = []
         real_getitem = NestedDataset.__getitem__
 

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.dataset import NestedDataset
 from repro.core.executor import Executor
+from repro.core.segment import run_segment
 from repro.ops import load_ops
 from repro.parallel import (
     WorkerPool,
     get_shared_pool,
     resolve_start_method,
-    run_segment,
     shutdown_shared_pools,
 )
 from repro.parallel.worker import default_chunk_size, run_task
@@ -73,13 +73,20 @@ def pooled_segment(pool, ops, dataset, chunk_rows_=None):
     return results
 
 
+def pooled_batches(pool, ops, batches):
+    """The output batches of one dispatch that must not have failed."""
+    results = pool.run_segment(ops, batches)
+    assert all(failure is None for _batch, _stats, failure, _cpu in results)
+    return [batch for batch, _stats, _failure, _cpu in results]
+
+
 class TestWorkerPool:
     def test_pool_reuse_across_runs(self, corpus):
         ops = load_ops(PROCESS)
         with WorkerPool(2, ops=ops) as pool:
             pids_before = sorted(pool.worker_pids())
-            first = pool.run_ops(ops, list(corpus.iter_batches(12)))
-            second = pool.run_ops(ops, list(corpus.iter_batches(12)))
+            first = pooled_batches(pool, ops, list(corpus.iter_batches(12)))
+            second = pooled_batches(pool, ops, list(corpus.iter_batches(12)))
             pids_after = sorted(pool.worker_pids())
         # the same worker processes served both runs — no fork-per-run
         assert pids_before == pids_after and len(pids_before) == 2
@@ -131,7 +138,8 @@ class TestWorkerPool:
 
     def test_worker_failure_is_reported_not_raised(self, corpus):
         """An op raising inside a worker comes back as (op index, exception)
-        with the stats of the ops before it; run_ops re-raises it."""
+        with the stats of the ops before it; ``op.run(pool=)``, which owns no
+        fault policy, re-raises it like an in-process run."""
         from repro.testing import FaultPlan
         from repro.testing.chaos import ChaosFault
 
@@ -142,7 +150,8 @@ class TestWorkerPool:
             assert batch is None and len(stats) == 2
             assert failure[0] == 2 and isinstance(failure[1], ChaosFault)
             with pytest.raises(ChaosFault):
-                pool.run_ops(ops, [corpus.to_dict()])
+                ops[2].run(corpus, pool=pool)
+            assert pool.last_served_pids  # raised in a worker, re-raised here
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
@@ -186,7 +195,7 @@ class TestDegradedMode:
         def hammer(name):
             pool = pools[name]
             for _ in range(50):
-                (out,) = pool.run_ops(pool._ops, [dict(batch)])
+                (out,) = pooled_batches(pool, pool._ops, [dict(batch)])
                 if out != expected[name]:
                     failures.append(name)
 
@@ -300,7 +309,7 @@ class TestConfigEquivalenceDispatch:
         with WorkerPool(2, process_list=recipe) as pool:
             foreign = load_ops(recipe)[0]  # fresh instance, same config
             assert foreign is not pool._ops[0]
-            pooled = pool.run_ops([foreign], list(corpus.iter_batches(12)))
+            pooled = pooled_batches(pool, [foreign], list(corpus.iter_batches(12)))
             assert pool.last_served_pids  # executed out of process
         assert NestedDataset.from_batches(pooled).to_list() == serial
 
@@ -356,7 +365,7 @@ class TestBatchedPoolDispatch:
         assert pooled.to_list() == serial.to_list()
         assert pooled.fingerprint == serial.fingerprint
 
-    def test_filter_column_batches_matches_serial(self, corpus):
+    def test_filter_run_through_pool_matches_serial(self, corpus):
         ops = load_ops(PROCESS)
         text_filter = ops[2]
         serial = text_filter.run(corpus)
@@ -385,19 +394,19 @@ class TestBatchedPoolDispatch:
         assert pooled.to_list() == serial.to_list()
         assert pooled.fingerprint == serial.fingerprint
 
-    def test_deduplicator_hash_stage_uses_pool(self, corpus):
+    def test_deduplicator_sample_stage_uses_pool(self, corpus):
         ops = load_ops([{"document_minhash_deduplicator": {}}])
         dedup = ops[0]
         serial = dedup.run(corpus)
         with WorkerPool(2, ops=ops) as pool:
             pooled = dedup.run(corpus, pool=pool)
             assert pool.last_served_pids  # hashing ran in the workers
-            hashed = dedup.hash_stage(corpus, pool)
+            hashed = dedup.sample_stage(corpus, pool)
         assert pooled.to_list() == serial.to_list()
         assert pooled.fingerprint == serial.fingerprint
-        # the one hashing method run() and the streaming engine share
-        assert hashed.to_list() == dedup.hash_stage(corpus).to_list()
-        assert hashed.fingerprint == dedup.hash_stage(corpus).fingerprint
+        # the one hashing stage run() and the streaming engine share
+        assert hashed.to_list() == dedup.sample_stage(corpus).to_list()
+        assert hashed.fingerprint == dedup.sample_stage(corpus).fingerprint
 
     def test_fused_filter_with_foreign_members_not_held(self):
         from repro.core.fusion import FusedFilter
@@ -426,18 +435,17 @@ def test_preload_assets_is_idempotent():
 
 
 class TestRunSegment:
-    def test_worker_knows_exactly_two_task_kinds(self):
-        from repro.parallel.worker import ResidentOps
+    def test_worker_knows_exactly_one_task_kind(self, monkeypatch):
+        from repro.parallel import worker
 
-        resident = ResidentOps(load_ops([{"text_length_filter": {"min_len": 10}}]))
+        resident = worker.ResidentOps(load_ops([{"text_length_filter": {"min_len": 10}}]))
+        monkeypatch.setattr(worker, "_RESIDENT", resident)
         batch = {"text": ["tiny", "long enough to survive the filter"]}
-        (kept, _stats, failure), _cpu, _pid = run_task(("segment", (0,), dict(batch)), resident)
+        (kept, _stats, failure), _cpu, _pid = run_task(("segment", (0,), dict(batch)))
         assert failure is None and len(kept["text"]) == 1
-        (stat_batch, flags), _cpu, _pid = run_task(("filter_cols_full", 0, dict(batch)), resident)
-        assert flags == [False, True] and len(stat_batch["text"]) == 2
-        for gone in ("map", "stats", "flags", "filter"):
+        for gone in ("map", "stats", "flags", "filter", "filter_cols_full"):
             with pytest.raises(ValueError, match="unknown task kind"):
-                run_task((gone, 0, [{"text": "row"}]), resident)
+                run_task((gone, (0,), dict(batch)))
 
     def test_rejects_selectors(self):
         _batch, _stats, failure = run_segment(

@@ -1,0 +1,226 @@
+"""One way to apply sample-level ops to a batch: the segment, wherever it runs.
+
+Counted evidence (calls, rows, tasks, ``tracemalloc`` bytes — no wall clock):
+
+* **np = 1 executes the segment code** — a spy on
+  :func:`repro.core.segment.run_segment` sees every sample-level op of the
+  recipe, in order, for every chunk of a memory run and of each streaming
+  shard.
+* **A tracer does not change how a Filter executes** — ``filter_batched`` is
+  handed the same rows traced as untraced, per-sample ``compute_stats`` runs
+  only for the shown examples, at np 1 and 2; a pool is sent ``segment``
+  tasks only.
+* **Chunks are consumed lazily** — np = 1 peak heap on long documents stays
+  at or under what the per-op engine this replaced read on the same corpus.
+* **The guard** — nothing else in ``src/repro`` applies an op to a batch.
+"""
+
+import ast
+import gc
+import multiprocessing
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core import segment
+from repro.core.base_op import Filter
+from repro.core.batch import batch_length
+from repro.core.dataset import NestedDataset
+from repro.core.executor import Executor
+from repro.core.tracer import Tracer
+from repro.ops import load_ops
+from repro.parallel import WorkerPool
+from repro.synth import common_crawl_like
+
+from tests.test_segment_dispatch import WEB_CLEAN
+from tests.test_streaming import messy_corpus_rows
+
+SAMPLE_LEVEL = [next(iter(entry)) for entry in WEB_CLEAN]
+
+
+@pytest.fixture
+def segment_spy(monkeypatch):
+    """Every in-process ``run_segment`` call as ``(op names, rows in, rows out)``."""
+    calls = []
+    real = segment.run_segment
+
+    def spy(ops, batch):
+        rows_in = len(batch["text"])
+        out, stats, failure = real(ops, batch)
+        calls.append(([op.name for op in ops], rows_in, len(out["text"]) if out else 0))
+        return out, stats, failure
+
+    monkeypatch.setattr(segment, "run_segment", spy)
+    return calls
+
+
+class TestSerialRunsExecuteTheSegment:
+    def test_memory_run_sends_every_chunk_through_the_whole_op_list(self, segment_spy):
+        dataset = NestedDataset.from_list(messy_corpus_rows(900, duplicates=100))
+        executor = Executor({"process": WEB_CLEAN})
+        out = executor.run(dataset)
+        chunk = executor.ops[0].effective_batch_size(dataset)
+        assert len(segment_spy) == -(-len(dataset) // chunk) > 1
+        assert all(names == SAMPLE_LEVEL for names, _in, _out in segment_spy)
+        assert sum(rows_in for _names, rows_in, _out in segment_spy) == len(dataset)
+        # the closing Deduplicator only hashed in there: its clustering is global
+        assert sum(rows_out for _names, _in, rows_out in segment_spy) >= len(out) > 0
+
+    def test_every_streaming_shard_is_chunks_of_the_same_segment(self, segment_spy):
+        rows = messy_corpus_rows(300, duplicates=40)
+        executor = Executor({"process": WEB_CLEAN, "max_shard_rows": 64, "batch_size": 16})
+        report = executor.run_streaming(NestedDataset.from_list(rows))
+        shards = report["shards"]["executed_shards"]
+        assert shards == -(-len(rows) // 64)
+        assert all(names == SAMPLE_LEVEL for names, _in, _out in segment_spy)
+        assert [rows_in for _names, rows_in, _out in segment_spy] == [
+            min(16, 64 - start, len(rows) - shard * 64 - start)
+            for shard in range(shards)
+            for start in range(0, min(64, len(rows) - shard * 64), 16)
+        ]
+
+    def test_op_run_is_a_segment_of_one(self, segment_spy):
+        (op,) = load_ops([{"text_length_filter": {"min_len": 40}}])
+        dataset = NestedDataset.from_list(messy_corpus_rows(50))
+        tracer = Tracer()
+        kept = op.run(dataset, tracer=tracer)
+        assert [names for names, _in, _out in segment_spy] == [["text_length_filter"]]
+        assert tracer.summary()[0]["output_size"] == len(kept) < len(dataset)
+
+
+def counted(ops, method_name, weigh):
+    """Per Filter, the summed ``weigh(argument)`` of every entry into
+    ``method_name`` — counted across forked workers (shared memory)."""
+    counters = {}
+    for op in ops:
+        if not isinstance(op, Filter):
+            continue
+        counter = counters[op.name] = multiprocessing.Value("i", 0)
+
+        def counting(payload, *args, _real=getattr(op, method_name), _counter=counter, **kwargs):
+            with _counter.get_lock():
+                _counter.value += weigh(payload)
+            return _real(payload, *args, **kwargs)
+
+        setattr(op, method_name, counting)
+    return counters
+
+
+class TestTracerDoesNotChangeExecution:
+    TRACE_NUM = 3
+
+    def run(self, tmp_path, np, traced, monkeypatch):
+        kinds = set()
+        real_map = WorkerPool._supervised_map
+
+        def recording_map(pool, tasks):
+            kinds.update(kind for kind, _refs, _batch in tasks)
+            return real_map(pool, tasks)
+
+        monkeypatch.setattr(WorkerPool, "_supervised_map", recording_map)
+        config = {
+            "process": WEB_CLEAN,
+            "np": np,
+            "batch_size": 50,
+            "open_tracer": traced,
+            "trace_num": self.TRACE_NUM,
+            "work_dir": str(tmp_path / f"work-{np}-{int(traced)}"),
+        }
+        with Executor(config) as executor:
+            batched = counted(executor.ops, "filter_batched", batch_length)
+            per_sample = counted(executor.ops, "compute_stats", lambda sample: 1)
+            out = executor.run(NestedDataset.from_list(messy_corpus_rows(400, duplicates=60)))
+            trace = executor.last_report["trace"]
+        return (
+            out.to_list(),
+            {name: counter.value for name, counter in batched.items()},
+            {name: counter.value for name, counter in per_sample.items()},
+            kinds,
+            trace,
+        )
+
+    @pytest.mark.parametrize("np", [1, 2])
+    def test_traced_filters_take_the_untraced_path(self, tmp_path, np, monkeypatch):
+        plain_rows, plain_batched, plain_samples, _kinds, _trace = self.run(
+            tmp_path, np, False, monkeypatch
+        )
+        rows, batched, samples, kinds, trace = self.run(tmp_path, np, True, monkeypatch)
+        assert rows == plain_rows
+        # every Filter was handed each of its input rows once, through the
+        # short-circuiting entry, traced or not (chunking differs, work does not)
+        assert len(batched) == 9 and all(batched.values())
+        assert batched == plain_batched
+        assert batched == {
+            entry["op_name"]: entry["input_size"] for entry in trace if entry["op_type"] == "filter"
+        }
+        assert set(plain_samples.values()) == {0}
+        dropped = {
+            entry["op_name"]: entry["removed"] for entry in trace if entry["op_type"] == "filter"
+        }
+        assert any(dropped.values())
+        assert samples == {
+            name: min(self.TRACE_NUM, dropped[name]) for name in samples
+        }
+        assert kinds == ({"segment"} if np > 1 else set())
+
+
+def long_documents(rows=320, span=6):
+    """Distinct ~8.6k-character documents that survive the web-clean filters."""
+    base = [row["text"] for row in common_crawl_like(num_samples=rows + span, seed=5)]
+    return [{"text": " ".join(base[i:i + span]) + f" doc {i}"} for i in range(rows)]
+
+
+def test_serial_peak_heap_on_long_documents_is_no_higher_than_the_per_op_engine():
+    """Chunks are sized by the char-adaptive batch rule and consumed lazily:
+    inside the segment only one chunk's intermediates are alive beside the
+    output.  The bound is what the per-op engine (every op a pass over the
+    whole dataset, so two corpus copies alive in a mapper) read on this
+    2.8 M-character corpus at the commit that removed it: 5.65 MB, against
+    4.7 here (fixed 1000-row chunks read 5.65 again)."""
+    rows = long_documents()
+    executor = Executor({"process": WEB_CLEAN})
+    executor.run(NestedDataset.from_list(rows[:20]))  # load assets outside the window
+    dataset = NestedDataset.from_list(rows)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = executor.run(dataset)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) > 300
+    assert peak <= 5.65e6
+
+
+SEGMENT_METHODS = {"process_batched", "filter_batched", "compute_hash_batched"}
+
+#: where an op's batched methods may be referenced: the ops themselves, the
+#: per-row defaults, a fused filter's member fan-out, test support — and the
+#: one segment module
+ALLOWED = ("ops/", "core/base_op.py", "core/fusion.py", "testing/", "core/segment.py")
+
+
+def test_only_the_segment_module_applies_ops_to_a_batch():
+    """A second op-application path fails here in the PR that adds it."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative.startswith(ALLOWED):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in SEGMENT_METHODS:
+                offenders.append(f"{relative}:{node.lineno} .{node.attr}")
+    assert offenders == []
+    # and inside the segment module, exactly one function does
+    tree = ast.parse((root / "core/segment.py").read_text(encoding="utf-8"))
+    callers = {
+        function.name
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr in SEGMENT_METHODS
+    }
+    assert callers == {"apply_op"}
