@@ -15,6 +15,16 @@ streaming mode — is written **once**, as one entry of a :class:`CacheManager`:
 * the **spill** the streaming two-pass resolve reads back in its mask pass is
   the very entry the signature pass wrote (or found).
 
+An entry is still written once, but a memory-mode entry stores what the op
+changed, not the whole dataset: it is a delta over the op's parent dataset
+(:func:`encode` / :func:`decode`) — one parent row position per output row
+(none when the op kept the rows as they were) and, whole, only the columns a
+replay cannot rebuild from the parent.  Whether a column is unchanged is checked at
+write time against the data (:func:`cell_snapshot`), never inferred from what
+the op declares, so the replay is exact for any op.  A resume replays the
+chain of entries onto the loaded input.  A checkpoint-only run, which keeps
+its latest entry alone, writes that entry whole (the same codec, no parent).
+
 Entries are pickled — lossless for every Python payload, so a replay can
 never differ from recomputation — and optionally compressed; zlib / lzma /
 gzip stand in for the zstd / LZ4 codecs of the original system.  Every write
@@ -37,7 +47,16 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
+
+#: shape version of a memory-mode entry (:func:`encode`); any other payload —
+#: the whole pickled datasets older stores hold included — decodes as a miss
+ENTRY_FORMAT = 1
+
+#: cell types no op can edit in place: such a cell is unchanged when it has
+#: the type and value of the parent cell it maps to
+_IMMUTABLE = frozenset({str, bytes, int, float, bool, type(None)})
 
 _CODECS: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
     "none": (lambda data: data, lambda data: data),
@@ -159,12 +178,158 @@ class CacheManager:
         return sum(path.stat().st_size for path in self.cache_dir.glob("entry-*"))
 
 
+def _dumps(value: Any) -> bytes:
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def cell_snapshot(dataset: NestedDataset) -> dict[str, bytes]:
+    """The pickled bytes of every column of ``dataset`` holding a mutable cell.
+
+    Ops edit ``meta`` / ``__stats__`` dicts in place, so once the next op has
+    run, ``dataset`` in memory no longer shows what its entry decodes to.
+    Taken before that op runs, these bytes are what :func:`encode` compares
+    the op's output against.
+    """
+    return {
+        name: _dumps(values)
+        for name, values in dataset._columns.items()
+        if not set(map(type, values)) <= _IMMUTABLE
+    }
+
+
+def _same_immutable(new: Any, old: Any) -> bool:
+    """True when immutable ``new`` equals ``old`` in type and value (``-0.0`` is not ``0.0``)."""
+    kind = type(new)
+    return kind is type(old) and new == old and (kind is not float or repr(new) == repr(old))
+
+
+def _row_positions(parent: NestedDataset, child: NestedDataset) -> list[int] | None:
+    """The parent row of every ``child`` row, matched on the values of its immutable columns.
+
+    A row's key is its cells in every column holding only immutable cells in
+    both datasets, and a child row maps to the last parent row with its key
+    — values survive a worker's pickling round trip, object identity does
+    not.  None when no column qualifies or some child row has no match.
+    """
+    names = [
+        name
+        for name, values in child._columns.items()
+        if name in parent._columns
+        and set(map(type, values)) <= _IMMUTABLE
+        and set(map(type, parent._columns[name])) <= _IMMUTABLE
+    ]
+    if not names:
+        return None
+    rows = dict(zip(zip(*(parent._columns[name] for name in names)), range(len(parent))))
+    positions = list(map(rows.get, zip(*(child._columns[name] for name in names))))
+    return None if None in positions else positions
+
+
+def encode(
+    parent: NestedDataset | None, child: NestedDataset, parent_snapshot: dict[str, bytes] | None
+) -> tuple[dict, dict[str, bytes]]:
+    """The store entry of ``child``, an op's output over ``parent``, and ``child``'s snapshot.
+
+    With a parent the entry is a delta :func:`decode` replays onto it.  A
+    column is stored, whole, only when the replay could not rebuild it:
+
+    * an immutable column is unchanged when each cell has the type and value
+      of the parent cell its row maps to;
+    * a column of mutable cells is unchanged only when the op kept the rows
+      as they were and the column pickles to ``parent_snapshot``'s bytes —
+      the parent as its own entry holds it.
+
+    The row mapping decides only how much is stored, never whether the replay
+    is exact: positions ``0..n-1`` when the op kept the row count, else
+    matched on the values of the immutable columns (:func:`_row_positions`).
+    With no mapping, or no parent, every column is stored (a self-contained
+    entry).  The returned snapshot is what the next op's entry is encoded
+    against (:func:`cell_snapshot`, at no extra cost).
+    """
+    columns = child._columns
+    payload: dict = {
+        "format": ENTRY_FORMAT,
+        "fingerprint": child.fingerprint,
+        "rows": len(child),
+        "columns": list(columns),
+        "parent_rows": None,
+        "positions": None,
+        "dropped": [],
+        # stored columns: mutable ones as their snapshot bytes, immutable ones whole
+        "pickled": {},
+        "dense": {},
+    }
+    positions = None
+    if parent is not None and len(child) != len(parent):
+        positions = _row_positions(parent, child)
+        if positions is None:
+            parent = None
+    snapshot: dict[str, bytes] = {}
+    for name, values in columns.items():
+        base = None if parent is None else parent._columns.get(name)
+        if not set(map(type, values)) <= _IMMUTABLE:
+            blob = snapshot[name] = _dumps(values)
+            if base is None or positions is not None or parent_snapshot.get(name) != blob:
+                payload["pickled"][name] = blob
+            continue
+        if base is not None and positions is not None:
+            base = list(map(base.__getitem__, positions))
+        if base is None or any(
+            new is not old and not _same_immutable(new, old) for new, old in zip(values, base)
+        ):
+            payload["dense"][name] = values
+    if parent is not None:
+        payload.update(
+            parent_rows=len(parent),
+            positions=positions,
+            dropped=[name for name in parent._columns if name not in columns],
+        )
+    return payload, snapshot
+
+
+def decode(parent: NestedDataset | None, payload: Any) -> NestedDataset | None:
+    """The dataset an :func:`encode` payload describes, replayed onto ``parent``.
+
+    None — a miss — when ``payload`` is no entry of this format (an older
+    store's whole pickled dataset included) or does not fit ``parent``; a
+    self-contained entry needs no parent.
+    """
+    if not isinstance(payload, dict) or payload.get("format") != ENTRY_FORMAT:
+        return None
+    try:
+        base_columns: dict[str, list] = {}
+        if payload["parent_rows"] is not None:
+            if parent is None or len(parent) != payload["parent_rows"]:
+                return None
+            base_columns = parent._columns
+            if not all(name in base_columns for name in payload["dropped"]):
+                return None
+        positions, pickled, dense = payload["positions"], payload["pickled"], payload["dense"]
+        columns: dict[str, list] = {}
+        for name in payload["columns"]:
+            if name in pickled:
+                columns[name] = pickle.loads(pickled[name])
+                continue
+            if name in dense:
+                columns[name] = dense[name]
+                continue
+            base = base_columns[name]
+            columns[name] = list(base) if positions is None else list(map(base.__getitem__, positions))
+        dataset = NestedDataset(columns, fingerprint=payload["fingerprint"])
+    except Exception:  # noqa: BLE001 - a payload that does not fit is a miss
+        return None
+    return dataset if len(dataset) == payload["rows"] else None
+
+
 def estimate_cache_space(
     dataset_size: int, num_mappers: int, num_filters: int, num_dedups: int
 ) -> int:
     """Peak cache space of *cache mode*, per the paper's Appendix A.2 analysis.
 
     ``Space = (1 + M + F + I(F > 0) + D) * S`` where S is the dataset size.
+    Every entry there is a whole dataset; memory-mode entries here store only
+    what each op changed (:func:`encode`), so this is a loose upper bound on
+    the space a cache-mode run actually takes.
     """
     extra_stats_copy = 1 if num_filters > 0 else 0
     return (1 + num_mappers + num_filters + extra_stats_copy + num_dedups) * dataset_size

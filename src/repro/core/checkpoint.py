@@ -13,8 +13,13 @@ file recording *which run* it belongs to and *where* that run got to:
 * ``input`` — the input's identity (the dataset fingerprint in memory mode,
   the shard budget in streaming mode, whose shard entries are keyed on their
   input rows);
-* ``op_index`` / ``key`` (memory mode) — one past the last completed operator
-  and the store key of its output.
+* ``op_index`` / ``keys`` (memory mode) — one past the last completed
+  operator, and the chain of store keys whose entries, replayed in order,
+  rebuild its output: with ``use_cache`` one delta entry per completed op
+  (each stores what its op changed over the dataset before it), replayed
+  onto the loaded input; checkpoint-only the one self-contained latest
+  entry.  A chain that stops reading back midway resumes after its last
+  readable entry.
 
 The state file is written atomically and only *after* the entry it points at,
 so a crash at any point leaves either the previous checkpoint or a complete

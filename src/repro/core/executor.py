@@ -28,10 +28,11 @@ counters, the tracer summary and the run-level resource profile.  Profiler,
 fault ledger and :class:`repro.core.tracer.Tracer` are created per run.
 
 Persistence is one content-addressed store (:mod:`repro.core.cache`): each op
-output (memory mode) or shard stage output (streaming) is written once, under
-``cache_dir`` when ``use_cache``, else under ``checkpoint_dir`` when
-``use_checkpoint``; the checkpoint is a state file pointing at an entry, and
-the streaming spill is the same entry the mask pass reads back.
+output (memory mode: what the op changed over its input, a delta) or shard
+stage output (streaming) is written once, under ``cache_dir`` when
+``use_cache``, else under ``checkpoint_dir`` when ``use_checkpoint``; the
+checkpoint is a state file pointing at the chain of entries a resume
+replays, and the streaming spill is the same entry the mask pass reads back.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
-from repro.core.cache import CacheManager
+from repro.core.cache import CacheManager, cell_snapshot, decode, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
 from repro.core.errors import ConfigError, DataflowWarning, DatasetError, OpExecutionError
@@ -121,7 +122,10 @@ class Executor:
                 (self.cfg.cache_dir or work_dir / "cache") if self.cfg.use_cache else checkpoint_dir,
                 compression=self.cfg.cache_compression,
             )
-        self._cache_stats = {"hits": 0, "misses": 0, "shard_hits": 0, "shard_misses": 0}
+        #: lookups of the store, and the entry bytes written to it
+        self._cache_stats = {
+            "hits": 0, "misses": 0, "shard_hits": 0, "shard_misses": 0, "bytes_written": 0
+        }
         self.ops = build_ops(
             self.cfg.process, op_fusion=self.cfg.op_fusion, batch_size=self.cfg.batch_size
         )
@@ -290,31 +294,51 @@ class Executor:
 
     def _resume(
         self, current: NestedDataset, run_state: dict
-    ) -> tuple[NestedDataset, int, str | None]:
-        """Where a checkpointed memory run starts: ``(dataset, op index, key)``.
+    ) -> tuple[NestedDataset, int, list[str]]:
+        """Where a checkpointed memory run starts: ``(dataset, op index, key chain)``.
 
         The state file is honoured only when it describes *this* run — same
         input fingerprint, and for every already-applied op the same name
         *and* config hash (an edited recipe must re-execute, not reuse data
-        of the old configuration) — and the entry it points at reads back.
-        Anything else starts over, emptying a checkpoint-only store.
+        of the old configuration).  Its ``keys`` are replayed in order: with
+        ``use_cache`` one delta entry per applied op onto the loaded input,
+        checkpoint-only the one self-contained latest entry.  A chain that
+        stops reading back midway resumes after the last entry that did;
+        nothing read back starts over, emptying a checkpoint-only store.
+        ``#faulted`` entries of the old chain that the new one drops are
+        deleted: no other run looks them up.
         """
         if self.checkpoint is None:
-            return current, 0, None
+            return current, 0, []
         saved = self.checkpoint.read_state() or {}
-        done = saved.get("op_index")
+        done, keys = saved.get("op_index"), saved.get("keys")
+        if not isinstance(keys, list) or not all(isinstance(key, str) for key in keys):
+            keys = []  # a corrupt state file is no checkpoint
+        restored, first, replayed = current, 0, 0
         if (
             isinstance(done, int)
+            and 0 < len(keys) <= done
             and saved.get("input") == run_state["input"]
             and saved.get("op_names", [])[:done] == run_state["op_names"][:done]
             and saved.get("op_hashes", [])[:done] == run_state["op_hashes"][:done]
         ):
-            restored = self.store.get(saved.get("key"))
-            if restored is not None:
-                return restored, done, saved["key"]
-        if not self.cfg.use_cache:
-            self.store.clear()
-        return current, 0, None
+            # the op index the chain starts from; past the input, its first
+            # entry must be self-contained (decoded with no parent)
+            first = done - len(keys)
+            restored = None if first else current
+            for key in keys:
+                decoded = decode(restored, self.store.get(key))
+                if decoded is None:
+                    break
+                restored, replayed = decoded, replayed + 1
+        if not replayed:
+            restored, first = current, 0
+            if not self.cfg.use_cache:
+                self.store.clear()
+        for stale in keys[replayed:]:
+            if stale.endswith(_FAULTED):
+                self.store.delete(stale)
+        return restored, first + replayed, keys[:replayed]
 
     def _put_result(
         self, store: CacheManager, key: str, payload: Any, faults_before: int, spill: bool = False
@@ -330,7 +354,9 @@ class Executor:
         if not clean:
             key += _FAULTED
         if spill or clean or self.checkpoint is not None:
-            store.put(key, payload)
+            path = store.put(key, payload)
+            if store is self.store:
+                self._cache_stats["bytes_written"] += path.stat().st_size
         return key
 
     def _count_cache(self, counter: str) -> None:
@@ -512,31 +538,42 @@ class Executor:
             else:
                 current = self._load_input(dataset)
                 run_state = self._run_state(current.fingerprint)
-                # held: the store key the checkpoint state currently points at
-                current, start, held = self._resume(current, run_state)
+                # chain: the store keys whose entries, replayed in order, give
+                # ``current`` (what the checkpoint state points at)
+                current, start, chain = self._resume(current, run_state)
+                # a cache keeps every entry, so each is a delta over its
+                # parent; checkpoint-only keeps the latest alone, whole
+                delta = self.cfg.use_cache
+                # ``current``'s mutable columns as its entry holds them, taken
+                # before the next op can edit them in place (None: not yet)
+                snapshot = None
                 for index in range(start, len(self.ops)):
                     op = self.ops[index]
                     key = CacheManager.make_key(current.fingerprint, op.name, op.config())
-                    cached = store.get(key) if self.cfg.use_cache else None
+                    cached = decode(current, store.get(key)) if delta else None
                     if cached is not None:
                         self._count_cache("hits")
-                        current = cached
+                        current, snapshot = cached, None
                         self._profiler.record_cached(op, len(current))
                     else:
                         self._count_cache("misses")
                         faults_before = self._faults.total_faults
+                        parent = current if delta else None
+                        if parent is not None and snapshot is None:
+                            snapshot = cell_snapshot(parent)
                         current = self._drive([op], current)
-                        key = self._put_result(store, key, current, faults_before)
+                        payload, snapshot = encode(parent, current, snapshot)
+                        del parent  # not held while the entry is written
+                        key = self._put_result(store, key, payload, faults_before)
                     if checkpoint is not None:
+                        replaced = [] if delta else [held for held in chain if held != key]
+                        chain = [*chain, key] if delta else [key]
                         # entry first, pointer second: a crash in between
                         # leaves the previous (complete) checkpoint
-                        checkpoint.write_state({**run_state, "op_index": index + 1, "key": key})
-                        if held not in (None, key) and (
-                            not self.cfg.use_cache or held.endswith(_FAULTED)
-                        ):
+                        checkpoint.write_state({**run_state, "op_index": index + 1, "keys": chain})
+                        for stale in replaced:
                             # only the replaced checkpoint wanted this entry
-                            store.delete(held)
-                        held = key
+                            store.delete(stale)
 
             report["num_output_samples"] = len(current)
             if self.cfg.export_path:

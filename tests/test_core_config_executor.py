@@ -168,8 +168,10 @@ class TestExecutor:
         state = second.checkpoint.read_state()
         assert state["op_index"] == len(PROCESS)
         assert state["op_names"] == [op.name for op in second.ops]
-        # the checkpoint points at the cache entry; no second copy was written
-        assert second.store.has(state["key"])
+        # the checkpoint points at the chain of cache entries, one per op; no
+        # second copy was written
+        assert len(state["keys"]) == len(PROCESS)
+        assert all(second.store.has(key) for key in state["keys"])
 
     def test_plan_describes_ops(self):
         executor = Executor({"process": PROCESS, "op_fusion": False})

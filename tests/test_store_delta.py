@@ -1,0 +1,526 @@
+"""A memory-mode store entry stores what the op changed: a delta over its parent.
+
+Layers under test:
+
+* the codec (:func:`repro.core.cache.encode` / :func:`~repro.core.cache.decode`):
+  unchanged columns are not stored, a changed one is stored whole, row
+  positions come from the row count or the values of the immutable columns
+  (so they survive a worker's round trip), and a payload of another shape or
+  over another parent decodes as a miss;
+* soundness: adversarial test-local ops — in-place ``meta`` edits, a filter
+  that writes ``meta``, one row becoming two, a row-subsetting selector,
+  equal values of another type — export the same bytes and the same final
+  fingerprint cold and warm (a codec that took an identical mutable cell for
+  an unchanged one fails every one of them);
+* determinism: two runs under different ``PYTHONHASHSEED`` leave the same
+  entry files, byte for byte;
+* the resume chain: a crash resumes by replaying the recorded keys, a
+  truncated entry inside the chain is recomputed, and a cache directory of
+  whole-dataset entries is all misses once, then all hits;
+* observability: ``cache.bytes_written`` is the growth of the store, and a
+  web-cleaning recipe's cache holds fewer than 3 input-sizes.
+"""
+
+import json
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.base_op import Filter, Mapper
+from repro.core.cache import CacheManager, cell_snapshot, decode, encode
+from repro.core.checkpoint import CheckpointManager
+from repro.core.dataset import NestedDataset
+from repro.core.errors import OpExecutionError
+from repro.core.executor import Executor
+from repro.core.registry import OPERATORS
+from repro.core.sample import Fields
+from repro.testing import FaultPlan
+
+from tests.test_store import entry_files, forbid, forbid_everything
+from tests.test_streaming import write_jsonl
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: the op list of the ``web-short-persist-cold`` benchmark workload
+WEB_CLEAN = [
+    {"fix_unicode_mapper": {}},
+    {"whitespace_normalization_mapper": {}},
+    {"lowercase_mapper": {}},
+    {"text_length_filter": {"min_len": 40}},
+    {"whitespace_ratio_filter": {"min_ratio": 0.01, "max_ratio": 0.5}},
+    {"digit_ratio_filter": {"max_ratio": 0.3}},
+    {"special_characters_filter": {"max_ratio": 0.4}},
+    {"character_repetition_filter": {"rep_len": 8, "max_ratio": 0.6}},
+    {"words_num_filter": {"min_num": 10}},
+    {"word_repetition_filter": {"rep_len": 5, "max_ratio": 0.6}},
+    {"stopwords_filter": {"min_ratio": 0.0}},
+    {"flagged_words_filter": {"max_ratio": 1.0}},
+    {"document_deduplicator": {}},
+]
+
+_WORDS = (
+    "the of and a to in is was it for with as on be at by this that from river "
+    "village engine record garden letter market window bridge harvest journey "
+    "teacher compass library signal mountain recipe station archive carry build "
+    "follow gather measure notice open paint reach quiet bright narrow ancient"
+).split()
+
+
+def web_rows(count: int, seed: int = 7) -> list[dict]:
+    """Short web text: clean prose, link boilerplate, gibberish, tiny rows, duplicates."""
+    rng = random.Random(seed)
+
+    def sentence() -> str:
+        return " ".join(rng.choices(_WORDS, k=rng.randint(6, 16))).capitalize() + "."
+
+    rows = []
+    for index in range(count):
+        roll = rng.random()
+        if roll < 0.5:
+            text = " ".join(sentence() for _ in range(rng.randint(1, 3)))
+        elif roll < 0.8:
+            text = sentence() + f" Visit https://Site{index}.example.com/Page?id={index} NOW." * 3
+        elif roll < 0.9:
+            text = "".join(rng.choices("qwrtypsdfghjkl#$%&*@!{}[]<>|", k=rng.randint(60, 200)))
+        else:
+            text = sentence()
+        rows.append({"id": index, "text": text, "meta": {"source": "fixture"}})
+    rows += [dict(rows[rng.randrange(count)], id=count + n) for n in range(count // 10)]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def web_input(tmp_path_factory):
+    return write_jsonl(tmp_path_factory.mktemp("web") / "in.jsonl", web_rows(400))
+
+
+# ----------------------------------------------------------------------
+# The codec
+# ----------------------------------------------------------------------
+def rows_dataset(rows):
+    return NestedDataset.from_list([dict(row, meta=dict(row["meta"])) for row in rows])
+
+
+def replay(parent, child):
+    payload, _ = encode(parent, child, cell_snapshot(parent))
+    return payload, decode(parent, payload)
+
+
+class TestCodec:
+    ROWS = [{"text": f"row {n}", "n": n, "meta": {"k": n}} for n in range(10)]
+
+    def test_an_unchanged_dataset_stores_no_column(self):
+        parent = rows_dataset(self.ROWS)
+        child = NestedDataset(parent.to_dict(), fingerprint="child")
+        payload, decoded = replay(parent, child)
+        assert payload["pickled"] == payload["dense"] == {}
+        assert payload["positions"] is None
+        assert decoded == child and decoded.fingerprint == "child"
+
+    def test_a_changed_column_is_stored_an_unchanged_one_is_not(self):
+        parent = rows_dataset(self.ROWS)
+        columns = parent.to_dict()
+        columns["text"] = [text.upper() if n < 2 else text for n, text in enumerate(columns["text"])]
+        child = NestedDataset(columns, fingerprint="child")
+        payload, decoded = replay(parent, child)
+        assert payload["dense"] == {"text": columns["text"]}
+        assert decoded == child
+
+    def test_equal_values_of_another_type_or_sign_are_changes(self):
+        parent = NestedDataset({"x": [1, 0.0, True, "a", b"a", None, 7]})
+        child = NestedDataset({"x": [1.0, -0.0, 1, "a", b"a", None, 7]}, fingerprint="child")
+        payload, decoded = replay(parent, child)
+        assert payload["dense"] == {"x": child["x"]}
+        assert [type(value) for value in decoded["x"]] == [
+            float, float, int, str, bytes, type(None), int
+        ]
+        assert str(decoded["x"][1]) == "-0.0"
+
+    def test_a_mutable_column_edited_in_place_is_stored(self):
+        parent = rows_dataset(self.ROWS)
+        snapshot = cell_snapshot(parent)
+        assert set(snapshot) == {"meta"}
+        for meta in parent["meta"]:
+            meta["seen"] = True  # the child shares these dicts
+        child = NestedDataset(parent.to_dict(), fingerprint="child")
+        payload, _ = encode(parent, child, snapshot)
+        assert set(payload["pickled"]) == {"meta"}
+        fresh = rows_dataset(self.ROWS)  # the parent as its own entry holds it
+        assert decode(fresh, payload)["meta"][0] == {"k": 0, "seen": True}
+
+    def test_positions_follow_the_immutable_values(self):
+        parent = rows_dataset(self.ROWS)
+        child = parent.select([7, 2, 2, 9])
+        child._fingerprint = "child"
+        payload, decoded = replay(parent, child)
+        assert payload["positions"] == [7, 2, 2, 9]
+        assert payload["dense"] == {}
+        assert decoded == child
+
+    def test_positions_survive_a_pickling_round_trip(self):
+        # a pool worker hands back copies: no object of the parent is in the child
+        parent = rows_dataset(self.ROWS)
+        child = pickle.loads(pickle.dumps(parent.select([9, 4, 0])))
+        child._fingerprint = "child"
+        payload, decoded = replay(parent, child)
+        assert payload["positions"] == [9, 4, 0]
+        assert payload["dense"] == {} and set(payload["pickled"]) == {"meta"}
+        assert decoded == child
+
+    def test_rows_with_equal_values_map_to_one_of_them(self):
+        parent = NestedDataset({"text": ["a", "b", "a"], "meta": [{"k": 0}, {"k": 1}, {"k": 2}]})
+        child = parent.select([0, 1])
+        child._fingerprint = "child"
+        payload, decoded = replay(parent, child)
+        assert payload["positions"] == [2, 1]
+        # the mapping only decides what is stored: the meta column is, whole
+        assert decoded == child and decoded["meta"] == [{"k": 0}, {"k": 1}]
+
+    def test_no_mapping_stores_a_self_contained_entry(self):
+        parent = NestedDataset({"text": ["a", "b", "c"]})
+        child = NestedDataset({"text": ["a", "z"]}, fingerprint="child")
+        payload, decoded = replay(parent, child)
+        assert payload["parent_rows"] is None and payload["dense"] == {"text": ["a", "z"]}
+        assert decode(None, payload) == child == decoded
+
+    def test_dropped_columns_are_named(self):
+        parent = rows_dataset(self.ROWS)
+        child = parent.remove_columns("n")
+        payload, decoded = replay(parent, child)
+        assert payload["dropped"] == ["n"] and decoded == child
+
+    @pytest.mark.parametrize(
+        "payload",
+        [None, NestedDataset({"text": ["a"]}), {"format": 0}, {"format": 1}, [1, 2]],
+    )
+    def test_anything_else_decodes_as_a_miss(self, payload):
+        assert decode(NestedDataset({"text": ["a"]}), payload) is None
+
+    def test_a_delta_over_another_parent_is_a_miss(self):
+        parent = rows_dataset(self.ROWS)
+        payload, _ = replay(parent, parent.select([1, 2]))
+        assert decode(rows_dataset(self.ROWS[:5]), payload) is None
+        assert decode(None, payload) is None
+
+
+# ----------------------------------------------------------------------
+# Soundness: adversarial test-local ops, cold vs warm
+# ----------------------------------------------------------------------
+class MetaStampMapper(Mapper):
+    """Counts its visits inside ``meta``, editing the dict in place."""
+
+    _name = "meta_stamp_mapper"
+
+    def process(self, sample):
+        sample[Fields.meta]["visits"] = sample[Fields.meta].get("visits", 0) + 1
+        return sample
+
+
+class MetaStampFilter(Filter):
+    """Writes a length stat and a ``meta`` flag in place; drops every third length."""
+
+    _name = "meta_stamp_filter"
+
+    def compute_stats(self, sample, context=False):
+        sample[Fields.stats]["chars"] = len(sample[Fields.text])
+        sample[Fields.meta]["filtered"] = True
+        return sample
+
+    def process(self, sample):
+        return sample[Fields.stats]["chars"] % 3 != 0
+
+
+class SplitHalvesMapper(Mapper):
+    """One row becomes two halves: the first keeps the row's ``meta`` (edited in
+    place), the second gets a copy; both share the row's ``__stats__`` dict."""
+
+    _name = "split_halves_mapper"
+
+    def process_batched(self, samples):
+        out = {key: [] for key in samples}
+        for row, text in enumerate(samples[Fields.text]):
+            for key, values in samples.items():
+                out[key] += [values[row], values[row]]
+            middle = len(text) // 2
+            out[Fields.text][-2:] = [text[:middle], text[middle:]]
+            samples[Fields.meta][row]["half"] = 0
+            out[Fields.meta][-1] = dict(samples[Fields.meta][row], half=1)
+        return out
+
+
+class RetypeMapper(Mapper):
+    """Rewrites ``n`` (top level and, in place, in ``meta``) as an equal value of another type."""
+
+    _name = "retype_mapper"
+    CASTS = {"float": float, "negate": lambda value: -value, "bool": bool}
+
+    def __init__(self, to: str = "float", **kwargs):
+        super().__init__(**kwargs)
+        self.to = to
+
+    def process(self, sample):
+        cast = self.CASTS[self.to]
+        sample["n"] = cast(sample["n"])
+        sample[Fields.meta]["n"] = cast(sample[Fields.meta]["n"])
+        return sample
+
+
+LOCAL_OPS = (MetaStampMapper, MetaStampFilter, SplitHalvesMapper, RetypeMapper)
+
+ADVERSARIAL = {
+    "in-place-mapper": [{"meta_stamp_mapper": {}}, {"meta_stamp_mapper": {}}],
+    "filter-writing-meta": [{"meta_stamp_filter": {}}, {"meta_stamp_mapper": {}}],
+    "one-row-to-two": [{"split_halves_mapper": {}}, {"meta_stamp_mapper": {}}],
+    "row-subset-selector": [
+        {"meta_stamp_filter": {}},
+        {"topk_specified_field_selector": {"field_key": "__stats__.chars", "topk": 25}},
+        {"meta_stamp_mapper": {}},
+    ],
+    # 1 -> 1.0 -> -1.0 -> True -> 1.0: the last op changes types only
+    "equal-values-of-another-type": [
+        {"retype_mapper": {"to": "float"}},
+        {"retype_mapper": {"to": "negate"}},
+        {"retype_mapper": {"to": "bool"}},
+        {"retype_mapper": {"to": "float"}},
+    ],
+}
+
+
+@pytest.fixture
+def local_ops(monkeypatch):
+    for cls in LOCAL_OPS:
+        monkeypatch.setitem(OPERATORS.modules, cls._name, cls)
+
+
+@pytest.fixture(scope="module")
+def adversarial_input(tmp_path_factory):
+    # a third of the rows hold 1, the rest 0: retyping changes some cells of
+    # ``n`` and keeps others, in type and value
+    rows = [
+        {"text": f"document {n} " + "word " * (n % 17), "n": int(n % 3 == 0),
+         "meta": {"n": int(n % 3 == 0)}}
+        for n in range(60)
+    ]
+    return write_jsonl(tmp_path_factory.mktemp("adversarial") / "in.jsonl", rows)
+
+
+def run_recipe(tmp_path, tag, input_path, process, work="work", prepare=None, **options):
+    """One memory-mode run; returns (export bytes, output dataset, executor)."""
+    executor = Executor({
+        "dataset_path": str(input_path),
+        "export_path": str(tmp_path / f"{tag}.jsonl"),
+        "work_dir": str(tmp_path / work),
+        "process": process,
+        "keep_stats_in_export": True,
+        **options,
+    })
+    if prepare is not None:
+        prepare(executor)
+    output = executor.run()
+    return (tmp_path / f"{tag}.jsonl").read_bytes(), output, executor
+
+
+@pytest.mark.usefixtures("local_ops")
+@pytest.mark.parametrize("recipe", sorted(ADVERSARIAL))
+def test_adversarial_ops_replay_exactly(tmp_path, adversarial_input, recipe):
+    process = ADVERSARIAL[recipe]
+    reference, expected, _ = run_recipe(tmp_path, "reference", adversarial_input, process,
+                                        work="plain")
+    cold, cold_output, first = run_recipe(tmp_path, "cold", adversarial_input, process,
+                                          use_cache=True)
+    # every entry is a delta over its parent, but for the op whose output
+    # rows all differ from their parent rows (one row split into halves)
+    self_contained = [
+        path for path in entry_files(first.store.cache_dir)
+        if pickle.loads(path.read_bytes())["parent_rows"] is None
+    ]
+    assert len(self_contained) == (recipe == "one-row-to-two")
+    warm, warm_output, executor = run_recipe(
+        tmp_path, "warm", adversarial_input, process, use_cache=True, prepare=forbid_everything
+    )
+    report = executor.last_report
+    assert report["cache"]["hits"] == len(process)
+    assert all(op["calls"] == 0 for op in report["ops"])
+    assert cold == warm == reference
+    assert cold_output.fingerprint == warm_output.fingerprint == expected.fingerprint
+
+
+def test_a_pooled_run_stores_deltas(tmp_path, web_input):
+    # at np > 1 every op's output comes back from a worker as pickled copies
+    options = {"use_cache": True, "op_fusion": False, "np": 2}
+    reference, _, _ = run_recipe(tmp_path, "reference", web_input, WEB_CLEAN, work="plain",
+                                 op_fusion=False)
+    cold, _, first = run_recipe(tmp_path, "cold", web_input, WEB_CLEAN, **options)
+    payloads = [pickle.loads(path.read_bytes()) for path in entry_files(first.store.cache_dir)]
+    assert len(payloads) == len(WEB_CLEAN)
+    assert all(payload["parent_rows"] is not None for payload in payloads)
+    # an op that dropped rows says which parent row each output row is
+    dropped = [payload for payload in payloads if payload["rows"] < payload["parent_rows"]]
+    assert dropped and all(payload["positions"] is not None for payload in dropped)
+    assert first.store.total_bytes() < 3 * web_input.stat().st_size
+    warm, _, executor = run_recipe(tmp_path, "warm", web_input, WEB_CLEAN,
+                                   prepare=forbid_everything, **options)
+    assert executor.last_report["cache"]["hits"] == len(WEB_CLEAN)
+    assert cold == warm == reference
+
+
+# ----------------------------------------------------------------------
+# Determinism
+# ----------------------------------------------------------------------
+RUN_SCRIPT = """
+import json, sys
+from repro.core.executor import Executor
+Executor(json.loads(sys.argv[1])).run()
+"""
+
+
+def test_entries_are_identical_across_hash_seeds(tmp_path, web_input):
+    entries = []
+    for seed in ("0", "4242"):
+        config = {
+            "dataset_path": str(web_input),
+            "work_dir": str(tmp_path / f"work-{seed}"),
+            "process": WEB_CLEAN,
+            "op_fusion": True,
+            "use_cache": True,
+            "use_checkpoint": True,
+        }
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        subprocess.run(
+            [sys.executable, "-c", RUN_SCRIPT, json.dumps(config)], env=env, check=True
+        )
+        entries.append(
+            {path.name: path.read_bytes() for path in entry_files(tmp_path / f"work-{seed}" / "cache")}
+        )
+    assert len(entries[0]) == 10  # one per fused op
+    assert entries[0] == entries[1]
+
+
+# ----------------------------------------------------------------------
+# The resume chain
+# ----------------------------------------------------------------------
+CRASH_OP = "digit_ratio_filter"
+MARKER = "velociraptor"
+
+
+def crash_at_marker(executor):
+    FaultPlan().inject(CRASH_OP, match=MARKER).install(executor.ops)
+
+
+@pytest.fixture(scope="module")
+def marked_input(tmp_path_factory):
+    rows = web_rows(300, seed=11)
+    rows.insert(150, {"id": -1, "text": f"The quiet {MARKER} walked through the ancient "
+                      "library and read every page of the garden record.",
+                      "meta": {"source": "fixture"}})
+    return write_jsonl(tmp_path_factory.mktemp("marked") / "in.jsonl", rows)
+
+
+class TestResumeChain:
+    OPTIONS = {"use_cache": True, "use_checkpoint": True, "op_fusion": False}
+
+    def crashed(self, tmp_path, input_path):
+        reference, _, plain = run_recipe(tmp_path, "reference", input_path, WEB_CLEAN,
+                                         work="plain", op_fusion=False)
+        with pytest.raises(OpExecutionError, match=CRASH_OP):
+            run_recipe(tmp_path, "crashed", input_path, WEB_CLEAN, prepare=crash_at_marker,
+                       **self.OPTIONS)
+        names = [op.name for op in plain.ops]
+        return reference, names[: names.index(CRASH_OP)]
+
+    def test_a_crash_resumes_by_replaying_the_recorded_chain(self, tmp_path, marked_input):
+        reference, done = self.crashed(tmp_path, marked_input)
+        state = CheckpointManager(tmp_path / "work" / "checkpoint").read_state()
+        assert state["op_index"] == len(done) == len(state["keys"])
+        resumed, _, executor = run_recipe(tmp_path, "resumed", marked_input, WEB_CLEAN,
+                                          prepare=forbid(done), **self.OPTIONS)
+        assert resumed == reference
+        report = executor.last_report
+        # replayed entries are progress, not cache lookups
+        assert report["cache"]["hits"] == 0
+        assert report["cache"]["misses"] == len(WEB_CLEAN) - len(done)
+
+    def test_a_truncated_entry_inside_the_chain_is_recomputed(self, tmp_path, marked_input):
+        reference, done = self.crashed(tmp_path, marked_input)
+        state = CheckpointManager(tmp_path / "work" / "checkpoint").read_state()
+        store = CacheManager(tmp_path / "work" / "cache")
+        broken = 1
+        path = store._path_for(state["keys"][broken])
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+        resumed, _, executor = run_recipe(tmp_path, "resumed", marked_input, WEB_CLEAN,
+                                          prepare=forbid(done[:broken]), **self.OPTIONS)
+        assert resumed == reference
+        calls = {op["name"]: (op["calls"], op["cached_calls"]) for op in executor.last_report["ops"]}
+        assert calls[done[broken]] == (1, 0)
+        # the entries after the broken one still fit the recomputed dataset
+        assert all(calls[name] == (0, 1) for name in done[broken + 1:])
+
+    def test_a_cache_of_whole_dataset_entries_misses_once_then_hits(self, tmp_path, marked_input):
+        reference, output, first = run_recipe(tmp_path, "first", marked_input, WEB_CLEAN,
+                                               **self.OPTIONS)
+        store, keys = first.store, first.checkpoint.read_state()["keys"]
+        # rewrite every entry as the whole pickled dataset an older store held
+        dataset = first._load_input(None)
+        for key in keys:
+            dataset = decode(dataset, store.get(key))
+            store.put(key, dataset)
+        assert dataset == output
+        first.checkpoint.clear()
+
+        cache_only = {"use_cache": True, "op_fusion": False}
+        again, _, second = run_recipe(tmp_path, "again", marked_input, WEB_CLEAN, **cache_only)
+        assert second.last_report["cache"]["hits"] == 0
+        assert second.last_report["cache"]["misses"] == len(WEB_CLEAN)
+        warm, _, third = run_recipe(tmp_path, "warm", marked_input, WEB_CLEAN,
+                                    prepare=forbid_everything, **cache_only)
+        assert third.last_report["cache"]["hits"] == len(WEB_CLEAN)
+        assert again == warm == reference
+
+    def test_a_faulted_entry_goes_when_the_state_moves_to_another_run(self, tmp_path,
+                                                                       marked_input):
+        options = {**self.OPTIONS, "on_error": "skip"}
+        run_recipe(tmp_path, "faulted", marked_input, WEB_CLEAN, prepare=crash_at_marker,
+                   **options)
+        store = CacheManager(tmp_path / "work" / "cache")
+        state = CheckpointManager(tmp_path / "work" / "checkpoint").read_state()
+        faulted = [key for key in state["keys"] if key.endswith("#faulted")]
+        assert len(faulted) == 1 and store.has(faulted[0])
+        # the same run again keeps its fault-shaped progress
+        run_recipe(tmp_path, "again", marked_input, WEB_CLEAN, prepare=forbid_everything,
+                   **options)
+        assert store.has(faulted[0])
+        # an edited recipe, now fault-free, replaces the state: nothing points
+        # at the faulted entry any more
+        edited = [*WEB_CLEAN[:-1], {"document_deduplicator": {"lowercase": True}}]
+        run_recipe(tmp_path, "edited", marked_input, edited, **options)
+        assert not store.has(faulted[0])
+
+
+# ----------------------------------------------------------------------
+# Observability
+# ----------------------------------------------------------------------
+class TestBytesWritten:
+    def test_bytes_written_is_the_growth_of_the_store(self, tmp_path, web_input):
+        _, _, executor = run_recipe(tmp_path, "out", web_input, WEB_CLEAN, use_cache=True,
+                                    op_fusion=True)
+        report = executor.last_report
+        written = report["cache"]["bytes_written"]
+        assert written == executor.store.total_bytes() > 0
+        assert f"bytes_written={written}" in report.render()
+
+        # a warm run writes nothing
+        _, _, warm = run_recipe(tmp_path, "warm", web_input, WEB_CLEAN, use_cache=True,
+                                op_fusion=True)
+        assert warm.last_report["cache"]["bytes_written"] == 0
+
+    def test_a_web_cleaning_cache_holds_under_three_input_sizes(self, tmp_path, web_input):
+        _, _, executor = run_recipe(tmp_path, "out", web_input, WEB_CLEAN, use_cache=True,
+                                    use_checkpoint=True, op_fusion=True)
+        input_bytes = web_input.stat().st_size
+        assert executor.store.total_bytes() < 3 * input_bytes
