@@ -15,8 +15,8 @@
 #   make serve-smoke end-to-end serving check: ephemeral-port server, fig8 job,
 #                    warm-cache resubmission, export diff vs the CLI path
 #   make loc         lines per package under src/repro + total (the number the
-#                    ROADMAP's "net-negative" goal is judged by) + the ROADMAP
-#                    item-2 subtotal (the five engine files it wants a third off)
+#                    ROADMAP's "net-negative" goal is judged by) + the engine
+#                    subtotal (executor, pool, cache, checkpoint, tracer)
 #   make check       docs-check + validate-recipes + lint + dataflow + unit + chaos
 #                    + serve-smoke (the CI gate)
 
@@ -72,7 +72,7 @@ loc:
 	done
 	@printf '%7d  %s\n' $$(cat src/repro/*.py | wc -l) 'src/repro/*.py'
 	@printf '%7d  total\n' $$(find src/repro -name '*.py' | xargs cat | wc -l)
-	@printf '%7d  ROADMAP item 2: executor + pool + cache + checkpoint + tracer (2260 at the re-anchor, target <= 1507)\n' \
+	@printf '%7d  engine subtotal: executor + pool + cache + checkpoint + tracer\n' \
 		$$(cd src/repro && cat core/executor.py parallel/pool.py core/cache.py core/checkpoint.py core/tracer.py | wc -l)
 
 check: docs-check validate-recipes lint dataflow unit chaos serve-smoke

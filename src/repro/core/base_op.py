@@ -12,7 +12,7 @@ There is one way to run an op: ``op.run(dataset, tracer=, pool=)`` is a
 segment of one (:mod:`repro.core.segment`) — the operator is handed column
 batches (``dict[str, list]`` slices, see :mod:`repro.core.batch`) by the same
 function in the worker processes when ``pool`` holds the op and in-process
-otherwise, and a tracer only observes the datasets on either side.  Every
+otherwise, and a tracer is handed the examples that function found.  Every
 batched entry point (``process_batched`` / ``compute_stats_batched`` /
 ``compute_hash_batched``) defaults to mapping the per-sample method over the
 batch's rows, so subclasses only implement the per-sample method unless they
@@ -133,21 +133,29 @@ class OP:
         """Write the text back to the sample at this OP's text key."""
         return set_field(sample, self.text_key, text)
 
-    def sample_stage(self, dataset: NestedDataset, pool: Any = None) -> NestedDataset:
+    def sample_stage(
+        self, dataset: NestedDataset, pool: Any = None, tracer: Any = None
+    ) -> NestedDataset:
         """This op's sample-level stage over ``dataset``: a segment of one.
 
         The chunks run in the workers of a :class:`repro.parallel.WorkerPool`
         that holds the op, else in-process — the same function either way
         (:func:`repro.core.segment.run_segment`), and the same rows and
         fingerprint.  A failure is raised as the in-process call raised it.
+        A ``tracer`` is handed the examples the segment found.
         """
         from repro.core.segment import run_dataset_segment
+        from repro.core.tracer import segment_examples
 
         if pool is not None and not pool.holds(self):
             pool = None
-        result, _stats, failure = run_dataset_segment([self], dataset, pool)
+        trace_num = getattr(tracer, "show_num", 0)
+        result, per_chunk, failure = run_dataset_segment([self], dataset, pool, trace_num)
         if failure is not None:
             raise failure[1]
+        if tracer is not None:
+            records = [chunk[0] for chunk in per_chunk]
+            tracer.add(self, len(dataset), len(result), segment_examples(self, records))
         return result
 
     def run(
@@ -157,14 +165,10 @@ class OP:
 
         A Mapper transforms; a Filter computes stats and keeps the passing
         samples in one pass (the decoupled ``compute_stats`` / ``process``
-        methods stay exposed for the Analyzer and for fused execution).  A
-        ``tracer`` observes the datasets before and after — it does not
-        change how the op executes.
+        methods stay exposed for the Analyzer and for fused execution); a
+        ``tracer`` is handed the examples the segment found as it ran.
         """
-        result = self.sample_stage(dataset, pool)
-        if tracer is not None:
-            tracer.observe(self, dataset, result)
-        return result
+        return self.sample_stage(dataset, pool, tracer)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -298,12 +302,15 @@ class Deduplicator(OP):
 
         The hashing is the sample-level stage (:meth:`OP.sample_stage` — what
         a pool parallelises and the streaming engine runs shard by shard);
-        the duplicate clustering (:meth:`process`) is global.
+        the duplicate clustering (:meth:`process`) is global and reports up
+        to the tracer's ``show_num`` pairs.
         """
         hashed = self.sample_stage(dataset, pool)
-        deduped, duplicate_pairs = self.process(hashed, show_num=10 if tracer is not None else 0)
+        deduped, duplicate_pairs = self.process(hashed, show_num=getattr(tracer, "show_num", 0))
         if tracer is not None:
-            tracer.observe(self, hashed, deduped, duplicate_pairs)
+            from repro.core.tracer import pair_examples
+
+            tracer.add(self, len(hashed), len(deduped), pair_examples(duplicate_pairs))
         return deduped
 
 
@@ -315,10 +322,18 @@ class Selector(OP):
         raise NotImplementedError
 
     def run(self, dataset: NestedDataset, tracer: Any = None, **kwargs: Any) -> NestedDataset:
-        """Apply the selector and trace the size change."""
-        selected = self.process(dataset)
+        """Apply the selector through the keep mask streaming resolves with
+        (:func:`repro.core.stream.resolve_global_keep`); a ``tracer`` is shown
+        the rows the mask drops, with the stats they came with."""
+        from repro.core.stream import ROW_ID_COLUMN, resolve_global_keep
+        from repro.core.tracer import dropped_examples
+
+        signature = {**dataset._columns, ROW_ID_COLUMN: list(range(len(dataset)))}
+        mask, _dropped, _pairs = resolve_global_keep(self, NestedDataset(signature, "signature"))
+        selected = dataset.select([index for index, keep in enumerate(mask) if keep])
         if tracer is not None:
-            tracer.observe(self, dataset, selected)
+            dropped = ((index, dataset[index]) for index, keep in enumerate(mask) if not keep)
+            tracer.add(self, len(dataset), len(selected), dropped_examples(dropped))
         return selected
 
 

@@ -181,7 +181,7 @@ def validate_config(config: RecipeConfig) -> RecipeConfig:
         raise ConfigError(
             f"on_error must be one of {sorted(ERROR_POLICIES)}, got {config.on_error!r}"
         )
-    for knob in ("max_retries", "max_pool_rebuilds"):
+    for knob in ("max_retries", "max_pool_rebuilds", "trace_num"):
         value = getattr(config, knob)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ConfigError(f"{knob} must be an integer >= 0")

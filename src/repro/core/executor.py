@@ -15,10 +15,10 @@ the recipe sets ``np > 1`` the executor lazily creates a persistent
 :class:`repro.parallel.WorkerPool` (workers hold the instantiated op list)
 and a chunk crosses the process boundary once per segment, not once per op.
 A segment ends where the host needs the intermediate dataset — a Selector, a
-Deduplicator's global clustering, an enabled per-op cache or checkpoint, an
-open tracer (which is shown the boundary of each one-op segment).  The pool
-survives across ``run`` calls — close the executor (or use it as a context
-manager) to shut the workers down.
+Deduplicator's global clustering, an enabled per-op cache or checkpoint.  An
+open tracer cuts nothing: each segment hands back its ops' trace examples.
+The pool survives across ``run`` calls — close the executor (or use it as a
+context manager) to shut the workers down.
 
 Every run — in-memory or streaming — emits a unified
 :class:`repro.core.report.RunReport` (``last_report``, also persisted to
@@ -65,8 +65,9 @@ from repro.core.fusion import describe_plan
 from repro.core.monitor import ResourceMonitor, RunProfiler
 from repro.core.planner import ExecutionPlan, ResourceBudget, plan_execution
 from repro.core.report import REPORT_FILE, RunReport
-from repro.core.sample import Fields, HashKeys
+from repro.core.sample import Fields
 from repro.core.stream import (
+    HASH_COLUMNS,
     ROW_ID_COLUMN,
     StreamSegment,
     apply_keep_mask,
@@ -77,7 +78,7 @@ from repro.core.stream import (
     signature_column_names,
     stage_chain_hash,
 )
-from repro.core.tracer import Tracer
+from repro.core.tracer import Tracer, dropped_examples, pair_examples
 from repro.parallel import WorkerPool
 
 #: key suffix of fault-shaped output (see :meth:`Executor._put_result`)
@@ -212,11 +213,13 @@ class Executor:
         :func:`run_segment_with_policy`, which applies it chunk by chunk: in
         the workers of the pool when ``np > 1`` (one task per chunk), in this
         process otherwise, and also for a run of ops the pool does not hold.
-        An open tracer cuts segments to one op, whose boundary it is shown.
-        Only a Selector runs as a host-side op.  Pool creation is deferred
-        to the first op with a sample-level stage, so fully cache-hit runs
-        never fork workers.
+        A segment ends only where the host needs the data: a Deduplicator's
+        clustering, or a host-side op (a Selector) — never for the tracer,
+        which is handed the ops' trace entries here.  Pool creation is
+        deferred to the first op with a sample-level stage, so fully
+        cache-hit runs never fork workers.
         """
+        tracer, trace_num = self.tracer, getattr(self.tracer, "show_num", 0)
         while ops:
             # where the segment runs: the pool holding its ops, or None = here
             segment, where = [], None
@@ -229,21 +232,24 @@ class Executor:
                     break
                 where = target
                 segment.append(op)
-                if isinstance(op, Deduplicator) or self.tracer is not None:
+                if isinstance(op, Deduplicator):
                     break
             if segment:
-                dataset = run_segment_with_policy(
+                dataset, trace = run_segment_with_policy(
                     segment, dataset, where, self.policy, self._faults, self._quarantine,
-                    self._profiler, shard_id=shard_id, resolve=resolve, tracer=self.tracer,
+                    self._profiler, shard_id=shard_id, resolve=resolve, trace_num=trace_num,
                 )
             else:
                 op = ops[0]
                 with self._profiler.track(op, rows_in=len(dataset)) as tracking:
-                    dataset = run_op_with_policy(
+                    dataset, trace = run_op_with_policy(
                         op, dataset, self.policy, self._faults, self._quarantine,
-                        tracer=self.tracer, shard_id=shard_id,
+                        shard_id=shard_id, trace_num=trace_num,
                     )
                     tracking.rows_out = len(dataset)
+            if tracer is not None:
+                for entry in trace:
+                    tracer.add(*entry)
             ops = ops[max(1, len(segment)):]
         return dataset
 
@@ -642,12 +648,8 @@ class Executor:
         that is removed when the run ends, failed or not.  Results are
         row-identical to :meth:`run` (byte-identical exports).
 
-        Observability matches the in-memory path: the one
-        :class:`~repro.core.tracer.Tracer` accumulates per-op
-        kept/dropped/changed counts and bounded example reservoirs across
-        shards; and the per-op :class:`~repro.core.monitor.RunProfiler`
-        sections aggregate wall time, rows/sec and peak RSS over every
-        executed shard.
+        Observability matches the in-memory path: the one tracer and the
+        per-op profiler accumulate across shards.
 
         Returns the unified :class:`RunReport` (also stored as
         ``last_report`` and persisted to ``<work_dir>/report.json``) instead
@@ -854,7 +856,8 @@ class Executor:
         Deduplicators), stored, and its skinny signature rows accumulated.
         The global op then resolves once over the signatures, and the
         returned iterator streams the stored shards back out with the keep
-        mask applied.
+        mask applied — and shown to a tracer, shard by shard: a Selector's
+        dropped rows, the text of the pairs a Deduplicator's resolve named.
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
@@ -892,14 +895,15 @@ class Executor:
         columns[ROW_ID_COLUMN] = list(range(total))
         signature = NestedDataset(columns)
         del columns
+        tracer, trace_num = self.tracer, getattr(self.tracer, "show_num", 0)
         with self._profiler.track(global_op, rows_in=len(signature)) as tracking:
             # the global resolve has no shard to contain failures to: retry
             # per the policy, abort with full context under ``raise``, and
             # under a lenient policy degrade to a keep-everything mask (the
             # conservative outcome — no row is wrongly dropped)
             try:
-                keep_mask, dropped_columns = retry_call(
-                    lambda: resolve_global_keep(global_op, signature),
+                keep_mask, dropped_columns, pairs = retry_call(
+                    lambda: resolve_global_keep(global_op, signature, trace_num),
                     self.policy,
                     self._faults,
                     global_op.name,
@@ -914,22 +918,18 @@ class Executor:
                     f"global resolve of {global_op.name!r} skipped after "
                     f"persistent failure: {error!r}"
                 )
-                keep_mask = [True] * len(signature)
-                dropped_columns = [
-                    name
-                    for name in (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
-                    if name in signature.column_names
-                ]
+                keep_mask, pairs = [True] * len(signature), []
+                dropped_columns = set(HASH_COLUMNS).intersection(signature.column_names)
             tracking.rows_out = sum(keep_mask)
-        tracer = self.tracer
         if tracer is not None:
-            # Selectors trace as filters, exactly like ``Selector.run``
-            trace_type = "deduplicator" if isinstance(global_op, Deduplicator) else "filter"
-            tracer.observe_global(global_op, trace_type, len(keep_mask), sum(keep_mask))
+            tracer.add(global_op, 0, 0)  # its pipeline position; the mask pass adds the rest
         del signature
 
         def masked_shards() -> Iterator[list[dict]]:
             offset = 0
+            # the rows of the resolve's duplicate pairs, filled in as they pass
+            paired: dict[int, dict] = dict.fromkeys(row_id for pair in pairs for row_id in pair)
+            last = max(paired, default=-1)
             for key, count in stored_shards:
                 rows = self._spill.get(key)
                 if rows is None:
@@ -938,21 +938,17 @@ class Executor:
                         "before the mask pass (was the store cleared mid-run?)"
                     )
                 mask = keep_mask[offset:offset + count]
-                if tracer is not None and tracer.wants_examples(global_op):
-                    # the resolve only saw skinny signature rows; harvest
-                    # dropped-row examples (with payload) as shards stream
-                    # back out, until the bounded reservoir fills
-                    for row_offset, (row, keep) in enumerate(zip(rows, mask)):
-                        if keep:
-                            continue
-                        example = {
-                            "index": offset + row_offset,
-                            "discarded": row.get(Fields.text, ""),
-                        }
-                        if not isinstance(global_op, Deduplicator):
-                            example["stats"] = row.get(Fields.stats, {})
-                        if not tracer.add_dropped_example(global_op, example):
-                            break
+                if tracer is not None:
+                    here = [row_id for row_id in paired if offset <= row_id < offset + count]
+                    paired.update((row_id, rows[row_id - offset]) for row_id in here)
+                    dropped = (index for index, keep in enumerate(mask) if not keep)
+                    examples: Any = dropped_examples((index, rows[index]) for index in dropped)
+                    if isinstance(global_op, Deduplicator):
+                        examples = ()
+                        if offset <= last < offset + count:
+                            # the shard holding the last paired row completes the pairs
+                            examples = pair_examples((paired[a], paired[b]) for a, b in pairs)
+                    tracer.add(global_op, count, sum(mask), examples)
                 yield apply_keep_mask(rows, mask, dropped_columns)
                 offset += count
 

@@ -42,8 +42,10 @@ from typing import Any, Iterable
 from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.errors import ConfigError, OpExecutionError
+from repro.core.sample import get_field
 from repro.core.segment import run_dataset_segment
 from repro.core.serialization import JsonSanitizer
+from repro.core.tracer import Tracer, pair_examples, segment_examples
 
 logger = logging.getLogger(__name__)
 
@@ -383,9 +385,9 @@ def _isolate_rows(
     policy: ErrorPolicy,
     tracker: FaultTracker,
     quarantine: QuarantineWriter | None,
-    tracer: Any = None,
     shard_id: str | None = None,
-) -> NestedDataset:
+    trace_num: int = 0,
+) -> tuple[NestedDataset, list]:
     """Re-run a failed Mapper/Filter row by row, dropping only poison rows.
 
     Every batched op has an equivalence-tested per-row fallback, so replaying
@@ -393,13 +395,16 @@ def _isolate_rows(
     keep their order, and only the rows that themselves raise (after
     ``max_retries`` per-row retries) are dropped or quarantined.  The output
     fingerprint is salted with the dropped indices so downstream cache keys
-    can never collide with a clean run's.
+    can never collide with a clean run's.  The trace entry covers the rows
+    the op ran on (not the poison rows), found from their own verdicts.
     """
     quarantined = policy.on_error == "quarantine"
     survivors: list[dict] = []
     dropped: list[int] = []
+    found: list[tuple] = []
     for index in range(len(dataset)):
         row_in = dict(dataset[index])
+        text = get_field(row_in, op.text_key, "")
         try:
             keep, row_out = retry_call(
                 lambda: _run_single_row(op, dict(row_in)), policy, tracker, op.name, shard_id
@@ -410,17 +415,20 @@ def _isolate_rows(
             if quarantine is not None and quarantined:
                 quarantine.write(row_in, op.name, error, shard_id=shard_id, row_index=index)
             continue
+        healthy, edited = index - len(dropped), get_field(row_out, op.text_key, "")
+        if len(found) < trace_num and not keep:
+            found.append((healthy, row_out))
+        elif len(found) < trace_num and edited != text:
+            found.append((healthy, text, edited))
         if keep:
             survivors.append(row_out)
     fingerprint = dataset.derive_fingerprint(op.name, op.config())
     if dropped:
         fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": dropped})
     result = NestedDataset.from_list(survivors, fingerprint=fingerprint)
-    if tracer is not None:
-        # the op's boundary is the rows it did run on: poison rows left before it
-        healthy = sorted(set(range(len(dataset))).difference(dropped))
-        tracer.observe(op, dataset.select(healthy), result)
-    return result
+    healthy = len(dataset) - len(dropped)
+    examples = segment_examples(op, [(healthy, len(result), 0.0, found)])
+    return result, [(op, healthy, len(result), examples)]
 
 
 def run_op_with_policy(
@@ -429,11 +437,11 @@ def run_op_with_policy(
     policy: ErrorPolicy,
     tracker: FaultTracker,
     quarantine: QuarantineWriter | None = None,
-    tracer: Any = None,
     pool: Any = None,
     shard_id: str | None = None,
     first_error: BaseException | None = None,
-) -> NestedDataset:
+    trace_num: int = 0,
+) -> tuple[NestedDataset, list]:
     """Run one operator under the error policy; the engines' single entry.
 
     The happy path is a plain ``op.run`` call — one ``try`` frame of
@@ -447,15 +455,24 @@ def run_op_with_policy(
     ``first_error`` is a failure of this op over this dataset that already
     happened inside a segment (in a pool worker or in-process): it is
     recorded and counted as the first attempt instead of running the op.
+    Returns the output and its trace entries ``(op, rows in, rows out,
+    examples)``, at most ``trace_num`` examples each (a skipped op has none).
     """
     attempt = 0
     error = first_error
     while True:
         if error is None:
+            # the op's own run collects what a tracer would be shown of it
+            collector = Tracer(show_num=trace_num)
             try:
-                return op.run(dataset, tracer=tracer, pool=pool)
+                result = op.run(dataset, tracer=collector, pool=pool)
             except Exception as caught:
                 error = caught
+            else:
+                return result, [
+                    (op, record.input_size, record.output_size, record.examples)
+                    for record in collector.records
+                ]
         tracker.record_op_error(op.name, error, shard_id)
         if attempt < policy.max_retries:
             tracker.record_retry(op.name, shard_id)
@@ -481,9 +498,7 @@ def run_op_with_policy(
                 op.name,
                 error,
             )
-            return _isolate_rows(
-                op, dataset, policy, tracker, quarantine, tracer, shard_id
-            )
+            return _isolate_rows(op, dataset, policy, tracker, quarantine, shard_id, trace_num)
         # Deduplicators/Selectors decide globally; skipping the op keeps
         # every row, which is the conservative lenient outcome
         tracker.record_degradation(
@@ -494,52 +509,51 @@ def run_op_with_policy(
             fingerprint=_stable_hash(
                 {"parent": dataset.fingerprint, "fault_skipped_op": op.name}
             ),
-        )
+        ), []
 
 
 def _dispatch_segment(
-    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, resolve: bool, tracer: Any
-) -> tuple[NestedDataset | None, tuple[int, BaseException] | None]:
-    """One attempt at a segment: ``(result, None)`` or ``(None, failure)``.
+    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, resolve: bool, trace_num: int
+) -> tuple[NestedDataset | None, list, tuple[int, BaseException] | None]:
+    """One attempt at a segment: ``(result, trace, None)`` or ``(None, [], failure)``.
 
     ``failure`` is ``(op index, exception)`` of the earliest failing op —
     what a serial run would have hit first.  Per-op rows and seconds,
-    measured where the ops ran, reach the profiler (and the boundary the
-    tracer) only when the whole segment succeeded, so a replay after a
-    failure never counts a row twice.
+    measured where the ops ran, reach the profiler only when the whole
+    segment succeeded, so a replay after a failure never counts a row twice.
+    ``trace`` holds an entry per op (a closing Deduplicator's once it
+    resolved): rows in and out, and examples built lazily from the chunks'
+    records, so a Filter row's stats are completed only if a reservoir takes it.
     """
-    result, per_chunk, failure = run_dataset_segment(ops, dataset, pool)
+    result, per_chunk, failure = run_dataset_segment(ops, dataset, pool, trace_num)
     if failure is not None:
-        return None, failure
+        return None, [], failure
     closing = ops[-1] if isinstance(ops[-1], Deduplicator) else None
-    hashed, duplicate_pairs = result, ()
+    hashed, duplicate_pairs = result, []
     resolve_s = 0.0
     if closing is not None and resolve:
         start = time.perf_counter()
         try:
-            result, duplicate_pairs = closing.process(
-                hashed, show_num=10 if tracer is not None else 0
-            )
+            result, duplicate_pairs = closing.process(hashed, show_num=trace_num)
         except Exception as error:
-            return None, (len(ops) - 1, error)
+            return None, [], (len(ops) - 1, error)
         resolve_s = time.perf_counter() - start
+    trace = []
     for index, op in enumerate(ops):
-        stats = [chunk[index] for chunk in per_chunk]
-        rows_in, rows_out, seconds = (
-            (sum(column) for column in zip(*stats)) if stats else (0, 0, 0.0)
-        )
+        records = [chunk[index] for chunk in per_chunk]
+        rows_in = sum(record[0] for record in records)
+        rows_out = sum(record[1] for record in records)
+        seconds = sum((record[2] for record in records), 0.0)
         if op is not closing:
             profiler.record(op, seconds, rows_in, rows_out)
+            trace.append((op, rows_in, rows_out, segment_examples(op, records)))
         elif resolve:
             profiler.record(op, seconds + resolve_s, rows_in, len(result))
+            trace.append((op, len(hashed), len(result), pair_examples(duplicate_pairs)))
         else:
             # hashing only: the rows are accounted by the global resolve
             profiler.record(op, seconds)
-    if tracer is not None and (closing is None or resolve):
-        # a traced segment is one op (the caller cuts it): its boundary is
-        # the dataset on either side, a Deduplicator's its hashed input
-        tracer.observe(ops[0], dataset if closing is None else hashed, result, duplicate_pairs)
-    return result, None
+    return result, trace, None
 
 
 def run_segment_with_policy(
@@ -552,8 +566,8 @@ def run_segment_with_policy(
     profiler: Any,
     shard_id: str | None = None,
     resolve: bool = True,
-    tracer: Any = None,
-) -> NestedDataset:
+    trace_num: int = 0,
+) -> tuple[NestedDataset, list]:
     """Run a segment under the error policy: one task per chunk, not per op.
 
     ``ops`` is a run of Mappers/Filters, optionally closed by a Deduplicator
@@ -564,8 +578,8 @@ def run_segment_with_policy(
     runs here on the reassembled dataset, without it (streaming, where the
     resolve is global across shards) the hashed dataset is returned.  The
     output carries the chained fingerprint of the ops, equal to what running
-    them one by one would stamp.  A ``tracer`` is shown the boundary of a
-    segment of one op; the caller cuts traced segments to that.
+    them one by one would stamp.  It comes back with the trace entries of
+    the ops it ran (see :func:`_dispatch_segment`), built by the segment.
 
     Faults keep the per-op contract.  When op *k* fails, the dataset entering
     it is rebuilt by replaying ops ``< k`` (pure, and fault-free on this
@@ -575,27 +589,30 @@ def run_segment_with_policy(
     of the segment is run again from its output.  A hashing failure with
     ``resolve`` off re-raises untouched for the caller's shard containment.
     """
+    trace: list = []
     while ops:
-        result, failure = _dispatch_segment(ops, dataset, pool, profiler, resolve, tracer)
+        result, done, failure = _dispatch_segment(ops, dataset, pool, profiler, resolve, trace_num)
         if failure is None:
-            return result
+            return result, trace + done
         failed_at, error = failure
         op = ops[failed_at]
         if isinstance(op, Deduplicator) and not resolve:
             raise error
         if failed_at:
-            dataset = run_segment_with_policy(
+            dataset, done = run_segment_with_policy(
                 ops[:failed_at], dataset, pool, policy, tracker, quarantine,
-                profiler, shard_id, resolve,
+                profiler, shard_id, resolve, trace_num,
             )
+            trace += done
         with profiler.track(op, rows_in=len(dataset)) as tracking:
-            dataset = run_op_with_policy(
+            dataset, done = run_op_with_policy(
                 op, dataset, policy, tracker, quarantine,
-                tracer=tracer, pool=pool, shard_id=shard_id, first_error=error,
+                pool=pool, shard_id=shard_id, first_error=error, trace_num=trace_num,
             )
+            trace += done
             tracking.rows_out = len(dataset)
         ops = ops[failed_at + 1:]
-    return dataset
+    return dataset, trace
 
 
 def retry_call(

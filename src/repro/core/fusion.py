@@ -16,7 +16,6 @@ from typing import Sequence
 from repro.core.base_op import Deduplicator, Filter, Mapper, Selector
 from repro.core.batch import batch_length, batch_select
 from repro.core.context import enable_context
-from repro.core.dataset import NestedDataset
 from repro.core.sample import clear_context
 
 
@@ -196,11 +195,3 @@ def describe_plan(ops: Sequence) -> list[dict]:
                 category = "other"
         plan.append({"name": op.name, "category": category, "members": members})
     return plan
-
-
-def run_fused_pipeline(dataset: NestedDataset, ops: Sequence, tracer=None) -> NestedDataset:
-    """Run an (optionally fused) operator list over a dataset sequentially."""
-    current = dataset
-    for op in ops:
-        current = op.run(current, tracer=tracer)
-    return current

@@ -15,44 +15,60 @@ only engine code that calls an op's ``process_batched`` / ``filter_batched``
 segment of one) and the fault layer's
 :func:`repro.core.faults.run_segment_with_policy` use: cut the dataset into
 chunks, run them here or in the pool, reassemble with the chained fingerprint.
+
+Each op's boundary is live only in here, so this is also where a tracer's
+examples are read, off the data and the keep flags the op returns.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
+from itertools import islice
 from typing import Any, Iterable, Sequence
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
-from repro.core.batch import batch_concat, batch_length
+from repro.core.batch import batch_concat, batch_length, batch_to_rows
 from repro.core.dataset import NestedDataset, chain_fingerprint
+from repro.core.sample import get_field
 
 #: what a failed chunk reports: ``(index of the op that raised, exception)``
 Failure = tuple[int, BaseException]
 
 
-def apply_op(op: Any, batch: dict) -> dict:
+def apply_op(op: Any, batch: dict) -> tuple[dict, list[bool] | None]:
     """One op's sample-level stage over a chunk, sliced to the op's batch size.
 
     Mappers transform, Filters compute stats and drop rejected rows at once
     (the short-circuiting ``filter_batched``), a Deduplicator runs its
     hashing stage only — its clustering is global and stays with the caller.
+    Returns the output batch and, for a Filter, its keep flags (else None).
     """
     if not isinstance(op, (Mapper, Filter, Deduplicator)):
         raise TypeError(f"a segment only holds Mappers/Filters/Deduplicators, got {op!r}")
     rows = batch_length(batch)
     if rows == 0:
-        return batch
+        return batch, None
     size = op.adaptive_batch_size(batch, rows)
     # a chunk no larger than the op's batch goes through as it is
     parts = [batch] if rows <= size else NestedDataset(batch, "segment").iter_batches(size)
+    flags = None
     if isinstance(op, Mapper):
         outputs = [op.process_batched(part) for part in parts]
     elif isinstance(op, Filter):
-        outputs = [op.filter_batched(part)[0] for part in parts]
+        results = [op.filter_batched(part) for part in parts]
+        outputs = [kept for kept, _flags in results]
+        flags = [keep for _kept, part_flags in results for keep in part_flags]
     else:
         outputs = [op.compute_hash_batched(part) for part in parts]
-    return outputs[0] if len(outputs) == 1 else batch_concat(outputs)
+    return (outputs[0] if len(outputs) == 1 else batch_concat(outputs)), flags
+
+
+def _texts(batch: dict, key: str) -> list:
+    """The (possibly dotted) ``key`` of every row, ``""`` where a row lacks it."""
+    if key in batch:
+        return list(batch[key])
+    return [get_field(row, key, "") for row in batch_to_rows(batch)]
 
 
 def _portable(error: BaseException) -> BaseException:
@@ -65,64 +81,82 @@ def _portable(error: BaseException) -> BaseException:
 
 
 def run_segment(
-    ops: Sequence, batch: dict
-) -> tuple[dict | None, list[tuple[int, int, float]], Failure | None]:
+    ops: Sequence, batch: dict, trace_num: int = 0
+) -> tuple[dict | None, list[tuple[int, int, float, list]], Failure | None]:
     """Drive one column batch through ``ops`` in order.
 
-    Returns ``(batch, stats, failure)``: the surviving batch, one
-    ``(rows_in, rows_out, seconds)`` triple per completed op, and ``None`` —
-    or, when op *k* raised, ``(None, stats of ops < k, (k, exception))`` so
-    the caller can hand exactly that op to the error policy.  The output does
-    not depend on how the dataset was cut into chunks: per-sample ops'
-    results are batch-boundary independent.
+    Returns ``(batch, records, failure)``: the surviving batch, one
+    ``(rows_in, rows_out, seconds, found)`` record per completed op, and
+    ``None`` — or, when op *k* raised, ``(None, records of ops < k, (k,
+    exception))`` so the caller can hand exactly that op to the error
+    policy.  The output does not depend on how the dataset was cut into
+    chunks: per-sample ops' results are batch-boundary independent.
+
+    ``found`` is what a tracer is shown of the op: up to ``trace_num``
+    chunk-local ``(index, before, after)`` text edits of a Mapper, or
+    ``(index, row)`` input rows a Filter's keep flags drop — nothing, at no
+    cost, without a budget (no tracer).
     """
-    stats: list[tuple[int, int, float]] = []
+    records: list[tuple[int, int, float, list]] = []
     batch = dict(batch)  # ops may rebind columns of the dict they are handed
     for index, op in enumerate(ops):
         rows_in = batch_length(batch)
+        # what goes in, as a tracer sees it (texts now: a mapper may edit shared cells)
+        before = dict(batch) if trace_num else None
+        texts = _texts(batch, op.text_key) if trace_num and isinstance(op, Mapper) else None
         start = time.perf_counter()
         try:
-            batch = apply_op(op, batch)
+            batch, flags = apply_op(op, batch)
         except Exception as error:
-            return None, stats, (index, _portable(error))
-        stats.append((rows_in, batch_length(batch), time.perf_counter() - start))
-    return batch, stats, None
+            return None, records, (index, _portable(error))
+        seconds = time.perf_counter() - start
+        found: list = []
+        if texts is not None:
+            after = _texts(batch, op.text_key)
+            changed = (row for row, (old, new) in enumerate(zip(texts, after)) if old != new)
+            found = [(row, texts[row], after[row]) for row in islice(changed, trace_num)]
+        elif flags is not None and trace_num:
+            dropped = islice((row for row, keep in enumerate(flags) if not keep), trace_num)
+            found = [(row, {key: cells[row] for key, cells in before.items()}) for row in dropped]
+        records.append((rows_in, batch_length(batch), seconds, found))
+    return batch, records, None
 
 
-def run_chunks(ops: Sequence, chunks: Iterable[dict]) -> list[tuple]:
+def run_chunks(ops: Sequence, chunks: Iterable[dict], trace_num: int = 0) -> list[tuple]:
     """:func:`run_segment` over every chunk, in the calling process.
 
     ``chunks`` is consumed lazily, one chunk alive at a time.  Returns what
     :meth:`repro.parallel.WorkerPool.run_segment` returns for the same
-    chunks: one ``(batch, stats, failure, cpu_seconds)`` per chunk, in order.
+    chunks: one ``(batch, records, failure, cpu_seconds)`` per chunk, in order.
     """
     results = []
     for chunk in chunks:
         start_cpu = time.process_time()
-        results.append((*run_segment(ops, chunk), time.process_time() - start_cpu))
+        results.append((*run_segment(ops, chunk, trace_num), time.process_time() - start_cpu))
     return results
 
 
 def run_dataset_segment(
-    ops: Sequence, dataset: NestedDataset, pool: Any = None
-) -> tuple[NestedDataset | None, list[list[tuple[int, int, float]]], Failure | None]:
-    """Run a segment over a whole dataset: ``(result, per-chunk stats, failure)``.
+    ops: Sequence, dataset: NestedDataset, pool: Any = None, trace_num: int = 0
+) -> tuple[NestedDataset | None, list[list[tuple]], Failure | None]:
+    """Run a segment over a whole dataset: ``(result, per-chunk records, failure)``.
 
     With a :class:`repro.parallel.WorkerPool` (which must hold every op) the
-    chunks are the pool's and travel as one task each; without one they are
-    sized by the first op's char-adaptive batch rule
-    (:meth:`OP.effective_batch_size`) and run here, lazily.  ``failure`` is
-    the earliest failing op over all chunks — what a serial run would have
-    hit first — and then there is no result.  Otherwise the result carries
-    the chained fingerprint of the ops (a closing Deduplicator stamps its
-    ``<name>:hash`` stage), equal to what running them one by one stamps.
+    chunks are the pool's and travel as one task each, ``trace_num`` with
+    them; without one they are sized by the first op's char-adaptive batch
+    rule (:meth:`OP.effective_batch_size`) and run here, lazily.  ``failure``
+    is the earliest failing op over all chunks — what a serial run would
+    have hit first — and then there is no result.  Otherwise the result
+    carries the chained fingerprint of the ops (a closing Deduplicator stamps
+    its ``<name>:hash`` stage), equal to what running them one by one stamps.
     """
     if pool is None:
-        results = run_chunks(ops, dataset.iter_batches(ops[0].effective_batch_size(dataset)))
+        chunks = dataset.iter_batches(ops[0].effective_batch_size(dataset))
+        results = run_chunks(ops, chunks, trace_num)
     else:
         chunks = list(dataset.iter_batches(pool.chunk_size_for(len(dataset))))
-        results = pool.run_segment(ops, chunks)
-    failures = [failure for _batch, _stats, failure, _cpu in results if failure is not None]
+        results = pool.run_segment(ops, chunks, trace_num)
+    failures = [failure for _batch, _records, failure, _cpu in results if failure is not None]
     if failures:
         return None, [], min(failures, key=lambda failure: failure[0])
     fingerprint = dataset.fingerprint
@@ -130,6 +164,6 @@ def run_dataset_segment(
         stage = f"{op.name}:hash" if isinstance(op, Deduplicator) else op.name
         fingerprint = chain_fingerprint(fingerprint, stage, op.config())
     result = NestedDataset.from_batches(
-        [batch for batch, _stats, _failure, _cpu in results], fingerprint=fingerprint
+        [batch for batch, _records, _failure, _cpu in results], fingerprint=fingerprint
     )
-    return result, [stats for _batch, stats, _failure, _cpu in results], None
+    return result, [records for _batch, records, _failure, _cpu in results], None

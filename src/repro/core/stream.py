@@ -140,7 +140,8 @@ def plan_segments(ops: Iterable[OP]) -> list[StreamSegment]:
 # ----------------------------------------------------------------------
 # Global (two-pass) resolution of dataset-level ops
 # ----------------------------------------------------------------------
-_HASH_COLUMNS = (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
+#: the columns a built-in Deduplicator's hashing stage writes
+HASH_COLUMNS = (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
 
 
 def signature_column_names(op: Any, column_names: list[str], text_key: str) -> list[str]:
@@ -151,13 +152,13 @@ def signature_column_names(op: Any, column_names: list[str], text_key: str) -> l
     excluded unless the selector explicitly selects on it.
     """
     if isinstance(op, Deduplicator):
-        columns = [name for name in column_names if name in _HASH_COLUMNS]
+        columns = [name for name in column_names if name in HASH_COLUMNS]
         if not columns:
             # fail fast: resolving with no hash column would read None for
             # every row and silently collapse the corpus to one "duplicate"
             raise DatasetError(
                 f"deduplicator {op.name!r} stores its signature outside the "
-                f"standard hash columns {_HASH_COLUMNS}; streaming mode cannot "
+                f"standard hash columns {HASH_COLUMNS}; streaming mode cannot "
                 "resolve it globally"
             )
         return columns
@@ -170,19 +171,24 @@ def signature_column_names(op: Any, column_names: list[str], text_key: str) -> l
     return keep
 
 
-def resolve_global_keep(op: Any, signature: NestedDataset) -> tuple[list[bool], set[str]]:
+def resolve_global_keep(
+    op: Any, signature: NestedDataset, show_num: int = 0
+) -> tuple[list[bool], set[str], list[tuple[int, int]]]:
     """Run a dataset-level op over the skinny signature dataset.
 
     ``signature`` must carry a :data:`ROW_ID_COLUMN`.  Returns the keep mask
-    over global row ids plus the columns the op removed (a deduplicator
-    drops its own hash column), which the mask pass then strips from the
-    stored rows.  Exact because every built-in Deduplicator/Selector keeps
-    surviving rows in input order.
+    over global row ids, the columns the op removed (a deduplicator drops
+    its own hash column), which the mask pass then strips from the stored
+    rows, and a Deduplicator's first ``show_num`` duplicate pairs as
+    ``(original, duplicate)`` row ids, whose text the mask pass reads back.
+    Exact because every built-in Deduplicator/Selector keeps surviving rows
+    in input order.
     """
     if len(signature) == 0:
-        return [], set()
+        return [], set(), []
+    pairs: list = []
     if isinstance(op, Deduplicator):
-        result, _pairs = op.process(signature, show_num=0)
+        result, pairs = op.process(signature, show_num=show_num)
     elif isinstance(op, Selector):
         result = op.process(signature)
     else:
@@ -193,7 +199,8 @@ def resolve_global_keep(op: Any, signature: NestedDataset) -> tuple[list[bool], 
     mask = [row_id in surviving for row_id in signature.column(ROW_ID_COLUMN)]
     dropped = set(signature.column_names) - set(result.column_names)
     dropped.discard(ROW_ID_COLUMN)
-    return mask, dropped
+    row_ids = [(first[ROW_ID_COLUMN], second[ROW_ID_COLUMN]) for first, second in pairs]
+    return mask, dropped, row_ids
 
 
 def apply_keep_mask(
@@ -230,6 +237,7 @@ def stage_chain_hash(segment: StreamSegment) -> str:
 
 __all__ = [
     "DEFAULT_SHARD_ROWS",
+    "HASH_COLUMNS",
     "ROW_ID_COLUMN",
     "StreamSegment",
     "apply_keep_mask",

@@ -6,21 +6,26 @@ Filters/Selectors, and (near-)duplicate pairs for Deduplicators.  The records
 back the interactive visualization of the original system; here they are
 available programmatically and can be dumped to JSONL files.
 
-There is one :class:`Tracer` for every execution mode: it accumulates, so an
-operator that runs once per shard (streaming) and one that runs once over the
-whole dataset (memory mode) produce the same record.
+The tracer diffs nothing.  Each example is built where the op's boundary is
+live: a segment (:func:`repro.core.segment.run_segment`) hands back a
+Mapper's edited texts and a Filter's dropped rows per chunk, read off the
+keep flags the op returned; a Selector's dropped rows come from its keep
+mask, a Deduplicator's pairs from its clustering.  There is one
+:class:`Tracer` for every execution mode: it accumulates, so an operator that
+runs once per shard (streaming) and one that runs once over the whole dataset
+(memory mode) produce the same record.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from repro.core.base_op import op_category
-from repro.core.dataset import NestedDataset
-from repro.core.sample import Fields, get_field
+from repro.core.base_op import Filter, op_category
+from repro.core.sample import Fields
 
 
 @dataclass
@@ -41,53 +46,56 @@ class TraceRecord:
         return max(0, self.input_size - self.output_size)
 
 
-def _discarded_examples(
-    op: Any, before: NestedDataset, after: NestedDataset, budget: int, offset: int = 0
-) -> list[dict]:
-    """Up to ``budget`` rows of ``before`` that did not survive into ``after``.
+def dropped_examples(
+    dropped: Iterable[tuple[int, dict]], compute_stats: Any = None
+) -> Iterator[dict]:
+    """Lazily, the example of each dropped ``(index, row)``: index, text, stats.
 
-    Filters, Selectors and the built-in Deduplicators keep survivors in input
-    order, so ``after`` is aligned as an ordered subsequence of ``before``
-    over every column ``before`` has except the stats (which the op itself
-    rewrites): a dropped row is shown even when a kept row shares its text.
-    The stats shown are the ones ``op`` gives the row — computed here, on a
-    copy, with the per-sample ``compute_stats`` of a Filter (a fused filter
-    fills every member's), since the engine drops rejected rows before their
-    stats are complete; an op without one (a Selector, a bare name) shows
-    the stats the row came with.  ``offset`` shifts the reported indexes, so
-    streaming shards report corpus-global positions.
+    The one shape of a Filter's and a Selector's examples in every mode.  A
+    Filter's per-sample ``compute_stats`` (a fused filter's fills every
+    member's) completes, on a copy, the stats its short-circuit may have left
+    partial — only for the examples a reservoir takes; without it a row shows
+    the stats it came with.
     """
-    if budget <= 0:
-        return []
-    names = [name for name in before.column_names if name != Fields.stats]
-    columns = [before._columns[name] for name in names]
-    kept = [after._columns.get(name) for name in names]
-    compute_stats = getattr(op, "compute_stats", None)
-    examples: list[dict] = []
-    cursor, survivors = 0, len(after)
-    for index in range(len(before)):
-        if cursor < survivors and all(
-            values is not None and values[cursor] == column[index]
-            for values, column in zip(kept, columns)
-        ):
-            cursor += 1
-            continue
-        row = before[index]
+    for index, row in dropped:
         if compute_stats is not None:
             stats = row.get(Fields.stats)
-            row[Fields.stats] = dict(stats) if isinstance(stats, dict) else {}
-            row = compute_stats(row)
+            stats = dict(stats) if isinstance(stats, dict) else {}
+            row = compute_stats({**row, Fields.stats: stats})
         text = row.get(Fields.text)
-        examples.append(
-            {
-                "index": offset + index,
-                "discarded": text if text is not None else "",
-                "stats": row.get(Fields.stats, {}),
-            }
-        )
-        if len(examples) >= budget:
-            break
-    return examples
+        yield {
+            "index": index,
+            "discarded": text if text is not None else "",
+            "stats": row.get(Fields.stats, {}),
+        }
+
+
+def pair_examples(pairs: Iterable[tuple[dict, dict]]) -> list[dict]:
+    """A Deduplicator's examples: the text of each ``(original, duplicate)`` row pair."""
+    return [
+        {"original": original.get(Fields.text, ""), "duplicate": duplicate.get(Fields.text, "")}
+        for original, duplicate in pairs
+    ]
+
+
+def edit_examples(edits: Iterable[tuple[int, Any, Any]]) -> Iterator[dict]:
+    """A Mapper's examples: each ``(index, before, after)`` text edit."""
+    return ({"index": index, "before": before, "after": after} for index, before, after in edits)
+
+
+def segment_examples(op: Any, records: Sequence[tuple]) -> Iterator[dict]:
+    """Lazily, one op's examples from its per-chunk segment records
+    (:func:`repro.core.segment.run_segment`), in chunk order, with the
+    chunk-local indexes counted from the op's first input row."""
+    offset = 0
+    for rows_in, _rows_out, _seconds, found in records:
+        if isinstance(op, Filter):
+            yield from dropped_examples(
+                ((offset + index, row) for index, row in found), op.compute_stats
+            )
+        else:
+            yield from edit_examples((offset + index, old, new) for index, old, new in found)
+        offset += rows_in
 
 
 class Tracer:
@@ -97,16 +105,9 @@ class Tracer:
     key, for callers without an op instance) and kept in first-touch — that
     is, pipeline — order, like :class:`repro.core.monitor.RunProfiler`: a
     recipe that lists the same op name twice gets one record per pipeline
-    position.  Every ``trace_*`` call adds its sizes to the op's record and
-    fills a bounded first-``show_num`` example reservoir, so memory never
-    grows with the corpus: streaming mode calls once per shard (example
-    indexes are corpus-global), memory mode is the one-call case.
-
-    Operators resolved globally from a keep mask (streaming Deduplicators /
-    Selectors) report through :meth:`observe_global`, and the mask pass
-    contributes dropped-row examples via :meth:`add_dropped_example` — the
-    signature rows driving the resolve carry no text payload, so examples are
-    harvested while the stored shards stream back out.
+    position.  :meth:`add` is the one entry: every call grows the op's sizes
+    and fills a bounded first-``show_num`` example reservoir, so memory never
+    grows with the corpus — streaming calls once per shard, memory mode once.
 
     With a ``trace_dir`` every update rewrites the op's
     ``trace-NNN-<op>.jsonl`` (``NNN`` = pipeline position), so the files of
@@ -124,104 +125,31 @@ class Tracer:
         """The accumulated records, in pipeline order."""
         return list(self._records.values())
 
-    def _record(self, op: Any, op_type: str) -> TraceRecord:
-        """The record of ``op`` (an operator or a bare name), created on first touch."""
+    def add(
+        self, op: Any, input_size: int, output_size: int, examples: Iterable[dict] = ()
+    ) -> TraceRecord:
+        """Grow ``op``'s record by one call: its sizes, and examples while there is room.
+
+        ``examples`` is consumed lazily, only up to the free room of the
+        reservoir; an example's ``index`` counts from this call's first input
+        row and is shifted past every row the op saw before, so shards report
+        corpus-global positions.  A Selector (or a bare name) traces as a filter.
+        """
         record = self._records.get(op)
         if record is None:
+            category = op_category(op)
+            category = category if category in ("mapper", "deduplicator") else "filter"
             record = self._records[op] = TraceRecord(
-                getattr(op, "name", op), op_type, 0, 0, position=len(self._records) + 1
+                getattr(op, "name", op), category, 0, 0, position=len(self._records) + 1
             )
-        return record
-
-    def _budget(self, record: TraceRecord) -> int:
-        return max(0, self.show_num - len(record.examples))
-
-    def _grow(self, record: TraceRecord, input_size: int, output_size: int) -> TraceRecord:
+        for example in islice(examples, max(0, self.show_num - len(record.examples))):
+            if "index" in example:
+                example["index"] += record.input_size
+            record.examples.append(example)
         record.input_size += input_size
         record.output_size += output_size
         self._write(record)
         return record
-
-    # ------------------------------------------------------------------
-    def observe(
-        self, op: Any, before: NestedDataset, after: NestedDataset, duplicate_pairs: Sequence = ()
-    ) -> TraceRecord:
-        """Record what ``op`` did between the datasets on either side of it.
-
-        This is all a tracer needs of a run: the engine executes a traced op
-        exactly like an untraced one (a segment of one) and hands over its
-        boundary.  A Deduplicator's ``before`` is its hashed input and its
-        ``duplicate_pairs`` come from the clustering.
-        """
-        category = op_category(op)
-        if category == "mapper":
-            return self.trace_mapper(op, before, after, op.text_key)
-        if category == "deduplicator":
-            return self.trace_deduplicator(op, len(before), len(after), duplicate_pairs)
-        return self.trace_filter(op, before, after)
-
-    def trace_mapper(
-        self,
-        op: Any,
-        before: NestedDataset,
-        after: NestedDataset,
-        text_key: str = Fields.text,
-    ) -> TraceRecord:
-        """Record pre/post-edit text pairs for samples changed by a Mapper."""
-        record = self._record(op, "mapper")
-        if self._budget(record) > 0:
-            for index in range(min(len(before), len(after))):
-                original = get_field(before[index], text_key, "")
-                edited = get_field(after[index], text_key, "")
-                if original != edited:
-                    record.examples.append(
-                        {"index": record.input_size + index, "before": original, "after": edited}
-                    )
-                    if len(record.examples) >= self.show_num:
-                        break
-        return self._grow(record, len(before), len(after))
-
-    def trace_filter(self, op: Any, before: NestedDataset, after: NestedDataset) -> TraceRecord:
-        """Record the samples discarded by a Filter or Selector."""
-        record = self._record(op, "filter")
-        record.examples.extend(
-            _discarded_examples(op, before, after, self._budget(record), offset=record.input_size)
-        )
-        return self._grow(record, len(before), len(after))
-
-    def trace_deduplicator(
-        self, op: Any, input_size: int, output_size: int, duplicate_pairs: list
-    ) -> TraceRecord:
-        """Record (near-)duplicate pairs found by a Deduplicator."""
-        record = self._record(op, "deduplicator")
-        for original, duplicate in duplicate_pairs[: self._budget(record)]:
-            record.examples.append(
-                {
-                    "original": original.get(Fields.text, ""),
-                    "duplicate": duplicate.get(Fields.text, ""),
-                }
-            )
-        return self._grow(record, input_size, output_size)
-
-    # ------------------------------------------------------------------
-    def observe_global(
-        self, op: Any, op_type: str, input_size: int, output_size: int
-    ) -> TraceRecord:
-        """Record the sizes of a globally-resolved op (mask already applied)."""
-        return self._grow(self._record(op, op_type), input_size, output_size)
-
-    def wants_examples(self, op: Any) -> bool:
-        """True while the observed op's example reservoir still has room."""
-        return self._budget(self._records[op]) > 0
-
-    def add_dropped_example(self, op: Any, example: dict) -> bool:
-        """Attach one dropped-row example to an observed op; False once full."""
-        record = self._records[op]
-        if self._budget(record) <= 0:
-            return False
-        record.examples.append(example)
-        self._write(record)
-        return True
 
     # ------------------------------------------------------------------
     def _write(self, record: TraceRecord) -> None:

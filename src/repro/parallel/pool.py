@@ -360,25 +360,27 @@ class WorkerPool:
 
     def _run_serial(self, tasks: list) -> list[tuple[Any, float, int]]:
         """Execute one dispatch's tasks in the parent process (degraded mode)."""
-        ops = [self._serial_ops.resolve(ref) for ref in tasks[0][1]]
-        chunks = (batch for _kind, _refs, batch in tasks)
+        _kind, refs, _batch, trace_num = tasks[0]
+        ops = [self._serial_ops.resolve(ref) for ref in refs]
+        chunks = (task[2] for task in tasks)
         return [
-            ((batch, stats, failure), cpu, os.getpid())
-            for batch, stats, failure, cpu in run_chunks(ops, chunks)
+            ((batch, records, failure), cpu, os.getpid())
+            for batch, records, failure, cpu in run_chunks(ops, chunks, trace_num)
         ]
 
     def chunk_size_for(self, num_rows: int) -> int:
         """Rows per dispatched chunk: the pool's setting, else auto-sized."""
         return self.chunk_size or default_chunk_size(num_rows, self.num_workers)
 
-    def run_segment(self, ops: Sequence, batches: list[dict]) -> list[tuple]:
+    def run_segment(self, ops: Sequence, batches: list[dict], trace_num: int = 0) -> list[tuple]:
         """Drive every column batch through ``ops`` in order, one task per batch.
 
         The engines' unit of dispatch: a batch crosses the process boundary
         once however many ops the segment holds.  Returns one ``(batch,
-        stats, failure, cpu_seconds)`` per input batch, in order (see
-        :func:`repro.core.segment.run_segment`); an op that raises in a
-        worker comes back as that batch's ``failure``, never as an exception.
+        records, failure, cpu_seconds)`` per input batch, in order (see
+        :func:`repro.core.segment.run_segment`, which gets ``trace_num``); an
+        op that raises in a worker comes back as that batch's ``failure``,
+        never as an exception.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
@@ -389,7 +391,7 @@ class WorkerPool:
             self.last_served_pids = []
             return []
         start = time.perf_counter()
-        results = self._supervised_map([("segment", refs, batch) for batch in batches])
+        results = self._supervised_map([("segment", refs, batch, trace_num) for batch in batches])
         wall = time.perf_counter() - start
         busy: dict[int, float] = {}
         for _payload, cpu, pid in results:

@@ -7,7 +7,7 @@ unigram LM) exactly once, at pool start-up, instead of once per dispatched
 task — the root cause of the Figure-10 regression in the original fork-per-run
 implementation.
 
-Tasks are small tuples ``(kind, op_refs, batch)``; operators are referenced
+Tasks are small tuples ``(kind, op_refs, batch, trace_num)``; operators are referenced
 by index into the worker-resident list — or, for fused filters assembled
 after pool construction, by a *tuple* of member indices (the worker builds
 and caches an equivalent ``FusedFilter`` over its resident members).  There
@@ -92,18 +92,18 @@ def default_chunk_size(num_rows: int, num_workers: int, tasks_per_worker: int = 
     return max(1, math.ceil(num_rows / max(1, num_workers * tasks_per_worker)))
 
 
-def run_task(task: tuple[str, tuple, dict]) -> tuple[Any, float, int]:
-    """Execute one dispatched ``("segment", op_refs, batch)`` task in this worker.
+def run_task(task: tuple[str, tuple, dict, int]) -> tuple[Any, float, int]:
+    """Execute one dispatched ``("segment", op_refs, batch, trace_num)`` task here.
 
-    Returns ``(payload, cpu_seconds, pid)``: the ``(batch, stats, failure)``
+    Returns ``(payload, cpu_seconds, pid)``: the ``(batch, records, failure)``
     of :func:`repro.core.segment.run_segment` over the referenced resident
     ops, and the process that served the task.
     """
-    kind, op_refs, batch = task
+    kind, op_refs, batch, trace_num = task
     if _RESIDENT is None:
         raise RuntimeError("worker not initialized; WorkerPool must set the op list")
     if kind != "segment":
         raise ValueError(f"unknown task kind {kind!r}")
     start_cpu = time.process_time()
-    payload = run_segment([_RESIDENT.resolve(ref) for ref in op_refs], batch)
+    payload = run_segment([_RESIDENT.resolve(ref) for ref in op_refs], batch, trace_num)
     return payload, time.process_time() - start_cpu, os.getpid()

@@ -16,34 +16,41 @@ array-level LSH clustering of its ``process``.
 from __future__ import annotations
 
 import struct
+from itertools import count
 from typing import Any, Sequence
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.dataset import NestedDataset
+from repro.core.sample import get_field
+from repro.core.tracer import dropped_examples, edit_examples, pair_examples
 
 
 def run_per_row(op: Any, dataset: NestedDataset, tracer: Any = None) -> NestedDataset:
-    """Apply a Mapper, Filter or Deduplicator to ``dataset`` one row at a time."""
+    """Apply a Mapper, Filter or Deduplicator to ``dataset`` one row at a time;
+    a ``tracer`` is handed the examples each row's own verdict gives."""
     fingerprint = dataset.derive_fingerprint(op.name, op.config())
     if isinstance(op, Mapper):
+        texts = [get_field(row, op.text_key, "") for row in dataset] if tracer is not None else []
         result = dataset.map(op.process, new_fingerprint=fingerprint)
-        if tracer is not None:
-            tracer.trace_mapper(op, dataset, result, op.text_key)
+        edits = zip(count(), texts, (get_field(row, op.text_key, "") for row in result))
+        examples: Any = edit_examples(edit for edit in edits if edit[1] != edit[2])
     elif isinstance(op, Filter):
         with_stats = dataset.map(op.compute_stats)
         result = with_stats.filter(op.process, new_fingerprint=fingerprint)
-        if tracer is not None:
-            tracer.trace_filter(op, with_stats, result)
+        examples = dropped_examples(
+            (index, row) for index, row in enumerate(with_stats) if not op.process(row)
+        )
     elif isinstance(op, Deduplicator):
         hashed = dataset.map(
             op.compute_hash,
             new_fingerprint=dataset.derive_fingerprint(f"{op.name}:hash", op.config()),
         )
-        result, pairs = op.process(hashed, show_num=10 if tracer is not None else 0)
-        if tracer is not None:
-            tracer.trace_deduplicator(op, len(hashed), len(result), pairs)
+        result, pairs = op.process(hashed, show_num=getattr(tracer, "show_num", 0))
+        examples = pair_examples(pairs)
     else:
         raise TypeError(f"{type(op).__name__} has no per-row execution path")
+    if tracer is not None:
+        tracer.add(op, len(dataset), len(result), examples)
     return result
 
 

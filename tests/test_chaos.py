@@ -16,6 +16,7 @@ The marker rows are written to pass every filter of the fig-8 recipe
 in the export.
 """
 
+import itertools
 import json
 
 import pytest
@@ -407,7 +408,7 @@ class TestCrashResumeWorstPoints:
 
         streaming, reference = self.configs(tmp_path)
 
-        def resolve_bomb(op, signature):
+        def resolve_bomb(op, signature, show_num=0):
             raise RuntimeError("crashed before the global resolve")
 
         original = executor_module.resolve_global_keep
@@ -544,6 +545,32 @@ class TestSegmentFaultParity:
             with gzip.open(report["faults"]["quarantine_paths"][0], "rb") as handle:
                 payloads[np] = (handle.read(), exported, report.op_summary())
         assert payloads[2] == payloads[1]
+
+    def test_quarantine_under_a_tracer_changes_nothing_but_the_trace(self, tmp_path):
+        """A traced segment is not cut: the faulting op is isolated inside it
+        and traced from its rows' own verdicts, the same at np 1 and 2."""
+        rows = corpus_with_markers(num_samples=60)
+        runs = {}
+        for np, traced in itertools.product((1, 2), (False, True)):
+            plan = FaultPlan().inject("words_num_filter", match=MARKER)
+            report, exported = self.run(
+                tmp_path, f"np{np}-t{int(traced)}", rows, plan, np=np,
+                on_error="quarantine", open_tracer=traced, trace_num=50,
+            )
+            trace_dir = tmp_path / f"work-np{np}-t{int(traced)}" / "trace"
+            files = {path.name: path.read_bytes() for path in sorted(trace_dir.glob("*"))}
+            runs[np, traced] = (exported, report.op_summary(), report["faults"], files)
+        reference, summary, faults, files = runs[2, True]
+        assert faults["quarantined_rows"] == len(MARKER_TEXTS)
+        assert {run: value[:2] == (reference, summary) for run, value in runs.items()} == {
+            run: True for run in runs
+        }
+        assert files == runs[1, True][3] and len(files) == len(self.PROCESS)
+        (isolated,) = [data for name, data in files.items() if "words_num_filter" in name]
+        header = json.loads(isolated.splitlines()[0])
+        # the isolated op ran on every row but the quarantined ones
+        entering = {name: rows_out for name, _type, _in, rows_out in summary}
+        assert header["input_size"] == entering["text_length_filter"] - len(MARKER_TEXTS)
 
     def test_transient_fault_costs_one_error_and_one_retry(self, tmp_path):
         rows = corpus_with_markers(num_samples=60)

@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(RecipeConfig(np=0))
 
+    @pytest.mark.parametrize("trace_num", ["ten", -3, 2.5, True, None])
+    def test_invalid_trace_num_rejected(self, trace_num):
+        with pytest.raises(ConfigError, match="trace_num"):
+            load_config({"process": [], "trace_num": trace_num})
+        assert load_config({"process": [], "trace_num": 0}).trace_num == 0
+
     def test_load_from_json_file(self, tmp_path):
         path = tmp_path / "recipe.json"
         path.write_text(json.dumps({"project_name": "file-recipe", "process": PROCESS}))

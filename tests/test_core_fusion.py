@@ -2,7 +2,7 @@
 
 from repro.core.context import ContextKeys, context_size, enable_context, get_or_compute
 from repro.core.dataset import NestedDataset
-from repro.core.fusion import FusedFilter, describe_plan, fuse_operators, run_fused_pipeline
+from repro.core.fusion import FusedFilter, describe_plan, fuse_operators
 from repro.core.registry import OPERATORS
 from repro.ops import load_ops
 
@@ -98,7 +98,9 @@ class TestFusedExecution:
         sequential = data
         for op in filters:
             sequential = op.run(sequential)
-        fused = run_fused_pipeline(data, fuse_operators(filters))
+        fused = data
+        for op in fuse_operators(filters):
+            fused = op.run(fused)
         assert sorted(row["text"] for row in sequential) == sorted(row["text"] for row in fused)
 
     def test_fused_filter_cleans_context_from_output(self):
@@ -107,7 +109,8 @@ class TestFusedExecution:
         fused = fuse_operators(
             [build("words_num_filter", min_num=1), build("word_repetition_filter")]
         )
-        out = run_fused_pipeline(noisy_dataset(), fused)
+        (op,) = fused
+        out = op.run(noisy_dataset())
         assert all(Fields.context not in row or not row[Fields.context] for row in out)
 
     def test_fused_filter_single_pass_writes_all_stats(self):

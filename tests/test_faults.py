@@ -150,7 +150,7 @@ class TestRunOpWithPolicy:
     def test_skip_drops_only_the_poison_row(self):
         op = poisoned_mapper()
         tracker = FaultTracker()
-        out = run_op_with_policy(
+        out, _trace = run_op_with_policy(
             op, poison_dataset(), ErrorPolicy(on_error="skip"), tracker
         )
         assert [row["text"] for row in out] == [
@@ -165,7 +165,7 @@ class TestRunOpWithPolicy:
         op = poisoned_mapper()
         tracker = FaultTracker()
         quarantine = QuarantineWriter(tmp_path / "q")
-        out = run_op_with_policy(
+        out, _trace = run_op_with_policy(
             op,
             poison_dataset(),
             ErrorPolicy(on_error="quarantine"),
@@ -196,7 +196,7 @@ class TestRunOpWithPolicy:
             "whitespace_normalization_mapper", times=2
         ).install([op])
         tracker = FaultTracker()
-        out = run_op_with_policy(
+        out, _trace = run_op_with_policy(
             op,
             poison_dataset(),
             ErrorPolicy(max_retries=3, backoff_s=0),
@@ -214,7 +214,7 @@ class TestRunOpWithPolicy:
         op.run = bomb
         tracker = FaultTracker()
         dataset = poison_dataset()
-        out = run_op_with_policy(
+        out, _trace = run_op_with_policy(
             op, dataset, ErrorPolicy(on_error="skip"), tracker
         )
         # conservative outcome: every row kept, the skip recorded
@@ -226,7 +226,7 @@ class TestRunOpWithPolicy:
         clean = load_ops([{"whitespace_normalization_mapper": {}}])[0]
         clean_out = clean.run(poison_dataset().select([0, 2]))
         faulty = poisoned_mapper()
-        faulty_out = run_op_with_policy(
+        faulty_out, _trace = run_op_with_policy(
             faulty, poison_dataset(), ErrorPolicy(on_error="skip"), FaultTracker()
         )
         assert clean_out.to_list() == faulty_out.to_list()

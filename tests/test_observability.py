@@ -107,18 +107,16 @@ class TestStreamingTracer:
     def test_examples_stay_bounded_across_shards(self):
         from repro.core.dataset import NestedDataset
 
+        (mapper,) = build_ops([{"lowercase_mapper": {}}])
         tracer = Tracer(show_num=4)
         for shard in range(10):
-            before = NestedDataset.from_list(
-                [{"text": f"shard {shard} row {i}"} for i in range(20)]
+            mapper.run(
+                NestedDataset.from_list([{"text": f"SHARD {shard} ROW {i}"} for i in range(20)]),
+                tracer=tracer,
             )
-            after = NestedDataset.from_list(
-                [{"text": f"EDITED {shard} row {i}"} for i in range(20)]
-            )
-            tracer.trace_mapper("m", before, after)
         summary = tracer.summary()
         assert summary == [
-            {"op_name": "m", "op_type": "mapper", "input_size": 200,
+            {"op_name": "lowercase_mapper", "op_type": "mapper", "input_size": 200,
              "output_size": 200, "removed": 0}
         ]
         assert len(tracer.records[0].examples) == 4  # bounded, never O(corpus)
@@ -126,23 +124,20 @@ class TestStreamingTracer:
     def test_filter_accumulates_with_global_indexes(self):
         from repro.core.dataset import NestedDataset
 
+        (length_filter,) = build_ops([{"text_length_filter": {"min_len": 5}}])
         tracer = Tracer(show_num=10)
-        first = NestedDataset.from_list([{"text": "keep"}, {"text": "drop-a"}])
-        second = NestedDataset.from_list([{"text": "drop-b"}, {"text": "keep"}])
-        kept = NestedDataset.from_list([{"text": "keep"}])
-        tracer.trace_filter("f", first, kept)
-        tracer.trace_filter("f", second, kept)
+        for texts in (["keep!", "no"], ["nah", "keep!"]):
+            length_filter.run(
+                NestedDataset.from_list([{"text": text} for text in texts]), tracer=tracer
+            )
         (record,) = tracer.records
         assert (record.input_size, record.output_size) == (4, 2)
         assert [example["index"] for example in record.examples] == [1, 2]
 
     def test_every_shard_rewrites_the_one_file_of_its_op(self, tmp_path):
-        from repro.core.dataset import NestedDataset
-
         tracer = Tracer(show_num=2, trace_dir=tmp_path)
-        dataset = NestedDataset.from_list([{"text": "a"}])
-        tracer.trace_filter("f", dataset, dataset)
-        tracer.trace_filter("f", dataset, dataset)
+        tracer.add("f", 1, 1)
+        tracer.add("f", 1, 1)
         assert len(tracer.records) == 1
         (path,) = tmp_path.glob("trace-*.jsonl")
         assert path.name == "trace-001-f.jsonl"
@@ -162,7 +157,7 @@ class TestStreamingTracer:
             first.run(dataset, tracer=tracer)
             mapper.run(dataset, tracer=tracer)
             second.run(dataset, tracer=tracer)
-        tracer.observe_global("selector", "filter", 10, 5)
+        tracer.add("selector", 10, 5)
         assert [(r.op_name, r.input_size, r.output_size) for r in tracer.records] == [
             ("text_length_filter", 4, 4),
             ("lowercase_mapper", 4, 4),
@@ -224,6 +219,33 @@ class TestReportParity:
         for report in (memory.last_report, stream_report):
             assert all(op.wall_time_s > 0 for op in report.ops)
             assert all(op.max_rss_mb > 0 for op in report.ops)
+
+    def test_dedup_trace_shows_trace_num_pairs_the_same_in_both_modes(self, tmp_path):
+        """Regression: a Deduplicator showed at most 10 pairs whatever
+        ``trace_num`` said, and streaming showed dropped rows instead of the
+        paper's (original, duplicate) pairs."""
+        rows = [{"text": f"document number {index} with words"} for index in range(5)]
+        rows += [{"text": "the same duplicated document text"} for _copy in range(56)]
+        input_path = write_jsonl(tmp_path / "in.jsonl", rows)
+        files = {}
+        for mode in ("memory", "streaming"):
+            executor = Executor({
+                "dataset_path": str(input_path),
+                "process": [{"document_deduplicator": {}}],
+                "work_dir": str(tmp_path / mode),
+                "max_shard_rows": 7,
+                "open_tracer": True,
+                "trace_num": 15,
+            })
+            executor.run() if mode == "memory" else executor.run_streaming()
+            (path,) = (tmp_path / mode / "trace").iterdir()
+            files[mode] = path.read_bytes()
+        header, *examples = [json.loads(line) for line in files["memory"].splitlines()]
+        assert (header["input_size"], header["output_size"]) == (61, 6)
+        assert examples == [
+            {"original": rows[-1]["text"], "duplicate": rows[-1]["text"]}
+        ] * 15
+        assert files["streaming"] == files["memory"]
 
     def test_consecutive_runs_report_their_own_trace(self, tmp_path):
         """Regression: the tracer lived as long as the executor, so a second

@@ -113,8 +113,8 @@ class TestWorkerPool:
         for batch, stats, _failure, cpu in results:
             assert len(stats) == len(ops) and cpu >= 0.0
             # each op's rows_in is the previous op's rows_out
-            assert [rows_in for rows_in, _out, _s in stats][1:] == [
-                rows_out for _in, rows_out, _s in stats
+            assert [rows_in for rows_in, _out, _s, _found in stats][1:] == [
+                rows_out for _in, rows_out, _s, _found in stats
             ][:-1]
             assert stats[0][0] == half and stats[-1][1] == len(batch["text"])
 
@@ -441,11 +441,11 @@ class TestRunSegment:
         resident = worker.ResidentOps(load_ops([{"text_length_filter": {"min_len": 10}}]))
         monkeypatch.setattr(worker, "_RESIDENT", resident)
         batch = {"text": ["tiny", "long enough to survive the filter"]}
-        (kept, _stats, failure), _cpu, _pid = run_task(("segment", (0,), dict(batch)))
+        (kept, _stats, failure), _cpu, _pid = run_task(("segment", (0,), dict(batch), 0))
         assert failure is None and len(kept["text"]) == 1
         for gone in ("map", "stats", "flags", "filter", "filter_cols_full"):
             with pytest.raises(ValueError, match="unknown task kind"):
-                run_task((gone, (0,), dict(batch)))
+                run_task((gone, (0,), dict(batch), 0))
 
     def test_rejects_selectors(self):
         _batch, _stats, failure = run_segment(

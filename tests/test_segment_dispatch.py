@@ -3,13 +3,15 @@
 The contracts under test:
 
 * **Byte identity** — one export, one ``op_summary()`` and (tracer on) one
-  ``trace`` summary however a recipe is run: np 1/2 x memory/streaming x
-  tracer on/off x cache on/off, for fusion on and off; and the dataset a
-  pooled run returns carries the np=1 fingerprint.
+  ``trace`` summary and one set of trace files, examples included, however a
+  recipe is run: np 1/2 x memory/streaming x tracer on/off x cache on/off,
+  for fusion on and off; and the dataset a pooled run returns carries the
+  np=1 fingerprint.
 * **One driver** — both run loops cut an op list the same way: the longest
   pool-resident prefix travels as a segment, the rest runs on the host.
 * **Dispatch count** — with nothing that needs an intermediate dataset on the
-  host, a pooled run sends at most chunks x segments tasks.
+  host, a pooled run sends at most chunks x segments tasks; an open tracer
+  sends exactly as many as an untraced run.
 * **Observability** — a pooled op's ``seconds`` is worker-measured, and the
   report's ``parallel`` section accounts tasks, worker and dispatch time.
 """
@@ -69,7 +71,7 @@ class TestByteIdentityAndFingerprints:
     def test_one_export_and_one_summary_however_it_runs(self, tmp_path, recipe_name, op_fusion):
         input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(160, duplicates=30))
         process = recipe_process(recipe_name)
-        exports, summaries, fingerprints, traces = {}, {}, {}, {}
+        exports, summaries, fingerprints, traces, trace_files = {}, {}, {}, {}, {}
         for np, mode, tracer, cache in GRID:
             tag = f"np{np}-{mode}-t{int(tracer)}-c{int(cache)}"
             exported, executor, dataset = run_config(
@@ -80,6 +82,10 @@ class TestByteIdentityAndFingerprints:
             summaries[tag] = executor.last_report.op_summary()
             if tracer:
                 traces[tag] = executor.last_report["trace"]
+                trace_files[tag] = {
+                    path.name: path.read_bytes()
+                    for path in sorted((tmp_path / f"work-{tag}" / "trace").iterdir())
+                }
             if dataset is not None:
                 fingerprints[tag] = dataset.fingerprint
         reference = "np1-memory-t0-c0"
@@ -95,6 +101,11 @@ class TestByteIdentityAndFingerprints:
         traced = traces["np1-memory-t1-c0"]
         assert len(traced) == len(executor.ops)
         assert {tag for tag, trace in traces.items() if trace != traced} == set()
+        # and one set of trace files, examples included, byte for byte
+        files = trace_files["np1-memory-t1-c0"]
+        assert len(files) == len(executor.ops)
+        assert any(len(data.splitlines()) > 1 for data in files.values())
+        assert {tag for tag, found in trace_files.items() if found != files} == set()
 
 
 class TestDispatchCount:
@@ -148,8 +159,8 @@ class TestDispatchCount:
             executor._pool = WorkerPool(2, ops=resident)
             assert not executor._pool.holds(executor.ops[4])
             dispatch, sent = executor._pool.run_segment, []
-            executor._pool.run_segment = lambda ops, batches: (
-                sent.append(len(ops)) or dispatch(ops, batches)
+            executor._pool.run_segment = lambda ops, batches, trace_num=0: (
+                sent.append(len(ops)) or dispatch(ops, batches, trace_num)
             )
             dataset = executor.run() if mode == "memory" else None
             if mode == "streaming":
@@ -163,10 +174,27 @@ class TestDispatchCount:
         assert sent == [len(resident)] * units
         assert 0 < report["parallel"]["tasks"] <= 2 * 4 * units
 
-    @pytest.mark.parametrize("option", ["open_tracer", "use_cache", "use_checkpoint"])
+    def test_an_open_tracer_does_not_cut_segments(self, tmp_path, input_path):
+        """The segment hands back each op's trace examples, so a traced run
+        dispatches exactly like an untraced one — and shows the same ops."""
+        untraced, plain, _ = run_config(
+            tmp_path, "plain", input_path, WEB_CLEAN, 2, "memory", op_fusion=True
+        )
+        traced, executor, _ = run_config(
+            tmp_path, "traced", input_path, WEB_CLEAN, 2, "memory", op_fusion=True,
+            open_tracer=True,
+        )
+        assert traced == untraced
+        tasks = executor.last_report["parallel"]["tasks"]
+        assert tasks == plain.last_report["parallel"]["tasks"] < len(executor.ops)
+        assert [entry["op_name"] for entry in executor.last_report["trace"]] == [
+            op.name for op in executor.ops
+        ]
+
+    @pytest.mark.parametrize("option", ["use_cache", "use_checkpoint"])
     def test_host_side_consumers_cut_segments_to_one_op(self, tmp_path, input_path, option):
-        """A tracer, per-op cache or checkpoint needs every intermediate
-        dataset on the host, so each op is dispatched on its own."""
+        """A per-op cache or checkpoint needs every intermediate dataset on
+        the host, so each op is dispatched on its own."""
         exported, executor, _dataset = run_config(
             tmp_path, "cut", input_path, WEB_CLEAN, 2, "memory", op_fusion=True, **{option: True}
         )

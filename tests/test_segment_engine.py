@@ -46,9 +46,9 @@ def segment_spy(monkeypatch):
     calls = []
     real = segment.run_segment
 
-    def spy(ops, batch):
+    def spy(ops, batch, trace_num=0):
         rows_in = len(batch["text"])
-        out, stats, failure = real(ops, batch)
+        out, stats, failure = real(ops, batch, trace_num)
         calls.append(([op.name for op in ops], rows_in, len(out["text"]) if out else 0))
         return out, stats, failure
 
@@ -116,7 +116,7 @@ class TestTracerDoesNotChangeExecution:
         real_map = WorkerPool._supervised_map
 
         def recording_map(pool, tasks):
-            kinds.update(kind for kind, _refs, _batch in tasks)
+            kinds.update(kind for kind, _refs, _batch, _trace_num in tasks)
             return real_map(pool, tasks)
 
         monkeypatch.setattr(WorkerPool, "_supervised_map", recording_map)

@@ -538,10 +538,10 @@ class TestSignatureTable:
             marks.setdefault("first_shard", tracemalloc.get_traced_memory()[0])
             return real_shard_output(self, *args, **kwargs)
 
-        def resolve(op, signature):
+        def resolve(op, signature, show_num=0):
             tracemalloc.reset_peak()
             try:
-                return real_resolve(op, signature)
+                return real_resolve(op, signature, show_num)
             finally:
                 marks["resolve_peak"] = tracemalloc.get_traced_memory()[1]
 
