@@ -368,6 +368,15 @@ class Formatter:
         """
         yield from self.load_dataset()
 
+    def iter_sources(self) -> "Iterable[Any]":
+        """Lazily yield the source records a streaming run signs its shards by.
+
+        A formatter that reads lines yields them undecoded
+        (:class:`repro.formats.source.LineRecord`); this default yields the
+        unified samples themselves, which sign by their canonical encoding.
+        """
+        return self.iter_records()
+
     @staticmethod
     def unify_sample(record: dict, text_keys: Sequence[str]) -> dict:
         """Unify one raw record: ensure a ``text`` field exists and stats start empty.

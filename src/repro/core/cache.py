@@ -127,9 +127,11 @@ class CacheManager:
 
         ``op_chain`` digests the ordered operator configurations of the stage
         (every shard-local op, plus a Deduplicator's hashing stage when the
-        segment closes with one); ``shard_signature`` digests the shard's
-        input rows.  Together they guarantee a hit replays exactly what
-        recomputation would produce.
+        segment closes with one); ``shard_signature`` digests what the shard
+        was read from — for an input shard the source lines and the decode
+        they go through (:func:`repro.formats.source.shard_signature`, so a
+        hit needs no decode), for a later stage its rows.  Together they
+        guarantee a hit replays exactly what recomputation would produce.
         """
         return json.dumps(
             {"op_chain": op_chain, "shard": shard_signature}, sort_keys=True

@@ -79,6 +79,7 @@ from repro.core.stream import (
     stage_chain_hash,
 )
 from repro.core.tracer import Tracer, dropped_examples, pair_examples
+from repro.formats.source import decode_record, is_decoded, shard_signature
 from repro.parallel import WorkerPool
 
 #: key suffix of fault-shaped output (see :meth:`Executor._put_result`)
@@ -146,6 +147,9 @@ class Executor:
         #: per-run temp directory), and whether its checkpoint state matched
         self._spill: CacheManager | None = None
         self._resuming = False
+        #: what the current streaming run signs its input shards under: the
+        #: formatter's name (None for an in-memory dataset) and text keys
+        self._source: tuple[str | None, tuple[str, ...]] = (None, ())
         #: the fault policy of every run of this executor (from the recipe)
         self.policy = ErrorPolicy.from_config(self.cfg)
         self._faults = FaultTracker()
@@ -597,24 +601,32 @@ class Executor:
     # ------------------------------------------------------------------
     def _input_shards(
         self, dataset: NestedDataset | None, progress: dict[str, int]
-    ) -> Iterator[list[dict]]:
-        """Lazily chunk the input into bounded shards, never materialising it.
+    ) -> Iterator[list]:
+        """Lazily chunk the input's source records into bounded shards.
 
-        The formatter is built here, once per run (one path walk); every
-        shard drawn is counted as an ``input_shards`` shard.
+        The formatter is built here, once per run (one path walk), and
+        sets ``_source``; every shard drawn is counted as an
+        ``input_shards`` shard.  With a store, nothing is decoded here
+        unless a ``max_shard_chars`` budget must count text.
         """
         from repro.formats.load import load_formatter
 
+        text_keys = tuple(self.cfg.text_keys)
         if dataset is not None:
             records: Any = iter(dataset)
+            self._source = (None, text_keys)
         elif not self.cfg.dataset_path:
             raise ValueError("no dataset given and no dataset_path configured")
         else:
-            records = load_formatter(
-                self.cfg.dataset_path, text_keys=tuple(self.cfg.text_keys)
-            ).iter_records()
+            formatter = load_formatter(self.cfg.dataset_path, text_keys=text_keys)
+            # without a store no shard is signed: decode as the lines are
+            # read, so a shard never holds its lines and its rows at once
+            records = (
+                formatter.iter_sources() if self.store is not None else formatter.iter_records()
+            )
+            self._source = (formatter.name, text_keys)
 
-        def counted() -> Iterator[list[dict]]:
+        def counted() -> Iterator[list]:
             for shard in iter_record_shards(
                 records,
                 max_rows=self.cfg.max_shard_rows,
@@ -640,10 +652,13 @@ class Executor:
         ``shard_output`` they are written as size-capped output shards.
 
         Every stored shard is one store entry keyed on ``(stage chain hash,
-        shard signature)``: with ``use_cache`` a re-run over unchanged inputs
-        replays it (``cached_shards``); with ``use_checkpoint`` an
-        interrupted run resumes mid-corpus (``resumed_shards``), and editing
-        the recipe, the shard budget or the input rows invalidates the resume.
+        shard signature)``; an input shard signs by the source lines it was
+        read from (:func:`repro.formats.source.shard_signature`) and is
+        decoded only when its entry is missing (``decoded_shards``).  With
+        ``use_cache`` a re-run over unchanged inputs replays it
+        (``cached_shards``); with ``use_checkpoint`` an interrupted run
+        resumes mid-corpus (``resumed_shards``), and editing the recipe, the
+        shard budget or the input lines invalidates the resume.
         With neither, the two-pass resolve spills to a per-run temp directory
         that is removed when the run ends, failed or not.  Results are
         row-identical to :meth:`run` (byte-identical exports).
@@ -664,6 +679,8 @@ class Executor:
                 "resumed_shards": 0,
                 "executed_shards": 0,
                 "cached_shards": 0,
+                # input shards whose rows were decoded (not only signed)
+                "decoded_shards": 0,
                 # the largest signature table a global resolve held on the
                 # host: its rows and the ``sys.getsizeof`` of its cells
                 "signature_rows": 0,
@@ -747,7 +764,7 @@ class Executor:
         index: int,
         segment: StreamSegment,
         chain: str,
-        rows: list[dict],
+        rows: list,
         progress: dict[str, int],
         spill: bool = False,
     ) -> tuple[str | None, list[dict]]:
@@ -761,6 +778,10 @@ class Executor:
         one (counted per op as a cached call).  Without persistence only a
         ``spill`` the mask pass will read back is stored, under a positional
         key in the run's temp directory.
+
+        A stage-0 shard arrives as source records: it is signed by their
+        text (the rows of later stages by ``_stable_hash``), and decoded in
+        place — its lines freed — only when it must run.
 
         Failures are contained per shard: sample-op errors are handled row-
         wise by the error policy inside :meth:`_drive`; anything that
@@ -779,12 +800,17 @@ class Executor:
         )
         shard_id = f"stage{stage}:shard{index:05d}"  # names the shard in fault records
         key = f"{stage}:{index}" if spill else None
+        input_shard = stage == 0
         if store is self.store:
-            key = CacheManager.make_shard_key(chain, _stable_hash(rows))
+            signature = shard_signature(*self._source, rows) if input_shard else _stable_hash(rows)
+            key = CacheManager.make_shard_key(chain, signature)
             for found in (key, key + _FAULTED) if self._resuming else (key,):
                 stored = store.get(found)
                 if stored is None:
                     continue
+                if input_shard and is_decoded(rows[0]):
+                    # a character budget or a source of rows decoded it already
+                    progress["decoded_shards"] += 1
                 if self._resuming:
                     progress["resumed_shards"] += 1
                 else:
@@ -794,6 +820,9 @@ class Executor:
                         self._profiler.record_cached(op, len(stored))
                 return found, stored
             self._count_cache("shard_misses")
+        if input_shard:
+            progress["decoded_shards"] += 1
+            rows[:] = [decode_record(record) for record in rows]
         faults_before = self._faults.total_faults
         stage_name = getattr(segment.global_op, "name", None) or (
             segment.sample_ops[0].name if segment.sample_ops else "shard"

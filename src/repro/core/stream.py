@@ -40,6 +40,7 @@ from repro.core.base_op import OP, Deduplicator, Filter, Mapper, Selector
 from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.errors import DatasetError
 from repro.core.sample import Fields, HashKeys
+from repro.formats.source import decode_record
 
 #: default shard budget when neither ``max_shard_rows`` nor
 #: ``max_shard_chars`` is configured
@@ -63,18 +64,20 @@ def op_config_hash(op: OP) -> str:
 # Shard chunking
 # ----------------------------------------------------------------------
 def iter_record_shards(
-    records: Iterable[dict],
+    records: Iterable[Any],
     max_rows: int | None = None,
     max_chars: int | None = None,
     text_key: str = Fields.text,
-) -> Iterator[list[dict]]:
-    """Chunk a lazy record stream into bounded shards.
+) -> Iterator[list[Any]]:
+    """Chunk a lazy stream of source records (:mod:`repro.formats.source`) into shards.
 
-    A shard closes when it holds ``max_rows`` rows or at least
+    A shard closes when it holds ``max_rows`` records or at least
     ``max_chars`` characters of text, whichever comes first; with neither
-    budget set, :data:`DEFAULT_SHARD_ROWS` applies.  Shard boundaries are a
-    pure memory knob — the batched operator engine is boundary-independent,
-    so results do not depend on them.
+    budget set, :data:`DEFAULT_SHARD_ROWS` applies.  A row budget decodes
+    nothing; a character budget decodes each record to count its text (the
+    record keeps its row), so the boundaries are those of the decoded rows.
+    Shard boundaries are a pure memory knob — the batched operator engine is
+    boundary-independent, so results do not depend on them.
     """
     if max_rows is None and max_chars is None:
         max_rows = DEFAULT_SHARD_ROWS
@@ -85,7 +88,7 @@ def iter_record_shards(
     for record in records:
         shard.append(record)
         if max_chars is not None:
-            value = record.get(text_key)
+            value = decode_record(record).get(text_key)
             chars += len(value) if isinstance(value, str) else 0
         if (max_rows is not None and len(shard) >= max_rows) or (
             max_chars is not None and chars >= max_chars

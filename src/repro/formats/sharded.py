@@ -78,13 +78,17 @@ def open_shard(
     newline: str | None = None,
     errors: str | None = None,
 ) -> IO[str]:
-    """Open a shard for text I/O, transparently (de)compressing ``.gz`` files."""
+    """Open a shard for text I/O, transparently (de)compressing ``.gz`` files.
+
+    Reading skips a leading UTF-8 byte-order mark; writing never emits one.
+    """
     path = Path(path)
     if path.suffix == GZIP_SUFFIX:
         if "w" in mode:
             return _GzipTextWriter(path, newline=newline)
-        return gzip.open(path, "rt", encoding="utf-8", newline=newline, errors=errors)
-    return open(path, mode, encoding="utf-8", newline=newline, errors=errors)
+        return gzip.open(path, "rt", encoding="utf-8-sig", newline=newline, errors=errors)
+    encoding = "utf-8-sig" if "r" in mode else "utf-8"
+    return open(path, mode, encoding=encoding, newline=newline, errors=errors)
 
 
 def is_glob(spec: str) -> bool:

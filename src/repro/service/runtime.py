@@ -10,10 +10,11 @@ is shared across jobs and kept warm for the server's lifetime:
   config equivalence) and :meth:`Executor.close` detaches instead of
   killing them;
 * **the shard cache** — one ``<root>/cache`` directory serves every job.
-  Shard-cache keys are content-based (op fingerprint chain + shard row
-  hash), so a resubmitted recipe over unchanged data replays cached shard
-  outputs (``cache.shard_hits > 0`` in its report) without any
-  cross-contamination between different recipes or inputs.
+  Shard-cache keys are content-based (op fingerprint chain + the signature
+  of the source lines an input shard was read from), so a resubmitted
+  recipe over unchanged data replays every cached shard output without
+  decoding its input (``shards.decoded_shards == 0`` in its report) and
+  without any cross-contamination between different recipes or inputs.
 
 The per-job fault policy comes from the job's own recipe (``on_error``,
 ``max_retries``, ``task_timeout_s``, ...) exactly as it would from the CLI.

@@ -7,8 +7,10 @@ over a real socket, unlike the tier-1 tests:
 2. start a ``repro serve`` server on an **ephemeral port** (a daemon
    thread running the stdlib HTTP adapter);
 3. submit a fig8 refinement job over HTTP and poll it to completion;
-4. submit the *same* job again and require a cache-warm run
-   (``cache.shard_hits > 0`` in its report);
+4. submit the *same* job again and require a fully cache-warm run: its
+   report hits every input shard (``cache.shard_hits ==
+   shards.input_shards``, no ``shard_misses``) and decodes none
+   (``shards.decoded_shards == 0``) — the recipe has a single stage;
 5. run the equivalent pipeline through the direct CLI code path and
    require the service export to be **byte-identical** to it.
 
@@ -86,11 +88,25 @@ def run_smoke(
             views.append(view)
 
         warm_report = client.job_report(views[1]["id"])
-        shard_hits = warm_report.get("cache", {}).get("shard_hits", 0)
-        if shard_hits <= 0:
-            print(f"[serve-smoke] FAIL: second job was not cache-warm (shard_hits={shard_hits})")
+        cache, shards = warm_report.get("cache", {}), warm_report.get("shards", {})
+        counts = {
+            "shard_hits": cache.get("shard_hits"),
+            "shard_misses": cache.get("shard_misses"),
+            "input_shards": shards.get("input_shards"),
+            "decoded_shards": shards.get("decoded_shards"),
+        }
+        # every input shard replayed from the store, and none of them decoded
+        if not (
+            counts["shard_misses"] == counts["decoded_shards"] == 0
+            and counts["shard_hits"] == counts["input_shards"]
+            and counts["input_shards"]
+        ):
+            print(f"[serve-smoke] FAIL: second job was not fully cache-warm ({counts})")
             return 1
-        print(f"[serve-smoke] warm resubmission replayed {shard_hits} cached shard(s)")
+        print(
+            f"[serve-smoke] warm resubmission replayed all {counts['shard_hits']} "
+            "input shard(s) without decoding one"
+        )
 
         # the CLI-equivalent run: same recipe, same knobs, direct code path
         from repro.api import Pipeline

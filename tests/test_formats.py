@@ -1,7 +1,9 @@
 """Tests for formatters: jsonl/json/csv/tsv/text/code loading, dispatch and mixing."""
 
 import gzip
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.formats.jsonl_formatter import JsonFormatter, JsonlFormatter
 from repro.formats.load import load_dataset, load_formatter
 from repro.formats.mixture_formatter import MixtureFormatter, largest_remainder_allocation, mix_datasets
 from repro.formats.sharded import ShardedSource, effective_suffix, open_shard
+from repro.formats.source import SOURCE_FORMAT, LineRecord
 from repro.formats.text_formatter import CodeFormatter, MarkdownFormatter, TextFormatter
 from repro.synth import wikipedia_like
 
@@ -237,6 +240,64 @@ class TestShardedRoundTrips:
         assert first[Fields.text] == "ok"
         with pytest.raises(FormatError, match="invalid JSON"):
             next(iterator)
+
+
+class TestSourceRecords:
+    """The ``.jsonl`` formatter reads lines first and decodes them on demand."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "source"
+
+    def test_decoded_rows_are_pinned_to_the_source_format(self):
+        # blank lines, non-dict lines, a .gz shard, and a missing text
+        # promoted through text_keys: every rule the line decode applies
+        formatter = load_formatter(str(self.FIXTURE), text_keys=("content",))
+        rows = list(formatter.iter_records())
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
+        assert (SOURCE_FORMAT, digest) == (
+            1, "65177c6d657ed1c50d6195c4a3a9bae328569085a2f045047256c33818ede57f"
+        ), (
+            "the rows a .jsonl line decodes to changed: shard entries signed by "
+            "their source lines would replay stale rows. Bump SOURCE_FORMAT in "
+            "repro/formats/source.py, then re-pin this digest."
+        )
+
+    def test_lines_decode_only_on_demand(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text('  {"text": "ok"}  \n\n{not json}\n')
+        records = list(JsonlFormatter(dataset_path=str(path)).iter_sources())
+        assert all(isinstance(record, LineRecord) for record in records)
+        assert [(record.text, record.number) for record in records] == [
+            ('{"text": "ok"}', 1), ("{not json}", 3)
+        ]
+        assert records[0].decode()[Fields.text] == "ok"
+        with pytest.raises(FormatError, match=r"a\.jsonl:3: invalid JSON"):
+            records[1].decode()
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("data.jsonl", '{"text": "alpha"}\n{"text": "beta"}\n'),
+            ("data.jsonl.gz", '{"text": "alpha"}\n{"text": "beta"}\n'),
+            ("data.csv", "text,label\nalpha,1\nbeta,2\n"),
+            ("data.txt", "alpha and beta"),
+        ],
+    )
+    def test_a_utf8_bom_loads_like_no_bom(self, tmp_path, name, content):
+        plain, marked = tmp_path / "plain", tmp_path / "bom"
+        for directory, prefix in ((plain, ""), (marked, "\ufeff")):
+            directory.mkdir()
+            with open_shard(directory / name, "w") as handle:
+                handle.write(prefix + content)
+        def rows(directory):
+            # a text file's meta names its path, the one thing that differs
+            return [
+                {key: value for key, value in row.items() if key != Fields.meta}
+                for row in load_dataset(str(directory / name)).to_list()
+            ]
+
+        expected = rows(plain)
+        assert rows(marked) == expected
+        assert "\ufeff" not in json.dumps(expected, ensure_ascii=False)
 
 
 class TestDirectoryDispatch:

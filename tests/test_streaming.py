@@ -5,6 +5,7 @@ The invariant under test everywhere: ``Executor.run_streaming`` produces
 holding more than one shard of payload in memory.
 """
 
+import copy
 import json
 import random
 import sys
@@ -26,6 +27,7 @@ from repro.core.stream import (
     plan_segments,
 )
 from repro.formats.jsonl_formatter import JsonlFormatter
+from repro.formats.sharded import open_shard
 from repro.ops import build_ops
 from repro.recipes import get_recipe
 from repro.synth.generators import DocumentGenerator, NoiseInjector
@@ -53,7 +55,8 @@ def messy_corpus_rows(num_samples: int = 240, seed: int = 7, duplicates: int = 4
 
 
 def write_jsonl(path, rows):
-    with path.open("w", encoding="utf-8") as handle:
+    """Write ``rows`` as JSON lines, gzip-compressed when ``path`` ends in .gz."""
+    with open_shard(path, "w") as handle:
         for row in rows:
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
     return path
@@ -391,6 +394,141 @@ class TestShardCheckpointing:
         assert report["shards"]["resumed_shards"] == 0
         first_line = json.loads((tmp_path / "out.jsonl").read_text().splitlines()[0])
         assert first_line["text"].startswith("completely new")
+
+
+# ----------------------------------------------------------------------
+# Input shards signed by their source lines
+# ----------------------------------------------------------------------
+SIGNED_PROCESS = [
+    {"whitespace_normalization_mapper": {}},
+    {"text_length_filter": {"min_len": 40}},
+    {"document_deduplicator": {}},
+]
+
+
+class TestShardsSignedBySource:
+    """A stage-0 shard is keyed on the lines it was read from: a hit decodes nothing."""
+
+    def run(self, tmp_path, input_path, tag, **options):
+        config = {
+            "dataset_path": str(input_path),
+            "export_path": str(tmp_path / f"{tag}.jsonl"),
+            "process": SIGNED_PROCESS,
+            "work_dir": str(tmp_path / "work"),
+            "max_shard_rows": 30,
+            "use_cache": True,
+            **options,
+        }
+        with Executor(config) as executor:
+            report = executor.run_streaming()
+        return (tmp_path / f"{tag}.jsonl").read_bytes(), report
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Count the .jsonl line decodes and the row digests a run makes."""
+        import repro.core.executor as executor_module
+        from repro.formats.jsonl_formatter import JsonlFile
+
+        calls = {"decode": 0, "row_hash": 0}
+        decode, stable_hash = JsonlFile.decode, executor_module._stable_hash
+
+        def counted_decode(self, line, number):
+            calls["decode"] += 1
+            return decode(self, line, number)
+
+        def counted_hash(payload):
+            calls["row_hash"] += isinstance(payload, list)
+            return stable_hash(payload)
+
+        monkeypatch.setattr(JsonlFile, "decode", counted_decode)
+        monkeypatch.setattr(executor_module, "_stable_hash", counted_hash)
+        return calls
+
+    @pytest.mark.parametrize("np_", [1, 2])
+    @pytest.mark.parametrize("name", ["in.jsonl", "in.jsonl.gz"])
+    def test_a_warm_rerun_decodes_and_digests_no_row(self, tmp_path, monkeypatch, name, np_):
+        input_path = write_jsonl(tmp_path / name, messy_corpus_rows(150))
+        cold, first = self.run(tmp_path, input_path, "cold", np=np_)
+        assert first["shards"]["decoded_shards"] == first["shards"]["input_shards"] > 3
+
+        calls = self.spy(monkeypatch)
+        warm, report = self.run(tmp_path, input_path, "warm", np=np_)
+        assert warm == cold
+        assert calls == {"decode": 0, "row_hash": 0}
+        shards = report["shards"]
+        assert report["cache"]["shard_hits"] == shards["input_shards"]
+        assert shards["input_shards"] == first["shards"]["input_shards"]
+        assert report["cache"]["shard_misses"] == shards["decoded_shards"] == 0
+
+    def test_one_edited_line_misses_one_shard(self, tmp_path, monkeypatch):
+        rows = messy_corpus_rows(150)
+        input_path = write_jsonl(tmp_path / "in.jsonl", rows)
+        self.run(tmp_path, input_path, "cold")
+        rows[75] = {**rows[75], "text": "an edited line " + rows[75]["text"]}
+        write_jsonl(input_path, rows)
+
+        calls = self.spy(monkeypatch)
+        edited, report = self.run(tmp_path, input_path, "edited")
+        assert report["cache"]["shard_misses"] == report["shards"]["decoded_shards"] == 1
+        assert report["cache"]["shard_hits"] == report["shards"]["input_shards"] - 1
+        assert calls["decode"] == 30  # the one missed shard's lines
+        assert b"an edited line" in edited
+
+    def test_the_signature_covers_text_keys_and_lines_not_paths(self, tmp_path):
+        rows = messy_corpus_rows(150)
+        input_path = write_jsonl(tmp_path / "in.jsonl", rows)
+        cold, first = self.run(tmp_path, input_path, "cold")
+        shards = first["shards"]["input_shards"]
+
+        # the same lines, gzip-compressed under another name: every shard hits
+        out, report = self.run(tmp_path, write_jsonl(tmp_path / "other.jsonl.gz", rows), "gz")
+        assert (out, report["cache"]["shard_hits"]) == (cold, shards)
+        # the same lines under another suffix decode another __suffix__: all miss
+        out, report = self.run(tmp_path, write_jsonl(tmp_path / "in.ndjson", rows), "ndjson")
+        renamed = cold.replace(b'"__suffix__": ".jsonl"', b'"__suffix__": ".ndjson"')
+        assert (out, report["cache"]["shard_misses"]) == (renamed, shards) != (cold, shards)
+        # other text keys: every shard misses, though the rows decode the same
+        out, report = self.run(tmp_path, input_path, "keys", text_keys=["content"])
+        assert (out, report["cache"]["shard_misses"]) == (cold, shards)
+        # the same rows written as other lines: every shard misses
+        reformatted = tmp_path / "reformatted.jsonl"
+        reformatted.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n"
+                                       for row in rows), encoding="utf-8")
+        out, report = self.run(tmp_path, reformatted, "reformatted")
+        assert (out, report["cache"]["shard_misses"]) == (cold, shards)
+
+    def test_a_char_budget_cuts_the_shards_of_the_decoded_rows(self, tmp_path):
+        input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(150))
+        formatter = JsonlFormatter(dataset_path=str(input_path))
+        by_lines = iter_record_shards(formatter.iter_sources(), max_chars=3000)
+        by_rows = iter_record_shards(formatter.iter_records(), max_chars=3000)
+        assert [len(shard) for shard in by_lines] == [len(shard) for shard in by_rows]
+
+        budget = {"max_shard_rows": None, "max_shard_chars": 3000}
+        cold, _ = self.run(tmp_path, input_path, "cold", **budget)
+        warm, report = self.run(tmp_path, input_path, "warm", **budget)
+        assert warm == cold
+        # the budget had to decode every shard to count its text; all still hit
+        assert report["cache"]["shard_hits"] == report["shards"]["decoded_shards"] > 3
+
+    def test_rows_without_lines_sign_by_their_encoding(self, tmp_path):
+        rows = JsonlFormatter(
+            dataset_path=str(write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(90)))
+        ).load_dataset().to_list()
+        config = {
+            "export_path": str(tmp_path / "out.jsonl"),
+            "process": SIGNED_PROCESS,
+            "work_dir": str(tmp_path / "work"),
+            "max_shard_rows": 30,
+            "use_cache": True,
+        }
+        Executor(config).run_streaming(NestedDataset.from_list(copy.deepcopy(rows)))
+        rows[45]["text"] += " edited"
+        report = Executor(config).run_streaming(NestedDataset.from_list(copy.deepcopy(rows)))
+        assert report["cache"]["shard_misses"] == 1
+        shards = report["shards"]
+        assert report["cache"]["shard_hits"] == shards["input_shards"] - 1 > 2
+        assert shards["decoded_shards"] == shards["input_shards"]
 
 
 # ----------------------------------------------------------------------
