@@ -323,7 +323,7 @@ class Pipeline:
 
         cfg = self.to_config()
         plan = plan_execution(cfg, dataset=dataset, mode=mode, budget=budget)
-        flow = check_recipe(cfg, stream=plan.mode == "streaming")
+        flow = check_recipe(cfg)
         plan.dataflow = [finding.as_dict() for finding in flow.findings]
         return plan
 

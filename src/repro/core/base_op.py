@@ -12,15 +12,19 @@ There is one way to run an op: ``op.run(dataset, tracer=, pool=)`` is a
 segment of one (:mod:`repro.core.segment`) — the operator is handed column
 batches (``dict[str, list]`` slices, see :mod:`repro.core.batch`) by the same
 function in the worker processes when ``pool`` holds the op and in-process
-otherwise, and a tracer is handed the examples that function found.  Every
-batched entry point (``process_batched`` / ``compute_stats_batched`` /
+otherwise, and a tracer is handed the examples that function found (a
+Deduplicator's segment is its hashing; it and a Selector then take the global
+step, :func:`repro.core.stream.resolve_in_memory`).  Every batched entry
+point (``process_batched`` / ``compute_stats_batched`` /
 ``compute_hash_batched``) defaults to mapping the per-sample method over the
 batch's rows, so subclasses only implement the per-sample method unless they
 have a genuinely vectorised implementation.
 
 The per-sample methods (``process`` / ``compute_stats`` / ``compute_hash``)
 are the op-authoring API, and what the Analyzer, fused execution and the fault
-layer's row isolation call.  They are also the test oracle:
+layer's row isolation call.  They are also the test oracle (with a
+Deduplicator's and a Selector's dataset-level ``process``, which a run calls
+only from its global step over the signature columns):
 :func:`repro.testing.reference.run_per_row` drives a dataset through them one
 row at a time, and the equivalence suite asserts ``run`` yields the same rows,
 stats and fingerprint.
@@ -261,6 +265,19 @@ class Filter(OP):
         return kept, flags
 
 
+def _run_dataset_level(
+    self: Any, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
+) -> NestedDataset:
+    """``run`` of a Deduplicator and a Selector: a Deduplicator's hashing (its
+    sample-level stage, :meth:`OP.sample_stage`), then the global step both
+    run loops take (:func:`repro.core.stream.resolve_in_memory`)."""
+    from repro.core.stream import resolve_in_memory
+
+    if isinstance(self, Deduplicator):
+        dataset = self.sample_stage(dataset, pool)
+    return resolve_in_memory(self, dataset, tracer)
+
+
 class Deduplicator(OP):
     """Duplicate removal operating at the dataset level via per-sample hashes."""
 
@@ -295,23 +312,7 @@ class Deduplicator(OP):
             return dataset.column(key)
         return [default] * len(dataset)
 
-    def run(
-        self, dataset: NestedDataset, tracer: Any = None, pool: Any = None, **kwargs: Any
-    ) -> NestedDataset:
-        """Hash every sample and drop duplicates, tracing pairs when requested.
-
-        The hashing is the sample-level stage (:meth:`OP.sample_stage` — what
-        a pool parallelises and the streaming engine runs shard by shard);
-        the duplicate clustering (:meth:`process`) is global and reports up
-        to the tracer's ``show_num`` pairs.
-        """
-        hashed = self.sample_stage(dataset, pool)
-        deduped, duplicate_pairs = self.process(hashed, show_num=getattr(tracer, "show_num", 0))
-        if tracer is not None:
-            from repro.core.tracer import pair_examples
-
-            tracer.add(self, len(hashed), len(deduped), pair_examples(duplicate_pairs))
-        return deduped
+    run = _run_dataset_level
 
 
 class Selector(OP):
@@ -321,20 +322,7 @@ class Selector(OP):
         """Return the selected subset of the dataset."""
         raise NotImplementedError
 
-    def run(self, dataset: NestedDataset, tracer: Any = None, **kwargs: Any) -> NestedDataset:
-        """Apply the selector through the keep mask streaming resolves with
-        (:func:`repro.core.stream.resolve_global_keep`); a ``tracer`` is shown
-        the rows the mask drops, with the stats they came with."""
-        from repro.core.stream import ROW_ID_COLUMN, resolve_global_keep
-        from repro.core.tracer import dropped_examples
-
-        signature = {**dataset._columns, ROW_ID_COLUMN: list(range(len(dataset)))}
-        mask, _dropped, _pairs = resolve_global_keep(self, NestedDataset(signature, "signature"))
-        selected = dataset.select([index for index, keep in enumerate(mask) if keep])
-        if tracer is not None:
-            dropped = ((index, dataset[index]) for index, keep in enumerate(mask) if not keep)
-            tracer.add(self, len(dataset), len(selected), dropped_examples(dropped))
-        return selected
+    run = _run_dataset_level
 
 
 class Formatter:
@@ -381,8 +369,9 @@ class Formatter:
     def unify_sample(record: dict, text_keys: Sequence[str]) -> dict:
         """Unify one raw record: ensure a ``text`` field exists and stats start empty.
 
-        When the configured text keys are missing, any string field is
-        promoted to ``text``; records without any string field get ``""``.
+        When the configured text keys are missing, the first string field is
+        promoted to ``text`` — never the ``__suffix__`` a formatter stamps;
+        records without any other string field get ``""``.
         """
         sample = dict(record)
         if Fields.text not in sample:
@@ -394,7 +383,7 @@ class Formatter:
                     break
             if text_value is None:
                 for key, value in sample.items():
-                    if isinstance(value, str):
+                    if isinstance(value, str) and key != Fields.suffix:
                         text_value = value
                         break
             sample[Fields.text] = text_value if text_value is not None else ""

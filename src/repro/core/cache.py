@@ -51,8 +51,9 @@ from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
 
 #: shape version of a memory-mode entry (:func:`encode`); any other payload —
-#: the whole pickled datasets older stores hold included — decodes as a miss
-ENTRY_FORMAT = 1
+#: the whole pickled datasets older stores hold included — decodes as a miss.
+#: 2: every Deduplicator's and Selector's output fingerprint chains its config
+ENTRY_FORMAT = 2
 
 #: cell types no op can edit in place: such a cell is unchanged when it has
 #: the type and value of the parent cell it maps to

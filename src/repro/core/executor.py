@@ -7,18 +7,21 @@ checkpoint and tracing support, and export the processed dataset.
 
 There are two run loops — :meth:`Executor.run` persists per *op* (the paper's
 cache/checkpoint model), :meth:`Executor.run_streaming` per *(stage, shard)* —
-over one op-run driver, :meth:`Executor._drive`, which cuts a run of ops into
-*segments* (:mod:`repro.core.segment`): a maximal run of Mappers/Filters plus
-the hashing stage of a closing Deduplicator, applied to the dataset chunk by
-chunk by one function.  At ``np = 1`` the chunks run in this process; when
-the recipe sets ``np > 1`` the executor lazily creates a persistent
-:class:`repro.parallel.WorkerPool` (workers hold the instantiated op list)
-and a chunk crosses the process boundary once per segment, not once per op.
-A segment ends where the host needs the intermediate dataset — a Selector, a
-Deduplicator's global clustering, an enabled per-op cache or checkpoint.  An
-open tracer cuts nothing: each segment hands back its ops' trace examples.
-The pool survives across ``run`` calls — close the executor (or use it as a
-context manager) to shut the workers down.
+over the same :func:`repro.core.stream.plan_segments` segments: a run of
+Mappers/Filters, closed by a Deduplicator or a Selector.  A segment's local
+ops (a closing Deduplicator contributes its hashing stage) go through one
+op-run driver, :meth:`Executor._drive`, applied chunk by chunk by one
+function (:mod:`repro.core.segment`); its dataset-level op then takes the one
+global step, :meth:`Executor._global_step`, over the signature columns.  At
+``np = 1`` the chunks run in this process; when the recipe sets ``np > 1``
+the executor lazily creates a persistent :class:`repro.parallel.WorkerPool`
+(workers hold the instantiated op list) and a chunk crosses the process
+boundary once per segment, not once per op.  A segment ends at a
+Deduplicator's hashing or before a Selector — where the host needs the
+whole corpus — and an enabled per-op cache or checkpoint cuts it to one op.
+An open tracer cuts nothing: each segment hands back its ops' trace
+examples.  The pool survives across ``run`` calls — close the executor (or
+use it as a context manager) to shut the workers down.
 
 Every run — in-memory or streaming — emits a unified
 :class:`repro.core.report.RunReport` (``last_report``, also persisted to
@@ -45,7 +48,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.base_op import Deduplicator, Filter, Mapper
+from repro.core.base_op import Deduplicator
 from repro.core.cache import CacheManager, cell_snapshot, decode, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
@@ -58,7 +61,6 @@ from repro.core.faults import (
     QuarantineWriter,
     describe_failure,
     retry_call,
-    run_op_with_policy,
     run_segment_with_policy,
 )
 from repro.core.fusion import describe_plan
@@ -75,6 +77,7 @@ from repro.core.stream import (
     op_config_hash,
     plan_segments,
     resolve_global_keep,
+    resolve_in_memory,
     signature_column_names,
     stage_chain_hash,
 )
@@ -198,63 +201,84 @@ class Executor:
         return (pool.tasks, pool.worker_s, pool.dispatch_s) if pool is not None else (0, 0.0, 0.0)
 
     def _drive(
-        self,
-        ops: list,
-        dataset: NestedDataset,
-        shard_id: str | None = None,
-        resolve: bool = True,
+        self, ops: list, dataset: NestedDataset, shard_id: str | None = None
     ) -> NestedDataset:
-        """Run ``ops`` over ``dataset`` under the fault policy: the one op-run driver.
+        """Run a segment's local ops (:attr:`StreamSegment.local_ops`) over
+        ``dataset`` under the fault policy: the one op-run driver.
 
-        Memory mode hands it the whole dataset (one op at a time while a
-        store needs every intermediate result, else the whole op list),
-        streaming one shard's sample ops plus its closing Deduplicator with
-        ``resolve`` off: that op then runs its hashing stage only, and a
-        hashing failure propagates for the caller's shard containment.
-
-        The op list is cut into segments — maximal runs of Mappers/Filters up
-        to and including a closing Deduplicator — and every segment goes to
-        :func:`run_segment_with_policy`, which applies it chunk by chunk: in
-        the workers of the pool when ``np > 1`` (one task per chunk), in this
-        process otherwise, and also for a run of ops the pool does not hold.
-        A segment ends only where the host needs the data: a Deduplicator's
-        clustering, or a host-side op (a Selector) — never for the tracer,
-        which is handed the ops' trace entries here.  Pool creation is
-        deferred to the first op with a sample-level stage, so fully
-        cache-hit runs never fork workers.
+        Memory mode hands it the whole dataset, streaming one shard.  The ops
+        go to :func:`run_segment_with_policy`, which applies them chunk by
+        chunk: in the workers of the pool when ``np > 1`` (one task per
+        chunk), in this process otherwise.  They are cut only where that
+        placement changes — a run of ops the pool does not hold runs here —
+        and never for the tracer, which is handed the ops' trace entries here.
         """
         tracer, trace_num = self.tracer, getattr(self.tracer, "show_num", 0)
         while ops:
             # where the segment runs: the pool holding its ops, or None = here
+            pool = self._ensure_pool()
             segment, where = [], None
             for op in ops:
-                if not isinstance(op, (Mapper, Filter, Deduplicator)):
-                    break
-                pool = self._ensure_pool()
                 target = pool if pool is not None and pool.holds(op) else None
                 if segment and target is not where:
                     break
                 where = target
                 segment.append(op)
-                if isinstance(op, Deduplicator):
-                    break
-            if segment:
-                dataset, trace = run_segment_with_policy(
-                    segment, dataset, where, self.policy, self._faults, self._quarantine,
-                    self._profiler, shard_id=shard_id, resolve=resolve, trace_num=trace_num,
-                )
-            else:
-                op = ops[0]
-                with self._profiler.track(op, rows_in=len(dataset)) as tracking:
-                    dataset, trace = run_op_with_policy(
-                        op, dataset, self.policy, self._faults, self._quarantine,
-                        shard_id=shard_id, trace_num=trace_num,
-                    )
-                    tracking.rows_out = len(dataset)
+            dataset, trace = run_segment_with_policy(
+                segment, dataset, where, self.policy, self._faults, self._quarantine,
+                self._profiler, shard_id=shard_id, trace_num=trace_num,
+            )
             if tracer is not None:
                 for entry in trace:
                     tracer.add(*entry)
-            ops = ops[max(1, len(segment)):]
+            ops = ops[len(segment):]
+        return dataset
+
+    def _global_step(
+        self, op: Any, signature: NestedDataset, show_num: int = 0
+    ) -> tuple[list[bool], set[str], list[tuple[int, int]]]:
+        """:func:`resolve_global_keep` under the fault policy: the one global
+        step of every Deduplicator and Selector, in both run loops.
+
+        There is no shard to contain a failure to: it is retried, then aborts
+        with full context under ``raise``, or under a lenient policy degrades
+        to a keep-everything mask that still strips the hash columns — the
+        conservative outcome, no row is wrongly dropped.
+        """
+        with self._profiler.track(op, rows_in=len(signature)) as tracking:
+            try:
+                keep_mask, dropped_columns, pairs = retry_call(
+                    lambda: resolve_global_keep(op, signature, show_num),
+                    self.policy, self._faults, op.name,
+                )
+            except Exception as error:
+                if not self.policy.lenient:
+                    raise OpExecutionError(
+                        describe_failure(op.name, error), op_name=op.name
+                    ) from error
+                self._faults.record_degradation(
+                    f"global resolve of {op.name!r} skipped after persistent failure: {error!r}"
+                )
+                keep_mask, pairs = [True] * len(signature), []
+                dropped_columns = set(HASH_COLUMNS).intersection(signature.column_names)
+            tracking.rows_out = sum(keep_mask)
+        return keep_mask, dropped_columns, pairs
+
+    def _run_segments(self, ops: list, dataset: NestedDataset) -> NestedDataset:
+        """Memory mode: each :func:`plan_segments` segment of ``ops`` over the
+        whole dataset — its local ops, then its global step."""
+        for segment in plan_segments(ops):
+            if segment.local_ops:
+                dataset = self._drive(segment.local_ops, dataset)
+            if segment.global_op is not None:
+                degradations = self._faults.degradations
+                dataset = resolve_in_memory(
+                    segment.global_op, dataset, self.tracer, self._global_step
+                )
+                if self._faults.degradations != degradations:
+                    # not the op's output: no clean run's cache key may match it
+                    salted = _stable_hash({"parent": dataset.fingerprint, "fault_skipped": True})
+                    dataset = NestedDataset(dataset.to_dict(), fingerprint=salted)
         return dataset
 
     # ------------------------------------------------------------------
@@ -410,7 +434,7 @@ class Executor:
             pass
 
     def _preflight_dataflow(self, decision: ExecutionPlan) -> None:
-        """Statically check the recipe against the *planned* mode.
+        """Statically check the recipe before any data is touched.
 
         Findings are attached to the plan (``decision.dataflow``) and warn as
         :class:`DataflowWarning` by default; ``strict_dataflow: true`` turns
@@ -418,7 +442,7 @@ class Executor:
         """
         from repro.tools.dataflow import check_recipe
 
-        result = check_recipe(self.cfg, stream=decision.mode == "streaming")
+        result = check_recipe(self.cfg)
         decision.dataflow = [finding.as_dict() for finding in result.findings]
         if not result.findings:
             return
@@ -540,11 +564,10 @@ class Executor:
         with self._reporting("memory") as report:
             store, checkpoint = self.store, self.checkpoint
             if store is None:
-                # nothing needs an intermediate dataset on the host: the
-                # driver cuts the whole op list into pool segments itself.
-                # The input is handed over unnamed, so this frame does not
-                # keep the loaded corpus alive while the pipeline runs
-                current = self._drive(self.ops, self._load_input(dataset))
+                # nothing needs an intermediate dataset: one segment per
+                # global op.  The input is handed over unnamed, so this frame
+                # does not keep the loaded corpus alive while the pipeline runs
+                current = self._run_segments(self.ops, self._load_input(dataset))
             else:
                 current = self._load_input(dataset)
                 run_state = self._run_state(current.fingerprint)
@@ -571,7 +594,7 @@ class Executor:
                         parent = current if delta else None
                         if parent is not None and snapshot is None:
                             snapshot = cell_snapshot(parent)
-                        current = self._drive([op], current)
+                        current = self._run_segments([op], current)
                         payload, snapshot = encode(parent, current, snapshot)
                         del parent  # not held while the entry is written
                         key = self._put_result(store, key, payload, faults_before)
@@ -783,21 +806,17 @@ class Executor:
         text (the rows of later stages by ``_stable_hash``), and decoded in
         place — its lines freed — only when it must run.
 
-        Failures are contained per shard: sample-op errors are handled row-
-        wise by the error policy inside :meth:`_drive`; anything that
-        still escapes (the dedup hashing stage has no row-isolated fallback)
-        retries the whole shard (:func:`retry_call`, under every policy), and
-        a persistently failing shard then aborts the run (``raise``) or is
-        dropped/quarantined whole instead of wedging it (lenient).
+        Failures are contained per shard: an op's errors (dedup hashing
+        included) are handled row-wise by the error policy inside
+        :meth:`_drive`; a failure outside every op still retries the whole
+        shard (:func:`retry_call`, under every policy), and a persistently
+        failing shard then aborts the run (``raise``) or is dropped/quarantined
+        whole instead of wedging it (lenient).
         Fault-shaped shard output is stored under a key only a resumed run of
         the same checkpoint looks up (see :meth:`_put_result`).
         """
         store = self._spill
-        # a closing Deduplicator's per-sample hashing stage runs shard-local
-        # (in the same pool task as the sample ops); only its clustering is global
-        shard_ops = segment.sample_ops + (
-            [segment.global_op] if isinstance(segment.global_op, Deduplicator) else []
-        )
+        shard_ops = segment.local_ops
         shard_id = f"stage{stage}:shard{index:05d}"  # names the shard in fault records
         key = f"{stage}:{index}" if spill else None
         input_shard = stage == 0
@@ -830,7 +849,7 @@ class Executor:
         try:
             out_rows = retry_call(
                 lambda: self._drive(
-                    shard_ops, NestedDataset.from_list(rows), shard_id=shard_id, resolve=False
+                    shard_ops, NestedDataset.from_list(rows), shard_id=shard_id
                 ).to_list(),
                 self.policy,
                 self._faults,
@@ -890,7 +909,6 @@ class Executor:
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
-        text_key = getattr(global_op, "text_key", Fields.text)
         #: the signature columns, grown shard by shard (never a dict per row)
         columns: dict[str, list] = {}
         total = 0
@@ -907,7 +925,7 @@ class Executor:
                 # columns shard-wide); a column first seen in a later shard,
                 # or absent from one, is None-filled, exactly like the
                 # in-memory dataset's global column union
-                names = signature_column_names(global_op, list(out_rows[0].keys()), text_key)
+                names = signature_column_names(global_op, list(out_rows[0]), global_op.text_key)
                 for name in names:
                     if name not in columns:
                         columns[name] = [None] * total
@@ -925,31 +943,7 @@ class Executor:
         signature = NestedDataset(columns)
         del columns
         tracer, trace_num = self.tracer, getattr(self.tracer, "show_num", 0)
-        with self._profiler.track(global_op, rows_in=len(signature)) as tracking:
-            # the global resolve has no shard to contain failures to: retry
-            # per the policy, abort with full context under ``raise``, and
-            # under a lenient policy degrade to a keep-everything mask (the
-            # conservative outcome — no row is wrongly dropped)
-            try:
-                keep_mask, dropped_columns, pairs = retry_call(
-                    lambda: resolve_global_keep(global_op, signature, trace_num),
-                    self.policy,
-                    self._faults,
-                    global_op.name,
-                )
-            except Exception as error:
-                if not self.policy.lenient:
-                    raise OpExecutionError(
-                        describe_failure(global_op.name, error),
-                        op_name=global_op.name,
-                    ) from error
-                self._faults.record_degradation(
-                    f"global resolve of {global_op.name!r} skipped after "
-                    f"persistent failure: {error!r}"
-                )
-                keep_mask, pairs = [True] * len(signature), []
-                dropped_columns = set(HASH_COLUMNS).intersection(signature.column_names)
-            tracking.rows_out = sum(keep_mask)
+        keep_mask, dropped_columns, pairs = self._global_step(global_op, signature, trace_num)
         if tracer is not None:
             tracer.add(global_op, 0, 0)  # its pipeline position; the mask pass adds the rest
         del signature

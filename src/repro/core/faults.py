@@ -12,14 +12,16 @@ them:
   / ``task_timeout_s`` / ``max_pool_rebuilds``), threaded from
   :class:`repro.core.config.RecipeConfig` through the fluent API, the CLI and
   both executors.
-* :func:`run_op_with_policy` — the engine-side wrapper around ``op.run``:
-  retry with capped exponential backoff, then (under a lenient policy)
-  per-row isolation for Mappers/Filters so one poison row never takes its
-  batch down, or a recorded degradation-skip for dataset-level ops.
+* :func:`run_op_with_policy` — the verdict on one failing op of a segment
+  (a Mapper, a Filter or a Deduplicator's hashing): retry with capped
+  exponential backoff, then (under a lenient policy) per-row isolation so
+  one poison row never takes its batch down.
 * :func:`run_segment_with_policy` — the same contract for a whole run of ops
   applied chunk by chunk (:mod:`repro.core.segment`), in the worker pool or
   in-process: the op a chunk reports as failing re-enters
   :func:`run_op_with_policy` with that failure as its first attempt.
+* :func:`retry_call` — the retry loop of the stages outside every op (a
+  streaming shard's local work, the global step); the caller gives the verdict.
 * :class:`QuarantineWriter` — the ``quarantine-00001.jsonl.gz`` export of
   dropped rows (payload + op name + exception repr + shard id + row index).
 * :class:`FaultTracker` — the counters behind the report's ``faults``
@@ -42,10 +44,11 @@ from typing import Any, Iterable
 from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.dataset import NestedDataset, _stable_hash
 from repro.core.errors import ConfigError, OpExecutionError
+from repro.core.monitor import RunProfiler
 from repro.core.sample import get_field
 from repro.core.segment import run_dataset_segment
 from repro.core.serialization import JsonSanitizer
-from repro.core.tracer import Tracer, pair_examples, segment_examples
+from repro.core.tracer import segment_examples
 
 logger = logging.getLogger(__name__)
 
@@ -368,15 +371,14 @@ def _probe_failing_row(op: Any, dataset: NestedDataset) -> int | None:
     return None
 
 
-def _run_single_row(op: Any, row: dict) -> tuple[bool, dict | None]:
-    """Run one row through a Mapper or Filter; returns ``(keep, row_out)``."""
+def _run_single_row(op: Any, row: dict) -> tuple[bool, dict]:
+    """One row through a Mapper, a Filter or a Deduplicator's hashing: ``(keep, row_out)``."""
     if isinstance(op, Mapper):
         return True, op.process(row)
     if isinstance(op, Filter):
         row = op.compute_stats(row)
         return bool(op.process(row)), row
-    # dataset-level ops have no per-row stage; re-raise by running nothing
-    raise TypeError(f"{type(op).__name__} has no per-row execution path")
+    return True, op.compute_hash(row)
 
 
 def _isolate_rows(
@@ -388,15 +390,16 @@ def _isolate_rows(
     shard_id: str | None = None,
     trace_num: int = 0,
 ) -> tuple[NestedDataset, list]:
-    """Re-run a failed Mapper/Filter row by row, dropping only poison rows.
+    """Re-run a failed segment op row by row, dropping only poison rows.
 
-    Every batched op has an equivalence-tested per-row fallback, so replaying
-    the batch one row at a time is semantically identical — surviving rows
-    keep their order, and only the rows that themselves raise (after
-    ``max_retries`` per-row retries) are dropped or quarantined.  The output
-    fingerprint is salted with the dropped indices so downstream cache keys
-    can never collide with a clean run's.  The trace entry covers the rows
-    the op ran on (not the poison rows), found from their own verdicts.
+    Every batched stage has an equivalence-tested per-row fallback, so
+    replaying the batch one row at a time is semantically identical —
+    surviving rows keep their order, and only the rows that themselves raise
+    (after ``max_retries`` per-row retries) are dropped or quarantined.  The
+    output fingerprint is salted with the dropped indices so downstream cache
+    keys can never collide with a clean run's.  The trace entry covers the
+    rows the op ran on (not the poison rows), found from their own verdicts;
+    a Deduplicator's hashing has none (its global step traces the op).
     """
     quarantined = policy.on_error == "quarantine"
     survivors: list[dict] = []
@@ -422,10 +425,16 @@ def _isolate_rows(
             found.append((healthy, text, edited))
         if keep:
             survivors.append(row_out)
-    fingerprint = dataset.derive_fingerprint(op.name, op.config())
+    hashing = isinstance(op, Deduplicator)
+    # a hashing stage stamps no link of its own: the global step does
+    fingerprint = dataset.fingerprint if hashing else dataset.derive_fingerprint(
+        op.name, op.config()
+    )
     if dropped:
         fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": dropped})
     result = NestedDataset.from_list(survivors, fingerprint=fingerprint)
+    if hashing:
+        return result, []
     healthy = len(dataset) - len(dropped)
     examples = segment_examples(op, [(healthy, len(result), 0.0, found)])
     return result, [(op, healthy, len(result), examples)]
@@ -436,43 +445,37 @@ def run_op_with_policy(
     dataset: NestedDataset,
     policy: ErrorPolicy,
     tracker: FaultTracker,
+    profiler: RunProfiler,
     quarantine: QuarantineWriter | None = None,
     pool: Any = None,
     shard_id: str | None = None,
     first_error: BaseException | None = None,
     trace_num: int = 0,
 ) -> tuple[NestedDataset, list]:
-    """Run one operator under the error policy; the engines' single entry.
+    """Run one segment op (a Mapper, a Filter or a Deduplicator's hashing) under the policy.
 
-    The happy path is a plain ``op.run`` call — one ``try`` frame of
-    overhead.  On failure the call is retried ``max_retries`` times with
-    capped exponential backoff; a persistent failure then either aborts with
-    a fully-contextualised :class:`repro.core.errors.OpExecutionError`
-    (``raise``), or under a lenient policy falls back to per-row isolation
-    (Mappers/Filters) or a recorded degradation-skip (dataset-level ops,
-    whose global stage cannot be row-isolated).
+    An attempt is the segment of this one op (:func:`_dispatch_segment`, in
+    the workers of ``pool`` when it holds the op, else here).  On failure it
+    is retried ``max_retries`` times with capped exponential backoff; a
+    persistent failure then either aborts with a fully-contextualised
+    :class:`repro.core.errors.OpExecutionError` (``raise``), or under a
+    lenient policy falls back to per-row isolation (:func:`_isolate_rows`).
 
     ``first_error`` is a failure of this op over this dataset that already
     happened inside a segment (in a pool worker or in-process): it is
     recorded and counted as the first attempt instead of running the op.
     Returns the output and its trace entries ``(op, rows in, rows out,
-    examples)``, at most ``trace_num`` examples each (a skipped op has none).
+    examples)``, at most ``trace_num`` examples each; the op's rows and
+    seconds go to ``profiler``.
     """
     attempt = 0
     error = first_error
     while True:
         if error is None:
-            # the op's own run collects what a tracer would be shown of it
-            collector = Tracer(show_num=trace_num)
-            try:
-                result = op.run(dataset, tracer=collector, pool=pool)
-            except Exception as caught:
-                error = caught
-            else:
-                return result, [
-                    (op, record.input_size, record.output_size, record.examples)
-                    for record in collector.records
-                ]
+            result, trace, failure = _dispatch_segment([op], dataset, pool, profiler, trace_num)
+            if failure is None:
+                return result, trace
+            error = failure[1]
         tracker.record_op_error(op.name, error, shard_id)
         if attempt < policy.max_retries:
             tracker.record_retry(op.name, shard_id)
@@ -481,39 +484,23 @@ def run_op_with_policy(
             error = None
             continue
         if not policy.lenient:
-            row_index = (
-                _probe_failing_row(op, dataset)
-                if isinstance(op, (Mapper, Filter))
-                else None
-            )
+            row_index = _probe_failing_row(op, dataset)
             raise OpExecutionError(
                 describe_failure(op.name, error, shard_id, row_index),
                 op_name=op.name,
                 shard_id=shard_id,
                 row_index=row_index,
             ) from error
-        if isinstance(op, (Mapper, Filter)):
-            logger.warning(
-                "operator %r failed persistently (%r); isolating rows",
-                op.name,
-                error,
-            )
-            return _isolate_rows(op, dataset, policy, tracker, quarantine, shard_id, trace_num)
-        # Deduplicators/Selectors decide globally; skipping the op keeps
-        # every row, which is the conservative lenient outcome
-        tracker.record_degradation(
-            f"dataset-level op {op.name!r} skipped after persistent failure: {error!r}"
-        )
-        return NestedDataset.from_list(
-            dataset.to_list(),
-            fingerprint=_stable_hash(
-                {"parent": dataset.fingerprint, "fault_skipped_op": op.name}
-            ),
-        ), []
+        logger.warning("operator %r failed persistently (%r); isolating rows", op.name, error)
+        start = time.perf_counter()
+        result, trace = _isolate_rows(op, dataset, policy, tracker, quarantine, shard_id, trace_num)
+        rows = () if isinstance(op, Deduplicator) else (len(dataset), len(result))
+        profiler.record(op, time.perf_counter() - start, *rows)
+        return result, trace
 
 
 def _dispatch_segment(
-    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, resolve: bool, trace_num: int
+    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, trace_num: int
 ) -> tuple[NestedDataset | None, list, tuple[int, BaseException] | None]:
     """One attempt at a segment: ``(result, trace, None)`` or ``(None, [], failure)``.
 
@@ -521,38 +508,25 @@ def _dispatch_segment(
     what a serial run would have hit first.  Per-op rows and seconds,
     measured where the ops ran, reach the profiler only when the whole
     segment succeeded, so a replay after a failure never counts a row twice.
-    ``trace`` holds an entry per op (a closing Deduplicator's once it
-    resolved): rows in and out, and examples built lazily from the chunks'
-    records, so a Filter row's stats are completed only if a reservoir takes it.
+    ``trace`` holds an entry per Mapper/Filter: rows in and out, and examples
+    built lazily from the chunks' records, so a Filter row's stats are
+    completed only if a reservoir takes it.  A closing Deduplicator only
+    hashed: its rows, its call and its trace entry are the global step's.
     """
     result, per_chunk, failure = run_dataset_segment(ops, dataset, pool, trace_num)
     if failure is not None:
         return None, [], failure
-    closing = ops[-1] if isinstance(ops[-1], Deduplicator) else None
-    hashed, duplicate_pairs = result, []
-    resolve_s = 0.0
-    if closing is not None and resolve:
-        start = time.perf_counter()
-        try:
-            result, duplicate_pairs = closing.process(hashed, show_num=trace_num)
-        except Exception as error:
-            return None, [], (len(ops) - 1, error)
-        resolve_s = time.perf_counter() - start
     trace = []
     for index, op in enumerate(ops):
         records = [chunk[index] for chunk in per_chunk]
+        seconds = sum((record[2] for record in records), 0.0)
+        if isinstance(op, Deduplicator):
+            profiler.record(op, seconds)
+            continue
         rows_in = sum(record[0] for record in records)
         rows_out = sum(record[1] for record in records)
-        seconds = sum((record[2] for record in records), 0.0)
-        if op is not closing:
-            profiler.record(op, seconds, rows_in, rows_out)
-            trace.append((op, rows_in, rows_out, segment_examples(op, records)))
-        elif resolve:
-            profiler.record(op, seconds + resolve_s, rows_in, len(result))
-            trace.append((op, len(hashed), len(result), pair_examples(duplicate_pairs)))
-        else:
-            # hashing only: the rows are accounted by the global resolve
-            profiler.record(op, seconds)
+        profiler.record(op, seconds, rows_in, rows_out)
+        trace.append((op, rows_in, rows_out, segment_examples(op, records)))
     return result, trace, None
 
 
@@ -565,7 +539,6 @@ def run_segment_with_policy(
     quarantine: QuarantineWriter | None,
     profiler: Any,
     shard_id: str | None = None,
-    resolve: bool = True,
     trace_num: int = 0,
 ) -> tuple[NestedDataset, list]:
     """Run a segment under the error policy: one task per chunk, not per op.
@@ -574,9 +547,7 @@ def run_segment_with_policy(
     whose hashing stage is part of the segment; the chunks run in the workers
     of ``pool`` (which holds every op) or, with ``pool`` ``None``, in the
     calling process — the same :func:`repro.core.segment.run_segment` either
-    way.  With ``resolve`` (memory mode) the Deduplicator's clustering then
-    runs here on the reassembled dataset, without it (streaming, where the
-    resolve is global across shards) the hashed dataset is returned.  The
+    way.  The hashed dataset comes back for the caller's global step.  The
     output carries the chained fingerprint of the ops, equal to what running
     them one by one would stamp.  It comes back with the trace entries of
     the ops it ran (see :func:`_dispatch_segment`), built by the segment.
@@ -586,31 +557,25 @@ def run_segment_with_policy(
     input), op *k* goes through :func:`run_op_with_policy` with the reported
     failure as its first attempt — retries, error context, row isolation and
     quarantine payloads do not depend on where the chunks ran — and the rest
-    of the segment is run again from its output.  A hashing failure with
-    ``resolve`` off re-raises untouched for the caller's shard containment.
+    of the segment is run again from its output.
     """
     trace: list = []
     while ops:
-        result, done, failure = _dispatch_segment(ops, dataset, pool, profiler, resolve, trace_num)
+        result, done, failure = _dispatch_segment(ops, dataset, pool, profiler, trace_num)
         if failure is None:
             return result, trace + done
         failed_at, error = failure
-        op = ops[failed_at]
-        if isinstance(op, Deduplicator) and not resolve:
-            raise error
         if failed_at:
             dataset, done = run_segment_with_policy(
                 ops[:failed_at], dataset, pool, policy, tracker, quarantine,
-                profiler, shard_id, resolve, trace_num,
+                profiler, shard_id, trace_num,
             )
             trace += done
-        with profiler.track(op, rows_in=len(dataset)) as tracking:
-            dataset, done = run_op_with_policy(
-                op, dataset, policy, tracker, quarantine,
-                pool=pool, shard_id=shard_id, first_error=error, trace_num=trace_num,
-            )
-            trace += done
-            tracking.rows_out = len(dataset)
+        dataset, done = run_op_with_policy(
+            ops[failed_at], dataset, policy, tracker, profiler, quarantine,
+            pool, shard_id, error, trace_num,
+        )
+        trace += done
         ops = ops[failed_at + 1:]
     return dataset, trace
 

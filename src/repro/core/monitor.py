@@ -114,7 +114,7 @@ class RunProfiler:
 
     One profiler lives for one executor run.  Operators are keyed by object
     identity, so an operator touched many times (once per shard in streaming
-    mode, or a Deduplicator's hash stage plus its global resolve) aggregates
+    mode, or a Deduplicator's hash stage plus its global step) aggregates
     into a single :class:`~repro.core.report.OpReport` section, in first-touch
     (= pipeline) order.
 
@@ -168,14 +168,15 @@ class RunProfiler:
     ) -> None:
         """Account one call measured elsewhere (inside a segment's chunks).
 
-        Rows are optional for the same reason :meth:`track` makes them so: a
-        Deduplicator's shard-local hashing has time but no row verdict.
+        Without rows only the seconds count: a Deduplicator's hashing has no
+        row verdict and is no call of its own — its call, and its rows, are
+        the global step's (timed with :meth:`track`).
         """
         profile = self.profile_for(op)
         profile.wall_time_s += seconds
-        profile.calls += 1
         profile.max_rss_mb = max(profile.max_rss_mb, max_rss_mb())
         if rows_out is not None:
+            profile.calls += 1
             profile.rows_in += rows_in
             profile.rows_out += rows_out
 

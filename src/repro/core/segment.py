@@ -147,8 +147,9 @@ def run_dataset_segment(
     rule (:meth:`OP.effective_batch_size`) and run here, lazily.  ``failure``
     is the earliest failing op over all chunks — what a serial run would
     have hit first — and then there is no result.  Otherwise the result
-    carries the chained fingerprint of the ops (a closing Deduplicator stamps
-    its ``<name>:hash`` stage), equal to what running them one by one stamps.
+    carries the chained fingerprint of the ops, equal to what running them one
+    by one stamps; a closing Deduplicator's hashing stamps no link of its own
+    (the global step stamps the op's, over the rows that entered it).
     """
     if pool is None:
         chunks = dataset.iter_batches(ops[0].effective_batch_size(dataset))
@@ -161,8 +162,8 @@ def run_dataset_segment(
         return None, [], min(failures, key=lambda failure: failure[0])
     fingerprint = dataset.fingerprint
     for op in ops:
-        stage = f"{op.name}:hash" if isinstance(op, Deduplicator) else op.name
-        fingerprint = chain_fingerprint(fingerprint, stage, op.config())
+        if not isinstance(op, Deduplicator):
+            fingerprint = chain_fingerprint(fingerprint, op.name, op.config())
     result = NestedDataset.from_batches(
         [batch for batch, _records, _failure, _cpu in results], fingerprint=fingerprint
     )

@@ -1,4 +1,4 @@
-"""Out-of-core streaming execution: shard chunking, segmentation, global resolve.
+"""Shard chunking, segmentation, and the global step of dataset-level ops.
 
 The streaming run mode (``Executor.run_streaming`` / CLI ``--stream``) never
 holds the whole corpus in memory.  Records are drawn lazily from a formatter,
@@ -22,9 +22,13 @@ ever holds more than one shard of payload.
 2. *Global resolve* — the op's unmodified ``process`` runs once over the
    skinny signature dataset (:func:`resolve_global_keep`), yielding a keep
    mask over global row ids.  Because every built-in Deduplicator/Selector
-   preserves input order, the mask reproduces the in-memory result exactly.
+   preserves input order, the mask reproduces the dataset-level result exactly.
 3. *Mask pass* — the stored shards are streamed back out with the mask applied
    (and the op's hash columns dropped), feeding the next pipeline segment.
+
+Memory mode is the one-shard case (:func:`resolve_in_memory`): the signature
+columns are the dataset's own, and the mask pass is one select.  No run calls
+a Deduplicator's or Selector's ``process`` outside :func:`resolve_global_keep`.
 
 The spill *is* the cache *is* the shard-granular checkpoint: with ``use_cache``
 or ``use_checkpoint`` the entries are content-keyed and survive the run, so a
@@ -37,9 +41,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.core.base_op import OP, Deduplicator, Filter, Mapper, Selector
-from repro.core.dataset import NestedDataset, _stable_hash
+from repro.core.dataset import NestedDataset, _stable_hash, chain_fingerprint
 from repro.core.errors import DatasetError
 from repro.core.sample import Fields, HashKeys
+from repro.core.tracer import dropped_examples, pair_examples
 from repro.formats.source import decode_record
 
 #: default shard budget when neither ``max_shard_rows`` nor
@@ -109,17 +114,24 @@ class StreamSegment:
     sample_ops: list = field(default_factory=list)
     global_op: Any = None
 
+    @property
+    def local_ops(self) -> list:
+        """What runs before the global step: the sample ops and a closing Deduplicator's hashing."""
+        if isinstance(self.global_op, Deduplicator):
+            return [*self.sample_ops, self.global_op]
+        return self.sample_ops
+
 
 def plan_segments(ops: Iterable[OP]) -> list[StreamSegment]:
-    """Split an op list into streamable segments.
+    """Split an op list into segments, the unit of both run loops.
 
-    Mappers and Filters are shard-local; Deduplicators and Selectors close
-    their segment and are resolved globally between passes.  Any other
-    dataset-level operator fails fast — the global resolve only sees the
-    skinny signature columns (never the text payload), so an op category it
-    does not understand could silently produce different rows than the
-    in-memory path.  The returned list always contains at least one segment,
-    and only its last segment may lack a global op.
+    Mappers and Filters are local; Deduplicators and Selectors close their
+    segment and are resolved by the global step.  Any other dataset-level
+    operator fails fast — the global resolve only sees the skinny signature
+    columns (never the text payload), so an op category it does not
+    understand could silently produce wrong rows.  The returned list always
+    contains at least one segment, and only its last segment may lack a
+    global op.
     """
     segments: list[StreamSegment] = []
     current = StreamSegment()
@@ -132,8 +144,8 @@ def plan_segments(ops: Iterable[OP]) -> list[StreamSegment]:
             current = StreamSegment()
         else:
             raise DatasetError(
-                f"streaming mode cannot execute dataset-level op {op.name!r}: "
-                "only Mappers, Filters, Deduplicators and Selectors are supported"
+                f"cannot execute dataset-level op {op.name!r}: only Mappers, "
+                "Filters, Deduplicators and Selectors are supported"
             )
     if current.sample_ops or not segments:
         segments.append(current)
@@ -161,8 +173,8 @@ def signature_column_names(op: Any, column_names: list[str], text_key: str) -> l
             # every row and silently collapse the corpus to one "duplicate"
             raise DatasetError(
                 f"deduplicator {op.name!r} stores its signature outside the "
-                f"standard hash columns {HASH_COLUMNS}; streaming mode cannot "
-                "resolve it globally"
+                f"standard hash columns {HASH_COLUMNS}; the global step cannot "
+                "resolve it"
             )
         return columns
     keep = [name for name in column_names if name != text_key]
@@ -192,18 +204,51 @@ def resolve_global_keep(
     pairs: list = []
     if isinstance(op, Deduplicator):
         result, pairs = op.process(signature, show_num=show_num)
-    elif isinstance(op, Selector):
-        result = op.process(signature)
     else:
-        raise DatasetError(
-            f"cannot resolve dataset-level op {getattr(op, 'name', op)!r} globally"
-        )
+        result = op.process(signature)
     surviving = set(result.column(ROW_ID_COLUMN))
     mask = [row_id in surviving for row_id in signature.column(ROW_ID_COLUMN)]
     dropped = set(signature.column_names) - set(result.column_names)
     dropped.discard(ROW_ID_COLUMN)
     row_ids = [(first[ROW_ID_COLUMN], second[ROW_ID_COLUMN]) for first, second in pairs]
     return mask, dropped, row_ids
+
+
+def resolve_in_memory(
+    op: Any, dataset: NestedDataset, tracer: Any = None, step: Any = resolve_global_keep
+) -> NestedDataset:
+    """The global step over an in-memory (for a Deduplicator: hashed) dataset.
+
+    The one-shard case of the two passes: the signature holds references to
+    ``dataset``'s own columns, the mask pass is one select minus the columns
+    the resolve removed, and the output is stamped ``chain_fingerprint(
+    dataset, op.name, op.config())``.  ``step`` is :func:`resolve_global_keep`
+    or the executor's policy-wrapped global step.  A ``tracer`` is shown a
+    Deduplicator's duplicate pairs, or the rows a Selector's mask drops.
+    """
+    rows, columns = len(dataset), dataset._columns
+    signature = NestedDataset(fingerprint="signature")
+    names = signature_column_names(op, list(columns), op.text_key) if rows else []
+    signature._columns = {name: columns[name] for name in names}  # references, no copy
+    signature._columns[ROW_ID_COLUMN] = list(range(rows))
+    mask, drop_columns, pairs = step(op, signature, getattr(tracer, "show_num", 0))
+    kept = [index for index, keep in enumerate(mask) if keep]
+    result = NestedDataset(
+        {
+            name: [values[index] for index in kept]
+            for name, values in columns.items()
+            if name not in drop_columns
+        },
+        fingerprint=chain_fingerprint(dataset.fingerprint, op.name, op.config()),
+    )
+    if tracer is not None:
+        if isinstance(op, Deduplicator):
+            examples: Any = pair_examples((dataset[a], dataset[b]) for a, b in pairs)
+        else:
+            dropped = (index for index, keep in enumerate(mask) if not keep)
+            examples = dropped_examples((index, dataset[index]) for index in dropped)
+        tracer.add(op, rows, len(result), examples)
+    return result
 
 
 def apply_keep_mask(
@@ -248,6 +293,7 @@ __all__ = [
     "op_config_hash",
     "plan_segments",
     "resolve_global_keep",
+    "resolve_in_memory",
     "signature_column_names",
     "stage_chain_hash",
 ]

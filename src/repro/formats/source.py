@@ -27,8 +27,9 @@ from typing import Any, Iterator, Sequence
 #: version of the decode a source signature stands for: bump it whenever the
 #: rows a line decodes to change (the JSON decode, the non-dict rule, the
 #: ``__suffix__`` column, ``unify_sample``), or stored shards would replay
-#: rows the new decode no longer produces
-SOURCE_FORMAT = 1
+#: rows the new decode no longer produces.  2: a record with no string field
+#: of its own decodes to text ``""``, not to its ``__suffix__``
+SOURCE_FORMAT = 2
 
 
 class LineRecord:

@@ -26,8 +26,9 @@ from repro.core.tracer import dropped_examples, edit_examples, pair_examples
 
 
 def run_per_row(op: Any, dataset: NestedDataset, tracer: Any = None) -> NestedDataset:
-    """Apply a Mapper, Filter or Deduplicator to ``dataset`` one row at a time;
-    a ``tracer`` is handed the examples each row's own verdict gives."""
+    """Apply a Mapper, Filter or Deduplicator (whose ``process`` clusters) to
+    ``dataset`` one row at a time; a ``tracer`` is handed the examples each
+    row's own verdict gives."""
     fingerprint = dataset.derive_fingerprint(op.name, op.config())
     if isinstance(op, Mapper):
         texts = [get_field(row, op.text_key, "") for row in dataset] if tracer is not None else []
@@ -41,11 +42,9 @@ def run_per_row(op: Any, dataset: NestedDataset, tracer: Any = None) -> NestedDa
             (index, row) for index, row in enumerate(with_stats) if not op.process(row)
         )
     elif isinstance(op, Deduplicator):
-        hashed = dataset.map(
-            op.compute_hash,
-            new_fingerprint=dataset.derive_fingerprint(f"{op.name}:hash", op.config()),
-        )
+        hashed = dataset.map(op.compute_hash)
         result, pairs = op.process(hashed, show_num=getattr(tracer, "show_num", 0))
+        result = NestedDataset(result.to_dict(), fingerprint=fingerprint)
         examples = pair_examples(pairs)
     else:
         raise TypeError(f"{type(op).__name__} has no per-row execution path")

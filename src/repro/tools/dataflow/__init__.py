@@ -6,7 +6,7 @@ infers a versioned :class:`EffectSignature` per operator (fields read/written/
 removed, context keys, row effect) and
 :mod:`~repro.tools.dataflow.checker` symbolically executes a recipe over an
 abstract field-set lattice, reporting undefined reads, dead writes, order
-hazards, fusion-unsafe adjacencies and streaming incompatibilities — with
+hazards, fusion-unsafe adjacencies and ops the global step cannot run — with
 did-you-mean suggestions and exact step indices, before a single row is read.
 
 Entry points: ``repro dataflow`` / ``repro lint --recipes`` on the CLI,

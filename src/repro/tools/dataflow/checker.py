@@ -34,10 +34,11 @@ the way:
     of the order written in the recipe.
 
 ``stream-unsafe`` (error)
-    With ``stream`` on, the planner rejects op categories outside
+    Both run loops cut a recipe into segments closed by a global step, so
+    every run — in memory or streaming — rejects op categories outside
     mapper/filter/deduplicator/selector and deduplicators whose signatures
     live outside the standard hash columns.  The checker reports both
-    statically, before a single row is read.
+    statically, before a single row is read (``stream-unsafe@N`` still works).
 
 Findings can be suppressed per recipe via ``dataflow_ignore`` entries of the
 form ``rule`` or ``rule@step`` (1-based step index).
@@ -94,14 +95,14 @@ DATAFLOW_RULES = {
     ),
     "stream-unsafe": (
         ERROR,
-        "streaming recipes may only use streamable op categories and "
+        "recipes may only use op categories the global step resolves and "
         "standard-column dedup signatures",
         "the planner discovers these at run time, after rows have flowed; "
         "the checker proves them before the job is accepted",
     ),
 }
 
-#: op categories the streaming planner accepts (mirrors ``plan_segments``)
+#: op categories both run loops accept (mirrors ``plan_segments``)
 _STREAMABLE_CATEGORIES = frozenset({"mapper", "filter", "deduplicator", "selector"})
 
 #: fields every formatter provides alongside the text payload
@@ -185,7 +186,6 @@ def check_steps(
     text_keys: Iterable[str] = (),
     input_fields: Iterable[str] | None = None,
     op_fusion: bool = False,
-    stream: bool = False,
     keep_stats_in_export: bool = False,
 ) -> list[DataflowFinding]:
     """Check a list of ``(op_name, params)`` steps; the low-level entry point.
@@ -360,8 +360,7 @@ def check_steps(
 
     if op_fusion:
         findings.extend(_fusion_findings(resolved))
-    if stream:
-        findings.extend(_stream_findings(resolved))
+    findings.extend(_stream_findings(resolved))
 
     findings.sort(key=lambda f: (f.index, f.rule, f.field))
     return findings
@@ -428,7 +427,7 @@ def _fusion_findings(resolved: list) -> list[DataflowFinding]:
 
 
 def _stream_findings(resolved: list) -> list[DataflowFinding]:
-    """Mirror the streaming planner's run-time rejections, statically."""
+    """Mirror the run-time rejections of the segmentation and global step."""
     findings: list[DataflowFinding] = []
     for index, (name, signature, effects) in enumerate(resolved, start=1):
         if signature is None:
@@ -441,8 +440,8 @@ def _stream_findings(resolved: list) -> list[DataflowFinding]:
                 op=name,
                 field="",
                 message=(
-                    f"category {signature.category!r} cannot run in streaming "
-                    f"mode (only mapper/filter/deduplicator/selector can)"
+                    f"category {signature.category!r} cannot run (only "
+                    f"mapper/filter/deduplicator/selector can)"
                 ),
             ))
         elif signature.category == "deduplicator" and effects is not None:
@@ -456,7 +455,7 @@ def _stream_findings(resolved: list) -> list[DataflowFinding]:
                     field=next(iter(sorted(effects.writes)), ""),
                     message=(
                         f"stores its dedup signature in {outside}, outside "
-                        f"the standard hash columns streaming knows to carry"
+                        f"the standard hash columns the global step resolves"
                     ),
                 ))
     return findings
@@ -480,9 +479,10 @@ def check_recipe(
 ) -> DataflowResult:
     """Check one recipe (config object, payload dict, or YAML/JSON path).
 
-    ``stream`` overrides the recipe's own flag — the executor passes the
-    *planned* mode so a recipe coerced into streaming is checked as such.
+    Every rule applies in every mode; ``stream`` is accepted and ignored (it
+    once switched ``stream-unsafe`` on).
     """
+    del stream
     from repro.core.config import load_recipe_payload
     from repro.ops import split_process_entry
 
@@ -502,7 +502,6 @@ def check_recipe(
         text_keys=text_keys,
         input_fields=payload.get("input_fields"),
         op_fusion=bool(payload.get("op_fusion")),
-        stream=bool(payload.get("stream")) if stream is None else stream,
         keep_stats_in_export=bool(payload.get("keep_stats_in_export")),
     )
 

@@ -243,9 +243,8 @@ def test_pipeline_fingerprints_are_incremental_and_strategy_independent(corpus):
         expected = batched_ds.derive_fingerprint(op_batched.name, op_batched.config())
         batched_ds = op_batched.run(batched_ds)
         per_row_ds = run_per_row(op_per_row, per_row_ds)
-        if not isinstance(op_batched, Deduplicator):
-            # Mapper/Filter outputs carry the incremental fingerprint directly
-            assert batched_ds.fingerprint == expected
+        # every op's output carries the incremental fingerprint directly
+        assert batched_ds.fingerprint == expected
         assert batched_ds.fingerprint == per_row_ds.fingerprint
         assert batched_ds.to_list() == per_row_ds.to_list()
 

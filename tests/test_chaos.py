@@ -303,9 +303,17 @@ class TestWholeShardQuarantine:
             "on_error": "quarantine",
         }
         executor = Executor(config)
-        # the dedup hashing stage has no per-row fallback: a poison batch
-        # fails the whole shard, which the policy then drops whole
-        FaultPlan().inject("document_deduplicator", match=MARKER).install(executor.ops)
+        # every op isolates its poison rows; a failure outside every op (here
+        # the driver itself, on the marker's shard) fails the whole shard,
+        # which the policy retries and then drops whole
+        drive = executor._drive
+
+        def failing_drive(ops, dataset, shard_id=None):
+            if any(MARKER in text for text in dataset.column("text")):
+                raise RuntimeError("shard-level failure outside every op")
+            return drive(ops, dataset, shard_id)
+
+        executor._drive = failing_drive
         report = executor.run_streaming(NestedDataset.from_list(rows))
 
         assert report["faults"]["quarantined_shards"] == 1
@@ -316,6 +324,90 @@ class TestWholeShardQuarantine:
             entries = [json.loads(line) for line in handle]
         assert len(entries) == 10
         assert all(entry["shard"] for entry in entries)
+
+
+class TestOneFaultRule:
+    """Memory mode and streaming apply one fault rule: an op's poison row is
+    isolated (a Deduplicator's hashing included), and a failing global step
+    degrades to keeping every row, however the corpus is cut."""
+
+    PROCESS = [{"whitespace_normalization_mapper": {}}, {"document_deduplicator": {}}]
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        # 31 unique rows and one duplicate; the marker row is in the middle
+        rows = [
+            {"text": f"{row['text'].strip()} document number {index}"}
+            for index, row in enumerate(c4_like(num_samples=40, seed=23).to_list()[:31])
+        ]
+        rows.insert(20, dict(rows[3]))
+        rows[12] = {"text": rows[12]["text"] + " " + MARKER}
+        return rows
+
+    RUNS = {
+        "memory-np1": ("memory", {}),
+        "memory-np2": ("memory", {"np": 2}),
+        "stream-10": ("streaming", {"max_shard_rows": 10}),
+        "stream-7": ("streaming", {"max_shard_rows": 7}),
+    }
+
+    def run(self, tmp_path, rows, tag, prepare, process=PROCESS, **options):
+        mode, overrides = self.RUNS[tag]
+        config = {
+            "process": process,
+            "export_path": str(tmp_path / f"{tag}.jsonl"),
+            "work_dir": str(tmp_path / f"work-{tag}"),
+            **overrides,
+            **options,
+        }
+        with Executor(config) as executor:
+            prepare(executor)
+            if mode == "memory":
+                executor.run(NestedDataset.from_list(rows))
+            else:
+                executor.run_streaming(NestedDataset.from_list(rows))
+        return executor.last_report["faults"], (tmp_path / f"{tag}.jsonl").read_bytes()
+
+    def test_a_poison_row_in_dedup_hashing_is_quarantined_alone(self, tmp_path, rows):
+        import gzip
+
+        def poison(executor):
+            FaultPlan().inject("document_deduplicator", match=MARKER).install(executor.ops)
+
+        runs = {}
+        for tag in self.RUNS:
+            faults, exported = self.run(tmp_path, rows, tag, poison, on_error="quarantine")
+            with gzip.open(faults["quarantine_paths"][0], "rt", encoding="utf-8") as handle:
+                entries = [json.loads(line) for line in handle]
+            assert (faults["quarantined_rows"], faults["quarantined_shards"]) == (1, 0)
+            assert faults["degradations"] == 0
+            runs[tag] = exported, [(entry["op"], entry["error"], entry["row"]) for entry in entries]
+        exported, entries = runs["memory-np1"]
+        assert all(run == (exported, entries) for run in runs.values())
+        # the duplicate and the poison row are gone, nothing else
+        assert len(exported.splitlines()) == len(rows) - 2
+        assert MARKER not in exported.decode("utf-8")
+        assert entries[0][0] == "document_deduplicator" and MARKER in entries[0][2]["text"]
+
+    def test_a_failing_global_step_keeps_every_row_under_skip(self, tmp_path, rows):
+        """The lenient verdict of the global step: no row is wrongly dropped,
+        and the hash columns go as a resolve would have taken them."""
+
+        def broken_resolve(executor):
+            def bomb(dataset, show_num=0):
+                raise RuntimeError("the global resolve broke")
+
+            executor.ops[-1].process = bomb
+
+        sample_only = self.PROCESS[:1]
+        _faults, reference = self.run(tmp_path / "ref", rows, "memory-np1", lambda _: None,
+                                      process=sample_only)
+        for tag in ("memory-np1", "stream-10"):
+            faults, exported = self.run(tmp_path, rows, tag, broken_resolve, on_error="skip")
+            assert exported == reference
+            assert faults["degradations"] == 1
+            assert faults["op_errors"] == {"document_deduplicator": 1}
+        assert len(reference.splitlines()) == len(rows)
 
 
 class TestCrashResumeComposesWithFaults:

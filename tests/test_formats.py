@@ -254,12 +254,21 @@ class TestSourceRecords:
         rows = list(formatter.iter_records())
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
         assert (SOURCE_FORMAT, digest) == (
-            1, "65177c6d657ed1c50d6195c4a3a9bae328569085a2f045047256c33818ede57f"
+            2, "d91c4f7fa8d79a5d38f14acc34878e84fa6cc75c0051a7c04b58f57f55ab3a5e"
         ), (
             "the rows a .jsonl line decodes to changed: shard entries signed by "
             "their source lines would replay stale rows. Bump SOURCE_FORMAT in "
             "repro/formats/source.py, then re-pin this digest."
         )
+
+    def test_a_record_without_a_string_field_gets_empty_text(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"id": 7}\n{"id": 8, "tags": ["x"]}\n')
+        rows = list(JsonlFormatter(dataset_path=str(path)).iter_records())
+        # the formatter's own __suffix__ is no text of the record
+        assert [(row[Fields.text], row[Fields.suffix]) for row in rows] == [
+            ("", ".jsonl"), ("", ".jsonl")
+        ]
 
     def test_lines_decode_only_on_demand(self, tmp_path):
         path = tmp_path / "a.jsonl"

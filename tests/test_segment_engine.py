@@ -12,12 +12,15 @@ Counted evidence (calls, rows, tasks, ``tracemalloc`` bytes — no wall clock):
   tasks only.
 * **Chunks are consumed lazily** — np = 1 peak heap on long documents stays
   at or under what the per-op engine this replaced read on the same corpus.
-* **The guard** — nothing else in ``src/repro`` applies an op to a batch.
+* **The guard** — nothing else in ``src/repro`` applies an op to a batch,
+  and every run calls a Deduplicator's or a Selector's ``process`` only from
+  the global step's :func:`repro.core.stream.resolve_global_keep`.
 """
 
 import ast
 import gc
 import multiprocessing
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -224,3 +227,45 @@ def test_only_the_segment_module_applies_ops_to_a_batch():
         if isinstance(node, ast.Attribute) and node.attr in SEGMENT_METHODS
     }
     assert callers == {"apply_op"}
+
+
+#: the three built-in Deduplicators and a Selector, each with a say in the output
+GLOBAL_OPS = [
+    {"document_deduplicator": {}},
+    {"document_minhash_deduplicator": {}},
+    {"document_simhash_deduplicator": {}},
+    {"topk_specified_field_selector": {"field_key": "__stats__.num_words", "top_ratio": 0.9}},
+]
+
+
+@pytest.mark.parametrize("np_", [1, 2])
+@pytest.mark.parametrize("mode", ["memory", "streaming"])
+def test_only_the_global_step_calls_a_dataset_level_process(tmp_path, monkeypatch, mode, np_):
+    """A second global-step path fails here in the change that adds it."""
+    from repro.core.registry import OPERATORS
+
+    callers = []
+    for entry in GLOBAL_OPS:
+        cls = OPERATORS.get(next(iter(entry)))
+
+        def spy(self, *args, _process=cls.process, **kwargs):
+            callers.append((self.name, sys._getframe(1).f_code.co_name))
+            return _process(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "process", spy)
+    config = {
+        "process": [{"words_num_filter": {"min_num": 1}}, *GLOBAL_OPS],
+        "work_dir": str(tmp_path / "work"),
+        "np": np_,
+        "max_shard_rows": 40,
+    }
+    rows = NestedDataset.from_list(messy_corpus_rows(120, duplicates=20))
+    with Executor(config) as executor:
+        if mode == "memory":
+            executor.run(rows)
+        else:
+            executor.run_streaming(rows)
+    assert sorted({name for name, _caller in callers}) == sorted(
+        next(iter(entry)) for entry in GLOBAL_OPS
+    )
+    assert {caller for _name, caller in callers} == {"resolve_global_keep"}

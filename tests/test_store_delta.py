@@ -502,6 +502,35 @@ class TestResumeChain:
         assert not store.has(faulted[0])
 
 
+def test_selectors_keeping_the_same_first_rows_share_no_cache_key(tmp_path):
+    """Two top-k selectors over other fields keep the same first 64 rows and
+    differ after them: the op after each must not read the other's entry.
+    A Selector's output fingerprint digested only those 64 positions, so the
+    second run replayed the first run's lowercased rows."""
+    # top 100 by ``a``: rows 0-99; by ``b``: rows 0-63 and 100-135
+    rows = [
+        {"text": f"Row {index} Of The Corpus", "meta": {
+            "a": 1000 - index if index < 100 else index,
+            "b": 1000 - index if index < 64 or 100 <= index < 136 else index - 900,
+        }}
+        for index in range(200)
+    ]
+    input_path = write_jsonl(tmp_path / "in.jsonl", rows)
+    exports = {}
+    for field_key in ("meta.a", "meta.b"):
+        process = [
+            {"topk_specified_field_selector": {"field_key": field_key, "topk": 100}},
+            {"lowercase_mapper": {}},
+        ]
+        cold, _, _ = run_recipe(tmp_path, f"cold-{field_key}", input_path, process,
+                                work=f"work-{field_key}", use_cache=True)
+        shared, _, _ = run_recipe(tmp_path, f"shared-{field_key}", input_path, process,
+                                  work="shared", use_cache=True)
+        assert shared == cold
+        exports[field_key] = cold
+    assert exports["meta.a"] != exports["meta.b"]
+
+
 # ----------------------------------------------------------------------
 # Observability
 # ----------------------------------------------------------------------
