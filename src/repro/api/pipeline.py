@@ -356,7 +356,7 @@ class Pipeline:
         """Execute and export to ``export_path``; returns the run report.
 
         Equivalent to ``.options(export_path=...).run(...)`` — the exported
-        bytes are identical whichever physical mode the planner picks.
+        rows do not depend on the physical mode the planner picks.
         """
         return self.options(export_path=str(export_path)).run(
             dataset=dataset, mode=mode, shard_output=shard_output, budget=budget

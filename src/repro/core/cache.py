@@ -15,15 +15,16 @@ streaming mode — is written **once**, as one entry of a :class:`CacheManager`:
 * the **spill** the streaming two-pass resolve reads back in its mask pass is
   the very entry the signature pass wrote (or found).
 
-An entry is still written once, but a memory-mode entry stores what the op
-changed, not the whole dataset: it is a delta over the op's parent dataset
-(:func:`encode` / :func:`decode`) — one parent row position per output row
-(none when the op kept the rows as they were) and, whole, only the columns a
-replay cannot rebuild from the parent.  Whether a column is unchanged is checked at
-write time against the data (:func:`cell_snapshot`), never inferred from what
-the op declares, so the replay is exact for any op.  A resume replays the
-chain of entries onto the loaded input.  A checkpoint-only run, which keeps
-its latest entry alone, writes that entry whole (the same codec, no parent).
+Two kinds of key, one entry codec (:func:`encode` / :func:`decode`).  A
+memory-mode cache entry stores what the op changed, not the whole dataset:
+it is a delta over the op's parent dataset — one parent row position per
+output row (none when the op kept the rows as they were) and, whole, only
+the columns a replay cannot rebuild from the parent.  Whether a column is
+unchanged is checked at write time against the data (:func:`cell_snapshot`),
+never inferred from what the op declares, so the replay is exact for any op.
+A resume replays the chain of entries onto the loaded input.  An entry with
+no parent is self-contained: the latest entry of a checkpoint-only run,
+which keeps it alone, and every streaming shard's stage output.
 
 Entries are pickled — lossless for every Python payload, so a replay can
 never differ from recomputation — and optionally compressed; zlib / lzma /
@@ -131,7 +132,7 @@ class CacheManager:
         segment closes with one); ``shard_signature`` digests what the shard
         was read from — for an input shard the source lines and the decode
         they go through (:func:`repro.formats.source.shard_signature`, so a
-        hit needs no decode), for a later stage its rows.  Together they
+        hit needs no decode), for a later stage its ordered columns.  Together they
         guarantee a hit replays exactly what recomputation would produce.
         """
         return json.dumps(
@@ -198,6 +199,13 @@ def cell_snapshot(dataset: NestedDataset) -> dict[str, bytes]:
         for name, values in dataset._columns.items()
         if not set(map(type, values)) <= _IMMUTABLE
     }
+
+
+def detach(dataset: NestedDataset) -> NestedDataset:
+    """``dataset`` as its self-contained entry replays it: the columns holding
+    mutable cells — the ``meta`` / ``__stats__`` dicts ops edit in place — are
+    unpickled copies, so a run over a caller's dataset leaves its rows alone."""
+    return decode(None, encode(None, dataset, None)[0])
 
 
 def _same_immutable(new: Any, old: Any) -> bool:

@@ -48,8 +48,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.base_op import Deduplicator
-from repro.core.cache import CacheManager, cell_snapshot, decode, encode
+from repro.core.batch import batch_concat
+from repro.core.cache import CacheManager, cell_snapshot, decode, detach, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
 from repro.core.errors import ConfigError, DataflowWarning, DatasetError, OpExecutionError
@@ -67,22 +67,24 @@ from repro.core.fusion import describe_plan
 from repro.core.monitor import ResourceMonitor, RunProfiler
 from repro.core.planner import ExecutionPlan, ResourceBudget, plan_execution
 from repro.core.report import REPORT_FILE, RunReport
-from repro.core.sample import Fields
 from repro.core.stream import (
+    DEFAULT_SHARD_ROWS,
     HASH_COLUMNS,
     ROW_ID_COLUMN,
     StreamSegment,
-    apply_keep_mask,
+    columns_signature,
+    decode_shard,
     iter_record_shards,
+    mask_shards,
     op_config_hash,
     plan_segments,
     resolve_global_keep,
     resolve_in_memory,
-    signature_column_names,
+    signature_columns,
     stage_chain_hash,
 )
-from repro.core.tracer import Tracer, dropped_examples, pair_examples
-from repro.formats.source import decode_record, is_decoded, shard_signature
+from repro.core.tracer import Tracer
+from repro.formats.source import is_decoded, shard_signature
 from repro.parallel import WorkerPool
 
 #: key suffix of fault-shaped output (see :meth:`Executor._put_result`)
@@ -150,7 +152,7 @@ class Executor:
         #: per-run temp directory), and whether its checkpoint state matched
         self._spill: CacheManager | None = None
         self._resuming = False
-        #: what the current streaming run signs its input shards under: the
+        #: what the current run signs its input (shards) under: the
         #: formatter's name (None for an in-memory dataset) and text keys
         self._source: tuple[str | None, tuple[str, ...]] = (None, ())
         #: the fault policy of every run of this executor (from the recipe)
@@ -309,14 +311,30 @@ class Executor:
         self.close()
 
     # ------------------------------------------------------------------
-    def _load_input(self, dataset: NestedDataset | None) -> NestedDataset:
-        from repro.formats.load import load_dataset
+    def _source_records(self, dataset: NestedDataset | None) -> Iterator:
+        """The input's source records (:mod:`repro.formats.source`) — a caller's
+        dataset's are the rows of its :func:`detach`-ed copy — and sets ``_source``.
+        Without a store nothing is signed, so a file's lines decode as read."""
+        from repro.formats.load import load_formatter
 
+        text_keys = tuple(self.cfg.text_keys)
         if dataset is not None:
-            return dataset
+            self._source = (None, text_keys)
+            return iter(detach(dataset))
         if not self.cfg.dataset_path:
             raise ValueError("no dataset given and no dataset_path configured")
-        return load_dataset(self.cfg.dataset_path, text_keys=tuple(self.cfg.text_keys))
+        formatter = load_formatter(self.cfg.dataset_path, text_keys=text_keys)
+        self._source = (formatter.name, text_keys)
+        return formatter.iter_sources() if self.store is not None else formatter.iter_records()
+
+    def _load_input(self, dataset: NestedDataset | None) -> NestedDataset:
+        """Memory mode's input: the whole input as one stage-0 shard, signed
+        as streaming signs one when a store keys entries on its fingerprint."""
+        if dataset is not None and self.store is None:
+            return detach(dataset)
+        records = list(self._source_records(dataset))
+        signed = self.store is not None
+        return decode_shard(records, shard_signature(*self._source, records) if signed else None)
 
     def _run_state(self, input_identity: Any) -> dict:
         """The run identity a checkpoint state file records (and must match)."""
@@ -473,9 +491,8 @@ class Executor:
         :func:`repro.core.planner.plan_execution` decision (stored as
         ``last_plan`` and embedded in the report's ``planner`` section)
         dispatches to :meth:`run` or :meth:`run_streaming`, replacing the
-        caller-side fork between them.  Results are identical either way —
-        the streaming engine's exports are byte-identical to the in-memory
-        engine's.
+        caller-side fork between them.  The kept rows are identical either
+        way (for the keys of an exported row, see :meth:`run_streaming`).
         """
         requested = mode
         if shard_output:
@@ -622,45 +639,6 @@ class Executor:
     # ------------------------------------------------------------------
     # Streaming (out-of-core) execution
     # ------------------------------------------------------------------
-    def _input_shards(
-        self, dataset: NestedDataset | None, progress: dict[str, int]
-    ) -> Iterator[list]:
-        """Lazily chunk the input's source records into bounded shards.
-
-        The formatter is built here, once per run (one path walk), and
-        sets ``_source``; every shard drawn is counted as an
-        ``input_shards`` shard.  With a store, nothing is decoded here
-        unless a ``max_shard_chars`` budget must count text.
-        """
-        from repro.formats.load import load_formatter
-
-        text_keys = tuple(self.cfg.text_keys)
-        if dataset is not None:
-            records: Any = iter(dataset)
-            self._source = (None, text_keys)
-        elif not self.cfg.dataset_path:
-            raise ValueError("no dataset given and no dataset_path configured")
-        else:
-            formatter = load_formatter(self.cfg.dataset_path, text_keys=text_keys)
-            # without a store no shard is signed: decode as the lines are
-            # read, so a shard never holds its lines and its rows at once
-            records = (
-                formatter.iter_sources() if self.store is not None else formatter.iter_records()
-            )
-            self._source = (formatter.name, text_keys)
-
-        def counted() -> Iterator[list]:
-            for shard in iter_record_shards(
-                records,
-                max_rows=self.cfg.max_shard_rows,
-                max_chars=self.cfg.max_shard_chars,
-                text_key=Fields.text,
-            ):
-                progress["input_shards"] += 1
-                yield shard
-
-        return counted()
-
     def run_streaming(
         self, dataset: NestedDataset | None = None, shard_output: bool = False
     ) -> dict[str, Any]:
@@ -683,8 +661,10 @@ class Executor:
         resumes mid-corpus (``resumed_shards``), and editing the recipe, the
         shard budget or the input lines invalidates the resume.
         With neither, the two-pass resolve spills to a per-run temp directory
-        that is removed when the run ends, failed or not.  Results are
-        row-identical to :meth:`run` (byte-identical exports).
+        that is removed when the run ends, failed or not.  The rows kept are
+        those of :meth:`run`, and so are the exported bytes when every input
+        row has the same keys: a shard None-fills only its own rows' key
+        union, so otherwise row keys depend on the budget (ROADMAP item 4).
 
         Observability matches the in-memory path: the one tracer and the
         per-op profiler accumulate across shards.
@@ -709,7 +689,8 @@ class Executor:
                 "signature_rows": 0,
                 "signature_bytes": 0,
             }
-            source = self._input_shards(dataset, progress)
+            records = self._source_records(dataset)
+            source: Iterator = iter_record_shards(records, shard_rows, shard_chars)
 
             self._spill, self._resuming = self.store, False
             if self.store is None:
@@ -754,8 +735,6 @@ class Executor:
                     # shards, at the same default the input chunker applies
                     export_rows, export_chars = shard_rows, shard_chars
                     if shard_output and export_rows is None and export_chars is None:
-                        from repro.core.stream import DEFAULT_SHARD_ROWS
-
                         export_rows = DEFAULT_SHARD_ROWS
                     exporter = Exporter(
                         self.cfg.export_path,
@@ -787,24 +766,25 @@ class Executor:
         index: int,
         segment: StreamSegment,
         chain: str,
-        rows: list,
+        shard: list | NestedDataset,
         progress: dict[str, int],
         spill: bool = False,
-    ) -> tuple[str | None, list[dict]]:
+    ) -> tuple[str | None, NestedDataset]:
         """One shard's shard-local work (sample ops + dedup hashing), stored once.
 
-        Returns the stage output and its store key (for the mask pass of a
-        ``spill`` caller).  With ``use_cache`` / ``use_checkpoint`` the key
-        is ``(stage chain hash, shard signature)``; an existing entry replays
-        the rows without touching any operator — a ``resumed_shards`` shard
+        Returns the output's store key (for the mask pass of a ``spill``
+        caller) and the output, stored as a self-contained :func:`encode`
+        entry.  With ``use_cache`` / ``use_checkpoint`` the key is ``(stage
+        chain hash, shard signature)``; an entry that decodes replays the
+        shard without touching any operator — a ``resumed_shards`` shard
         when the checkpoint state matched this run, else a ``cached_shards``
         one (counted per op as a cached call).  Without persistence only a
         ``spill`` the mask pass will read back is stored, under a positional
         key in the run's temp directory.
 
-        A stage-0 shard arrives as source records: it is signed by their
-        text (the rows of later stages by ``_stable_hash``), and decoded in
-        place — its lines freed — only when it must run.
+        A stage-0 shard arrives as source records, signed by their text and
+        decoded (its lines freed) only when it must run; a later stage's is
+        the previous stage's dataset, signed by :func:`columns_signature`.
 
         Failures are contained per shard: an op's errors (dedup hashing
         included) are handled row-wise by the error policy inside
@@ -820,14 +800,17 @@ class Executor:
         shard_id = f"stage{stage}:shard{index:05d}"  # names the shard in fault records
         key = f"{stage}:{index}" if spill else None
         input_shard = stage == 0
+        progress["input_shards"] += int(input_shard)
         if store is self.store:
-            signature = shard_signature(*self._source, rows) if input_shard else _stable_hash(rows)
+            signature = (
+                shard_signature(*self._source, shard) if input_shard else columns_signature(shard)
+            )
             key = CacheManager.make_shard_key(chain, signature)
             for found in (key, key + _FAULTED) if self._resuming else (key,):
-                stored = store.get(found)
+                stored = decode(None, store.get(found))
                 if stored is None:
                     continue
-                if input_shard and is_decoded(rows[0]):
+                if input_shard and is_decoded(shard[0]):
                     # a character budget or a source of rows decoded it already
                     progress["decoded_shards"] += 1
                 if self._resuming:
@@ -841,16 +824,14 @@ class Executor:
             self._count_cache("shard_misses")
         if input_shard:
             progress["decoded_shards"] += 1
-            rows[:] = [decode_record(record) for record in rows]
+            shard = decode_shard(shard)
         faults_before = self._faults.total_faults
         stage_name = getattr(segment.global_op, "name", None) or (
             segment.sample_ops[0].name if segment.sample_ops else "shard"
         )
         try:
-            out_rows = retry_call(
-                lambda: self._drive(
-                    shard_ops, NestedDataset.from_list(rows), shard_id=shard_id
-                ).to_list(),
+            output = retry_call(
+                lambda: self._drive(shard_ops, shard, shard_id=shard_id),
                 self.policy,
                 self._faults,
                 stage_name,
@@ -870,109 +851,80 @@ class Executor:
             # persistent shard failure under a lenient policy: drop the
             # shard whole (quarantining its rows when configured) so the
             # rest of the corpus still completes
-            self._faults.record_dropped_shard(shard_id, len(rows))
+            self._faults.record_dropped_shard(shard_id, len(shard))
             if self._quarantine is not None:
-                self._quarantine.write_rows(rows, stage_name, error, shard_id=shard_id)
-            out_rows = []
+                self._quarantine.write_rows(shard, stage_name, error, shard_id=shard_id)
+            output = NestedDataset.empty()
         if key is not None:
-            key = self._put_result(store, key, out_rows, faults_before, spill)
+            key = self._put_result(store, key, encode(None, output, None)[0], faults_before, spill)
         progress["executed_shards"] += 1
-        return key, out_rows
+        return key, output
 
     def _local_stage(
         self,
         stage: int,
         segment: StreamSegment,
-        source: Iterator[list[dict]],
+        source: Iterator[list | NestedDataset],
         progress: dict[str, int],
-    ) -> Iterator[list[dict]]:
+    ) -> Iterator[NestedDataset]:
         """Shard-local transform of the final segment (nothing reads it back)."""
         chain = stage_chain_hash(segment)
-        for index, rows in enumerate(source):
-            yield self._shard_output(stage, index, segment, chain, rows, progress)[1]
+        for index, shard in enumerate(source):
+            yield self._shard_output(stage, index, segment, chain, shard, progress)[1]
 
     def _resolved_stage(
         self,
         stage: int,
         segment: Any,
-        source: Iterator[list[dict]],
+        source: Iterator[list | NestedDataset],
         progress: dict[str, int],
-    ) -> Iterator[list[dict]]:
+    ) -> Iterator[NestedDataset]:
         """Two-pass execution of a segment closed by a dataset-level op.
 
         Pass one runs eagerly: each shard is transformed, hashed (for
-        Deduplicators), stored, and its skinny signature rows accumulated.
-        The global op then resolves once over the signatures, and the
-        returned iterator streams the stored shards back out with the keep
-        mask applied — and shown to a tracer, shard by shard: a Selector's
-        dropped rows, the text of the pairs a Deduplicator's resolve named.
+        Deduplicators), stored, and its :func:`signature_columns` appended to
+        one table.  The global op then resolves once over that table, and the
+        returned iterator is the mask pass (:func:`mask_shards`, as memory
+        mode's one shard takes it) over the stored shards read back.
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
-        #: the signature columns, grown shard by shard (never a dict per row)
-        columns: dict[str, list] = {}
+        #: per shard, its signature columns (never a dict per row) and store key
+        tables: list[dict] = []
+        stored_shards: list[str] = []
         total = 0
-        #: (store key, row count) of every shard, in corpus order
-        stored_shards: list[tuple[str, int]] = []
-
-        for index, rows in enumerate(source):
-            key, out_rows = self._shard_output(
-                stage, index, segment, chain, rows, progress, spill=True
+        for index, shard in enumerate(source):
+            key, output = self._shard_output(
+                stage, index, segment, chain, shard, progress, spill=True
             )
-            stored_shards.append((key, len(out_rows)))
-            if out_rows:
-                # every row of a shard carries the same keys (to_list unions
-                # columns shard-wide); a column first seen in a later shard,
-                # or absent from one, is None-filled, exactly like the
-                # in-memory dataset's global column union
-                names = signature_column_names(global_op, list(out_rows[0]), global_op.text_key)
-                for name in names:
-                    if name not in columns:
-                        columns[name] = [None] * total
-                    columns[name].extend([row.get(name) for row in out_rows])
-                total += len(out_rows)
-                for column in columns.values():
-                    column.extend([None] * (total - len(column)))
-
+            stored_shards.append(key)
+            tables.append(signature_columns(global_op, output, total))
+            total += len(output)
+        # a column first seen in a later shard, or absent from one, is
+        # None-filled, exactly like the in-memory dataset's column union
+        signature = NestedDataset(batch_concat(tables), fingerprint="signature")
+        del tables
         progress["signature_rows"] = max(progress["signature_rows"], total)
+        cells = (column for name, column in signature._columns.items() if name != ROW_ID_COLUMN)
         progress["signature_bytes"] = max(
-            progress["signature_bytes"],
-            sum(sum(map(sys.getsizeof, column)) for column in columns.values()),
+            progress["signature_bytes"], sum(sum(map(sys.getsizeof, column)) for column in cells)
         )
-        columns[ROW_ID_COLUMN] = list(range(total))
-        signature = NestedDataset(columns)
-        del columns
-        tracer, trace_num = self.tracer, getattr(self.tracer, "show_num", 0)
-        keep_mask, dropped_columns, pairs = self._global_step(global_op, signature, trace_num)
+        tracer = self.tracer
+        keep_mask, dropped_columns, pairs = self._global_step(
+            global_op, signature, getattr(tracer, "show_num", 0)
+        )
         if tracer is not None:
             tracer.add(global_op, 0, 0)  # its pipeline position; the mask pass adds the rest
         del signature
 
-        def masked_shards() -> Iterator[list[dict]]:
-            offset = 0
-            # the rows of the resolve's duplicate pairs, filled in as they pass
-            paired: dict[int, dict] = dict.fromkeys(row_id for pair in pairs for row_id in pair)
-            last = max(paired, default=-1)
-            for key, count in stored_shards:
-                rows = self._spill.get(key)
-                if rows is None:
+        def stored() -> Iterator[NestedDataset]:
+            for key in stored_shards:
+                shard = decode(None, self._spill.get(key))
+                if shard is None:
                     raise DatasetError(
                         f"stage {stage} shard entry vanished from {self._spill.cache_dir} "
                         "before the mask pass (was the store cleared mid-run?)"
                     )
-                mask = keep_mask[offset:offset + count]
-                if tracer is not None:
-                    here = [row_id for row_id in paired if offset <= row_id < offset + count]
-                    paired.update((row_id, rows[row_id - offset]) for row_id in here)
-                    dropped = (index for index, keep in enumerate(mask) if not keep)
-                    examples: Any = dropped_examples((index, rows[index]) for index in dropped)
-                    if isinstance(global_op, Deduplicator):
-                        examples = ()
-                        if offset <= last < offset + count:
-                            # the shard holding the last paired row completes the pairs
-                            examples = pair_examples((paired[a], paired[b]) for a, b in pairs)
-                    tracer.add(global_op, count, sum(mask), examples)
-                yield apply_keep_mask(rows, mask, dropped_columns)
-                offset += count
+                yield shard
 
-        return masked_shards()
+        return mask_shards(global_op, stored(), keep_mask, dropped_columns, pairs, tracer)

@@ -8,7 +8,7 @@ the calling process (``np = 1``, a degraded pool, the distributed runners'
 inline fallback — all through :func:`run_chunks`) or arrived as a pool task
 in a worker (:func:`repro.parallel.worker.run_task`).  :func:`apply_op` is the
 only engine code that calls an op's ``process_batched`` / ``filter_batched``
-/ ``compute_hash_batched``; ``tests/test_segment_guard.py`` holds the rest of
+/ ``compute_hash_batched``; ``tests/test_segment_engine.py`` holds the rest of
 ``src/repro`` to that.
 
 :func:`run_dataset_segment` is the dataset-level view both ``op.run`` (a

@@ -2,11 +2,12 @@
 
 The streaming run mode (``Executor.run_streaming`` / CLI ``--stream``) never
 holds the whole corpus in memory.  Records are drawn lazily from a formatter,
-chunked into bounded *shards* (:func:`iter_record_shards`), and each shard is
-driven through the op engine one at a time — by the same op-run driver
+chunked into bounded *shards* (:func:`iter_record_shards`), each decoded once
+into the :class:`NestedDataset` it stays until the exporter (:func:`decode_shard`),
+and driven through the op engine one at a time — by the same op-run driver
 (``Executor._drive``) that memory mode hands the whole dataset.  This module
 holds the pure pieces around that driver: chunking, segmentation, the global
-resolve and the keys of the stored shards.
+resolve, the signature and mask passes and the keys of the stored shards.
 
 Sample-level operators (Mappers, Filters) are embarrassingly shard-parallel.
 Dataset-level operators (Deduplicators, Selectors) use a **two-pass**
@@ -18,17 +19,18 @@ ever holds more than one shard of payload.
    is written to the store (:class:`repro.core.cache.CacheManager`).  Only the
    op's small *signature columns* (hashes, the selection field, stats — never
    the text payload) are accumulated in memory, each row tagged with a global
-   row id.
+   row id (:func:`signature_columns`).
 2. *Global resolve* — the op's unmodified ``process`` runs once over the
    skinny signature dataset (:func:`resolve_global_keep`), yielding a keep
    mask over global row ids.  Because every built-in Deduplicator/Selector
    preserves input order, the mask reproduces the dataset-level result exactly.
-3. *Mask pass* — the stored shards are streamed back out with the mask applied
-   (and the op's hash columns dropped), feeding the next pipeline segment.
+3. *Mask pass* — each stored shard is read back as one select of its kept
+   rows minus the op's hash columns (:func:`mask_shards`), feeding the next
+   pipeline segment.
 
-Memory mode is the one-shard case (:func:`resolve_in_memory`): the signature
-columns are the dataset's own, and the mask pass is one select.  No run calls
-a Deduplicator's or Selector's ``process`` outside :func:`resolve_global_keep`.
+Memory mode is the one-shard case (:func:`resolve_in_memory`): the same two
+passes, the signature columns the dataset's own.  No run calls a
+Deduplicator's or Selector's ``process`` outside :func:`resolve_global_keep`.
 
 The spill *is* the cache *is* the shard-granular checkpoint: with ``use_cache``
 or ``use_checkpoint`` the entries are content-keyed and survive the run, so a
@@ -37,10 +39,13 @@ re-run or a resume after a crash skips every shard already processed.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.core.base_op import OP, Deduplicator, Filter, Mapper, Selector
+from repro.core.batch import batch_select
 from repro.core.dataset import NestedDataset, _stable_hash, chain_fingerprint
 from repro.core.errors import DatasetError
 from repro.core.sample import Fields, HashKeys
@@ -72,7 +77,6 @@ def iter_record_shards(
     records: Iterable[Any],
     max_rows: int | None = None,
     max_chars: int | None = None,
-    text_key: str = Fields.text,
 ) -> Iterator[list[Any]]:
     """Chunk a lazy stream of source records (:mod:`repro.formats.source`) into shards.
 
@@ -81,8 +85,9 @@ def iter_record_shards(
     budget set, :data:`DEFAULT_SHARD_ROWS` applies.  A row budget decodes
     nothing; a character budget decodes each record to count its text (the
     record keeps its row), so the boundaries are those of the decoded rows.
-    Shard boundaries are a pure memory knob — the batched operator engine is
-    boundary-independent, so results do not depend on them.
+    The batched operator engine is boundary-independent, so the rows kept
+    do not depend on them — but a shard None-fills only the key union of
+    its own rows, so the keys of an exported row can (ROADMAP item 4).
     """
     if max_rows is None and max_chars is None:
         max_rows = DEFAULT_SHARD_ROWS
@@ -93,7 +98,7 @@ def iter_record_shards(
     for record in records:
         shard.append(record)
         if max_chars is not None:
-            value = decode_record(record).get(text_key)
+            value = decode_record(record).get(Fields.text)
             chars += len(value) if isinstance(value, str) else 0
         if (max_rows is not None and len(shard) >= max_rows) or (
             max_chars is not None and chars >= max_chars
@@ -214,54 +219,84 @@ def resolve_global_keep(
     return mask, dropped, row_ids
 
 
+def signature_columns(op: Any, shard: NestedDataset, offset: int = 0) -> dict[str, list]:
+    """The signature of one shard whose first row is global row ``offset``:
+    references to its own signature columns (none when empty), no copy, plus
+    the :data:`ROW_ID_COLUMN`."""
+    names = signature_column_names(op, shard.column_names, op.text_key) if len(shard) else []
+    columns = {name: shard._columns[name] for name in names}
+    columns[ROW_ID_COLUMN] = list(range(offset, offset + len(shard)))
+    return columns
+
+
+def mask_shards(
+    op: Any,
+    shards: Iterable[NestedDataset],
+    mask: list[bool],
+    drop_columns: set[str],
+    pairs: list[tuple[int, int]],
+    tracer: Any = None,
+) -> Iterator[NestedDataset]:
+    """The mask pass: each shard, in corpus order, as one select of the rows
+    ``mask`` keeps minus ``drop_columns``, stamped ``chain_fingerprint(shard,
+    op.name, op.config())``.  A ``tracer`` is shown, per shard, a Selector's
+    dropped rows, and a Deduplicator's ``pairs`` (global row ids) once the
+    shard holding the last paired row has passed."""
+    offset = 0
+    # the rows of the resolve's duplicate pairs, filled in as they pass
+    paired: dict[int, Any] = dict.fromkeys(row_id for pair in pairs for row_id in pair)
+    last = max(paired, default=-1)
+    for shard in shards:
+        count = len(shard)
+        flags = mask[offset:offset + count]
+        kept = [index for index, keep in enumerate(flags) if keep]
+        columns = {name: cells for name, cells in shard._columns.items()
+                   if name not in drop_columns}
+        fingerprint = chain_fingerprint(shard.fingerprint, op.name, op.config())
+        masked = NestedDataset(batch_select(columns, kept), fingerprint=fingerprint)
+        if tracer is not None:
+            here = [row_id for row_id in paired if offset <= row_id < offset + count]
+            paired.update((row_id, shard[row_id - offset]) for row_id in here)
+            dropped = (index for index, keep in enumerate(flags) if not keep)
+            examples: Any = dropped_examples((index, shard[index]) for index in dropped)
+            if isinstance(op, Deduplicator):
+                done = offset <= last < offset + count  # this shard completes the pairs
+                examples = pair_examples((paired[a], paired[b]) for a, b in pairs if done)
+            tracer.add(op, count, len(masked), examples)
+        offset += count
+        yield masked
+
+
 def resolve_in_memory(
     op: Any, dataset: NestedDataset, tracer: Any = None, step: Any = resolve_global_keep
 ) -> NestedDataset:
-    """The global step over an in-memory (for a Deduplicator: hashed) dataset.
-
-    The one-shard case of the two passes: the signature holds references to
-    ``dataset``'s own columns, the mask pass is one select minus the columns
-    the resolve removed, and the output is stamped ``chain_fingerprint(
-    dataset, op.name, op.config())``.  ``step`` is :func:`resolve_global_keep`
-    or the executor's policy-wrapped global step.  A ``tracer`` is shown a
-    Deduplicator's duplicate pairs, or the rows a Selector's mask drops.
-    """
-    rows, columns = len(dataset), dataset._columns
+    """The global step over an in-memory (for a Deduplicator: hashed) dataset:
+    the one-shard case of :func:`signature_columns`, ``step`` (this module's
+    :func:`resolve_global_keep` or the executor's policy-wrapped one) and
+    :func:`mask_shards`."""
     signature = NestedDataset(fingerprint="signature")
-    names = signature_column_names(op, list(columns), op.text_key) if rows else []
-    signature._columns = {name: columns[name] for name in names}  # references, no copy
-    signature._columns[ROW_ID_COLUMN] = list(range(rows))
+    signature._columns = signature_columns(op, dataset)
     mask, drop_columns, pairs = step(op, signature, getattr(tracer, "show_num", 0))
-    kept = [index for index, keep in enumerate(mask) if keep]
-    result = NestedDataset(
-        {
-            name: [values[index] for index in kept]
-            for name, values in columns.items()
-            if name not in drop_columns
-        },
-        fingerprint=chain_fingerprint(dataset.fingerprint, op.name, op.config()),
-    )
-    if tracer is not None:
-        if isinstance(op, Deduplicator):
-            examples: Any = pair_examples((dataset[a], dataset[b]) for a, b in pairs)
-        else:
-            dropped = (index for index, keep in enumerate(mask) if not keep)
-            examples = dropped_examples((index, dataset[index]) for index in dropped)
-        tracer.add(op, rows, len(result), examples)
-    return result
+    return next(mask_shards(op, [dataset], mask, drop_columns, pairs, tracer))
 
 
-def apply_keep_mask(
-    rows: list[dict], mask: list[bool], drop_columns: set[str]
-) -> list[dict]:
-    """Keep the masked rows of one shard, stripping resolved hash columns."""
-    if drop_columns:
-        return [
-            {key: value for key, value in row.items() if key not in drop_columns}
-            for row, keep in zip(rows, mask)
-            if keep
-        ]
-    return [row for row, keep in zip(rows, mask) if keep]
+def decode_shard(records: list, fingerprint: str | None = None) -> NestedDataset:
+    """The dataset of a shard of source records (:mod:`repro.formats.source`),
+    decoded in place: a line is freed as soon as its row exists, a row once
+    the columns hold its cells."""
+    for index, record in enumerate(records):
+        records[index] = decode_record(record)
+    shard = NestedDataset.from_list(records, fingerprint=fingerprint)
+    records.clear()
+    return shard
+
+
+def columns_signature(shard: NestedDataset) -> str:
+    """Digest of a later-stage shard: its column names in order, then its
+    columns.  Nothing is sorted (unlike ``_stable_hash``): the order of the
+    columns, and of the keys in a dict cell, is part of the exported bytes."""
+    payload = json.dumps([shard.column_names, list(shard._columns.values())], default=repr)
+    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
 def stage_chain_hash(segment: StreamSegment) -> str:
@@ -288,12 +323,15 @@ __all__ = [
     "HASH_COLUMNS",
     "ROW_ID_COLUMN",
     "StreamSegment",
-    "apply_keep_mask",
+    "columns_signature",
+    "decode_shard",
     "iter_record_shards",
+    "mask_shards",
     "op_config_hash",
     "plan_segments",
     "resolve_global_keep",
     "resolve_in_memory",
     "signature_column_names",
+    "signature_columns",
     "stage_chain_hash",
 ]

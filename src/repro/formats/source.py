@@ -98,8 +98,9 @@ def shard_signature(
         (json.dumps([SOURCE_FORMAT, formatter, list(text_keys)]) + "\n").encode("utf-8")
     )
     for suffix, texts in _runs(records):
-        header = json.dumps([suffix, len(texts)])
-        digest.update("\n".join([header, *texts, ""]).encode("utf-8"))
+        digest.update((json.dumps([suffix, len(texts)]) + "\n").encode("utf-8"))
+        for start in range(0, len(texts), 4096):  # never a second copy of a whole input
+            digest.update(("\n".join(texts[start:start + 4096]) + "\n").encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -13,8 +13,9 @@ Counted evidence (calls, rows, tasks, ``tracemalloc`` bytes — no wall clock):
 * **Chunks are consumed lazily** — np = 1 peak heap on long documents stays
   at or under what the per-op engine this replaced read on the same corpus.
 * **The guard** — nothing else in ``src/repro`` applies an op to a batch,
-  and every run calls a Deduplicator's or a Selector's ``process`` only from
-  the global step's :func:`repro.core.stream.resolve_global_keep`.
+  every run calls a Deduplicator's or a Selector's ``process`` only from
+  the global step's :func:`repro.core.stream.resolve_global_keep`, and a
+  streaming shard is built from rows once, when it is decoded.
 """
 
 import ast
@@ -38,7 +39,7 @@ from repro.parallel import WorkerPool
 from repro.synth import common_crawl_like
 
 from tests.test_segment_dispatch import WEB_CLEAN
-from tests.test_streaming import messy_corpus_rows
+from tests.test_streaming import messy_corpus_rows, write_jsonl
 
 SAMPLE_LEVEL = [next(iter(entry)) for entry in WEB_CLEAN]
 
@@ -227,6 +228,50 @@ def test_only_the_segment_module_applies_ops_to_a_batch():
         if isinstance(node, ast.Attribute) and node.attr in SEGMENT_METHODS
     }
     assert callers == {"apply_op"}
+
+
+@pytest.mark.parametrize("use_cache", [False, True], ids=["spill", "cache"])
+@pytest.mark.parametrize("np_", [1, 2])
+def test_a_streaming_shard_is_one_dataset_from_decode_to_export(
+    tmp_path, monkeypatch, np_, use_cache
+):
+    """A second shard shape fails here in the change that adds it: rows
+    become a shard once, when an input shard is decoded, and no stage turns
+    a shard back into rows — only the exporter iterates them."""
+    calls = {"from_list": 0, "to_list": 0}
+    from_list, to_list = NestedDataset.from_list.__func__, NestedDataset.to_list
+
+    def counted_from_list(cls, *args, **kwargs):
+        calls["from_list"] += 1
+        return from_list(cls, *args, **kwargs)
+
+    def counted_to_list(self):
+        calls["to_list"] += 1
+        return to_list(self)
+
+    config = {
+        "dataset_path": str(write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(120))),
+        "export_path": str(tmp_path / "out.jsonl"),
+        "process": [
+            {"words_num_filter": {"min_num": 1}},
+            {"document_deduplicator": {}},
+            {"topk_specified_field_selector": {"field_key": "__stats__.num_words", "topk": 90}},
+            {"lowercase_mapper": {}},
+        ],
+        "work_dir": str(tmp_path / "work"),
+        "np": np_,
+        "max_shard_rows": 40,
+        "use_cache": use_cache,
+    }
+    monkeypatch.setattr(NestedDataset, "from_list", classmethod(counted_from_list))
+    monkeypatch.setattr(NestedDataset, "to_list", counted_to_list)
+    with Executor(config) as executor:
+        report = executor.run_streaming()
+    shards = report["shards"]
+    assert report["faults"]["op_errors"] == {}
+    assert shards["decoded_shards"] == shards["input_shards"] > 3
+    assert calls == {"from_list": shards["decoded_shards"], "to_list": 0}
+    assert report["num_output_samples"] == 90
 
 
 #: the three built-in Deduplicators and a Selector, each with a say in the output

