@@ -361,7 +361,7 @@ class Formatter:
 
         A formatter that reads lines yields them undecoded
         (:class:`repro.formats.source.LineRecord`); this default yields the
-        unified samples themselves, which sign by their canonical encoding.
+        unified samples themselves, which sign by their JSON encoding.
         """
         return self.iter_records()
 

@@ -84,7 +84,7 @@ from repro.core.stream import (
     stage_chain_hash,
 )
 from repro.core.tracer import Tracer
-from repro.formats.source import is_decoded, shard_signature
+from repro.formats.source import decode_record, is_decoded, shard_signature
 from repro.parallel import WorkerPool
 
 #: key suffix of fault-shaped output (see :meth:`Executor._put_result`)
@@ -172,26 +172,19 @@ class Executor:
         if self.cfg.np <= 1:
             return None
         if self._pool is None or not self._pool.alive:
+            options = {
+                "op_fusion": self.cfg.op_fusion,
+                "task_timeout_s": self.policy.task_timeout_s,
+                "max_rebuilds": self.policy.max_pool_rebuilds,
+                "rebuild_backoff_s": self.policy.backoff_s,
+            }
             if self._shared_pool:
                 from repro.parallel import get_shared_pool
 
-                self._pool = get_shared_pool(
-                    self.cfg.np,
-                    self.cfg.process,
-                    op_fusion=self.cfg.op_fusion,
-                    task_timeout_s=self.policy.task_timeout_s,
-                    max_rebuilds=self.policy.max_pool_rebuilds,
-                    rebuild_backoff_s=self.policy.backoff_s,
-                )
+                self._pool = get_shared_pool(self.cfg.np, self.cfg.process, **options)
             else:
                 self._pool = WorkerPool(
-                    self.cfg.np,
-                    ops=self.ops,
-                    process_list=self.cfg.process,
-                    op_fusion=self.cfg.op_fusion,
-                    task_timeout_s=self.policy.task_timeout_s,
-                    max_rebuilds=self.policy.max_pool_rebuilds,
-                    rebuild_backoff_s=self.policy.backoff_s,
+                    self.cfg.np, ops=self.ops, process_list=self.cfg.process, **options
                 )
             self._dispatch_base = self._dispatch_counters()
         # the pool outlives individual runs; point it at the current ledger
@@ -328,11 +321,15 @@ class Executor:
         return formatter.iter_sources() if self.store is not None else formatter.iter_records()
 
     def _load_input(self, dataset: NestedDataset | None) -> NestedDataset:
-        """Memory mode's input: the whole input as one stage-0 shard, signed
-        as streaming signs one when a store keys entries on its fingerprint."""
-        if dataset is not None and self.store is None:
-            return detach(dataset)
-        records = list(self._source_records(dataset))
+        """Memory mode's input; with a store, fingerprinted by its content: a
+        file as streaming signs a stage-0 shard, a caller's dataset (detached)
+        by :func:`columns_signature`."""
+        if dataset is not None:
+            dataset = detach(dataset)
+            if self.store is not None:
+                dataset._fingerprint = columns_signature(dataset)
+            return dataset
+        records = list(self._source_records(None))
         signed = self.store is not None
         return decode_shard(records, shard_signature(*self._source, records) if signed else None)
 
@@ -627,13 +624,8 @@ class Executor:
 
             report["num_output_samples"] = len(current)
             if self.cfg.export_path:
-                report["export_paths"] = [
-                    str(
-                        Exporter(
-                            self.cfg.export_path, keep_stats=self.cfg.keep_stats_in_export
-                        ).export(current)
-                    )
-                ]
+                exporter = Exporter(self.cfg.export_path, keep_stats=self.cfg.keep_stats_in_export)
+                report["export_paths"] = [str(exporter.export(current))]
         return current
 
     # ------------------------------------------------------------------
@@ -822,8 +814,10 @@ class Executor:
                         self._profiler.record_cached(op, len(stored))
                 return found, stored
             self._count_cache("shard_misses")
+        quarantined = shard  # a dropped stage-0 shard's rows as decoded, not None-filled
         if input_shard:
             progress["decoded_shards"] += 1
+            quarantined = list(map(decode_record, shard)) if self._quarantine is not None else []
             shard = decode_shard(shard)
         faults_before = self._faults.total_faults
         stage_name = getattr(segment.global_op, "name", None) or (
@@ -853,7 +847,7 @@ class Executor:
             # rest of the corpus still completes
             self._faults.record_dropped_shard(shard_id, len(shard))
             if self._quarantine is not None:
-                self._quarantine.write_rows(shard, stage_name, error, shard_id=shard_id)
+                self._quarantine.write_rows(quarantined, stage_name, error, shard_id=shard_id)
             output = NestedDataset.empty()
         if key is not None:
             key = self._put_result(store, key, encode(None, output, None)[0], faults_before, spill)
@@ -894,9 +888,7 @@ class Executor:
         stored_shards: list[str] = []
         total = 0
         for index, shard in enumerate(source):
-            key, output = self._shard_output(
-                stage, index, segment, chain, shard, progress, spill=True
-            )
+            key, output = self._shard_output(stage, index, segment, chain, shard, progress, True)
             stored_shards.append(key)
             tables.append(signature_columns(global_op, output, total))
             total += len(output)
@@ -909,10 +901,8 @@ class Executor:
         progress["signature_bytes"] = max(
             progress["signature_bytes"], sum(sum(map(sys.getsizeof, column)) for column in cells)
         )
-        tracer = self.tracer
-        keep_mask, dropped_columns, pairs = self._global_step(
-            global_op, signature, getattr(tracer, "show_num", 0)
-        )
+        tracer, show_num = self.tracer, getattr(self.tracer, "show_num", 0)
+        keep_mask, dropped_columns, pairs = self._global_step(global_op, signature, show_num)
         if tracer is not None:
             tracer.add(global_op, 0, 0)  # its pipeline position; the mask pass adds the rest
         del signature

@@ -243,7 +243,7 @@ def mask_shards(
     dropped rows, and a Deduplicator's ``pairs`` (global row ids) once the
     shard holding the last paired row has passed."""
     offset = 0
-    # the rows of the resolve's duplicate pairs, filled in as they pass
+    # the rows of the resolve's duplicate pairs (none for a Selector), filled in as they pass
     paired: dict[int, Any] = dict.fromkeys(row_id for pair in pairs for row_id in pair)
     last = max(paired, default=-1)
     for shard in shards:
@@ -254,15 +254,14 @@ def mask_shards(
                    if name not in drop_columns}
         fingerprint = chain_fingerprint(shard.fingerprint, op.name, op.config())
         masked = NestedDataset(batch_select(columns, kept), fingerprint=fingerprint)
-        if tracer is not None:
-            here = [row_id for row_id in paired if offset <= row_id < offset + count]
-            paired.update((row_id, shard[row_id - offset]) for row_id in here)
-            dropped = (index for index, keep in enumerate(flags) if not keep)
-            examples: Any = dropped_examples((index, shard[index]) for index in dropped)
-            if isinstance(op, Deduplicator):
-                done = offset <= last < offset + count  # this shard completes the pairs
-                examples = pair_examples((paired[a], paired[b]) for a, b in pairs if done)
+        if tracer is not None and isinstance(op, Deduplicator):
+            paired.update({row: shard[row - offset] for row in paired if 0 <= row - offset < count})
+            done = 0 <= last - offset < count  # this shard completes the pairs
+            examples: Any = pair_examples((paired[a], paired[b]) for a, b in pairs) if done else []
             tracer.add(op, count, len(masked), examples)
+        elif tracer is not None:
+            dropped = (index for index, keep in enumerate(flags) if not keep)
+            tracer.add(op, count, len(masked), dropped_examples((i, shard[i]) for i in dropped))
         offset += count
         yield masked
 
@@ -292,11 +291,21 @@ def decode_shard(records: list, fingerprint: str | None = None) -> NestedDataset
 
 
 def columns_signature(shard: NestedDataset) -> str:
-    """Digest of a later-stage shard: its column names in order, then its
-    columns.  Nothing is sorted (unlike ``_stable_hash``): the order of the
-    columns, and of the keys in a dict cell, is part of the exported bytes."""
-    payload = json.dumps([shard.column_names, list(shard._columns.values())], default=repr)
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
+    """Digest of a dataset: column names in order and row count, then each
+    column 4 096 cells at a time, strings as lengths and text, others as JSON.
+    Unlike ``_stable_hash`` nothing is sorted: column and dict key order are
+    part of the exported bytes."""
+    digest = hashlib.sha1(json.dumps([shard.column_names, len(shard)]).encode("utf-8"))
+    for column in shard._columns.values():
+        for start in range(0, len(column), 4096):
+            cells = column[start:start + 4096]
+            if all(type(cell) is str for cell in cells):
+                digest.update(b"s" + json.dumps(list(map(len, cells))).encode("utf-8"))
+                for cell in cells:
+                    digest.update(cell.encode("utf-8", "surrogatepass"))
+            else:
+                digest.update(b"j" + json.dumps(cells, default=repr).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def stage_chain_hash(segment: StreamSegment) -> str:

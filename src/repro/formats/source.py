@@ -12,7 +12,7 @@ source record per input record, of one of two kinds:
   unified row; it signs by that line;
 * a row dict — every input that has no such line (an in-memory dataset,
   JSON arrays, CSV, mixtures) is already decoded; a shard of rows signs by
-  their canonical encoding, the bytes ``_stable_hash(rows)`` digests.
+  their JSON encoding, keys in their order (the export keeps it too).
 
 :func:`shard_signature` is the one function that signs a shard.
 """
@@ -28,8 +28,8 @@ from typing import Any, Iterator, Sequence
 #: rows a line decodes to change (the JSON decode, the non-dict rule, the
 #: ``__suffix__`` column, ``unify_sample``), or stored shards would replay
 #: rows the new decode no longer produces.  2: a record with no string field
-#: of its own decodes to text ``""``, not to its ``__suffix__``
-SOURCE_FORMAT = 2
+#: of its own decodes to text ``""``; 3: rows sign with their keys unsorted
+SOURCE_FORMAT = 3
 
 
 class LineRecord:
@@ -71,14 +71,14 @@ def _runs(records: Sequence[Any]) -> Iterator[tuple[str, list[str]]]:
     """``(suffix, texts)`` per run of records sharing a suffix.
 
     One formatter yields the records of a shard, so they are all lines or
-    all rows.  Rows carry their own suffix and sign as one text: their
-    canonical JSON array, the bytes ``_stable_hash(rows)`` digests.
+    all rows.  Rows carry their own suffix and sign as one text: their JSON
+    array, keys unsorted, as key order is part of the exported bytes.
     """
     if records and isinstance(records[0], LineRecord):
         for suffix, run in itertools.groupby(records, key=lambda record: record.decoder.suffix):
             yield suffix, [record.text for record in run]
     elif records:
-        yield "", [json.dumps(list(records), sort_keys=True, default=repr)]
+        yield "", [json.dumps(list(records), default=repr)]
 
 
 def shard_signature(

@@ -325,6 +325,41 @@ class TestWholeShardQuarantine:
         assert len(entries) == 10
         assert all(entry["shard"] for entry in entries)
 
+    def test_a_dropped_input_shard_quarantines_its_rows_as_decoded(self, tmp_path):
+        """Regression: an input shard dropped whole was quarantined from its
+        decoded dataset, so a row without ``url`` was written with
+        ``"url": null`` because another row of its shard had one."""
+        from repro.formats.jsonl_formatter import JsonlFormatter
+
+        lines = [{"text": f"Document number {n}"} for n in range(6)]
+        lines[3]["url"] = "https://example.com/3"
+        lines[4]["text"] += " " + MARKER
+        config = {
+            "dataset_path": str(write_jsonl(tmp_path / "in.jsonl", lines)),
+            "process": [{"whitespace_normalization_mapper": {}}],
+            "work_dir": str(tmp_path / "work"),
+            "max_shard_rows": 3,
+            "on_error": "quarantine",
+        }
+        executor = Executor(config)
+        drive = executor._drive
+
+        def failing_drive(ops, dataset, shard_id=None):
+            if any(MARKER in text for text in dataset.column("text")):
+                raise RuntimeError("shard-level failure outside every op")
+            return drive(ops, dataset, shard_id)
+
+        executor._drive = failing_drive
+        report = executor.run_streaming()
+        assert report["faults"]["quarantined_shards"] == 1
+        import gzip
+
+        with gzip.open(report["faults"]["quarantine_paths"][0], "rt", encoding="utf-8") as handle:
+            quarantined = [json.loads(line)["row"] for line in handle]
+        decoded = list(JsonlFormatter(dataset_path=config["dataset_path"]).iter_records())
+        assert quarantined == decoded[3:]
+        assert [list(row) for row in quarantined] == [list(row) for row in decoded[3:]]
+
 
 class TestOneFaultRule:
     """Memory mode and streaming apply one fault rule: an op's poison row is

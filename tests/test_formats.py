@@ -254,7 +254,7 @@ class TestSourceRecords:
         rows = list(formatter.iter_records())
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
         assert (SOURCE_FORMAT, digest) == (
-            2, "d91c4f7fa8d79a5d38f14acc34878e84fa6cc75c0051a7c04b58f57f55ab3a5e"
+            3, "d91c4f7fa8d79a5d38f14acc34878e84fa6cc75c0051a7c04b58f57f55ab3a5e"
         ), (
             "the rows a .jsonl line decodes to changed: shard entries signed by "
             "their source lines would replay stale rows. Bump SOURCE_FORMAT in "

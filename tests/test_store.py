@@ -579,6 +579,41 @@ class TestMemoryResumeGuards:
         assert edited == cold
         assert all(op["calls"] == 1 for op in executor.last_report["ops"])
 
+    @pytest.mark.parametrize("source", ["dataset", "csv"])
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_inputs_differing_only_in_column_order_share_no_entry(self, tmp_path, mode, source):
+        """Regression: rows of a caller's dataset or a CSV signed as their
+        JSON with sorted keys, so input ``id, text`` replayed the stored
+        ``text, id`` columns of another input."""
+        base = [{"text": f"Document Number {n}", "id": str(n)} for n in range(12)]
+
+        def run_input(tag, order, **options):
+            rows = [{name: row[name] for name in order} for row in base]
+            config = {
+                "export_path": str(tmp_path / f"{tag}.jsonl"),
+                "work_dir": str(tmp_path / ("work" if options else tag)),
+                "process": [{"lowercase_mapper": {}}],
+                "max_shard_rows": 5,
+                **options,
+            }
+            if source == "csv":
+                path = tmp_path / f"{tag}.csv"
+                path.write_text(",".join(order) + "\n"
+                                + "".join(",".join(row.values()) + "\n" for row in rows))
+                config["dataset_path"] = str(path)
+                dataset = None
+            else:
+                dataset = NestedDataset.from_list(rows)
+            executor = Executor(config)
+            executor.run(dataset) if mode == "memory" else executor.run_streaming(dataset)
+            return (tmp_path / f"{tag}.jsonl").read_bytes()
+
+        run_input("first", ("text", "id"), use_cache=True)
+        cold = run_input("cold", ("id", "text"))
+        warm = run_input("warm", ("id", "text"), use_cache=True)
+        assert cold.startswith(b'{"id": "0"')
+        assert warm == cold
+
     @pytest.mark.parametrize("persistence", ["cache", "checkpoint"])
     def test_warm_and_resumed_datasets_are_lossless(self, tmp_path, persistence):
         """The JSON op cache / jsonl checkpoint handed a warm or resumed run
