@@ -12,18 +12,20 @@
 #   make lint        statically check operator contracts (repro lint)
 #   make dataflow    statically verify every built-in recipe's dataflow
 #   make chaos       deterministic fault-injection suite (tests/test_chaos.py)
+#   make ablation    the cache/checkpoint ablation: the Appendix A.2 space bound,
+#                    counted in bytes on disk (no wall-clock assertion)
 #   make serve-smoke end-to-end serving check: ephemeral-port server, fig8 job,
 #                    warm-cache resubmission, export diff vs the CLI path
 #   make loc         lines per package under src/repro + total (the number the
 #                    ROADMAP's "net-negative" goal is judged by) + the engine
 #                    subtotal (executor, pool, cache, checkpoint, tracer)
 #   make check       docs-check + validate-recipes + lint + dataflow + unit + chaos
-#                    + serve-smoke (the CI gate)
+#                    + ablation + serve-smoke (the CI gate)
 
 PYTEST = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest
 REPRO = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro
 
-.PHONY: smoke test unit benchmarks fig10 bench-batch bench-stream docs docs-check validate-recipes lint dataflow chaos serve-smoke loc check
+.PHONY: smoke test unit benchmarks fig10 bench-batch bench-stream docs docs-check validate-recipes lint dataflow chaos ablation serve-smoke loc check
 
 smoke:
 	$(PYTEST) -x -q
@@ -63,6 +65,9 @@ dataflow:
 chaos:
 	$(PYTEST) -x -q tests/test_chaos.py
 
+ablation:
+	$(PYTEST) -x -q benchmarks/test_ablation_cache_and_checkpoint.py
+
 serve-smoke:
 	$(REPRO) serve-smoke
 
@@ -75,4 +80,4 @@ loc:
 	@printf '%7d  engine subtotal: executor + pool + cache + checkpoint + tracer\n' \
 		$$(cd src/repro && cat core/executor.py parallel/pool.py core/cache.py core/checkpoint.py core/tracer.py | wc -l)
 
-check: docs-check validate-recipes lint dataflow unit chaos serve-smoke
+check: docs-check validate-recipes lint dataflow unit chaos ablation serve-smoke

@@ -1,19 +1,20 @@
-"""One content-addressed store: the cache is the checkpoint is the spill.
+"""One entry codec in two places, with one retention rule each.
 
 Reproduces the cache/checkpoint layer of Sec. 4.1.1 / 6 of the paper (space
-model in Appendix A.2) with a single mechanism.  Every intermediate result —
-an operator's output dataset in memory mode, one shard's stage output in
-streaming mode — is written **once**, as one entry of a :class:`CacheManager`:
+model in Appendix A.2).  Every intermediate result — an operator's output
+dataset in memory mode, one shard's stage output in streaming mode — is
+written **once**, as one entry of the :class:`CacheManager` directory a
+:class:`RunStore` places it in:
 
-* the **cache** is the set of entries under content keys —
+* the **cache** (``use_cache``) holds clean entries under content keys —
   ``(input fingerprint, op name, op config)`` for a dataset
-  (:meth:`CacheManager.make_key`), ``(stage chain hash, shard signature)`` for
-  a shard (:meth:`CacheManager.make_shard_key`) — so a re-run after a late
-  recipe tweak replays the unchanged prefix;
-* the **checkpoint** is a small state file *pointing at* an entry
-  (:class:`repro.core.checkpoint.CheckpointManager`), never a second copy;
-* the **spill** the streaming two-pass resolve reads back in its mask pass is
-  the very entry the signature pass wrote (or found).
+  (:meth:`CacheManager.make_key`), ``(stage chain hash, shard signature)``
+  for a shard (:meth:`CacheManager.make_shard_key`) — so a re-run after a
+  late recipe tweak replays the unchanged prefix.  No run deletes from it;
+* the **run's own store** holds the rest — a checkpoint-only run's entries,
+  ``#faulted`` ones, a stream's spill — and keeps what the run's root names;
+* the **checkpoint** is a small state file *pointing at* entries
+  (:class:`repro.core.checkpoint.CheckpointManager`), never a second copy.
 
 Two kinds of key, one entry codec (:func:`encode` / :func:`decode`).  A
 memory-mode cache entry stores what the op changed, not the whole dataset:
@@ -22,9 +23,8 @@ output row (none when the op kept the rows as they were) and, whole, only
 the columns a replay cannot rebuild from the parent.  Whether a column is
 unchanged is checked at write time against the data (:func:`cell_snapshot`),
 never inferred from what the op declares, so the replay is exact for any op.
-A resume replays the chain of entries onto the loaded input.  An entry with
-no parent is self-contained: the latest entry of a checkpoint-only run,
-which keeps it alone, and every streaming shard's stage output.
+An entry with no parent is self-contained: the latest entry of a
+checkpoint-only run, which keeps it alone, and every shard's stage output.
 
 Entries are pickled — lossless for every Python payload, so a replay can
 never differ from recomputation — and optionally compressed; zlib / lzma /
@@ -43,10 +43,13 @@ import json
 import lzma
 import os
 import pickle
+import shutil
+import tempfile
 import uuid
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
@@ -55,6 +58,9 @@ from repro.core.errors import ReproError
 #: the whole pickled datasets older stores hold included — decodes as a miss.
 #: 2: every Deduplicator's and Selector's output fingerprint chains its config
 ENTRY_FORMAT = 2
+
+#: key suffix of output shaped by a fault: no clean run computes such a key
+FAULTED = "#faulted"
 
 #: cell types no op can edit in place: such a cell is unchanged when it has
 #: the type and value of the parent cell it maps to
@@ -92,15 +98,8 @@ def atomic_write(path: Path, data: bytes) -> None:
 
 
 class CacheManager:
-    """Directory of content-addressed, pickled entries with optional compression.
-
-    Parameters
-    ----------
-    cache_dir:
-        Directory the entries live in (created on the first write).
-    compression:
-        One of :func:`available_codecs`; ``"none"`` disables compression.
-    """
+    """``cache_dir`` (created on the first write): content-addressed, pickled
+    entries, compressed with one of :func:`available_codecs` (or ``"none"``)."""
 
     def __init__(self, cache_dir: str | Path, compression: str = "none"):
         if compression not in _CODECS:
@@ -165,21 +164,52 @@ class CacheManager:
         """True when a completely written entry exists for ``key``."""
         return self._path_for(key).exists()
 
-    def delete(self, key: str) -> None:
-        """Remove the entry of ``key`` (a no-op when absent)."""
-        self._path_for(key).unlink(missing_ok=True)
-
-    def clear(self) -> int:
-        """Delete every entry (and stray temp file); returns the count."""
-        removed = 0
-        for path in self.cache_dir.glob("entry-*"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
     def total_bytes(self) -> int:
         """Total on-disk size of all entries (bytes)."""
         return sum(path.stat().st_size for path in self.cache_dir.glob("entry-*"))
+
+
+class RunStore:
+    """The cache and the run's own store (``checkpoint_dir``, or a per-run
+    spill directory): a clean key lives in the cache when there is one, any
+    other key in ``own``, so no lookup searches.  :meth:`retain` is the only
+    way an entry is ever deleted."""
+
+    def __init__(self, cache: CacheManager | None, own: CacheManager | None):
+        self.cache, self.own = cache, own
+
+    def place(self, key: str) -> CacheManager | None:
+        """The directory the entry of ``key`` lives in."""
+        return self.cache if self.cache is not None and not key.endswith(FAULTED) else self.own
+
+    def get(self, key: str) -> Any | None:
+        """The payload stored under ``key``, or None on a miss."""
+        return self.place(key).get(key)
+
+    def retain(self, root: Iterable[str]) -> None:
+        """Delete every entry (and stray temp file) of the run's own store
+        that ``root`` does not name; the cache keeps everything."""
+        if self.own is not None:
+            named = {self.own._path_for(key).name for key in root}
+            for path in self.own.cache_dir.glob("entry-*"):
+                if path.name not in named:
+                    path.unlink(missing_ok=True)
+
+    @contextmanager
+    def spilling(self, spill_root: Path) -> Iterator[None]:
+        """An own store for a streaming run to spill to: without a checkpoint
+        directory, a fresh one under ``spill_root`` (unique per run), removed
+        when the run ends, failed or not, so no run leaks a copy of the corpus."""
+        if self.own is not None:
+            yield
+            return
+        spill_root.mkdir(parents=True, exist_ok=True)
+        self.own = CacheManager(tempfile.mkdtemp(prefix="run-", dir=spill_root))
+        try:
+            yield
+        finally:
+            shutil.rmtree(self.own.cache_dir, ignore_errors=True)
+            self.own = None
 
 
 def _dumps(value: Any) -> bytes:

@@ -2,24 +2,21 @@
 
 The paper's checkpoint mechanism (Sec. 4.1.1) lets a failed or interrupted run
 resume from the most recent state instead of re-executing the whole recipe.
-The data of that state already lives in the one store
-(:class:`repro.core.cache.CacheManager`); the checkpoint is a small state
-file recording *which run* it belongs to and *where* that run got to:
+The data of that state already lives in the store — clean entries in the
+cache with ``use_cache``, the rest in ``checkpoint_dir`` beside the state
+file (:class:`repro.core.cache.RunStore`).  The state file records *which
+run* it belongs to and *where* that run got to:
 
-* ``op_names`` / ``op_hashes`` — the recipe chain; ``op_hashes`` are per-op
-  digests of each operator's ``config()``, so editing an operator's
-  parameters invalidates the resume instead of silently reusing data produced
-  by the old configuration;
+* ``op_names`` / ``op_hashes`` — the recipe chain; per-op digests of each
+  operator's ``config()``, so an edited operator invalidates the resume;
 * ``input`` — the input's identity (the dataset fingerprint in memory mode,
-  the shard budget in streaming mode, whose shard entries are keyed on their
-  input rows);
+  the shard budget in streaming mode, whose shards key on their input);
 * ``op_index`` / ``keys`` (memory mode) — one past the last completed
   operator, and the chain of store keys whose entries, replayed in order,
-  rebuild its output: with ``use_cache`` one delta entry per completed op
-  (each stores what its op changed over the dataset before it), replayed
-  onto the loaded input; checkpoint-only the one self-contained latest
-  entry.  A chain that stops reading back midway resumes after its last
-  readable entry.
+  rebuild its output: one delta entry per op with ``use_cache``,
+  checkpoint-only the one self-contained latest entry.  The chain is the
+  root of the run's own store; a chain that stops reading back midway
+  resumes after its last readable entry.
 
 The state file is written atomically and only *after* the entry it points at,
 so a crash at any point leaves either the previous checkpoint or a complete

@@ -30,26 +30,23 @@ peak RSS from the :class:`repro.core.monitor.RunProfiler`, plus cache
 counters, the tracer summary and the run-level resource profile.  Profiler,
 fault ledger and :class:`repro.core.tracer.Tracer` are created per run.
 
-Persistence is one content-addressed store (:mod:`repro.core.cache`): each op
-output (memory mode: what the op changed over its input, a delta) or shard
-stage output (streaming) is written once, under ``cache_dir`` when
-``use_cache``, else under ``checkpoint_dir`` when ``use_checkpoint``; the
-checkpoint is a state file pointing at the chain of entries a resume
-replays, and the streaming spill is the same entry the mask pass reads back.
+Persistence (:mod:`repro.core.cache`): each op output (memory mode: a delta
+over its input) or shard stage output is written once, to the cache when it
+is clean and ``use_cache`` is on, else to the run's own store; the checkpoint
+is a state file pointing at the chain of entries a resume replays.  The
+executor deletes no entry: it names the run's root to ``RunStore.retain``.
 """
 
 from __future__ import annotations
 
-import shutil
 import sys
-import tempfile
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.core.batch import batch_concat
-from repro.core.cache import CacheManager, cell_snapshot, decode, detach, encode
+from repro.core.cache import FAULTED, CacheManager, RunStore, cell_snapshot, decode, detach, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
 from repro.core.errors import ConfigError, DataflowWarning, DatasetError, OpExecutionError
@@ -87,9 +84,6 @@ from repro.core.tracer import Tracer
 from repro.formats.source import decode_record, is_decoded, shard_signature
 from repro.parallel import WorkerPool
 
-#: key suffix of fault-shaped output (see :meth:`Executor._put_result`)
-_FAULTED = "#faulted"
-
 
 class Executor:
     """Run a data recipe end to end.
@@ -121,14 +115,17 @@ class Executor:
         checkpoint_dir = self.cfg.checkpoint_dir or (work_dir / "checkpoint")
         #: the resume pointer (None unless ``use_checkpoint``)
         self.checkpoint = CheckpointManager(checkpoint_dir) if self.cfg.use_checkpoint else None
-        #: the one store of intermediate datasets/shards (placement: see the
-        #: module docstring); None when the recipe configures no persistence
-        self.store: CacheManager | None = None
-        if self.cfg.use_cache or self.cfg.use_checkpoint:
-            self.store = CacheManager(
-                (self.cfg.cache_dir or work_dir / "cache") if self.cfg.use_cache else checkpoint_dir,
-                compression=self.cfg.cache_compression,
-            )
+        cache_dir = self.cfg.cache_dir or work_dir / "cache"
+        compression = self.cfg.cache_compression
+        cache = CacheManager(cache_dir, compression) if self.cfg.use_cache else None
+        own = CacheManager(checkpoint_dir, compression) if self.cfg.use_checkpoint else None
+        if cache and own and cache.cache_dir.resolve() == own.cache_dir.resolve():
+            # a run deletes from its own store what it no longer names: never the cache
+            raise ConfigError("cache_dir and checkpoint_dir must differ when both are in use")
+        #: where a run's entries live (see the module docstring)
+        self._stores = RunStore(cache, own)
+        #: where clean entries go; None when the recipe configures no persistence
+        self.store: CacheManager | None = cache or own
         #: lookups of the store, and the entry bytes written to it
         self._cache_stats = {
             "hits": 0, "misses": 0, "shard_hits": 0, "shard_misses": 0, "bytes_written": 0
@@ -148,10 +145,10 @@ class Executor:
         self._profiler = RunProfiler()
         #: the pool's lifetime dispatch counters when this run first saw it
         self._dispatch_base = (0, 0.0, 0.0)
-        #: where the current streaming run stores shards (``store``, or a
-        #: per-run temp directory), and whether its checkpoint state matched
-        self._spill: CacheManager | None = None
+        #: whether the current streaming run's checkpoint state matched, and
+        #: its root: the keys of the shards it found or wrote
         self._resuming = False
+        self._root: set[str] = set()
         #: what the current run signs its input (shards) under: the
         #: formatter's name (None for an in-memory dataset) and text keys
         self._source: tuple[str | None, tuple[str, ...]] = (None, ())
@@ -353,9 +350,8 @@ class Executor:
         ``use_cache`` one delta entry per applied op onto the loaded input,
         checkpoint-only the one self-contained latest entry.  A chain that
         stops reading back midway resumes after the last entry that did;
-        nothing read back starts over, emptying a checkpoint-only store.
-        ``#faulted`` entries of the old chain that the new one drops are
-        deleted: no other run looks them up.
+        nothing read back starts over (the next checkpoint write retains the
+        new chain only).
         """
         if self.checkpoint is None:
             return current, 0, []
@@ -376,35 +372,29 @@ class Executor:
             first = done - len(keys)
             restored = None if first else current
             for key in keys:
-                decoded = decode(restored, self.store.get(key))
+                decoded = decode(restored, self._stores.get(key))
                 if decoded is None:
                     break
                 restored, replayed = decoded, replayed + 1
         if not replayed:
             restored, first = current, 0
-            if not self.cfg.use_cache:
-                self.store.clear()
-        for stale in keys[replayed:]:
-            if stale.endswith(_FAULTED):
-                self.store.delete(stale)
         return restored, first + replayed, keys[:replayed]
 
-    def _put_result(
-        self, store: CacheManager, key: str, payload: Any, faults_before: int, spill: bool = False
-    ) -> str:
+    def _put_result(self, key: str, payload: Any, faults_before: int, spill: bool = False) -> str:
         """Store one op/shard result, once; returns the key it went under.
 
         Output shaped by a fault (rows dropped by a lenient policy) goes under
-        a key no clean run ever computes, and only when something reads it
-        back: this run's checkpoint — it is the actual progress — or the mask
-        pass (``spill``).  Content keys only ever hold clean results.
+        a key no clean run ever computes, in the run's own store, and only
+        when something reads it back: this run's checkpoint — it is the
+        actual progress — or the mask pass (``spill``).
         """
         clean = self._faults.total_faults == faults_before
         if not clean:
-            key += _FAULTED
+            key += FAULTED
         if spill or clean or self.checkpoint is not None:
-            path = store.put(key, payload)
-            if store is self.store:
+            place = self._stores.place(key)
+            path = place.put(key, payload)
+            if place is self.store or self.checkpoint is not None:  # not a per-run spill
                 self._cache_stats["bytes_written"] += path.stat().st_size
         return key
 
@@ -576,8 +566,8 @@ class Executor:
         per-op section each covering rows in/out, wall time and throughput.
         """
         with self._reporting("memory") as report:
-            store, checkpoint = self.store, self.checkpoint
-            if store is None:
+            stores, checkpoint = self._stores, self.checkpoint
+            if self.store is None:
                 # nothing needs an intermediate dataset: one segment per
                 # global op.  The input is handed over unnamed, so this frame
                 # does not keep the loaded corpus alive while the pipeline runs
@@ -597,7 +587,7 @@ class Executor:
                 for index in range(start, len(self.ops)):
                     op = self.ops[index]
                     key = CacheManager.make_key(current.fingerprint, op.name, op.config())
-                    cached = decode(current, store.get(key)) if delta else None
+                    cached = decode(current, stores.get(key)) if delta else None
                     if cached is not None:
                         self._count_cache("hits")
                         current, snapshot = cached, None
@@ -611,16 +601,13 @@ class Executor:
                         current = self._run_segments([op], current)
                         payload, snapshot = encode(parent, current, snapshot)
                         del parent  # not held while the entry is written
-                        key = self._put_result(store, key, payload, faults_before)
+                        key = self._put_result(key, payload, faults_before)
                     if checkpoint is not None:
-                        replaced = [] if delta else [held for held in chain if held != key]
                         chain = [*chain, key] if delta else [key]
                         # entry first, pointer second: a crash in between
                         # leaves the previous (complete) checkpoint
                         checkpoint.write_state({**run_state, "op_index": index + 1, "keys": chain})
-                        for stale in replaced:
-                            # only the replaced checkpoint wanted this entry
-                            store.delete(stale)
+                        stores.retain(chain)
 
             report["num_output_samples"] = len(current)
             if self.cfg.export_path:
@@ -644,16 +631,13 @@ class Executor:
         rows stream straight into the :class:`Exporter` — with
         ``shard_output`` they are written as size-capped output shards.
 
-        Every stored shard is one store entry keyed on ``(stage chain hash,
-        shard signature)``; an input shard signs by the source lines it was
-        read from (:func:`repro.formats.source.shard_signature`) and is
-        decoded only when its entry is missing (``decoded_shards``).  With
-        ``use_cache`` a re-run over unchanged inputs replays it
-        (``cached_shards``); with ``use_checkpoint`` an interrupted run
-        resumes mid-corpus (``resumed_shards``), and editing the recipe, the
-        shard budget or the input lines invalidates the resume.
-        With neither, the two-pass resolve spills to a per-run temp directory
-        that is removed when the run ends, failed or not.  The rows kept are
+        With ``use_cache`` a re-run over unchanged input lines replays the
+        stored shards (``cached_shards``, see :meth:`_shard_output`); with
+        ``use_checkpoint`` an interrupted run resumes mid-corpus
+        (``resumed_shards``) unless the recipe, shard budget or input lines
+        changed, and a completed run leaves only the shards it found or wrote
+        in ``checkpoint_dir``.  Without, the spill is a per-run directory
+        removed when the run ends, failed or not.  The rows kept are
         those of :meth:`run`, and so are the exported bytes when every input
         row has the same keys: a shard None-fills only its own rows' key
         union, so otherwise row keys depend on the budget (ROADMAP item 4).
@@ -665,8 +649,8 @@ class Executor:
         ``last_report`` and persisted to ``<work_dir>/report.json``) instead
         of a materialised dataset.
         """
-        work_dir = Path(self.cfg.work_dir)
-        with self._reporting("streaming") as report:
+        spill_root = Path(self.cfg.work_dir) / "stream-spill"
+        with self._reporting("streaming") as report, self._stores.spilling(spill_root):
             segments = plan_segments(self.ops)
             shard_rows, shard_chars = self.cfg.max_shard_rows, self.cfg.max_shard_chars
             progress = {
@@ -684,64 +668,53 @@ class Executor:
             records = self._source_records(dataset)
             source: Iterator = iter_record_shards(records, shard_rows, shard_chars)
 
-            self._spill, self._resuming = self.store, False
-            if self.store is None:
-                # per-run unique spill directory: concurrent runs sharing a
-                # work_dir must not clear or read each other's shards
-                spill_root = work_dir / "stream-spill"
-                spill_root.mkdir(parents=True, exist_ok=True)
-                self._spill = CacheManager(tempfile.mkdtemp(prefix="run-", dir=spill_root))
-            elif self.checkpoint is not None:
+            self._resuming, self._root = False, set()
+            if self.checkpoint is not None:
                 run_state = self._run_state(
                     {"max_shard_rows": shard_rows, "max_shard_chars": shard_chars}
                 )
                 self._resuming = self.checkpoint.read_state() == run_state
                 if not self._resuming:
-                    # recipe or shard budget changed: a checkpoint-only store
-                    # describes a different run and must not be reused (an
-                    # edited input needs no guard — its shards key differently)
-                    if not self.cfg.use_cache:
-                        self.store.clear()
+                    # recipe or shard budget changed (an edited input needs
+                    # no guard: its shards key differently)
+                    self._stores.retain(())
                     self.checkpoint.write_state(run_state)
 
-            try:
-                for stage, segment in enumerate(segments):
-                    if segment.global_op is None:
-                        # only the final segment can lack a global op; its
-                        # shards flow straight through
-                        source = self._local_stage(stage, segment, source, progress)
-                    else:
-                        source = self._resolved_stage(stage, segment, source, progress)
-
-                total_rows = 0
-                export_paths: list[str] = []
-
-                def final_rows() -> Iterator[dict]:
-                    nonlocal total_rows
-                    for shard in source:
-                        total_rows += len(shard)
-                        yield from shard
-
-                if self.cfg.export_path:
-                    # a shard-output request with no explicit budget still
-                    # shards, at the same default the input chunker applies
-                    export_rows, export_chars = shard_rows, shard_chars
-                    if shard_output and export_rows is None and export_chars is None:
-                        export_rows = DEFAULT_SHARD_ROWS
-                    exporter = Exporter(
-                        self.cfg.export_path,
-                        keep_stats=self.cfg.keep_stats_in_export,
-                        shard_rows=export_rows if shard_output else None,
-                        shard_chars=export_chars if shard_output else None,
-                    )
-                    export_paths = [str(path) for path in exporter.export_stream(final_rows())]
+            for stage, segment in enumerate(segments):
+                if segment.global_op is None:
+                    # only the final segment can lack a global op; its
+                    # shards flow straight through
+                    source = self._local_stage(stage, segment, source, progress)
                 else:
-                    for _row in final_rows():
-                        pass
-            finally:
-                if self._spill is not self.store:
-                    # failed runs must not leak a pickled copy of the corpus
-                    shutil.rmtree(self._spill.cache_dir, ignore_errors=True)
+                    source = self._resolved_stage(stage, segment, source, progress)
+
+            total_rows = 0
+            export_paths: list[str] = []
+
+            def final_rows() -> Iterator[dict]:
+                nonlocal total_rows
+                for shard in source:
+                    total_rows += len(shard)
+                    yield from shard
+
+            if self.cfg.export_path:
+                # a shard-output request with no explicit budget still
+                # shards, at the same default the input chunker applies
+                export_rows, export_chars = shard_rows, shard_chars
+                if shard_output and export_rows is None and export_chars is None:
+                    export_rows = DEFAULT_SHARD_ROWS
+                exporter = Exporter(
+                    self.cfg.export_path,
+                    keep_stats=self.cfg.keep_stats_in_export,
+                    shard_rows=export_rows if shard_output else None,
+                    shard_chars=export_chars if shard_output else None,
+                )
+                export_paths = [str(path) for path in exporter.export_stream(final_rows())]
+            else:
+                for _row in final_rows():
+                    pass
+            # what a later run resumes from: the shards this run found or wrote
+            self._stores.retain(self._root)
 
             report.update(
                 num_output_samples=total_rows,
@@ -764,15 +737,14 @@ class Executor:
     ) -> tuple[str | None, NestedDataset]:
         """One shard's shard-local work (sample ops + dedup hashing), stored once.
 
-        Returns the output's store key (for the mask pass of a ``spill``
-        caller) and the output, stored as a self-contained :func:`encode`
-        entry.  With ``use_cache`` / ``use_checkpoint`` the key is ``(stage
-        chain hash, shard signature)``; an entry that decodes replays the
-        shard without touching any operator — a ``resumed_shards`` shard
-        when the checkpoint state matched this run, else a ``cached_shards``
-        one (counted per op as a cached call).  Without persistence only a
-        ``spill`` the mask pass will read back is stored, under a positional
-        key in the run's temp directory.
+        Returns the output's store key (it joins the run's root; the mask pass
+        of a ``spill`` caller reads it back) and the output, stored as a
+        self-contained :func:`encode` entry.  With a store the key is ``(stage
+        chain hash, shard signature)``, and an entry that decodes replays the
+        shard without touching any operator: a ``resumed_shards`` shard when
+        the checkpoint state matched, else a ``cached_shards`` one (a cached
+        call per op).  Without, only a ``spill`` is stored, under a
+        positional key.
 
         A stage-0 shard arrives as source records, signed by their text and
         decoded (its lines freed) only when it must run; a later stage's is
@@ -780,26 +752,23 @@ class Executor:
 
         Failures are contained per shard: an op's errors (dedup hashing
         included) are handled row-wise by the error policy inside
-        :meth:`_drive`; a failure outside every op still retries the whole
-        shard (:func:`retry_call`, under every policy), and a persistently
-        failing shard then aborts the run (``raise``) or is dropped/quarantined
-        whole instead of wedging it (lenient).
-        Fault-shaped shard output is stored under a key only a resumed run of
-        the same checkpoint looks up (see :meth:`_put_result`).
+        :meth:`_drive`; a failure outside every op retries the whole shard
+        (:func:`retry_call`), then aborts the run (``raise``) or drops and
+        quarantines the shard whole (lenient).  Fault-shaped output goes under
+        a key only a resumed run of the same checkpoint looks up.
         """
-        store = self._spill
         shard_ops = segment.local_ops
         shard_id = f"stage{stage}:shard{index:05d}"  # names the shard in fault records
         key = f"{stage}:{index}" if spill else None
         input_shard = stage == 0
         progress["input_shards"] += int(input_shard)
-        if store is self.store:
+        if self.store is not None:
             signature = (
                 shard_signature(*self._source, shard) if input_shard else columns_signature(shard)
             )
             key = CacheManager.make_shard_key(chain, signature)
-            for found in (key, key + _FAULTED) if self._resuming else (key,):
-                stored = decode(None, store.get(found))
+            for found in (key, key + FAULTED) if self._resuming else (key,):
+                stored = decode(None, self._stores.get(found))
                 if stored is None:
                     continue
                 if input_shard and is_decoded(shard[0]):
@@ -812,6 +781,7 @@ class Executor:
                     progress["cached_shards"] += 1
                     for op in shard_ops:
                         self._profiler.record_cached(op, len(stored))
+                self._root.add(found)
                 return found, stored
             self._count_cache("shard_misses")
         quarantined = shard  # a dropped stage-0 shard's rows as decoded, not None-filled
@@ -850,7 +820,8 @@ class Executor:
                 self._quarantine.write_rows(quarantined, stage_name, error, shard_id=shard_id)
             output = NestedDataset.empty()
         if key is not None:
-            key = self._put_result(store, key, encode(None, output, None)[0], faults_before, spill)
+            key = self._put_result(key, encode(None, output, None)[0], faults_before, spill)
+            self._root.add(key)
         progress["executed_shards"] += 1
         return key, output
 
@@ -909,11 +880,12 @@ class Executor:
 
         def stored() -> Iterator[NestedDataset]:
             for key in stored_shards:
-                shard = decode(None, self._spill.get(key))
+                shard = decode(None, self._stores.get(key))
                 if shard is None:
                     raise DatasetError(
-                        f"stage {stage} shard entry vanished from {self._spill.cache_dir} "
-                        "before the mask pass (was the store cleared mid-run?)"
+                        f"stage {stage} shard entry vanished from "
+                        f"{self._stores.place(key).cache_dir} before the mask pass "
+                        "(does another run share this directory, or was it edited by hand?)"
                     )
                 yield shard
 

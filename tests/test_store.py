@@ -3,9 +3,11 @@
 Three layers under test:
 
 * the store itself (:class:`repro.core.cache.CacheManager`): payload-agnostic
-  ``put`` / ``get`` / ``has`` / ``delete`` / ``clear`` / ``total_bytes``,
-  lossless pickled entries, atomic uniquely-named temp writes, and every
-  unreadable entry reading as a miss;
+  ``put`` / ``get`` / ``has`` / ``total_bytes``, lossless pickled entries,
+  atomic uniquely-named temp writes, and every unreadable entry reading as a
+  miss; and where a run's entries live (:class:`repro.core.cache.RunStore`):
+  a clean key in the cache, which no run deletes from, anything else in the
+  run's own store, which keeps only what the run's root names;
 * the checkpoint state file (:class:`repro.core.checkpoint.CheckpointManager`):
   a small pointer at a store key, corrupt reads as absent;
 * the executor over both: ONE export sha on the three fig8 recipes across
@@ -26,6 +28,7 @@ import pytest
 
 from repro.core.cache import (
     CacheManager,
+    RunStore,
     atomic_write,
     available_codecs,
     decode,
@@ -35,7 +38,7 @@ from repro.core.cache import (
 )
 from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
-from repro.core.errors import OpExecutionError, ReproError
+from repro.core.errors import ConfigError, OpExecutionError, ReproError
 from repro.core.executor import Executor
 from repro.core.sample import HashKeys
 from repro.core.stream import StreamSegment, op_config_hash, stage_chain_hash
@@ -81,16 +84,6 @@ class TestCacheManager:
         assert store.get("missing") is None
         assert not store.has("missing")
         assert store.total_bytes() == 0
-        assert store.clear() == 0
-
-    def test_delete_removes_one_entry(self, tmp_path):
-        store = CacheManager(tmp_path)
-        store.put("a", [1])
-        store.put("b", [2])
-        store.delete("a")
-        store.delete("a")  # absent: a no-op
-        assert store.get("a") is None
-        assert store.get("b") == [2]
 
     def test_entries_are_lossless(self, tmp_path):
         """Tuples stay tuples and bytes stay bytes (JSON would hand back lists/reprs)."""
@@ -120,15 +113,6 @@ class TestCacheManager:
 
     def test_available_codecs_contains_none(self):
         assert "none" in available_codecs()
-
-    def test_clear_removes_entries(self, tmp_path):
-        store = CacheManager(tmp_path)
-        store.put("a", dataset())
-        store.put("b", dataset())
-        (tmp_path / "checkpoint_state.json").write_text("{}")  # not an entry: kept
-        assert store.clear() == 2
-        assert store.total_bytes() == 0
-        assert (tmp_path / "checkpoint_state.json").exists()
 
     def test_keys_depend_on_every_part(self):
         assert CacheManager.make_key("fp", "op", {"a": 1}) != CacheManager.make_key(
@@ -232,6 +216,40 @@ class TestSpaceEstimates:
     def test_checkpoint_mode_below_cache_mode_for_long_pipelines(self):
         cache = estimate_cache_space(100, num_mappers=5, num_filters=8, num_dedups=1)
         assert estimate_checkpoint_space(100) < cache
+
+
+class TestRunStore:
+    def test_a_key_lives_where_its_suffix_says(self, tmp_path):
+        cache, own = CacheManager(tmp_path / "cache"), CacheManager(tmp_path / "own")
+        stores = RunStore(cache, own)
+        assert stores.place("k") is cache and stores.place("k#faulted") is own
+        assert RunStore(None, own).place("k") is own
+        own.put("k#faulted", [1])
+        assert stores.get("k#faulted") == [1] and stores.get("k") is None
+
+    def test_retain_keeps_only_the_root_of_the_own_store(self, tmp_path):
+        cache, own = CacheManager(tmp_path / "cache"), CacheManager(tmp_path / "own")
+        stores = RunStore(cache, own)
+        for key in ("a", "b", "c#faulted"):
+            cache.put(key, [key])
+            own.put(key, [key])
+        (tmp_path / "own" / "entry-stray.pkl.0123.tmp").write_bytes(b"torn")
+        (tmp_path / "own" / CheckpointManager.STATE_FILE).write_text("{}")  # not an entry
+        stores.retain(["b", "c#faulted", "never-written"])
+        assert [own.get(key) for key in ("a", "b", "c#faulted")] == [None, ["b"], ["c#faulted"]]
+        assert len(entry_files(tmp_path / "own")) == 2
+        assert (tmp_path / "own" / CheckpointManager.STATE_FILE).exists()
+        # the cache keeps everything
+        assert len(entry_files(tmp_path / "cache")) == 3
+        stores.retain(())
+        assert entry_files(tmp_path / "own") == [] and len(entry_files(tmp_path / "cache")) == 3
+        RunStore(cache, None).retain(())  # no own store: nothing to do
+
+    def test_the_cache_is_never_a_run_s_own_store(self, tmp_path):
+        shared = str(tmp_path / "store")
+        with pytest.raises(ConfigError, match="cache_dir and checkpoint_dir must differ"):
+            Executor({"process": [{"lowercase_mapper": {}}], "use_cache": True,
+                      "use_checkpoint": True, "cache_dir": shared, "checkpoint_dir": shared})
 
 
 # ----------------------------------------------------------------------

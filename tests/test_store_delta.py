@@ -487,10 +487,14 @@ class TestResumeChain:
         options = {**self.OPTIONS, "on_error": "skip"}
         run_recipe(tmp_path, "faulted", marked_input, WEB_CLEAN, prepare=crash_at_marker,
                    **options)
-        store = CacheManager(tmp_path / "work" / "cache")
+        # a faulted entry lives in the run's own store, never in the cache
+        cache = tmp_path / "work" / "cache"
+        store = CacheManager(tmp_path / "work" / "checkpoint")
         state = CheckpointManager(tmp_path / "work" / "checkpoint").read_state()
         faulted = [key for key in state["keys"] if key.endswith("#faulted")]
         assert len(faulted) == 1 and store.has(faulted[0])
+        assert not CacheManager(cache).has(faulted[0])
+        assert len(entry_files(cache)) == len(WEB_CLEAN) - 1
         # the same run again keeps its fault-shaped progress
         run_recipe(tmp_path, "again", marked_input, WEB_CLEAN, prepare=forbid_everything,
                    **options)
@@ -500,6 +504,7 @@ class TestResumeChain:
         edited = [*WEB_CLEAN[:-1], {"document_deduplicator": {"lowercase": True}}]
         run_recipe(tmp_path, "edited", marked_input, edited, **options)
         assert not store.has(faulted[0])
+        assert entry_files(tmp_path / "work" / "checkpoint") == []
 
 
 def test_selectors_keeping_the_same_first_rows_share_no_cache_key(tmp_path):

@@ -382,18 +382,30 @@ class TestShardCheckpointing:
         assert report["shards"]["resumed_shards"] == 0
 
     def test_input_edit_invalidates_stream_checkpoint(self, tmp_path):
-        """Regression: resuming must notice that the input file changed."""
+        """Regression: resuming must notice that the input file changed.  And
+        checkpoint-only keeps the last run's shards only: every edited input
+        used to add its shards to the old ones (the memory-mode twin of this
+        test is ``test_input_edit_invalidates_memory_checkpoint``)."""
         rows = messy_corpus_rows(100)
         input_path = write_jsonl(tmp_path / "in.jsonl", rows)
         config = stream_config(tmp_path, input_path, PROCESS)
         Executor(config).run_streaming()
 
-        edited_rows = [{"text": "completely new " + row["text"], "meta": row["meta"]} for row in rows]
-        write_jsonl(input_path, edited_rows)
-        report = Executor(config).run_streaming()
-        assert report["shards"]["resumed_shards"] == 0
-        first_line = json.loads((tmp_path / "out.jsonl").read_text().splitlines()[0])
-        assert first_line["text"].startswith("completely new")
+        for edit in ("completely new ", "edited again ", "and once more "):
+            edited_rows = [{"text": edit + row["text"], "meta": row["meta"]} for row in rows]
+            write_jsonl(input_path, edited_rows)
+            report = Executor(config).run_streaming()
+            assert report["shards"]["resumed_shards"] == 0
+            first_line = json.loads((tmp_path / "out.jsonl").read_text().splitlines()[0])
+            assert first_line["text"].startswith(edit)
+            # exactly the entries a fresh run over this input writes
+            fresh = {**config, "checkpoint_dir": str(tmp_path / "fresh" / edit.strip())}
+            Executor(fresh).run_streaming()
+            kept = sorted(path.name for path in (tmp_path / "ckpt").glob("entry-*"))
+            assert kept == sorted(
+                path.name for path in (tmp_path / "fresh" / edit.strip()).glob("entry-*")
+            )
+            assert len(kept) == 2 * report["shards"]["input_shards"]  # one per shard and stage
 
 
 # ----------------------------------------------------------------------
@@ -702,6 +714,45 @@ class TestStreamingFailureSafety:
             executor.run_streaming()
         spill_root = tmp_path / "work" / "stream-spill"
         assert not any(spill_root.iterdir())
+
+    def test_a_cache_only_run_keeps_no_faulted_entry(self, tmp_path, monkeypatch):
+        """A shard shaped by a fault is spilled to the run's own directory,
+        removed at run end: the shared cache holds clean entries only."""
+        from repro.core.cache import CacheManager
+        from repro.testing import FaultPlan
+
+        rows = messy_corpus_rows(60)
+        rows[23]["text"] += " velociraptor"
+        input_path = write_jsonl(tmp_path / "in.jsonl", rows)
+        config = {
+            "dataset_path": str(input_path),
+            "export_path": str(tmp_path / "out.jsonl"),
+            "process": PROCESS,
+            "work_dir": str(tmp_path / "work"),
+            "max_shard_rows": 10,
+            "use_cache": True,
+            "on_error": "quarantine",
+        }
+        put = CacheManager.put
+        written: list[tuple[Path, str]] = []
+
+        def recording_put(store, key, payload):
+            written.append((store.cache_dir, key))
+            return put(store, key, payload)
+
+        monkeypatch.setattr(CacheManager, "put", recording_put)
+        executor = Executor(config)
+        FaultPlan().inject("whitespace_normalization_mapper", match="velociraptor").install(
+            executor.ops
+        )
+        report = executor.run_streaming()
+        assert report["faults"]["quarantined_rows"] == 1
+        faulted = [place for place, key in written if key.endswith("#faulted")]
+        cache = tmp_path / "work" / "cache"
+        assert faulted and cache not in faulted
+        entries = list(cache.glob("entry-*"))
+        assert entries and len(entries) == sum(place == cache for place, _ in written)
+        assert not any((tmp_path / "work" / "stream-spill").iterdir())
 
     def test_nonstandard_dedup_hash_key_fails_fast(self, tmp_path):
         from repro.core.base_op import Deduplicator
