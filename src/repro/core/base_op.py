@@ -21,10 +21,10 @@ batch's rows, so subclasses only implement the per-sample method unless they
 have a genuinely vectorised implementation.
 
 The per-sample methods (``process`` / ``compute_stats`` / ``compute_hash``)
-are the op-authoring API, and what the Analyzer, fused execution and the fault
-layer's row isolation call.  They are also the test oracle (with a
-Deduplicator's and a Selector's dataset-level ``process``, which a run calls
-only from its global step over the signature columns):
+are the op-authoring API, and what the Analyzer and fused execution call.
+They are also the test oracle (with a Deduplicator's and a Selector's
+dataset-level ``process``, which a run calls only from its global step over
+the signature columns):
 :func:`repro.testing.reference.run_per_row` drives a dataset through them one
 row at a time, and the equivalence suite asserts ``run`` yields the same rows,
 stats and fingerprint.
@@ -148,17 +148,19 @@ class OP:
         fingerprint.  A failure is raised as the in-process call raised it.
         A ``tracer`` is handed the examples the segment found.
         """
-        from repro.core.segment import run_dataset_segment
+        from repro.core.segment import run_dataset_segment, segment_output
         from repro.core.tracer import segment_examples
 
         if pool is not None and not pool.holds(self):
             pool = None
         trace_num = getattr(tracer, "show_num", 0)
-        result, per_chunk, failure = run_dataset_segment([self], dataset, pool, trace_num)
-        if failure is not None:
-            raise failure[1]
+        _size, outcomes = run_dataset_segment([self], dataset, pool, trace_num)
+        for _batch, _records, failure, _cpu in outcomes:
+            if failure is not None:
+                raise failure[1]
+        result = segment_output([self], dataset, outcomes)
         if tracer is not None:
-            records = [chunk[0] for chunk in per_chunk]
+            records = [records[0] for _batch, records, _failure, _cpu in outcomes]
             tracer.add(self, len(dataset), len(result), segment_examples(self, records))
         return result
 

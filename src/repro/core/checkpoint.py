@@ -58,7 +58,3 @@ class CheckpointManager:
         except (OSError, ValueError):
             return None
         return state if isinstance(state, dict) else None
-
-    def clear(self) -> None:
-        """Remove the state file (the run then starts over)."""
-        (self.checkpoint_dir / self.STATE_FILE).unlink(missing_ok=True)

@@ -12,14 +12,12 @@ them:
   / ``task_timeout_s`` / ``max_pool_rebuilds``), threaded from
   :class:`repro.core.config.RecipeConfig` through the fluent API, the CLI and
   both executors.
-* :func:`run_op_with_policy` — the verdict on one failing op of a segment
-  (a Mapper, a Filter or a Deduplicator's hashing): retry with capped
-  exponential backoff, then (under a lenient policy) per-row isolation so
-  one poison row never takes its batch down.
-* :func:`run_segment_with_policy` — the same contract for a whole run of ops
-  applied chunk by chunk (:mod:`repro.core.segment`), in the worker pool or
-  in-process: the op a chunk reports as failing re-enters
-  :func:`run_op_with_policy` with that failure as its first attempt.
+* :func:`run_segment_with_policy` — the verdict on a run of ops applied
+  chunk by chunk (:mod:`repro.core.segment`), in the worker pool or
+  in-process.  A fault costs its chunk, not the dataset: chunks that ran
+  clean keep their output, and a failed chunk is contained in the calling
+  process, through the same :func:`repro.core.segment.run_segment` a clean
+  run uses.
 * :func:`retry_call` — the retry loop of the stages outside every op (a
   streaming shard's local work, the global step); the caller gives the verdict.
 * :class:`QuarantineWriter` — the ``quarantine-00001.jsonl.gz`` export of
@@ -27,10 +25,27 @@ them:
 * :class:`FaultTracker` — the counters behind the report's ``faults``
   section; every retry, rebuild, quarantine and degradation is accounted.
 
+The containment contract, at every ``np``:
+
+* **What a retry re-runs.**  A failed chunk is re-sliced by position from
+  the segment's input and the whole segment reruns over it, ``max_retries``
+  times.  If it still fails, its rows run one at a time (one-row chunks),
+  each with ``max_retries`` retries of its own.
+* **Verdicts.**  ``raise`` names the earliest failing op over all chunks
+  and the first row of its chunk that fails there alone (at most
+  :data:`ROW_PROBE_LIMIT` rows are tried).  ``skip`` / ``quarantine`` drop
+  exactly the rows that still fail alone; every other row keeps its output.
+* **``row_index``** is a row's position in the input of the op it failed
+  in, over the whole dataset or shard the segment ran on: the rows earlier
+  ones dropped (by a Filter, or by a fault) before that op do not count.
+* **Quarantine order** is segment-input order.  An entry carries the op the
+  row failed in and the row as it entered that op.
+
 Operators are lint-certified pure functions of their config (see
-``docs/linting.md``), which is what makes retrying and per-row replay safe:
-re-running an op over the same rows cannot produce different results or
-observable side effects.
+``docs/linting.md``), which is what makes a retry safe and a row run alone
+equal to the same row run in its chunk: rerunning a segment over the same
+rows cannot produce different results or observable side effects.  So the
+healthy rows of a faulted run come out byte-identical to a clean run's.
 """
 
 from __future__ import annotations
@@ -38,15 +53,15 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from itertools import count, islice
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from repro.core.base_op import Deduplicator, Filter, Mapper
-from repro.core.dataset import NestedDataset, _stable_hash
+from repro.core.base_op import Deduplicator
+from repro.core.batch import batch_length, batch_to_rows
+from repro.core.dataset import NestedDataset
 from repro.core.errors import ConfigError, OpExecutionError
-from repro.core.monitor import RunProfiler
-from repro.core.sample import get_field
-from repro.core.segment import run_dataset_segment
+from repro.core.segment import run_chunks, run_dataset_segment, segment_output
 from repro.core.serialization import JsonSanitizer
 from repro.core.tracer import segment_examples
 
@@ -334,7 +349,7 @@ class QuarantineWriter:
 
 
 # ----------------------------------------------------------------------
-# Policy-aware op execution
+# Policy-aware segment execution
 # ----------------------------------------------------------------------
 def describe_failure(
     op_name: str,
@@ -355,170 +370,114 @@ def describe_failure(
     )
 
 
-def _probe_failing_row(op: Any, dataset: NestedDataset) -> int | None:
-    """Index of the first row whose per-row execution fails, or ``None``.
-
-    Only used on the fatal (``raise``) path to enrich the error message;
-    bounded by :data:`ROW_PROBE_LIMIT` so a batched-only failure over a huge
-    dataset cannot stall the abort.
-    """
-    limit = min(len(dataset), ROW_PROBE_LIMIT)
-    for index in range(limit):
-        try:
-            _run_single_row(op, dict(dataset[index]))
-        except Exception:
-            return index
-    return None
+def _entered(outcome: tuple, index: int) -> int:
+    """How many rows of a chunk's outcome entered op ``index`` of the segment."""
+    batch, records, failure, _cpu = outcome
+    if index < len(records):
+        return records[index][0]
+    return batch_length(batch) if failure is not None and failure[0] == index else 0
 
 
-def _run_single_row(op: Any, row: dict) -> tuple[bool, dict]:
-    """One row through a Mapper, a Filter or a Deduplicator's hashing: ``(keep, row_out)``."""
-    if isinstance(op, Mapper):
-        return True, op.process(row)
-    if isinstance(op, Filter):
-        row = op.compute_stats(row)
-        return bool(op.process(row)), row
-    return True, op.compute_hash(row)
+def _rows_alone(chunk: dict) -> Iterator[dict]:
+    """The rows of ``chunk`` as one-row chunks, in order."""
+    return NestedDataset(chunk, "segment").iter_batches(1)
 
 
-def _isolate_rows(
-    op: Any,
+def _contain(
+    ops: list,
     dataset: NestedDataset,
+    size: int,
+    outcomes: list,
     policy: ErrorPolicy,
     tracker: FaultTracker,
     quarantine: QuarantineWriter | None,
-    shard_id: str | None = None,
-    trace_num: int = 0,
-) -> tuple[NestedDataset, list]:
-    """Re-run a failed segment op row by row, dropping only poison rows.
+    shard_id: str | None,
+    trace_num: int,
+) -> tuple[list, list[int]]:
+    """Apply the policy to a segment that had failed chunks, as the module
+    docstring sets out: the chunk outcomes it keeps, in order, and the
+    positions in ``dataset`` of the rows it dropped.  A dropped row's one-row
+    outcome stays in the list: the ops before its failure did run on it."""
 
-    Every batched stage has an equivalence-tested per-row fallback, so
-    replaying the batch one row at a time is semantically identical —
-    surviving rows keep their order, and only the rows that themselves raise
-    (after ``max_retries`` per-row retries) are dropped or quarantined.  The
-    output fingerprint is salted with the dropped indices so downstream cache
-    keys can never collide with a clean run's.  The trace entry covers the
-    rows the op ran on (not the poison rows), found from their own verdicts;
-    a Deduplicator's hashing has none (its global step traces the op).
-    """
-    quarantined = policy.on_error == "quarantine"
-    survivors: list[dict] = []
-    dropped: list[int] = []
-    found: list[tuple] = []
-    for index in range(len(dataset)):
-        row_in = dict(dataset[index])
-        text = get_field(row_in, op.text_key, "")
-        try:
-            keep, row_out = retry_call(
-                lambda: _run_single_row(op, dict(row_in)), policy, tracker, op.name, shard_id
-            )
-        except Exception as error:
-            dropped.append(index)
-            tracker.record_dropped_rows(op.name, 1, quarantined, shard_id)
-            if quarantine is not None and quarantined:
-                quarantine.write(row_in, op.name, error, shard_id=shard_id, row_index=index)
-            continue
-        healthy, edited = index - len(dropped), get_field(row_out, op.text_key, "")
-        if len(found) < trace_num and not keep:
-            found.append((healthy, row_out))
-        elif len(found) < trace_num and edited != text:
-            found.append((healthy, text, edited))
-        if keep:
-            survivors.append(row_out)
-    hashing = isinstance(op, Deduplicator)
-    # a hashing stage stamps no link of its own: the global step does
-    fingerprint = dataset.fingerprint if hashing else dataset.derive_fingerprint(
-        op.name, op.config()
-    )
-    if dropped:
-        fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": dropped})
-    result = NestedDataset.from_list(survivors, fingerprint=fingerprint)
-    if hashing:
-        return result, []
-    healthy = len(dataset) - len(dropped)
-    examples = segment_examples(op, [(healthy, len(result), 0.0, found)])
-    return result, [(op, healthy, len(result), examples)]
-
-
-def run_op_with_policy(
-    op: Any,
-    dataset: NestedDataset,
-    policy: ErrorPolicy,
-    tracker: FaultTracker,
-    profiler: RunProfiler,
-    quarantine: QuarantineWriter | None = None,
-    pool: Any = None,
-    shard_id: str | None = None,
-    first_error: BaseException | None = None,
-    trace_num: int = 0,
-) -> tuple[NestedDataset, list]:
-    """Run one segment op (a Mapper, a Filter or a Deduplicator's hashing) under the policy.
-
-    An attempt is the segment of this one op (:func:`_dispatch_segment`, in
-    the workers of ``pool`` when it holds the op, else here).  On failure it
-    is retried ``max_retries`` times with capped exponential backoff; a
-    persistent failure then either aborts with a fully-contextualised
-    :class:`repro.core.errors.OpExecutionError` (``raise``), or under a
-    lenient policy falls back to per-row isolation (:func:`_isolate_rows`).
-
-    ``first_error`` is a failure of this op over this dataset that already
-    happened inside a segment (in a pool worker or in-process): it is
-    recorded and counted as the first attempt instead of running the op.
-    Returns the output and its trace entries ``(op, rows in, rows out,
-    examples)``, at most ``trace_num`` examples each; the op's rows and
-    seconds go to ``profiler``.
-    """
-    attempt = 0
-    error = first_error
-    while True:
-        if error is None:
-            result, trace, failure = _dispatch_segment([op], dataset, pool, profiler, trace_num)
-            if failure is None:
-                return result, trace
-            error = failure[1]
-        tracker.record_op_error(op.name, error, shard_id)
-        if attempt < policy.max_retries:
-            tracker.record_retry(op.name, shard_id)
+    def settle(chunk: dict, outcome: tuple | None = None) -> tuple:
+        # the chunk's outcome once the segment ran clean on it or its retries
+        # ran out; ``outcome`` is its first run, if it had one
+        for attempt in count():
+            if outcome is None:
+                (outcome,) = run_chunks(ops, [chunk], trace_num)
+            if outcome[2] is None:
+                return outcome
+            op_name = ops[outcome[2][0]].name
+            tracker.record_op_error(op_name, outcome[2][1], shard_id)
+            if attempt == policy.max_retries:
+                return outcome
+            tracker.record_retry(op_name, shard_id)
             policy.sleep(attempt)
-            attempt += 1
-            error = None
-            continue
-        if not policy.lenient:
-            row_index = _probe_failing_row(op, dataset)
-            raise OpExecutionError(
-                describe_failure(op.name, error, shard_id, row_index),
-                op_name=op.name,
-                shard_id=shard_id,
-                row_index=row_index,
-            ) from error
-        logger.warning("operator %r failed persistently (%r); isolating rows", op.name, error)
-        start = time.perf_counter()
-        result, trace = _isolate_rows(op, dataset, policy, tracker, quarantine, shard_id, trace_num)
-        rows = () if isinstance(op, Deduplicator) else (len(dataset), len(result))
-        profiler.record(op, time.perf_counter() - start, *rows)
-        return result, trace
+            outcome = None
+
+    quarantined = policy.on_error == "quarantine"
+    pieces: list = []
+    dropped: list[int] = []
+    entered = [0] * len(ops)  # rows that entered each op, over the pieces so far
+    fatal = None  # the earliest persistent failure: (failure, chunk, rows before it)
+    for index, chunk in enumerate(dataset.iter_batches(size)):
+        outcome = outcomes[index]
+        if outcome[2] is not None:
+            outcome = settle(chunk, outcome)
+        failure = outcome[2]
+        if failure is None or not policy.lenient:
+            if failure is not None and (fatal is None or failure[0] < fatal[0][0]):
+                fatal = (failure, chunk, entered[failure[0]])
+            rows = [outcome]
+        else:
+            logger.warning(
+                "operator %r failed persistently (%r); running its chunk's rows alone",
+                ops[failure[0]].name, failure[1],
+            )
+            rows = (settle(row) for row in _rows_alone(chunk))
+        for position, piece in enumerate(rows, start=index * size):
+            if piece[2] is not None and policy.lenient:
+                op_index, error = piece[2]
+                op_name = ops[op_index].name
+                tracker.record_dropped_rows(op_name, 1, quarantined, shard_id)
+                if quarantine is not None and quarantined:
+                    (row,) = batch_to_rows(piece[0])
+                    quarantine.write(
+                        row, op_name, error, shard_id=shard_id, row_index=entered[op_index]
+                    )
+                dropped.append(position)
+            for op_index in range(len(ops)):
+                entered[op_index] += _entered(piece, op_index)
+            pieces.append(piece)
+    if fatal is None:
+        return pieces, dropped
+    (op_index, error), chunk, row_index = fatal
+    # the first row of the chunk that fails at that op alone, by its index in the op's input
+    for row in islice(_rows_alone(chunk), ROW_PROBE_LIMIT):
+        (outcome,) = run_chunks(ops, [row])
+        if outcome[2] is not None and outcome[2][0] == op_index:
+            break
+        row_index += _entered(outcome, op_index)
+    else:
+        row_index = None
+    op_name = ops[op_index].name
+    raise OpExecutionError(
+        describe_failure(op_name, error, shard_id, row_index),
+        op_name=op_name,
+        shard_id=shard_id,
+        row_index=row_index,
+    ) from error
 
 
-def _dispatch_segment(
-    ops: list, dataset: NestedDataset, pool: Any, profiler: Any, trace_num: int
-) -> tuple[NestedDataset | None, list, tuple[int, BaseException] | None]:
-    """One attempt at a segment: ``(result, trace, None)`` or ``(None, [], failure)``.
-
-    ``failure`` is ``(op index, exception)`` of the earliest failing op —
-    what a serial run would have hit first.  Per-op rows and seconds,
-    measured where the ops ran, reach the profiler only when the whole
-    segment succeeded, so a replay after a failure never counts a row twice.
-    ``trace`` holds an entry per Mapper/Filter: rows in and out, and examples
-    built lazily from the chunks' records, so a Filter row's stats are
-    completed only if a reservoir takes it.  A closing Deduplicator only
-    hashed: its rows, its call and its trace entry are the global step's.
-    """
-    result, per_chunk, failure = run_dataset_segment(ops, dataset, pool, trace_num)
-    if failure is not None:
-        return None, [], failure
+def _account(ops: list, outcomes: list, profiler: Any) -> list:
+    """Each op's rows and seconds over the kept chunk outcomes, to
+    ``profiler``; returns a trace entry ``(op, rows in, rows out, examples)``
+    per Mapper/Filter, the examples built lazily from the chunks' records.
+    A closing Deduplicator only hashed: its rows, its call and its trace
+    entry are the global step's."""
     trace = []
     for index, op in enumerate(ops):
-        records = [chunk[index] for chunk in per_chunk]
+        records = [chunk[index] for _, chunk, _, _ in outcomes if index < len(chunk)]
         seconds = sum((record[2] for record in records), 0.0)
         if isinstance(op, Deduplicator):
             profiler.record(op, seconds)
@@ -527,7 +486,7 @@ def _dispatch_segment(
         rows_out = sum(record[1] for record in records)
         profiler.record(op, seconds, rows_in, rows_out)
         trace.append((op, rows_in, rows_out, segment_examples(op, records)))
-    return result, trace, None
+    return trace
 
 
 def run_segment_with_policy(
@@ -547,37 +506,18 @@ def run_segment_with_policy(
     whose hashing stage is part of the segment; the chunks run in the workers
     of ``pool`` (which holds every op) or, with ``pool`` ``None``, in the
     calling process — the same :func:`repro.core.segment.run_segment` either
-    way.  The hashed dataset comes back for the caller's global step.  The
-    output carries the chained fingerprint of the ops, equal to what running
-    them one by one would stamp.  It comes back with the trace entries of
-    the ops it ran (see :func:`_dispatch_segment`), built by the segment.
-
-    Faults keep the per-op contract.  When op *k* fails, the dataset entering
-    it is rebuilt by replaying ops ``< k`` (pure, and fault-free on this
-    input), op *k* goes through :func:`run_op_with_policy` with the reported
-    failure as its first attempt — retries, error context, row isolation and
-    quarantine payloads do not depend on where the chunks ran — and the rest
-    of the segment is run again from its output.
+    way.  A failed chunk is contained in this process (:func:`_contain`), so
+    a fault adds no pool task.  The hashed dataset comes back for the
+    caller's global step, with the chained fingerprint of the ops (salted by
+    the rows the policy dropped) and the trace entries of :func:`_account`.
     """
-    trace: list = []
-    while ops:
-        result, done, failure = _dispatch_segment(ops, dataset, pool, profiler, trace_num)
-        if failure is None:
-            return result, trace + done
-        failed_at, error = failure
-        if failed_at:
-            dataset, done = run_segment_with_policy(
-                ops[:failed_at], dataset, pool, policy, tracker, quarantine,
-                profiler, shard_id, trace_num,
-            )
-            trace += done
-        dataset, done = run_op_with_policy(
-            ops[failed_at], dataset, policy, tracker, profiler, quarantine,
-            pool, shard_id, error, trace_num,
+    size, outcomes = run_dataset_segment(ops, dataset, pool, trace_num)
+    dropped: list[int] = []
+    if any(failure is not None for _batch, _records, failure, _cpu in outcomes):
+        outcomes, dropped = _contain(
+            ops, dataset, size, outcomes, policy, tracker, quarantine, shard_id, trace_num
         )
-        trace += done
-        ops = ops[failed_at + 1:]
-    return dataset, trace
+    return segment_output(ops, dataset, outcomes, dropped), _account(ops, outcomes, profiler)
 
 
 def retry_call(
@@ -592,7 +532,7 @@ def retry_call(
     The one retry loop of the non-op engine stages (a streaming shard's local
     work, the global resolve): retry first, verdict after — the final failure
     is re-raised unwrapped, so the caller applies its own policy verdict.  An
-    :class:`OpExecutionError` is a verdict the per-op layer already reached
+    :class:`OpExecutionError` is a verdict the segment layer already reached
     and passes straight through.
     """
     attempt = 0
@@ -620,6 +560,5 @@ __all__ = [
     "QuarantineWriter",
     "describe_failure",
     "retry_call",
-    "run_op_with_policy",
     "run_segment_with_policy",
 ]

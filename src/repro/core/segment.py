@@ -5,16 +5,19 @@ stage of a Deduplicator, driven over one column-batch chunk
 (``dict[str, list]``) op after op.  It is the engine's local unit of work:
 :func:`run_segment` is the same function whether the chunk was handed over in
 the calling process (``np = 1``, a degraded pool, the distributed runners'
-inline fallback — all through :func:`run_chunks`) or arrived as a pool task
-in a worker (:func:`repro.parallel.worker.run_task`).  :func:`apply_op` is the
-only engine code that calls an op's ``process_batched`` / ``filter_batched``
-/ ``compute_hash_batched``; ``tests/test_segment_engine.py`` holds the rest of
-``src/repro`` to that.
+inline fallback, the fault layer's retries — all through :func:`run_chunks`)
+or arrived as a pool task in a worker (:func:`repro.parallel.worker.run_task`).
+:func:`apply_op` is the only engine code that calls an op's
+``process_batched`` / ``filter_batched`` / ``compute_hash_batched``;
+``tests/test_segment_engine.py`` holds the rest of ``src/repro`` to that.
 
 :func:`run_dataset_segment` is the dataset-level view both ``op.run`` (a
 segment of one) and the fault layer's
 :func:`repro.core.faults.run_segment_with_policy` use: cut the dataset into
-chunks, run them here or in the pool, reassemble with the chained fingerprint.
+chunks by position and run every one of them, here or in the pool, handing
+back each chunk's outcome — a failed chunk stops nothing but itself.
+:func:`segment_output` reassembles the clean outcomes with the chained
+fingerprint.
 
 Each op's boundary is live only in here, so this is also where a tracer's
 examples are read, off the data and the keep flags the op returns.
@@ -29,7 +32,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.batch import batch_concat, batch_length, batch_to_rows
-from repro.core.dataset import NestedDataset, chain_fingerprint
+from repro.core.dataset import NestedDataset, _stable_hash, chain_fingerprint
 from repro.core.sample import get_field
 
 #: what a failed chunk reports: ``(index of the op that raised, exception)``
@@ -82,14 +85,14 @@ def _portable(error: BaseException) -> BaseException:
 
 def run_segment(
     ops: Sequence, batch: dict, trace_num: int = 0
-) -> tuple[dict | None, list[tuple[int, int, float, list]], Failure | None]:
+) -> tuple[dict, list[tuple[int, int, float, list]], Failure | None]:
     """Drive one column batch through ``ops`` in order.
 
     Returns ``(batch, records, failure)``: the surviving batch, one
     ``(rows_in, rows_out, seconds, found)`` record per completed op, and
-    ``None`` — or, when op *k* raised, ``(None, records of ops < k, (k,
-    exception))`` so the caller can hand exactly that op to the error
-    policy.  The output does not depend on how the dataset was cut into
+    ``None`` — or, when op *k* raised, ``(the batch op k was handed, records
+    of ops < k, (k, exception))``, so the caller knows which op failed and on
+    what.  The output does not depend on how the dataset was cut into
     chunks: per-sample ops' results are batch-boundary independent.
 
     ``found`` is what a tracer is shown of the op: up to ``trace_num``
@@ -98,27 +101,27 @@ def run_segment(
     cost, without a budget (no tracer).
     """
     records: list[tuple[int, int, float, list]] = []
-    batch = dict(batch)  # ops may rebind columns of the dict they are handed
     for index, op in enumerate(ops):
         rows_in = batch_length(batch)
         # what goes in, as a tracer sees it (texts now: a mapper may edit shared cells)
-        before = dict(batch) if trace_num else None
         texts = _texts(batch, op.text_key) if trace_num and isinstance(op, Mapper) else None
         start = time.perf_counter()
         try:
-            batch, flags = apply_op(op, batch)
+            # a dict of its own: ops may rebind the columns of the dict they are handed
+            output, flags = apply_op(op, dict(batch))
         except Exception as error:
-            return None, records, (index, _portable(error))
+            return batch, records, (index, _portable(error))
         seconds = time.perf_counter() - start
         found: list = []
         if texts is not None:
-            after = _texts(batch, op.text_key)
+            after = _texts(output, op.text_key)
             changed = (row for row, (old, new) in enumerate(zip(texts, after)) if old != new)
             found = [(row, texts[row], after[row]) for row in islice(changed, trace_num)]
         elif flags is not None and trace_num:
             dropped = islice((row for row, keep in enumerate(flags) if not keep), trace_num)
-            found = [(row, {key: cells[row] for key, cells in before.items()}) for row in dropped]
-        records.append((rows_in, batch_length(batch), seconds, found))
+            found = [(row, {key: cells[row] for key, cells in batch.items()}) for row in dropped]
+        records.append((rows_in, batch_length(output), seconds, found))
+        batch = output
     return batch, records, None
 
 
@@ -127,7 +130,9 @@ def run_chunks(ops: Sequence, chunks: Iterable[dict], trace_num: int = 0) -> lis
 
     ``chunks`` is consumed lazily, one chunk alive at a time.  Returns what
     :meth:`repro.parallel.WorkerPool.run_segment` returns for the same
-    chunks: one ``(batch, records, failure, cpu_seconds)`` per chunk, in order.
+    chunks: one ``(batch, records, failure, cpu_seconds)`` outcome per chunk,
+    in order, a failed chunk's included.  The fault layer retries a failed
+    chunk, and runs its rows one at a time, through here.
     """
     results = []
     for chunk in chunks:
@@ -138,33 +143,41 @@ def run_chunks(ops: Sequence, chunks: Iterable[dict], trace_num: int = 0) -> lis
 
 def run_dataset_segment(
     ops: Sequence, dataset: NestedDataset, pool: Any = None, trace_num: int = 0
-) -> tuple[NestedDataset | None, list[list[tuple]], Failure | None]:
-    """Run a segment over a whole dataset: ``(result, per-chunk records, failure)``.
+) -> tuple[int, list[tuple]]:
+    """Run a segment over every chunk of a dataset: ``(chunk size, outcomes)``.
 
     With a :class:`repro.parallel.WorkerPool` (which must hold every op) the
     chunks are the pool's and travel as one task each, ``trace_num`` with
     them; without one they are sized by the first op's char-adaptive batch
-    rule (:meth:`OP.effective_batch_size`) and run here, lazily.  ``failure``
-    is the earliest failing op over all chunks — what a serial run would
-    have hit first — and then there is no result.  Otherwise the result
-    carries the chained fingerprint of the ops, equal to what running them one
-    by one stamps; a closing Deduplicator's hashing stamps no link of its own
-    (the global step stamps the op's, over the rows that entered it).
+    rule (:meth:`OP.effective_batch_size`) and run here, lazily.  Chunk *i*
+    is the dataset's rows ``[i * size, (i + 1) * size)``, so a caller can
+    re-slice any chunk by position; its outcome is the ``(batch, records,
+    failure, cpu_seconds)`` of :func:`run_chunks`, and every chunk runs
+    whether or not another one failed.
     """
     if pool is None:
-        chunks = dataset.iter_batches(ops[0].effective_batch_size(dataset))
-        results = run_chunks(ops, chunks, trace_num)
-    else:
-        chunks = list(dataset.iter_batches(pool.chunk_size_for(len(dataset))))
-        results = pool.run_segment(ops, chunks, trace_num)
-    failures = [failure for _batch, _records, failure, _cpu in results if failure is not None]
-    if failures:
-        return None, [], min(failures, key=lambda failure: failure[0])
+        size = ops[0].effective_batch_size(dataset)
+        return size, run_chunks(ops, dataset.iter_batches(size), trace_num)
+    size = pool.chunk_size_for(len(dataset))
+    return size, pool.run_segment(ops, list(dataset.iter_batches(size)), trace_num)
+
+
+def segment_output(
+    ops: Sequence, dataset: NestedDataset, outcomes: Iterable[tuple], dropped: Sequence[int] = ()
+) -> NestedDataset:
+    """The dataset the clean outcomes of a segment over ``dataset`` make, in order.
+
+    It carries the chained fingerprint of the ops, equal to what running them
+    one by one stamps; a closing Deduplicator's hashing stamps no link of its
+    own (the global step stamps the op's, over the rows that entered it).
+    ``dropped`` — the positions in ``dataset`` of rows the fault layer took
+    out — salts it, so an output missing rows never passes for the clean one.
+    """
     fingerprint = dataset.fingerprint
     for op in ops:
         if not isinstance(op, Deduplicator):
             fingerprint = chain_fingerprint(fingerprint, op.name, op.config())
-    result = NestedDataset.from_batches(
-        [batch for batch, _records, _failure, _cpu in results], fingerprint=fingerprint
-    )
-    return result, [records for _batch, records, _failure, _cpu in results], None
+    if dropped:
+        fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": list(dropped)})
+    batches = [batch for batch, _records, failure, _cpu in outcomes if failure is None]
+    return NestedDataset.from_batches(batches, fingerprint=fingerprint)

@@ -14,7 +14,6 @@ class ClusterSpec:
 
     num_nodes: int = 1
     cores_per_node: int = 1
-    network_bandwidth_gbps: float = 20.0
 
     @property
     def total_workers(self) -> int:
@@ -51,7 +50,6 @@ class ScalabilitySweep:
     process_list: list
     node_counts: list[int] = field(default_factory=lambda: [1, 2, 4])
     cores_per_node: int = 1
-    start_method: str | None = None
 
     def run(self, dataset: NestedDataset, backends: tuple[str, ...] = ("ray", "beam")) -> list[SweepPoint]:
         """Execute the sweep and return one :class:`SweepPoint` per (backend, nodes)."""
@@ -61,9 +59,9 @@ class ScalabilitySweep:
                 spec = ClusterSpec(num_nodes=num_nodes, cores_per_node=self.cores_per_node)
                 runner: RayLikeRunner
                 if backend == "ray":
-                    runner = RayLikeRunner(num_nodes=spec.total_workers, start_method=self.start_method)
+                    runner = RayLikeRunner(num_nodes=spec.total_workers)
                 elif backend == "beam":
-                    runner = BeamLikeRunner(num_nodes=spec.total_workers, start_method=self.start_method)
+                    runner = BeamLikeRunner(num_nodes=spec.total_workers)
                 else:
                     raise ValueError(f"unknown backend {backend!r}")
                 result: RunResult = runner.run(dataset, self.process_list)

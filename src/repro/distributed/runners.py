@@ -77,19 +77,10 @@ class RunResult:
 class RayLikeRunner:
     """Partition-parallel runner standing in for the Ray executor."""
 
-    def __init__(
-        self,
-        num_nodes: int = 1,
-        use_processes: bool = True,
-        start_method: str | None = None,
-        chunk_size: int | None = None,
-    ):
+    def __init__(self, num_nodes: int = 1):
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         self.num_nodes = num_nodes
-        self.use_processes = use_processes
-        self.start_method = start_method
-        self.chunk_size = chunk_size
 
     def _split_process_list(self, process_list: list) -> tuple[list, list]:
         """Split the recipe into sample-level entries and dataset-level entries.
@@ -116,10 +107,8 @@ class RayLikeRunner:
         # points would amortise a one-off cost the single-node baseline pays
         # on every measurement (or vice versa)
         pool = None
-        if self.use_processes and self.num_nodes > 1 and sample_level:
-            pool = get_shared_pool(
-                self.num_nodes, sample_level, start_method=self.start_method
-            )
+        if self.num_nodes > 1 and sample_level:
+            pool = get_shared_pool(self.num_nodes, sample_level)
         # inline ops are provisioned unconditionally: they also serve the
         # fallback taken when a provisioned pool goes unused because the
         # dataset is too small to partition (0/1 rows), which would otherwise
@@ -140,7 +129,7 @@ class RayLikeRunner:
         for node_id, partition in enumerate(partitions):
             size = max(1, len(partition))
             if pooled:
-                size = self.chunk_size or pool.chunk_size or default_chunk_size(size, 1)
+                size = pool.chunk_size or default_chunk_size(size, 1)
             for chunk in partition.iter_batches(size):
                 owners.append(node_id)
                 chunks.append(chunk)

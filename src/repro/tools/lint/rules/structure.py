@@ -1,7 +1,7 @@
 """Structural rules: batched parity, picklability and registry hygiene.
 
 The columnar op engine, the per-sample callers (Analyzer, fused execution,
-row isolation, the reference oracle) and the equivalence suite
+the reference oracle) and the equivalence suite
 (``tests/test_batch_equivalence.py``) assume every op implements *both*
 sides of its category's interface; spawn-mode :class:`repro.parallel.
 WorkerPool` assumes every op instance pickles; and recipe resolution assumes
@@ -67,7 +67,7 @@ class BatchedParityRule(LintRule):
     summary = "ops overriding a *_batched method must implement the per-row path too"
     rationale = (
         "op.run only calls the batched entry points, but the Analyzer, fused "
-        "execution, the fault layer's row isolation and the reference oracle "
+        "execution and the reference oracle "
         "(repro.testing.reference.run_per_row) all call the per-row methods; an "
         "op with only a batched implementation works until the first of those "
         "callers, and an op implementing neither side of its category's "

@@ -26,6 +26,7 @@ from repro.core.errors import OpExecutionError
 from repro.core.executor import Executor
 from repro.core.exporter import Exporter
 from repro.core.faults import DegradedExecutionWarning
+from repro.ops.mappers.whitespace_normalization_mapper import WhitespaceNormalizationMapper
 from repro.recipes import get_recipe
 from repro.synth import c4_like
 from repro.testing import FaultPlan
@@ -802,3 +803,127 @@ class TestSegmentFaultParity:
         assert exported == reference
         # one segment, at most 8 chunks: the rebuild replays, it does not add tasks
         assert report["parallel"]["tasks"] <= 8
+
+
+class DivergentWhitespaceMapper(WhitespaceNormalizationMapper):
+    """A whitespace mapper whose per-row ``process`` marks the text its
+    batched kernel leaves alone: any row a run sends down the per-row path
+    shows in the export."""
+
+    def process(self, sample: dict) -> dict:
+        sample = super().process(sample)
+        return self.set_text(sample, self.get_text(sample) + " (per-row path)")
+
+
+class TestOneKernelUnderFaults:
+    """A faulted run applies the kernels a clean run applies: its export is
+    the clean export minus the poison row, even for an op whose per-row
+    method disagrees with its batched one."""
+
+    POISON = MARKER_TEXTS[1][:40]
+
+    def run(self, tmp_path, tag, rows, mode, np, poisoned):
+        config = {
+            "process": SIMPLE_PROCESS,
+            "export_path": str(tmp_path / f"{tag}.jsonl"),
+            "work_dir": str(tmp_path / f"work-{tag}"),
+            "np": np,
+            "max_shard_rows": 25,
+            "on_error": "quarantine",
+        }
+        with Executor(config) as executor:
+            executor.ops[0] = DivergentWhitespaceMapper()
+            if poisoned:
+                FaultPlan().inject(
+                    "whitespace_normalization_mapper", match=self.POISON
+                ).install(executor.ops)
+            if mode == "memory":
+                executor.run(NestedDataset.from_list(rows))
+            else:
+                executor.run_streaming(NestedDataset.from_list(rows))
+        return executor.last_report["faults"], export_lines(tmp_path / f"{tag}.jsonl")
+
+    @pytest.mark.parametrize("mode, np", itertools.product(["memory", "streaming"], [1, 2]))
+    def test_quarantine_exports_the_clean_lines_minus_the_poison_row(self, tmp_path, mode, np):
+        rows = corpus_with_markers(num_samples=60)
+        _faults, clean = self.run(tmp_path, "clean", rows, mode, np, poisoned=False)
+        faults, faulted = self.run(tmp_path, "faulted", rows, mode, np, poisoned=True)
+        assert not any("(per-row path)" in line for line in clean)
+        assert faulted == [line for line in clean if self.POISON not in line]
+        assert faults["quarantined_rows"] == 1
+
+
+def count_per_row_calls(op, calls: list) -> None:
+    """Log in ``calls`` every row handed to ``op``'s per-row methods."""
+    for name in ("process", "compute_stats"):
+        method = getattr(op, name, None)
+        if method is None:
+            continue
+
+        def counting(row, *args, _method=method):
+            calls.append(row)
+            return _method(row, *args)
+
+        setattr(op, name, counting)
+
+
+class TestAFaultCostsItsChunk:
+    """One poison row costs the chunk it is in, not the dataset: the fault
+    layer runs at most that chunk's rows alone, and adds no pool task."""
+
+    @pytest.mark.parametrize("np", [1, 2])
+    def test_rows_run_alone_stay_within_the_poison_chunk(self, tmp_path, monkeypatch, np):
+        from repro.core import segment
+        from repro.core.batch import batch_length
+        from repro.parallel import WorkerPool
+
+        rows = c4_like(num_samples=2400, seed=5).to_list()
+        rows.insert(1234, {"text": MARKER_TEXTS[0]})
+        alone = []  # rows run on their own: one-row segments, per-row op methods
+        poison_chunks = []  # rows of each multi-row chunk that held the poison row
+
+        def watch(batches):
+            for batch in batches:
+                if batch_length(batch) == 1:
+                    alone.append(batch)
+                elif any(MARKER in text for text in batch["text"]):
+                    poison_chunks.append(batch_length(batch))
+
+        run_segment, pool_run_segment = segment.run_segment, WorkerPool.run_segment
+
+        def spy_segment(ops, batch, trace_num=0):
+            watch([batch])
+            return run_segment(ops, batch, trace_num)
+
+        def spy_pool(pool, ops, batches, trace_num=0):
+            watch(batches)
+            return pool_run_segment(pool, ops, batches, trace_num)
+
+        monkeypatch.setattr(segment, "run_segment", spy_segment)
+        monkeypatch.setattr(WorkerPool, "run_segment", spy_pool)
+
+        def run(tag, poisoned):
+            config = {
+                "process": SIMPLE_PROCESS,
+                "export_path": str(tmp_path / f"{tag}.jsonl"),
+                "work_dir": str(tmp_path / f"work-{tag}"),
+                "np": np,
+                "on_error": "quarantine",
+            }
+            with Executor(config) as executor:
+                if poisoned:
+                    FaultPlan().inject("words_num_filter", match=MARKER).install(executor.ops)
+                for op in executor.ops:
+                    count_per_row_calls(op, alone)
+                executor.run(NestedDataset.from_list(rows))
+            return executor.last_report
+
+        clean = run("clean", poisoned=False)
+        assert alone == []
+        poison_chunks.clear()
+        faulted = run("faulted", poisoned=True)
+        assert faulted["faults"]["quarantined_rows"] == 1
+        assert 1 <= len(alone) <= poison_chunks[0] < len(rows)
+        # the poison chunk ran once whole: nothing replays the dataset
+        assert len(poison_chunks) == 1
+        assert faulted["parallel"]["tasks"] == clean["parallel"]["tasks"]

@@ -168,7 +168,7 @@ class TestExecutor:
         # wipe the checkpoint, then re-run: every op is now a cache hit, and
         # the checkpoint must still advance to the end of the recipe
         second = Executor(config)
-        second.checkpoint.clear()
+        (second.checkpoint.checkpoint_dir / second.checkpoint.STATE_FILE).unlink()
         second.run(data)
         assert second.last_report["cache"]["hits"] == len(PROCESS)
         state = second.checkpoint.read_state()

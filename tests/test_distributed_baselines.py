@@ -58,7 +58,7 @@ class TestRunners:
         )
 
     def test_single_node_runs_in_process(self, corpus, reference_output):
-        result = RayLikeRunner(num_nodes=1, use_processes=False).run(corpus, PROCESS)
+        result = RayLikeRunner(num_nodes=1).run(corpus, PROCESS)
         assert len(result.dataset) == len(reference_output)
 
     def test_beam_like_matches_results_but_adds_load_time(self, corpus, reference_output):
@@ -100,7 +100,7 @@ class TestRunners:
         assert len(set(result.worker_pids)) <= 2
 
     def test_inline_run_reports_no_worker_pids(self, corpus):
-        result = RayLikeRunner(num_nodes=1, use_processes=False).run(corpus, PROCESS)
+        result = RayLikeRunner(num_nodes=1).run(corpus, PROCESS)
         assert result.worker_pids == []
         assert result.simulated_time_s > 0.0
 

@@ -2,7 +2,7 @@
 
 The deterministic chaos scenarios over full pipelines live in
 ``tests/test_chaos.py``; this module covers the building blocks: the policy
-dataclass, the tracker, the quarantine writer, the policy-aware op runner,
+dataclass, the tracker, the quarantine writer, the policy-aware segment runner,
 the worker-pool close path and the config/API/report surfaces.
 """
 
@@ -23,7 +23,7 @@ from repro.core.faults import (
     QuarantineWriter,
     describe_failure,
     retry_call,
-    run_op_with_policy,
+    run_segment_with_policy,
 )
 from repro.core.monitor import RunProfiler
 from repro.core.report import RunReport
@@ -147,13 +147,20 @@ class TestQuarantineWriter:
         assert writer.count == 5
 
 
-class TestRunOpWithPolicy:
+def run_policy(op, dataset, policy, tracker=None, quarantine=None):
+    """A segment of one op, in-process, under ``policy``: the output dataset."""
+    tracker = tracker if tracker is not None else FaultTracker()
+    out, _trace = run_segment_with_policy(
+        [op], dataset, None, policy, tracker, quarantine, RunProfiler()
+    )
+    return out
+
+
+class TestRunSegmentWithPolicy:
     def test_skip_drops_only_the_poison_row(self):
         op = poisoned_mapper()
         tracker = FaultTracker()
-        out, _trace = run_op_with_policy(
-            op, poison_dataset(), ErrorPolicy(on_error="skip"), tracker, RunProfiler()
-        )
+        out = run_policy(op, poison_dataset(), ErrorPolicy(on_error="skip"), tracker)
         assert [row["text"] for row in out] == [
             "a perfectly ordinary document",
             "another fine document",
@@ -166,13 +173,8 @@ class TestRunOpWithPolicy:
         op = poisoned_mapper()
         tracker = FaultTracker()
         quarantine = QuarantineWriter(tmp_path / "q")
-        out, _trace = run_op_with_policy(
-            op,
-            poison_dataset(),
-            ErrorPolicy(on_error="quarantine"),
-            tracker,
-            RunProfiler(),
-            quarantine,
+        out = run_policy(
+            op, poison_dataset(), ErrorPolicy(on_error="quarantine"), tracker, quarantine
         )
         quarantine.close()
         assert len(out) == 2
@@ -185,9 +187,7 @@ class TestRunOpWithPolicy:
     def test_raise_aborts_with_op_and_row_context(self):
         op = poisoned_mapper()
         with pytest.raises(OpExecutionError) as excinfo:
-            run_op_with_policy(
-                op, poison_dataset(), ErrorPolicy(), FaultTracker(), RunProfiler()
-            )
+            run_policy(op, poison_dataset(), ErrorPolicy())
         message = str(excinfo.value)
         assert "whitespace_normalization_mapper" in message
         assert "row index: 1" in message
@@ -200,24 +200,14 @@ class TestRunOpWithPolicy:
             "whitespace_normalization_mapper", times=2
         ).install([op])
         tracker = FaultTracker()
-        out, _trace = run_op_with_policy(
-            op,
-            poison_dataset(),
-            ErrorPolicy(max_retries=3, backoff_s=0),
-            tracker,
-            RunProfiler(),
-        )
+        out = run_policy(op, poison_dataset(), ErrorPolicy(max_retries=3, backoff_s=0), tracker)
         assert len(out) == 3  # nothing dropped: the op healed on retry
         assert tracker.retries == 2
 
     def test_fingerprint_salted_by_dropped_rows(self):
         clean = load_ops([{"whitespace_normalization_mapper": {}}])[0]
         clean_out = clean.run(poison_dataset().select([0, 2]))
-        faulty = poisoned_mapper()
-        faulty_out, _trace = run_op_with_policy(
-            faulty, poison_dataset(), ErrorPolicy(on_error="skip"), FaultTracker(),
-            RunProfiler(),
-        )
+        faulty_out = run_policy(poisoned_mapper(), poison_dataset(), ErrorPolicy(on_error="skip"))
         assert clean_out.to_list() == faulty_out.to_list()
         assert clean_out.fingerprint != faulty_out.fingerprint
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.batch import batch_length
 from repro.core.dataset import NestedDataset
 from repro.core.executor import Executor
 from repro.core.segment import run_segment
@@ -138,8 +139,9 @@ class TestWorkerPool:
 
     def test_worker_failure_is_reported_not_raised(self, corpus):
         """An op raising inside a worker comes back as (op index, exception)
-        with the stats of the ops before it; ``op.run(pool=)``, which owns no
-        fault policy, re-raises it like an in-process run."""
+        with the stats of the ops before it and the batch the op was handed;
+        ``op.run(pool=)``, which owns no fault policy, re-raises it like an
+        in-process run."""
         from repro.testing import FaultPlan
         from repro.testing.chaos import ChaosFault
 
@@ -147,7 +149,7 @@ class TestWorkerPool:
         FaultPlan().inject("text_length_filter").install(ops)
         with WorkerPool(2, ops=ops) as pool:
             (batch, stats, failure, _cpu), = pool.run_segment(ops, [corpus.to_dict()])
-            assert batch is None and len(stats) == 2
+            assert len(stats) == 2 and batch_length(batch) == stats[1][1]
             assert failure[0] == 2 and isinstance(failure[1], ChaosFault)
             with pytest.raises(ChaosFault):
                 ops[2].run(corpus, pool=pool)

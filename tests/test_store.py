@@ -274,13 +274,6 @@ class TestCheckpointManager:
         (tmp_path / CheckpointManager.STATE_FILE).write_bytes(garbage.encode("latin-1"))
         assert manager.read_state() is None
 
-    def test_clear(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        manager.write_state({"op_index": 1})
-        manager.clear()
-        manager.clear()  # absent: a no-op
-        assert manager.read_state() is None
-
 
 # ----------------------------------------------------------------------
 # The executor over the store: one export sha however a run persists

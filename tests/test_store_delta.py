@@ -471,7 +471,7 @@ class TestResumeChain:
             dataset = decode(dataset, store.get(key))
             store.put(key, dataset)
         assert dataset == output
-        first.checkpoint.clear()
+        (first.checkpoint.checkpoint_dir / first.checkpoint.STATE_FILE).unlink()
 
         cache_only = {"use_cache": True, "op_fusion": False}
         again, _, second = run_recipe(tmp_path, "again", marked_input, WEB_CLEAN, **cache_only)
