@@ -120,8 +120,8 @@ class NestedDataset:
         return len(next(iter(self._columns.values())))
 
     def __iter__(self) -> Iterator[dict]:
-        for index in range(len(self)):
-            yield self[index]
+        keys = list(self._columns)
+        return (dict(zip(keys, values)) for values in zip(*self._columns.values()))
 
     def __getitem__(self, item: int | slice | str) -> Any:
         if isinstance(item, str):
@@ -329,7 +329,7 @@ class NestedDataset:
         if isinstance(names, str):
             names = [names]
         drop = set(names)
-        columns = {key: values for key, values in self.to_dict().items() if key not in drop}
+        columns = {key: values for key, values in self._columns.items() if key not in drop}
         return NestedDataset(
             columns, fingerprint=self._derive_fingerprint("remove_columns", sorted(drop))
         )

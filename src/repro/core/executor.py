@@ -691,11 +691,11 @@ class Executor:
             total_rows = 0
             export_paths: list[str] = []
 
-            def final_rows() -> Iterator[dict]:
+            def final_shards() -> Iterator[NestedDataset]:
                 nonlocal total_rows
                 for shard in source:
                     total_rows += len(shard)
-                    yield from shard
+                    yield shard
 
             if self.cfg.export_path:
                 # a shard-output request with no explicit budget still
@@ -709,9 +709,10 @@ class Executor:
                     shard_rows=export_rows if shard_output else None,
                     shard_chars=export_chars if shard_output else None,
                 )
-                export_paths = [str(path) for path in exporter.export_stream(final_rows())]
+                rows = (row for shard in final_shards() for row in exporter.rows(shard))
+                export_paths = [str(path) for path in exporter.export_stream(rows)]
             else:
-                for _row in final_rows():
+                for _shard in final_shards():
                     pass
             # what a later run resumes from: the shards this run found or wrote
             self._stores.retain(self._root)

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator
 
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
-from repro.core.sample import Fields, strip_internal_fields
+from repro.core.sample import Fields, internal_fields, strip_internal_fields
 from repro.core.serialization import JsonSanitizer
 
 
@@ -90,19 +90,27 @@ class Exporter:
         exporter it is the first numbered shard (``export_path`` is then a
         naming template, never a file on disk).
         """
-        return self.export_stream(iter(dataset))[0]
+        return self.export_stream(self.rows(dataset))[0]
+
+    def rows(self, dataset: NestedDataset) -> Iterator[dict]:
+        """The dataset's rows as exported: its internal columns dropped once."""
+        drop = internal_fields(self.keep_stats).intersection(dataset.column_names)
+        return iter(dataset.remove_columns(drop) if drop else dataset)
 
     def export_stream(self, rows: Iterable[dict]) -> list[Path]:
         """Stream rows to disk, returning every path written.
 
-        Rows are stripped of internal bookkeeping fields and explicitly
-        sanitised (one :class:`~repro.core.serialization.SerializationWarning`
-        per export names any keys whose values were not JSON-safe).
+        Rows are stripped of internal bookkeeping fields (a row from :meth:`rows`
+        has none and is not copied) and explicitly sanitised (one
+        :class:`~repro.core.serialization.SerializationWarning` per export
+        names any keys whose values were not JSON-safe).
         """
         self.export_path.parent.mkdir(parents=True, exist_ok=True)
         sanitizer = JsonSanitizer()
+        internal = internal_fields(self.keep_stats)
         stripped = (
-            strip_internal_fields(row, keep_stats=self.keep_stats) for row in rows
+            row if internal.isdisjoint(row) else strip_internal_fields(row, self.keep_stats)
+            for row in rows
         )
         if self.export_format == "json":
             paths = [self._write_json_array(stripped, sanitizer)]

@@ -127,15 +127,19 @@ def clear_context(sample: dict) -> dict:
     return sample
 
 
+def internal_fields(keep_stats: bool = False) -> set[str]:
+    """The bookkeeping keys an export drops: hashes, context and (unless kept) stats."""
+    stats = () if keep_stats else (Fields.stats,)
+    return {Fields.context, HashKeys.hash, HashKeys.minhash, HashKeys.simhash, *stats}
+
+
 def strip_internal_fields(sample: dict, keep_stats: bool = False) -> dict:
     """Return a copy of the sample without internal bookkeeping fields.
 
     Hash columns, context and (optionally) stats are removed so that exported
     data only contains user-facing content.
     """
-    internal = {Fields.context, HashKeys.hash, HashKeys.minhash, HashKeys.simhash}
-    if not keep_stats:
-        internal.add(Fields.stats)
+    internal = internal_fields(keep_stats)
     return {key: value for key, value in sample.items() if key not in internal}
 
 

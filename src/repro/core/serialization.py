@@ -28,9 +28,9 @@ _MAX_REPORTED_KEYS = 8
 class JsonSanitizer:
     """Serialise rows to JSON, tracking keys whose values are not JSON-safe.
 
-    ``dumps`` is the hot path: it first tries a plain ``json.dumps`` (no
-    ``default`` hook), which succeeds for the overwhelming majority of rows
-    without any extra allocation.  Only rows that fail are walked and
+    ``dumps`` is the hot path: a plain encode (no ``default`` hook) by one
+    resident ``json.JSONEncoder`` per kwargs set succeeds for the
+    overwhelming majority of rows.  Only rows that fail are walked and
     sanitised — non-JSON leaves become their ``repr`` string and the dotted
     key path is recorded in :attr:`offending`.  Call :meth:`warn` once per
     write operation to surface everything that was converted.
@@ -39,18 +39,19 @@ class JsonSanitizer:
     def __init__(self) -> None:
         #: dotted key path -> type name of the first offending value seen there
         self.offending: dict[str, str] = {}
+        self._encoders: dict[frozenset, json.JSONEncoder] = {}
 
     # ------------------------------------------------------------------
     def dumps(self, row: dict, **kwargs: Any) -> str:
-        """Return the JSON encoding of ``row``, sanitising only when needed."""
+        """Return ``json.dumps(row, **kwargs)``, sanitising only when needed."""
+        key = frozenset(kwargs.items())
+        encoder = self._encoders.get(key)
+        if encoder is None:
+            encoder = self._encoders[key] = json.JSONEncoder(**kwargs)
         try:
-            return json.dumps(row, **kwargs)
+            return encoder.encode(row)
         except (TypeError, ValueError):
-            return json.dumps(self.sanitize_row(row), **kwargs)
-
-    def sanitize_row(self, row: dict) -> dict:
-        """Return a deep-sanitised copy of ``row`` (JSON-safe leaves only)."""
-        return self._sanitize(row, "")
+            return encoder.encode(self._sanitize(row, ""))
 
     def _sanitize(self, value: Any, path: str) -> Any:
         if value is None or isinstance(value, (bool, int, float, str)):

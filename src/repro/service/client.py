@@ -5,7 +5,7 @@ protocol over the same route table, so a test written against
 :class:`InProcessClient` exercises byte-for-byte what an
 :class:`HTTPClient` (and hence any network consumer) would see — without
 binding a port.  The shared convenience helpers (``submit_job``,
-``wait_for_job``) are the canonical polling loop for both.
+``wait_for_job``, which never polls) are the job workflow of both.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from typing import Any
 
 from repro.service.core import ServiceCore
 from repro.service.types import JobState
+
+WAIT_WINDOW_S = 10.0  # the longest wait one status request asks for (< the socket timeout)
 
 
 @dataclass(frozen=True)
@@ -59,29 +61,27 @@ class _BaseClient:
         """``POST /jobs`` and return the accepted job view."""
         return self.post("/jobs", payload).raise_for_status().body["job"]
 
-    def job(self, job_id: str) -> dict:
-        """``GET /jobs/<id>`` and return the current job view."""
-        return self.get(f"/jobs/{job_id}").raise_for_status().body["job"]
+    def job(self, job_id: str, wait: float | None = None) -> dict:
+        """``GET /jobs/<id>``; with ``wait``, answered once the job ends or ``wait`` s pass."""
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return self.get(f"/jobs/{job_id}{query}").raise_for_status().body["job"]
 
-    def wait_for_job(
-        self, job_id: str, timeout: float = 120.0, poll_s: float = 0.05
-    ) -> dict:
-        """Poll job status until terminal; raise on timeout.
+    def wait_for_job(self, job_id: str, timeout: float = 120.0) -> dict:
+        """Wait until the job is terminal, one :data:`WAIT_WINDOW_S` window at a time.
 
-        Deliberately polls through the status endpoint (instead of peeking
-        at server internals) so waiting exercises the same surface a remote
-        client has.
+        A job ending inside one window costs one status request (the endpoint a
+        remote client has), answered when it ends; ``TimeoutError`` after ``timeout``.
         """
         deadline = time.monotonic() + timeout
         while True:
-            view = self.job(job_id)
+            remaining = max(0.0, deadline - time.monotonic())
+            view = self.job(job_id, wait=min(WAIT_WINDOW_S, remaining))
             if view["state"] in JobState.TERMINAL:
                 return view
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {view['state']!r} after {timeout}s"
                 )
-            time.sleep(poll_s)
 
     def job_report(self, job_id: str) -> dict:
         """``GET /jobs/<id>/report`` and return the RunReport payload."""
@@ -134,4 +134,4 @@ class HTTPClient(_BaseClient):
             return ServiceResponse(status=error.code, body=body)
 
 
-__all__ = ["HTTPClient", "InProcessClient", "ServiceResponse"]
+__all__ = ["WAIT_WINDOW_S", "HTTPClient", "InProcessClient", "ServiceResponse"]

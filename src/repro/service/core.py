@@ -17,7 +17,7 @@ Routes::
     POST /validate               schema + dataflow validation of a recipe
     POST /jobs                   submit a job (202, bounded FIFO queue)
     GET  /jobs                   every job's view, in submission order
-    GET  /jobs/<id>              one job's view
+    GET  /jobs/<id>[?wait=S]     one job's view, once it ends or S seconds pass
     POST /jobs/<id>/cancel       cancel a *queued* job
     GET  /jobs/<id>/report       the finished job's RunReport
     GET  /jobs/<id>/trace        just the report's tracer summary
@@ -27,11 +27,14 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Any
+from urllib.parse import parse_qs
 
 from repro.service.catalog import CatalogService, ValidationService
 from repro.service.jobs import DEFAULT_QUEUE_LIMIT, JobManager
 from repro.service.runtime import ServiceRuntime
 from repro.service.types import JobSpec, ServiceError
+
+MAX_WAIT_S = 30.0  # the longest one ``GET /jobs/<id>?wait=S`` is held open
 
 
 class ServiceCore:
@@ -54,12 +57,13 @@ class ServiceCore:
         self, method: str, path: str, payload: Any = None
     ) -> tuple[int, dict]:
         """Dispatch one request; never raises — errors become status bodies."""
+        path, _, query = path.partition("?")  # a query never changes the route
         try:
-            return self._route(method.upper(), path, payload)
+            return self._route(method.upper(), path, parse_qs(query, True), payload)
         except ServiceError as error:
             return error.status, error.as_dict()
 
-    def _route(self, method: str, path: str, payload: Any) -> tuple[int, dict]:
+    def _route(self, method: str, path: str, query: dict, payload: Any) -> tuple[int, dict]:
         parts = [part for part in path.split("/") if part]
         if not parts:
             raise ServiceError.not_found("no route at '/' (try GET /health)")
@@ -86,11 +90,11 @@ class ServiceCore:
             self._require(method, "POST", path)
             return 200, self.validation.validate(payload)
         if head == "jobs":
-            return self._route_jobs(method, path, rest, payload)
+            return self._route_jobs(method, path, rest, query, payload)
         raise ServiceError.not_found(f"no route for {method} {path}")
 
     def _route_jobs(
-        self, method: str, path: str, rest: list[str], payload: Any
+        self, method: str, path: str, rest: list[str], query: dict, payload: Any
     ) -> tuple[int, dict]:
         if not rest:
             if method == "POST":
@@ -102,6 +106,8 @@ class ServiceCore:
         action = rest[1] if len(rest) > 1 else None
         if action is None:
             self._require(method, "GET", path)
+            if "wait" in query:  # answered once the job ends, or the wait passes
+                job.done.wait(_wait_s(query["wait"][-1]))
             return 200, {"job": job.view.as_dict()}
         if action == "cancel" and len(rest) == 2:
             self._require(method, "POST", path)
@@ -142,6 +148,13 @@ class ServiceCore:
         self.jobs.shutdown()
 
 
+def _wait_s(raw: str) -> float:
+    """A ``wait`` query value (decimal seconds), capped at :data:`MAX_WAIT_S`."""
+    if not raw.replace(".", "", 1).isdecimal():  # negative, NaN or not a number
+        raise ServiceError.bad_request(f"wait must be a number of seconds >= 0, not {raw!r}")
+    return min(float(raw), MAX_WAIT_S)
+
+
 def create_core(
     root: str | Path, queue_limit: int = DEFAULT_QUEUE_LIMIT
 ) -> ServiceCore:
@@ -155,4 +168,4 @@ def create_core(
     )
 
 
-__all__ = ["ServiceCore", "create_core"]
+__all__ = ["MAX_WAIT_S", "ServiceCore", "create_core"]

@@ -49,8 +49,8 @@ class JobManager:
     """Bounded FIFO job queue with a single execution worker thread.
 
     All public methods are thread-safe; state transitions happen under one
-    lock and every terminal transition sets the job's ``done`` event (and
-    notifies a condition, for :meth:`wait`).  ``pause``/``resume`` gate the
+    lock and every terminal transition sets the job's ``done`` event, which
+    ``GET /jobs/<id>?wait=S`` blocks on.  ``pause``/``resume`` gate the
     worker *between* jobs — used by tests to cancel a queued job
     deterministically and by shutdown to drain cleanly.
     """
@@ -136,12 +136,6 @@ class JobManager:
                 f"job {job_id} is running; a running pipeline cannot be killed "
                 "mid-shard (wait for it to finish)"
             )
-
-    def wait(self, job_id: str, timeout: float | None = None) -> JobView:
-        """Block until the job is terminal (or timeout); return its view."""
-        job = self.get(job_id)
-        job.done.wait(timeout)
-        return job.view
 
     # ------------------------------------------------------------------
     # Worker gating / lifecycle

@@ -6,7 +6,8 @@ over a real socket, unlike the tier-1 tests:
 1. synthesize a small corpus and write it to disk;
 2. start a ``repro serve`` server on an **ephemeral port** (a daemon
    thread running the stdlib HTTP adapter);
-3. submit a fig8 refinement job over HTTP and poll it to completion;
+3. submit a fig8 refinement job over HTTP and wait for it with at most
+   two status requests (``?wait=`` holds one open, so a polling client fails);
 4. submit the *same* job again and require a fully cache-warm run: its
    report hits every input shard (``cache.shard_hits ==
    shards.input_shards``, no ``shard_misses``) and decodes none
@@ -34,6 +35,20 @@ from repro.synth import make_corpus
 #: the fig8 workload recipe the smoke run serves (small but full-stack:
 #: cleaning mappers, filters and a deduplicator)
 SMOKE_RECIPE = "pretrain-books-refine-en"
+
+MAX_STATUS_REQUESTS = 2  # per waited job: the wait, plus one spare window
+
+
+class RecordingHTTPClient(HTTPClient):
+    """An :class:`HTTPClient` that records each request it sends, query dropped."""
+
+    def __init__(self, base_url: str):
+        super().__init__(base_url)
+        self.sent: list[str] = []
+
+    def request(self, method: str, path: str, payload: object = None):
+        self.sent.append(f"{method} {path.partition('?')[0]}")
+        return super().request(method, path, payload)
 
 
 def _submission(input_path: Path, max_shard_rows: int) -> dict:
@@ -70,7 +85,7 @@ def run_smoke(
     thread.start()
     print(f"[serve-smoke] server listening on http://{host}:{port}")
     try:
-        client = HTTPClient(f"http://{host}:{port}")
+        client = RecordingHTTPClient(f"http://{host}:{port}")
         health = client.get("/health").raise_for_status().body
         print(f"[serve-smoke] health: {health['status']}, jobs={health['jobs']}")
 
@@ -78,12 +93,16 @@ def run_smoke(
         for round_number in (1, 2):
             job = client.submit_job(_submission(Path(input_path), max_shard_rows))
             view = client.wait_for_job(job["id"], timeout=timeout_s)
+            requests = client.sent.count(f"GET /jobs/{job['id']}")
             print(
                 f"[serve-smoke] job {view['id']} ({round_number}/2) "
-                f"finished: {view['state']}"
+                f"finished: {view['state']} after {requests} status request(s)"
             )
-            if view["state"] != "succeeded":
-                print(f"[serve-smoke] FAIL: job ended {view['state']}: {view.get('error')}")
+            if view["state"] != "succeeded" or requests > MAX_STATUS_REQUESTS:
+                print(
+                    f"[serve-smoke] FAIL: want succeeded after <= {MAX_STATUS_REQUESTS} "
+                    f"status requests (a polling client takes more): {view.get('error')}"
+                )
                 return 1
             views.append(view)
 

@@ -266,6 +266,97 @@ class TestJobLifecycle:
             core.jobs.resume()
 
 
+class CountingClient(InProcessClient):
+    """The in-process transport, counting and announcing each request."""
+
+    def __init__(self, core):
+        super().__init__(core)
+        self.paths: list[str] = []
+        self.sent = threading.Event()
+
+    def request(self, method, path, payload=None):
+        self.paths.append(f"{method} {path}")
+        self.sent.set()
+        return super().request(method, path, payload)
+
+
+class TestWaiting:
+    """``wait_for_job`` is answered when the job ends; nothing here reads a clock."""
+
+    def test_a_job_ending_inside_one_window_costs_one_status_request(
+        self, service, corpus_path
+    ):
+        core, _client = service
+        client = CountingClient(core)
+        job = client.submit_job(submission(corpus_path))
+        assert client.wait_for_job(job["id"])["state"] == JobState.SUCCEEDED
+        status = [path for path in client.paths if path.startswith(f"GET /jobs/{job['id']}")]
+        assert len(status) == 1 and "?wait=" in status[0]
+
+    def test_a_paused_queued_job_still_times_out(self, service, corpus_path):
+        core, client = service
+        core.jobs.pause()
+        job = client.submit_job(submission(corpus_path))
+        with pytest.raises(TimeoutError, match="still 'queued'"):
+            client.wait_for_job(job["id"], timeout=0.2)
+        client.post(f"/jobs/{job['id']}/cancel").raise_for_status()
+        core.jobs.resume()
+
+    def test_shutdown_during_a_wait_returns_the_cancelled_view(self, service, corpus_path):
+        core, _client = service
+        client = CountingClient(core)
+        core.jobs.pause()
+        job = client.submit_job(submission(corpus_path))
+        client.sent.clear()
+        views = []
+        waiter = threading.Thread(target=lambda: views.append(client.wait_for_job(job["id"])))
+        waiter.start()
+        client.sent.wait(timeout=30)
+        core.jobs.shutdown()
+        waiter.join(timeout=30)
+        assert [view["state"] for view in views] == [JobState.CANCELLED]
+        assert views[0]["id"] == job["id"]
+
+    def test_two_waiters_each_get_their_own_job(self, service, corpus_path):
+        core, client = service
+        core.jobs.pause()
+        runs = client.submit_job(submission(corpus_path))
+        cancelled = client.submit_job(submission(corpus_path))
+        views = {}
+
+        def wait(job_id):
+            views[job_id] = client.wait_for_job(job_id)
+
+        waiters = [threading.Thread(target=wait, args=(job["id"],)) for job in (runs, cancelled)]
+        for waiter in waiters:
+            waiter.start()
+        client.post(f"/jobs/{cancelled['id']}/cancel").raise_for_status()
+        core.jobs.resume()
+        for waiter in waiters:
+            waiter.join(timeout=60)
+        assert {job_id: view["id"] for job_id, view in views.items()} == {
+            runs["id"]: runs["id"],
+            cancelled["id"]: cancelled["id"],
+        }
+        assert views[runs["id"]]["state"] == JobState.SUCCEEDED
+        assert views[cancelled["id"]]["state"] == JobState.CANCELLED
+
+    def test_a_query_string_reaches_its_route(self, service, corpus_path):
+        core, client = service
+        core.jobs.pause()
+        job = client.submit_job(submission(corpus_path))
+        assert client.get("/health?verbose=1").status == 200
+        assert client.get(f"/jobs/{job['id']}?x=1").raise_for_status().body["job"]["id"] == job["id"]
+        # a zero wait answers at once with the job still queued
+        assert client.job(job["id"], wait=0)["state"] == JobState.QUEUED
+        for bad in ("-1", "nan", "soon", ""):
+            response = client.get(f"/jobs/{job['id']}?wait={bad}")
+            assert response.status == 400, bad
+            assert "wait" in response.body["error"]["message"]
+        client.post(f"/jobs/{job['id']}/cancel").raise_for_status()
+        core.jobs.resume()
+
+
 # ----------------------------------------------------------------------
 # The acceptance criteria: warm cache, shared pool, CLI-identical exports
 # ----------------------------------------------------------------------
