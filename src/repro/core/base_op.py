@@ -361,9 +361,9 @@ class Formatter:
     def iter_sources(self) -> "Iterable[Any]":
         """Lazily yield the source records a streaming run signs its shards by.
 
-        A formatter that reads lines yields them undecoded
-        (:class:`repro.formats.source.LineRecord`); this default yields the
-        unified samples themselves, which sign by their JSON encoding.
+        A formatter that reads lines yields them undecoded, a block at a
+        time (:class:`repro.formats.source.LineShard`); this default yields
+        the unified samples themselves, which sign by their JSON encoding.
         """
         return self.iter_records()
 

@@ -328,8 +328,15 @@ def encode(
     return payload, snapshot
 
 
-def decode(parent: NestedDataset | None, payload: Any) -> NestedDataset | None:
-    """The dataset an :func:`encode` payload describes, replayed onto ``parent``.
+def decode(
+    parent: NestedDataset | None,
+    payload: Any,
+    columns: Callable[[list[str]], Iterable[str]] | None = None,
+) -> NestedDataset | None:
+    """The dataset an :func:`encode` payload describes, replayed onto ``parent``,
+    with the columns ``columns`` picks from the entry's names (all when None;
+    one at least, to hold the entry's row count): a pickled column left out is
+    never unpickled.
 
     None — a miss — when ``payload`` is no entry of this format (an older
     store's whole pickled dataset included) or does not fit ``parent``; a
@@ -346,17 +353,21 @@ def decode(parent: NestedDataset | None, payload: Any) -> NestedDataset | None:
             if not all(name in base_columns for name in payload["dropped"]):
                 return None
         positions, pickled, dense = payload["positions"], payload["pickled"], payload["dense"]
-        columns: dict[str, list] = {}
-        for name in payload["columns"]:
+        names = payload["columns"]
+        if columns is not None and payload["rows"]:
+            wanted = set(columns(names))
+            names = [name for name in names if name in wanted] or names[:1]
+        built: dict[str, list] = {}
+        for name in names:
             if name in pickled:
-                columns[name] = pickle.loads(pickled[name])
+                built[name] = pickle.loads(pickled[name])
                 continue
             if name in dense:
-                columns[name] = dense[name]
+                built[name] = dense[name]
                 continue
             base = base_columns[name]
-            columns[name] = list(base) if positions is None else list(map(base.__getitem__, positions))
-        dataset = NestedDataset(columns, fingerprint=payload["fingerprint"])
+            built[name] = list(base) if positions is None else list(map(base.__getitem__, positions))
+        dataset = NestedDataset(built, fingerprint=payload["fingerprint"])
     except Exception:  # noqa: BLE001 - a payload that does not fit is a miss
         return None
     return dataset if len(dataset) == payload["rows"] else None

@@ -64,6 +64,7 @@ from repro.core.fusion import describe_plan
 from repro.core.monitor import ResourceMonitor, RunProfiler
 from repro.core.planner import ExecutionPlan, ResourceBudget, plan_execution
 from repro.core.report import REPORT_FILE, RunReport
+from repro.core.sample import internal_fields
 from repro.core.stream import (
     DEFAULT_SHARD_ROWS,
     HASH_COLUMNS,
@@ -77,11 +78,12 @@ from repro.core.stream import (
     plan_segments,
     resolve_global_keep,
     resolve_in_memory,
+    signature_column_names,
     signature_columns,
     stage_chain_hash,
 )
 from repro.core.tracer import Tracer
-from repro.formats.source import decode_record, is_decoded, shard_signature
+from repro.formats.source import shard_signature, source_rows
 from repro.parallel import WorkerPool
 
 
@@ -326,9 +328,9 @@ class Executor:
             if self.store is not None:
                 dataset._fingerprint = columns_signature(dataset)
             return dataset
-        records = list(self._source_records(None))
+        shard = next(iter_record_shards(self._source_records(None), sys.maxsize), [])
         signed = self.store is not None
-        return decode_shard(records, shard_signature(*self._source, records) if signed else None)
+        return decode_shard(shard, shard_signature(*self._source, shard) if signed else None)
 
     def _run_state(self, input_identity: Any) -> dict:
         """The run identity a checkpoint state file records (and must match)."""
@@ -658,8 +660,10 @@ class Executor:
                 "resumed_shards": 0,
                 "executed_shards": 0,
                 "cached_shards": 0,
-                # input shards whose rows were decoded (not only signed)
+                # input shards whose rows were decoded (not only signed), and
+                # the mutable columns unpickled from stored shard entries
                 "decoded_shards": 0,
+                "unpickled_columns": 0,
                 # the largest signature table a global resolve held on the
                 # host: its rows and the ``sys.getsizeof`` of its cells
                 "signature_rows": 0,
@@ -686,7 +690,8 @@ class Executor:
                     # shards flow straight through
                     source = self._local_stage(stage, segment, source, progress)
                 else:
-                    source = self._resolved_stage(stage, segment, source, progress)
+                    final = stage == len(segments) - 1
+                    source = self._resolved_stage(stage, segment, source, progress, final)
 
             total_rows = 0
             export_paths: list[str] = []
@@ -726,13 +731,22 @@ class Executor:
             )
         return self.last_report
 
+    def _read_shard(self, key: str, progress: dict, columns: Any = None) -> NestedDataset | None:
+        """The stored shard entry of ``key`` built for the ``columns`` its reader
+        uses (:func:`decode`; None on a miss), counting the columns it unpickled."""
+        payload = self._stores.get(key)
+        shard = decode(None, payload, columns)
+        if shard is not None:
+            progress["unpickled_columns"] += len(payload["pickled"].keys() & shard._columns.keys())
+        return shard
+
     def _shard_output(
         self,
         stage: int,
         index: int,
         segment: StreamSegment,
         chain: str,
-        shard: list | NestedDataset,
+        shard: Any,
         progress: dict[str, int],
         spill: bool = False,
     ) -> tuple[str | None, NestedDataset]:
@@ -749,7 +763,8 @@ class Executor:
 
         A stage-0 shard arrives as source records, signed by their text and
         decoded (its lines freed) only when it must run; a later stage's is
-        the previous stage's dataset, signed by :func:`columns_signature`.
+        the previous stage's dataset, signed by :func:`columns_signature`.  A
+        ``spill`` caller reads a replayed entry's signature columns alone.
 
         Failures are contained per shard: an op's errors (dedup hashing
         included) are handled row-wise by the error policy inside
@@ -768,11 +783,13 @@ class Executor:
                 shard_signature(*self._source, shard) if input_shard else columns_signature(shard)
             )
             key = CacheManager.make_shard_key(chain, signature)
+            op = segment.global_op
+            columns = (lambda names: signature_column_names(op, names, op.text_key)) if spill else None
             for found in (key, key + FAULTED) if self._resuming else (key,):
-                stored = decode(None, self._stores.get(found))
+                stored = self._read_shard(found, progress, columns)
                 if stored is None:
                     continue
-                if input_shard and is_decoded(shard[0]):
+                if input_shard and (isinstance(shard, list) or shard.rows is not None):
                     # a character budget or a source of rows decoded it already
                     progress["decoded_shards"] += 1
                 if self._resuming:
@@ -788,7 +805,7 @@ class Executor:
         quarantined = shard  # a dropped stage-0 shard's rows as decoded, not None-filled
         if input_shard:
             progress["decoded_shards"] += 1
-            quarantined = list(map(decode_record, shard)) if self._quarantine is not None else []
+            quarantined = list(source_rows(shard)) if self._quarantine is not None else []
             shard = decode_shard(shard)
         faults_before = self._faults.total_faults
         stage_name = getattr(segment.global_op, "name", None) or (
@@ -830,7 +847,7 @@ class Executor:
         self,
         stage: int,
         segment: StreamSegment,
-        source: Iterator[list | NestedDataset],
+        source: Iterator[Any],
         progress: dict[str, int],
     ) -> Iterator[NestedDataset]:
         """Shard-local transform of the final segment (nothing reads it back)."""
@@ -842,8 +859,9 @@ class Executor:
         self,
         stage: int,
         segment: Any,
-        source: Iterator[list | NestedDataset],
+        source: Iterator[Any],
         progress: dict[str, int],
+        final: bool = False,
     ) -> Iterator[NestedDataset]:
         """Two-pass execution of a segment closed by a dataset-level op.
 
@@ -851,7 +869,9 @@ class Executor:
         Deduplicators), stored, and its :func:`signature_columns` appended to
         one table.  The global op then resolves once over that table, and the
         returned iterator is the mask pass (:func:`mask_shards`, as memory
-        mode's one shard takes it) over the stored shards read back.
+        mode's one shard takes it) over the stored shards read back without
+        the columns the resolve drops — nor, for an untraced ``final`` stage,
+        those the exporter drops.
         """
         global_op = segment.global_op
         chain = stage_chain_hash(segment)
@@ -878,10 +898,13 @@ class Executor:
         if tracer is not None:
             tracer.add(global_op, 0, 0)  # its pipeline position; the mask pass adds the rest
         del signature
+        skip = set(dropped_columns)
+        if final and tracer is None:
+            skip |= internal_fields(self.cfg.keep_stats_in_export)
 
         def stored() -> Iterator[NestedDataset]:
             for key in stored_shards:
-                shard = decode(None, self._stores.get(key))
+                shard = self._read_shard(key, progress, lambda names: set(names) - skip)
                 if shard is None:
                     raise DatasetError(
                         f"stage {stage} shard entry vanished from "

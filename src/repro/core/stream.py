@@ -40,6 +40,7 @@ re-run or a resume after a crash skips every shard already processed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
@@ -50,7 +51,7 @@ from repro.core.dataset import NestedDataset, _stable_hash, chain_fingerprint
 from repro.core.errors import DatasetError
 from repro.core.sample import Fields, HashKeys
 from repro.core.tracer import dropped_examples, pair_examples
-from repro.formats.source import decode_record
+from repro.formats.source import LineShard, source_rows
 
 #: default shard budget when neither ``max_shard_rows`` nor
 #: ``max_shard_chars`` is configured
@@ -77,36 +78,50 @@ def iter_record_shards(
     records: Iterable[Any],
     max_rows: int | None = None,
     max_chars: int | None = None,
-) -> Iterator[list[Any]]:
-    """Chunk a lazy stream of source records (:mod:`repro.formats.source`) into shards.
+) -> Iterator[Any]:
+    """Cut a lazy source (:mod:`repro.formats.source`: :class:`LineShard`
+    blocks or rows) into shards of its shape: a :class:`LineShard` or a list.
 
-    A shard closes when it holds ``max_rows`` records or at least
-    ``max_chars`` characters of text, whichever comes first; with neither
-    budget set, :data:`DEFAULT_SHARD_ROWS` applies.  A row budget decodes
-    nothing; a character budget decodes each record to count its text (the
-    record keeps its row), so the boundaries are those of the decoded rows.
-    The batched operator engine is boundary-independent, so the rows kept
-    do not depend on them — but a shard None-fills only the key union of
-    its own rows, so the keys of an exported row can (ROADMAP item 4).
+    A shard closes when it holds ``max_rows`` rows or at least ``max_chars``
+    characters of text, whichever comes first; with neither budget set,
+    :data:`DEFAULT_SHARD_ROWS` applies.  A row budget decodes nothing; a
+    character budget decodes each block to count its text (the shard keeps
+    its rows), so the boundaries are those of the decoded rows.  The rows
+    kept do not depend on them, but the keys of an exported row can: a shard
+    None-fills only the key union of its own rows (ROADMAP item 4).
     """
     if max_rows is None and max_chars is None:
         max_rows = DEFAULT_SHARD_ROWS
     if (max_rows is not None and max_rows < 1) or (max_chars is not None and max_chars < 1):
         raise DatasetError("shard budgets must be >= 1")
-    shard: list[dict] = []
-    chars = 0
-    for record in records:
-        shard.append(record)
+    records = iter(records)
+    first = next(records, None)
+    records = itertools.chain([first] if first is not None else [], records)
+    lines = isinstance(first, LineShard)
+    blocks = records if lines else iter(lambda: list(itertools.islice(records, 1024)), [])
+    join = LineShard.join if lines else (lambda parts: [*itertools.chain(*parts)])
+    parts: list = []
+    count = chars = 0
+    for block in blocks:
         if max_chars is not None:
-            value = decode_record(record).get(Fields.text)
-            chars += len(value) if isinstance(value, str) else 0
-        if (max_rows is not None and len(shard) >= max_rows) or (
-            max_chars is not None and chars >= max_chars
-        ):
-            yield shard
-            shard, chars = [], 0
-    if shard:
-        yield shard
+            texts = (row.get(Fields.text) for row in source_rows(block))
+            lengths = [len(text) if isinstance(text, str) else 0 for text in texts]
+        start = 0
+        while start < len(block):
+            stop = len(block) if max_rows is None else min(len(block), start + max_rows - count)
+            if max_chars is not None:
+                for index in range(start, stop):
+                    chars += lengths[index]
+                    if chars >= max_chars:
+                        stop = index + 1
+                        break
+            parts.append(block[start:stop])
+            count, start = count + stop - start, stop
+            if count == max_rows or (max_chars is not None and chars >= max_chars):
+                shard, parts, count, chars = join(parts), [], 0, 0
+                yield shard
+    if parts:
+        yield join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -279,15 +294,17 @@ def resolve_in_memory(
     return next(mask_shards(op, [dataset], mask, drop_columns, pairs, tracer))
 
 
-def decode_shard(records: list, fingerprint: str | None = None) -> NestedDataset:
+def decode_shard(shard: LineShard | list, fingerprint: str | None = None) -> NestedDataset:
     """The dataset of a shard of source records (:mod:`repro.formats.source`),
-    decoded in place: a line is freed as soon as its row exists, a row once
-    the columns hold its cells."""
-    for index, record in enumerate(records):
-        records[index] = decode_record(record)
-    shard = NestedDataset.from_list(records, fingerprint=fingerprint)
-    records.clear()
-    return shard
+    which it empties: a line is freed once its row exists, a row once the
+    columns hold its cells."""
+    rows = shard
+    if isinstance(shard, LineShard):
+        rows = shard.rows if shard.rows is not None else list(shard.iter_rows(release=True))
+        shard.lines, shard.numbers, shard.runs, shard.rows = [], [], [], None
+    dataset = NestedDataset.from_list(rows, fingerprint=fingerprint)
+    rows.clear()
+    return dataset
 
 
 def columns_signature(shard: NestedDataset) -> str:

@@ -12,7 +12,7 @@ from repro.core.errors import FormatError
 from repro.core.registry import FORMATTERS
 from repro.core.sample import Fields
 from repro.formats.sharded import ShardedFileFormatter, effective_suffix, open_shard
-from repro.formats.source import LineRecord
+from repro.formats.source import LineShard
 
 
 class JsonlFile:
@@ -44,31 +44,36 @@ class JsonlFormatter(ShardedFileFormatter):
     """Load ``.jsonl`` shards: one JSON object per line, unified to the text schema.
 
     The dataset path may be a single file, a directory or a glob; every
-    matching shard (including ``.jsonl.gz``) is streamed line by line in
-    sorted path order.  Lines are read first and decoded on demand
+    matching shard (including ``.jsonl.gz``) is streamed a block of lines at
+    a time in sorted path order.  Lines are read first and decoded on demand
     (:meth:`iter_sources`), so a streaming run can name a shard by its lines.
     """
 
     SUFFIXES = (".jsonl", ".ndjson")
 
-    def _lines(self) -> Iterator[tuple[str, int, JsonlFile]]:
-        """``(stripped line, line number, file)`` of every non-blank line."""
+    #: characters read per block (``readlines`` size hint)
+    BLOCK_CHARS = 1 << 16
+
+    def iter_sources(self) -> Iterator[LineShard]:
+        """Every non-blank line of every shard file, stripped, not yet decoded:
+        one :class:`LineShard` per block read, no object per line."""
         for path in self.resolve_paths():
             decoder = JsonlFile(path, self.text_keys)
+            number = 1
             with open_shard(path) as handle:
-                for number, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if line:
-                        yield line, number, decoder
-
-    def iter_sources(self) -> Iterator[LineRecord]:
-        """Every non-blank line of every shard file, stripped, not yet decoded."""
-        return itertools.starmap(LineRecord, self._lines())
+                while block := handle.readlines(self.BLOCK_CHARS):
+                    stripped = list(map(str.strip, block))
+                    lines = list(itertools.compress(stripped, stripped))
+                    if lines:
+                        numbers = range(number, number + len(block))
+                        yield LineShard(lines, list(itertools.compress(numbers, stripped)),
+                                        [(decoder, len(lines))])
+                    number += len(block)
 
     def iter_records(self) -> Iterator[dict]:
         """Lazily decode every line into a unified sample."""
-        for line, number, decoder in self._lines():
-            yield decoder.decode(line, number)
+        for block in self.iter_sources():
+            yield from block.iter_rows()
 
 
 @FORMATTERS.register_module("json_formatter")

@@ -10,8 +10,9 @@ over a real socket, unlike the tier-1 tests:
    two status requests (``?wait=`` holds one open, so a polling client fails);
 4. submit the *same* job again and require a fully cache-warm run: its
    report hits every input shard (``cache.shard_hits ==
-   shards.input_shards``, no ``shard_misses``) and decodes none
-   (``shards.decoded_shards == 0``) — the recipe has a single stage;
+   shards.input_shards``, no ``shard_misses``), decodes none
+   (``shards.decoded_shards == 0``) — the recipe has a single stage — and
+   unpickles ``meta`` alone (``shards.unpickled_columns <= input_shards``);
 5. run the equivalent pipeline through the direct CLI code path and
    require the service export to be **byte-identical** to it.
 
@@ -113,18 +114,21 @@ def run_smoke(
             "shard_misses": cache.get("shard_misses"),
             "input_shards": shards.get("input_shards"),
             "decoded_shards": shards.get("decoded_shards"),
+            "unpickled_columns": shards.get("unpickled_columns"),
         }
-        # every input shard replayed from the store, and none of them decoded
+        # every input shard replayed from the store, none of them decoded,
+        # and each read back for the columns its reader uses alone
         if not (
             counts["shard_misses"] == counts["decoded_shards"] == 0
             and counts["shard_hits"] == counts["input_shards"]
             and counts["input_shards"]
+            and counts["unpickled_columns"] <= counts["input_shards"]
         ):
             print(f"[serve-smoke] FAIL: second job was not fully cache-warm ({counts})")
             return 1
         print(
             f"[serve-smoke] warm resubmission replayed all {counts['shard_hits']} "
-            "input shard(s) without decoding one"
+            f"input shard(s) without decoding one ({counts['unpickled_columns']} unpickled column(s))"
         )
 
         # the CLI-equivalent run: same recipe, same knobs, direct code path

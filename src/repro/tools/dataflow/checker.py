@@ -57,7 +57,7 @@ from repro.tools.dataflow.effects import (
     EffectSignature,
     ResolvedEffects,
     _STATS_VALUES,
-    effect_catalog,
+    recipe_signatures,
 )
 
 ERROR = "error"
@@ -190,12 +190,13 @@ def check_steps(
 ) -> list[DataflowFinding]:
     """Check a list of ``(op_name, params)`` steps; the low-level entry point.
 
-    ``signatures`` defaults to the built-in catalog; tests extend it with
+    ``signatures`` defaults to the built-in catalog (the steps' entries:
+    :func:`~repro.tools.dataflow.effects.recipe_signatures`); tests extend it with
     :func:`~repro.tools.dataflow.effects.extract_effects_from_path` to check
     synthetic pipelines.  Ops without a signature are skipped (the schema
     validator already rejects unknown op names).
     """
-    catalog = signatures if signatures is not None else effect_catalog()
+    catalog = signatures if signatures is not None else recipe_signatures(n for n, _ in steps)
     resolved: list[tuple[str, EffectSignature | None, ResolvedEffects | None]] = []
     for name, params in steps:
         signature = catalog.get(name)

@@ -37,6 +37,7 @@ service layer — can detect format changes.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -507,6 +508,33 @@ def effect_catalog(refresh: bool = False) -> dict[str, EffectSignature]:
     return _CATALOG_CACHE
 
 
+def op_module_path(op_name: str) -> Path:
+    """Where a built-in op is defined: ``repro/ops/<kind>s/<op_name>.py``, its
+    kind the last word of its name (``repro/ops/deduplicators/document_deduplicator.py``)."""
+    import repro.ops
+
+    return Path(repro.ops.__file__).parent / f"{op_name.rsplit('_', 1)[-1]}s" / f"{op_name}.py"
+
+
+@functools.lru_cache(maxsize=128)
+def _module_signature(op_name: str) -> EffectSignature | None:
+    """The signature of ``op_name`` parsed from :func:`op_module_path` alone."""
+    if not (isinstance(op_name, str) and op_name.isidentifier()):
+        return None  # a recipe's name is no path: the full scan decides
+    try:
+        classes = LintModule.parse(op_module_path(op_name)).op_classes
+    except (OSError, SyntaxError):
+        return None
+    return next((extract_signature(info) for info in classes if info.registered_name == op_name), None)
+
+
+def recipe_signatures(op_names: Iterable[str]) -> dict[str, EffectSignature]:
+    """The catalog entries of ``op_names``, each parsed from its op's module
+    alone; a name off that path falls back to the full :func:`effect_catalog`."""
+    found = {} if _CATALOG_CACHE else {name: _module_signature(name) for name in op_names}
+    return found if found and None not in found.values() else effect_catalog()
+
+
 def effect_signature(op_name: str) -> EffectSignature | None:
     """The catalog signature of one registered op, or ``None`` if unknown."""
     return effect_catalog().get(op_name)
@@ -533,4 +561,6 @@ __all__ = [
     "effect_signature",
     "extract_effects_from_path",
     "extract_signature",
+    "op_module_path",
+    "recipe_signatures",
 ]

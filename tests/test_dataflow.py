@@ -7,6 +7,7 @@ bad fixtures must produce exactly the expected (rule, step) pairs and the
 clean ones nothing; every built-in recipe must come out dataflow-clean.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -35,6 +36,8 @@ from repro.tools.dataflow import (
     render_json_many,
     render_text,
 )
+from repro.tools.dataflow import effects
+from repro.tools.dataflow.effects import op_module_path, recipe_signatures
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "dataflow"
 
@@ -124,6 +127,53 @@ class TestEffectExtractor:
     def test_schema_carries_effects(self):
         schema = schema_for(OPERATORS.get("text_length_filter"))
         assert "__stats__.text_len" in schema.effects().writes
+
+
+class TestPerModuleLookup:
+    """A recipe's preflight parses only its ops' modules, to the same effect."""
+
+    def test_every_registered_op_lives_at_its_conventional_path(self):
+        for name in OPERATORS.list():
+            defined = Path(inspect.getsourcefile(OPERATORS.get(name)))
+            assert defined == op_module_path(name), name
+
+    def test_per_module_signatures_equal_the_full_scan(self, monkeypatch):
+        monkeypatch.setattr(effects, "_CATALOG_CACHE", None)
+        effects._module_signature.cache_clear()
+        names = OPERATORS.list()
+        per_module = recipe_signatures(names)
+        assert effects._CATALOG_CACHE is None  # no full scan was needed
+        assert per_module == {name: effect_catalog(refresh=True)[name] for name in names}
+
+    def test_a_check_parses_only_the_modules_of_its_ops(self, monkeypatch):
+        monkeypatch.setattr(effects, "_CATALOG_CACHE", None)
+        effects._module_signature.cache_clear()
+        parsed = []
+        parse = effects.LintModule.parse
+        monkeypatch.setattr(effects.LintModule, "parse",
+                            lambda path: parsed.append(Path(path).name) or parse(path))
+        recipe = {"process": [{"words_num_filter": {}}, {"lowercase_mapper": {}},
+                              {"words_num_filter": {"min_num": 3}}]}
+        assert check_recipe(recipe).exit_code == 0
+        assert sorted(parsed) == ["lowercase_mapper.py", "words_num_filter.py"]
+        # a name off the conventional path falls back to the full scan, and
+        # a name is never read as a path
+        for name in ("no_such_op", "../../cli_mapper", 7):
+            monkeypatch.setattr(effects, "_CATALOG_CACHE", None)
+            parsed.clear()
+            assert check_recipe({"process": [{name: {}}]}).exit_code == 0
+            assert effects._CATALOG_CACHE is not None and len(parsed) > len(OPERATORS)
+
+    def test_findings_are_those_of_the_full_scan(self, monkeypatch):
+        every_op = {"process": [{name: {}} for name in OPERATORS.list()]}
+        recipes = [every_op, BROKEN_RECIPE, *BUILT_IN_RECIPES.values()]
+        monkeypatch.setattr(effects, "_CATALOG_CACHE", None)
+        effects._module_signature.cache_clear()
+        findings = [render_json(check_recipe(recipe)) for recipe in recipes]
+        catalog = effect_catalog(refresh=True)
+        assert findings == [render_json(check_recipe(recipe, signatures=catalog))
+                            for recipe in recipes]
+        assert json.loads(findings[0])["findings"]  # the every-op recipe has some
 
 
 class TestGoldenFixtures:

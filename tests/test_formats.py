@@ -3,18 +3,21 @@
 import gzip
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.core.dataset import NestedDataset
 from repro.core.errors import FormatError
 from repro.core.sample import Fields
+from repro.core.stream import decode_shard, iter_record_shards
 from repro.formats.csv_formatter import CsvFormatter, TsvFormatter
 from repro.formats.jsonl_formatter import JsonFormatter, JsonlFormatter
 from repro.formats.load import load_dataset, load_formatter
 from repro.formats.mixture_formatter import MixtureFormatter, largest_remainder_allocation, mix_datasets
 from repro.formats.sharded import ShardedSource, effective_suffix, open_shard
-from repro.formats.source import SOURCE_FORMAT, LineRecord
+from repro.formats.source import SOURCE_FORMAT, LineShard, shard_signature
 from repro.formats.text_formatter import CodeFormatter, MarkdownFormatter, TextFormatter
 from repro.synth import wikipedia_like
 
@@ -273,14 +276,124 @@ class TestSourceRecords:
     def test_lines_decode_only_on_demand(self, tmp_path):
         path = tmp_path / "a.jsonl"
         path.write_text('  {"text": "ok"}  \n\n{not json}\n')
-        records = list(JsonlFormatter(dataset_path=str(path)).iter_sources())
-        assert all(isinstance(record, LineRecord) for record in records)
-        assert [(record.text, record.number) for record in records] == [
-            ('{"text": "ok"}', 1), ("{not json}", 3)
-        ]
-        assert records[0].decode()[Fields.text] == "ok"
+        [block] = JsonlFormatter(dataset_path=str(path)).iter_sources()
+        assert isinstance(block, LineShard) and block.rows is None
+        assert (block.lines, block.numbers) == (['{"text": "ok"}', "{not json}"], [1, 3])
+        rows = block.iter_rows()
+        assert next(rows)[Fields.text] == "ok"
         with pytest.raises(FormatError, match=r"a\.jsonl:3: invalid JSON"):
-            records[1].decode()
+            next(rows)
+        assert block.rows is None
+
+    # a UTF-8 BOM, CRLF and lone-CR line ends, blank and whitespace-only
+    # lines, trailing and leading spaces, a non-dict line and a promoted key
+    EDGE_LINES = (
+        "\ufeff" '{"text": "BOM first row", "id": 0}\r\n'
+        '{"text": "crlf row  ", "id": 1}  \r\n'
+        "\r\n"
+        "   \t  \n"
+        '{"text": "lone cr", "id": 2}\r'
+        '{"text": "trailing spaces", "id": 3}     \n'
+        '{"content": "promoted", "id": 4}\n'
+        "\n"
+        '"a bare string"\r\n'
+        '{"text": "\u00fcn\u00efc\u00f6d\u00e9 \u2713", "id": 6, "meta": {"k": [1, 2]}}\r'
+        "  \r"
+        '{"text": "x", "id": 7}\n'
+        '{"text": "a somewhat longer row of text to cross a budget", "id": 8}\n'
+        '   {"text": "leading spaces", "id": 9}\n'
+        '{"id": 10}\n'
+    )
+    ONE_FILE_ROWS = [
+        (7, "e99c2bf752444102db918604483097a5e85fa6b6"),
+        (4, "e842a2839bc95c0c02ca0d5dc72cd43f5378f422"),
+    ]
+    ONE_FILE_CHARS = [
+        (4, "52d801230daafc845926580f695d90e4b9164dfb"),
+        (5, "1bc3aeda4be8aa4342c133fd6459bd209d814009"),
+        (2, "bac8d89c8df4f5dd5cb2a7886da4ab74210ec23c"),
+    ]
+    #: (shard rows, signature) per stage-0 shard, computed before
+    #: ``LineShard`` replaced the per-line records: every store key holds
+    PINNED_SIGNATURES = {
+        ("edge.jsonl", "max_rows"): ONE_FILE_ROWS,
+        ("edge.jsonl", "max_chars"): ONE_FILE_CHARS,
+        ("edge.jsonl.gz", "max_rows"): ONE_FILE_ROWS,
+        ("edge.jsonl.gz", "max_chars"): ONE_FILE_CHARS,
+        ("same", "max_rows"): [
+            (7, "e99c2bf752444102db918604483097a5e85fa6b6"),
+            (7, "e24e0f94dda8fab269466d124803b1858d753edc"),
+            (7, "e132d7c553fcbe7e4a2e02e831f9c12595ff3e9b"),
+            (1, "594e0bcbd98e5d15d50bde07cbaf4b4b00b1ebeb"),
+        ],
+        ("same", "max_chars"): [
+            (4, "52d801230daafc845926580f695d90e4b9164dfb"),
+            (5, "1bc3aeda4be8aa4342c133fd6459bd209d814009"),
+            (5, "78a01c228491e4495037f337d0a9d60de0049a96"),
+            (4, "72278cc0e6321669e20a8a18ebe95cdc28e768b5"),
+            (2, "40bf403dc38ab88ab5bf6a45fe038353afa24ddc"),
+            (2, "bac8d89c8df4f5dd5cb2a7886da4ab74210ec23c"),
+        ],
+        ("mixed", "max_rows"): [
+            (7, "e99c2bf752444102db918604483097a5e85fa6b6"),
+            (7, "1de5b7cd395d6f143b9c2b1446a1c733265865c0"),
+            (7, "f49e5eb5801e9105a87c76dc540ddca10a064892"),
+            (1, "ef0ff4669218b0661497df0da701a261cb6d6bdb"),
+        ],
+        ("mixed", "max_chars"): [
+            (4, "52d801230daafc845926580f695d90e4b9164dfb"),
+            (5, "1bc3aeda4be8aa4342c133fd6459bd209d814009"),
+            (5, "c55ed316e4934a4b2fed7b71af9f91d9da0c7305"),
+            (4, "9315cec27e26273685de43e81566b598cd4f772c"),
+            (2, "d8ed7531254fea9ccde8e4ddffb1fe3a1ec1ff7e"),
+            (2, "3e749c38128181f227178de2f68b5772cf3f77c9"),
+        ],
+    }
+
+    @classmethod
+    def write_edge_inputs(cls, root: Path) -> None:
+        """``edge.jsonl`` and ``edge.jsonl.gz``, and two-file directories of
+        the same lines: ``same`` (one suffix) and ``mixed`` (.jsonl + .ndjson.gz)."""
+        data = cls.EDGE_LINES.encode("utf-8")
+
+        def write(path: Path) -> None:
+            path.write_bytes(gzip.compress(data, mtime=0) if path.suffix == ".gz" else data)
+
+        write(root / "edge.jsonl")
+        write(root / "edge.jsonl.gz")
+        for directory, second in (("same", "b.jsonl"), ("mixed", "b.ndjson.gz")):
+            (root / directory).mkdir()
+            write(root / directory / "a.jsonl")
+            write(root / directory / second)
+
+    @pytest.mark.parametrize("spec, budget", sorted(PINNED_SIGNATURES))
+    def test_stage0_shard_signatures_are_pinned(self, tmp_path, spec, budget):
+        self.write_edge_inputs(tmp_path)
+        formatter = JsonlFormatter(dataset_path=str(tmp_path / spec), text_keys=("content",))
+        limit = {"max_rows": 7, "max_chars": 40}[budget]
+        shards = list(iter_record_shards(formatter.iter_sources(), **{budget: limit}))
+        signed = [(len(shard), shard_signature(formatter.name, ["content"], shard))
+                  for shard in shards]
+        assert signed == self.PINNED_SIGNATURES[spec, budget]
+        # the shards cut and decode like the rows the formatter reads
+        by_rows = list(iter_record_shards(formatter.iter_records(), **{budget: limit}))
+        assert [decode_shard(shard).to_list() for shard in shards] == [
+            NestedDataset.from_list(chunk).to_list() for chunk in by_rows
+        ]
+
+    @pytest.mark.parametrize("name", ["bad.jsonl", "bad.jsonl.gz"])
+    def test_an_invalid_line_is_named_by_its_file_line(self, tmp_path, name):
+        text = '{"text": "a"}\r\n\n   \n{"text": "b"}\r{not json}\n{"text": "c"}\n'
+        with open_shard(tmp_path / name, "w") as handle:
+            handle.write(text)
+        formatter = JsonlFormatter(dataset_path=str(tmp_path / name))
+        pattern = re.escape(f"{name}:5: invalid JSON")
+        with pytest.raises(FormatError, match=pattern):
+            list(formatter.iter_records())
+        [shard] = iter_record_shards(formatter.iter_sources(), max_rows=7)
+        assert shard.numbers == [1, 4, 5, 6]
+        with pytest.raises(FormatError, match=pattern):
+            decode_shard(shard)
 
     @pytest.mark.parametrize(
         "name, content",

@@ -194,6 +194,18 @@ class TestCodec:
         payload, decoded = replay(parent, child)
         assert payload["dropped"] == ["n"] and decoded == child
 
+    def test_a_projection_unpickles_only_the_columns_it_picks(self, monkeypatch):
+        child = rows_dataset(self.ROWS)
+        payload, _ = encode(None, child, None)
+        assert set(payload["pickled"]) == {"meta"}
+        unpickled = []
+        monkeypatch.setattr(pickle, "loads", unpickled.append)
+        text = decode(None, payload, lambda names: [name for name in names if name != "meta"])
+        assert text.column_names == ["text", "n"] and text.fingerprint == child.fingerprint
+        # a projection that picks nothing still carries the entry's row count
+        assert len(decode(None, payload, lambda names: ["absent"])) == len(self.ROWS)
+        assert unpickled == []
+
     @pytest.mark.parametrize(
         "payload",
         [None, NestedDataset({"text": ["a"]}), {"format": 0}, {"format": 1}, [1, 2]],

@@ -543,6 +543,100 @@ class TestShardsSignedBySource:
         assert shards["decoded_shards"] == shards["input_shards"]
 
 
+SELECTOR_PROCESS = [
+    {"text_length_filter": {"min_len": 10}},
+    {"topk_specified_field_selector": {"field_key": "__stats__.text_len", "topk": 60}},
+]
+
+
+class TestAWarmJobDecodesOnlyWhatItReads:
+    """A replayed shard entry unpickles only the columns its reader uses: the
+    signature pass a Deduplicator's hash column, the mask pass no column the
+    resolve or (when its shards go straight to the exporter) the export drops."""
+
+    def run(self, tmp_path, input_path, tag, memory=False, **options):
+        config = {
+            "dataset_path": str(input_path),
+            "export_path": str(tmp_path / f"{tag}.jsonl"),
+            "process": SIGNED_PROCESS,
+            "work_dir": str(tmp_path / f"work-{tag}"),
+            "cache_dir": str(tmp_path / "cache"),
+            "max_shard_rows": 40,
+            "use_cache": not memory,
+            **options,
+        }
+        with Executor(config) as executor:
+            report = executor.run() if memory else executor.run_streaming()
+        # a replayed op traces nothing, so a global op's pipeline position differs
+        traces = [path.read_bytes() for path in sorted((tmp_path / f"work-{tag}" / "trace").glob("*"))
+                  if path.stem.endswith(("_deduplicator", "_selector"))]
+        return (tmp_path / f"{tag}.jsonl").read_bytes(), report, traces
+
+    def test_a_warm_dedup_job_unpickles_one_column_per_shard(self, tmp_path, monkeypatch):
+        import pickle
+        import types
+
+        import repro.core.cache as cache_module
+        import repro.formats.source as source_module
+
+        input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(160))
+        cold, _, _ = self.run(tmp_path, input_path, "cold")
+        calls = {"loads": 0, "line_shards": 0}
+
+        def loads(data):
+            calls["loads"] += 1
+            return pickle.loads(data)
+
+        def line_shard(self, *args):
+            calls["line_shards"] += 1
+            init(self, *args)
+
+        init = source_module.LineShard.__init__
+        monkeypatch.setattr(source_module.LineShard, "__init__", line_shard)
+        monkeypatch.setattr(cache_module, "pickle", types.SimpleNamespace(
+            loads=loads, dumps=pickle.dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+        warm, report, _ = self.run(tmp_path, input_path, "warm")
+        assert warm == cold
+        shards = report["shards"]
+        assert shards["input_shards"] == report["cache"]["shard_hits"] == 5
+        # per shard: its entry read twice, and only ``meta`` unpickled (in the
+        # mask pass) — a full decode unpickles ``meta`` and ``__stats__`` in
+        # both passes, 30 loads in all
+        assert shards["unpickled_columns"] == 5
+        assert calls["loads"] == 15
+        # the 200 lines were read as one block, then sliced and joined into
+        # 5 shards: no object per line
+        assert calls["line_shards"] == 1 + 2 * shards["input_shards"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"keep_stats_in_export": False},
+            {"keep_stats_in_export": True},
+            {"open_tracer": True, "trace_num": 5},
+            # the dedup's masked shards feed a later stage, which reads their stats
+            {"process": [*SIGNED_PROCESS, *SELECTOR_PROCESS[1:]]},
+            {"process": SELECTOR_PROCESS, "keep_stats_in_export": True},
+            # a Selector's trace shows the stats of the rows it dropped
+            {"process": SELECTOR_PROCESS, "open_tracer": True},
+        ],
+        ids=["stats-dropped", "stats-kept", "traced", "later-stage", "selector-on-stats",
+             "selector-traced"],
+    )
+    def test_a_warm_export_equals_the_cold_one(self, tmp_path, options):
+        input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(160))
+        cold, first, cold_traces = self.run(tmp_path, input_path, "cold", **options)
+        warm, report, warm_traces = self.run(tmp_path, input_path, "warm", **options)
+        memory, _, memory_traces = self.run(tmp_path, input_path, "memory", True, **options)
+        assert warm == cold == memory and warm_traces == cold_traces == memory_traces
+        assert report["cache"]["shard_hits"] == first["cache"]["shard_misses"] > 0
+        if options.get("keep_stats_in_export"):
+            assert b'"__stats__"' in warm
+        if options.get("open_tracer"):
+            [trace] = warm_traces
+            assert b'"text_len"' in trace if "process" in options else b"original" in trace
+
+
 class TestRunInput:
     def test_a_later_stage_key_signs_the_column_order(self, tmp_path):
         """Regression: a stage >= 1 shard was keyed by ``_stable_hash(rows)``,
