@@ -26,6 +26,10 @@ never inferred from what the op declares, so the replay is exact for any op.
 An entry with no parent is self-contained: the latest entry of a
 checkpoint-only run, which keeps it alone, and every shard's stage output.
 
+A column of flat dicts (``meta``, ``__stats__``) is stored as Arrow stores a
+struct, one leaf per key (:func:`_snapshot`), so an entry holds only the leaves
+its op changed; rows that shared one dict decode as dicts of their own.
+
 Entries are pickled — lossless for every Python payload, so a replay can
 never differ from recomputation — and optionally compressed; zlib / lzma /
 gzip stand in for the zstd / LZ4 codecs of the original system.  Every write
@@ -41,13 +45,16 @@ import gzip
 import hashlib
 import json
 import lzma
+import operator
 import os
 import pickle
 import shutil
 import tempfile
 import uuid
 import zlib
+from collections import deque
 from contextlib import contextmanager
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -56,8 +63,9 @@ from repro.core.errors import ReproError
 
 #: shape version of a memory-mode entry (:func:`encode`); any other payload —
 #: the whole pickled datasets older stores hold included — decodes as a miss.
-#: 2: every Deduplicator's and Selector's output fingerprint chains its config
-ENTRY_FORMAT = 2
+#: 2: every Deduplicator's and Selector's output fingerprint chains its config;
+#: 3: a column of flat dicts is stored as one leaf per key
+ENTRY_FORMAT = 3
 
 #: key suffix of output shaped by a fault: no clean run computes such a key
 FAULTED = "#faulted"
@@ -65,6 +73,8 @@ FAULTED = "#faulted"
 #: cell types no op can edit in place: such a cell is unchanged when it has
 #: the type and value of the parent cell it maps to
 _IMMUTABLE = frozenset({str, bytes, int, float, bool, type(None)})
+
+_ABSENT = object()  #: a key a dict lacks, as :func:`_snapshot` reads it
 
 _CODECS: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
     "none": (lambda data: data, lambda data: data),
@@ -216,32 +226,62 @@ def _dumps(value: Any) -> bytes:
     return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def cell_snapshot(dataset: NestedDataset) -> dict[str, bytes]:
-    """The pickled bytes of every column of ``dataset`` holding a mutable cell.
+def _snapshot(values: list) -> bytes | tuple | None:
+    """A column as its entry holds it: None when every cell is immutable; ``(keys, leaves)``,
+    a leaf (list of a key's cells) per key, when each cell is a plain ``dict`` with the same
+    ``str`` keys in the same order holding immutable scalars (checked in C); else pickled."""
+    kinds = set(map(type, values))
+    if kinds <= _IMMUTABLE:
+        return None
+    if kinds == {dict}:
+        keys, width = tuple(values[0]), len(values[0])
+        if width > 1:  # no row holds a key twice, so every row's keys are ``keys``
+            ordered = list(chain.from_iterable(values)) == list(keys) * len(values)
+            flat = list(chain.from_iterable(map(dict.values, values)))
+            leaves = [flat[index::width] for index in range(width)]
+        else:  # one key or none has one order; a missing key reads as ``_ABSENT``
+            ordered = set(map(len, values)) == {width}
+            leaves = [list(map(dict.get, values, repeat(key), repeat(_ABSENT))) for key in keys]
+        if ordered and set(map(type, keys)) <= {str} and all(
+            set(map(type, leaf)) <= _IMMUTABLE for leaf in leaves
+        ):
+            return keys, leaves
+    return _dumps(values)
+
+
+def cell_snapshot(dataset: NestedDataset) -> dict[str, bytes | tuple]:
+    """Every column of ``dataset`` holding a mutable cell, as its entry holds it.
 
     Ops edit ``meta`` / ``__stats__`` dicts in place, so once the next op has
     run, ``dataset`` in memory no longer shows what its entry decodes to.
-    Taken before that op runs, these bytes are what :func:`encode` compares
-    the op's output against.
+    Taken before that op runs, this is what :func:`encode` compares the op's
+    output against; a leaf only references scalars, so it pickles nothing.
     """
-    return {
-        name: _dumps(values)
-        for name, values in dataset._columns.items()
-        if not set(map(type, values)) <= _IMMUTABLE
-    }
+    held = {name: _snapshot(values) for name, values in dataset._columns.items()}
+    return {name: value for name, value in held.items() if value is not None}
 
 
 def detach(dataset: NestedDataset) -> NestedDataset:
     """``dataset`` as its self-contained entry replays it: the columns holding
     mutable cells — the ``meta`` / ``__stats__`` dicts ops edit in place — are
-    unpickled copies, so a run over a caller's dataset leaves its rows alone."""
+    new copies, so a run over a caller's dataset leaves its rows alone."""
     return decode(None, encode(None, dataset, None)[0])
 
 
-def _same_immutable(new: Any, old: Any) -> bool:
-    """True when immutable ``new`` equals ``old`` in type and value (``-0.0`` is not ``0.0``)."""
-    kind = type(new)
-    return kind is type(old) and new == old and (kind is not float or repr(new) == repr(old))
+def _changed(new: list, old: list | None, positions: list[int] | None) -> bool:
+    """False when each cell of ``new`` is, or has the type and value of, the immutable ``old``
+    cell its row maps to (``-0.0`` is not ``0.0``; a NaN only as itself); checked in C."""
+    if old is None:
+        return True
+    if positions is not None:
+        old = list(map(old.__getitem__, positions))
+    if all(map(operator.is_, new, old)):
+        return False
+    if new != old:  # a NaN equals only itself
+        return True
+    # equal immutable cells differ only among numbers, in type (1, 1.0, True) or a
+    # zero's sign, and a number pickles by its type and bits
+    return not set(map(type, new)).isdisjoint((int, float, bool)) and _dumps(new) != _dumps(old)
 
 
 def _row_positions(parent: NestedDataset, child: NestedDataset) -> list[int] | None:
@@ -267,18 +307,18 @@ def _row_positions(parent: NestedDataset, child: NestedDataset) -> list[int] | N
 
 
 def encode(
-    parent: NestedDataset | None, child: NestedDataset, parent_snapshot: dict[str, bytes] | None
-) -> tuple[dict, dict[str, bytes]]:
+    parent: NestedDataset | None, child: NestedDataset, parent_snapshot: dict | None
+) -> tuple[dict, dict[str, bytes | tuple]]:
     """The store entry of ``child``, an op's output over ``parent``, and ``child``'s snapshot.
 
     With a parent the entry is a delta :func:`decode` replays onto it.  A
-    column is stored, whole, only when the replay could not rebuild it:
+    column is stored only where the replay could not rebuild it:
 
-    * an immutable column is unchanged when each cell has the type and value
-      of the parent cell its row maps to;
-    * a column of mutable cells is unchanged only when the op kept the rows
-      as they were and the column pickles to ``parent_snapshot``'s bytes —
-      the parent as its own entry holds it.
+    * an immutable column, whole, unless each cell has the type and value of
+      the parent cell its row maps to (:func:`_changed`); a struct column, leaf
+      by leaf, the same against ``parent_snapshot`` (the parent's own entry);
+    * any other column of mutable cells, whole, unless the op kept the rows
+      as they were and the column pickles to ``parent_snapshot``'s bytes.
 
     The row mapping decides only how much is stored, never whether the replay
     is exact: positions ``0..n-1`` when the op kept the row count, else
@@ -296,7 +336,8 @@ def encode(
         "parent_rows": None,
         "positions": None,
         "dropped": [],
-        # stored columns: mutable ones as their snapshot bytes, immutable ones whole
+        # stored: struct columns as (keys, pickled {key: changed leaf}), other mutable ones pickled
+        "struct": {},
         "pickled": {},
         "dense": {},
     }
@@ -305,20 +346,24 @@ def encode(
         positions = _row_positions(parent, child)
         if positions is None:
             parent = None
-    snapshot: dict[str, bytes] = {}
+    snapshot: dict[str, bytes | tuple] = {}
     for name, values in columns.items():
-        base = None if parent is None else parent._columns.get(name)
-        if not set(map(type, values)) <= _IMMUTABLE:
-            blob = snapshot[name] = _dumps(values)
-            if base is None or positions is not None or parent_snapshot.get(name) != blob:
-                payload["pickled"][name] = blob
+        held = _snapshot(values)
+        if held is None:  # compared only with a parent column of immutable cells
+            base = None if parent is None or name in parent_snapshot else parent._columns.get(name)
+            if _changed(values, base, positions):
+                payload["dense"][name] = values
             continue
-        if base is not None and positions is not None:
-            base = list(map(base.__getitem__, positions))
-        if base is None or any(
-            new is not old and not _same_immutable(new, old) for new, old in zip(values, base)
-        ):
-            payload["dense"][name] = values
+        snapshot[name] = held
+        old = None if parent is None or name not in parent._columns else parent_snapshot.get(name)
+        if isinstance(held, bytes):
+            if old is None or positions is not None or old != held:
+                payload["pickled"][name] = held
+            continue
+        old_leaves = dict(zip(*old)) if isinstance(old, tuple) else {}
+        payload["struct"][name] = (held[0], _dumps({
+            key: leaf for key, leaf in zip(*held) if _changed(leaf, old_leaves.get(key), positions)
+        }))
     if parent is not None:
         payload.update(
             parent_rows=len(parent),
@@ -335,8 +380,9 @@ def decode(
 ) -> NestedDataset | None:
     """The dataset an :func:`encode` payload describes, replayed onto ``parent``,
     with the columns ``columns`` picks from the entry's names (all when None;
-    one at least, to hold the entry's row count): a pickled column left out is
-    never unpickled.
+    one at least, to hold the entry's row count): a column left out is never
+    unpickled or built.  A struct column's rows are new dicts, keys in their
+    stored order, each value from its stored leaf or the parent's cell.
 
     None — a miss — when ``payload`` is no entry of this format (an older
     store's whole pickled dataset included) or does not fit ``parent``; a
@@ -354,6 +400,11 @@ def decode(
                 return None
         positions, pickled, dense = payload["positions"], payload["pickled"], payload["dense"]
         names = payload["columns"]
+
+        def from_parent(name: str) -> list:  # the parent's cells at the row positions
+            base = base_columns[name]
+            return list(base) if positions is None else list(map(base.__getitem__, positions))
+
         if columns is not None and payload["rows"]:
             wanted = set(columns(names))
             names = [name for name in names if name in wanted] or names[:1]
@@ -365,8 +416,15 @@ def decode(
             if name in dense:
                 built[name] = dense[name]
                 continue
-            base = base_columns[name]
-            built[name] = list(base) if positions is None else list(map(base.__getitem__, positions))
+            if name in payload["struct"]:
+                keys, stored = payload["struct"][name]
+                stored = pickle.loads(stored)
+                rows = built[name] = [{} for _ in range(payload["rows"])]
+                for key in keys:  # a leaf at a time, each cell set in C
+                    leaf = stored.get(key) or list(map(operator.itemgetter(key), from_parent(name)))
+                    deque(map(operator.setitem, rows, repeat(key), leaf), maxlen=0)
+                continue
+            built[name] = from_parent(name)
         dataset = NestedDataset(built, fingerprint=payload["fingerprint"])
     except Exception:  # noqa: BLE001 - a payload that does not fit is a miss
         return None

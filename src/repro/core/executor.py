@@ -661,7 +661,7 @@ class Executor:
                 "executed_shards": 0,
                 "cached_shards": 0,
                 # input shards whose rows were decoded (not only signed), and
-                # the mutable columns unpickled from stored shard entries
+                # the mutable columns unpickled or rebuilt from stored shard entries
                 "decoded_shards": 0,
                 "unpickled_columns": 0,
                 # the largest signature table a global resolve held on the
@@ -733,11 +733,11 @@ class Executor:
 
     def _read_shard(self, key: str, progress: dict, columns: Any = None) -> NestedDataset | None:
         """The stored shard entry of ``key`` built for the ``columns`` its reader
-        uses (:func:`decode`; None on a miss), counting the columns it unpickled."""
+        uses (:func:`decode`; None on a miss), counting the mutable (not dense) columns it built."""
         payload = self._stores.get(key)
         shard = decode(None, payload, columns)
         if shard is not None:
-            progress["unpickled_columns"] += len(payload["pickled"].keys() & shard._columns.keys())
+            progress["unpickled_columns"] += len(shard._columns.keys() - payload["dense"].keys())
         return shard
 
     def _shard_output(

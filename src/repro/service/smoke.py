@@ -11,8 +11,9 @@ over a real socket, unlike the tier-1 tests:
 4. submit the *same* job again and require a fully cache-warm run: its
    report hits every input shard (``cache.shard_hits ==
    shards.input_shards``, no ``shard_misses``), decodes none
-   (``shards.decoded_shards == 0``) — the recipe has a single stage — and
-   unpickles ``meta`` alone (``shards.unpickled_columns <= input_shards``);
+   (``shards.decoded_shards == 0``) — the recipe has a single stage —
+   rebuilds ``meta`` alone (``shards.unpickled_columns <= input_shards``)
+   and writes nothing to the store (``cache.bytes_written == 0``);
 5. run the equivalent pipeline through the direct CLI code path and
    require the service export to be **byte-identical** to it.
 
@@ -115,11 +116,12 @@ def run_smoke(
             "input_shards": shards.get("input_shards"),
             "decoded_shards": shards.get("decoded_shards"),
             "unpickled_columns": shards.get("unpickled_columns"),
+            "bytes_written": cache.get("bytes_written"),
         }
-        # every input shard replayed from the store, none of them decoded,
-        # and each read back for the columns its reader uses alone
+        # every input shard replayed from the store, none of them decoded or
+        # stored again, and each read back for the columns its reader uses alone
         if not (
-            counts["shard_misses"] == counts["decoded_shards"] == 0
+            counts["shard_misses"] == counts["decoded_shards"] == counts["bytes_written"] == 0
             and counts["shard_hits"] == counts["input_shards"]
             and counts["input_shards"]
             and counts["unpickled_columns"] <= counts["input_shards"]

@@ -129,6 +129,13 @@ class TestEffectExtractor:
         assert "__stats__.text_len" in schema.effects().writes
 
 
+@pytest.fixture(scope="session")
+def full_scan():
+    """The built-in pool's catalog from one full scan, shared by the tests
+    comparing the per-module lookup against it."""
+    return effect_catalog(refresh=True)
+
+
 class TestPerModuleLookup:
     """A recipe's preflight parses only its ops' modules, to the same effect."""
 
@@ -137,13 +144,13 @@ class TestPerModuleLookup:
             defined = Path(inspect.getsourcefile(OPERATORS.get(name)))
             assert defined == op_module_path(name), name
 
-    def test_per_module_signatures_equal_the_full_scan(self, monkeypatch):
+    def test_per_module_signatures_equal_the_full_scan(self, monkeypatch, full_scan):
         monkeypatch.setattr(effects, "_CATALOG_CACHE", None)
         effects._module_signature.cache_clear()
         names = OPERATORS.list()
         per_module = recipe_signatures(names)
         assert effects._CATALOG_CACHE is None  # no full scan was needed
-        assert per_module == {name: effect_catalog(refresh=True)[name] for name in names}
+        assert per_module == {name: full_scan[name] for name in names}
 
     def test_a_check_parses_only_the_modules_of_its_ops(self, monkeypatch):
         monkeypatch.setattr(effects, "_CATALOG_CACHE", None)
@@ -164,14 +171,13 @@ class TestPerModuleLookup:
             assert check_recipe({"process": [{name: {}}]}).exit_code == 0
             assert effects._CATALOG_CACHE is not None and len(parsed) > len(OPERATORS)
 
-    def test_findings_are_those_of_the_full_scan(self, monkeypatch):
+    def test_findings_are_those_of_the_full_scan(self, monkeypatch, full_scan):
         every_op = {"process": [{name: {}} for name in OPERATORS.list()]}
         recipes = [every_op, BROKEN_RECIPE, *BUILT_IN_RECIPES.values()]
         monkeypatch.setattr(effects, "_CATALOG_CACHE", None)
         effects._module_signature.cache_clear()
         findings = [render_json(check_recipe(recipe)) for recipe in recipes]
-        catalog = effect_catalog(refresh=True)
-        assert findings == [render_json(check_recipe(recipe, signatures=catalog))
+        assert findings == [render_json(check_recipe(recipe, signatures=full_scan))
                             for recipe in recipes]
         assert json.loads(findings[0])["findings"]  # the every-op recipe has some
 

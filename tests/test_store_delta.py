@@ -3,7 +3,8 @@
 Layers under test:
 
 * the codec (:func:`repro.core.cache.encode` / :func:`~repro.core.cache.decode`):
-  unchanged columns are not stored, a changed one is stored whole, row
+  unchanged columns are not stored, a changed one is stored whole, a column
+  of flat dicts leaf by leaf (any other mutable column pickled whole), row
   positions come from the row count or the values of the immutable columns
   (so they survive a worker's round trip), and a payload of another shape or
   over another parent decodes as a miss;
@@ -17,22 +18,25 @@ Layers under test:
 * the resume chain: a crash resumes by replaying the recorded keys, a
   truncated entry inside the chain is recomputed, and a cache directory of
   whole-dataset entries is all misses once, then all hits;
-* observability: ``cache.bytes_written`` is the growth of the store, and a
-  web-cleaning recipe's cache holds fewer than 3 input-sizes.
+* observability: ``cache.bytes_written`` is the growth of the store, a
+  web-cleaning recipe's cache holds fewer than 3 input-sizes, and each
+  filter's entry holds the stats it wrote and no ``meta``.
 """
 
 import json
+import math
 import os
 import pickle
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 from repro.core.base_op import Filter, Mapper
-from repro.core.cache import CacheManager, cell_snapshot, decode, encode
+from repro.core.cache import CacheManager, cell_snapshot, decode, detach, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
 from repro.core.errors import OpExecutionError
@@ -40,6 +44,7 @@ from repro.core.executor import Executor
 from repro.core.registry import OPERATORS
 from repro.core.sample import Fields
 from repro.testing import FaultPlan
+from repro.tools.dataflow.effects import effect_signature
 
 from tests.test_store import entry_files, forbid, forbid_everything
 from tests.test_streaming import write_jsonl
@@ -111,14 +116,29 @@ def replay(parent, child):
     return payload, decode(parent, payload)
 
 
+class Label(str):
+    """A ``str`` subclass: equal to a plain string, but of another type."""
+
+
+def structs(payload):
+    """An entry's struct columns: each one's keys and stored (changed) leaves."""
+    return {name: (keys, pickle.loads(leaves)) for name, (keys, leaves) in payload["struct"].items()}
+
+
+def exact(dataset):
+    """Every cell with its type, a dict's key order and a float's sign (``repr``)."""
+    return repr(dataset.to_dict())
+
+
 class TestCodec:
-    ROWS = [{"text": f"row {n}", "n": n, "meta": {"k": n}} for n in range(10)]
+    ROWS = [{"text": f"row {n}", "n": n, "meta": {"k": n, "src": "web"}} for n in range(10)]
 
     def test_an_unchanged_dataset_stores_no_column(self):
         parent = rows_dataset(self.ROWS)
         child = NestedDataset(parent.to_dict(), fingerprint="child")
         payload, decoded = replay(parent, child)
         assert payload["pickled"] == payload["dense"] == {}
+        assert structs(payload) == {"meta": (("k", "src"), {})}
         assert payload["positions"] is None
         assert decoded == child and decoded.fingerprint == "child"
 
@@ -141,17 +161,26 @@ class TestCodec:
         ]
         assert str(decoded["x"][1]) == "-0.0"
 
+    def test_a_parent_column_of_other_cell_types_is_no_base(self):
+        parent = NestedDataset({"x": [Label("a"), Label("b")]})
+        child = NestedDataset({"x": ["a", "b"]}, fingerprint="child")
+        payload, decoded = replay(parent, child)
+        assert payload["dense"] == {"x": ["a", "b"]}
+        assert [type(value) for value in decoded["x"]] == [str, str]
+
     def test_a_mutable_column_edited_in_place_is_stored(self):
         parent = rows_dataset(self.ROWS)
         snapshot = cell_snapshot(parent)
         assert set(snapshot) == {"meta"}
         for meta in parent["meta"]:
-            meta["seen"] = True  # the child shares these dicts
+            meta["k"] += 100  # the child shares these dicts
         child = NestedDataset(parent.to_dict(), fingerprint="child")
         payload, _ = encode(parent, child, snapshot)
-        assert set(payload["pickled"]) == {"meta"}
+        # the edited key's leaf is stored, and no other leaf is
+        assert payload["pickled"] == {}
+        assert structs(payload) == {"meta": (("k", "src"), {"k": [n + 100 for n in range(10)]})}
         fresh = rows_dataset(self.ROWS)  # the parent as its own entry holds it
-        assert decode(fresh, payload)["meta"][0] == {"k": 0, "seen": True}
+        assert decode(fresh, payload)["meta"][0] == {"k": 100, "src": "web"}
 
     def test_positions_follow_the_immutable_values(self):
         parent = rows_dataset(self.ROWS)
@@ -169,7 +198,9 @@ class TestCodec:
         child._fingerprint = "child"
         payload, decoded = replay(parent, child)
         assert payload["positions"] == [9, 4, 0]
-        assert payload["dense"] == {} and set(payload["pickled"]) == {"meta"}
+        # the copied ``meta`` cells compare equal to the parent's at those rows
+        assert payload["dense"] == payload["pickled"] == {}
+        assert structs(payload) == {"meta": (("k", "src"), {})}
         assert decoded == child
 
     def test_rows_with_equal_values_map_to_one_of_them(self):
@@ -178,7 +209,8 @@ class TestCodec:
         child._fingerprint = "child"
         payload, decoded = replay(parent, child)
         assert payload["positions"] == [2, 1]
-        # the mapping only decides what is stored: the meta column is, whole
+        # the mapping only decides what is stored: the ``k`` leaf is
+        assert structs(payload) == {"meta": (("k",), {"k": [0, 1]})}
         assert decoded == child and decoded["meta"] == [{"k": 0}, {"k": 1}]
 
     def test_no_mapping_stores_a_self_contained_entry(self):
@@ -195,12 +227,15 @@ class TestCodec:
         assert payload["dropped"] == ["n"] and decoded == child
 
     def test_a_projection_unpickles_only_the_columns_it_picks(self, monkeypatch):
-        child = rows_dataset(self.ROWS)
+        child = rows_dataset(self.ROWS).add_column("tags", [{"k": [n]} for n in range(10)])
         payload, _ = encode(None, child, None)
-        assert set(payload["pickled"]) == {"meta"}
+        assert set(payload["pickled"]) == {"tags"} and set(payload["struct"]) == {"meta"}
         unpickled = []
         monkeypatch.setattr(pickle, "loads", unpickled.append)
-        text = decode(None, payload, lambda names: [name for name in names if name != "meta"])
+        # a struct column left out is never read: building it would miss
+        payload["struct"]["meta"] = None
+        kept = {"text", "n"}
+        text = decode(None, payload, lambda names: [name for name in names if name in kept])
         assert text.column_names == ["text", "n"] and text.fingerprint == child.fingerprint
         # a projection that picks nothing still carries the entry's row count
         assert len(decode(None, payload, lambda names: ["absent"])) == len(self.ROWS)
@@ -218,6 +253,84 @@ class TestCodec:
         payload, _ = replay(parent, parent.select([1, 2]))
         assert decode(rows_dataset(self.ROWS[:5]), payload) is None
         assert decode(None, payload) is None
+
+
+class TestStructColumns:
+    """A column of flat dicts is stored leaf by leaf and round-trips exactly:
+    the same dicts, key order and cell types, through a pickled entry."""
+
+    @staticmethod
+    def round_trip(parent, child):
+        payload, _ = encode(parent, child, cell_snapshot(parent))
+        payload = pickle.loads(pickle.dumps(payload))  # as the store reads it back
+        decoded = decode(parent, payload)
+        assert exact(decoded) == exact(child)
+        return payload
+
+    def test_retyped_and_signed_cells_and_nan_are_changes(self):
+        nan = math.nan
+        parent = NestedDataset({"__stats__": [{"a": 1, "z": 0.0, "q": nan, "s": nan}]})
+        child = NestedDataset({"__stats__": [{"a": 1.0, "z": -0.0, "q": float("nan"), "s": nan}]})
+        payload = self.round_trip(parent, child)
+        # the NaN that is the same object is unchanged; a new NaN is a change
+        assert set(structs(payload)["__stats__"][1]) == {"a", "z", "q"}
+        grandchild = NestedDataset({"__stats__": [{"a": True, "z": -0.0, "q": 0.0, "s": nan}]})
+        payload = self.round_trip(child, grandchild)
+        assert set(structs(payload)["__stats__"][1]) == {"a", "q"}
+
+    def test_an_overwritten_an_added_and_a_removed_key(self):
+        parent = NestedDataset({"meta": [{"a": n, "b": n, "c": n} for n in range(4)]})
+        child = NestedDataset({"meta": [{"a": n, "b": -n - 1, "d": "new"} for n in range(4)]})
+        payload = self.round_trip(parent, child)
+        assert structs(payload)["meta"] == (
+            ("a", "b", "d"), {"b": [-1, -2, -3, -4], "d": ["new"] * 4}
+        )
+
+    def test_all_empty_dicts_and_zero_rows(self):
+        parent = NestedDataset({"text": ["x", "y"], "meta": [{}, {}]})
+        payload = self.round_trip(parent, NestedDataset({"text": ["x", "y"], "meta": [{}, {}]}))
+        assert structs(payload) == {"meta": ((), {})}
+        dropped = self.round_trip(parent, NestedDataset({"text": ["y"], "meta": [{}]}))
+        assert dropped["positions"] == [1]
+        empty = NestedDataset({"text": [], "meta": []})
+        self.round_trip(parent, empty)
+        self.round_trip(empty, empty)
+        assert exact(decode(None, encode(None, empty, None)[0])) == exact(empty)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+            [{"a": 1}, {"b": 1}],
+            [{"a": 1}, {}],
+            [{"a": 1}, {"a": 1, "b": 2}],
+            [{}, {"a": 1}],
+            [{"a": 1}, {"a": [1]}],
+            [OrderedDict(a=1), OrderedDict(a=2)],
+            [{1: "int key"}, {1: "int key"}],
+        ],
+        ids=["key-orders-differ", "keys-differ", "a-key-missing", "a-key-added",
+             "a-key-added-to-empty", "nested-value", "dict-subclass", "non-str-key"],
+    )
+    def test_other_dict_columns_are_pickled_whole(self, cells):
+        parent = NestedDataset({"meta": [{"a": 0}, {"a": 0}]})
+        child = NestedDataset({"meta": cells})
+        payload = self.round_trip(parent, child)
+        assert set(payload["pickled"]) == {"meta"} and payload["struct"] == {}
+        assert list(map(type, decode(parent, payload)["meta"])) == list(map(type, cells))
+
+    def test_decoded_dicts_are_new_objects(self):
+        parent = rows_dataset(TestCodec.ROWS)
+        child = NestedDataset(parent.to_dict(), fingerprint="child")
+        payload, decoded = replay(parent, child)
+        assert structs(payload)["meta"][1] == {}  # every value comes from the parent
+        decoded["meta"][0]["k"] = "edited"
+        assert parent["meta"][0] == {"k": 0, "src": "web"}
+        caller = rows_dataset(TestCodec.ROWS)
+        detached = detach(caller)
+        assert detached == caller
+        detached["meta"][1]["src"] = "edited"
+        assert caller["meta"][1] == {"k": 1, "src": "web"}
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +487,7 @@ def test_a_pooled_run_stores_deltas(tmp_path, web_input):
     # an op that dropped rows says which parent row each output row is
     dropped = [payload for payload in payloads if payload["rows"] < payload["parent_rows"]]
     assert dropped and all(payload["positions"] is not None for payload in dropped)
-    assert first.store.total_bytes() < 3 * web_input.stat().st_size
+    assert first.store.total_bytes() < 2.5 * web_input.stat().st_size
     warm, _, executor = run_recipe(tmp_path, "warm", web_input, WEB_CLEAN,
                                    prepare=forbid_everything, **options)
     assert executor.last_report["cache"]["hits"] == len(WEB_CLEAN)
@@ -570,3 +683,22 @@ class TestBytesWritten:
                                     use_checkpoint=True, op_fusion=True)
         input_bytes = web_input.stat().st_size
         assert executor.store.total_bytes() < 3 * input_bytes
+
+    def test_a_filter_entry_holds_the_stats_it_wrote_and_no_meta(self, tmp_path, web_input):
+        _, _, executor = run_recipe(tmp_path, "out", web_input, WEB_CLEAN, use_cache=True,
+                                    use_checkpoint=True, op_fusion=False)
+        chain = executor.checkpoint.read_state()["keys"]
+        payloads = [executor.store.get(key) for key in chain]
+        assert len(payloads) == len(WEB_CLEAN)
+        filters = 0
+        for step, payload in zip(WEB_CLEAN, payloads):
+            (name,) = step
+            # no entry re-stores an unchanged ``meta``: not pickled, no leaf
+            assert "meta" not in payload["pickled"]
+            assert structs(payload)["meta"][1] == {}
+            if name.endswith("_filter"):
+                filters += 1
+                wrote = {field.split(".", 1)[1] for field in effect_signature(name).writes
+                         if field.startswith("__stats__.")}
+                assert set(structs(payload)["__stats__"][1]) == wrote, name
+        assert filters >= 3
