@@ -39,9 +39,11 @@ from repro.core.batch import (
     batch_to_rows,
     resolve_batch_size,
     rows_to_batch,
+    stat_rows,
+    unfold_stats,
 )
 from repro.core.dataset import NestedDataset
-from repro.core.sample import Fields, ensure_stats, get_field, set_field
+from repro.core.sample import Fields, get_field, set_field
 
 
 class OP:
@@ -241,16 +243,20 @@ class Filter(OP):
         ``context`` is an optional batch-level shared store (row-aligned
         column lists keyed by :class:`repro.core.context.ContextKeys`) that
         fused execution threads through its members so e.g. tokenisation
-        happens once per batch.  The default materialises rows and maps
-        :meth:`compute_stats`; vectorised filters override it.
+        happens once per batch.  The default maps :meth:`compute_stats` over
+        the rows, each with its stats folded into a fresh ``__stats__`` dict,
+        and writes the stats they gained as stat columns; vectorised filters
+        override it and write their stat columns directly
+        (:func:`repro.core.batch.write_stat`).
         """
         del context  # the per-row fallback cannot share batch-level values
-        rows = [self.compute_stats(row) for row in batch_to_rows(samples)]
-        return rows_to_batch(rows, column_order=samples)
+        rows = stat_rows(samples)
+        before = [dict(row[Fields.stats]) for row in rows]
+        return unfold_stats(samples, before, [self.compute_stats(row) for row in rows])
 
     def process_batched(self, samples: dict) -> list[bool]:
         """Keep/drop decision for every row of a stat-annotated column batch."""
-        return [bool(self.process(row)) for row in batch_to_rows(samples)]
+        return [bool(self.process(row)) for row in stat_rows(samples)]
 
     def filter_batched(self, samples: dict) -> tuple[dict, list[bool]]:
         """Stats + decision for one batch: ``(surviving_batch, keep_flags)``.
@@ -369,7 +375,7 @@ class Formatter:
 
     @staticmethod
     def unify_sample(record: dict, text_keys: Sequence[str]) -> dict:
-        """Unify one raw record: ensure a ``text`` field exists and stats start empty.
+        """Unify one raw record: ensure a ``text`` field exists.
 
         When the configured text keys are missing, the first string field is
         promoted to ``text`` — never the ``__suffix__`` a formatter stamps;
@@ -389,7 +395,6 @@ class Formatter:
                         text_value = value
                         break
             sample[Fields.text] = text_value if text_value is not None else ""
-        ensure_stats(sample)
         return sample
 
     @classmethod

@@ -11,14 +11,17 @@ the dominant per-row overhead of the original hot path (dict construction,
 Cell objects are shared between a batch and the dataset it was sliced from —
 exactly like the row dicts produced by ``to_list()`` share their cell objects.
 Helpers that modify a batch therefore always replace whole column lists and
-never mutate the sliced lists in place.
+never mutate the sliced lists in place, and no op edits a cell it received: a
+Filter writes each stat as a new column of scalars, ``__stats__.<key>``
+(:func:`write_stat`), and a row's stats are folded into one ``__stats__``
+dict only where a reader sees the row (:func:`stat_rows`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.sample import Fields
+from repro.core.sample import Fields, stat_column, stats_folder
 
 #: default number of rows per batch of the batched op path; per-op overrides
 #: come from the ``batch_size`` op parameter / recipe knob
@@ -112,36 +115,59 @@ def set_text_column(samples: dict[str, list], text_key: str, texts: list[str]) -
     return samples
 
 
-def ensure_stats_column(samples: dict[str, list]) -> list[dict]:
-    """Return the per-row stats dicts of a batch, normalising the column.
+def write_stat(samples: dict[str, list], key: str, compute: Callable[[], list]) -> dict[str, list]:
+    """Write stat ``key`` as the batch's column ``__stats__.<key>`` and return the batch.
 
-    Rows whose stats cell is missing or not a dict get a fresh ``{}``; the
-    column list is replaced (never mutated in place) so the parent dataset's
-    column storage is untouched, while existing stats dicts stay shared with
-    the parent — the same aliasing the per-row path produces via shallow
-    ``dict(row)`` copies.
+    A row keeps a value it already carries — the column an earlier op wrote,
+    else the key of the ``__stats__`` dict its input held — and every other
+    row gets its cell of ``compute()`` (one per row).  No cell is edited: the
+    column is a new key of the batch dict.
     """
-    length = batch_length(samples)
-    existing = samples.get(Fields.stats)
-    if existing is None:
-        stats_column: list[dict] = [{} for _ in range(length)]
-    else:
-        stats_column = [cell if isinstance(cell, dict) else {} for cell in existing]
-    samples[Fields.stats] = stats_column
-    return stats_column
+    name = stat_column(key)
+    if name not in samples:
+        values = compute()
+        carried = samples.get(Fields.stats)
+        if carried is not None:
+            values = [
+                stats[key] if isinstance(stats, dict) and key in stats else value
+                for stats, value in zip(carried, values)
+            ]
+        samples[name] = values
+    return samples
 
 
-def stats_column_view(samples: dict[str, list]) -> list[dict]:
-    """Read-only view of the per-row stats dicts (missing cells read as ``{}``).
+def read_stat(samples: dict[str, list], key: str, default: Any = None) -> list:
+    """Stat ``key`` of every row of a batch, ``default`` where a row has none —
+    the batched ``sample.get("__stats__", {}).get(key, default)``."""
+    name = stat_column(key)
+    if name in samples:
+        return samples[name]
+    carried = samples.get(Fields.stats) or [None] * batch_length(samples)
+    return [stats.get(key, default) if isinstance(stats, dict) else default for stats in carried]
 
-    Unlike :func:`ensure_stats_column` this never modifies the batch; it is
-    the batched analogue of ``sample.get(Fields.stats, {})`` in the per-row
-    ``process`` implementations.
-    """
-    existing = samples.get(Fields.stats)
-    if existing is None:
-        return [{}] * batch_length(samples)
-    return [cell if isinstance(cell, dict) else {} for cell in existing]
+
+def stat_rows(samples: dict[str, list]) -> list[dict]:
+    """The rows of a batch as a per-row Filter reads them: fresh dicts whose
+    stats are folded into a new ``__stats__`` dict each
+    (:func:`repro.core.sample.stats_folder`), so writing to it edits no cell."""
+    keys = list(samples)
+    fold = stats_folder(keys if Fields.stats in keys else [*keys, Fields.stats])
+    return [fold(dict(zip(keys, values))) for values in zip(*samples.values())]
+
+
+def unfold_stats(samples: dict[str, list], before: list[dict], rows: list[dict]) -> dict[str, list]:
+    """``samples`` plus, as stat columns, every stat the per-row ``rows``
+    (:func:`stat_rows` after the op) hold new or changed against ``before``,
+    their stats when they were handed over; a row that did not write one of
+    them gives its own value, or None."""
+    written: dict[str, None] = {}
+    for old, row in zip(before, rows):
+        for key, value in row[Fields.stats].items():
+            if key not in old or old[key] is not value:
+                written.setdefault(key)
+    for key in written:
+        samples[stat_column(key)] = [row[Fields.stats].get(key) for row in rows]
+    return samples
 
 
 def resolve_batch_size(batch_size: int | None) -> int:
@@ -157,10 +183,12 @@ __all__ = [
     "batch_length",
     "batch_select",
     "batch_to_rows",
-    "ensure_stats_column",
     "get_text_column",
+    "read_stat",
     "resolve_batch_size",
     "rows_to_batch",
     "set_text_column",
-    "stats_column_view",
+    "stat_rows",
+    "unfold_stats",
+    "write_stat",
 ]

@@ -19,16 +19,18 @@ written **once**, as one entry of the :class:`CacheManager` directory a
 Two kinds of key, one entry codec (:func:`encode` / :func:`decode`).  A
 memory-mode cache entry stores what the op changed, not the whole dataset:
 it is a delta over the op's parent dataset — one parent row position per
-output row (none when the op kept the rows as they were) and, whole, only
-the columns a replay cannot rebuild from the parent.  Whether a column is
-unchanged is checked at write time against the data (:func:`cell_snapshot`),
-never inferred from what the op declares, so the replay is exact for any op.
-An entry with no parent is self-contained: the latest entry of a
-checkpoint-only run, which keeps it alone, and every shard's stage output.
-
-A column of flat dicts (``meta``, ``__stats__``) is stored as Arrow stores a
-struct, one leaf per key (:func:`_snapshot`), so an entry holds only the leaves
-its op changed; rows that shared one dict decode as dicts of their own.
+output row (none when the op kept the rows as they were) and only the columns
+a replay cannot rebuild from the parent, each as a pickled blob of its own,
+so a reader unpickles only the columns it uses.  One rule decides, for every
+column: it is stored unless each cell has the type and value of the parent
+cell its row maps to (:func:`_changed`), checked at write time against the
+data, never inferred from what the op declares, so the replay is exact for
+any op.  The parent in memory is what its own entry decodes to because no op
+edits a cell it received: a Filter writes each stat as a column of its own
+(``__stats__.<key>``), so a filter's entry holds its stats and no entry
+re-stores ``meta``.  An entry with no parent is self-contained: the latest
+entry of a checkpoint-only run, which keeps it alone, and every shard's stage
+output.
 
 Entries are pickled — lossless for every Python payload, so a replay can
 never differ from recomputation — and optionally compressed; zlib / lzma /
@@ -52,11 +54,9 @@ import shutil
 import tempfile
 import uuid
 import zlib
-from collections import deque
 from contextlib import contextmanager
-from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
@@ -64,17 +64,23 @@ from repro.core.errors import ReproError
 #: shape version of a memory-mode entry (:func:`encode`); any other payload —
 #: the whole pickled datasets older stores hold included — decodes as a miss.
 #: 2: every Deduplicator's and Selector's output fingerprint chains its config;
-#: 3: a column of flat dicts is stored as one leaf per key
-ENTRY_FORMAT = 3
+#: 3: a column of flat dicts is stored as one leaf per key;
+#: 4: a Filter's stats are columns of their own, and every stored column is a blob
+ENTRY_FORMAT = 4
 
 #: key suffix of output shaped by a fault: no clean run computes such a key
 FAULTED = "#faulted"
 
-#: cell types no op can edit in place: such a cell is unchanged when it has
-#: the type and value of the parent cell it maps to
-_IMMUTABLE = frozenset({str, bytes, int, float, bool, type(None)})
+#: scalar cell types (:func:`is_scalar`): a row's cells in the columns holding
+#: only these match it to its parent row (:func:`_row_positions`)
+_SCALARS = frozenset({str, bytes, int, float, bool, type(None)})
+#: scalar cells equal only to cells of their own type and value
+_TEXT = frozenset({str, bytes, type(None)})
+#: cells pickle never memoizes: a column of them pickles to the same bytes however
+#: its cells are shared
+_NUMBERS = frozenset({int, float, bool, type(None)})
 
-_ABSENT = object()  #: a key a dict lacks, as :func:`_snapshot` reads it
+_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 _CODECS: dict[str, tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
     "none": (lambda data: data, lambda data: data),
@@ -90,8 +96,9 @@ def available_codecs() -> list[str]:
     return sorted(_CODECS)
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (same-directory tmp + replace).
+def atomic_write(path: Path, data: bytes | Callable[[IO[bytes]], Any]) -> None:
+    """Write ``data`` — bytes, or a function writing them to the open file — to
+    ``path`` atomically (same-directory tmp + replace).
 
     A crash mid-write leaves either the previous file or a stray ``.tmp``
     behind — never a truncated target — which is the property every resume
@@ -101,7 +108,11 @@ def atomic_write(path: Path, data: bytes) -> None:
     """
     temp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        temp.write_bytes(data)
+        if callable(data):
+            with temp.open("wb") as handle:
+                data(handle)
+        else:
+            temp.write_bytes(data)
         os.replace(temp, path)
     finally:
         temp.unlink(missing_ok=True)
@@ -153,8 +164,10 @@ class CacheManager:
         """Atomically write ``payload`` as the entry of ``key``; returns its path."""
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._path_for(key)
-        compress = _CODECS[self.compression][0]
-        atomic_write(path, compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)))
+        if self.compression == "none":  # streamed: a stored column's blob is written, not copied
+            atomic_write(path, lambda handle: pickle.dump(payload, handle, _PROTOCOL))
+        else:
+            atomic_write(path, _CODECS[self.compression][0](_dumps(payload)))
         return path
 
     def get(self, key: str) -> Any | None:
@@ -223,65 +236,34 @@ class RunStore:
 
 
 def _dumps(value: Any) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.dumps(value, protocol=_PROTOCOL)
 
 
-def _snapshot(values: list) -> bytes | tuple | None:
-    """A column as its entry holds it: None when every cell is immutable; ``(keys, leaves)``,
-    a leaf (list of a key's cells) per key, when each cell is a plain ``dict`` with the same
-    ``str`` keys in the same order holding immutable scalars (checked in C); else pickled."""
-    kinds = set(map(type, values))
-    if kinds <= _IMMUTABLE:
-        return None
-    if kinds == {dict}:
-        keys, width = tuple(values[0]), len(values[0])
-        if width > 1:  # no row holds a key twice, so every row's keys are ``keys``
-            ordered = list(chain.from_iterable(values)) == list(keys) * len(values)
-            flat = list(chain.from_iterable(map(dict.values, values)))
-            leaves = [flat[index::width] for index in range(width)]
-        else:  # one key or none has one order; a missing key reads as ``_ABSENT``
-            ordered = set(map(len, values)) == {width}
-            leaves = [list(map(dict.get, values, repeat(key), repeat(_ABSENT))) for key in keys]
-        if ordered and set(map(type, keys)) <= {str} and all(
-            set(map(type, leaf)) <= _IMMUTABLE for leaf in leaves
-        ):
-            return keys, leaves
-    return _dumps(values)
-
-
-def cell_snapshot(dataset: NestedDataset) -> dict[str, bytes | tuple]:
-    """Every column of ``dataset`` holding a mutable cell, as its entry holds it.
-
-    Ops edit ``meta`` / ``__stats__`` dicts in place, so once the next op has
-    run, ``dataset`` in memory no longer shows what its entry decodes to.
-    Taken before that op runs, this is what :func:`encode` compares the op's
-    output against; a leaf only references scalars, so it pickles nothing.
-    """
-    held = {name: _snapshot(values) for name, values in dataset._columns.items()}
-    return {name: value for name, value in held.items() if value is not None}
-
-
-def detach(dataset: NestedDataset) -> NestedDataset:
-    """``dataset`` as its self-contained entry replays it: the columns holding
-    mutable cells — the ``meta`` / ``__stats__`` dicts ops edit in place — are
-    new copies, so a run over a caller's dataset leaves its rows alone."""
-    return decode(None, encode(None, dataset, None)[0])
+def is_scalar(values: list) -> bool:
+    """True when every cell of a column is a ``str`` / ``bytes`` / ``int`` /
+    ``float`` / ``bool`` / ``None`` (checked in C)."""
+    return set(map(type, values)) <= _SCALARS
 
 
 def _changed(new: list, old: list | None, positions: list[int] | None) -> bool:
-    """False when each cell of ``new`` is, or has the type and value of, the immutable ``old``
-    cell its row maps to (``-0.0`` is not ``0.0``; a NaN only as itself); checked in C."""
+    """False when each cell of ``new`` is, or has the type and value of, the ``old`` cell
+    its row maps to: identity, then equality (a NaN equals only itself), then — where
+    numbers or non-scalar cells are involved — pickled bytes, all checked in C."""
     if old is None:
         return True
     if positions is not None:
         old = list(map(old.__getitem__, positions))
     if all(map(operator.is_, new, old)):
         return False
-    if new != old:  # a NaN equals only itself
+    if new != old:
         return True
-    # equal immutable cells differ only among numbers, in type (1, 1.0, True) or a
-    # zero's sign, and a number pickles by its type and bits
-    return not set(map(type, new)).isdisjoint((int, float, bool)) and _dumps(new) != _dumps(old)
+    kinds = set(map(type, new)) | set(map(type, old))
+    if kinds <= _TEXT or _dumps(new) == _dumps(old):
+        return False
+    # equal numbers differ in type (1, 1.0, True) or a zero's sign, and a number
+    # pickles by its type and bits; a column's bytes also depend on which objects
+    # its cells share, a cell's alone do not
+    return kinds <= _NUMBERS or list(map(_dumps, new)) != list(map(_dumps, old))
 
 
 def _row_positions(parent: NestedDataset, child: NestedDataset) -> list[int] | None:
@@ -295,9 +277,7 @@ def _row_positions(parent: NestedDataset, child: NestedDataset) -> list[int] | N
     names = [
         name
         for name, values in child._columns.items()
-        if name in parent._columns
-        and set(map(type, values)) <= _IMMUTABLE
-        and set(map(type, parent._columns[name])) <= _IMMUTABLE
+        if name in parent._columns and is_scalar(values) and is_scalar(parent._columns[name])
     ]
     if not names:
         return None
@@ -306,71 +286,42 @@ def _row_positions(parent: NestedDataset, child: NestedDataset) -> list[int] | N
     return None if None in positions else positions
 
 
-def encode(
-    parent: NestedDataset | None, child: NestedDataset, parent_snapshot: dict | None
-) -> tuple[dict, dict[str, bytes | tuple]]:
-    """The store entry of ``child``, an op's output over ``parent``, and ``child``'s snapshot.
+def encode(parent: NestedDataset | None, child: NestedDataset) -> dict:
+    """The store entry of ``child``, an op's output over ``parent``.
 
-    With a parent the entry is a delta :func:`decode` replays onto it.  A
-    column is stored only where the replay could not rebuild it:
-
-    * an immutable column, whole, unless each cell has the type and value of
-      the parent cell its row maps to (:func:`_changed`); a struct column, leaf
-      by leaf, the same against ``parent_snapshot`` (the parent's own entry);
-    * any other column of mutable cells, whole, unless the op kept the rows
-      as they were and the column pickles to ``parent_snapshot``'s bytes.
+    With a parent the entry is a delta :func:`decode` replays onto it, and a
+    column is stored, as a pickled blob of its own, only where the replay
+    could not rebuild it: unless each cell has the type and value of the
+    parent cell its row maps to (:func:`_changed`).  No op edits a cell it
+    received, so ``parent`` in memory is what its own entry decodes to.
 
     The row mapping decides only how much is stored, never whether the replay
     is exact: positions ``0..n-1`` when the op kept the row count, else
     matched on the values of the immutable columns (:func:`_row_positions`).
     With no mapping, or no parent, every column is stored (a self-contained
-    entry).  The returned snapshot is what the next op's entry is encoded
-    against (:func:`cell_snapshot`, at no extra cost).
+    entry).
     """
-    columns = child._columns
-    payload: dict = {
-        "format": ENTRY_FORMAT,
-        "fingerprint": child.fingerprint,
-        "rows": len(child),
-        "columns": list(columns),
-        "parent_rows": None,
-        "positions": None,
-        "dropped": [],
-        # stored: struct columns as (keys, pickled {key: changed leaf}), other mutable ones pickled
-        "struct": {},
-        "pickled": {},
-        "dense": {},
-    }
     positions = None
     if parent is not None and len(child) != len(parent):
         positions = _row_positions(parent, child)
         if positions is None:
             parent = None
-    snapshot: dict[str, bytes | tuple] = {}
-    for name, values in columns.items():
-        held = _snapshot(values)
-        if held is None:  # compared only with a parent column of immutable cells
-            base = None if parent is None or name in parent_snapshot else parent._columns.get(name)
-            if _changed(values, base, positions):
-                payload["dense"][name] = values
-            continue
-        snapshot[name] = held
-        old = None if parent is None or name not in parent._columns else parent_snapshot.get(name)
-        if isinstance(held, bytes):
-            if old is None or positions is not None or old != held:
-                payload["pickled"][name] = held
-            continue
-        old_leaves = dict(zip(*old)) if isinstance(old, tuple) else {}
-        payload["struct"][name] = (held[0], _dumps({
-            key: leaf for key, leaf in zip(*held) if _changed(leaf, old_leaves.get(key), positions)
-        }))
-    if parent is not None:
-        payload.update(
-            parent_rows=len(parent),
-            positions=positions,
-            dropped=[name for name in parent._columns if name not in columns],
-        )
-    return payload, snapshot
+    base = {} if parent is None else parent._columns
+    columns = child._columns
+    return {
+        "format": ENTRY_FORMAT,
+        "fingerprint": child.fingerprint,
+        "rows": len(child),
+        "columns": list(columns),
+        "parent_rows": None if parent is None else len(parent),
+        "positions": positions,
+        "dropped": [name for name in base if name not in columns],
+        "stored": {
+            name: _dumps(values)
+            for name, values in columns.items()
+            if _changed(values, base.get(name), positions)
+        },
+    }
 
 
 def decode(
@@ -380,9 +331,8 @@ def decode(
 ) -> NestedDataset | None:
     """The dataset an :func:`encode` payload describes, replayed onto ``parent``,
     with the columns ``columns`` picks from the entry's names (all when None;
-    one at least, to hold the entry's row count): a column left out is never
-    unpickled or built.  A struct column's rows are new dicts, keys in their
-    stored order, each value from its stored leaf or the parent's cell.
+    one at least, to hold the entry's row count): a stored column left out is
+    never unpickled.
 
     None — a miss — when ``payload`` is no entry of this format (an older
     store's whole pickled dataset included) or does not fit ``parent``; a
@@ -391,40 +341,25 @@ def decode(
     if not isinstance(payload, dict) or payload.get("format") != ENTRY_FORMAT:
         return None
     try:
-        base_columns: dict[str, list] = {}
+        base: dict[str, list] = {}
         if payload["parent_rows"] is not None:
             if parent is None or len(parent) != payload["parent_rows"]:
                 return None
-            base_columns = parent._columns
-            if not all(name in base_columns for name in payload["dropped"]):
+            base = parent._columns
+            if not all(name in base for name in payload["dropped"]):
                 return None
-        positions, pickled, dense = payload["positions"], payload["pickled"], payload["dense"]
-        names = payload["columns"]
-
-        def from_parent(name: str) -> list:  # the parent's cells at the row positions
-            base = base_columns[name]
-            return list(base) if positions is None else list(map(base.__getitem__, positions))
-
+        positions, stored, names = payload["positions"], payload["stored"], payload["columns"]
         if columns is not None and payload["rows"]:
             wanted = set(columns(names))
             names = [name for name in names if name in wanted] or names[:1]
         built: dict[str, list] = {}
         for name in names:
-            if name in pickled:
-                built[name] = pickle.loads(pickled[name])
-                continue
-            if name in dense:
-                built[name] = dense[name]
-                continue
-            if name in payload["struct"]:
-                keys, stored = payload["struct"][name]
-                stored = pickle.loads(stored)
-                rows = built[name] = [{} for _ in range(payload["rows"])]
-                for key in keys:  # a leaf at a time, each cell set in C
-                    leaf = stored.get(key) or list(map(operator.itemgetter(key), from_parent(name)))
-                    deque(map(operator.setitem, rows, repeat(key), leaf), maxlen=0)
-                continue
-            built[name] = from_parent(name)
+            if name in stored:
+                built[name] = pickle.loads(stored[name])
+            elif positions is None:
+                built[name] = base[name]
+            else:
+                built[name] = list(map(base[name].__getitem__, positions))
         dataset = NestedDataset(built, fingerprint=payload["fingerprint"])
     except Exception:  # noqa: BLE001 - a payload that does not fit is a miss
         return None

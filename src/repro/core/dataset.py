@@ -24,7 +24,7 @@ import random
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import DatasetError
-from repro.core.sample import Fields, get_field
+from repro.core.sample import Fields, fold_stats, get_field, stats_folder
 
 
 def _stable_hash(payload: Any) -> str:
@@ -48,7 +48,10 @@ class NestedDataset:
 
     Rows are dictionaries; columns are stored as parallel lists keyed by the
     top-level field name.  Nested values (e.g. ``meta.language``) live inside
-    ``dict`` cells of the corresponding top-level column.
+    ``dict`` cells of the corresponding top-level column.  A Filter's stats
+    are columns of their own, ``__stats__.<key>``; a row — what iteration,
+    indexing and :meth:`to_list` give — shows them folded into one
+    ``__stats__`` dict (:func:`repro.core.sample.stats_folder`).
     """
 
     def __init__(self, columns: dict[str, list] | None = None, fingerprint: str | None = None):
@@ -121,7 +124,9 @@ class NestedDataset:
 
     def __iter__(self) -> Iterator[dict]:
         keys = list(self._columns)
-        return (dict(zip(keys, values)) for values in zip(*self._columns.values()))
+        rows = (dict(zip(keys, values)) for values in zip(*self._columns.values()))
+        fold = stats_folder(keys)
+        return rows if fold is None else map(fold, rows)
 
     def __getitem__(self, item: int | slice | str) -> Any:
         if isinstance(item, str):
@@ -133,7 +138,7 @@ class NestedDataset:
             item += len(self)
         if item < 0 or item >= len(self):
             raise DatasetError(f"row index {item} out of range for {len(self)} rows")
-        return {key: values[item] for key, values in self._columns.items()}
+        return fold_stats({key: values[item] for key, values in self._columns.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NestedDataset):
@@ -157,13 +162,13 @@ class NestedDataset:
         return self._fingerprint
 
     def column(self, name: str) -> list:
-        """Return the values of a (possibly dotted) column as a list."""
-        if name in self._columns:
+        """Return the values of a (possibly dotted) column as a list; the
+        ``__stats__`` of a row is its folded stats dict."""
+        if name in self._columns and name != Fields.stats:
             return list(self._columns[name])
-        if "." in name:
-            top = name.split(".", 1)[0]
-            if top in self._columns:
-                return [get_field(row, name) for row in self]
+        top = name.split(".", 1)[0]
+        if top in self._columns or top == Fields.stats and stats_folder(self._columns):
+            return [get_field(row, name) for row in self]
         raise DatasetError(f"unknown column {name!r}; have {self.column_names}")
 
     def to_list(self) -> list[dict]:

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.core.batch import batch_concat
-from repro.core.cache import FAULTED, CacheManager, RunStore, cell_snapshot, decode, detach, encode
+from repro.core.cache import FAULTED, CacheManager, RunStore, decode, encode, is_scalar
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import RecipeConfig, load_config
 from repro.core.errors import ConfigError, DataflowWarning, DatasetError, OpExecutionError
@@ -64,7 +64,7 @@ from repro.core.fusion import describe_plan
 from repro.core.monitor import ResourceMonitor, RunProfiler
 from repro.core.planner import ExecutionPlan, ResourceBudget, plan_execution
 from repro.core.report import REPORT_FILE, RunReport
-from repro.core.sample import internal_fields
+from repro.core.sample import is_internal
 from repro.core.stream import (
     DEFAULT_SHARD_ROWS,
     HASH_COLUMNS,
@@ -305,14 +305,14 @@ class Executor:
     # ------------------------------------------------------------------
     def _source_records(self, dataset: NestedDataset | None) -> Iterator:
         """The input's source records (:mod:`repro.formats.source`) — a caller's
-        dataset's are the rows of its :func:`detach`-ed copy — and sets ``_source``.
+        dataset's are its rows — and sets ``_source``.
         Without a store nothing is signed, so a file's lines decode as read."""
         from repro.formats.load import load_formatter
 
         text_keys = tuple(self.cfg.text_keys)
         if dataset is not None:
             self._source = (None, text_keys)
-            return iter(detach(dataset))
+            return iter(dataset)
         if not self.cfg.dataset_path:
             raise ValueError("no dataset given and no dataset_path configured")
         formatter = load_formatter(self.cfg.dataset_path, text_keys=text_keys)
@@ -321,13 +321,11 @@ class Executor:
 
     def _load_input(self, dataset: NestedDataset | None) -> NestedDataset:
         """Memory mode's input; with a store, fingerprinted by its content: a
-        file as streaming signs a stage-0 shard, a caller's dataset (detached)
-        by :func:`columns_signature`."""
+        file as streaming signs a stage-0 shard, a caller's dataset (a copy of
+        its column lists, so it keeps its own fingerprint) by :func:`columns_signature`."""
         if dataset is not None:
-            dataset = detach(dataset)
-            if self.store is not None:
-                dataset._fingerprint = columns_signature(dataset)
-            return dataset
+            signed = columns_signature(dataset) if self.store is not None else dataset.fingerprint
+            return NestedDataset(dataset._columns, fingerprint=signed)
         shard = next(iter_record_shards(self._source_records(None), sys.maxsize), [])
         signed = self.store is not None
         return decode_shard(shard, shard_signature(*self._source, shard) if signed else None)
@@ -583,25 +581,20 @@ class Executor:
                 # a cache keeps every entry, so each is a delta over its
                 # parent; checkpoint-only keeps the latest alone, whole
                 delta = self.cfg.use_cache
-                # ``current``'s mutable columns as its entry holds them, taken
-                # before the next op can edit them in place (None: not yet)
-                snapshot = None
                 for index in range(start, len(self.ops)):
                     op = self.ops[index]
                     key = CacheManager.make_key(current.fingerprint, op.name, op.config())
                     cached = decode(current, stores.get(key)) if delta else None
                     if cached is not None:
                         self._count_cache("hits")
-                        current, snapshot = cached, None
+                        current = cached
                         self._profiler.record_cached(op, len(current))
                     else:
                         self._count_cache("misses")
                         faults_before = self._faults.total_faults
                         parent = current if delta else None
-                        if parent is not None and snapshot is None:
-                            snapshot = cell_snapshot(parent)
                         current = self._run_segments([op], current)
-                        payload, snapshot = encode(parent, current, snapshot)
+                        payload = encode(parent, current)
                         del parent  # not held while the entry is written
                         key = self._put_result(key, payload, faults_before)
                     if checkpoint is not None:
@@ -661,7 +654,7 @@ class Executor:
                 "executed_shards": 0,
                 "cached_shards": 0,
                 # input shards whose rows were decoded (not only signed), and
-                # the mutable columns unpickled or rebuilt from stored shard entries
+                # the columns of objects unpickled from stored shard entries
                 "decoded_shards": 0,
                 "unpickled_columns": 0,
                 # the largest signature table a global resolve held on the
@@ -733,11 +726,14 @@ class Executor:
 
     def _read_shard(self, key: str, progress: dict, columns: Any = None) -> NestedDataset | None:
         """The stored shard entry of ``key`` built for the ``columns`` its reader
-        uses (:func:`decode`; None on a miss), counting the mutable (not dense) columns it built."""
+        uses (:func:`decode`; None on a miss), counting the columns of objects
+        (not scalars) it unpickled."""
         payload = self._stores.get(key)
         shard = decode(None, payload, columns)
         if shard is not None:
-            progress["unpickled_columns"] += len(shard._columns.keys() - payload["dense"].keys())
+            progress["unpickled_columns"] += sum(
+                not is_scalar(cells) for cells in shard._columns.values()
+            )
         return shard
 
     def _shard_output(
@@ -838,7 +834,7 @@ class Executor:
                 self._quarantine.write_rows(quarantined, stage_name, error, shard_id=shard_id)
             output = NestedDataset.empty()
         if key is not None:
-            key = self._put_result(key, encode(None, output, None)[0], faults_before, spill)
+            key = self._put_result(key, encode(None, output), faults_before, spill)
             self._root.add(key)
         progress["executed_shards"] += 1
         return key, output
@@ -898,13 +894,15 @@ class Executor:
         if tracer is not None:
             tracer.add(global_op, 0, 0)  # its pipeline position; the mask pass adds the rest
         del signature
-        skip = set(dropped_columns)
-        if final and tracer is None:
-            skip |= internal_fields(self.cfg.keep_stats_in_export)
+        exported, keep_stats = final and tracer is None, self.cfg.keep_stats_in_export
+
+        def read(names: list[str]) -> list[str]:  # what the mask pass and an export use
+            return [name for name in names if name not in dropped_columns
+                    and not (exported and is_internal(name, keep_stats))]
 
         def stored() -> Iterator[NestedDataset]:
             for key in stored_shards:
-                shard = self._read_shard(key, progress, lambda names: set(names) - skip)
+                shard = self._read_shard(key, progress, read)
                 if shard is None:
                     raise DatasetError(
                         f"stage {stage} shard entry vanished from "

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator
 
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
-from repro.core.sample import Fields, internal_fields, strip_internal_fields
+from repro.core.sample import Fields, internal_fields, is_internal, strip_internal_fields
 from repro.core.serialization import JsonSanitizer
 
 
@@ -93,8 +93,9 @@ class Exporter:
         return self.export_stream(self.rows(dataset))[0]
 
     def rows(self, dataset: NestedDataset) -> Iterator[dict]:
-        """The dataset's rows as exported: its internal columns dropped once."""
-        drop = internal_fields(self.keep_stats).intersection(dataset.column_names)
+        """The dataset's rows as exported: its internal columns dropped once, and
+        kept stats folded into one ``__stats__`` dict per row (the row view's)."""
+        drop = [name for name in dataset.column_names if is_internal(name, self.keep_stats)]
         return iter(dataset.remove_columns(drop) if drop else dataset)
 
     def export_stream(self, rows: Iterable[dict]) -> list[Path]:

@@ -61,6 +61,7 @@ from repro.core.base_op import Deduplicator
 from repro.core.batch import batch_length, batch_to_rows
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ConfigError, OpExecutionError
+from repro.core.sample import fold_stats
 from repro.core.segment import run_chunks, run_dataset_segment, segment_output
 from repro.core.serialization import JsonSanitizer
 from repro.core.tracer import segment_examples
@@ -320,7 +321,7 @@ class QuarantineWriter:
             "error": error if isinstance(error, str) else repr(error),
             "shard": shard_id,
             "row_index": row_index,
-            "row": row,
+            "row": fold_stats(row),
         }
         self._handle.write(self._sanitizer.dumps(entry, ensure_ascii=False) + "\n")
         self._rows_in_file += 1

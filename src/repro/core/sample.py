@@ -1,8 +1,10 @@
 """Sample conventions: well-known field names, stats keys and nested access.
 
 A *sample* is a plain ``dict`` with (at least) a text field, and optionally a
-``meta`` dict, a stats dict produced by Filter OPs, and a transient context
-dict shared between fused operators.  This module centralizes the names of
+``meta`` dict, the stats Filter OPs produce — one column per stat,
+``__stats__.<key>``, shown folded into one ``__stats__`` dict wherever a row
+is read (:func:`stats_folder`) — and a transient context dict shared between
+fused operators.  This module centralizes the names of
 those fields so that every operator and tool agrees on them, mirroring the
 "text" / "meta" / "stats" unified representation described in the paper
 (Sec. 3.1).
@@ -10,7 +12,7 @@ those fields so that every operator and tool agrees on them, mirroring the
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 
 class Fields:
@@ -127,10 +129,64 @@ def clear_context(sample: dict) -> dict:
     return sample
 
 
+#: name prefix of a stat column: a Filter writes stat ``k`` as the column ``__stats__.k``
+STATS_PREFIX = Fields.stats + "."
+
+
+def stat_column(key: str) -> str:
+    """The column a Filter writes its stat ``key`` to."""
+    return STATS_PREFIX + key
+
+
+def stats_folder(keys: Iterable[str]) -> Callable[[dict], dict] | None:
+    """A function giving a row with ``keys`` as a reader sees it, or None when no
+    key holds stats.
+
+    A row's stats are its own ``__stats__`` dict (one the input carried), then
+    its stat columns in column order — the order the ops wrote them.  The
+    function folds them into one new ``__stats__`` dict, at the place of the
+    row's ``__stats__`` key, else of its first stat column; a ``__stats__``
+    cell that is no dict reads as ``{}``.
+    """
+    keys = list(keys)
+    names = [key for key in keys if key.startswith(STATS_PREFIX)]
+    if not names and Fields.stats not in keys:
+        return None
+    anchor = Fields.stats if Fields.stats in keys else names[0]
+    order = [key for key in keys if key == anchor or key not in names]
+    cut = len(STATS_PREFIX)
+
+    def fold(row: dict) -> dict:
+        carried = row.get(Fields.stats)
+        stats = dict(carried) if isinstance(carried, dict) else {}
+        for name in names:
+            stats[name[cut:]] = row[name]
+        return {
+            Fields.stats if key == anchor else key: stats if key == anchor else row[key]
+            for key in order
+        }
+
+    return fold
+
+
+def fold_stats(row: dict) -> dict:
+    """``row`` with its stats folded into one new ``__stats__`` dict
+    (:func:`stats_folder`); a row without stats is returned as it is."""
+    fold = stats_folder(row)
+    return row if fold is None else fold(row)
+
+
 def internal_fields(keep_stats: bool = False) -> set[str]:
-    """The bookkeeping keys an export drops: hashes, context and (unless kept) stats."""
+    """The bookkeeping keys an export drops: hashes, context and (unless kept)
+    the ``__stats__`` dict; a row never holds a stat column (:func:`is_internal`)."""
     stats = () if keep_stats else (Fields.stats,)
     return {Fields.context, HashKeys.hash, HashKeys.minhash, HashKeys.simhash, *stats}
+
+
+def is_internal(name: str, keep_stats: bool = False) -> bool:
+    """True for a bookkeeping column an export drops: :func:`internal_fields`,
+    and every stat column unless the stats are kept."""
+    return name in internal_fields(keep_stats) or (not keep_stats and name.startswith(STATS_PREFIX))
 
 
 def strip_internal_fields(sample: dict, keep_stats: bool = False) -> dict:
@@ -139,8 +195,7 @@ def strip_internal_fields(sample: dict, keep_stats: bool = False) -> dict:
     Hash columns, context and (optionally) stats are removed so that exported
     data only contains user-facing content.
     """
-    internal = internal_fields(keep_stats)
-    return {key: value for key, value in sample.items() if key not in internal}
+    return {key: value for key, value in sample.items() if not is_internal(key, keep_stats)}
 
 
 def merge_samples(samples: Iterable[dict]) -> dict:

@@ -180,11 +180,13 @@ HASH_COLUMNS = (HashKeys.hash, HashKeys.minhash, HashKeys.simhash)
 
 
 def signature_column_names(op: Any, column_names: list[str], text_key: str) -> list[str]:
-    """Columns the global resolve needs — everything *except* the payload.
+    """Columns the global resolve needs — a Deduplicator's hash columns, a
+    Selector's ``field_key`` column.
 
-    Deduplicators only read their hash columns.  Selectors read whatever
-    field they rank on (plus stats/meta, which are small); the text column is
-    excluded unless the selector explicitly selects on it.
+    A Selector ranking on a stat reads that stat's column alone (a stat column
+    wins over the ``__stats__`` dict the input carried, so it is read only
+    when no op wrote the stat); a dotted field of another column reads that
+    column; a Selector without a field reads none.
     """
     if isinstance(op, Deduplicator):
         columns = [name for name in column_names if name in HASH_COLUMNS]
@@ -197,13 +199,13 @@ def signature_column_names(op: Any, column_names: list[str], text_key: str) -> l
                 "resolve it"
             )
         return columns
-    keep = [name for name in column_names if name != text_key]
     field_key = getattr(op, "field_key", None)
-    if isinstance(field_key, str) and field_key:
-        top = field_key.split(".", 1)[0]
-        if top in column_names and top not in keep:
-            keep.append(top)
-    return keep
+    if not isinstance(field_key, str) or not field_key:
+        return []
+    if field_key in column_names:
+        return [field_key]
+    top = field_key.split(".", 1)[0]
+    return [top] if top in column_names else []
 
 
 def resolve_global_keep(

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.base_op import Filter, op_category
-from repro.core.sample import Fields
+from repro.core.sample import Fields, fold_stats
 
 
 @dataclass
@@ -58,10 +58,9 @@ def dropped_examples(
     the stats it came with.
     """
     for index, row in dropped:
+        row = fold_stats({Fields.stats: None, **row})  # a fresh stats dict of its own
         if compute_stats is not None:
-            stats = row.get(Fields.stats)
-            stats = dict(stats) if isinstance(stats, dict) else {}
-            row = compute_stats({**row, Fields.stats: stats})
+            row = compute_stats(row)
         text = row.get(Fields.text)
         yield {
             "index": index,

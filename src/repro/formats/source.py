@@ -25,8 +25,9 @@ from typing import Any, Iterator, Sequence
 #: rows a line decodes to change (the JSON decode, the non-dict rule, the
 #: ``__suffix__`` column, ``unify_sample``), or stored shards would replay
 #: rows the new decode no longer produces.  2: a record with no string field
-#: of its own decodes to text ``""``; 3: rows sign with their keys unsorted
-SOURCE_FORMAT = 3
+#: of its own decodes to text ``""``; 3: rows sign with their keys unsorted;
+#: 4: a row no longer gains an empty ``__stats__`` dict
+SOURCE_FORMAT = 4
 
 
 class LineShard:

@@ -12,6 +12,8 @@ import string
 from collections import Counter
 from typing import Iterable, Sequence
 
+from repro.core.context import ContextKeys, get_or_compute_column
+
 _WORD_PATTERN = re.compile(r"[\w']+|[^\w\s]", re.UNICODE)
 _SENTENCE_PATTERN = re.compile(r"(?<=[.!?。！？])\s+")
 _PARAGRAPH_PATTERN = re.compile(r"\n\s*\n")
@@ -93,6 +95,17 @@ def words_refinement(
     if use_words_aug:
         refined = _merge_short_tokens(refined)
     return refined
+
+
+def refined_words_column(context: dict | None, texts: list[str]) -> list[list[str]]:
+    """The refined word list of every text of a batch, tokenised once per fused
+    batch: the ``words`` / ``refined_words`` columns of the shared ``context``."""
+    words = get_or_compute_column(
+        context, ContextKeys.words, lambda: [get_words_from_text(t) for t in texts]
+    )
+    return get_or_compute_column(
+        context, ContextKeys.refined_words, lambda: [words_refinement(w) for w in words]
+    )
 
 
 def _merge_short_tokens(refined: Sequence[str]) -> list[str]:

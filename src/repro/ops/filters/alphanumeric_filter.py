@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 
 from repro.core.base_op import Filter
-from repro.core.batch import ensure_stats_column, get_text_column, stats_column_view
+from repro.core.batch import get_text_column, read_stat, write_stat
 from repro.core.context import ContextKeys, get_or_compute, get_or_compute_column
 from repro.core.registry import OPERATORS
 from repro.core.sample import StatsKeys, ensure_stats
@@ -61,29 +61,25 @@ class AlphanumericFilter(Filter):
         if texts is None:
             return super().compute_stats_batched(samples, context=context)
         key = StatsKeys.alpha_token_ratio if self.tokenization else StatsKeys.alnum_ratio
-        stats_column = ensure_stats_column(samples)
         if self.tokenization:
             words_column = get_or_compute_column(
                 context, ContextKeys.words, lambda: [get_words_from_text(t) for t in texts]
             )
-            for stats, words in zip(stats_column, words_column):
-                if key in stats:
-                    continue
-                alpha = sum(1 for word in words if any(char.isalpha() for char in word))
-                stats[key] = alpha / len(words) if words else 0.0
-        else:
-            isalnum = str.isalnum
-            for stats, text in zip(stats_column, texts):
-                if key not in stats:
-                    stats[key] = sum(map(isalnum, text)) / len(text) if text else 0.0
-        return samples
+            return write_stat(samples, key, lambda: [
+                sum(1 for word in words if any(char.isalpha() for char in word)) / len(words)
+                if words else 0.0
+                for words in words_column
+            ])
+        isalnum = str.isalnum
+        return write_stat(samples, key, lambda: [
+            sum(map(isalnum, text)) / len(text) if text else 0.0 for text in texts
+        ])
 
     def process_batched(self, samples: dict) -> list[bool]:
         key = StatsKeys.alpha_token_ratio if self.tokenization else StatsKeys.alnum_ratio
         min_ratio, max_ratio = self.min_ratio, self.max_ratio
         return [
-            min_ratio <= stats.get(key, 0.0) <= max_ratio
-            for stats in stats_column_view(samples)
+            min_ratio <= value <= max_ratio for value in read_stat(samples, key, 0.0)
         ]
 
     def process(self, sample: dict) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.base_op import Filter
-from repro.core.batch import ensure_stats_column, get_text_column, stats_column_view
+from repro.core.batch import get_text_column, read_stat, write_stat
 from repro.core.registry import OPERATORS
 from repro.core.sample import StatsKeys, ensure_stats
 from repro.ops.common.helper_funcs import ngram_repetition_ratio
@@ -51,17 +51,15 @@ class CharacterRepetitionFilter(Filter):
         texts = get_text_column(samples, self.text_key)
         if texts is None:
             return super().compute_stats_batched(samples, context=context)
-        ratios = char_repetition_ratios(texts, self.rep_len)
-        for stats, ratio in zip(ensure_stats_column(samples), ratios):
-            if StatsKeys.char_rep_ratio not in stats:
-                stats[StatsKeys.char_rep_ratio] = ratio
-        return samples
+        return write_stat(
+            samples, StatsKeys.char_rep_ratio, lambda: char_repetition_ratios(texts, self.rep_len)
+        )
 
     def process_batched(self, samples: dict) -> list[bool]:
         min_ratio, max_ratio = self.min_ratio, self.max_ratio
         return [
-            min_ratio <= stats.get(StatsKeys.char_rep_ratio, 0.0) <= max_ratio
-            for stats in stats_column_view(samples)
+            min_ratio <= value <= max_ratio
+            for value in read_stat(samples, StatsKeys.char_rep_ratio, 0.0)
         ]
 
     def process(self, sample: dict) -> bool:

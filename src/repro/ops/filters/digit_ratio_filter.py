@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.base_op import Filter
-from repro.core.batch import ensure_stats_column, get_text_column, stats_column_view
+from repro.core.batch import get_text_column, read_stat, write_stat
 from repro.core.registry import OPERATORS
 from repro.core.sample import StatsKeys, ensure_stats
 from repro.ops.common.vectorized import digit_counts
@@ -47,17 +47,15 @@ class DigitRatioFilter(Filter):
         texts = get_text_column(samples, self.text_key)
         if texts is None:
             return super().compute_stats_batched(samples, context=context)
-        counts = digit_counts(texts)
-        for stats, text, count in zip(ensure_stats_column(samples), texts, counts):
-            if StatsKeys.digit_ratio not in stats:
-                stats[StatsKeys.digit_ratio] = count / len(text) if text else 0.0
-        return samples
+        return write_stat(samples, StatsKeys.digit_ratio, lambda: [
+            count / len(text) if text else 0.0 for text, count in zip(texts, digit_counts(texts))
+        ])
 
     def process_batched(self, samples: dict) -> list[bool]:
         min_ratio, max_ratio = self.min_ratio, self.max_ratio
         return [
-            min_ratio <= stats.get(StatsKeys.digit_ratio, 0.0) <= max_ratio
-            for stats in stats_column_view(samples)
+            min_ratio <= value <= max_ratio
+            for value in read_stat(samples, StatsKeys.digit_ratio, 0.0)
         ]
 
     def process(self, sample: dict) -> bool:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from repro.core.base_op import Filter
-from repro.core.batch import ensure_stats_column, get_text_column, stats_column_view
-from repro.core.context import ContextKeys, get_or_compute, get_or_compute_column
+from repro.core.batch import get_text_column, read_stat, write_stat
+from repro.core.context import ContextKeys, get_or_compute
 from repro.core.registry import OPERATORS
 from repro.core.sample import StatsKeys, ensure_stats
 from repro.ops.common.flagged_words import get_flagged_words
-from repro.ops.common.helper_funcs import get_words_from_text, words_refinement
+from repro.ops.common.helper_funcs import get_words_from_text, refined_words_column, words_refinement
 
 
 @OPERATORS.register_module("flagged_words_filter")
@@ -53,25 +53,18 @@ class FlaggedWordsFilter(Filter):
         texts = get_text_column(samples, self.text_key)
         if texts is None:
             return super().compute_stats_batched(samples, context=context)
-        words_column = get_or_compute_column(
-            context, ContextKeys.words, lambda: [get_words_from_text(t) for t in texts]
-        )
-        refined_column = get_or_compute_column(
-            context, ContextKeys.refined_words, lambda: [words_refinement(w) for w in words_column]
-        )
+        refined_column = refined_words_column(context, texts)  # shared when fused
         contains = self.flagged_words.__contains__
-        for stats, refined in zip(ensure_stats_column(samples), refined_column):
-            if StatsKeys.flagged_words_ratio in stats:
-                continue
-            flagged = sum(map(contains, refined))
-            stats[StatsKeys.flagged_words_ratio] = flagged / len(refined) if refined else 0.0
-        return samples
+        return write_stat(samples, StatsKeys.flagged_words_ratio, lambda: [
+            sum(map(contains, refined)) / len(refined) if refined else 0.0
+            for refined in refined_column
+        ])
 
     def process_batched(self, samples: dict) -> list[bool]:
         max_ratio = self.max_ratio
         return [
-            stats.get(StatsKeys.flagged_words_ratio, 0.0) <= max_ratio
-            for stats in stats_column_view(samples)
+            value <= max_ratio
+            for value in read_stat(samples, StatsKeys.flagged_words_ratio, 0.0)
         ]
 
     def process(self, sample: dict) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 
 from repro.core.base_op import Filter
-from repro.core.batch import ensure_stats_column, get_text_column, stats_column_view
+from repro.core.batch import get_text_column, read_stat, write_stat
 from repro.core.registry import OPERATORS
 from repro.core.sample import StatsKeys, ensure_stats
 
@@ -41,16 +41,12 @@ class TextLengthFilter(Filter):
         texts = get_text_column(samples, self.text_key)
         if texts is None:
             return super().compute_stats_batched(samples, context=context)
-        for stats, text in zip(ensure_stats_column(samples), texts):
-            if StatsKeys.text_len not in stats:
-                stats[StatsKeys.text_len] = len(text)
-        return samples
+        return write_stat(samples, StatsKeys.text_len, lambda: list(map(len, texts)))
 
     def process_batched(self, samples: dict) -> list[bool]:
         min_len, max_len = self.min_len, self.max_len
         return [
-            min_len <= stats.get(StatsKeys.text_len, 0) <= max_len
-            for stats in stats_column_view(samples)
+            min_len <= value <= max_len for value in read_stat(samples, StatsKeys.text_len, 0)
         ]
 
     def process(self, sample: dict) -> bool:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.core.base_op import Filter
-from repro.core.batch import ensure_stats_column, get_text_column, stats_column_view
-from repro.core.context import ContextKeys, get_or_compute, get_or_compute_column
+from repro.core.batch import get_text_column, read_stat, write_stat
+from repro.core.context import ContextKeys, get_or_compute
 from repro.core.registry import OPERATORS
 from repro.core.sample import StatsKeys, ensure_stats
 from repro.ops.common.helper_funcs import (
     get_words_from_text,
     ngram_repetition_ratio,
+    refined_words_column,
     words_refinement,
 )
 from repro.ops.common.vectorized import token_repetition_ratios
@@ -58,23 +59,18 @@ class WordRepetitionFilter(Filter):
         texts = get_text_column(samples, self.text_key)
         if texts is None:
             return super().compute_stats_batched(samples, context=context)
-        words_column = get_or_compute_column(
-            context, ContextKeys.words, lambda: [get_words_from_text(t) for t in texts]
+        refined_column = refined_words_column(context, texts)  # shared when fused
+        return write_stat(
+            samples,
+            StatsKeys.word_rep_ratio,
+            lambda: token_repetition_ratios(refined_column, self.rep_len),
         )
-        refined_column = get_or_compute_column(
-            context, ContextKeys.refined_words, lambda: [words_refinement(w) for w in words_column]
-        )
-        ratios = token_repetition_ratios(refined_column, self.rep_len)
-        for stats, ratio in zip(ensure_stats_column(samples), ratios):
-            if StatsKeys.word_rep_ratio not in stats:
-                stats[StatsKeys.word_rep_ratio] = ratio
-        return samples
 
     def process_batched(self, samples: dict) -> list[bool]:
         min_ratio, max_ratio = self.min_ratio, self.max_ratio
         return [
-            min_ratio <= stats.get(StatsKeys.word_rep_ratio, 0.0) <= max_ratio
-            for stats in stats_column_view(samples)
+            min_ratio <= value <= max_ratio
+            for value in read_stat(samples, StatsKeys.word_rep_ratio, 0.0)
         ]
 
     def process(self, sample: dict) -> bool:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import sys
 
 from repro.core.base_op import Filter
-from repro.core.batch import ensure_stats_column, get_text_column, stats_column_view
-from repro.core.context import ContextKeys, get_or_compute, get_or_compute_column
+from repro.core.batch import get_text_column, read_stat, write_stat
+from repro.core.context import ContextKeys, get_or_compute
 from repro.core.registry import OPERATORS
 from repro.core.sample import StatsKeys, ensure_stats
-from repro.ops.common.helper_funcs import get_words_from_text, words_refinement
+from repro.ops.common.helper_funcs import get_words_from_text, refined_words_column, words_refinement
 
 
 @OPERATORS.register_module("words_num_filter")
@@ -50,23 +50,13 @@ class WordsNumFilter(Filter):
         texts = get_text_column(samples, self.text_key)
         if texts is None:
             return super().compute_stats_batched(samples, context=context)
-        # the batch is tokenised once; fused members reuse the shared columns
-        words_column = get_or_compute_column(
-            context, ContextKeys.words, lambda: [get_words_from_text(t) for t in texts]
-        )
-        refined_column = get_or_compute_column(
-            context, ContextKeys.refined_words, lambda: [words_refinement(w) for w in words_column]
-        )
-        for stats, refined in zip(ensure_stats_column(samples), refined_column):
-            if StatsKeys.num_words not in stats:
-                stats[StatsKeys.num_words] = len(refined)
-        return samples
+        refined_column = refined_words_column(context, texts)  # shared when fused
+        return write_stat(samples, StatsKeys.num_words, lambda: list(map(len, refined_column)))
 
     def process_batched(self, samples: dict) -> list[bool]:
         min_num, max_num = self.min_num, self.max_num
         return [
-            min_num <= stats.get(StatsKeys.num_words, 0) <= max_num
-            for stats in stats_column_view(samples)
+            min_num <= value <= max_num for value in read_stat(samples, StatsKeys.num_words, 0)
         ]
 
     def process(self, sample: dict) -> bool:

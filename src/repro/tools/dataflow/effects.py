@@ -23,6 +23,8 @@ The extractor recognises the accessor idioms the operator pool actually uses
   or ``Fields``/``StatsKeys``/``HashKeys`` keys;
 * subscripts, ``.get(...)`` and ``in``-tests against ``__stats__`` views,
   hash columns and the sample itself;
+* ``write_stat(samples, key, ...)`` / ``read_stat(samples, key, ...)`` — the
+  stat column ``__stats__.<key>`` a batched filter writes or reads;
 * ``get_or_compute`` / ``get_or_compute_column`` and the declarative
   ``context_keys`` class attribute — shared-context production/consumption;
 * ``remove_columns(...)`` — column removal (deduplicators dropping their
@@ -305,10 +307,8 @@ def _is_stats_base(node: ast.AST, resolver: _KeyResolver) -> bool:
         if node.func.attr == "get" and node.args:
             return any(tag == _CONTAINER_TAG and value == Fields.stats
                        for tag, value in resolver.resolve(node.args[0]))
-        # ensure_stats(sample) / stats_column_view(samples) return stats views
-    if isinstance(node, ast.Call):
-        callee = dotted_name(node.func).split(".")[-1]
-        return callee in ("ensure_stats", "ensure_stats_column", "stats_column_view")
+    if isinstance(node, ast.Call):  # ensure_stats(sample) returns the row's stats view
+        return dotted_name(node.func).split(".")[-1] == "ensure_stats"
     return False
 
 
@@ -408,6 +408,14 @@ def _extract_call(node: ast.Call, resolver: _KeyResolver, effects: _Effects) -> 
         keys = resolver.resolve(node.args[1])
         effects.record(None, keys, effects.reads, resolver)
         effects.record(None, keys, effects.writes, resolver)
+    elif short in ("write_stat", "read_stat") and len(node.args) > 1:
+        # a stat column: write_stat(samples, key, ...) / read_stat(samples, key, ...)
+        keys = {
+            (_STATS_TAG, value) if tag == _LITERAL_TAG else (tag, value)
+            for tag, value in resolver.resolve(node.args[1])
+        }
+        bucket = effects.writes if short == "write_stat" else effects.reads
+        effects.record(None, keys, bucket, resolver)
     elif short == "remove_columns":
         for arg in node.args:
             effects.record(None, resolver.resolve(arg), effects.removes, resolver)

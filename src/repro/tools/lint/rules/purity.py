@@ -12,7 +12,7 @@ cache, breaks byte-identical streaming exports, and desynchronises
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.tools.lint.framework import (
     ERROR,
@@ -286,3 +286,94 @@ class PurityGlobalRule(_PurityRule):
                                 "sample races across workers and shards",
                                 op=op.display_name,
                             )
+
+
+
+#: methods that change the container they are called on
+_MUTATORS = frozenset(
+    "append extend insert remove pop popitem clear update setdefault sort reverse add "
+    "discard difference_update intersection_update symmetric_difference_update "
+    "__setitem__ __delitem__".split()
+)
+
+
+def _held_cells(method: ast.FunctionDef) -> Callable[[ast.AST], bool]:
+    """Whether an expression of ``method`` is a value read out of its input row
+    or batch (its first parameter after ``self``): ``x[...]`` or ``x.get(...)``
+    / ``x.setdefault(...)`` of the input or of such a value, a name bound from
+    one (a loop variable from what it iterates, ``zip`` included).  A per-row
+    ``compute_stats`` owns what it reads under ``__stats__``: its shim folds it
+    fresh."""
+    params = [arg.arg for arg in method.args.args if arg.arg != "self"]
+    names: set[str] = set()
+
+    def held(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, ast.Call) and dotted_name(node.func) in ("zip", "enumerate"):
+            return any(map(held, node.args))
+        if isinstance(node, (ast.Tuple, ast.List, ast.BoolOp)):
+            return any(map(held, getattr(node, "elts", None) or getattr(node, "values", [])))
+        if isinstance(node, ast.IfExp):
+            return held(node.body) or held(node.orelse)
+        if isinstance(node, ast.Subscript):
+            key, base = node.slice, node.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("get", "setdefault"):
+            key, base = next(iter(node.args), None), node.func.value
+        else:
+            return False
+        if isinstance(base, ast.Name) and params and base.id == params[0]:
+            own = method.name == "compute_stats" and key is not None and (
+                getattr(key, "value", None) == "__stats__" or dotted_name(key) == "Fields.stats")
+            return not own
+        return held(base)
+
+    bindings = [(target, node.value) for node in ast.walk(method) if isinstance(node, ast.Assign)
+                for target in node.targets]
+    bindings += [(node.target, getattr(node, "value", None) or getattr(node, "iter", None))
+                 for node in ast.walk(method)
+                 if isinstance(node, (ast.AnnAssign, ast.NamedExpr, ast.For, ast.comprehension))]
+    grown = True
+    while grown:  # a name bound from a held value (or another such name) holds one
+        grown = False
+        for target, value in bindings:
+            for name in (n.id for n in ast.walk(target) if isinstance(n, ast.Name)):
+                if name not in names and value is not None and held(value):
+                    names.add(name)
+                    grown = True
+    return held
+
+
+@register_rule
+class PurityInPlaceRule(_PurityRule):
+    """No edit of a value read out of the op's input row or batch."""
+
+    id = "purity-inplace"
+    summary = "process paths must not edit a cell of their input in place"
+    rationale = (
+        "the input row's cells are the parent dataset's, which the store compares "
+        "the op's output against and other rows may share: an op writes new keys "
+        "on the row or batch dict (a Filter a stat column), never into a value it "
+        "read from it."
+    )
+
+    def check_op(self, module: LintModule, op: OpClassInfo) -> Iterator[Violation]:
+        for method in op.process_methods():
+            held = _held_cells(method)
+            for node in ast.walk(method):
+                if isinstance(node, (ast.Assign, ast.Delete)):
+                    edits = [t.value for t in node.targets if isinstance(t, ast.Subscript)]
+                elif isinstance(node, ast.AugAssign):
+                    edits = [node.target, getattr(node.target, "value", node.target)]
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _MUTATORS:
+                    edits = [node.func.value]
+                else:
+                    continue
+                if any(map(held, edits)):
+                    yield self.violation(
+                        module,
+                        node,
+                        f"{method.name}() edits a value read out of its input in place; "
+                        "write a new key on the row or batch dict (a Filter: a stat column)",
+                        op=op.display_name,
+                    )

@@ -16,9 +16,10 @@ class BadExceptionHygieneMapper(Mapper):
         return sample
 
     def process_batched(self, samples: dict) -> dict:
-        for index, text in enumerate(samples[self.text_key]):
+        for index, text in enumerate(texts := list(samples[self.text_key])):
             try:
-                samples[self.text_key][index] = text.upper()
-            except Exception:  # line 21: exception-hygiene (swallowed)
+                texts[index] = text.upper()
+            except Exception:  # line 22: exception-hygiene (swallowed)
                 pass
+        samples[self.text_key] = texts
         return samples

@@ -84,6 +84,9 @@ class TestFormatterUnify:
         unified = Formatter.unify_samples([{"num": 3}], text_keys=["content"])
         assert unified[0][Fields.text] == ""
 
-    def test_stats_initialised(self):
-        unified = Formatter.unify_samples([{"text": "x"}], text_keys=["text"])
-        assert unified[0][Fields.stats] == {}
+    def test_stats_are_left_to_the_filters(self):
+        # a Filter writes its stats as columns; the input keeps only its own
+        unified = Formatter.unify_samples(
+            [{"text": "x"}, {"text": "y", Fields.stats: {"k": 1}}], text_keys=["text"]
+        )
+        assert Fields.stats not in unified[0] and unified[1][Fields.stats] == {"k": 1}

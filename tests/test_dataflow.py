@@ -38,6 +38,7 @@ from repro.tools.dataflow import (
 )
 from repro.tools.dataflow import effects
 from repro.tools.dataflow.effects import op_module_path, recipe_signatures
+from repro.tools.lint.framework import LintModule
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "dataflow"
 
@@ -127,6 +128,45 @@ class TestEffectExtractor:
     def test_schema_carries_effects(self):
         schema = schema_for(OPERATORS.get("text_length_filter"))
         assert "__stats__.text_len" in schema.effects().writes
+
+
+#: the stat keys each batched filter writes as stat columns (``write_stat``)
+BATCHED_FILTER_STATS = {
+    "alphanumeric_filter": {"alnum_ratio", "alpha_token_ratio"},
+    "character_repetition_filter": {"char_rep_ratio"},
+    "digit_ratio_filter": {"digit_ratio"},
+    "flagged_words_filter": {"flagged_words_ratio"},
+    "special_characters_filter": {"special_char_ratio"},
+    "stopwords_filter": {"stopwords_ratio"},
+    "text_length_filter": {"text_len"},
+    "whitespace_ratio_filter": {"whitespace_ratio"},
+    "word_repetition_filter": {"word_rep_ratio"},
+    "words_num_filter": {"num_words"},
+}
+
+
+class TestStatColumns:
+    """A batched filter's ``write_stat`` is its write, its ``read_stat`` a read."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_FILTER_STATS))
+    def test_a_batched_filter_writes_its_stat_columns(self, name):
+        expected = {f"{Fields.stats}.{key}" for key in BATCHED_FILTER_STATS[name]}
+        assert set(effect_signature(name).writes) == expected
+        # the batched methods alone, without the per-row ones, say the same
+        (info,) = [info for info in LintModule.parse(op_module_path(name)).op_classes
+                   if info.registered_name == name]
+        info.methods = {key: method for key, method in info.methods.items()
+                        if key.endswith("_batched")}
+        batched = effects.extract_signature(info)
+        assert set(batched.writes) == expected
+        assert expected <= set(batched.reads)
+
+    def test_the_batched_filters_are_those_that_write_stat_columns(self):
+        import repro.ops.filters as filters
+
+        writers = {path.stem for path in Path(filters.__file__).parent.glob("*_filter.py")
+                   if "write_stat(" in path.read_text()}
+        assert writers == set(BATCHED_FILTER_STATS)
 
 
 @pytest.fixture(scope="session")

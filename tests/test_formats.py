@@ -257,7 +257,7 @@ class TestSourceRecords:
         rows = list(formatter.iter_records())
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
         assert (SOURCE_FORMAT, digest) == (
-            3, "d91c4f7fa8d79a5d38f14acc34878e84fa6cc75c0051a7c04b58f57f55ab3a5e"
+            4, "9e8fca1ae0490be22e880e320e4a822703bdc05c1dcfb0e918394ebf84384591"
         ), (
             "the rows a .jsonl line decodes to changed: shard entries signed by "
             "their source lines would replay stale rows. Bump SOURCE_FORMAT in "
@@ -305,48 +305,49 @@ class TestSourceRecords:
         '{"id": 10}\n'
     )
     ONE_FILE_ROWS = [
-        (7, "e99c2bf752444102db918604483097a5e85fa6b6"),
-        (4, "e842a2839bc95c0c02ca0d5dc72cd43f5378f422"),
+        (7, "c323c9b9e66111dedb7623a1422ba2a4072a4059"),
+        (4, "76f5b0666f2831cc3ccffa21510fb6830e51f339"),
     ]
     ONE_FILE_CHARS = [
-        (4, "52d801230daafc845926580f695d90e4b9164dfb"),
-        (5, "1bc3aeda4be8aa4342c133fd6459bd209d814009"),
-        (2, "bac8d89c8df4f5dd5cb2a7886da4ab74210ec23c"),
+        (4, "73cf47ef0f3e6b0b9df97d2265e08a64518162d3"),
+        (5, "b7bbd1b9ee4b86f777e465a02a8b947c28552d89"),
+        (2, "f919f0dc63a21b8ee454a591524e8a1d67f60c8e"),
     ]
     #: (shard rows, signature) per stage-0 shard, computed before
-    #: ``LineShard`` replaced the per-line records: every store key holds
+    #: ``LineShard`` replaced the per-line records (the signatures re-pinned,
+    #: the cuts unchanged, when ``SOURCE_FORMAT`` went 3 -> 4): every store key holds
     PINNED_SIGNATURES = {
         ("edge.jsonl", "max_rows"): ONE_FILE_ROWS,
         ("edge.jsonl", "max_chars"): ONE_FILE_CHARS,
         ("edge.jsonl.gz", "max_rows"): ONE_FILE_ROWS,
         ("edge.jsonl.gz", "max_chars"): ONE_FILE_CHARS,
         ("same", "max_rows"): [
-            (7, "e99c2bf752444102db918604483097a5e85fa6b6"),
-            (7, "e24e0f94dda8fab269466d124803b1858d753edc"),
-            (7, "e132d7c553fcbe7e4a2e02e831f9c12595ff3e9b"),
-            (1, "594e0bcbd98e5d15d50bde07cbaf4b4b00b1ebeb"),
+            (7, "c323c9b9e66111dedb7623a1422ba2a4072a4059"),
+            (7, "f3ee3cb4768c6da9677054c2dbea99c8b48299f8"),
+            (7, "ec7ffb030d36ec19f83a501f163ebaea1785839f"),
+            (1, "adce675ee569955658311b17f6a5f1bba570db88"),
         ],
         ("same", "max_chars"): [
-            (4, "52d801230daafc845926580f695d90e4b9164dfb"),
-            (5, "1bc3aeda4be8aa4342c133fd6459bd209d814009"),
-            (5, "78a01c228491e4495037f337d0a9d60de0049a96"),
-            (4, "72278cc0e6321669e20a8a18ebe95cdc28e768b5"),
-            (2, "40bf403dc38ab88ab5bf6a45fe038353afa24ddc"),
-            (2, "bac8d89c8df4f5dd5cb2a7886da4ab74210ec23c"),
+            (4, "73cf47ef0f3e6b0b9df97d2265e08a64518162d3"),
+            (5, "b7bbd1b9ee4b86f777e465a02a8b947c28552d89"),
+            (5, "82b72a5b94e4ef59fd5daba1ea6d2421fbddf0f9"),
+            (4, "081ab4cdaadc335e42bd80fa90f8e5f2b75e3e84"),
+            (2, "96c6fa33acbfad54a475eb183fd70302fe5bc93b"),
+            (2, "f919f0dc63a21b8ee454a591524e8a1d67f60c8e"),
         ],
         ("mixed", "max_rows"): [
-            (7, "e99c2bf752444102db918604483097a5e85fa6b6"),
-            (7, "1de5b7cd395d6f143b9c2b1446a1c733265865c0"),
-            (7, "f49e5eb5801e9105a87c76dc540ddca10a064892"),
-            (1, "ef0ff4669218b0661497df0da701a261cb6d6bdb"),
+            (7, "c323c9b9e66111dedb7623a1422ba2a4072a4059"),
+            (7, "668bfb57b867046725d6fe349364cda1a72167e4"),
+            (7, "d12ebb9d4f775e565a65e611e6e80693b49e6af7"),
+            (1, "1b9cac4eda10d51515631d2ee835f3804405ed44"),
         ],
         ("mixed", "max_chars"): [
-            (4, "52d801230daafc845926580f695d90e4b9164dfb"),
-            (5, "1bc3aeda4be8aa4342c133fd6459bd209d814009"),
-            (5, "c55ed316e4934a4b2fed7b71af9f91d9da0c7305"),
-            (4, "9315cec27e26273685de43e81566b598cd4f772c"),
-            (2, "d8ed7531254fea9ccde8e4ddffb1fe3a1ec1ff7e"),
-            (2, "3e749c38128181f227178de2f68b5772cf3f77c9"),
+            (4, "73cf47ef0f3e6b0b9df97d2265e08a64518162d3"),
+            (5, "b7bbd1b9ee4b86f777e465a02a8b947c28552d89"),
+            (5, "a4bf1b0e0c9e476a16b2ae349c192ce7c2ddc806"),
+            (4, "05ca425545f2bf26681aa9187f8bb626487de407"),
+            (2, "687e852013c61f959db101fb3d2689ca3ddad962"),
+            (2, "9a531c9bba1aa9c68705591db79bff8675a740a0"),
         ],
     }
 

@@ -24,6 +24,10 @@ GOLDEN = {
     "purity-random": ("bad_purity_random.py", [("purity-random", 14), ("purity-random", 15)]),
     "purity-env": ("bad_purity_env.py", [("purity-env", 15), ("purity-env", 19)]),
     "purity-io": ("bad_purity_io.py", [("purity-io", 15), ("purity-io", 17)]),
+    "purity-inplace": (
+        "bad_purity_inplace.py",
+        [("purity-inplace", line) for line in (12, 14, 15, 16, 21, 23, 24)],
+    ),
     "purity-global": (
         "bad_purity_global.py",
         [("purity-global", 16), ("purity-global", 18), ("purity-global", 19)],

@@ -502,7 +502,7 @@ class TestHashCellFormatIsPartOfTheKey:
                 shard._columns[HashKeys.minhash] = [
                     list(struct.unpack("<64I", cell)) for cell in shard.column(HashKeys.minhash)
                 ]
-                path.write_bytes(pickle.dumps(encode(None, shard, None)[0]))
+                path.write_bytes(pickle.dumps(encode(None, shard)))
             # replayed into the array clustering, those cells end the run
             with pytest.raises(OpExecutionError, match="document_minhash_deduplicator"):
                 run(tmp_path, "stale", input_path, self.PROCESS, "streaming", use_cache=True)

@@ -3,16 +3,16 @@
 Layers under test:
 
 * the codec (:func:`repro.core.cache.encode` / :func:`~repro.core.cache.decode`):
-  unchanged columns are not stored, a changed one is stored whole, a column
-  of flat dicts leaf by leaf (any other mutable column pickled whole), row
-  positions come from the row count or the values of the immutable columns
-  (so they survive a worker's round trip), and a payload of another shape or
-  over another parent decodes as a miss;
-* soundness: adversarial test-local ops — in-place ``meta`` edits, a filter
-  that writes ``meta``, one row becoming two, a row-subsetting selector,
-  equal values of another type — export the same bytes and the same final
-  fingerprint cold and warm (a codec that took an identical mutable cell for
-  an unchanged one fails every one of them);
+  one rule for every column — unchanged columns are not stored, a changed
+  one is stored whole as its own blob (equal cells of another type, sign or
+  key order are changes; copies that share objects differently are not),
+  row positions come from the row count or the values of the immutable
+  columns (so they survive a worker's round trip), and a payload of another
+  shape or over another parent decodes as a miss;
+* soundness: adversarial test-local ops — a mapper writing a new ``meta``,
+  a filter that writes ``meta``, one row becoming two, a row-subsetting
+  selector, equal values of another type — export the same bytes and the
+  same final fingerprint cold and warm;
 * determinism: two runs under different ``PYTHONHASHSEED`` leave the same
   entry files, byte for byte;
 * the resume chain: a crash resumes by replaying the recorded keys, a
@@ -36,7 +36,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.base_op import Filter, Mapper
-from repro.core.cache import CacheManager, cell_snapshot, decode, detach, encode
+from repro.core.batch import write_stat
+from repro.core.cache import CacheManager, decode, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
 from repro.core.errors import OpExecutionError
@@ -112,7 +113,7 @@ def rows_dataset(rows):
 
 
 def replay(parent, child):
-    payload, _ = encode(parent, child, cell_snapshot(parent))
+    payload = encode(parent, child)
     return payload, decode(parent, payload)
 
 
@@ -120,9 +121,9 @@ class Label(str):
     """A ``str`` subclass: equal to a plain string, but of another type."""
 
 
-def structs(payload):
-    """An entry's struct columns: each one's keys and stored (changed) leaves."""
-    return {name: (keys, pickle.loads(leaves)) for name, (keys, leaves) in payload["struct"].items()}
+def stored(payload):
+    """An entry's stored columns, unpickled."""
+    return {name: pickle.loads(blob) for name, blob in payload["stored"].items()}
 
 
 def exact(dataset):
@@ -137,8 +138,7 @@ class TestCodec:
         parent = rows_dataset(self.ROWS)
         child = NestedDataset(parent.to_dict(), fingerprint="child")
         payload, decoded = replay(parent, child)
-        assert payload["pickled"] == payload["dense"] == {}
-        assert structs(payload) == {"meta": (("k", "src"), {})}
+        assert payload["stored"] == {}
         assert payload["positions"] is None
         assert decoded == child and decoded.fingerprint == "child"
 
@@ -148,14 +148,14 @@ class TestCodec:
         columns["text"] = [text.upper() if n < 2 else text for n, text in enumerate(columns["text"])]
         child = NestedDataset(columns, fingerprint="child")
         payload, decoded = replay(parent, child)
-        assert payload["dense"] == {"text": columns["text"]}
+        assert stored(payload) == {"text": columns["text"]}
         assert decoded == child
 
     def test_equal_values_of_another_type_or_sign_are_changes(self):
         parent = NestedDataset({"x": [1, 0.0, True, "a", b"a", None, 7]})
         child = NestedDataset({"x": [1.0, -0.0, 1, "a", b"a", None, 7]}, fingerprint="child")
         payload, decoded = replay(parent, child)
-        assert payload["dense"] == {"x": child["x"]}
+        assert stored(payload) == {"x": child["x"]}
         assert [type(value) for value in decoded["x"]] == [
             float, float, int, str, bytes, type(None), int
         ]
@@ -165,22 +165,17 @@ class TestCodec:
         parent = NestedDataset({"x": [Label("a"), Label("b")]})
         child = NestedDataset({"x": ["a", "b"]}, fingerprint="child")
         payload, decoded = replay(parent, child)
-        assert payload["dense"] == {"x": ["a", "b"]}
+        assert stored(payload) == {"x": ["a", "b"]}
         assert [type(value) for value in decoded["x"]] == [str, str]
 
-    def test_a_mutable_column_edited_in_place_is_stored(self):
+    def test_a_changed_dict_column_is_stored_whole(self):
         parent = rows_dataset(self.ROWS)
-        snapshot = cell_snapshot(parent)
-        assert set(snapshot) == {"meta"}
-        for meta in parent["meta"]:
-            meta["k"] += 100  # the child shares these dicts
         child = NestedDataset(parent.to_dict(), fingerprint="child")
-        payload, _ = encode(parent, child, snapshot)
-        # the edited key's leaf is stored, and no other leaf is
-        assert payload["pickled"] == {}
-        assert structs(payload) == {"meta": (("k", "src"), {"k": [n + 100 for n in range(10)]})}
-        fresh = rows_dataset(self.ROWS)  # the parent as its own entry holds it
-        assert decode(fresh, payload)["meta"][0] == {"k": 100, "src": "web"}
+        child._columns["meta"] = [dict(meta, k=meta["k"] + 100) for meta in parent["meta"]]
+        payload, decoded = replay(parent, child)
+        assert stored(payload) == {"meta": child._columns["meta"]}
+        assert decoded["meta"][0] == {"k": 100, "src": "web"}
+        assert parent["meta"][0] == {"k": 0, "src": "web"}
 
     def test_positions_follow_the_immutable_values(self):
         parent = rows_dataset(self.ROWS)
@@ -188,7 +183,7 @@ class TestCodec:
         child._fingerprint = "child"
         payload, decoded = replay(parent, child)
         assert payload["positions"] == [7, 2, 2, 9]
-        assert payload["dense"] == {}
+        assert payload["stored"] == {}
         assert decoded == child
 
     def test_positions_survive_a_pickling_round_trip(self):
@@ -198,9 +193,8 @@ class TestCodec:
         child._fingerprint = "child"
         payload, decoded = replay(parent, child)
         assert payload["positions"] == [9, 4, 0]
-        # the copied ``meta`` cells compare equal to the parent's at those rows
-        assert payload["dense"] == payload["pickled"] == {}
-        assert structs(payload) == {"meta": (("k", "src"), {})}
+        # the copied ``meta`` cells pickle to the parent's bytes at those rows
+        assert payload["stored"] == {}
         assert decoded == child
 
     def test_rows_with_equal_values_map_to_one_of_them(self):
@@ -209,15 +203,15 @@ class TestCodec:
         child._fingerprint = "child"
         payload, decoded = replay(parent, child)
         assert payload["positions"] == [2, 1]
-        # the mapping only decides what is stored: the ``k`` leaf is
-        assert structs(payload) == {"meta": (("k",), {"k": [0, 1]})}
+        # the mapping only decides what is stored: ``meta`` is
+        assert stored(payload) == {"meta": [{"k": 0}, {"k": 1}]}
         assert decoded == child and decoded["meta"] == [{"k": 0}, {"k": 1}]
 
     def test_no_mapping_stores_a_self_contained_entry(self):
         parent = NestedDataset({"text": ["a", "b", "c"]})
         child = NestedDataset({"text": ["a", "z"]}, fingerprint="child")
         payload, decoded = replay(parent, child)
-        assert payload["parent_rows"] is None and payload["dense"] == {"text": ["a", "z"]}
+        assert payload["parent_rows"] is None and stored(payload) == {"text": ["a", "z"]}
         assert decode(None, payload) == child == decoded
 
     def test_dropped_columns_are_named(self):
@@ -228,22 +222,25 @@ class TestCodec:
 
     def test_a_projection_unpickles_only_the_columns_it_picks(self, monkeypatch):
         child = rows_dataset(self.ROWS).add_column("tags", [{"k": [n]} for n in range(10)])
-        payload, _ = encode(None, child, None)
-        assert set(payload["pickled"]) == {"tags"} and set(payload["struct"]) == {"meta"}
+        payload = encode(None, child)
+        assert set(payload["stored"]) == {"text", "n", "meta", "tags"}
         unpickled = []
-        monkeypatch.setattr(pickle, "loads", unpickled.append)
-        # a struct column left out is never read: building it would miss
-        payload["struct"]["meta"] = None
+        loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data: unpickled.append(data) or loads(data))
+        # a column left out is never read: unpickling it would miss
+        payload["stored"]["meta"] = payload["stored"]["tags"] = None
         kept = {"text", "n"}
         text = decode(None, payload, lambda names: [name for name in names if name in kept])
         assert text.column_names == ["text", "n"] and text.fingerprint == child.fingerprint
+        assert unpickled == [payload["stored"]["text"], payload["stored"]["n"]]
         # a projection that picks nothing still carries the entry's row count
         assert len(decode(None, payload, lambda names: ["absent"])) == len(self.ROWS)
-        assert unpickled == []
+        assert len(unpickled) == 3
 
     @pytest.mark.parametrize(
         "payload",
-        [None, NestedDataset({"text": ["a"]}), {"format": 0}, {"format": 1}, [1, 2]],
+        [None, NestedDataset({"text": ["a"]}), {"format": 0}, {"format": 1}, [1, 2],
+         {"format": 3}],
     )
     def test_anything_else_decodes_as_a_miss(self, payload):
         assert decode(NestedDataset({"text": ["a"]}), payload) is None
@@ -255,114 +252,116 @@ class TestCodec:
         assert decode(None, payload) is None
 
 
-class TestStructColumns:
-    """A column of flat dicts is stored leaf by leaf and round-trips exactly:
-    the same dicts, key order and cell types, through a pickled entry."""
+class TestOneColumnRule:
+    """Every column is stored or not by one rule — identity, then equality, then
+    pickled bytes where numbers or non-scalar cells are involved — and
+    round-trips exactly: the same cells, key order and cell types, through a
+    pickled entry."""
 
     @staticmethod
     def round_trip(parent, child):
-        payload, _ = encode(parent, child, cell_snapshot(parent))
-        payload = pickle.loads(pickle.dumps(payload))  # as the store reads it back
+        payload = pickle.loads(pickle.dumps(encode(parent, child)))  # as the store reads it back
         decoded = decode(parent, payload)
         assert exact(decoded) == exact(child)
         return payload
 
     def test_retyped_and_signed_cells_and_nan_are_changes(self):
         nan = math.nan
-        parent = NestedDataset({"__stats__": [{"a": 1, "z": 0.0, "q": nan, "s": nan}]})
-        child = NestedDataset({"__stats__": [{"a": 1.0, "z": -0.0, "q": float("nan"), "s": nan}]})
+        stats = ("__stats__.a", "__stats__.z", "__stats__.q", "__stats__.s")
+        parent = NestedDataset(dict(zip(stats, ([1], [0.0], [nan], [nan]))))
+        child = NestedDataset(dict(zip(stats, ([1.0], [-0.0], [float("nan")], [nan]))))
         payload = self.round_trip(parent, child)
         # the NaN that is the same object is unchanged; a new NaN is a change
-        assert set(structs(payload)["__stats__"][1]) == {"a", "z", "q"}
-        grandchild = NestedDataset({"__stats__": [{"a": True, "z": -0.0, "q": 0.0, "s": nan}]})
+        assert set(payload["stored"]) == {"__stats__.a", "__stats__.z", "__stats__.q"}
+        grandchild = NestedDataset(dict(zip(stats, ([True], [-0.0], [0.0], [nan]))))
         payload = self.round_trip(child, grandchild)
-        assert set(structs(payload)["__stats__"][1]) == {"a", "q"}
-
-    def test_an_overwritten_an_added_and_a_removed_key(self):
-        parent = NestedDataset({"meta": [{"a": n, "b": n, "c": n} for n in range(4)]})
-        child = NestedDataset({"meta": [{"a": n, "b": -n - 1, "d": "new"} for n in range(4)]})
-        payload = self.round_trip(parent, child)
-        assert structs(payload)["meta"] == (
-            ("a", "b", "d"), {"b": [-1, -2, -3, -4], "d": ["new"] * 4}
-        )
+        assert set(payload["stored"]) == {"__stats__.a", "__stats__.q"}
 
     def test_all_empty_dicts_and_zero_rows(self):
         parent = NestedDataset({"text": ["x", "y"], "meta": [{}, {}]})
         payload = self.round_trip(parent, NestedDataset({"text": ["x", "y"], "meta": [{}, {}]}))
-        assert structs(payload) == {"meta": ((), {})}
+        assert payload["stored"] == {}
         dropped = self.round_trip(parent, NestedDataset({"text": ["y"], "meta": [{}]}))
         assert dropped["positions"] == [1]
         empty = NestedDataset({"text": [], "meta": []})
         self.round_trip(parent, empty)
         self.round_trip(empty, empty)
-        assert exact(decode(None, encode(None, empty, None)[0])) == exact(empty)
+        assert exact(decode(None, encode(None, empty))) == exact(empty)
 
     @pytest.mark.parametrize(
         "cells",
         [
-            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
-            [{"a": 1}, {"b": 1}],
-            [{"a": 1}, {}],
-            [{"a": 1}, {"a": 1, "b": 2}],
-            [{}, {"a": 1}],
-            [{"a": 1}, {"a": [1]}],
-            [OrderedDict(a=1), OrderedDict(a=2)],
-            [{1: "int key"}, {1: "int key"}],
+            [{"a": 0, "b": 2}, {"b": 2, "a": 0}],
+            [{"a": 0}, {"b": 0}],
+            [{"a": 0}, {}],
+            [{"a": 0}, {"a": 0, "b": 2}],
+            [{}, {"a": 0}],
+            [{"a": 0}, {"a": [0]}],
+            [OrderedDict(a=0), OrderedDict(a=0)],
+            [{0: "int key"}, {0: "int key"}],
+            [{"a": 0}, {"a": 0.0}],
+            [{"a": 0}, {"a": False}],
         ],
         ids=["key-orders-differ", "keys-differ", "a-key-missing", "a-key-added",
-             "a-key-added-to-empty", "nested-value", "dict-subclass", "non-str-key"],
+             "a-key-added-to-empty", "nested-value", "dict-subclass", "non-str-key",
+             "equal-float-value", "equal-bool-value"],
     )
-    def test_other_dict_columns_are_pickled_whole(self, cells):
+    def test_a_dict_column_that_differs_is_stored_whole(self, cells):
         parent = NestedDataset({"meta": [{"a": 0}, {"a": 0}]})
         child = NestedDataset({"meta": cells})
         payload = self.round_trip(parent, child)
-        assert set(payload["pickled"]) == {"meta"} and payload["struct"] == {}
+        assert set(payload["stored"]) == {"meta"}
         assert list(map(type, decode(parent, payload)["meta"])) == list(map(type, cells))
 
-    def test_decoded_dicts_are_new_objects(self):
-        parent = rows_dataset(TestCodec.ROWS)
-        child = NestedDataset(parent.to_dict(), fingerprint="child")
-        payload, decoded = replay(parent, child)
-        assert structs(payload)["meta"][1] == {}  # every value comes from the parent
-        decoded["meta"][0]["k"] = "edited"
-        assert parent["meta"][0] == {"k": 0, "src": "web"}
-        caller = rows_dataset(TestCodec.ROWS)
-        detached = detach(caller)
-        assert detached == caller
-        detached["meta"][1]["src"] = "edited"
-        assert caller["meta"][1] == {"k": 1, "src": "web"}
+    def test_equal_key_orders_that_differ_are_changes(self):
+        parent = NestedDataset({"meta": [{"a": 1, "b": 2}]})
+        child = NestedDataset({"meta": [{"b": 2, "a": 1}]})  # equal as dicts
+        payload = self.round_trip(parent, child)
+        assert set(payload["stored"]) == {"meta"}
+
+    def test_copies_that_share_objects_differently_are_unchanged(self):
+        # a pool round trip copies cells and splits what they shared across
+        # chunks: each cell still pickles to the bytes it had
+        shared = {"source": "web", "tags": ["a"]}
+        parent = NestedDataset({"text": ["x", "y", "z"], "meta": [shared, shared, shared]})
+        child = NestedDataset({"text": ["x", "y", "z"],
+                               "meta": [pickle.loads(pickle.dumps(shared)) for _ in range(3)]})
+        assert self.round_trip(parent, child)["stored"] == {}
 
 
 # ----------------------------------------------------------------------
 # Soundness: adversarial test-local ops, cold vs warm
 # ----------------------------------------------------------------------
 class MetaStampMapper(Mapper):
-    """Counts its visits inside ``meta``, editing the dict in place."""
+    """Counts its visits inside a new ``meta`` dict."""
 
     _name = "meta_stamp_mapper"
 
     def process(self, sample):
-        sample[Fields.meta]["visits"] = sample[Fields.meta].get("visits", 0) + 1
+        sample[Fields.meta] = dict(sample[Fields.meta], visits=sample[Fields.meta].get("visits", 0) + 1)
         return sample
 
 
 class MetaStampFilter(Filter):
-    """Writes a length stat and a ``meta`` flag in place; drops every third length."""
+    """Writes a length stat and a new ``meta`` with a flag; drops every third length."""
 
     _name = "meta_stamp_filter"
 
     def compute_stats(self, sample, context=False):
         sample[Fields.stats]["chars"] = len(sample[Fields.text])
-        sample[Fields.meta]["filtered"] = True
+        sample[Fields.meta] = dict(sample[Fields.meta], filtered=True)
         return sample
+
+    def compute_stats_batched(self, samples, context=None):
+        samples[Fields.meta] = [dict(meta, filtered=True) for meta in samples[Fields.meta]]
+        return write_stat(samples, "chars", lambda: list(map(len, samples[Fields.text])))
 
     def process(self, sample):
         return sample[Fields.stats]["chars"] % 3 != 0
 
 
 class SplitHalvesMapper(Mapper):
-    """One row becomes two halves: the first keeps the row's ``meta`` (edited in
-    place), the second gets a copy; both share the row's ``__stats__`` dict."""
+    """One row becomes two halves, each with a new ``meta`` naming its half."""
 
     _name = "split_halves_mapper"
 
@@ -373,13 +372,13 @@ class SplitHalvesMapper(Mapper):
                 out[key] += [values[row], values[row]]
             middle = len(text) // 2
             out[Fields.text][-2:] = [text[:middle], text[middle:]]
-            samples[Fields.meta][row]["half"] = 0
-            out[Fields.meta][-1] = dict(samples[Fields.meta][row], half=1)
+            meta = samples[Fields.meta][row]
+            out[Fields.meta][-2:] = [dict(meta, half=0), dict(meta, half=1)]
         return out
 
 
 class RetypeMapper(Mapper):
-    """Rewrites ``n`` (top level and, in place, in ``meta``) as an equal value of another type."""
+    """Rewrites ``n`` (top level and in a new ``meta``) as an equal value of another type."""
 
     _name = "retype_mapper"
     CASTS = {"float": float, "negate": lambda value: -value, "bool": bool}
@@ -391,14 +390,14 @@ class RetypeMapper(Mapper):
     def process(self, sample):
         cast = self.CASTS[self.to]
         sample["n"] = cast(sample["n"])
-        sample[Fields.meta]["n"] = cast(sample[Fields.meta]["n"])
+        sample[Fields.meta] = dict(sample[Fields.meta], n=cast(sample[Fields.meta]["n"]))
         return sample
 
 
 LOCAL_OPS = (MetaStampMapper, MetaStampFilter, SplitHalvesMapper, RetypeMapper)
 
 ADVERSARIAL = {
-    "in-place-mapper": [{"meta_stamp_mapper": {}}, {"meta_stamp_mapper": {}}],
+    "meta-mapper": [{"meta_stamp_mapper": {}}, {"meta_stamp_mapper": {}}],
     "filter-writing-meta": [{"meta_stamp_filter": {}}, {"meta_stamp_mapper": {}}],
     "one-row-to-two": [{"split_halves_mapper": {}}, {"meta_stamp_mapper": {}}],
     "row-subset-selector": [
@@ -693,12 +692,13 @@ class TestBytesWritten:
         filters = 0
         for step, payload in zip(WEB_CLEAN, payloads):
             (name,) = step
-            # no entry re-stores an unchanged ``meta``: not pickled, no leaf
-            assert "meta" not in payload["pickled"]
-            assert structs(payload)["meta"][1] == {}
+            # no entry re-stores an unchanged ``meta``, and none holds a stats dict
+            assert "meta" not in payload["stored"] and "__stats__" not in payload["columns"]
+            wrote = {name for name in payload["stored"] if name.startswith("__stats__.")}
             if name.endswith("_filter"):
                 filters += 1
-                wrote = {field.split(".", 1)[1] for field in effect_signature(name).writes
-                         if field.startswith("__stats__.")}
-                assert set(structs(payload)["__stats__"][1]) == wrote, name
+                assert wrote == {field for field in effect_signature(name).writes
+                                 if field.startswith("__stats__.")}, name
+            else:
+                assert not wrote, name
         assert filters >= 3

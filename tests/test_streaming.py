@@ -599,14 +599,44 @@ class TestAWarmJobDecodesOnlyWhatItReads:
         assert warm == cold
         shards = report["shards"]
         assert shards["input_shards"] == report["cache"]["shard_hits"] == 5
-        # per shard: its entry read twice, and only ``meta`` unpickled (in the
-        # mask pass) — a full decode unpickles ``meta`` and ``__stats__`` in
-        # both passes, 30 loads in all
+        # per shard: its entry read twice, and only ``meta`` unpickled of the
+        # columns holding objects (in the mask pass) — a full decode unpickles
+        # ``meta`` in both passes.  Every stored column is a blob of its own:
+        # the signature pass unpickles ``__hash__`` alone, the mask pass
+        # ``text``, ``meta`` and ``__suffix__``, never ``__stats__.text_len``
+        # — 4 column loads a shard, where an entry holding ``text``,
+        # ``__suffix__`` and ``__hash__`` inline unpickled all three in both
+        # passes (7 columns, in 3 loads)
         assert shards["unpickled_columns"] == 5
-        assert calls["loads"] == 15
+        assert calls["loads"] == 5 * 2 + 5 * 4
         # the 200 lines were read as one block, then sliced and joined into
         # 5 shards: no object per line
         assert calls["line_shards"] == 1 + 2 * shards["input_shards"]
+
+    def test_a_warm_selector_on_a_stat_unpickles_that_stat_column_alone(self, tmp_path,
+                                                                        monkeypatch):
+        from repro.core.executor import Executor as ExecutorClass
+
+        input_path = write_jsonl(tmp_path / "in.jsonl", messy_corpus_rows(160))
+        cold, _, _ = self.run(tmp_path, input_path, "cold", process=SELECTOR_PROCESS)
+        read = []
+        read_shard = ExecutorClass._read_shard
+
+        def spy(self, key, progress, columns=None):
+            shard = read_shard(self, key, progress, columns)
+            read.append(shard.column_names)
+            return shard
+
+        monkeypatch.setattr(ExecutorClass, "_read_shard", spy)
+        warm, report, _ = self.run(tmp_path, input_path, "warm", process=SELECTOR_PROCESS)
+        memory, _, _ = self.run(tmp_path, input_path, "memory", True, process=SELECTOR_PROCESS)
+        assert warm == cold == memory
+        shards = report["shards"]["input_shards"]
+        assert shards == report["cache"]["shard_hits"] == 5
+        # the signature pass: the ranked stat's column alone, one per shard;
+        # the mask pass: what the export keeps, no stat column
+        assert read[:shards] == [["__stats__.text_len"]] * shards
+        assert read[shards:] == [["text", "meta", "__suffix__"]] * shards
 
     @pytest.mark.parametrize(
         "options",
