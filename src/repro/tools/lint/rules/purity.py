@@ -333,11 +333,18 @@ def _held_cells(method: ast.FunctionDef) -> Callable[[ast.AST], bool]:
     bindings += [(node.target, getattr(node, "value", None) or getattr(node, "iter", None))
                  for node in ast.walk(method)
                  if isinstance(node, (ast.AnnAssign, ast.NamedExpr, ast.For, ast.comprehension))]
+    def bound(target: ast.AST) -> Iterator[str]:  # names a target binds to what it unpacks
+        if isinstance(target, ast.Name):
+            yield target.id
+        elif isinstance(target, (ast.Tuple, ast.List)):  # a starred name gets a new list
+            for element in target.elts:
+                yield from bound(element)
+
     grown = True
     while grown:  # a name bound from a held value (or another such name) holds one
         grown = False
         for target, value in bindings:
-            for name in (n.id for n in ast.walk(target) if isinstance(n, ast.Name)):
+            for name in bound(target):
                 if name not in names and value is not None and held(value):
                     names.add(name)
                     grown = True

@@ -22,6 +22,7 @@ class CleanPurityInplaceFilter(Filter):
         ensure_stats(sample)["seen"] = 1
         meta = dict(sample.get("meta") or {})
         meta["seen"] = True
+        sample["source"] = sample["meta"]  # binds a key of the row, not a held name
         sample["meta"] = meta
         return sample
 
