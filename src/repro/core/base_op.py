@@ -40,7 +40,7 @@ from repro.core.batch import (
     resolve_batch_size,
     rows_to_batch,
     stat_rows,
-    unfold_stats,
+    unfold_rows,
 )
 from repro.core.dataset import NestedDataset
 from repro.core.sample import Fields, get_field, set_field
@@ -250,13 +250,24 @@ class Filter(OP):
         (:func:`repro.core.batch.write_stat`).
         """
         del context  # the per-row fallback cannot share batch-level values
-        rows = stat_rows(samples)
-        before = [dict(row[Fields.stats]) for row in rows]
-        return unfold_stats(samples, before, [self.compute_stats(row) for row in rows])
+        return unfold_rows(samples, [self.compute_stats(row) for row in stat_rows(samples)])
 
     def process_batched(self, samples: dict) -> list[bool]:
         """Keep/drop decision for every row of a stat-annotated column batch."""
         return [bool(self.process(row)) for row in stat_rows(samples)]
+
+    def stats_and_flags(self, samples: dict, context: dict | None = None) -> tuple[dict, list[bool]]:
+        """:meth:`compute_stats_batched`, then :meth:`process_batched` over its
+        result; a filter that overrides neither folds each row once for both."""
+        per_row = (
+            getattr(getattr(self, name), "__func__", None) is getattr(Filter, name)
+            for name in ("compute_stats_batched", "process_batched")
+        )
+        if all(per_row):
+            rows = [self.compute_stats(row) for row in stat_rows(samples)]
+            return unfold_rows(samples, rows), [bool(self.process(row)) for row in rows]
+        samples = self.compute_stats_batched(samples, context=context)
+        return samples, self.process_batched(samples)
 
     def filter_batched(self, samples: dict) -> tuple[dict, list[bool]]:
         """Stats + decision for one batch: ``(surviving_batch, keep_flags)``.
@@ -265,8 +276,7 @@ class Filter(OP):
         this; rejected rows may then carry partial stats, which is invisible
         in the output because they are dropped.
         """
-        samples = self.compute_stats_batched(samples)
-        flags = self.process_batched(samples)
+        samples, flags = self.stats_and_flags(samples)
         if all(flags):
             return samples, flags
         kept = batch_select(samples, [i for i, keep in enumerate(flags) if keep])

@@ -155,18 +155,34 @@ def stat_rows(samples: dict[str, list]) -> list[dict]:
     return [fold(dict(zip(keys, values))) for values in zip(*samples.values())]
 
 
-def unfold_stats(samples: dict[str, list], before: list[dict], rows: list[dict]) -> dict[str, list]:
-    """``samples`` plus, as stat columns, every stat the per-row ``rows``
-    (:func:`stat_rows` after the op) hold new or changed against ``before``,
-    their stats when they were handed over; a row that did not write one of
-    them gives its own value, or None."""
-    written: dict[str, None] = {}
-    for old, row in zip(before, rows):
+def unfold_rows(samples: dict[str, list], rows: list[dict]) -> dict[str, list]:
+    """``samples`` plus what a per-row Filter wrote on its ``rows``
+    (:func:`stat_rows` after ``compute_stats``), each written key as a column:
+    a stat that is new to a row or was replaced, as a stat column (in the
+    order rows gained them, as an in-place ``__stats__`` dict ordered them),
+    then a top-level key that was added or replaced.  A row that did not
+    write a key gives its own value, or None."""
+    carried = samples.get(Fields.stats) or [None] * len(rows)
+    new: dict[str, None] = {}
+    replaced: dict[str, None] = {}
+    fields: dict[str, None] = {}
+    for index, (row, old) in enumerate(zip(rows, carried)):
+        for key, value in row.items():
+            column = samples.get(key)
+            if key != Fields.stats and (column is None or column[index] is not value):
+                fields.setdefault(key)
+        old = old if isinstance(old, dict) else {}
         for key, value in row[Fields.stats].items():
-            if key not in old or old[key] is not value:
-                written.setdefault(key)
-    for key in written:
+            column = samples.get(stat_column(key))
+            if column is not None or key in old:
+                if (old[key] if column is None else column[index]) is not value:
+                    replaced.setdefault(key)
+            else:
+                new.setdefault(key)
+    for key in {**new, **replaced}:
         samples[stat_column(key)] = [row[Fields.stats].get(key) for row in rows]
+    for key in fields:
+        samples[key] = [row.get(key) for row in rows]
     return samples
 
 
@@ -189,6 +205,6 @@ __all__ = [
     "rows_to_batch",
     "set_text_column",
     "stat_rows",
-    "unfold_stats",
+    "unfold_rows",
     "write_stat",
 ]

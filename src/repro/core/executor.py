@@ -109,6 +109,7 @@ class Executor:
     ):
         # imported lazily to avoid a circular import at package-init time
         from repro.ops import build_ops
+        from repro.tools.lint.framework import check_in_place
 
         self.cfg = load_config(config)
         work_dir = Path(self.cfg.work_dir)
@@ -132,6 +133,7 @@ class Executor:
         self._cache_stats = {
             "hits": 0, "misses": 0, "shard_hits": 0, "shard_misses": 0, "bytes_written": 0
         }
+        check_in_place(self.cfg.process)  # no op may edit a cell a store compares against
         self.ops = build_ops(
             self.cfg.process, op_fusion=self.cfg.op_fusion, batch_size=self.cfg.batch_size
         )
@@ -317,6 +319,8 @@ class Executor:
             raise ValueError("no dataset given and no dataset_path configured")
         formatter = load_formatter(self.cfg.dataset_path, text_keys=text_keys)
         self._source = (formatter.name, text_keys)
+        if self._quarantine is not None:  # a row read from a file shows ``__stats__: {}``
+            self._quarantine.empty_stats = True
         return formatter.iter_sources() if self.store is not None else formatter.iter_records()
 
     def _load_input(self, dataset: NestedDataset | None) -> NestedDataset:
@@ -606,7 +610,11 @@ class Executor:
 
             report["num_output_samples"] = len(current)
             if self.cfg.export_path:
-                exporter = Exporter(self.cfg.export_path, keep_stats=self.cfg.keep_stats_in_export)
+                exporter = Exporter(
+                    self.cfg.export_path,
+                    keep_stats=self.cfg.keep_stats_in_export,
+                    empty_stats=dataset is None,
+                )
                 report["export_paths"] = [str(exporter.export(current))]
         return current
 
@@ -704,6 +712,7 @@ class Executor:
                 exporter = Exporter(
                     self.cfg.export_path,
                     keep_stats=self.cfg.keep_stats_in_export,
+                    empty_stats=dataset is None,
                     shard_rows=export_rows if shard_output else None,
                     shard_chars=export_chars if shard_output else None,
                 )

@@ -17,7 +17,13 @@ from typing import IO, Iterable, Iterator
 
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
-from repro.core.sample import Fields, internal_fields, is_internal, strip_internal_fields
+from repro.core.sample import (
+    Fields,
+    internal_fields,
+    is_internal,
+    stats_folder,
+    strip_internal_fields,
+)
 from repro.core.serialization import JsonSanitizer
 
 
@@ -27,9 +33,11 @@ class Exporter:
     ``export_format`` is inferred from the target suffix when not given (a
     trailing ``.gz`` means gzip compression of the inner format);
     ``keep_stats`` controls whether the per-sample stats column survives in
-    the exported records.  ``shard_rows`` / ``shard_chars`` cap each output
-    shard — when either is set, numbered shard files are written instead of
-    one monolithic target (jsonl and txt formats only).
+    the exported records (with ``empty_stats`` — the rows were read from a
+    file — a row with none exports ``__stats__: {}``).  ``shard_rows`` /
+    ``shard_chars`` cap each output shard — when either is set, numbered
+    shard files are written instead of one monolithic target (jsonl and txt
+    formats only).
     """
 
     SUPPORTED = ("jsonl", "json", "txt")
@@ -42,6 +50,7 @@ class Exporter:
         keep_stats: bool = False,
         shard_rows: int | None = None,
         shard_chars: int | None = None,
+        empty_stats: bool = False,
     ):
         self.export_path = Path(export_path)
         suffixes = self.export_path.suffixes
@@ -56,6 +65,7 @@ class Exporter:
             )
         self.export_format = export_format
         self.keep_stats = keep_stats
+        self.empty_stats = keep_stats and empty_stats
         self.shard_rows = shard_rows
         self.shard_chars = shard_chars
         if self.sharded and export_format == "json":
@@ -96,7 +106,10 @@ class Exporter:
         """The dataset's rows as exported: its internal columns dropped once, and
         kept stats folded into one ``__stats__`` dict per row (the row view's)."""
         drop = [name for name in dataset.column_names if is_internal(name, self.keep_stats)]
-        return iter(dataset.remove_columns(drop) if drop else dataset)
+        rows = iter(dataset.remove_columns(drop) if drop else dataset)
+        if self.empty_stats and stats_folder(dataset.column_names) is None:
+            return ({**row, Fields.stats: {}} for row in rows)
+        return rows
 
     def export_stream(self, rows: Iterable[dict]) -> list[Path]:
         """Stream rows to disk, returning every path written.

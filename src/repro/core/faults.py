@@ -61,7 +61,7 @@ from repro.core.base_op import Deduplicator
 from repro.core.batch import batch_length, batch_to_rows
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ConfigError, OpExecutionError
-from repro.core.sample import fold_stats
+from repro.core.sample import Fields, fold_stats
 from repro.core.segment import run_chunks, run_dataset_segment, segment_output
 from repro.core.serialization import JsonSanitizer
 from repro.core.tracer import segment_examples
@@ -279,6 +279,8 @@ class QuarantineWriter:
     ``--on-error raise``.  Files roll at ``rows_per_file`` entries with the
     same numbered naming scheme as output shards, and are written through the
     deterministic gzip writer so identical failures produce identical bytes.
+    A row's stats show folded into one ``__stats__`` dict; with
+    ``empty_stats`` (the run reads a file) a row with none shows ``{}``.
     """
 
     FILE_TEMPLATE = "quarantine-{index:05d}.jsonl.gz"
@@ -293,6 +295,7 @@ class QuarantineWriter:
         self._handle: Any = None
         self._rows_in_file = 0
         self._sanitizer = JsonSanitizer()
+        self.empty_stats = False
 
     def _roll(self) -> None:
         from repro.formats.sharded import open_shard
@@ -316,12 +319,15 @@ class QuarantineWriter:
         """Append one dropped row with its full failure context."""
         if self._handle is None or self._rows_in_file >= self.rows_per_file:
             self._roll()
+        row = fold_stats(row)
+        if self.empty_stats and Fields.stats not in row:
+            row = {**row, Fields.stats: {}}
         entry = {
             "op": op_name,
             "error": error if isinstance(error, str) else repr(error),
             "shard": shard_id,
             "row_index": row_index,
-            "row": fold_stats(row),
+            "row": row,
         }
         self._handle.write(self._sanitizer.dumps(entry, ensure_ascii=False) + "\n")
         self._rows_in_file += 1

@@ -99,8 +99,7 @@ class FusedFilter(Filter):
         for member in self.fused_filters:
             if not alive:
                 break
-            current = member.compute_stats_batched(current, context=context)
-            member_flags = member.process_batched(current)
+            current, member_flags = member.stats_and_flags(current, context=context)
             if not all(member_flags):
                 keep_local = [i for i, keep in enumerate(member_flags) if keep]
                 for local, keep in enumerate(member_flags):

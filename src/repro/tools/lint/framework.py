@@ -26,6 +26,9 @@ Pieces:
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
+import inspect
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -274,11 +277,12 @@ def _is_register_decorator(decorator: ast.AST) -> str | None:
     return ""
 
 
-def _extract_op_class(node: ast.ClassDef) -> OpClassInfo | None:
+def _extract_op_class(node: ast.ClassDef, known_op: bool = False) -> OpClassInfo | None:
     """Build the :class:`OpClassInfo` of a class, or ``None`` for non-ops.
 
     A class counts as an operator when it is decorated with
-    ``register_module`` or inherits (textually) from a known op base class.
+    ``register_module`` or inherits (textually) from a known op base class,
+    or when the caller knows it is one (``known_op``).
     """
     registered = None
     for decorator in node.decorator_list:
@@ -292,7 +296,7 @@ def _extract_op_class(node: ast.ClassDef) -> OpClassInfo | None:
         if base_name in CATEGORY_OF_BASE:
             category = CATEGORY_OF_BASE[base_name]
             break
-    if registered is None and category is None:
+    if registered is None and category is None and not known_op:
         return None
 
     info = OpClassInfo(node=node, registered_name=registered, category=category)
@@ -472,6 +476,59 @@ def default_lint_paths() -> list[Path]:
         Path(repro.ops.__file__).parent,
         Path(repro.service.__file__).parent,
     ]
+
+
+@functools.lru_cache(maxsize=256)
+def lint_class(cls: type, rule_ids: tuple[str, ...]) -> tuple[Violation, ...]:
+    """The unsuppressed violations of ``rule_ids`` in one operator class's own
+    body, read from its module's source (the check a run makes of an op
+    defined outside the pool); none when that source cannot be read."""
+    from repro.tools.lint import rules as _rules  # noqa: F401
+
+    try:
+        path, (_, start) = Path(inspect.getsourcefile(cls)), inspect.getsourcelines(cls)
+        module = LintModule.parse(path)
+    except (OSError, TypeError, SyntaxError):
+        return ()
+    nodes = [
+        node for node in ast.walk(module.tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls.__name__ and node.lineno >= start
+    ]
+    if not nodes:
+        return ()
+    info = _extract_op_class(min(nodes, key=lambda node: node.lineno), known_op=True)
+    module = dataclasses.replace(module, op_classes=[info])
+    return tuple(
+        violation
+        for rule in resolve_rules(rule_ids)
+        for violation in rule.check(module)
+        if not module.is_suppressed(violation)
+    )
+
+
+def check_in_place(process_list: Iterable[dict | str]) -> None:
+    """Raise :class:`~repro.core.errors.ConfigError` when an op of a recipe's
+    ``process`` list — or a base class of it — defined outside the built-in
+    pool (which ``repro lint`` covers) breaks ``purity-inplace``: a run's store
+    compares an op's output with its input in memory, so an edited input cell
+    would read as unchanged."""
+    from repro.core.base_op import OP
+    from repro.core.errors import ConfigError
+    from repro.ops import OPERATORS, split_process_entry
+
+    classes = {OPERATORS.get(split_process_entry(entry)[0]) for entry in process_list}
+    found = sorted({
+        str(violation)
+        for cls in classes
+        for own in cls.__mro__
+        if issubclass(own, OP) and not own.__module__.startswith("repro.")
+        for violation in lint_class(own, ("purity-inplace",))
+    })
+    if found:
+        raise ConfigError(
+            "an operator edits a value read out of its input in place (silence a "
+            "false finding with `# repro: lint-ignore[purity-inplace]`):\n  " + "\n  ".join(found)
+        )
 
 
 def lint_paths(

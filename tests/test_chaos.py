@@ -358,6 +358,8 @@ class TestWholeShardQuarantine:
         with gzip.open(report["faults"]["quarantine_paths"][0], "rt", encoding="utf-8") as handle:
             quarantined = [json.loads(line)["row"] for line in handle]
         decoded = list(JsonlFormatter(dataset_path=config["dataset_path"]).iter_records())
+        # a row read from a file shows its (empty) stats dict last
+        decoded = [{**row, "__stats__": {}} for row in decoded]
         assert quarantined == decoded[3:]
         assert [list(row) for row in quarantined] == [list(row) for row in decoded[3:]]
 

@@ -7,7 +7,8 @@ the same contract statically.  Here every registered Mapper and Filter, and
 every Deduplicator's hashing stage, runs through its batched and its per-row
 entry point over a salted corpus — nested ``meta``, rows carrying a partial
 ``__stats__`` dict, a stat column an earlier filter wrote — and afterwards
-every input cell must pickle to the bytes it had before.
+every input cell must pickle to the bytes it had before.  A run rejects an
+op from outside the built-in pool that breaks the rule.
 """
 
 import pickle
@@ -17,6 +18,8 @@ import pytest
 from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.batch import batch_to_rows, stat_rows
 from repro.core.dataset import NestedDataset
+from repro.core.errors import ConfigError
+from repro.core.executor import Executor
 from repro.core.registry import OPERATORS
 from repro.core.sample import stat_column
 from repro.ops import load_ops
@@ -90,3 +93,23 @@ def test_the_corpus_carries_what_the_ops_must_leave_alone(corpus):
     stats = [row["__stats__"] for row in rows]
     assert {"text_len", "extra", "lang_score"} <= set().union(*stats)
     assert any("text_len" not in cell for cell in stats)
+
+
+class MetaCountMapper(Mapper):
+    """Counts its visits inside the ``meta`` dict it received."""
+
+    def process(self, sample):
+        sample["meta"]["visits"] = sample["meta"].get("visits", 0) + 1
+        return sample
+
+
+class CountingMapper(MetaCountMapper):
+    """Inherits the in-place edit."""
+
+
+def test_a_run_rejects_an_op_that_edits_its_input_in_place(monkeypatch, tmp_path):
+    for name, cls in (("meta_count_mapper", MetaCountMapper), ("counting_mapper", CountingMapper)):
+        monkeypatch.setitem(OPERATORS.modules, name, cls)
+        with pytest.raises(ConfigError, match=r"test_purity_runtime\.py:\d+: \[purity-inplace\]"):
+            Executor({"process": [{"whitespace_normalization_mapper": {}}, name],
+                      "work_dir": str(tmp_path)})

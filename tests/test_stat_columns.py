@@ -13,15 +13,19 @@ export made with ``keep_stats`` is read again: the stat-column engine
 exports the same bytes.
 """
 
+import gzip
 import hashlib
 import json
 
 import pytest
 
+from repro.core.base_op import Filter
 from repro.core.batch import read_stat, write_stat
 from repro.core.dataset import NestedDataset
 from repro.core.executor import Executor
 from repro.core.sample import Fields, fold_stats, stat_column, stats_folder
+from repro.ops import load_ops
+from repro.testing import FaultPlan
 
 PROCESS = [
     {"whitespace_normalization_mapper": {}},
@@ -120,6 +124,105 @@ def test_a_filter_keeps_a_stat_the_row_carries(tmp_path):
             key for key in ("text_len", "num_words", "lang", "lang_score", "digit_ratio",
                             "alnum_ratio", "special_char_ratio") if key not in own
         ]
+
+
+def edge_digests(tmp_path) -> dict[str, str]:
+    """The sha256 of what rows without stats that reach no filter leave at the
+    edges: each run's export with ``keep_stats`` and its quarantine file (a
+    mapper fails on the rows that hold "garden"), keyed ``<run>-export`` /
+    ``<run>-quarantine``."""
+    rows = [{k: v for k, v in row.items() if k != Fields.stats} for row in carried_rows()]
+    input_path = tmp_path / "in.jsonl"
+    input_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    digests = {}
+    for run, options in RUNS.items():
+        config = {
+            "dataset_path": str(input_path),
+            "export_path": str(tmp_path / f"{run}.jsonl"),
+            "work_dir": str(tmp_path / f"work-{run}"),
+            "process": [{"whitespace_normalization_mapper": {}}, {"clean_links_mapper": {}}],
+            "keep_stats_in_export": True,
+            "on_error": "quarantine",
+            **options,
+        }
+        executor = Executor(config)
+        FaultPlan().inject("clean_links_mapper", match="garden").install(executor.ops)
+        executor.run_streaming() if run == "streaming" else executor.run()
+        quarantine = executor.last_report["faults"]["quarantine_paths"]
+        for name, data in (
+            ("export", (tmp_path / f"{run}.jsonl").read_bytes()),
+            ("quarantine", gzip.decompress(open(quarantine[0], "rb").read())),
+        ):
+            digests[f"{run}-{name}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+#: made by the engine whose formatter gave every row read from a file an
+#: empty ``__stats__`` dict
+PARENT_EDGE_DIGESTS = {
+    "memory-export": "dba28726321782d9fb14319b9a1cc67ee47d4b7c33af6d15a5ba806622e98b4d",
+    "memory-quarantine": "aca6020c15f40bb00a7892ca3223ef71efeda801dbb53d302380b18c121c846f",
+    "memory-fused-export": "dba28726321782d9fb14319b9a1cc67ee47d4b7c33af6d15a5ba806622e98b4d",
+    "memory-fused-quarantine": "aca6020c15f40bb00a7892ca3223ef71efeda801dbb53d302380b18c121c846f",
+    "streaming-export": "dba28726321782d9fb14319b9a1cc67ee47d4b7c33af6d15a5ba806622e98b4d",
+    "streaming-quarantine": "ab08cd1a890073a89ce2e2bb5280fab206078471993d8412be0952fb37228c3d",
+}
+
+
+def test_rows_that_reach_no_filter_leave_the_same_bytes(tmp_path):
+    assert edge_digests(tmp_path) == PARENT_EDGE_DIGESTS
+
+
+class StampFilter(Filter):
+    """A per-row filter that writes a stat, a new ``meta`` and a new field."""
+
+    def compute_stats(self, sample, context=False):
+        sample[Fields.stats]["chars"] = len(sample[Fields.text])
+        sample[Fields.meta] = dict(sample[Fields.meta], seen=True)
+        sample["checked"] = True
+        return sample
+
+    def process(self, sample):
+        return sample[Fields.stats]["chars"] > 1
+
+
+class TestPerRowShim:
+    def in_place(self, op, batch):
+        """The stats each row of ``batch`` gets when ``compute_stats`` edits a
+        copy of its ``__stats__`` dict in place."""
+        return [
+            op.compute_stats({**row, Fields.stats: dict(row.get(Fields.stats) or {})})
+            for row in NestedDataset(dict(batch)).to_list()
+        ]
+
+    @pytest.mark.parametrize("entry", ["stats_and_flags", "compute_stats_batched"])
+    def test_stats_fold_in_the_order_the_row_gained_them(self, entry):
+        op = load_ops([{"language_id_score_filter": {"min_score": 0.0}}])[0]
+        carried = [{"lang_score": 0.25}, None, {"other": 1, "lang": "xx"}, {}]
+        batch = {
+            "text": ["the river runs by the mill", "a village market", "der Garten", "x"],
+            Fields.stats: carried,
+        }
+        expected = self.in_place(op, batch)
+        out = getattr(op, entry)(dict(batch))
+        out = out[0] if entry == "stats_and_flags" else out
+        rows = NestedDataset(out).to_list()
+        assert [list(row[Fields.stats].items()) for row in rows] == [
+            list(row[Fields.stats].items()) for row in expected
+        ]
+        assert list(rows[0][Fields.stats]) == ["lang_score", "lang"]
+        assert list(rows[1][Fields.stats]) == ["lang", "lang_score"]
+        assert carried == [{"lang_score": 0.25}, None, {"other": 1, "lang": "xx"}, {}]
+
+    def test_fields_a_per_row_compute_stats_writes_become_columns(self):
+        metas = [{"n": 0}, {"n": 1}, {"n": 2}]
+        batch = {"text": ["a", "bb", "ccc"], Fields.meta: metas}
+        expected = self.in_place(StampFilter(), batch)
+        kept, flags = StampFilter().filter_batched(dict(batch))
+        assert flags == [False, True, True]
+        assert list(kept) == ["text", Fields.meta, stat_column("chars"), "checked"]
+        assert NestedDataset(kept).to_list() == expected[1:]
+        assert metas == [{"n": 0}, {"n": 1}, {"n": 2}]
 
 
 class TestFold:

@@ -36,7 +36,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.base_op import Filter, Mapper
-from repro.core.batch import write_stat
 from repro.core.cache import CacheManager, decode, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
@@ -352,10 +351,6 @@ class MetaStampFilter(Filter):
         sample[Fields.meta] = dict(sample[Fields.meta], filtered=True)
         return sample
 
-    def compute_stats_batched(self, samples, context=None):
-        samples[Fields.meta] = [dict(meta, filtered=True) for meta in samples[Fields.meta]]
-        return write_stat(samples, "chars", lambda: list(map(len, samples[Fields.text])))
-
     def process(self, sample):
         return sample[Fields.stats]["chars"] % 3 != 0
 
@@ -472,6 +467,8 @@ def test_adversarial_ops_replay_exactly(tmp_path, adversarial_input, recipe):
     assert all(op["calls"] == 0 for op in report["ops"])
     assert cold == warm == reference
     assert cold_output.fingerprint == warm_output.fingerprint
+    if "meta_stamp_filter" in str(process):  # its per-row compute_stats writes ``meta``
+        assert all(json.loads(line)["meta"]["filtered"] for line in reference.splitlines())
 
 
 def test_a_pooled_run_stores_deltas(tmp_path, web_input):
