@@ -3,7 +3,8 @@
 #   make smoke       tier-1 verification, exactly as ROADMAP.md specifies
 #   make unit        unit tests only (tests/)
 #   make benchmarks  paper figure/table reproductions only (benchmarks/)
-#   make fig10       the Figure-10 scalability reproduction with its table
+#   make fig10       the Figure-10 check by counts: np 1 vs 2 on the engine's own
+#                    pool (same export, tasks, one persistent pool; no timing)
 #   make bench-batch batched-engine throughput assertions (prints the table)
 #   make bench-stream streaming-engine memory assertions (prints the table)
 #   make docs        regenerate docs/ops_catalog.md from the operator registry

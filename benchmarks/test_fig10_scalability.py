@@ -1,153 +1,100 @@
-"""Figure 10 — distributed processing time with a varying number of nodes.
+"""Figure 10 — processing with a varying number of workers, checked by counts.
 
-Paper result: on the StackExchange and arXiv workloads, Data-Juicer on Ray
-scales almost linearly with the number of nodes (up to ~87% time reduction at
-16 nodes), while the Beam adaptation stays nearly flat because its data-loading
-stage is the bottleneck.  The reproduction sweeps the simulated cluster over
-1/2/4 worker nodes for both back-ends.
+Paper result: on a multi-node Ray cluster Data-Juicer's processing time falls
+almost linearly with the node count (up to ~87% less at 16 nodes), while the
+Beam adaptation stays nearly flat behind its single-node loading stage.
 
-What is asserted
-----------------
-``wall_time_s`` is the measured host wall-clock; ``simulated_time_s`` is the
-cluster projection (serial segments + slowest node's worker-measured CPU).
-The projection shrinks with the node count *by construction*, so it is never
-trusted on its own: the test always verifies — via the worker PIDs each sweep
-point reports — that the partition-parallel stage genuinely ran on pool
-workers and that **one persistent pool served every point** at a given node
-count (across both back-ends and both workloads).  When the host has at least
-as many CPU cores as the largest node count, the Figure-10 speedup is
-additionally asserted on the measured wall-clock.
+Multi-node scaling is not reproduced here: there is no cluster, and a time
+projected per simulated node shrinks with the node count by construction, so
+it would show nothing.  What this checks instead is the mechanism the scaling
+rests on, on the engine's own ``np``: the three Figure-8 recipes run through
+``Executor(shared_pool=True)`` at np 1 and 2, each point twice, and
+
+* every point exports the same bytes;
+* np=1 sends no pool task, np=2 sends some, and a repeat sends as many;
+* np=2 is served by two worker processes, never the coordinator, and the
+  repeat by the same two (one persistent pool, not a pool per run).
+
+Nothing here is timed.  The speed of a pooled run is measured by the
+benchmark under ``bench/``: workload ``web-short-pool2`` against
+``web-short-memory``.
 """
 
 import os
 
 from conftest import print_table, run_once
+from test_fig8_end_to_end import WORKLOADS
 
-from repro.distributed import ScalabilitySweep
-from repro.synth import arxiv_like, stackexchange_like
+from repro.core.executor import Executor
+from repro.parallel import shutdown_shared_pools
+from repro.recipes import get_recipe
 
-NODE_COUNTS = [1, 2, 4]
-
-# corpora are sized so that per-node operator work clearly dominates the
-# multiprocessing overhead — the regime the paper's 65GB/140GB workloads are in
-WORKLOADS = {
-    "StackExchange": (stackexchange_like, {"num_samples": 1500, "seed": 31}),
-    "arXiv": (arxiv_like, {"num_samples": 900, "seed": 32}),
-}
-
-# a tokenization-heavy recipe (the kind the paper distributes across nodes)
-SCALABILITY_PROCESS = [
-    {"whitespace_normalization_mapper": {}},
-    {"clean_links_mapper": {}},
-    {"alphanumeric_filter": {"tokenization": True, "min_ratio": 0.1}},
-    {"words_num_filter": {"min_num": 5}},
-    {"word_repetition_filter": {"rep_len": 5, "max_ratio": 0.9}},
-    {"stopwords_filter": {"min_ratio": 0.0}},
-    {"flagged_words_filter": {"max_ratio": 0.5}},
-    {"perplexity_filter": {"max_ppl": 1e9}},
-    {"document_deduplicator": {}},
-]
+NPS = (1, 2)
+REPEATS = 2
 
 
-def usable_cores() -> int:
-    """CPU cores this process can really use: affinity, capped by cgroup quota.
-
-    ``os.cpu_count()`` reports the host's logical cores, which overstates the
-    truth inside containers (a Kubernetes pod with a 1-CPU quota on a 64-core
-    node still sees 64), so the measured-speedup gate would open on hosts
-    that physically cannot run workers in parallel.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux platforms
-        cores = os.cpu_count() or 1
-    try:  # cgroup v2 CPU quota, e.g. "200000 100000" = 2 CPUs, or "max"
-        with open("/sys/fs/cgroup/cpu.max") as handle:
-            quota, period = handle.read().split()
-        if quota != "max":
-            cores = min(cores, max(1, int(quota) // int(period)))
-    except (OSError, ValueError):
-        pass
-    return cores
-
-
-def reproduce_figure10() -> list[dict]:
+def reproduce_figure10(tmp_path) -> list[dict]:
     rows = []
-    for workload, (builder, kwargs) in WORKLOADS.items():
-        corpus = builder(**kwargs)
-        process = SCALABILITY_PROCESS
-        sweep = ScalabilitySweep(process_list=process, node_counts=NODE_COUNTS)
-        for point in sweep.run(corpus, backends=("ray", "beam")):
-            rows.append(
-                {
-                    "workload": workload,
-                    "backend": point.backend,
-                    "nodes": point.num_nodes,
-                    "time_s": point.wall_time_s,
-                    "sim_s": point.simulated_time_s,
-                    "load_s": point.load_time_s,
-                    "worker_pids": point.worker_pids,
-                }
-            )
+    try:
+        for workload, (builder, kwargs, recipe_name) in WORKLOADS.items():
+            corpus = builder(**kwargs)
+            process = get_recipe(recipe_name)["process"]
+            for np in NPS:
+                for repeat in range(REPEATS):
+                    tag = f"{workload}-np{np}-{repeat}"
+                    export = tmp_path / f"{tag}.jsonl"
+                    config = {
+                        "process": process,
+                        "np": np,
+                        "export_path": str(export),
+                        "work_dir": str(tmp_path / f"work-{tag}"),
+                    }
+                    with Executor(config, shared_pool=True) as executor:
+                        executor.run(corpus)
+                        parallel = executor.last_report["parallel"]
+                    rows.append(
+                        {
+                            "workload": workload,
+                            "np": np,
+                            "repeat": repeat,
+                            "tasks": parallel["tasks"],
+                            "worker_pids": list(parallel["worker_pids"]),
+                            "export": export.read_bytes(),
+                        }
+                    )
+    finally:
+        shutdown_shared_pools()
     return rows
 
 
-def test_fig10_scalability(benchmark):
-    rows = run_once(benchmark, reproduce_figure10)
+def test_fig10_scalability(benchmark, tmp_path):
+    rows = run_once(benchmark, reproduce_figure10, tmp_path)
     print_table(
-        "Figure 10: processing time vs number of nodes",
-        [{k: v for k, v in row.items() if k != "worker_pids"} for row in rows],
+        "Figure 10: pool dispatch vs number of workers (counts, not times)",
+        [
+            {**{k: v for k, v in row.items() if k != "export"}, "export_bytes": len(row["export"])}
+            for row in rows
+        ],
     )
 
-    # --- genuine parallel execution: worker_pids holds the pids that really
-    # executed dispatched tasks (reported from inside the workers), so every
-    # multi-node point must show out-of-process execution ------------------
     coordinator_pid = os.getpid()
-    for row in rows:
-        if row["nodes"] > 1:
-            pids = row["worker_pids"]
-            assert pids, row
-            assert coordinator_pid not in pids, row
-            assert len(set(pids)) <= row["nodes"], row
-
-    # --- genuine pool reuse: at each node count, ONE persistent pool served
-    # every sweep point (both back-ends, both workloads), so the union of
-    # serving pids can hold at most `nodes` distinct processes.  A
-    # fork-per-run regression spawns fresh workers per point and blows
-    # through that bound. --------------------------------------------------
-    for nodes in NODE_COUNTS:
-        if nodes == 1:
-            continue
-        served = set()
-        for row in rows:
-            if row["nodes"] == nodes:
-                served.update(row["worker_pids"])
-        assert 1 <= len(served) <= nodes, (
-            f"expected one persistent pool (<= {nodes} workers) across all "
-            f"runs at {nodes} nodes, saw {len(served)} distinct serving pids"
-        )
-
-    by_key = {(row["workload"], row["backend"], row["nodes"]): row for row in rows}
-    host_cores = usable_cores()
     for workload in WORKLOADS:
-        # the Ray-like backend gets meaningfully faster with more nodes; the
-        # projection models one core per node (the paper's platform), and is
-        # trustworthy here because the pool-reuse checks above passed
-        ray_single = by_key[(workload, "ray", 1)]["sim_s"]
-        ray_max = by_key[(workload, "ray", NODE_COUNTS[-1])]["sim_s"]
-        assert ray_max < ray_single, workload
-        ray_reduction = 1.0 - ray_max / ray_single
+        points = {(row["np"], row["repeat"]): row for row in rows if row["workload"] == workload}
+        # one export at every np and on every repeat
+        exports = {row["export"] for row in points.values()}
+        assert len(exports) == 1, workload
+        assert points[(1, 0)]["export"], workload
 
-        if host_cores >= NODE_COUNTS[-1]:
-            # with enough physical cores the speedup must also be *measured*
-            measured_single = by_key[(workload, "ray", 1)]["time_s"]
-            measured_max = by_key[(workload, "ray", NODE_COUNTS[-1])]["time_s"]
-            assert measured_max < measured_single, workload
-
-        beam_single = by_key[(workload, "beam", 1)]["sim_s"]
-        beam_max = by_key[(workload, "beam", NODE_COUNTS[-1])]["sim_s"]
-        beam_reduction = 1.0 - beam_max / beam_single
-        # the Beam-like backend scales clearly worse (its loading stage is serial)
-        assert ray_reduction > beam_reduction, workload
-        # and its single-node loading time is a visible fraction of its runtime
-        assert by_key[(workload, "beam", NODE_COUNTS[-1])]["load_s"] > 0.0
+        for np in NPS:
+            first, again = points[(np, 0)], points[(np, 1)]
+            # the repeat dispatches exactly what the first run did
+            assert first["tasks"] == again["tasks"], (workload, np)
+            if np == 1:
+                assert first["tasks"] == 0, workload
+                continue
+            # the pool really ran: tasks went out to np worker processes
+            assert first["tasks"] > 0, (workload, np)
+            assert len(first["worker_pids"]) == np, (workload, first["worker_pids"])
+            assert coordinator_pid not in first["worker_pids"], workload
+            # and the repeat found the same warm workers, not a fresh pool
+            assert again["worker_pids"] == first["worker_pids"], (workload, np)

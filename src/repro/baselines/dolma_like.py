@@ -17,9 +17,23 @@ import time
 from repro.core.base_op import Deduplicator, Filter, Mapper
 from repro.core.dataset import NestedDataset
 from repro.core.sample import Fields
-from repro.distributed.partition import partition_rows
 from repro.ops import load_ops
 from repro.baselines.redpajama_like import BaselineResult
+
+
+def _partition_rows(rows: list[dict], num_partitions: int) -> list[list[dict]]:
+    """Cut ``rows`` into ``num_partitions`` contiguous, near-equal shards."""
+    if num_partitions <= 0:
+        raise ValueError("num_partitions must be positive")
+    num_partitions = min(num_partitions, max(1, len(rows)))
+    base, remainder = divmod(len(rows), num_partitions)
+    result = []
+    start = 0
+    for index in range(num_partitions):
+        size = base + (1 if index < remainder else 0)
+        result.append(rows[start:start + size])
+        start += size
+    return result
 
 
 class DolmaLikePipeline:
@@ -45,7 +59,7 @@ class DolmaLikePipeline:
 
         # stage 0: mandatory sharding of the input
         shard_start = time.perf_counter()
-        shards = partition_rows(self._persist(dataset.to_list()), self.num_shards)
+        shards = _partition_rows(self._persist(dataset.to_list()), self.num_shards)
         stage_times["shard"] = time.perf_counter() - shard_start
 
         mappers = [op for op in self.ops if isinstance(op, Mapper)]

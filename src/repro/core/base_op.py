@@ -157,12 +157,12 @@ class OP:
             pool = None
         trace_num = getattr(tracer, "show_num", 0)
         _size, outcomes = run_dataset_segment([self], dataset, pool, trace_num)
-        for _batch, _records, failure, _cpu in outcomes:
+        for _batch, _records, failure in outcomes:
             if failure is not None:
                 raise failure[1]
         result = segment_output([self], dataset, outcomes)
         if tracer is not None:
-            records = [records[0] for _batch, records, _failure, _cpu in outcomes]
+            records = [records[0] for _batch, records, _failure in outcomes]
             tracer.add(self, len(dataset), len(result), segment_examples(self, records))
         return result
 

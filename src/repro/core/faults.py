@@ -379,7 +379,7 @@ def describe_failure(
 
 def _entered(outcome: tuple, index: int) -> int:
     """How many rows of a chunk's outcome entered op ``index`` of the segment."""
-    batch, records, failure, _cpu = outcome
+    batch, records, failure = outcome
     if index < len(records):
         return records[index][0]
     return batch_length(batch) if failure is not None and failure[0] == index else 0
@@ -484,7 +484,7 @@ def _account(ops: list, outcomes: list, profiler: Any) -> list:
     entry are the global step's."""
     trace = []
     for index, op in enumerate(ops):
-        records = [chunk[index] for _, chunk, _, _ in outcomes if index < len(chunk)]
+        records = [chunk[index] for _, chunk, _ in outcomes if index < len(chunk)]
         seconds = sum((record[2] for record in records), 0.0)
         if isinstance(op, Deduplicator):
             profiler.record(op, seconds)
@@ -520,7 +520,7 @@ def run_segment_with_policy(
     """
     size, outcomes = run_dataset_segment(ops, dataset, pool, trace_num)
     dropped: list[int] = []
-    if any(failure is not None for _batch, _records, failure, _cpu in outcomes):
+    if any(failure is not None for _batch, _records, failure in outcomes):
         outcomes, dropped = _contain(
             ops, dataset, size, outcomes, policy, tracker, quarantine, shard_id, trace_num
         )

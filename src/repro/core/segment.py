@@ -4,9 +4,8 @@ A *segment* is a run of Mappers/Filters, optionally closed by the hashing
 stage of a Deduplicator, driven over one column-batch chunk
 (``dict[str, list]``) op after op.  It is the engine's local unit of work:
 :func:`run_segment` is the same function whether the chunk was handed over in
-the calling process (``np = 1``, a degraded pool, the distributed runners'
-inline fallback, the fault layer's retries — all through :func:`run_chunks`)
-or arrived as a pool task in a worker (:func:`repro.parallel.worker.run_task`).
+the calling process (``np = 1``, a degraded pool, the fault layer's retries —
+all through :func:`run_chunks`) or arrived as a pool task in a worker (:func:`repro.parallel.worker.run_task`).
 :func:`apply_op` is the only engine code that calls an op's
 ``process_batched`` / ``filter_batched`` / ``compute_hash_batched``;
 ``tests/test_segment_engine.py`` holds the rest of ``src/repro`` to that.
@@ -130,15 +129,11 @@ def run_chunks(ops: Sequence, chunks: Iterable[dict], trace_num: int = 0) -> lis
 
     ``chunks`` is consumed lazily, one chunk alive at a time.  Returns what
     :meth:`repro.parallel.WorkerPool.run_segment` returns for the same
-    chunks: one ``(batch, records, failure, cpu_seconds)`` outcome per chunk,
-    in order, a failed chunk's included.  The fault layer retries a failed
-    chunk, and runs its rows one at a time, through here.
+    chunks: one :func:`run_segment` outcome per chunk, in order, a failed
+    chunk's included.  The fault layer retries a failed chunk, and runs its
+    rows one at a time, through here.
     """
-    results = []
-    for chunk in chunks:
-        start_cpu = time.process_time()
-        results.append((*run_segment(ops, chunk, trace_num), time.process_time() - start_cpu))
-    return results
+    return [run_segment(ops, chunk, trace_num) for chunk in chunks]
 
 
 def run_dataset_segment(
@@ -152,8 +147,8 @@ def run_dataset_segment(
     rule (:meth:`OP.effective_batch_size`) and run here, lazily.  Chunk *i*
     is the dataset's rows ``[i * size, (i + 1) * size)``, so a caller can
     re-slice any chunk by position; its outcome is the ``(batch, records,
-    failure, cpu_seconds)`` of :func:`run_chunks`, and every chunk runs
-    whether or not another one failed.
+    failure)`` of :func:`run_segment`, and every chunk runs whether or not
+    another one failed.
     """
     if pool is None:
         size = ops[0].effective_batch_size(dataset)
@@ -179,5 +174,5 @@ def segment_output(
             fingerprint = chain_fingerprint(fingerprint, op.name, op.config())
     if dropped:
         fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": list(dropped)})
-    batches = [batch for batch, _records, failure, _cpu in outcomes if failure is None]
+    batches = [batch for batch, _records, failure in outcomes if failure is None]
     return NestedDataset.from_batches(batches, fingerprint=fingerprint)

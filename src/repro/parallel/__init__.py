@@ -1,8 +1,7 @@
 """Parallel execution engine: a persistent worker pool for sample-level ops.
 
-This package is the single parallel runtime shared by the core
-:class:`~repro.core.executor.Executor` (via the ``np`` recipe knob) and the
-simulated distributed runners in :mod:`repro.distributed` (Figure 10).  The
+This package is the parallel runtime of the core
+:class:`~repro.core.executor.Executor` (via the ``np`` recipe knob).  The
 design follows the paper's Ray adaptation: sample-level operators (Mappers,
 Filters, a Deduplicator's hashing) are embarrassingly parallel over rows, so
 they are dispatched as column-batch *chunks* to a pool of long-lived worker
@@ -25,9 +24,10 @@ Key properties:
   already-instantiated ops and warm asset caches for free); on spawn-only
   platforms workers re-instantiate the ops from the recipe entries inside the
   initializer.
-* **Honest accounting** — every task reports the CPU time its worker spent on
-  it (``time.process_time``), so callers can attribute cost per simulated
-  node even when the host multiplexes all workers onto fewer cores.
+* **Dispatch accounting** — every task reports the CPU time its worker spent
+  on it (``time.process_time``) and the worker's pid; the pool keeps the
+  ``tasks`` / ``worker_s`` / ``dispatch_s`` counters and the pids that served
+  the last dispatch, which a run reports under ``parallel``.
 """
 
 from repro.parallel.pool import (

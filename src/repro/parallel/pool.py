@@ -8,13 +8,13 @@ column-batch chunk, each driven through a whole run of resident ops inside the
 worker by :func:`repro.core.segment.run_segment` — the function an ``np = 1``
 run calls in-process.  The executor's op-run driver reaches it once per
 pipeline segment, ``op.run(dataset, pool=pool)`` as a segment of one, traced
-or not.  The pool stays alive across any number of calls, which is what fixes the
-Figure-10 regression: the old runner forked a fresh pool per run and re-ran
-``load_ops`` in every worker for every call.
+or not.  The pool stays alive across any number of calls, so workers build
+their ops and load their assets once, not once per run.
 
 :func:`get_shared_pool` adds process-wide pool reuse: callers that repeatedly
-run the same recipe at the same worker count (e.g. the scalability sweep, or
-the Ray-like and Beam-like runners back to back) receive the same live pool.
+run the same recipe at the same worker count (the jobs of a ``repro serve``
+server, repeated ``Executor(shared_pool=True)`` runs) receive the same live
+pool.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import atexit
 import json
 import logging
 import multiprocessing
-import os
 import threading
 import time
 import warnings
@@ -33,7 +32,6 @@ from typing import Any, Sequence
 
 from repro.core.dataset import _stable_hash
 from repro.core.faults import BACKOFF_CAP_S, DegradedExecutionWarning
-from repro.core.segment import run_chunks
 from repro.parallel import worker as _worker
 from repro.parallel.worker import default_chunk_size
 
@@ -362,11 +360,7 @@ class WorkerPool:
         """Execute one dispatch's tasks in the parent process (degraded mode)."""
         _kind, refs, _batch, trace_num = tasks[0]
         ops = [self._serial_ops.resolve(ref) for ref in refs]
-        chunks = (task[2] for task in tasks)
-        return [
-            ((batch, records, failure), cpu, os.getpid())
-            for batch, records, failure, cpu in run_chunks(ops, chunks, trace_num)
-        ]
+        return [_worker.timed_segment(ops, task[2], trace_num) for task in tasks]
 
     def chunk_size_for(self, num_rows: int) -> int:
         """Rows per dispatched chunk: the pool's setting, else auto-sized."""
@@ -377,7 +371,7 @@ class WorkerPool:
 
         The engines' unit of dispatch: a batch crosses the process boundary
         once however many ops the segment holds.  Returns one ``(batch,
-        records, failure, cpu_seconds)`` per input batch, in order (see
+        records, failure)`` per input batch, in order (see
         :func:`repro.core.segment.run_segment`, which gets ``trace_num``); an
         op that raises in a worker comes back as that batch's ``failure``,
         never as an exception.
@@ -400,7 +394,7 @@ class WorkerPool:
         self.tasks += len(batches)
         self.worker_s += sum(busy.values())
         self.dispatch_s += max(0.0, wall - max(busy.values()))
-        return [(*payload, cpu) for payload, cpu, _pid in results]
+        return [payload for payload, _cpu, _pid in results]
 
 
 # ----------------------------------------------------------------------
@@ -416,10 +410,9 @@ _SHARED_POOLS: "OrderedDict[tuple, WorkerPool]" = OrderedDict()
 _SHARED_POOLS_LOCK = threading.RLock()
 
 #: maximum number of live shared pools; the least-recently-used pool is
-#: closed and evicted when the bound is exceeded.  Sized so a scalability
-#: sweep over the paper's node counts (2/4/8/16, plus headroom) keeps every
-#: pool alive for the whole sweep — eviction mid-sweep would silently bring
-#: back the fork-per-run behaviour the shared registry exists to prevent
+#: closed and evicted when the bound is exceeded.  Sized so a server cycling
+#: through a handful of recipes and worker counts keeps each one's pool warm
+#: instead of forking fresh workers for every job
 MAX_SHARED_POOLS = 8
 
 
@@ -439,10 +432,9 @@ def get_shared_pool(
 ) -> WorkerPool:
     """Return a live shared pool for ``(num_workers, process_list)``, creating it once.
 
-    Repeated callers with the same recipe and worker count — e.g. every run of
-    a scalability sweep, the Ray-like and Beam-like runners on the same
-    recipe, or every job of a ``repro serve`` server — reuse the same worker
-    processes instead of forking fresh ones.  ``op_fusion`` registers the
+    Repeated callers with the same recipe and worker count — every job of a
+    ``repro serve`` server, or repeated ``Executor(shared_pool=True)`` runs —
+    reuse the same worker processes instead of forking fresh ones.  ``op_fusion`` registers the
     post-fusion plan, so a caller executing a fused op list gets a pool whose
     residents are the fused operators.  The registry keeps at most
     :data:`MAX_SHARED_POOLS` live pools, closing the least recently used one

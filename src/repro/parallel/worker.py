@@ -4,8 +4,7 @@ Every function here runs inside a pool worker process.  The module keeps the
 instantiated operator list in a process-global so that a worker pays operator
 construction (and asset loading: stop-word tables, flagged-word lists, the
 unigram LM) exactly once, at pool start-up, instead of once per dispatched
-task — the root cause of the Figure-10 regression in the original fork-per-run
-implementation.
+task.
 
 Tasks are small tuples ``(kind, op_refs, batch, trace_num)``; operators are referenced
 by index into the worker-resident list — or, for fused filters assembled
@@ -19,10 +18,10 @@ order, so a chunk crosses the process boundary once per segment.
 Every task returns ``(payload, cpu_seconds, pid)`` where ``cpu_seconds`` is
 the CPU time this worker spent executing the operator code
 (:func:`time.process_time`), excluding IPC serialisation, and ``pid`` is the
-process id of the worker that actually executed the task.  Callers use the
-CPU time to attribute cost to simulated cluster nodes independently of how
-the host OS multiplexes the workers onto physical cores, and the pid as
-direct evidence that the work really ran out-of-process in a pool worker.
+process id of the worker that actually executed the task.  The pool sums the
+CPU time into its ``worker_s`` / ``dispatch_s`` counters (what a run's report
+shows under ``parallel``) and keeps the pids as ``last_served_pids``: direct
+evidence that the work really ran out-of-process in a pool worker.
 """
 
 from __future__ import annotations
@@ -104,6 +103,12 @@ def run_task(task: tuple[str, tuple, dict, int]) -> tuple[Any, float, int]:
         raise RuntimeError("worker not initialized; WorkerPool must set the op list")
     if kind != "segment":
         raise ValueError(f"unknown task kind {kind!r}")
+    return timed_segment([_RESIDENT.resolve(ref) for ref in op_refs], batch, trace_num)
+
+
+def timed_segment(ops: Sequence, batch: dict, trace_num: int) -> tuple[Any, float, int]:
+    """A task's ``(payload, cpu_seconds, pid)`` for ``ops`` over ``batch``, run here
+    (in a worker, or in the parent for a degraded pool)."""
     start_cpu = time.process_time()
-    payload = run_segment([_RESIDENT.resolve(ref) for ref in op_refs], batch, trace_num)
+    payload = run_segment(ops, batch, trace_num)
     return payload, time.process_time() - start_cpu, os.getpid()

@@ -17,7 +17,6 @@ EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 FAST_EXAMPLES = [
     "quickstart",
     "quality_classifier_demo",
-    "distributed_processing",
 ]
 
 

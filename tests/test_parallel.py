@@ -70,15 +70,15 @@ def serial_segment(ops, dataset):
 def pooled_segment(pool, ops, dataset, chunk_rows_=None):
     size = chunk_rows_ or pool.chunk_size_for(len(dataset))
     results = pool.run_segment(ops, list(dataset.iter_batches(size)))
-    assert all(failure is None for _batch, _stats, failure, _cpu in results)
+    assert all(failure is None for _batch, _stats, failure in results)
     return results
 
 
 def pooled_batches(pool, ops, batches):
     """The output batches of one dispatch that must not have failed."""
     results = pool.run_segment(ops, batches)
-    assert all(failure is None for _batch, _stats, failure, _cpu in results)
-    return [batch for batch, _stats, _failure, _cpu in results]
+    assert all(failure is None for _batch, _stats, failure in results)
+    return [batch for batch, _stats, _failure in results]
 
 
 class TestWorkerPool:
@@ -110,9 +110,11 @@ class TestWorkerPool:
         with WorkerPool(2, ops=ops) as pool:
             half = len(corpus) // 2
             results = pooled_segment(pool, ops, corpus, chunk_rows_=half)
+            # the workers' CPU time is counted once per task
+            assert pool.worker_s > 0 and pool.tasks == 2
         assert len(results) == 2 and len(corpus) == 2 * half
-        for batch, stats, _failure, cpu in results:
-            assert len(stats) == len(ops) and cpu >= 0.0
+        for batch, stats, _failure in results:
+            assert len(stats) == len(ops)
             # each op's rows_in is the previous op's rows_out
             assert [rows_in for rows_in, _out, _s, _found in stats][1:] == [
                 rows_out for _in, rows_out, _s, _found in stats
@@ -148,7 +150,7 @@ class TestWorkerPool:
         ops = load_ops(PROCESS)
         FaultPlan().inject("text_length_filter").install(ops)
         with WorkerPool(2, ops=ops) as pool:
-            (batch, stats, failure, _cpu), = pool.run_segment(ops, [corpus.to_dict()])
+            (batch, stats, failure), = pool.run_segment(ops, [corpus.to_dict()])
             assert len(stats) == 2 and batch_length(batch) == stats[1][1]
             assert failure[0] == 2 and isinstance(failure[1], ChaosFault)
             with pytest.raises(ChaosFault):
