@@ -13,6 +13,7 @@ PUNCTUATION_MAP = {
     "…": "...", "━": "-", "〈": "<", "〉": ">", "【": "[", "】": "]", "％": "%",
     "►": "-",
 }
+_PUNCTUATION_TABLE = str.maketrans(PUNCTUATION_MAP)
 
 
 @OPERATORS.register_module("punctuation_normalization_mapper")
@@ -24,5 +25,5 @@ class PunctuationNormalizationMapper(Mapper):
 
     def process(self, sample: dict) -> dict:
         text = self.get_text(sample)
-        normalized = "".join(PUNCTUATION_MAP.get(char, char) for char in text)
+        normalized = text.translate(_PUNCTUATION_TABLE)
         return self.set_text(sample, normalized)

@@ -13,12 +13,18 @@ class RemoveNonPrintableMapper(Mapper):
     """Delete control and format characters (category C*) except newlines/tabs."""
 
     KEEP = {"\n", "\t", "\r"}
+    #: ``str.translate`` table that deletes the kept control characters
+    _DROP_KEPT = dict.fromkeys(map(ord, KEEP))
 
     def __init__(self, text_key: str = "text", **kwargs):
         super().__init__(text_key=text_key, **kwargs)
 
     def process(self, sample: dict) -> dict:
         text = self.get_text(sample)
+        # ``isprintable`` is False for any C* (and non-ASCII-space Z*) character:
+        # a text it passes once the kept controls are out has nothing to delete
+        if text.translate(self._DROP_KEPT).isprintable():
+            return self.set_text(sample, text)
         cleaned = "".join(
             char
             for char in text

@@ -27,9 +27,28 @@ def reference_output(corpus):
 
 
 class TestPartitioning:
+    def test_split_sizes_balanced(self):
+        shards = _partition_rows([{"text": str(i)} for i in range(10)], 3)
+        assert [len(shard) for shard in shards] == [4, 3, 3]
+
+    def test_split_more_partitions_than_rows(self):
+        assert len(_partition_rows([{"text": "a"}, {"text": "b"}], 8)) == 2
+
+    def test_merge_restores_all_rows(self):
+        rows = [{"text": str(i)} for i in range(7)]
+        # contiguous shards: concatenated, they are the input in its order
+        assert [row for shard in _partition_rows(rows, 3) for row in shard] == rows
+
+    def test_empty_input_is_one_empty_shard(self):
+        assert _partition_rows([], 4) == [[]]
+
     def test_partition_rows_invalid(self):
         with pytest.raises(ValueError):
             _partition_rows([{"text": "a"}], 0)
+
+    def test_partition_rows_negative_count(self):
+        with pytest.raises(ValueError):
+            _partition_rows([{"text": "a"}], -2)
 
 
 class TestBaselines:
@@ -55,6 +74,11 @@ class TestBaselines:
         assert sorted(row["text"] for row in result.rows) == sorted(
             row["text"] for row in reference_output
         )
+
+    def test_dolma_like_output_does_not_depend_on_shard_count(self, corpus):
+        one = DolmaLikePipeline(PROCESS, num_shards=1).run(corpus)
+        many = DolmaLikePipeline(PROCESS, num_shards=7).run(corpus)
+        assert many.rows == one.rows
 
     def test_dolma_like_stage_breakdown(self, corpus):
         result = DolmaLikePipeline(PROCESS).run(corpus)

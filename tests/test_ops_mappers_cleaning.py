@@ -107,3 +107,13 @@ class TestUnicodeAndWhitespace:
 
     def test_remove_non_printable_keeps_newline_tab(self):
         assert text_of(RemoveNonPrintableMapper(), "a\n\tb") == "a\n\tb"
+
+    def test_punctuation_normalization_expands_to_several_chars(self):
+        assert text_of(PunctuationNormalizationMapper(), "wait…１．") == 'wait...". '
+
+    def test_remove_non_printable_keeps_separators(self):
+        # a no-break space is a separator, not a control: it is not printable yet stays
+        assert text_of(RemoveNonPrintableMapper(), "a\u00a0b\u2028c") == "a\u00a0b\u2028c"
+
+    def test_remove_non_printable_drops_format_chars_beside_newlines(self):
+        assert text_of(RemoveNonPrintableMapper(), "a\u200b\nb\u00adc\r\n") == "a\nbc\r\n"

@@ -1,5 +1,7 @@
 """Tests for the parallel execution engine (repro.parallel)."""
 
+import os
+
 import pytest
 
 from repro.core.batch import batch_length
@@ -356,6 +358,50 @@ class TestExecutorParallel:
         executor.run(corpus)
         assert executor._pool is None
         executor.close()
+
+
+class TestNpCounts:
+    """What Fig. 10's scaling rests on, counted on the engine's own ``np``:
+    np=1 sends the pool nothing, np=2 sends it tasks its workers serve."""
+
+    def test_np1_sends_no_pool_task(self, corpus):
+        with Executor({"process": PROCESS, "np": 1}) as executor:
+            executor.run(corpus)
+            parallel = executor.last_report["parallel"]
+        assert parallel["tasks"] == 0 and parallel["worker_s"] == 0
+        assert parallel["worker_pids"] == [] and parallel["start_method"] is None
+
+    def test_np2_is_served_out_of_process(self, corpus):
+        with Executor({"process": PROCESS, "np": 2}) as executor:
+            executor.run(corpus)
+            served = executor._pool.last_served_pids
+            live = executor.last_report["parallel"]["worker_pids"]
+        # the pool's workers, never the coordinator, at most np of them
+        assert served and os.getpid() not in served
+        assert set(served) <= set(live) and len(live) == 2
+
+    def test_np2_sends_one_task_per_chunk_of_one_segment(self, corpus):
+        with Executor({"process": PROCESS, "np": 2}) as executor:
+            executor.run(corpus)
+            chunk = executor._pool.chunk_size_for(len(corpus))
+            tasks = executor.last_report["parallel"]["tasks"]
+        # mappers and filters only: one segment, so tasks == chunks
+        assert tasks == -(-len(corpus) // chunk) > 1
+
+    def test_np2_repeat_sends_as_many_tasks(self, corpus):
+        with Executor({"process": FULL_PROCESS, "np": 2}) as executor:
+            executor.run(corpus)
+            first = executor.last_report["parallel"]["tasks"]
+            executor.run(corpus)
+            second = executor.last_report["parallel"]["tasks"]
+        # the report counts each run's own dispatch, not the pool's total
+        assert first == second > 0
+
+    def test_np2_reports_worker_cpu(self, corpus):
+        with Executor({"process": PROCESS, "np": 2}) as executor:
+            executor.run(corpus)
+            parallel = executor.last_report["parallel"]
+        assert parallel["worker_s"] > 0 and parallel["dispatch_s"] >= 0
 
 
 class TestBatchedPoolDispatch:

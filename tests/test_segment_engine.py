@@ -10,6 +10,9 @@ Counted evidence (calls, rows, tasks, ``tracemalloc`` bytes — no wall clock):
   handed the same rows traced as untraced, per-sample ``compute_stats`` runs
   only for the shown examples, at np 1 and 2; a pool is sent ``segment``
   tasks only.
+* **A segment outcome is ``(batch, records, failure)``** — from
+  :func:`repro.core.segment.run_chunks` and from a pool alike, one per chunk,
+  in order, a failed chunk's kept beside the rest.
 * **Chunks are consumed lazily** — np = 1 peak heap on long documents stays
   at or under what the per-op engine this replaced read on the same corpus.
 * **The guard** — nothing else in ``src/repro`` applies an op to a batch,
@@ -92,6 +95,78 @@ class TestSerialRunsExecuteTheSegment:
         kept = op.run(dataset, tracer=tracer)
         assert [names for names, _in, _out in segment_spy] == [["text_length_filter"]]
         assert tracer.summary()[0]["output_size"] == len(kept) < len(dataset)
+
+
+class TestSegmentOutcomes:
+    """A segment outcome is what :func:`segment.run_segment` returns,
+    ``(batch, records, failure)``, in process and from the pool alike."""
+
+    OPS = [
+        {"whitespace_normalization_mapper": {}},
+        {"text_length_filter": {"min_len": 40}},
+        {"words_num_filter": {"min_num": 5}},
+    ]
+
+    @staticmethod
+    def _chunks(rows, size):
+        return list(NestedDataset.from_list(rows).iter_batches(size))
+
+    @staticmethod
+    def _counts(outcomes):
+        """Everything of the outcomes but the per-op seconds."""
+        return [
+            (batch, [(rows_in, rows_out) for rows_in, rows_out, _s, _found in records], failure)
+            for batch, records, failure in outcomes
+        ]
+
+    def test_run_chunks_is_run_segment_per_chunk_in_order(self):
+        ops = load_ops(self.OPS)
+        chunks = self._chunks(messy_corpus_rows(30, duplicates=0), 8)
+        # a generator: the chunks are consumed as they run
+        outcomes = segment.run_chunks(ops, (chunk for chunk in chunks))
+        assert all(len(outcome) == 3 for outcome in outcomes)
+        assert self._counts(outcomes) == self._counts(
+            [segment.run_segment(ops, chunk) for chunk in chunks]
+        )
+
+    def test_run_chunks_keeps_a_failed_chunk_and_runs_the_rest(self):
+        from repro.testing import FaultPlan
+        from repro.testing.chaos import ChaosFault
+
+        ops = load_ops(self.OPS)
+        FaultPlan().inject("words_num_filter", match="POISON").install(ops)
+        rows = messy_corpus_rows(24, duplicates=0)
+        rows[10]["text"] = "POISON " + "a long enough row of words " * 3
+        outcomes = segment.run_chunks(ops, self._chunks(rows, 8))
+        assert [failure is None for _batch, _records, failure in outcomes] == [True, False, True]
+        _batch, records, (index, error) = outcomes[1]
+        assert index == 2 and isinstance(error, ChaosFault) and len(records) == 2
+
+    def test_run_dataset_segment_without_pool_covers_every_row(self):
+        ops = load_ops(self.OPS)
+        dataset = NestedDataset.from_list(messy_corpus_rows(30, duplicates=0))
+        size, outcomes = segment.run_dataset_segment(ops, dataset)
+        assert size == ops[0].effective_batch_size(dataset)
+        assert len(outcomes) == -(-len(dataset) // size)
+        assert sum(records[0][0] for _batch, records, _failure in outcomes) == len(dataset)
+        whole = segment.run_segment(ops, dataset.to_dict())
+        assert segment.segment_output(ops, dataset, outcomes).to_list() == (
+            NestedDataset.from_batches([whole[0]]).to_list()
+        )
+
+    def test_run_dataset_segment_through_a_pool_matches_in_process(self):
+        ops = load_ops(self.OPS)
+        dataset = NestedDataset.from_list(messy_corpus_rows(30, duplicates=0))
+        _size, serial = segment.run_dataset_segment(ops, dataset)
+        with WorkerPool(2, ops=ops) as pool:
+            size, pooled = segment.run_dataset_segment(ops, dataset, pool=pool)
+            assert size == pool.chunk_size_for(len(dataset))
+            assert pool.tasks == len(pooled) and pool.last_served_pids
+        assert all(len(outcome) == 3 and outcome[2] is None for outcome in pooled)
+        serial_out = segment.segment_output(ops, dataset, serial)
+        pooled_out = segment.segment_output(ops, dataset, pooled)
+        assert pooled_out.to_list() == serial_out.to_list()
+        assert pooled_out.fingerprint == serial_out.fingerprint
 
 
 def counted(ops, method_name, weigh):
