@@ -12,7 +12,8 @@
 #   make validate-recipes  schema-validate every built-in recipe (no execution)
 #   make lint        statically check operator contracts (repro lint)
 #   make dataflow    statically verify every built-in recipe's dataflow
-#   make chaos       deterministic fault-injection suite (tests/test_chaos.py)
+#   make chaos       the fault layer: deterministic fault-injection suite and policy
+#                    unit tests (tests/test_chaos.py, tests/test_faults.py)
 #   make ablation    the cache/checkpoint ablation: the Appendix A.2 space bound,
 #                    counted in bytes on disk (no wall-clock assertion)
 #   make serve-smoke end-to-end serving check: ephemeral-port server, fig8 job,
@@ -64,7 +65,7 @@ dataflow:
 	$(REPRO) dataflow --all
 
 chaos:
-	$(PYTEST) -x -q tests/test_chaos.py
+	$(PYTEST) -x -q tests/test_chaos.py tests/test_faults.py
 
 ablation:
 	$(PYTEST) -x -q benchmarks/test_ablation_cache_and_checkpoint.py

@@ -307,8 +307,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _source_records(self, dataset: NestedDataset | None) -> Iterator:
         """The input's source records (:mod:`repro.formats.source`) — a caller's
-        dataset's are its rows — and sets ``_source``.
-        Without a store nothing is signed, so a file's lines decode as read."""
+        dataset's are its rows — and sets ``_source``."""
         from repro.formats.load import load_formatter
 
         text_keys = tuple(self.cfg.text_keys)
@@ -321,7 +320,7 @@ class Executor:
         self._source = (formatter.name, text_keys)
         if self._quarantine is not None:  # a row read from a file shows ``__stats__: {}``
             self._quarantine.empty_stats = True
-        return formatter.iter_sources() if self.store is not None else formatter.iter_records()
+        return formatter.iter_sources()
 
     def _load_input(self, dataset: NestedDataset | None) -> NestedDataset:
         """Memory mode's input; with a store, fingerprinted by its content: a

@@ -29,12 +29,13 @@ The containment contract, at every ``np``:
 
 * **What a retry re-runs.**  A failed chunk is re-sliced by position from
   the segment's input and the whole segment reruns over it, ``max_retries``
-  times.  If it still fails, its rows run one at a time (one-row chunks),
-  each with ``max_retries`` retries of its own.
-* **Verdicts.**  ``raise`` names the earliest failing op over all chunks
-  and the first row of its chunk that fails there alone (at most
-  :data:`ROW_PROBE_LIMIT` rows are tried).  ``skip`` / ``quarantine`` drop
-  exactly the rows that still fail alone; every other row keeps its output.
+  times.  If it still fails it is halved by position and each half reruns
+  the segment once; a failing half is halved again, and only a failing
+  one-row piece gets ``max_retries`` retries of its own and a ledger entry.
+* **Verdicts.**  ``raise`` names the earliest op a chunk still fails at, with
+  that chunk's error, and the chunk's first one-row piece failing there (none
+  for a one-shot fault).  ``skip`` / ``quarantine`` drop exactly the one-row
+  pieces that still fail; every other row keeps its output.
 * **``row_index``** is a row's position in the input of the op it failed
   in, over the whole dataset or shard the segment ran on: the rows earlier
   ones dropped (by a Filter, or by a fault) before that op do not count.
@@ -42,8 +43,8 @@ The containment contract, at every ``np``:
   row failed in and the row as it entered that op.
 
 Operators are lint-certified pure functions of their config (see
-``docs/linting.md``), which is what makes a retry safe and a row run alone
-equal to the same row run in its chunk: rerunning a segment over the same
+``docs/linting.md``), which is what makes a retry safe and a piece's rows
+equal to the same rows run in their chunk: rerunning a segment over the same
 rows cannot produce different results or observable side effects.  So the
 healthy rows of a faulted run come out byte-identical to a clean run's.
 """
@@ -53,7 +54,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -76,10 +77,6 @@ BACKOFF_CAP_S = 2.0
 
 #: bounded length of the tracker's detailed event log
 MAX_FAULT_EVENTS = 50
-
-#: how many rows the failing-row probe inspects before giving up
-ROW_PROBE_LIMIT = 2048
-
 
 class DegradedExecutionWarning(UserWarning):
     """Issued when the worker pool gives up on parallelism and runs serial.
@@ -385,11 +382,6 @@ def _entered(outcome: tuple, index: int) -> int:
     return batch_length(batch) if failure is not None and failure[0] == index else 0
 
 
-def _rows_alone(chunk: dict) -> Iterator[dict]:
-    """The rows of ``chunk`` as one-row chunks, in order."""
-    return NestedDataset(chunk, "segment").iter_batches(1)
-
-
 def _contain(
     ops: list,
     dataset: NestedDataset,
@@ -402,7 +394,7 @@ def _contain(
     trace_num: int,
 ) -> tuple[list, list[int]]:
     """Apply the policy to a segment that had failed chunks, as the module
-    docstring sets out: the chunk outcomes it keeps, in order, and the
+    docstring sets out: the piece outcomes it keeps, in order, and the
     positions in ``dataset`` of the rows it dropped.  A dropped row's one-row
     outcome stays in the list: the ops before its failure did run on it."""
 
@@ -417,32 +409,38 @@ def _contain(
             op_name = ops[outcome[2][0]].name
             tracker.record_op_error(op_name, outcome[2][1], shard_id)
             if attempt == policy.max_retries:
+                logger.warning("operator %r failed persistently: %r", op_name, outcome[2][1])
                 return outcome
             tracker.record_retry(op_name, shard_id)
             policy.sleep(attempt)
             outcome = None
 
+    def search(chunk: dict, outcome: tuple) -> Iterator[tuple]:
+        # ``chunk``'s outcome if it ran clean or is one row, else its halves',
+        # each run once and searched alike (a lenient policy settles a one-row half)
+        if outcome[2] is None or batch_length(chunk) == 1:
+            yield outcome
+            return
+        for half in NestedDataset(chunk, "segment").iter_batches((batch_length(chunk) + 1) // 2):
+            (piece,) = run_chunks(ops, [half], trace_num)
+            if policy.lenient and batch_length(half) == 1:
+                piece = settle(half, piece)
+            yield from search(half, piece)
+
     quarantined = policy.on_error == "quarantine"
     pieces: list = []
     dropped: list[int] = []
-    entered = [0] * len(ops)  # rows that entered each op, over the pieces so far
-    fatal = None  # the earliest persistent failure: (failure, chunk, rows before it)
-    for index, chunk in enumerate(dataset.iter_batches(size)):
-        outcome = outcomes[index]
-        if outcome[2] is not None:
-            outcome = settle(chunk, outcome)
+    entered = [0] * len(ops)  # rows that entered each op over the pieces so far
+    fatal = None  # the earliest persistent failure: (failure, chunk, outcome, rows before it)
+    for chunk, outcome in zip(dataset.iter_batches(size), outcomes):
+        outcome = settle(chunk, outcome)
         failure = outcome[2]
-        if failure is None or not policy.lenient:
-            if failure is not None and (fatal is None or failure[0] < fatal[0][0]):
-                fatal = (failure, chunk, entered[failure[0]])
-            rows = [outcome]
-        else:
-            logger.warning(
-                "operator %r failed persistently (%r); running its chunk's rows alone",
-                ops[failure[0]].name, failure[1],
-            )
-            rows = (settle(row) for row in _rows_alone(chunk))
-        for position, piece in enumerate(rows, start=index * size):
+        found: Iterable[tuple] = [outcome]
+        if failure is None or policy.lenient:
+            found = search(chunk, outcome)
+        elif fatal is None or failure[0] < fatal[0][0]:
+            fatal = (failure, chunk, outcome, entered[failure[0]])
+        for piece in found:
             if piece[2] is not None and policy.lenient:
                 op_index, error = piece[2]
                 op_name = ops[op_index].name
@@ -452,19 +450,18 @@ def _contain(
                     quarantine.write(
                         row, op_name, error, shard_id=shard_id, row_index=entered[op_index]
                     )
-                dropped.append(position)
+                dropped.append(entered[0])  # every row enters the first op
             for op_index in range(len(ops)):
                 entered[op_index] += _entered(piece, op_index)
             pieces.append(piece)
     if fatal is None:
         return pieces, dropped
-    (op_index, error), chunk, row_index = fatal
-    # the first row of the chunk that fails at that op alone, by its index in the op's input
-    for row in islice(_rows_alone(chunk), ROW_PROBE_LIMIT):
-        (outcome,) = run_chunks(ops, [row])
-        if outcome[2] is not None and outcome[2][0] == op_index:
+    (op_index, error), chunk, outcome, row_index = fatal
+    # the first one-row piece of the chunk that fails at that op, by its index in the op's input
+    for piece in search(chunk, outcome):
+        if piece[2] is not None and piece[2][0] == op_index:
             break
-        row_index += _entered(outcome, op_index)
+        row_index += _entered(piece, op_index)
     else:
         row_index = None
     op_name = ops[op_index].name
@@ -542,8 +539,7 @@ def retry_call(
     :class:`OpExecutionError` is a verdict the segment layer already reached
     and passes straight through.
     """
-    attempt = 0
-    while True:
+    for attempt in count():
         try:
             return function()
         except OpExecutionError:
@@ -554,7 +550,6 @@ def retry_call(
                 raise
             tracker.record_retry(op_name, shard_id)
             policy.sleep(attempt)
-            attempt += 1
 
 
 __all__ = [

@@ -130,8 +130,8 @@ def run_chunks(ops: Sequence, chunks: Iterable[dict], trace_num: int = 0) -> lis
     ``chunks`` is consumed lazily, one chunk alive at a time.  Returns what
     :meth:`repro.parallel.WorkerPool.run_segment` returns for the same
     chunks: one :func:`run_segment` outcome per chunk, in order, a failed
-    chunk's included.  The fault layer retries a failed chunk, and runs its
-    rows one at a time, through here.
+    chunk's included.  The fault layer retries a failed chunk, and runs the
+    halves it searches the chunk by, through here.
     """
     return [run_segment(ops, chunk, trace_num) for chunk in chunks]
 

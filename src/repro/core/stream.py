@@ -306,6 +306,11 @@ def decode_shard(shard: LineShard | list, fingerprint: str | None = None) -> Nes
         shard.lines, shard.numbers, shard.runs, shard.rows = [], [], [], None
     dataset = NestedDataset.from_list(rows, fingerprint=fingerprint)
     rows.clear()
+    keys: dict[str, str] = {}  # dict cells share key strings: a stored column pickles each once
+    for column in dataset._columns.values():
+        for index, cell in enumerate(column):
+            if type(cell) is dict:
+                column[index] = {keys.setdefault(key, key): value for key, value in cell.items()}
     return dataset
 
 

@@ -18,6 +18,7 @@ in the export.
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -870,30 +871,37 @@ def count_per_row_calls(op, calls: list) -> None:
 
 
 class TestAFaultCostsItsChunk:
-    """One poison row costs the chunk it is in, not the dataset: the fault
-    layer runs at most that chunk's rows alone, and adds no pool task."""
+    """A poison row costs the chunk it is in, not the dataset, and within it
+    a halving search: with no retries, k poison rows in one n-row chunk cost
+    at most 2k⌈log₂ n⌉ + 1 segment runs after the chunk's first failure. The
+    fault layer adds no pool task and never takes a per-row path."""
 
+    @pytest.mark.parametrize("positions", [(1234,), (1234, 1236, 1238)])
     @pytest.mark.parametrize("np", [1, 2])
-    def test_rows_run_alone_stay_within_the_poison_chunk(self, tmp_path, monkeypatch, np):
+    def test_a_halving_search_isolates_the_poison_rows(
+        self, tmp_path, monkeypatch, np, positions
+    ):
         from repro.core import segment
         from repro.core.batch import batch_length
         from repro.parallel import WorkerPool
 
         rows = c4_like(num_samples=2400, seed=5).to_list()
-        rows.insert(1234, {"text": MARKER_TEXTS[0]})
-        alone = []  # rows run on their own: one-row segments, per-row op methods
-        poison_chunks = []  # rows of each multi-row chunk that held the poison row
+        for position, text in zip(positions, MARKER_TEXTS):
+            rows.insert(position, {"text": text})
+        runs = []  # rows of each segment run in this process
+        per_row = []  # rows handed to per-row op methods
+        poison_chunks = []  # (rows, poison rows) of each multi-row batch holding poison
 
         def watch(batches):
             for batch in batches:
-                if batch_length(batch) == 1:
-                    alone.append(batch)
-                elif any(MARKER in text for text in batch["text"]):
-                    poison_chunks.append(batch_length(batch))
+                markers = sum(MARKER in text for text in batch["text"])
+                if markers and batch_length(batch) > 1:
+                    poison_chunks.append((batch_length(batch), markers))
 
         run_segment, pool_run_segment = segment.run_segment, WorkerPool.run_segment
 
         def spy_segment(ops, batch, trace_num=0):
+            runs.append(batch_length(batch))
             watch([batch])
             return run_segment(ops, batch, trace_num)
 
@@ -912,20 +920,25 @@ class TestAFaultCostsItsChunk:
                 "np": np,
                 "on_error": "quarantine",
             }
+            runs.clear()
+            poison_chunks.clear()
             with Executor(config) as executor:
                 if poisoned:
                     FaultPlan().inject("words_num_filter", match=MARKER).install(executor.ops)
                 for op in executor.ops:
-                    count_per_row_calls(op, alone)
+                    count_per_row_calls(op, per_row)
                 executor.run(NestedDataset.from_list(rows))
-            return executor.last_report
+            return executor.last_report, list(runs)
 
-        clean = run("clean", poisoned=False)
-        assert alone == []
-        poison_chunks.clear()
-        faulted = run("faulted", poisoned=True)
-        assert faulted["faults"]["quarantined_rows"] == 1
-        assert 1 <= len(alone) <= poison_chunks[0] < len(rows)
-        # the poison chunk ran once whole: nothing replays the dataset
-        assert len(poison_chunks) == 1
+        clean, clean_runs = run("clean", poisoned=False)
+        faulted, faulted_runs = run("faulted", poisoned=True)
+        assert faulted["faults"]["quarantined_rows"] == len(positions)
+        assert per_row == []
+        # every poison row sits in the first chunk that held one
+        size, markers = poison_chunks[0]
+        assert markers == len(positions) and size < len(rows)
+        searched = len(faulted_runs) - len(clean_runs)
+        assert 0 < searched <= 2 * len(positions) * math.ceil(math.log2(size)) + 1
+        if len(positions) == 1:  # one poison row: its last split gives two one-row pieces
+            assert faulted_runs.count(1) <= 2
         assert faulted["parallel"]["tasks"] == clean["parallel"]["tasks"]

@@ -204,12 +204,57 @@ class TestRunSegmentWithPolicy:
         assert len(out) == 3  # nothing dropped: the op healed on retry
         assert tracker.retries == 2
 
+    def test_a_one_row_chunk_is_retried_once_per_its_budget(self):
+        tracker = FaultTracker()
+        poison = NestedDataset.from_list([{"text": "the POISON row alone"}])
+        policy = ErrorPolicy(on_error="skip", max_retries=1, backoff_s=0.0)
+        out = run_policy(poisoned_mapper(), poison, policy, tracker)
+        assert len(out) == 0 and tracker.skipped_rows == 1
+        # one run and one retry: the chunk is its own one-row piece, not searched again
+        assert tracker.op_errors == {"whitespace_normalization_mapper": 2}
+        assert tracker.retries == 1
+
     def test_fingerprint_salted_by_dropped_rows(self):
         clean = load_ops([{"whitespace_normalization_mapper": {}}])[0]
         clean_out = clean.run(poison_dataset().select([0, 2]))
         faulty_out = run_policy(poisoned_mapper(), poison_dataset(), ErrorPolicy(on_error="skip"))
         assert clean_out.to_list() == faulty_out.to_list()
         assert clean_out.fingerprint != faulty_out.fingerprint
+
+
+class TestRaiseNamesTheRowAtAnyChunkSize:
+    """``raise`` names the first failing row however large its chunk: the
+    halving search that isolates rows for ``skip`` / ``quarantine`` finds it."""
+
+    PROCESS = [{"whitespace_normalization_mapper": {}}, {"words_num_filter": {"min_num": 1}}]
+
+    def failure(self, tmp_path, rows, poison, plan, **config):
+        data = [{"text": f"row {index} holds a few plain words"} for index in range(rows)]
+        data[poison] = {"text": "the POISON row that crashes the filter"}
+        with Executor({"process": self.PROCESS, "work_dir": str(tmp_path), **config}) as executor:
+            plan.install(executor.ops)
+            with pytest.raises(OpExecutionError) as excinfo:
+                executor.run(NestedDataset.from_list(data))
+        assert excinfo.value.op_name == "words_num_filter"
+        return excinfo.value
+
+    @pytest.mark.parametrize(
+        "rows, config", [(3000, {"batch_size": 3000}), (21000, {"np": 2})], ids=["np1", "np2"]
+    )
+    def test_the_poison_row_is_named(self, tmp_path, rows, config):
+        plan = FaultPlan().inject("words_num_filter", match="POISON")
+        error = self.failure(tmp_path, rows, 2500, plan, **config)
+        assert error.row_index == 2500
+        assert "(first failing row index: 2500)" in str(error)
+
+    def test_a_one_shot_fault_aborts_without_a_row(self, tmp_path):
+        plan = FaultPlan(state_dir=tmp_path / "fuse").inject(
+            "words_num_filter", match="POISON", times=1
+        )
+        error = self.failure(tmp_path, 40, 20, plan)
+        assert plan.fired() == 1
+        assert error.row_index is None
+        assert "row index" not in str(error)
 
 
 class TestRetryCall:

@@ -713,6 +713,29 @@ class TestRunInput:
         assert dataset.to_list() == rows
 
 
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_a_run_without_a_store_reads_lines_as_blocks(self, tmp_path, monkeypatch, mode):
+        """A ``.jsonl`` input reaches the engine as :class:`LineShard` blocks
+        whether or not a store signs them: nothing decodes it row by row."""
+        rows = messy_corpus_rows(60, duplicates=10)
+        config = {
+            "dataset_path": str(write_jsonl(tmp_path / "in.jsonl", rows)),
+            "process": [{"text_length_filter": {"min_len": 40}}],
+            "work_dir": str(tmp_path / "work"),
+            "export_path": str(tmp_path / "out.jsonl"),
+            "max_shard_rows": 25,
+        }
+        reference = Executor(config).run(NestedDataset.from_list(rows)).to_list()
+
+        def row_by_row(self):
+            raise AssertionError("the input was decoded row by row")
+
+        monkeypatch.setattr(JsonlFormatter, "iter_records", row_by_row)
+        executor = Executor(config)
+        executor.run() if mode == "memory" else executor.run_streaming()
+        exported = [json.loads(line) for line in (tmp_path / "out.jsonl").read_text().splitlines()]
+        assert [row["text"] for row in exported] == [row["text"] for row in reference]
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 4: a shard None-fills the union of its own rows' keys in "
