@@ -160,7 +160,7 @@ class OP:
         for _batch, _records, failure in outcomes:
             if failure is not None:
                 raise failure[1]
-        result = segment_output([self], dataset, outcomes)
+        result = segment_output([self], dataset, outcomes)[0]
         if tracer is not None:
             records = [records[0] for _batch, records, _failure in outcomes]
             tracer.add(self, len(dataset), len(result), segment_examples(self, records))
@@ -293,7 +293,7 @@ def _run_dataset_level(
 
     if isinstance(self, Deduplicator):
         dataset = self.sample_stage(dataset, pool)
-    return resolve_in_memory(self, dataset, tracer)
+    return resolve_in_memory(self, dataset, tracer)[0]
 
 
 class Deduplicator(OP):

@@ -19,13 +19,13 @@ written **once**, as one entry of the :class:`CacheManager` directory a
 Two kinds of key, one entry codec (:func:`encode` / :func:`decode`).  A
 memory-mode cache entry stores what the op changed, not the whole dataset:
 it is a delta over the op's parent dataset — one parent row position per
-output row (none when the op kept the rows as they were) and only the columns
-a replay cannot rebuild from the parent, each as a pickled blob of its own,
-so a reader unpickles only the columns it uses.  One rule decides, for every
-column: it is stored unless each cell has the type and value of the parent
-cell its row maps to (:func:`_changed`), checked at write time against the
-data, never inferred from what the op declares, so the replay is exact for
-any op.  The parent in memory is what its own entry decodes to because no op
+output row, read off the op's keep flags or mask by the caller (none when the
+op kept the rows as they were) — and only the columns a replay cannot
+rebuild from the parent, each as a pickled blob of its own, so a reader
+unpickles only the columns it uses.  One rule decides, for every column: it
+is stored unless each cell has the type and value of the parent cell its row
+maps to (:func:`_changed`), checked at write time against the data, never
+inferred from what the op declares, so the replay is exact for any op.  The parent in memory is what its own entry decodes to because no op
 edits a cell it received: a Filter writes each stat as a column of its own
 (``__stats__.<key>``), so a filter's entry holds its stats and no entry
 re-stores ``meta``.  An entry with no parent is self-contained: the latest
@@ -56,7 +56,7 @@ import uuid
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ReproError
@@ -71,8 +71,7 @@ ENTRY_FORMAT = 4
 #: key suffix of output shaped by a fault: no clean run computes such a key
 FAULTED = "#faulted"
 
-#: scalar cell types (:func:`is_scalar`): a row's cells in the columns holding
-#: only these match it to its parent row (:func:`_row_positions`)
+#: scalar cell types (:func:`is_scalar`)
 _SCALARS = frozenset({str, bytes, int, float, bool, type(None)})
 #: scalar cells equal only to cells of their own type and value
 _TEXT = frozenset({str, bytes, type(None)})
@@ -266,27 +265,22 @@ def _changed(new: list, old: list | None, positions: list[int] | None) -> bool:
     return kinds <= _NUMBERS or list(map(_dumps, new)) != list(map(_dumps, old))
 
 
-def _row_positions(parent: NestedDataset, child: NestedDataset) -> list[int] | None:
-    """The parent row of every ``child`` row, matched on the values of its immutable columns.
-
-    A row's key is its cells in every column holding only immutable cells in
-    both datasets, and a child row maps to the last parent row with its key
-    — values survive a worker's pickling round trip, object identity does
-    not.  None when no column qualifies or some child row has no match.
-    """
-    names = [
-        name
-        for name, values in child._columns.items()
-        if name in parent._columns and is_scalar(values) and is_scalar(parent._columns[name])
+def _shared_keys(values: list) -> list:
+    """``values`` to pickle: its ``dict`` cells copied to share their top-level
+    key strings, so the pickle writes each key once (no code edits a cell)."""
+    if dict not in set(map(type, values)):
+        return values
+    keys: dict[str, str] = {}
+    return [
+        {keys.setdefault(key, key): value for key, value in cell.items()}
+        if type(cell) is dict else cell
+        for cell in values
     ]
-    if not names:
-        return None
-    rows = dict(zip(zip(*(parent._columns[name] for name in names)), range(len(parent))))
-    positions = list(map(rows.get, zip(*(child._columns[name] for name in names))))
-    return None if None in positions else positions
 
 
-def encode(parent: NestedDataset | None, child: NestedDataset) -> dict:
+def encode(
+    parent: NestedDataset | None, child: NestedDataset, positions: Sequence[int] | None = None
+) -> dict:
     """The store entry of ``child``, an op's output over ``parent``.
 
     With a parent the entry is a delta :func:`decode` replays onto it, and a
@@ -295,17 +289,17 @@ def encode(parent: NestedDataset | None, child: NestedDataset) -> dict:
     parent cell its row maps to (:func:`_changed`).  No op edits a cell it
     received, so ``parent`` in memory is what its own entry decodes to.
 
-    The row mapping decides only how much is stored, never whether the replay
-    is exact: positions ``0..n-1`` when the op kept the row count, else
-    matched on the values of the immutable columns (:func:`_row_positions`).
-    With no mapping, or no parent, every column is stored (a self-contained
-    entry).
+    ``positions``, the parent row of every ``child`` row, decides only how
+    much is stored, never whether the replay is exact: it is stored as None
+    when the op kept the row count.  With no positions (a Mapper changed the
+    row count), or no parent, every column is stored (a self-contained entry).
     """
-    positions = None
-    if parent is not None and len(child) != len(parent):
-        positions = _row_positions(parent, child)
-        if positions is None:
-            parent = None
+    if parent is None or len(child) == len(parent):
+        positions = None
+    elif positions is None:
+        parent = None
+    else:
+        positions = list(positions)
     base = {} if parent is None else parent._columns
     columns = child._columns
     return {
@@ -317,7 +311,7 @@ def encode(parent: NestedDataset | None, child: NestedDataset) -> dict:
         "positions": positions,
         "dropped": [name for name in base if name not in columns],
         "stored": {
-            name: _dumps(values)
+            name: _dumps(_shared_keys(values))
             for name, values in columns.items()
             if _changed(values, base.get(name), positions)
         },

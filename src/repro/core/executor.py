@@ -43,7 +43,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.core.batch import batch_concat
 from repro.core.cache import FAULTED, CacheManager, RunStore, decode, encode, is_scalar
@@ -65,6 +65,7 @@ from repro.core.monitor import ResourceMonitor, RunProfiler
 from repro.core.planner import ExecutionPlan, ResourceBudget, plan_execution
 from repro.core.report import REPORT_FILE, RunReport
 from repro.core.sample import is_internal
+from repro.core.segment import compose_positions
 from repro.core.stream import (
     DEFAULT_SHARD_ROWS,
     HASH_COLUMNS,
@@ -198,9 +199,10 @@ class Executor:
 
     def _drive(
         self, ops: list, dataset: NestedDataset, shard_id: str | None = None
-    ) -> NestedDataset:
+    ) -> tuple[NestedDataset, Sequence[int] | None]:
         """Run a segment's local ops (:attr:`StreamSegment.local_ops`) over
-        ``dataset`` under the fault policy: the one op-run driver.
+        ``dataset`` under the fault policy: the one op-run driver.  Returns
+        the output and its rows' positions in ``dataset`` (or None).
 
         Memory mode hands it the whole dataset, streaming one shard.  The ops
         go to :func:`run_segment_with_policy`, which applies them chunk by
@@ -210,6 +212,7 @@ class Executor:
         and never for the tracer, which is handed the ops' trace entries here.
         """
         tracer, trace_num = self.tracer, getattr(self.tracer, "show_num", 0)
+        positions: Sequence[int] | None = range(len(dataset))
         while ops:
             # where the segment runs: the pool holding its ops, or None = here
             pool = self._ensure_pool()
@@ -220,15 +223,16 @@ class Executor:
                     break
                 where = target
                 segment.append(op)
-            dataset, trace = run_segment_with_policy(
+            dataset, kept, trace = run_segment_with_policy(
                 segment, dataset, where, self.policy, self._faults, self._quarantine,
                 self._profiler, shard_id=shard_id, trace_num=trace_num,
             )
+            positions = compose_positions(positions, kept)
             if tracer is not None:
                 for entry in trace:
                     tracer.add(*entry)
             ops = ops[len(segment):]
-        return dataset
+        return dataset, positions
 
     def _global_step(
         self, op: Any, signature: NestedDataset, show_num: int = 0
@@ -260,22 +264,28 @@ class Executor:
             tracking.rows_out = sum(keep_mask)
         return keep_mask, dropped_columns, pairs
 
-    def _run_segments(self, ops: list, dataset: NestedDataset) -> NestedDataset:
+    def _run_segments(
+        self, ops: list, dataset: NestedDataset
+    ) -> tuple[NestedDataset, Sequence[int] | None]:
         """Memory mode: each :func:`plan_segments` segment of ``ops`` over the
-        whole dataset — its local ops, then its global step."""
+        whole dataset — its local ops, then its global step.  Returns the
+        output and its rows' positions in ``dataset`` (or None)."""
+        positions: Sequence[int] | None = range(len(dataset))
         for segment in plan_segments(ops):
             if segment.local_ops:
-                dataset = self._drive(segment.local_ops, dataset)
+                dataset, kept = self._drive(segment.local_ops, dataset)
+                positions = compose_positions(positions, kept)
             if segment.global_op is not None:
                 degradations = self._faults.degradations
-                dataset = resolve_in_memory(
+                dataset, kept = resolve_in_memory(
                     segment.global_op, dataset, self.tracer, self._global_step
                 )
+                positions = compose_positions(positions, kept)
                 if self._faults.degradations != degradations:
                     # not the op's output: no clean run's cache key may match it
                     salted = _stable_hash({"parent": dataset.fingerprint, "fault_skipped": True})
                     dataset = NestedDataset(dataset.to_dict(), fingerprint=salted)
-        return dataset
+        return dataset, positions
 
     # ------------------------------------------------------------------
     def _faults_payload(self) -> dict:
@@ -574,7 +584,7 @@ class Executor:
                 # nothing needs an intermediate dataset: one segment per
                 # global op.  The input is handed over unnamed, so this frame
                 # does not keep the loaded corpus alive while the pipeline runs
-                current = self._run_segments(self.ops, self._load_input(dataset))
+                current = self._run_segments(self.ops, self._load_input(dataset))[0]
             else:
                 current = self._load_input(dataset)
                 run_state = self._run_state(current.fingerprint)
@@ -596,8 +606,8 @@ class Executor:
                         self._count_cache("misses")
                         faults_before = self._faults.total_faults
                         parent = current if delta else None
-                        current = self._run_segments([op], current)
-                        payload = encode(parent, current)
+                        current, positions = self._run_segments([op], current)
+                        payload = encode(parent, current, positions)
                         del parent  # not held while the entry is written
                         key = self._put_result(key, payload, faults_before)
                     if checkpoint is not None:
@@ -817,7 +827,7 @@ class Executor:
         )
         try:
             output = retry_call(
-                lambda: self._drive(shard_ops, shard, shard_id=shard_id),
+                lambda: self._drive(shard_ops, shard, shard_id=shard_id)[0],
                 self.policy,
                 self._faults,
                 stage_name,

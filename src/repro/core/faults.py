@@ -63,7 +63,7 @@ from repro.core.batch import batch_length, batch_to_rows
 from repro.core.dataset import NestedDataset
 from repro.core.errors import ConfigError, OpExecutionError
 from repro.core.sample import Fields, fold_stats
-from repro.core.segment import run_chunks, run_dataset_segment, segment_output
+from repro.core.segment import entered, run_chunks, run_dataset_segment, segment_output
 from repro.core.serialization import JsonSanitizer
 from repro.core.tracer import segment_examples
 
@@ -374,14 +374,6 @@ def describe_failure(
     )
 
 
-def _entered(outcome: tuple, index: int) -> int:
-    """How many rows of a chunk's outcome entered op ``index`` of the segment."""
-    batch, records, failure = outcome
-    if index < len(records):
-        return records[index][0]
-    return batch_length(batch) if failure is not None and failure[0] == index else 0
-
-
 def _contain(
     ops: list,
     dataset: NestedDataset,
@@ -392,11 +384,11 @@ def _contain(
     quarantine: QuarantineWriter | None,
     shard_id: str | None,
     trace_num: int,
-) -> tuple[list, list[int]]:
+) -> list:
     """Apply the policy to a segment that had failed chunks, as the module
-    docstring sets out: the piece outcomes it keeps, in order, and the
-    positions in ``dataset`` of the rows it dropped.  A dropped row's one-row
-    outcome stays in the list: the ops before its failure did run on it."""
+    docstring sets out: the piece outcomes it keeps, in order.  A dropped
+    row's failed one-row outcome stays in the list: the ops before its
+    failure did run on it."""
 
     def settle(chunk: dict, outcome: tuple | None = None) -> tuple:
         # the chunk's outcome once the segment ran clean on it or its retries
@@ -429,8 +421,7 @@ def _contain(
 
     quarantined = policy.on_error == "quarantine"
     pieces: list = []
-    dropped: list[int] = []
-    entered = [0] * len(ops)  # rows that entered each op over the pieces so far
+    rows_in = [0] * len(ops)  # rows that entered each op over the pieces so far
     fatal = None  # the earliest persistent failure: (failure, chunk, outcome, rows before it)
     for chunk, outcome in zip(dataset.iter_batches(size), outcomes):
         outcome = settle(chunk, outcome)
@@ -439,7 +430,7 @@ def _contain(
         if failure is None or policy.lenient:
             found = search(chunk, outcome)
         elif fatal is None or failure[0] < fatal[0][0]:
-            fatal = (failure, chunk, outcome, entered[failure[0]])
+            fatal = (failure, chunk, outcome, rows_in[failure[0]])
         for piece in found:
             if piece[2] is not None and policy.lenient:
                 op_index, error = piece[2]
@@ -448,20 +439,19 @@ def _contain(
                 if quarantine is not None and quarantined:
                     (row,) = batch_to_rows(piece[0])
                     quarantine.write(
-                        row, op_name, error, shard_id=shard_id, row_index=entered[op_index]
+                        row, op_name, error, shard_id=shard_id, row_index=rows_in[op_index]
                     )
-                dropped.append(entered[0])  # every row enters the first op
             for op_index in range(len(ops)):
-                entered[op_index] += _entered(piece, op_index)
+                rows_in[op_index] += entered(piece, op_index)
             pieces.append(piece)
     if fatal is None:
-        return pieces, dropped
+        return pieces
     (op_index, error), chunk, outcome, row_index = fatal
     # the first one-row piece of the chunk that fails at that op, by its index in the op's input
     for piece in search(chunk, outcome):
         if piece[2] is not None and piece[2][0] == op_index:
             break
-        row_index += _entered(piece, op_index)
+        row_index += entered(piece, op_index)
     else:
         row_index = None
     op_name = ops[op_index].name
@@ -503,7 +493,7 @@ def run_segment_with_policy(
     profiler: Any,
     shard_id: str | None = None,
     trace_num: int = 0,
-) -> tuple[NestedDataset, list]:
+) -> tuple[NestedDataset, list[int] | None, list]:
     """Run a segment under the error policy: one task per chunk, not per op.
 
     ``ops`` is a run of Mappers/Filters, optionally closed by a Deduplicator
@@ -513,15 +503,16 @@ def run_segment_with_policy(
     way.  A failed chunk is contained in this process (:func:`_contain`), so
     a fault adds no pool task.  The hashed dataset comes back for the
     caller's global step, with the chained fingerprint of the ops (salted by
-    the rows the policy dropped) and the trace entries of :func:`_account`.
+    the rows the policy dropped), its rows' positions in ``dataset`` and the
+    trace entries of :func:`_account`.
     """
     size, outcomes = run_dataset_segment(ops, dataset, pool, trace_num)
-    dropped: list[int] = []
     if any(failure is not None for _batch, _records, failure in outcomes):
-        outcomes, dropped = _contain(
+        outcomes = _contain(
             ops, dataset, size, outcomes, policy, tracker, quarantine, shard_id, trace_num
         )
-    return segment_output(ops, dataset, outcomes, dropped), _account(ops, outcomes, profiler)
+    output, positions = segment_output(ops, dataset, outcomes)
+    return output, positions, _account(ops, outcomes, profiler)
 
 
 def retry_call(

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from copy import copy
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -67,11 +68,8 @@ class OpReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "OpReport":
         """Rebuild an :class:`OpReport` from :meth:`as_dict` output."""
-        known = {key: payload[key] for key in (
-            "name", "op_type", "rows_in", "rows_out", "calls",
-            "cached_calls", "wall_time_s", "max_rss_mb",
-        ) if key in payload}
-        return cls(**known)
+        known = {item.name for item in fields(cls)}
+        return cls(**{key: value for key, value in payload.items() if key in known})
 
 
 @dataclass
@@ -86,10 +84,11 @@ class RunReport(Mapping):
     resources: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
     parallel: dict = field(default_factory=dict)
+    export_paths: list[str] = field(default_factory=list)
+    #: streaming runs only (None, and left out of :meth:`as_dict`, otherwise)
     shards: dict | None = None
     shard_budget: dict | None = None
     segments: int | None = None
-    export_paths: list[str] = field(default_factory=list)
     #: the mode decision of :func:`repro.core.planner.plan_execution` when the
     #: run went through ``Executor.execute`` (None for direct run/run_streaming)
     planner: dict | None = None
@@ -99,85 +98,33 @@ class RunReport(Mapping):
     faults: dict | None = None
 
     # ------------------------------------------------------------------
-    # Mapping interface (backwards compatibility with the old dict report)
+    # Mapping interface (backwards compatibility with the old dict report):
+    # a read-only view of :meth:`as_dict`
     # ------------------------------------------------------------------
-    #: dict-view keys that read straight from the matching attribute
-    _PLAIN_KEYS = (
-        "mode", "plan", "num_output_samples", "cache", "resources",
-        "trace", "parallel", "export_paths",
-    )
-    #: keys present in the dict view only when set (streaming / planned runs)
-    _OPTIONAL_KEYS = ("shards", "shard_budget", "segments", "planner", "faults")
-
     def __getitem__(self, key: str) -> Any:
-        if key == "ops":
-            return [op.as_dict() for op in self.ops]
-        if key in self._PLAIN_KEYS:
-            return getattr(self, key)
-        if key in self._OPTIONAL_KEYS:
-            value = getattr(self, key)
-            if value is None:
-                raise KeyError(key)
-            return value
-        raise KeyError(key)
+        return self.as_dict()[key]
 
     def __iter__(self) -> Iterator[str]:
-        yield from self._PLAIN_KEYS
-        yield "ops"
-        for key in self._OPTIONAL_KEYS:
-            if getattr(self, key) is not None:
-                yield key
+        return iter(self.as_dict())
 
     def __len__(self) -> int:
-        return sum(1 for _key in self)
+        return len(self.as_dict())
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        """JSON-safe plain-dict view of the whole report."""
-        payload = {
-            "mode": self.mode,
-            "plan": list(self.plan),
-            "num_output_samples": self.num_output_samples,
-            "ops": [op.as_dict() for op in self.ops],
-            "cache": dict(self.cache),
-            "resources": dict(self.resources),
-            "trace": list(self.trace),
-            "parallel": dict(self.parallel),
-            "export_paths": list(self.export_paths),
-        }
-        if self.shards is not None:
-            payload["shards"] = dict(self.shards)
-        if self.shard_budget is not None:
-            payload["shard_budget"] = dict(self.shard_budget)
-        if self.segments is not None:
-            payload["segments"] = self.segments
-        if self.planner is not None:
-            payload["planner"] = dict(self.planner)
-        if self.faults is not None:
-            payload["faults"] = dict(self.faults)
-        return payload
+        """JSON-safe plain-dict view of the whole report: a shallow copy of
+        every field in declaration order, but the optional ones left unset."""
+        payload = {item.name: copy(getattr(self, item.name)) for item in fields(self)}
+        payload["ops"] = [op.as_dict() for op in self.ops]
+        return {key: value for key, value in payload.items() if value is not None}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
         """Rebuild a :class:`RunReport` from :meth:`as_dict` output."""
-        return cls(
-            mode=payload.get("mode", "memory"),
-            plan=list(payload.get("plan", [])),
-            num_output_samples=int(payload.get("num_output_samples", 0)),
-            ops=[OpReport.from_dict(entry) for entry in payload.get("ops", [])],
-            cache=dict(payload.get("cache", {})),
-            resources=dict(payload.get("resources", {})),
-            trace=list(payload.get("trace", [])),
-            parallel=dict(payload.get("parallel", {})),
-            shards=dict(payload["shards"]) if "shards" in payload else None,
-            shard_budget=(
-                dict(payload["shard_budget"]) if "shard_budget" in payload else None
-            ),
-            segments=payload.get("segments"),
-            export_paths=[str(path) for path in payload.get("export_paths", [])],
-            planner=dict(payload["planner"]) if "planner" in payload else None,
-            faults=dict(payload["faults"]) if "faults" in payload else None,
-        )
+        known = {item.name for item in fields(cls)}
+        report = cls(**{key: copy(value) for key, value in payload.items() if key in known})
+        report.ops = [OpReport.from_dict(entry) for entry in report.ops]
+        return report
 
     # ------------------------------------------------------------------
     def op_summary(self) -> list[tuple[str, str, int, int]]:

@@ -16,7 +16,7 @@ segment of one) and the fault layer's
 chunks by position and run every one of them, here or in the pool, handing
 back each chunk's outcome — a failed chunk stops nothing but itself.
 :func:`segment_output` reassembles the clean outcomes with the chained
-fingerprint.
+fingerprint and the input position of each row, from a Filter's keep flags.
 
 Each op's boundary is live only in here, so this is also where a tracer's
 examples are read, off the data and the keep flags the op returns.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from itertools import islice
+from itertools import compress, islice
 from typing import Any, Iterable, Sequence
 
 from repro.core.base_op import Deduplicator, Filter, Mapper
@@ -84,22 +84,23 @@ def _portable(error: BaseException) -> BaseException:
 
 def run_segment(
     ops: Sequence, batch: dict, trace_num: int = 0
-) -> tuple[dict, list[tuple[int, int, float, list]], Failure | None]:
+) -> tuple[dict, list[tuple], Failure | None]:
     """Drive one column batch through ``ops`` in order.
 
     Returns ``(batch, records, failure)``: the surviving batch, one
-    ``(rows_in, rows_out, seconds, found)`` record per completed op, and
-    ``None`` — or, when op *k* raised, ``(the batch op k was handed, records
-    of ops < k, (k, exception))``, so the caller knows which op failed and on
-    what.  The output does not depend on how the dataset was cut into
-    chunks: per-sample ops' results are batch-boundary independent.
+    ``(rows_in, rows_out, seconds, found, flags)`` record per completed op,
+    and ``None`` — or, when op *k* raised, ``(the batch op k was handed,
+    records of ops < k, (k, exception))``, so the caller knows which op
+    failed and on what.  The output does not depend on how the dataset was
+    cut into chunks: per-sample ops' results are batch-boundary independent.
+    ``flags`` are a Filter's keep flags (else None).
 
     ``found`` is what a tracer is shown of the op: up to ``trace_num``
     chunk-local ``(index, before, after)`` text edits of a Mapper, or
     ``(index, row)`` input rows a Filter's keep flags drop — nothing, at no
     cost, without a budget (no tracer).
     """
-    records: list[tuple[int, int, float, list]] = []
+    records: list[tuple] = []
     for index, op in enumerate(ops):
         rows_in = batch_length(batch)
         # what goes in, as a tracer sees it (texts now: a mapper may edit shared cells)
@@ -119,7 +120,7 @@ def run_segment(
         elif flags is not None and trace_num:
             dropped = islice((row for row, keep in enumerate(flags) if not keep), trace_num)
             found = [(row, {key: cells[row] for key, cells in batch.items()}) for row in dropped]
-        records.append((rows_in, batch_length(output), seconds, found))
+        records.append((rows_in, batch_length(output), seconds, found, flags))
         batch = output
     return batch, records, None
 
@@ -157,22 +158,62 @@ def run_dataset_segment(
     return size, pool.run_segment(ops, list(dataset.iter_batches(size)), trace_num)
 
 
+def entered(outcome: tuple, index: int) -> int:
+    """How many rows of a chunk's outcome entered op ``index`` of the segment."""
+    batch, records, failure = outcome
+    if index < len(records):
+        return records[index][0]
+    return batch_length(batch) if failure is not None and failure[0] == index else 0
+
+
+def compose_positions(
+    outer: Sequence[int] | None, inner: Sequence[int] | None
+) -> Sequence[int] | None:
+    """``outer[i]`` for each ``i`` in ``inner``: None when either is unknown,
+    ``inner`` itself when ``outer`` is the identity ``range(n)``."""
+    if outer is None or inner is None:
+        return None
+    return inner if isinstance(outer, range) else list(map(outer.__getitem__, inner))
+
+
 def segment_output(
-    ops: Sequence, dataset: NestedDataset, outcomes: Iterable[tuple], dropped: Sequence[int] = ()
-) -> NestedDataset:
-    """The dataset the clean outcomes of a segment over ``dataset`` make, in order.
+    ops: Sequence, dataset: NestedDataset, outcomes: Sequence[tuple]
+) -> tuple[NestedDataset, list[int] | None]:
+    """The dataset the clean outcomes of a segment over ``dataset`` make, in
+    order, and the position in ``dataset`` of each of its rows: one walk over
+    the outcomes — clean chunks and the fault layer's pieces — places a kept
+    row by the Filters' keep flags (None once a Mapper changed a chunk's row
+    count) and a failed one-row piece's row as dropped by a fault.
 
     It carries the chained fingerprint of the ops, equal to what running them
     one by one stamps; a closing Deduplicator's hashing stamps no link of its
     own (the global step stamps the op's, over the rows that entered it).
-    ``dropped`` — the positions in ``dataset`` of rows the fault layer took
-    out — salts it, so an output missing rows never passes for the clean one.
+    The dropped positions salt it, so an output missing rows never passes
+    for the clean one.
     """
+    positions: list[int] | None = []
+    dropped: list[int] = []
+    start = 0
+    for outcome in outcomes:
+        rows = entered(outcome, 0)  # every row enters the first op
+        if outcome[2] is not None:
+            dropped.extend(range(start, start + rows))
+        elif positions is not None:
+            kept: Iterable[int] = range(start, start + rows)
+            for rows_in, rows_out, _seconds, _found, flags in outcome[1]:
+                if flags is not None:
+                    kept = compress(kept, flags)
+                elif rows_out != rows_in:
+                    positions = None
+                    break
+            else:
+                positions.extend(kept)
+        start += rows
     fingerprint = dataset.fingerprint
     for op in ops:
         if not isinstance(op, Deduplicator):
             fingerprint = chain_fingerprint(fingerprint, op.name, op.config())
     if dropped:
-        fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": list(dropped)})
+        fingerprint = _stable_hash({"parent": fingerprint, "fault_dropped": dropped})
     batches = [batch for batch, _records, failure in outcomes if failure is None]
-    return NestedDataset.from_batches(batches, fingerprint=fingerprint)
+    return NestedDataset.from_batches(batches, fingerprint=fingerprint), positions

@@ -285,15 +285,16 @@ def mask_shards(
 
 def resolve_in_memory(
     op: Any, dataset: NestedDataset, tracer: Any = None, step: Any = resolve_global_keep
-) -> NestedDataset:
+) -> tuple[NestedDataset, list[int]]:
     """The global step over an in-memory (for a Deduplicator: hashed) dataset:
     the one-shard case of :func:`signature_columns`, ``step`` (this module's
     :func:`resolve_global_keep` or the executor's policy-wrapped one) and
-    :func:`mask_shards`."""
+    :func:`mask_shards`, and the positions in ``dataset`` of the rows kept."""
     signature = NestedDataset(fingerprint="signature")
     signature._columns = signature_columns(op, dataset)
     mask, drop_columns, pairs = step(op, signature, getattr(tracer, "show_num", 0))
-    return next(mask_shards(op, [dataset], mask, drop_columns, pairs, tracer))
+    output = next(mask_shards(op, [dataset], mask, drop_columns, pairs, tracer))
+    return output, list(itertools.compress(range(len(dataset)), mask))
 
 
 def decode_shard(shard: LineShard | list, fingerprint: str | None = None) -> NestedDataset:
@@ -306,11 +307,6 @@ def decode_shard(shard: LineShard | list, fingerprint: str | None = None) -> Nes
         shard.lines, shard.numbers, shard.runs, shard.rows = [], [], [], None
     dataset = NestedDataset.from_list(rows, fingerprint=fingerprint)
     rows.clear()
-    keys: dict[str, str] = {}  # dict cells share key strings: a stored column pickles each once
-    for column in dataset._columns.values():
-        for index, cell in enumerate(column):
-            if type(cell) is dict:
-                column[index] = {keys.setdefault(key, key): value for key, value in cell.items()}
     return dataset
 
 

@@ -87,7 +87,7 @@ def segment_examples(op: Any, records: Sequence[tuple]) -> Iterator[dict]:
     (:func:`repro.core.segment.run_segment`), in chunk order, with the
     chunk-local indexes counted from the op's first input row."""
     offset = 0
-    for rows_in, _rows_out, _seconds, found in records:
+    for rows_in, _rows_out, _seconds, found, _flags in records:
         if isinstance(op, Filter):
             yield from dropped_examples(
                 ((offset + index, row) for index, row in found), op.compute_stats

@@ -150,7 +150,7 @@ class TestQuarantineWriter:
 def run_policy(op, dataset, policy, tracker=None, quarantine=None):
     """A segment of one op, in-process, under ``policy``: the output dataset."""
     tracker = tracker if tracker is not None else FaultTracker()
-    out, _trace = run_segment_with_policy(
+    out, _positions, _trace = run_segment_with_policy(
         [op], dataset, None, policy, tracker, quarantine, RunProfiler()
     )
     return out

@@ -382,17 +382,6 @@ class TestSourceRecords:
             NestedDataset.from_list(chunk).to_list() for chunk in by_rows
         ]
 
-    def test_the_dict_cells_of_a_shard_share_their_key_strings(self, tmp_path):
-        rows = [{"text": f"row {index}", "meta": {"source": "web", "n": index}} for index in range(50)]
-        path = tmp_path / "meta.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        [shard] = iter_record_shards(JsonlFormatter(dataset_path=str(path)).iter_sources(), 50)
-        meta = decode_shard(shard)._columns["meta"]
-        assert meta == [row["meta"] for row in rows]
-        assert [list(cell) for cell in meta] == [["source", "n"]] * 50
-        # one string object per key, so pickling the column writes each key once
-        assert len({id(key) for cell in meta for key in cell}) == 2
-
     @pytest.mark.parametrize("name", ["bad.jsonl", "bad.jsonl.gz"])
     def test_an_invalid_line_is_named_by_its_file_line(self, tmp_path, name):
         text = '{"text": "a"}\r\n\n   \n{"text": "b"}\r{not json}\n{"text": "c"}\n'

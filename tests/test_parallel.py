@@ -118,8 +118,8 @@ class TestWorkerPool:
         for batch, stats, _failure in results:
             assert len(stats) == len(ops)
             # each op's rows_in is the previous op's rows_out
-            assert [rows_in for rows_in, _out, _s, _found in stats][1:] == [
-                rows_out for _in, rows_out, _s, _found in stats
+            assert [rows_in for rows_in, _out, _s, _found, _flags in stats][1:] == [
+                rows_out for _in, rows_out, _s, _found, _flags in stats
             ][:-1]
             assert stats[0][0] == half and stats[-1][1] == len(batch["text"])
 

@@ -115,7 +115,8 @@ class TestSegmentOutcomes:
     def _counts(outcomes):
         """Everything of the outcomes but the per-op seconds."""
         return [
-            (batch, [(rows_in, rows_out) for rows_in, rows_out, _s, _found in records], failure)
+            (batch, [(rows_in, rows_out, flags)
+                     for rows_in, rows_out, _s, _found, flags in records], failure)
             for batch, records, failure in outcomes
         ]
 
@@ -150,9 +151,32 @@ class TestSegmentOutcomes:
         assert len(outcomes) == -(-len(dataset) // size)
         assert sum(records[0][0] for _batch, records, _failure in outcomes) == len(dataset)
         whole = segment.run_segment(ops, dataset.to_dict())
-        assert segment.segment_output(ops, dataset, outcomes).to_list() == (
-            NestedDataset.from_batches([whole[0]]).to_list()
-        )
+        output, positions = segment.segment_output(ops, dataset, outcomes)
+        assert output.to_list() == NestedDataset.from_batches([whole[0]]).to_list()
+        # each output row's input position, read off the Filters' keep flags
+        meta = dataset["meta"]
+        assert [meta[position] for position in positions] == whole[0]["meta"]
+
+    def test_output_positions_walk_the_pieces_in_order(self):
+        ops = load_ops([{"text_length_filter": {"min_len": 5}}])
+        texts = ["long one", "no", "long two", "x", "poison", "long three", "y", "long four",
+                 "long five"]
+        dataset = NestedDataset({"text": texts})
+        first, last = segment.run_chunks(ops, [{"text": texts[:4]}, {"text": texts[5:]}])
+        # the Filter's keep flags travel in its record
+        assert first[1][0][4] == [True, False, True, False]
+        whole = segment.run_chunks(ops, [{"text": texts}])
+        clean, positions = segment.segment_output(ops, dataset, whole)
+        assert positions == [0, 2, 4, 5, 7, 8]
+        # a fault layer's failed one-row piece: its row is dropped, the rows after it keep their place
+        failed = ({"text": texts[4:5]}, [], (0, RuntimeError("poison")))
+        output, positions = segment.segment_output(ops, dataset, [first, failed, last])
+        assert positions == [0, 2, 5, 7, 8]
+        assert output["text"] == [texts[position] for position in positions]
+        assert output.fingerprint != clean.fingerprint  # the dropped row salts it
+        # a Mapper that changed a chunk's row count: no output row has one parent row
+        grown = ({"text": ["a", "b"]}, [(1, 2, 0.0, [], None)], None)
+        assert segment.segment_output(ops, dataset, [first, grown])[1] is None
 
     def test_run_dataset_segment_through_a_pool_matches_in_process(self):
         ops = load_ops(self.OPS)
@@ -163,10 +187,11 @@ class TestSegmentOutcomes:
             assert size == pool.chunk_size_for(len(dataset))
             assert pool.tasks == len(pooled) and pool.last_served_pids
         assert all(len(outcome) == 3 and outcome[2] is None for outcome in pooled)
-        serial_out = segment.segment_output(ops, dataset, serial)
-        pooled_out = segment.segment_output(ops, dataset, pooled)
+        serial_out, serial_positions = segment.segment_output(ops, dataset, serial)
+        pooled_out, pooled_positions = segment.segment_output(ops, dataset, pooled)
         assert pooled_out.to_list() == serial_out.to_list()
         assert pooled_out.fingerprint == serial_out.fingerprint
+        assert pooled_positions == serial_positions
 
 
 def counted(ops, method_name, weigh):

@@ -6,9 +6,13 @@ Layers under test:
   one rule for every column — unchanged columns are not stored, a changed
   one is stored whole as its own blob (equal cells of another type, sign or
   key order are changes; copies that share objects differently are not),
-  row positions come from the row count or the values of the immutable
-  columns (so they survive a worker's round trip), and a payload of another
-  shape or over another parent decodes as a miss;
+  row positions are the caller's (stored as none when the row count is
+  kept; none given makes a self-contained entry), a stored ``dict`` column
+  pickles each key once without its cells being edited, and a payload of
+  another shape or over another parent decodes as a miss;
+* positions from the engine: two rows alike in every scalar cell keep
+  their own parent row, np=2 writes np=1's entries byte for byte, and a
+  quarantined row's position is skipped at np=2;
 * soundness: adversarial test-local ops — a mapper writing a new ``meta``,
   a filter that writes ``meta``, one row becoming two, a row-subsetting
   selector, equal values of another type — export the same bytes and the
@@ -25,6 +29,7 @@ Layers under test:
 
 import json
 import math
+import operator
 import os
 import pickle
 import random
@@ -111,8 +116,8 @@ def rows_dataset(rows):
     return NestedDataset.from_list([dict(row, meta=dict(row["meta"])) for row in rows])
 
 
-def replay(parent, child):
-    payload = encode(parent, child)
+def replay(parent, child, positions=None):
+    payload = encode(parent, child, positions)
     return payload, decode(parent, payload)
 
 
@@ -140,6 +145,8 @@ class TestCodec:
         assert payload["stored"] == {}
         assert payload["positions"] is None
         assert decoded == child and decoded.fingerprint == "child"
+        # an op that kept the row count keeps the rows in place: no positions stored
+        assert encode(parent, child, range(len(child))) == payload
 
     def test_a_changed_column_is_stored_an_unchanged_one_is_not(self):
         parent = rows_dataset(self.ROWS)
@@ -176,35 +183,49 @@ class TestCodec:
         assert decoded["meta"][0] == {"k": 100, "src": "web"}
         assert parent["meta"][0] == {"k": 0, "src": "web"}
 
-    def test_positions_follow_the_immutable_values(self):
+    def test_the_given_positions_are_stored(self):
         parent = rows_dataset(self.ROWS)
         child = parent.select([7, 2, 2, 9])
         child._fingerprint = "child"
-        payload, decoded = replay(parent, child)
+        payload, decoded = replay(parent, child, [7, 2, 2, 9])
         assert payload["positions"] == [7, 2, 2, 9]
         assert payload["stored"] == {}
         assert decoded == child
 
-    def test_positions_survive_a_pickling_round_trip(self):
+    def test_a_pickled_copy_at_its_positions_stores_no_column(self):
         # a pool worker hands back copies: no object of the parent is in the child
         parent = rows_dataset(self.ROWS)
         child = pickle.loads(pickle.dumps(parent.select([9, 4, 0])))
         child._fingerprint = "child"
-        payload, decoded = replay(parent, child)
+        payload, decoded = replay(parent, child, [9, 4, 0])
         assert payload["positions"] == [9, 4, 0]
         # the copied ``meta`` cells pickle to the parent's bytes at those rows
         assert payload["stored"] == {}
         assert decoded == child
 
-    def test_rows_with_equal_values_map_to_one_of_them(self):
+    def test_rows_with_equal_values_keep_their_own_positions(self):
         parent = NestedDataset({"text": ["a", "b", "a"], "meta": [{"k": 0}, {"k": 1}, {"k": 2}]})
         child = parent.select([0, 1])
         child._fingerprint = "child"
-        payload, decoded = replay(parent, child)
-        assert payload["positions"] == [2, 1]
-        # the mapping only decides what is stored: ``meta`` is
-        assert stored(payload) == {"meta": [{"k": 0}, {"k": 1}]}
+        payload, decoded = replay(parent, child, [0, 1])
+        assert payload["positions"] == [0, 1] and payload["stored"] == {}
         assert decoded == child and decoded["meta"] == [{"k": 0}, {"k": 1}]
+        # wrong positions cost bytes, never exactness: ``meta`` is then stored
+        payload, decoded = replay(parent, child, [2, 1])
+        assert stored(payload) == {"meta": [{"k": 0}, {"k": 1}]}
+        assert decoded == child
+
+    def test_a_stored_dict_column_pickles_each_key_once(self):
+        # one key string object per row, as ``json.loads`` line by line makes them
+        cells = [json.loads(json.dumps({"source": "web", "n": n})) for n in range(50)]
+        keys = [[id(key) for key in cell] for cell in cells]
+        child = NestedDataset({"meta": cells}, fingerprint="child")
+        payload, decoded = replay(None, child)
+        blob = payload["stored"]["meta"]
+        assert blob.count(b"source") == 1 and decoded["meta"] == cells
+        # the copies are the pickle's: the dataset's cells are left as they were
+        assert all(map(operator.is_, child._columns["meta"], cells))
+        assert [[id(key) for key in cell] for cell in cells] == keys
 
     def test_no_mapping_stores_a_self_contained_entry(self):
         parent = NestedDataset({"text": ["a", "b", "c"]})
@@ -246,7 +267,7 @@ class TestCodec:
 
     def test_a_delta_over_another_parent_is_a_miss(self):
         parent = rows_dataset(self.ROWS)
-        payload, _ = replay(parent, parent.select([1, 2]))
+        payload, _ = replay(parent, parent.select([1, 2]), [1, 2])
         assert decode(rows_dataset(self.ROWS[:5]), payload) is None
         assert decode(None, payload) is None
 
@@ -258,8 +279,8 @@ class TestOneColumnRule:
     pickled entry."""
 
     @staticmethod
-    def round_trip(parent, child):
-        payload = pickle.loads(pickle.dumps(encode(parent, child)))  # as the store reads it back
+    def round_trip(parent, child, positions=None):
+        payload = pickle.loads(pickle.dumps(encode(parent, child, positions)))  # as the store reads it back
         decoded = decode(parent, payload)
         assert exact(decoded) == exact(child)
         return payload
@@ -280,10 +301,10 @@ class TestOneColumnRule:
         parent = NestedDataset({"text": ["x", "y"], "meta": [{}, {}]})
         payload = self.round_trip(parent, NestedDataset({"text": ["x", "y"], "meta": [{}, {}]}))
         assert payload["stored"] == {}
-        dropped = self.round_trip(parent, NestedDataset({"text": ["y"], "meta": [{}]}))
-        assert dropped["positions"] == [1]
+        dropped = self.round_trip(parent, NestedDataset({"text": ["y"], "meta": [{}]}), [1])
+        assert dropped["positions"] == [1] and dropped["stored"] == {}
         empty = NestedDataset({"text": [], "meta": []})
-        self.round_trip(parent, empty)
+        assert self.round_trip(parent, empty, [])["parent_rows"] == 2
         self.round_trip(empty, empty)
         assert exact(decode(None, encode(None, empty))) == exact(empty)
 
@@ -471,23 +492,87 @@ def test_adversarial_ops_replay_exactly(tmp_path, adversarial_input, recipe):
         assert all(json.loads(line)["meta"]["filtered"] for line in reference.splitlines())
 
 
-def test_a_pooled_run_stores_deltas(tmp_path, web_input):
+@pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
+def test_a_pooled_run_stores_deltas(tmp_path, web_input, fusion):
     # at np > 1 every op's output comes back from a worker as pickled copies
-    options = {"use_cache": True, "op_fusion": False, "np": 2}
+    options = {"use_cache": True, "op_fusion": fusion, "np": 2}
     reference, _, _ = run_recipe(tmp_path, "reference", web_input, WEB_CLEAN, work="plain",
-                                 op_fusion=False)
+                                 op_fusion=fusion)
     cold, _, first = run_recipe(tmp_path, "cold", web_input, WEB_CLEAN, **options)
-    payloads = [pickle.loads(path.read_bytes()) for path in entry_files(first.store.cache_dir)]
-    assert len(payloads) == len(WEB_CLEAN)
+    files = entry_files(first.store.cache_dir)
+    payloads = [pickle.loads(path.read_bytes()) for path in files]
+    assert len(payloads) == len(first.ops)
     assert all(payload["parent_rows"] is not None for payload in payloads)
     # an op that dropped rows says which parent row each output row is
     dropped = [payload for payload in payloads if payload["rows"] < payload["parent_rows"]]
     assert dropped and all(payload["positions"] is not None for payload in dropped)
     assert first.store.total_bytes() < 2.5 * web_input.stat().st_size
+    # the serial run writes the same entries, byte for byte
+    _, _, serial = run_recipe(tmp_path, "serial", web_input, WEB_CLEAN, work="serial",
+                              **dict(options, np=1))
+    entries = {path.name: path.read_bytes() for path in files}
+    assert entries == {path.name: path.read_bytes()
+                       for path in entry_files(serial.store.cache_dir)}
     warm, _, executor = run_recipe(tmp_path, "warm", web_input, WEB_CLEAN,
                                    prepare=forbid_everything, **options)
-    assert executor.last_report["cache"]["hits"] == len(WEB_CLEAN)
+    assert executor.last_report["cache"]["hits"] == len(first.ops)
     assert cold == warm == reference
+
+
+def test_rows_with_equal_scalar_cells_keep_their_own_parent_row(tmp_path):
+    # two rows alike in every scalar cell, told apart only by ``meta``: the
+    # deduplicator keeps the first, so its entry has nothing of ``meta`` to store
+    rows = [{"id": 0, "text": "the same words in both rows", "meta": {"copy": n}} for n in (0, 1)]
+    rows.append({"id": 1, "text": "another row of words", "meta": {"copy": 0}})
+    input_path = write_jsonl(tmp_path / "in.jsonl", rows)
+    process = [{"document_deduplicator": {}}]
+    reference, _, _ = run_recipe(tmp_path, "reference", input_path, process, work="plain")
+    cold, _, executor = run_recipe(tmp_path, "cold", input_path, process, use_cache=True)
+    (path,) = entry_files(executor.store.cache_dir)
+    payload = pickle.loads(path.read_bytes())
+    assert "meta" not in payload["stored"]
+    assert payload["positions"] == [0, 2]
+    assert cold == reference
+    assert [json.loads(line)["meta"] for line in cold.splitlines()] == [{"copy": 0}] * 2
+
+
+def test_positions_skip_a_quarantined_row_at_np2(tmp_path, marked_input):
+    held = []  # (input, output) of every op the run computed, in order
+
+    def prepare(executor):
+        crash_at_marker(executor)
+        run_segments = executor._run_segments
+
+        def recording(ops, dataset):
+            output, positions = run_segments(ops, dataset)
+            held.append((dataset, output))
+            return output, positions
+
+        executor._run_segments = recording
+
+    options = {"use_cache": True, "use_checkpoint": True, "op_fusion": False, "np": 2,
+               "on_error": "quarantine"}
+    _, output, executor = run_recipe(tmp_path, "faulted", marked_input, WEB_CLEAN,
+                                     prepare=prepare, **options)
+    assert executor.last_report["faults"]["quarantined_rows"] == 1
+    assert MARKER not in " ".join(output["text"])
+    chain = executor.checkpoint.read_state()["keys"]
+    assert len(chain) == len(held) == len(WEB_CLEAN)
+    current, faulted = held[0][0], 0
+    for key, (parent, child) in zip(chain, held):
+        payload = executor._stores.get(key)
+        # each entry replays, onto what the entries before it replay to, the dataset the run held
+        current = decode(current, payload)
+        assert exact(current) == exact(child) and current.fingerprint == child.fingerprint
+        if payload["rows"] == payload["parent_rows"]:
+            continue
+        # a row-dropping entry names the parent row of each kept row, by its ``id``
+        ids = parent["id"]
+        assert payload["positions"] == [ids.index(row_id) for row_id in child["id"]]
+        if -1 in ids and -1 not in child["id"]:  # the poison row entered this op, none came out
+            faulted += 1
+            assert ids.index(-1) not in payload["positions"]
+    assert faulted == 1 and any(key.endswith("#faulted") for key in chain)
 
 
 # ----------------------------------------------------------------------
