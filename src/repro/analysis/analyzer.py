@@ -5,14 +5,16 @@ in *compute-stats-only* mode (no sample is removed), then produces an overall
 summary, per-column histograms/box plots and a diversity report — the "data
 probe" that drives the feedback loop of Figure 5.
 
-Two consumption paths produce identical probes:
+The filters run as one :class:`repro.core.fusion.FusedFilter` over column
+batches, and one fold turns the batches into the probe.  Its sources are:
 
-* :meth:`Analyzer.analyze` takes a materialised :class:`NestedDataset`;
-* :meth:`Analyzer.analyze_stream` folds a lazy record stream sample by
-  sample, retaining only the skinny stats values and aggregated diversity
-  counters — never the text — so the output of a streaming run
-  (:meth:`Analyzer.analyze_run` walks a :class:`repro.core.report.RunReport`'s
-  export shards) can be analyzed with bounded memory.
+* :meth:`Analyzer.analyze`: a materialised :class:`NestedDataset`'s batches;
+* :meth:`Analyzer.analyze_stream`: a lazy record stream, cut into chunks by
+  the ops' row and character budgets.  Only the skinny stats values and the
+  diversity counters outlive a chunk — never its text — so the output of a
+  streaming run (:meth:`Analyzer.analyze_run` walks a
+  :class:`repro.core.report.RunReport`'s export shards) can be analyzed with
+  bounded memory.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.diversity_analysis import DiversityAnalysis, DiversityReport
 from repro.analysis.histogram import BoxPlot, Histogram, build_box_plot, build_histogram
-from repro.analysis.overall_analysis import ColumnSummary, OverallAnalysis, collect_stats_values
+from repro.analysis.overall_analysis import ColumnSummary, OverallAnalysis, fold_stats_values, numeric_values
 from repro.core.base_op import Filter
+from repro.core.batch import DEFAULT_BATCH_SIZE, batch_length, rows_to_batch
 from repro.core.dataset import NestedDataset
+from repro.core.fusion import FusedFilter
 from repro.core.sample import Fields
+from repro.core.stream import iter_record_shards
 from repro.ops import load_ops
 
 #: Filters whose statistics form the default 13-dimension data probe.
@@ -100,84 +105,66 @@ class Analyzer:
     ):
         process = list(analysis_process) if analysis_process is not None else list(DEFAULT_ANALYSIS_PROCESS)
         self.filters = [op for op in load_ops(process) if isinstance(op, Filter)]
+        self._fused = FusedFilter(self.filters) if self.filters else None
         self.num_bins = num_bins
         self.with_diversity = with_diversity
         self.text_key = text_key
 
     def compute_stats(self, dataset: NestedDataset) -> NestedDataset:
         """Return a copy of the dataset with every probe statistic filled in."""
+        return dataset.map_batches(self._with_stats, batch_size=self._batch_size(dataset))
 
-        def add_all_stats(sample: dict) -> dict:
-            sample = dict(sample)
-            for op in self.filters:
-                sample = op.compute_stats(sample)
-            return sample
+    def _with_stats(self, batch: dict) -> dict:
+        """A column batch with every filter's stat columns, from one fused pass."""
+        return batch if self._fused is None else self._fused.compute_stats_batched(batch)
 
-        return dataset.map(add_all_stats)
+    def _batch_size(self, dataset: NestedDataset) -> int:
+        return DEFAULT_BATCH_SIZE if self._fused is None else self._fused.effective_batch_size(dataset)
 
-    def _probe_from_values(
-        self,
-        num_samples: int,
-        values: dict[str, list],
-        diversity: DiversityReport | None,
-    ) -> DataProbe:
-        """Assemble the probe from pre-collected stats values (shared tail)."""
+    def _fold(self, batches: Iterable[dict]) -> DataProbe:
+        """The probe of a stream of column batches.
+
+        Only the stats values and the diversity counters outlive a batch,
+        never its text, so memory is bounded by what the batch source holds
+        plus those values.
+        """
+        values: dict[str, list] = {}
+        diversity = DiversityReport() if self.with_diversity else None
+        observe = DiversityAnalysis(text_key=self.text_key).observe
+        top = self.text_key.split(".", 1)[0]
+        num_samples = 0
+        for batch in batches:
+            length = batch_length(batch)
+            num_samples += length
+            fold_stats_values(values, self._with_stats(batch))
+            if diversity is not None:  # observe reads only the text's top-level cell
+                for cell in batch.get(top) or [None] * length:
+                    observe(diversity, {top: cell})
         summaries = OverallAnalysis(num_bins=self.num_bins).analyze_values(values)
         histograms: dict[str, Histogram] = {}
         box_plots: dict[str, BoxPlot] = {}
         for key, raw_values in values.items():
-            numeric = [
-                float(value)
-                for value in raw_values
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            ]
+            numeric = numeric_values(raw_values)
             if numeric:
                 histograms[key] = build_histogram(key, numeric, num_bins=self.num_bins)
                 box_plots[key] = build_box_plot(key, numeric)
-        return DataProbe(
-            num_samples=num_samples,
-            summaries=summaries,
-            histograms=histograms,
-            box_plots=box_plots,
-            diversity=diversity,
-        )
+        return DataProbe(num_samples, summaries, histograms, box_plots, diversity)
 
     def analyze(self, dataset: NestedDataset) -> DataProbe:
         """Compute stats and return the full :class:`DataProbe`."""
-        with_stats = self.compute_stats(dataset)
-        diversity = (
-            DiversityAnalysis(text_key=self.text_key).analyze(dataset)
-            if self.with_diversity
-            else None
-        )
-        return self._probe_from_values(
-            len(dataset), collect_stats_values(with_stats), diversity
-        )
+        return self._fold(dataset.iter_batches(self._batch_size(dataset)))
 
     def analyze_stream(self, records: Iterable[dict]) -> DataProbe:
         """Analyze a lazy record stream with bounded memory.
 
-        Each record's probe statistics are computed one sample at a time and
-        only the per-key stats *values* (numbers, category labels) plus the
-        aggregated diversity counters are retained — the text payload is
-        dropped immediately, so peak memory scales with the number of stats
-        values, not with corpus bytes.  The resulting probe is identical to
+        The records are cut into chunks by the ops' own row and character
+        budgets (:func:`repro.core.stream.iter_record_shards`) and folded
+        like :meth:`analyze`'s batches, so the probe is identical to
         :meth:`analyze` over the materialised dataset.
         """
-        values: dict[str, list] = {}
-        diversity_analysis = DiversityAnalysis(text_key=self.text_key)
-        diversity = DiversityReport() if self.with_diversity else None
-        num_samples = 0
-        for record in records:
-            num_samples += 1
-            sample = dict(record)
-            for op in self.filters:
-                sample = op.compute_stats(sample)
-            for key, value in (sample.get(Fields.stats) or {}).items():
-                values.setdefault(key, []).append(value)
-            if diversity is not None:
-                diversity_analysis.observe(diversity, record)
-        return self._probe_from_values(num_samples, values, diversity)
+        rows = DEFAULT_BATCH_SIZE if self._fused is None else self._fused.batch_size
+        shards = iter_record_shards(records, max_rows=rows, max_chars=Filter.TARGET_BATCH_CHARS)
+        return self._fold(map(rows_to_batch, shards))
 
     def analyze_run(self, report: Mapping | str | Path) -> DataProbe:
         """Analyze the exported output of a finished run, out-of-core.
@@ -190,6 +177,7 @@ class Analyzer:
         """
         from repro.core.report import RunReport
         from repro.formats.load import load_formatter
+        from repro.formats.sharded import open_shard
 
         if isinstance(report, (str, Path)):
             report = RunReport.load(report)
@@ -200,22 +188,16 @@ class Analyzer:
                 "configured before analyzing its output"
             )
 
-        def txt_records(path: str) -> Iterable[dict]:
-            # a .txt *export* is one document per line (the Exporter's txt
-            # format), unlike raw .txt inputs where one file is one document
-            # — TextFormatter would silently collapse the corpus to 1 sample
-            from repro.formats.sharded import open_shard
-
-            with open_shard(Path(path)) as handle:
-                for line in handle:
-                    yield {Fields.text: line.rstrip("\n"), Fields.stats: {}}
-
         def exported_records() -> Iterable[dict]:
             for path in export_paths:
                 suffixes = [s for s in Path(path).suffixes if s != ".gz"]
-                if suffixes and suffixes[-1] == ".txt":
-                    yield from txt_records(path)
-                else:
+                if not suffixes or suffixes[-1] != ".txt":
                     yield from load_formatter(path, text_keys=(self.text_key,)).iter_records()
+                    continue
+                # a .txt *export* is one document per line (the Exporter's txt
+                # format), unlike raw .txt inputs where one file is one document
+                # — TextFormatter would silently collapse the corpus to 1 sample
+                with open_shard(Path(path)) as handle:
+                    yield from ({Fields.text: line.rstrip("\n")} for line in handle)
 
         return self.analyze_stream(exported_records())

@@ -7,6 +7,7 @@ min/max, quantiles and entropy; categorical statistics get value counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.dataset import NestedDataset
-from repro.core.sample import Fields
+from repro.core.sample import STATS_PREFIX, Fields
 
 
 @dataclass
@@ -63,14 +64,30 @@ def _entropy_from_counts(counts: Counter) -> float:
     return entropy
 
 
+def numeric_values(raw_values: list) -> list[float]:
+    """The numeric (non-bool) values of one stat, as floats."""
+    return [float(v) for v in raw_values if isinstance(v, (int, float)) and not isinstance(v, bool)]
+
+
+def fold_stats_values(values: dict[str, list], batch: dict[str, list]) -> dict[str, list]:
+    """Append the stats of a column batch's rows to ``values`` and return it:
+    its stat columns, and the keys of a carried ``__stats__`` dict that no
+    column holds (a row as :func:`repro.core.sample.stats_folder` shows it).
+    A row without a key adds no value to it."""
+    cut = len(STATS_PREFIX)
+    columns = {name[cut:]: column for name, column in batch.items() if name.startswith(STATS_PREFIX)}
+    for key, column in columns.items():
+        values.setdefault(key, []).extend(column)
+    for stats in batch.get(Fields.stats) or ():
+        for key, value in stats.items() if isinstance(stats, dict) else ():
+            if key not in columns:
+                values.setdefault(key, []).append(value)
+    return values
+
+
 def collect_stats_values(dataset: NestedDataset) -> dict[str, list]:
     """Gather every stats key present in the dataset with its list of values."""
-    values: dict[str, list] = {}
-    for row in dataset:
-        stats = row.get(Fields.stats) or {}
-        for key, value in stats.items():
-            values.setdefault(key, []).append(value)
-    return values
+    return functools.reduce(fold_stats_values, dataset.iter_batches(), {})
 
 
 class OverallAnalysis:
@@ -94,11 +111,7 @@ class OverallAnalysis:
         """
         summaries: dict[str, ColumnSummary] = {}
         for key, raw_values in values.items():
-            numeric = [
-                float(value)
-                for value in raw_values
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            ]
+            numeric = numeric_values(raw_values)
             if numeric and len(numeric) >= len(raw_values) / 2:
                 array = np.asarray(numeric, dtype=float)
                 histogram, _ = np.histogram(array, bins=self.num_bins)

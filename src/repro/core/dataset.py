@@ -226,34 +226,21 @@ class NestedDataset:
     def map(
         self,
         function: Callable[[dict], dict],
-        batched: bool = False,
-        batch_size: int = 1000,
         new_fingerprint: str | None = None,
     ) -> "NestedDataset":
         """Apply ``function`` to every sample and return a new dataset.
 
-        With ``batched=True`` the function receives and returns a *list* of
-        samples, enabling multi-sample row functions.  This is the row-dict
-        API for arbitrary callables (the Analyzer, tools, user code);
+        This is the row-dict API for arbitrary callables (tools, user code);
         operators run through ``op.run``, whose ``process_batched`` methods
         use the *columnar* contract (``dict[str, list]``) of
         :meth:`map_batches`.
         """
-        rows = self.to_list()
         new_rows: list[dict] = []
-        if batched:
-            for start in range(0, len(rows), batch_size):
-                batch = rows[start:start + batch_size]
-                result = function(batch)
-                if not isinstance(result, list):
-                    raise DatasetError("batched map function must return a list of samples")
-                new_rows.extend(result)
-        else:
-            for row in rows:
-                result = function(row)
-                if not isinstance(result, dict):
-                    raise DatasetError("map function must return a sample dict")
-                new_rows.append(result)
+        for row in self.to_list():
+            result = function(row)
+            if not isinstance(result, dict):
+                raise DatasetError("map function must return a sample dict")
+            new_rows.append(result)
         fingerprint = new_fingerprint or self._derive_fingerprint(
             "map", getattr(function, "__qualname__", repr(function))
         )

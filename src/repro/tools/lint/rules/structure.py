@@ -1,7 +1,8 @@
 """Structural rules: batched parity, picklability and registry hygiene.
 
-The columnar op engine, the per-sample callers (Analyzer, fused execution,
-the reference oracle) and the equivalence suite
+The columnar op engine and the Analyzer (batched), the per-sample callers
+(a fused filter's per-row methods, the tracer's dropped examples, the
+reference oracle) and the equivalence suite
 (``tests/test_batch_equivalence.py``) assume every op implements *both*
 sides of its category's interface; spawn-mode :class:`repro.parallel.
 WorkerPool` assumes every op instance pickles; and recipe resolution assumes
@@ -66,13 +67,13 @@ class BatchedParityRule(LintRule):
     severity = ERROR
     summary = "ops overriding a *_batched method must implement the per-row path too"
     rationale = (
-        "op.run only calls the batched entry points, but the Analyzer, fused "
-        "execution and the reference oracle "
-        "(repro.testing.reference.run_per_row) all call the per-row methods; an "
-        "op with only a batched implementation works until the first of those "
-        "callers, and an op implementing neither side of its category's "
-        "interface is silently abstract.  The equivalence suite asserts op.run "
-        "agrees with the oracle — both sides must exist."
+        "op.run and the Analyzer only call the batched entry points, but a "
+        "fused filter's per-row methods, the tracer's dropped examples and the "
+        "reference oracle (repro.testing.reference.run_per_row) call the "
+        "per-row methods; an op with only a batched implementation works until "
+        "the first of those callers, and an op implementing neither side of "
+        "its category's interface is silently abstract.  The equivalence "
+        "suite asserts op.run agrees with the oracle — both sides must exist."
     )
 
     def check(self, module: LintModule) -> Iterator[Violation]:
@@ -85,9 +86,9 @@ class BatchedParityRule(LintRule):
                         module,
                         op.methods[batched],
                         f"{batched}() is overridden but {per_row}() is not; "
-                        "the per-row callers (Analyzer, fusion, row "
-                        "isolation, the reference oracle) would use the "
-                        "base-class fallback and disagree with the batched path",
+                        "the per-row callers (fusion, the tracer, the "
+                        "reference oracle) would use the base-class "
+                        "fallback and disagree with the batched path",
                         op=op.display_name,
                     )
             required = _CATEGORY_REQUIRED.get(op.category or "", ())

@@ -1,11 +1,21 @@
 """Tests for the analyzer: overall stats, histograms, box plots and diversity analysis."""
 
+import copy
+import json
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
 from repro.analysis.analyzer import Analyzer
 from repro.analysis.diversity_analysis import DiversityAnalysis, extract_verb_noun
 from repro.analysis.histogram import build_box_plot, build_histogram
 from repro.analysis.overall_analysis import OverallAnalysis, collect_stats_values
 from repro.core.dataset import NestedDataset
+from repro.core.executor import Executor
 from repro.core.sample import Fields
+from repro.formats.sharded import open_shard
+from repro.ops.filters.text_length_filter import TextLengthFilter
 from repro.synth import instruction_dataset, wikipedia_like
 
 
@@ -111,3 +121,132 @@ class TestAnalyzer:
         probe = Analyzer(with_diversity=False).analyze(wikipedia_like(num_samples=6, seed=7))
         assert "text_len" in probe.histograms
         assert "text_len" in probe.box_plots
+
+
+#: rows with different key sets: empty, non-string and missing text, stats a
+#: row carries (one of them a key a filter computes), extra top-level fields
+EDGE_ROWS = [
+    {"text": ""},
+    {"text": None},
+    {"meta": {"source": "nowhere"}},
+    {"text": "already counted", Fields.stats: {"text_len": 999}},
+    {"text": "Write a short poem about the sea.", "id": 7, Fields.stats: {"custom": 3, "lang": "en"}},
+    {"text": "a stats cell that is no dict", Fields.stats: None},
+    {"text": "Explain the theory of data systems to a child.", "meta": {"n": 1}},
+]
+
+#: a probe cut into many small chunks, so the fold runs across chunk edges
+SMALL_BATCH_PROCESS = [
+    {"text_length_filter": {"batch_size": 3}},
+    {"words_num_filter": {}},
+    {"language_id_score_filter": {}},
+]
+
+
+def parity_rows() -> list[dict]:
+    wiki = wikipedia_like(num_samples=12, seed=8).to_list()
+    return wiki[:9] + EDGE_ROWS + wiki[9:] + instruction_dataset(num_samples=12, seed=9).to_list()
+
+
+def per_row_probe(analyzer: Analyzer, rows: list[dict]) -> tuple:
+    """The probe of ``rows`` built from the per-row op API: every filter's
+    ``compute_stats`` on a copy of each row, one row at a time."""
+    values: dict[str, list] = {}
+    for row in rows:
+        sample = copy.deepcopy(row)
+        for op in analyzer.filters:
+            sample = op.compute_stats(sample)
+        for key, value in (sample.get(Fields.stats) or {}).items():
+            values.setdefault(key, []).append(value)
+    numeric = {
+        key: [float(v) for v in raw if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        for key, raw in values.items()
+    }
+    report = DiversityAnalysis().analyze_records(copy.deepcopy(rows))
+    return (
+        len(rows),
+        {key: summary.as_dict() for key, summary in OverallAnalysis().analyze_values(values).items()},
+        {key: build_histogram(key, nums) for key, nums in numeric.items() if nums},
+        {key: build_box_plot(key, nums) for key, nums in numeric.items() if nums},
+        (report.verb_counts, report.verb_noun_counts, report.num_samples, report.num_with_verb),
+    )
+
+
+def probe_parts(probe) -> tuple:
+    report = probe.diversity
+    return (
+        probe.num_samples,
+        {key: summary.as_dict() for key, summary in probe.summaries.items()},
+        probe.histograms,
+        probe.box_plots,
+        (report.verb_counts, report.verb_noun_counts, report.num_samples, report.num_with_verb),
+    )
+
+
+class TestBatchedProbe:
+    @pytest.mark.parametrize("process", [None, SMALL_BATCH_PROCESS], ids=["default", "small-batches"])
+    def test_analyze_and_stream_equal_the_per_row_probe(self, process):
+        analyzer = Analyzer(analysis_process=process)
+        rows = parity_rows()
+        expected = per_row_probe(analyzer, rows)
+        assert expected[1]["custom"]["count"] == 1 and expected[1]["text_len"]["count"] == len(rows)
+        assert probe_parts(analyzer.analyze(NestedDataset.from_list(copy.deepcopy(rows)))) == expected
+        assert probe_parts(analyzer.analyze_stream(iter(copy.deepcopy(rows)))) == expected
+
+    def test_analyze_run_of_a_sharded_export_with_stats_equals_the_per_row_probe(self, tmp_path):
+        input_path = tmp_path / "in.jsonl"
+        input_path.write_text("".join(json.dumps(row) + "\n" for row in parity_rows()), encoding="utf-8")
+        report = Executor({
+            "dataset_path": str(input_path),
+            "export_path": str(tmp_path / "export" / "out.jsonl.gz"),
+            "work_dir": str(tmp_path / "work"),
+            "process": [{"words_num_filter": {"min_num": 0}}],
+            "keep_stats_in_export": True,
+            "max_shard_rows": 8,
+        }).run_streaming(shard_output=True)
+        assert len(report["export_paths"]) > 1
+        exported = []
+        for path in report["export_paths"]:
+            with open_shard(Path(path)) as handle:
+                exported += [json.loads(line) for line in handle]
+        assert all("num_words" in row[Fields.stats] for row in exported)
+        for process in (None, SMALL_BATCH_PROCESS):
+            analyzer = Analyzer(analysis_process=process)
+            assert probe_parts(analyzer.analyze_run(report)) == per_row_probe(analyzer, exported)
+
+    def test_a_filter_with_a_batched_kernel_is_never_called_per_row(self, monkeypatch):
+        def per_row(self, sample, context=False):
+            raise AssertionError("per-row compute_stats called")
+
+        monkeypatch.setattr(TextLengthFilter, "compute_stats", per_row)
+        analyzer = Analyzer(analysis_process=[{"text_length_filter": {}}])
+        rows = wikipedia_like(num_samples=6, seed=10).to_list()
+        dataset = NestedDataset.from_list(rows)
+        for probe in (analyzer.analyze(dataset), analyzer.analyze_stream(iter(rows))):
+            assert probe.num_samples == 6
+            assert probe.summaries["text_len"].count == 6
+            assert probe.summaries["text_len"].maximum == max(len(row["text"]) for row in rows)
+
+    def test_analyze_stream_memory_does_not_grow_with_the_corpus(self):
+        """A lazy corpus of ~16k-character rows at N and 4N rows: the traced
+        peak stays flat, because only the stats values outlive a chunk.  N
+        covers two of the 1024-record blocks the chunker reads at a time."""
+
+        def long_rows(count):
+            for index in range(count):
+                yield {"text": f"{index} " + "abcdefgh " * 1820}
+
+        def peak_bytes(count):
+            analyzer = Analyzer(analysis_process=[{"text_length_filter": {}}], with_diversity=False)
+            tracemalloc.start()
+            try:
+                assert analyzer.analyze_stream(long_rows(count)).num_samples == count
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = 2048
+        small, large = peak_bytes(rows), peak_bytes(4 * rows)
+        assert large < 1.5 * small, (small, large)
+        # the peak holds a bounded slice of the corpus, not all of it
+        assert large < 0.5 * 4 * rows * 16_000

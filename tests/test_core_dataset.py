@@ -83,11 +83,6 @@ class TestTransforms:
         assert mapped[0]["text"] == "DOC 0"
         assert dataset[0]["text"] == "doc 0"  # original untouched
 
-    def test_map_batched(self):
-        dataset = make_dataset(4)
-        mapped = dataset.map(lambda batch: batch[:1], batched=True, batch_size=2)
-        assert len(mapped) == 2
-
     def test_map_non_dict_result_raises(self):
         with pytest.raises(DatasetError):
             make_dataset(1).map(lambda row: "oops")
