@@ -5,23 +5,23 @@ in *compute-stats-only* mode (no sample is removed), then produces an overall
 summary, per-column histograms/box plots and a diversity report — the "data
 probe" that drives the feedback loop of Figure 5.
 
-The filters run as one :class:`repro.core.fusion.FusedFilter` over column
-batches, and one fold turns the batches into the probe.  Its sources are:
+The filters run over column batches, one :class:`repro.core.fusion.FusedFilter`
+per text field they read (the fused batch context is not keyed by field), and
+one fold turns the batches into the probe.  Its sources are:
 
 * :meth:`Analyzer.analyze`: a materialised :class:`NestedDataset`'s batches;
-* :meth:`Analyzer.analyze_stream`: a lazy record stream, cut into chunks by
-  the ops' row and character budgets.  Only the skinny stats values and the
-  diversity counters outlive a chunk — never its text — so the output of a
-  streaming run (:meth:`Analyzer.analyze_run` walks a
-  :class:`repro.core.report.RunReport`'s export shards) can be analyzed with
-  bounded memory.
+* :meth:`Analyzer.analyze_stream`: a lazy record stream, cut into chunks as it
+  is read.  Only the skinny stats values and the diversity counters outlive a
+  chunk — never its text — so the output of a streaming run
+  (:meth:`Analyzer.analyze_run` walks a :class:`repro.core.report.RunReport`'s
+  export shards) can be analyzed with bounded memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.diversity_analysis import DiversityAnalysis, DiversityReport
 from repro.analysis.histogram import BoxPlot, Histogram, build_box_plot, build_histogram
@@ -30,8 +30,7 @@ from repro.core.base_op import Filter
 from repro.core.batch import DEFAULT_BATCH_SIZE, batch_length, rows_to_batch
 from repro.core.dataset import NestedDataset
 from repro.core.fusion import FusedFilter
-from repro.core.sample import Fields
-from repro.core.stream import iter_record_shards
+from repro.core.sample import Fields, get_field
 from repro.ops import load_ops
 
 #: Filters whose statistics form the default 13-dimension data probe.
@@ -105,7 +104,11 @@ class Analyzer:
     ):
         process = list(analysis_process) if analysis_process is not None else list(DEFAULT_ANALYSIS_PROCESS)
         self.filters = [op for op in load_ops(process) if isinstance(op, Filter)]
-        self._fused = FusedFilter(self.filters) if self.filters else None
+        by_field: dict[str, list[Filter]] = {}
+        for op in self.filters:
+            by_field.setdefault(op.text_key, []).append(op)
+        self._passes = [FusedFilter(group) for group in by_field.values()]
+        self._rows = min((fused.batch_size for fused in self._passes), default=DEFAULT_BATCH_SIZE)
         self.num_bins = num_bins
         self.with_diversity = with_diversity
         self.text_key = text_key
@@ -115,11 +118,13 @@ class Analyzer:
         return dataset.map_batches(self._with_stats, batch_size=self._batch_size(dataset))
 
     def _with_stats(self, batch: dict) -> dict:
-        """A column batch with every filter's stat columns, from one fused pass."""
-        return batch if self._fused is None else self._fused.compute_stats_batched(batch)
+        """A column batch with every filter's stat columns: one fused pass per text field."""
+        for fused in self._passes:
+            batch = fused.compute_stats_batched(batch)
+        return batch
 
     def _batch_size(self, dataset: NestedDataset) -> int:
-        return DEFAULT_BATCH_SIZE if self._fused is None else self._fused.effective_batch_size(dataset)
+        return min((fused.effective_batch_size(dataset) for fused in self._passes), default=self._rows)
 
     def _fold(self, batches: Iterable[dict]) -> DataProbe:
         """The probe of a stream of column batches.
@@ -141,13 +146,9 @@ class Analyzer:
                 for cell in batch.get(top) or [None] * length:
                     observe(diversity, {top: cell})
         summaries = OverallAnalysis(num_bins=self.num_bins).analyze_values(values)
-        histograms: dict[str, Histogram] = {}
-        box_plots: dict[str, BoxPlot] = {}
-        for key, raw_values in values.items():
-            numeric = numeric_values(raw_values)
-            if numeric:
-                histograms[key] = build_histogram(key, numeric, num_bins=self.num_bins)
-                box_plots[key] = build_box_plot(key, numeric)
+        numeric = {key: nums for key, raw in values.items() if (nums := numeric_values(raw))}
+        histograms = {key: build_histogram(key, nums, self.num_bins) for key, nums in numeric.items()}
+        box_plots = {key: build_box_plot(key, nums) for key, nums in numeric.items()}
         return DataProbe(num_samples, summaries, histograms, box_plots, diversity)
 
     def analyze(self, dataset: NestedDataset) -> DataProbe:
@@ -157,14 +158,25 @@ class Analyzer:
     def analyze_stream(self, records: Iterable[dict]) -> DataProbe:
         """Analyze a lazy record stream with bounded memory.
 
-        The records are cut into chunks by the ops' own row and character
-        budgets (:func:`repro.core.stream.iter_record_shards`) and folded
-        like :meth:`analyze`'s batches, so the probe is identical to
-        :meth:`analyze` over the materialised dataset.
+        The records are folded like :meth:`analyze`'s batches, so the probe
+        is identical to :meth:`analyze` over the materialised dataset.
         """
-        rows = DEFAULT_BATCH_SIZE if self._fused is None else self._fused.batch_size
-        shards = iter_record_shards(records, max_rows=rows, max_chars=Filter.TARGET_BATCH_CHARS)
-        return self._fold(map(rows_to_batch, shards))
+        return self._fold(self._chunks(records))
+
+    def _chunks(self, records: Iterable[dict]) -> Iterator[dict]:
+        """Column batches of ``records``, each closed as it is read once it
+        holds the ops' row budget or ``TARGET_BATCH_CHARS`` characters of
+        text, so no more than one chunk of the stream is read ahead."""
+        chunk, chars = [], 0
+        for record in records:
+            chunk.append(record)
+            text = get_field(record, self.text_key)
+            chars += len(text) if isinstance(text, str) else 0
+            if len(chunk) == self._rows or chars >= Filter.TARGET_BATCH_CHARS:
+                yield rows_to_batch(chunk)
+                chunk, chars = [], 0
+        if chunk:
+            yield rows_to_batch(chunk)
 
     def analyze_run(self, report: Mapping | str | Path) -> DataProbe:
         """Analyze the exported output of a finished run, out-of-core.

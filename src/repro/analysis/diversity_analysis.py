@@ -23,19 +23,11 @@ from repro.ops.filters.text_action_filter import looks_like_verb
 def extract_verb_noun(text: str) -> tuple[str | None, str | None]:
     """Return the first (verb, following-noun) pair found in the text."""
     words = words_refinement(get_words_from_text(text, lowercase=True))
-    verb = None
-    verb_index = -1
     for index, word in enumerate(words):
         if looks_like_verb(word) and word not in STOPWORDS_EN:
-            verb = word
-            verb_index = index
-            break
-    if verb is None:
-        return None, None
-    for word in words[verb_index + 1:]:
-        if word not in STOPWORDS_EN and not looks_like_verb(word) and word.isalpha():
-            return verb, word
-    return verb, None
+            nouns = (w for w in words[index + 1:] if w.isalpha() and w not in STOPWORDS_EN)
+            return word, next((w for w in nouns if not looks_like_verb(w)), None)
+    return None, None
 
 
 @dataclass

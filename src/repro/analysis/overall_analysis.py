@@ -7,7 +7,6 @@ min/max, quantiles and entropy; categorical statistics get value counts.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -69,11 +68,11 @@ def numeric_values(raw_values: list) -> list[float]:
     return [float(v) for v in raw_values if isinstance(v, (int, float)) and not isinstance(v, bool)]
 
 
-def fold_stats_values(values: dict[str, list], batch: dict[str, list]) -> dict[str, list]:
-    """Append the stats of a column batch's rows to ``values`` and return it:
-    its stat columns, and the keys of a carried ``__stats__`` dict that no
-    column holds (a row as :func:`repro.core.sample.stats_folder` shows it).
-    A row without a key adds no value to it."""
+def fold_stats_values(values: dict[str, list], batch: dict[str, list]) -> None:
+    """Append the stats of a column batch's rows to ``values``: its stat
+    columns, and the keys of a carried ``__stats__`` dict that no column
+    holds (a row as :func:`repro.core.sample.stats_folder` shows it).  A row
+    without a key adds no value to it."""
     cut = len(STATS_PREFIX)
     columns = {name[cut:]: column for name, column in batch.items() if name.startswith(STATS_PREFIX)}
     for key, column in columns.items():
@@ -82,12 +81,14 @@ def fold_stats_values(values: dict[str, list], batch: dict[str, list]) -> dict[s
         for key, value in stats.items() if isinstance(stats, dict) else ():
             if key not in columns:
                 values.setdefault(key, []).append(value)
-    return values
 
 
 def collect_stats_values(dataset: NestedDataset) -> dict[str, list]:
     """Gather every stats key present in the dataset with its list of values."""
-    return functools.reduce(fold_stats_values, dataset.iter_batches(), {})
+    values: dict[str, list] = {}
+    for batch in dataset.iter_batches():
+        fold_stats_values(values, batch)
+    return values
 
 
 class OverallAnalysis:

@@ -11,6 +11,7 @@ from repro.analysis.analyzer import Analyzer
 from repro.analysis.diversity_analysis import DiversityAnalysis, extract_verb_noun
 from repro.analysis.histogram import build_box_plot, build_histogram
 from repro.analysis.overall_analysis import OverallAnalysis, collect_stats_values
+from repro.core.base_op import Filter
 from repro.core.dataset import NestedDataset
 from repro.core.executor import Executor
 from repro.core.sample import Fields
@@ -227,10 +228,25 @@ class TestBatchedProbe:
             assert probe.summaries["text_len"].count == 6
             assert probe.summaries["text_len"].maximum == max(len(row["text"]) for row in rows)
 
-    def test_analyze_stream_memory_does_not_grow_with_the_corpus(self):
+    def test_filters_on_different_fields_do_not_share_tokens(self):
+        """Word-based filters reading different fields each tokenise their own
+        field: the fused batch context is per field."""
+        rows = parity_rows()
+        titled = [{**row, "title": other.get("text")} for row, other in zip(rows, reversed(rows))]
+        analyzer = Analyzer(analysis_process=[
+            {"words_num_filter": {}},
+            {"stopwords_filter": {"text_key": "title"}},
+            {"word_repetition_filter": {"text_key": "title"}},
+            {"flagged_words_filter": {}},
+        ])
+        expected = per_row_probe(analyzer, titled)
+        assert probe_parts(analyzer.analyze(NestedDataset.from_list(copy.deepcopy(titled)))) == expected
+        assert probe_parts(analyzer.analyze_stream(iter(copy.deepcopy(titled)))) == expected
+
+    def test_analyze_stream_memory_is_bounded_by_the_chunk_budget(self):
         """A lazy corpus of ~16k-character rows at N and 4N rows: the traced
-        peak stays flat, because only the stats values outlive a chunk.  N
-        covers two of the 1024-record blocks the chunker reads at a time."""
+        peak holds a few chunks of ``TARGET_BATCH_CHARS`` characters, not a
+        read-ahead of the stream, and does not grow with the corpus."""
 
         def long_rows(count):
             for index in range(count):
@@ -238,6 +254,7 @@ class TestBatchedProbe:
 
         def peak_bytes(count):
             analyzer = Analyzer(analysis_process=[{"text_length_filter": {}}], with_diversity=False)
+            analyzer.analyze_stream(long_rows(1))  # one-time imports are not the stream's memory
             tracemalloc.start()
             try:
                 assert analyzer.analyze_stream(long_rows(count)).num_samples == count
@@ -245,8 +262,8 @@ class TestBatchedProbe:
             finally:
                 tracemalloc.stop()
 
-        rows = 2048
+        rows = 64
         small, large = peak_bytes(rows), peak_bytes(4 * rows)
+        budget = 4 * Filter.TARGET_BATCH_CHARS  # two chunks alive at once, with slack
+        assert small < budget and large < budget, (small, large, budget)
         assert large < 1.5 * small, (small, large)
-        # the peak holds a bounded slice of the corpus, not all of it
-        assert large < 0.5 * 4 * rows * 16_000
