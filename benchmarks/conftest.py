@@ -76,3 +76,10 @@ def best_of_interleaved(legs: dict, seconds, repetitions: int = 3) -> dict:
 def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` exactly once under the pytest-benchmark fixture."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def report_claims(title: str, claims: dict[str, bool]) -> None:
+    """Print each paper claim as measured here or not shown by the measurement."""
+    print(f"\n--- {title}: paper claims ---")
+    for claim, shown in claims.items():
+        print(f"  [{'measured' if shown else 'NOT SHOWN'}] {claim}")

@@ -4,9 +4,18 @@ Paper result: models fine-tuned on Data-Juicer recipes win more pairwise
 comparisons than (a) models tuned on larger competitive open datasets
 (Alpaca / Belle) and (b) models tuned on equal-size random mixtures, for both
 the English and the Chinese scenario.
+
+Here the judge compares two proxy models on each of a fixed set of clean
+synthetic chat prompts in the scenario's language (built from a seed no
+training pool uses): the model giving the prompt the higher mean log2
+probability per token wins it.  In the English scenario Data-Juicer wins
+both comparisons here, and it still wins them with every refine recipe
+replaced by an identity recipe (the usage-tag filter and the diversity
+sampler of the construction remain), so those two are printed, not asserted:
+they do not show what the refine recipe does.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table, report_claims, run_once
 
 from repro.core.dataset import concatenate_datasets
 from repro.recipes import (
@@ -26,7 +35,7 @@ FINETUNE_TOKEN_BUDGET = 6_000
 def _scenario(language: str, seed: int) -> list[dict]:
     pool = build_finetune_pool(num_datasets=8, samples_per_dataset=70, seed=seed)
     trainer = ProxyTrainer()
-    judge = PairwiseJudge(num_prompts=NUM_PROMPTS, seed=seed)
+    judge = PairwiseJudge(num_prompts=NUM_PROMPTS, language=language)
 
     # all baselines of a scenario use the same language as the Data-Juicer
     # recipe they are compared with (Alpaca/Random-EN vs Belle/Random-ZH in
@@ -59,6 +68,8 @@ def _scenario(language: str, seed: int) -> list[dict]:
                 "juicer_wins": result.wins_a,
                 "baseline_wins": result.wins_b,
                 "ties": result.ties,
+                "juicer_flagged": model_juicer.flagged_exposure,
+                "baseline_flagged": baseline_model.flagged_exposure,
             }
         )
     return rows
@@ -71,9 +82,14 @@ def reproduce_table3() -> list[dict]:
 def test_table3_finetune_winrate(benchmark):
     rows = run_once(benchmark, reproduce_table3)
     print_table("Table 3: pairwise win/tie counts (judge over %d prompts)" % NUM_PROMPTS, rows)
+    claims = {
+        f"Data-Juicer wins more prompts: {row['scenario']}": row["juicer_wins"] > row["baseline_wins"]
+        for row in rows
+    }
+    report_claims("Table 3", claims)
+    # the Chinese Data-Juicer recipe wins both pairwise comparisons...
+    assert claims["Data-Juicer wins more prompts: ZH vs open baseline"]
+    assert claims["Data-Juicer wins more prompts: ZH vs random sampling"]
     for row in rows:
-        # Data-Juicer recipes win every pairwise comparison...
-        assert row["juicer_wins"] > row["baseline_wins"], row
-        # ...while never using more data than the baseline they beat
+        # ...while no recipe uses more data than the baseline it is compared with
         assert row["juicer_samples"] <= row["baseline_samples"], row
-        assert row["juicer_wins"] + row["baseline_wins"] + row["ties"] == NUM_PROMPTS

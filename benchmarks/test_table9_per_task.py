@@ -1,20 +1,33 @@
-"""Table 9 — per-task scores on the 16 HELM core tasks for the compared models.
+"""Table 9 — the per-task breakdown behind Table 2.
 
-Paper result: the per-task breakdown behind Table 2; the Data-Juicer model
-wins or ties the raw-data baselines on most of the 16 tasks, and the IFT
-continuation improves several knowledge/QA tasks further.
+Paper result: the Data-Juicer model wins or ties the raw-data baselines on
+most of the 16 HELM core tasks, and the IFT continuation improves several
+tasks further.
+
+Here the 16 tasks are replaced by one clean held-out slice per synthetic
+source of the pre-training mixture, and a model is scored by its bigram
+language model's perplexity on each slice (lower is better).  Claims the
+measurement does not show are printed, not asserted.  So is "the IFT
+continuation improves several sources further": it holds, but it holds as well
+with every refine recipe replaced by an identity recipe, so it shows what the
+IFT data adds, not what refining does.
 """
 
-from conftest import print_table, run_once
+from conftest import print_table, report_claims, run_once
 
 from repro.core.dataset import concatenate_datasets
 from repro.recipes import build_finetune_pool, build_pretrain_mixture, data_juicer_finetune_dataset
-from repro.tools.evaluator import Evaluator, ProxyTrainer, task_names
+from repro.tools.evaluator import Evaluator, ProxyTrainer, source_slices
+
+#: the synthetic sources of the pre-training mixture (``repro.recipes.pretrain``)
+SOURCES = ["common_crawl", "c4", "github", "books", "wikipedia", "arxiv", "stackexchange"]
+RAW = ("Falcon-like (raw)", "Pythia-like (raw)")
+POOLED = "all sources (pooled)"
 
 
 def reproduce_table9() -> list[dict]:
     trainer = ProxyTrainer()
-    evaluator = Evaluator()
+    evaluator = Evaluator(source_slices(SOURCES))
 
     raw = build_pretrain_mixture(samples_per_component=30, include_pile_like=True)
     refined = build_pretrain_mixture(samples_per_component=30, include_pile_like=True, refined=True)
@@ -22,8 +35,8 @@ def reproduce_table9() -> list[dict]:
     ift = data_juicer_finetune_dataset(pool, num_samples=120, language="EN", usage="IFT", seed=3)
 
     models = {
-        "Falcon-like (raw)": trainer.train(raw, name="Falcon-like (raw)", num_tokens=24_000),
-        "Pythia-like (raw)": trainer.train(raw.shuffle(seed=2), name="Pythia-like (raw)", num_tokens=24_000),
+        RAW[0]: trainer.train(raw, name=RAW[0], num_tokens=24_000),
+        RAW[1]: trainer.train(raw.shuffle(seed=2), name=RAW[1], num_tokens=24_000),
         "Data-Juicer": trainer.train(refined, name="Data-Juicer", num_tokens=12_000),
         "Data-Juicer IFT": trainer.train(
             concatenate_datasets([refined, ift]), name="Data-Juicer IFT", num_tokens=14_000
@@ -32,27 +45,32 @@ def reproduce_table9() -> list[dict]:
     reports = {name: evaluator.evaluate(model) for name, model in models.items()}
 
     rows = []
-    for task in task_names():
-        rows.append({"task": task, **{name: reports[name].task_scores[task] for name in models}})
-    rows.append({"task": "AVERAGE", **{name: reports[name].average_score for name in models}})
+    for source in SOURCES:
+        row = {"source": source, **{name: reports[name].perplexities[source] for name in models}}
+        row["refined_beats_raw"] = row["Data-Juicer"] < min(row[name] for name in RAW)
+        row["ift_improves"] = row["Data-Juicer IFT"] < row["Data-Juicer"]
+        rows.append(row)
+    rows.append({"source": POOLED, **{name: reports[name].perplexity for name in models}})
     return rows
+
+
+def table9_claims(rows: list[dict]) -> dict[str, bool]:
+    per_source, pooled = rows[:-1], rows[-1]
+    wins = sum(row["refined_beats_raw"] for row in per_source)
+    return {
+        "refined beats both raw models on most sources": 2 * wins > len(per_source),
+        "refined beats both raw models on every source": wins == len(per_source),
+        "refined beats both raw models over all sources pooled": pooled["Data-Juicer"] < min(pooled[name] for name in RAW),
+        "the IFT continuation improves several sources further": sum(row["ift_improves"] for row in per_source) >= 2,
+    }
 
 
 def test_table9_per_task(benchmark):
     rows = run_once(benchmark, reproduce_table9)
-    print_table("Table 9: per-task scores on the 16 HELM core tasks", rows)
+    print_table("Table 9: held-out perplexity per source (lower is better)", rows)
+    claims = table9_claims(rows)
+    report_claims("Table 9", claims)
 
-    assert len(rows) == 17  # 16 tasks + average row
-    average = rows[-1]
-    # the refined model beats both raw baselines on the average row
-    assert average["Data-Juicer"] > average["Falcon-like (raw)"]
-    assert average["Data-Juicer"] > average["Pythia-like (raw)"]
-    # and wins (or ties) both raw baselines on a substantial share of the
-    # individual tasks despite training on half the tokens (the paper's
-    # Table 9 shows the same mixed-but-favourable per-task picture)
-    wins = sum(
-        1 for row in rows[:-1] if row["Data-Juicer"] >= max(row["Falcon-like (raw)"], row["Pythia-like (raw)"])
-    )
-    assert wins >= 6
-    # the IFT continuation does not hurt the overall average
-    assert average["Data-Juicer IFT"] >= average["Data-Juicer"] - 1.0
+    # the refined model beats both raw baselines on most sources despite
+    # training on half the tokens (the paper's mixed-but-favourable picture)
+    assert claims["refined beats both raw models on most sources"]

@@ -3,8 +3,8 @@
 
 Steps: (1) analyze the original dataset, (2) refine the recipe via HPO on one
 filter threshold, (3) process with the refined recipe, (4) analyze again,
-(5) train proxy models on the original and refined data, (6) collate results
-on the leaderboard against reference models.
+(5) train proxy models on the original and refined data, (6) collate their
+held-out perplexity on the leaderboard against reference models.
 
 Run with::
 

@@ -4,7 +4,8 @@
 Builds a pool of tagged instruction datasets, derives two equal-size training
 sets — random sampling versus the Data-Juicer recipe (tag filtering +
 refinement + diversity-aware sampling) — fine-tunes a proxy model on each and
-compares them with the pairwise judge.
+compares them with the pairwise judge: on each clean held-out chat prompt, the
+model giving it the higher likelihood wins.
 
 Run with::
 

@@ -3,8 +3,8 @@
 
 Builds the RedPajama-like, RedPajama+Pile-like and Data-Juicer-refined
 mixtures, trains a proxy model on each at increasing token budgets and prints
-the average benchmark score per budget — the same curve the paper reports for
-its 1.3B LLaMA runs, reproduced in miniature.
+its held-out perplexity per budget (lower is better) — the curve the paper
+reports for its 1.3B LLaMA runs, measured in miniature.
 
 Run with::
 
@@ -31,13 +31,12 @@ def main() -> None:
 
     print(f"{'corpus':<32} " + " ".join(f"{budget:>9}" for budget in token_budgets))
     for name, corpus in corpora.items():
-        scores = []
+        perplexities = []
         for budget in token_budgets:
             model = trainer.train(corpus, name=f"{name}@{budget}", num_tokens=budget)
-            report = evaluator.evaluate(model)
-            scores.append(report.average_score)
+            perplexities.append(evaluator.evaluate(model).perplexity)
         leaderboard.add(evaluator.evaluate(trainer.train(corpus, name=name)))
-        print(f"{name:<32} " + " ".join(f"{score:>9.2f}" for score in scores))
+        print(f"{name:<32} " + " ".join(f"{value:>9.1f}" for value in perplexities))
 
     print("\n" + leaderboard.render())
 

@@ -25,9 +25,9 @@ class FusedFilter(Filter):
     _name = "fused_filter"
 
     def __init__(self, fused_filters: Sequence[Filter]):
-        super().__init__()
         if not fused_filters:
             raise ValueError("FusedFilter needs at least one member filter")
+        super().__init__(text_key=fused_filters[0].text_key)
         self.fused_filters = list(fused_filters)
         self._name = "fused_filter(" + ",".join(op.name for op in self.fused_filters) + ")"
         # inherit the members' batch-size tuning (first explicit setting wins)
@@ -111,27 +111,23 @@ class FusedFilter(Filter):
         return current, flags
 
 
-def _share_context(left: Filter, right: Filter) -> bool:
-    """Two filters are fusible together when they share at least one context key."""
-    return bool(set(left.context_keys) & set(right.context_keys))
+def fusible_positions(members: Sequence[tuple[frozenset, str]]) -> list[int]:
+    """Positions of the filters that can share one context, given each one's
+    ``(context keys, text key)``: a filter is fusible when another filter of
+    its group reads the same text field and shares a context key with it.
 
-
-def _split_filter_group(group: list[Filter]) -> tuple[list[Filter], list[Filter]]:
-    """Split a group of consecutive filters into (non-fusible, fusible) members.
-
-    A filter is fusible when it declares context keys shared with at least one
-    other filter of the group.
+    The shared context (the word list, the lines, ...) holds one field's
+    values, so filters on different fields never fuse.  ``repro dataflow``
+    calls this too, so the checker and the engine group alike.
     """
-    fusible: list[Filter] = []
-    non_fusible: list[Filter] = []
-    for candidate in group:
-        if candidate.context_keys and any(
-            other is not candidate and _share_context(candidate, other) for other in group
-        ):
-            fusible.append(candidate)
-        else:
-            non_fusible.append(candidate)
-    return non_fusible, fusible
+    return [
+        index
+        for index, (keys, field) in enumerate(members)
+        if any(
+            other != index and other_field == field and keys & other_keys
+            for other, (other_keys, other_field) in enumerate(members)
+        )
+    ]
 
 
 def fuse_operators(ops: Sequence) -> list:
@@ -140,10 +136,10 @@ def fuse_operators(ops: Sequence) -> list:
     The procedure follows Figure 6 of the paper:
 
     1. find maximal groups of consecutive Filters (other OP types break groups);
-    2. within each group, fuse the >1 fusible members into one
-       :class:`FusedFilter` and reorder it to the end of the group;
-    3. groups with 0 or 1 fusible member keep their membership, with the single
-       fusible member (if any) moved last.
+    2. within each group, fuse the fusible members (:func:`fusible_positions`)
+       into one :class:`FusedFilter` per text field and reorder them to the
+       end of the group;
+    3. the other members keep their order.
     """
     fused_list: list = []
     group: list[Filter] = []
@@ -151,12 +147,12 @@ def fuse_operators(ops: Sequence) -> list:
     def flush_group() -> None:
         if not group:
             return
-        non_fusible, fusible = _split_filter_group(group)
-        fused_list.extend(non_fusible)
-        if len(fusible) > 1:
-            fused_list.append(FusedFilter(fusible))
-        elif fusible:
-            fused_list.extend(fusible)
+        positions = fusible_positions([(frozenset(op.context_keys), op.text_key) for op in group])
+        fused_fields: dict[str, list[Filter]] = {}
+        for position in positions:
+            fused_fields.setdefault(group[position].text_key, []).append(group[position])
+        fused_list.extend(op for position, op in enumerate(group) if position not in positions)
+        fused_list.extend(FusedFilter(members) for members in fused_fields.values())
         group.clear()
 
     for op in ops:

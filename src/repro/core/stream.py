@@ -86,9 +86,11 @@ def iter_record_shards(
     characters of text, whichever comes first; with neither budget set,
     :data:`DEFAULT_SHARD_ROWS` applies.  A row budget decodes nothing; a
     character budget decodes each block to count its text (the shard keeps
-    its rows), so the boundaries are those of the decoded rows.  The rows
-    kept do not depend on them, but the keys of an exported row can: a shard
-    None-fills only the key union of its own rows (ROADMAP item 4).
+    its rows), so the boundaries are those of the decoded rows.  A row source
+    is read one row at a time, so no more than the open shard is read ahead.
+    The rows kept do not depend on the boundaries, but the keys of an
+    exported row can: a shard None-fills only the key union of its own rows
+    (ROADMAP item 4).
     """
     if max_rows is None and max_chars is None:
         max_rows = DEFAULT_SHARD_ROWS
@@ -96,13 +98,28 @@ def iter_record_shards(
         raise DatasetError("shard budgets must be >= 1")
     records = iter(records)
     first = next(records, None)
-    records = itertools.chain([first] if first is not None else [], records)
-    lines = isinstance(first, LineShard)
-    blocks = records if lines else iter(lambda: list(itertools.islice(records, 1024)), [])
-    join = LineShard.join if lines else (lambda parts: [*itertools.chain(*parts)])
+    if first is None:
+        return
+    records = itertools.chain([first], records)
+    if not isinstance(first, LineShard):
+        if max_chars is None:
+            while shard := list(itertools.islice(records, max_rows)):
+                yield shard
+            return
+        shard, chars = [], 0
+        for row in records:
+            shard.append(row)
+            text = row.get(Fields.text)
+            chars += len(text) if isinstance(text, str) else 0
+            if len(shard) == max_rows or chars >= max_chars:
+                yield shard
+                shard, chars = [], 0
+        if shard:
+            yield shard
+        return
     parts: list = []
     count = chars = 0
-    for block in blocks:
+    for block in records:
         if max_chars is not None:
             texts = (row.get(Fields.text) for row in source_rows(block))
             lengths = [len(text) if isinstance(text, str) else 0 for text in texts]
@@ -118,10 +135,10 @@ def iter_record_shards(
             parts.append(block[start:stop])
             count, start = count + stop - start, stop
             if count == max_rows or (max_chars is not None and chars >= max_chars):
-                shard, parts, count, chars = join(parts), [], 0, 0
+                shard, parts, count, chars = LineShard.join(parts), [], 0, 0
                 yield shard
     if parts:
-        yield join(parts)
+        yield LineShard.join(parts)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,9 @@ the way:
 ``fusion-unsafe`` (error)
     With ``op_fusion`` on, :func:`repro.core.fusion.fuse_operators` moves the
     fusible members of a consecutive-filter group *after* its non-fusible
-    members.  A non-fusible filter consuming stats produced by a fusible
+    members; the checker picks them with the engine's own
+    :func:`~repro.core.fusion.fusible_positions` (same text field, a shared
+    context key).  A non-fusible filter consuming stats produced by a fusible
     member of its own group therefore runs before its producer — regardless
     of the order written in the recipe.
 
@@ -49,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.core.fusion import fusible_positions
 from repro.core.registry import suggestion_hint
 from repro.core.sample import Fields
 from repro.tools.dataflow.effects import (
@@ -360,35 +363,28 @@ def check_steps(
         ))
 
     if op_fusion:
-        findings.extend(_fusion_findings(resolved))
+        fields = [
+            {**signature.param_defaults, **(params or {})}.get("text_key") if signature else None
+            for (_, params), (_, signature, _) in zip(steps, resolved)
+        ]
+        findings.extend(_fusion_findings(resolved, fields))
     findings.extend(_stream_findings(resolved))
 
     findings.sort(key=lambda f: (f.index, f.rule, f.field))
     return findings
 
 
-def _fusion_findings(resolved: list) -> list[DataflowFinding]:
+def _fusion_findings(resolved: list, fields: list[str]) -> list[DataflowFinding]:
     """Mirror ``fuse_operators``: fused filters run *after* group leftovers."""
     findings: list[DataflowFinding] = []
     group: list[int] = []
 
     def flush() -> None:
-        if len(group) < 2:
-            group.clear()
-            return
-        contexts = {
-            i: resolved[i - 1][2].context for i in group if resolved[i - 1][2]
-        }
-        fusible = {
-            i
+        members = [
+            (resolved[i - 1][2].context if resolved[i - 1][2] else frozenset(), fields[i - 1])
             for i in group
-            if contexts.get(i)
-            and any(
-                contexts[i] & contexts.get(j, frozenset())
-                for j in group
-                if j != i
-            )
-        }
+        ]
+        fusible = {group[position] for position in fusible_positions(members)}
         if len(fusible) >= 2:
             produced = {}
             for i in sorted(fusible):

@@ -1,27 +1,29 @@
-"""Proxy LLM training, auto-evaluation harness, leaderboard, reference models and judge."""
+"""Proxy LLM training, held-out evaluation, leaderboard, reference models and judge."""
 
-from repro.tools.evaluator.benchmarks import HELM_CORE_TASKS, BenchmarkTask, get_task, task_names
-from repro.tools.evaluator.harness import EvaluationReport, Evaluator, Leaderboard
+from repro.tools.evaluator.harness import (
+    EvaluationReport,
+    Evaluator,
+    Leaderboard,
+    reference_slice,
+    source_slices,
+)
 from repro.tools.evaluator.judge import JudgeResult, PairwiseJudge
 from repro.tools.evaluator.ngram_lm import BigramLanguageModel, tokenize
 from repro.tools.evaluator.reference_models import ReferenceModel, ReferenceModelRegistry
-from repro.tools.evaluator.trainer import ProxyLLM, ProxyTrainer, REFERENCE_TOKENS
+from repro.tools.evaluator.trainer import ProxyLLM, ProxyTrainer
 
 __all__ = [
-    "BenchmarkTask",
     "BigramLanguageModel",
     "EvaluationReport",
     "Evaluator",
-    "HELM_CORE_TASKS",
     "JudgeResult",
     "Leaderboard",
     "PairwiseJudge",
     "ProxyLLM",
     "ProxyTrainer",
-    "REFERENCE_TOKENS",
     "ReferenceModel",
     "ReferenceModelRegistry",
-    "get_task",
-    "task_names",
+    "reference_slice",
+    "source_slices",
     "tokenize",
 ]

@@ -2,17 +2,19 @@
 
 The paper scores fine-tuning recipes by asking GPT-4 to compare responses of
 two models on a prompt set and tallying wins/ties (Table 3).  The stand-in
-judge compares two proxy models prompt by prompt using a deterministic quality
-criterion: per-prompt response quality is drawn from each model's component
-scores (fluency, diversity, cleanliness) plus a prompt-specific perturbation,
-and a win is declared when the margin exceeds a tie threshold.
+judge compares two proxy models prompt by prompt on what each model measures
+there: prompt *i* is the *i*-th row of a fixed clean synthetic chat set in the
+scenario's language, and a model's quality on it is its mean log2 probability
+per token of that row.  A win is a margin above the tie threshold.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
+from repro.core.sample import Fields
+from repro.synth.corpora import instruction_dataset
+from repro.tools.evaluator.harness import REFERENCE_SEED
 from repro.tools.evaluator.trainer import ProxyLLM
 
 
@@ -47,31 +49,26 @@ class JudgeResult:
 
 
 class PairwiseJudge:
-    """Deterministic pairwise comparison over a fixed number of prompts."""
+    """Deterministic pairwise comparison over a fixed clean prompt set."""
 
-    def __init__(self, num_prompts: int = 160, tie_margin: float = 0.04, seed: int = 7):
-        self.num_prompts = num_prompts
+    def __init__(self, num_prompts: int = 160, tie_margin: float = 0.0, language: str = "en"):
         self.tie_margin = tie_margin
-        self.seed = seed
-
-    def _response_quality(self, model: ProxyLLM, prompt_index: int) -> float:
-        components = model.component_scores()
-        base = (
-            0.4 * components["fluency"]
-            + 0.3 * components["diversity"]
-            + 0.2 * components["cleanliness"]
-            + 0.1 * components["dedup"]
+        prompts = instruction_dataset(
+            num_samples=num_prompts, seed=REFERENCE_SEED, language=language.lower(), usage="CFT", quality=1.0
         )
-        digest = hashlib.md5(f"{self.seed}:{model.name}:{prompt_index}".encode("utf-8")).digest()
-        perturbation = (digest[0] / 255.0 - 0.5) * 0.12
-        return base + perturbation
+        self.prompts = [row[Fields.text] for row in prompts]
+
+    def _quality(self, model: ProxyLLM, prompt: str) -> float:
+        """Mean log2 probability per token of the prompt under the model."""
+        log_prob, count = model.language_model.log2_likelihood([prompt])
+        return log_prob / count if count else 0.0
 
     def compare(self, model_a: ProxyLLM, model_b: ProxyLLM) -> JudgeResult:
         """Judge both models on every prompt and tally wins/ties."""
         wins_a = wins_b = ties = 0
-        for prompt_index in range(self.num_prompts):
-            quality_a = self._response_quality(model_a, prompt_index)
-            quality_b = self._response_quality(model_b, prompt_index)
+        for prompt in self.prompts:
+            quality_a = self._quality(model_a, prompt)
+            quality_b = self._quality(model_b, prompt)
             if abs(quality_a - quality_b) <= self.tie_margin:
                 ties += 1
             elif quality_a > quality_b:

@@ -21,6 +21,11 @@ _BOS = "<s>"
 _UNK = "<unk>"
 
 
+def perplexity_of(log_prob: float, count: int) -> float:
+    """Perplexity from a summed log2 likelihood over ``count`` tokens (inf with none)."""
+    return float(2 ** (-log_prob / count)) if count else float("inf")
+
+
 def tokenize(text: str) -> list[str]:
     """Word-level tokenisation used by the proxy model."""
     return words_refinement(get_words_from_text(text, lowercase=True))
@@ -83,20 +88,21 @@ class BigramLanguageModel:
             + (1.0 - self.interpolation) * self._unigram_prob(token)
         )
 
-    def perplexity(self, texts: list[str]) -> float:
-        """Held-out perplexity of the model on a list of texts."""
+    def log2_likelihood(self, texts: list[str]) -> tuple[float, int]:
+        """Summed log2 P(token | previous) over the texts, and their token count."""
         log_prob = 0.0
         count = 0
         for text in texts:
-            tokens = tokenize(text)
             previous = _BOS
-            for token in tokens:
+            for token in tokenize(text):
                 log_prob += math.log2(max(self.probability(previous, token), 1e-12))
                 previous = token
                 count += 1
-        if count == 0:
-            return float("inf")
-        return float(2 ** (-log_prob / count))
+        return log_prob, count
+
+    def perplexity(self, texts: list[str]) -> float:
+        """Held-out perplexity of the model on a list of texts."""
+        return perplexity_of(*self.log2_likelihood(texts))
 
     def generate(self, num_tokens: int = 50, seed: int = 0) -> list[str]:
         """Sample a token sequence from the model (greedy-ish multinomial sampling)."""

@@ -20,8 +20,8 @@ class ReferenceModel:
     name: str
     training_data: str
     num_tokens: int
-    average_score: float
-    task_scores: dict[str, float] = field(default_factory=dict)
+    perplexity: float
+    perplexities: dict[str, float] = field(default_factory=dict)
     recipe: dict = field(default_factory=dict)
     notes: str = ""
 
@@ -31,8 +31,8 @@ class ReferenceModel:
             "name": self.name,
             "training_data": self.training_data,
             "num_tokens": self.num_tokens,
-            "average_score": self.average_score,
-            "task_scores": dict(self.task_scores),
+            "perplexity": self.perplexity,
+            "perplexities": dict(self.perplexities),
             "notes": self.notes,
         }
 
@@ -63,8 +63,8 @@ class ReferenceModelRegistry:
             name=report.model_name,
             training_data=training_data,
             num_tokens=num_tokens,
-            average_score=report.average_score,
-            task_scores=dict(report.task_scores),
+            perplexity=report.perplexity,
+            perplexities=dict(report.perplexities),
             recipe=dict(recipe or {}),
             notes=notes,
         )
@@ -83,9 +83,9 @@ class ReferenceModelRegistry:
         return name in self._models
 
     def all(self) -> list[ReferenceModel]:
-        """All registered models, best average score first."""
-        return sorted(self._models.values(), key=lambda model: model.average_score, reverse=True)
+        """All registered models, best (lowest) held-out perplexity first."""
+        return sorted(self._models.values(), key=lambda model: model.perplexity)
 
     def comparison_table(self) -> list[dict]:
-        """Rows of (model, data, tokens, score) — the Table 2-style comparison."""
+        """Rows of (model, data, tokens, perplexity) — the Table 2-style comparison."""
         return [model.as_dict() for model in self.all()]

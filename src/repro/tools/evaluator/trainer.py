@@ -1,15 +1,13 @@
 """Proxy LLM training: turn a processed dataset into a measurable model.
 
 ``ProxyTrainer.train`` fits the bigram language model on (up to) a token
-budget drawn from the dataset, and records the corpus-level properties that
-the benchmark suite converts into task scores: held-out perplexity against a
-fixed clean reference, generation diversity, flagged-word exposure, duplicate
-fraction, source diversity and the effective token count.
+budget drawn from the dataset and records counts of the corpus it saw: the
+effective token count, flagged-word exposure, duplicate fraction, number of
+sources, verb-noun diversity and the diversity of the model's generations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.analysis.diversity_analysis import DiversityAnalysis
@@ -18,89 +16,30 @@ from repro.core.sample import Fields
 from repro.ops.common.flagged_words import FLAGGED_WORDS_EN
 from repro.tools.evaluator.ngram_lm import BigramLanguageModel, tokenize
 
-#: Reference point used to normalise token-count coverage (a "full" training run).
-REFERENCE_TOKENS = 200_000
-
-
-def _reference_texts(seed: int = 1234, num_docs: int = 40) -> list[str]:
-    """A fixed clean held-out set used for perplexity evaluation."""
-    from repro.synth.generators import DocumentGenerator
-
-    generator = DocumentGenerator(seed)
-    return [generator.document(num_paragraphs=3) for _ in range(num_docs)]
-
 
 @dataclass
 class ProxyLLM:
-    """A trained proxy model plus the corpus measurements behind its scores."""
+    """A trained proxy model plus counts measured on the corpus it was trained on.
+
+    The counts are reported next to the evaluation, not folded into it: a
+    model is scored only by its language model's held-out likelihood
+    (:class:`~repro.tools.evaluator.harness.Evaluator`).
+    """
 
     name: str
     language_model: BigramLanguageModel
     effective_tokens: int
-    held_out_perplexity: float
     generation_diversity: float
     flagged_exposure: float
     duplicate_fraction: float
-    source_diversity: float
+    num_sources: int
     verb_noun_diversity: float
     training_tokens_requested: int | None = None
     metadata: dict = field(default_factory=dict)
 
-    # ------------------------------------------------------------------
-    # Normalised component scores in [0, 1] consumed by the benchmark suite.
-    # ------------------------------------------------------------------
-    def coverage_score(self) -> float:
-        """Log-scaled token-count coverage relative to the reference budget."""
-        return min(1.0, math.log1p(self.effective_tokens) / math.log1p(REFERENCE_TOKENS))
-
-    def fluency_score(self) -> float:
-        """Held-out LM quality: decreases with perplexity."""
-        if math.isinf(self.held_out_perplexity):
-            return 0.0
-        return 1.0 / (1.0 + self.held_out_perplexity / 300.0)
-
-    def diversity_score(self) -> float:
-        """Blend of generation diversity, corpus verb–noun diversity and source mix."""
-        return min(
-            1.0,
-            0.5 * self.generation_diversity
-            + 0.3 * self.verb_noun_diversity
-            + 0.2 * self.source_diversity,
-        )
-
-    def cleanliness_score(self) -> float:
-        """Penalty-free score for low flagged-word exposure.
-
-        Toxic/low-quality exposure is penalised steeply: even a fraction of a
-        percent of flagged tokens in the training corpus measurably degrades
-        alignment-sensitive benchmarks (the paper's motivation for filtering).
-        """
-        return max(0.0, 1.0 - 50.0 * self.flagged_exposure)
-
-    def dedup_score(self) -> float:
-        """Penalty-free score for low duplicate fraction.
-
-        Duplicates hurt disproportionately (memorisation, wasted compute), so
-        the penalty is a multiple of the raw duplicate fraction.
-        """
-        return max(0.0, 1.0 - 2.5 * self.duplicate_fraction)
-
-    def component_scores(self) -> dict[str, float]:
-        """All component scores keyed by name."""
-        return {
-            "coverage": self.coverage_score(),
-            "fluency": self.fluency_score(),
-            "diversity": self.diversity_score(),
-            "cleanliness": self.cleanliness_score(),
-            "dedup": self.dedup_score(),
-        }
-
 
 class ProxyTrainer:
     """Fit :class:`ProxyLLM` models from processed datasets."""
-
-    def __init__(self, reference_seed: int = 1234):
-        self._reference = _reference_texts(seed=reference_seed)
 
     def train(
         self,
@@ -135,11 +74,10 @@ class ProxyTrainer:
             name=name,
             language_model=model,
             effective_tokens=model.total_tokens,
-            held_out_perplexity=model.perplexity(self._reference),
             generation_diversity=model.distinct_n(2),
             flagged_exposure=flagged / total if total else 0.0,
             duplicate_fraction=duplicates / len(dataset) if len(dataset) else 0.0,
-            source_diversity=min(1.0, len(sources) / 8.0),
+            num_sources=len(sources),
             verb_noun_diversity=diversity_report.diversity_score(),
             training_tokens_requested=num_tokens,
             metadata={"num_documents": len(dataset)},

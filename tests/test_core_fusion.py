@@ -81,6 +81,24 @@ class TestFuseOperators:
         assert fused[0].name == "text_length_filter"
         assert isinstance(fused[1], FusedFilter)
 
+    def test_filters_on_different_fields_fuse_per_field(self):
+        ops = [
+            build("words_num_filter", min_num=1),
+            build("stopwords_filter", min_ratio=0.0, text_key="title"),
+        ]
+        assert [op.name for op in fuse_operators(ops)] == [op.name for op in ops]
+        ops += [
+            build("word_repetition_filter"),
+            build("words_num_filter", min_num=1, text_key="title"),
+        ]
+        fused = fuse_operators(ops)
+        assert [type(op) for op in fused] == [FusedFilter, FusedFilter]
+        assert [op.text_key for op in fused] == ["text", "title"]
+        assert [[member.text_key for member in op.fused_filters] for op in fused] == [
+            ["text", "text"],
+            ["title", "title"],
+        ]
+
     def test_describe_plan_reports_members(self):
         plan = describe_plan(fuse_operators(self.fusible_filters()))
         assert plan[0]["category"] == "fused_filter"
@@ -102,6 +120,26 @@ class TestFusedExecution:
         for op in fuse_operators(filters):
             fused = op.run(fused)
         assert sorted(row["text"] for row in sequential) == sorted(row["text"] for row in fused)
+
+    def test_fusion_keeps_rows_and_stats_of_filters_on_two_fields(self):
+        from repro.core.executor import Executor
+
+        rows = [
+            {"text": "the cat and the dog are here now", "title": "zebra quokka"},
+            {"text": "zebra quokka walrus", "title": "the cat and the dog"},
+            {"text": "a", "title": "the end of it"},
+        ]
+        process = [
+            {"words_num_filter": {"min_num": 2}},
+            {"stopwords_filter": {"min_ratio": 0.3, "text_key": "title"}},
+        ]
+
+        def run(op_fusion):
+            recipe = {"process": process, "op_fusion": op_fusion}
+            return Executor(recipe).run(NestedDataset.from_list(rows)).to_list()
+
+        assert run(True) == run(False)
+        assert [row["title"] for row in run(True)] == ["the cat and the dog"]
 
     def test_fused_filter_cleans_context_from_output(self):
         from repro.core.sample import Fields

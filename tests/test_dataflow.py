@@ -294,6 +294,17 @@ class TestCheckerSemantics:
         loud = check_recipe(bad, signatures=fixture_signatures())
         assert [f.rule for f in loud.findings] == ["stream-unsafe", "stream-unsafe"]
 
+    def test_fusion_unsafe_groups_filters_by_text_field(self):
+        """The checker groups like ``fuse_operators``: alpha and beta share the
+        words context, but on two fields they do not fuse, so nothing moves
+        alpha behind the step that reads its stat."""
+        payload = json.loads((FIXTURE_DIR / "bad_fusion_unsafe.json").read_text())
+        payload["process"][2]["wordcount_beta_filter"]["text_key"] = "title"
+        assert check_recipe(payload, signatures=fixture_signatures()).findings == []
+        payload["process"][0]["wordcount_alpha_filter"]["text_key"] = "title"
+        loud = check_recipe(payload, signatures=fixture_signatures())
+        assert pairs(loud.findings) == [("fusion-unsafe", 2)]
+
     def test_dataflow_ignore_suppresses_findings(self):
         payload = dict(BROKEN_RECIPE, dataflow_ignore=["undefined-read@1"])
         result = check_recipe(payload)

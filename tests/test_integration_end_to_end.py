@@ -71,7 +71,7 @@ class TestRefinementLoop:
         evaluator = Evaluator()
         refined_report = evaluator.evaluate(trainer.train(refined_corpus, name="refined"))
         raw_report = evaluator.evaluate(trainer.train(raw_corpus, name="raw"))
-        assert refined_report.average_score > raw_report.average_score
+        assert refined_report.perplexity < raw_report.perplexity
 
     def test_judge_prefers_refined_model(self, raw_corpus, refined_corpus):
         trainer = ProxyTrainer()

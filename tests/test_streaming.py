@@ -91,6 +91,25 @@ class TestIterRecordShards:
         with pytest.raises(DatasetError):
             list(iter_record_shards(iter([]), max_rows=0))
 
+    @pytest.mark.parametrize("budget", [{"max_chars": 64_000}, {"max_rows": 4}])
+    def test_a_row_source_is_read_no_further_than_its_open_shard(self, budget):
+        """Lazily generated ~16k-char rows, N and 4N of them: the traced peak
+        stays within a few 64 k-char shards at both sizes (one shard is four
+        rows), so it is bounded by the shard budget, not by a read-ahead."""
+
+        def long_rows(count):
+            for index in range(count):
+                yield {"text": f"{index:08d}" + "x" * 16_000}
+
+        peaks = []
+        for count in (256, 1024):
+            tracemalloc.start()
+            sizes = [len(shard) for shard in iter_record_shards(long_rows(count), **budget)]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert sizes == [4] * (count // 4)
+        assert max(peaks) < 4 * 64_000, peaks
+
 
 class TestPlanSegments:
     def test_sample_ops_merge_into_one_segment(self):
