@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.diversity_analysis import DiversityAnalysis, DiversityReport
 from repro.analysis.histogram import BoxPlot, Histogram, build_box_plot, build_histogram
@@ -30,7 +30,8 @@ from repro.core.base_op import Filter
 from repro.core.batch import DEFAULT_BATCH_SIZE, batch_length, rows_to_batch
 from repro.core.dataset import NestedDataset
 from repro.core.fusion import FusedFilter
-from repro.core.sample import Fields, get_field
+from repro.core.sample import Fields
+from repro.core.stream import iter_record_shards
 from repro.ops import load_ops
 
 #: Filters whose statistics form the default 13-dimension data probe.
@@ -159,24 +160,13 @@ class Analyzer:
         """Analyze a lazy record stream with bounded memory.
 
         The records are folded like :meth:`analyze`'s batches, so the probe
-        is identical to :meth:`analyze` over the materialised dataset.
+        is identical to :meth:`analyze` over the materialised dataset.  The
+        stream is cut as it is read, at the ops' row budget or
+        ``TARGET_BATCH_CHARS`` characters of the text field, so no more than
+        one chunk of it is read ahead.
         """
-        return self._fold(self._chunks(records))
-
-    def _chunks(self, records: Iterable[dict]) -> Iterator[dict]:
-        """Column batches of ``records``, each closed as it is read once it
-        holds the ops' row budget or ``TARGET_BATCH_CHARS`` characters of
-        text, so no more than one chunk of the stream is read ahead."""
-        chunk, chars = [], 0
-        for record in records:
-            chunk.append(record)
-            text = get_field(record, self.text_key)
-            chars += len(text) if isinstance(text, str) else 0
-            if len(chunk) == self._rows or chars >= Filter.TARGET_BATCH_CHARS:
-                yield rows_to_batch(chunk)
-                chunk, chars = [], 0
-        if chunk:
-            yield rows_to_batch(chunk)
+        chunks = iter_record_shards(records, self._rows, Filter.TARGET_BATCH_CHARS, text_key=self.text_key)
+        return self._fold(map(rows_to_batch, chunks))
 
     def analyze_run(self, report: Mapping | str | Path) -> DataProbe:
         """Analyze the exported output of a finished run, out-of-core.

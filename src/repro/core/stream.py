@@ -49,7 +49,7 @@ from repro.core.base_op import OP, Deduplicator, Filter, Mapper, Selector
 from repro.core.batch import batch_select
 from repro.core.dataset import NestedDataset, _stable_hash, chain_fingerprint
 from repro.core.errors import DatasetError
-from repro.core.sample import Fields, HashKeys
+from repro.core.sample import Fields, HashKeys, get_field
 from repro.core.tracer import dropped_examples, pair_examples
 from repro.formats.source import LineShard, source_rows
 
@@ -78,12 +78,14 @@ def iter_record_shards(
     records: Iterable[Any],
     max_rows: int | None = None,
     max_chars: int | None = None,
+    text_key: str = Fields.text,
 ) -> Iterator[Any]:
     """Cut a lazy source (:mod:`repro.formats.source`: :class:`LineShard`
     blocks or rows) into shards of its shape: a :class:`LineShard` or a list.
 
     A shard closes when it holds ``max_rows`` rows or at least ``max_chars``
-    characters of text, whichever comes first; with neither budget set,
+    characters of text (the field at ``text_key``, which may be dotted),
+    whichever comes first; with neither budget set,
     :data:`DEFAULT_SHARD_ROWS` applies.  A row budget decodes nothing; a
     character budget decodes each block to count its text (the shard keeps
     its rows), so the boundaries are those of the decoded rows.  A row source
@@ -109,7 +111,7 @@ def iter_record_shards(
         shard, chars = [], 0
         for row in records:
             shard.append(row)
-            text = row.get(Fields.text)
+            text = get_field(row, text_key)
             chars += len(text) if isinstance(text, str) else 0
             if len(shard) == max_rows or chars >= max_chars:
                 yield shard
@@ -121,7 +123,7 @@ def iter_record_shards(
     count = chars = 0
     for block in records:
         if max_chars is not None:
-            texts = (row.get(Fields.text) for row in source_rows(block))
+            texts = (get_field(row, text_key) for row in source_rows(block))
             lengths = [len(text) if isinstance(text, str) else 0 for text in texts]
         start = 0
         while start < len(block):

@@ -13,8 +13,7 @@ sampling).
 from __future__ import annotations
 
 from repro.core.dataset import NestedDataset, concatenate_datasets
-from repro.core.executor import Executor
-from repro.recipes.registry import get_recipe
+from repro.recipes.registry import get_recipe, run_recipe
 from repro.synth.corpora import instruction_dataset
 from repro.tools.sampler.diversity import DiversitySampler
 
@@ -104,8 +103,7 @@ def data_juicer_finetune_dataset(
     recipe["process"].insert(
         0, {"specified_field_filter": {"field_key": "meta.usage", "target_values": [usage]}}
     )
-    with Executor(recipe) as executor:
-        refined = executor.run(merged)
+    refined = run_recipe(recipe, merged)
     if len(refined) <= num_samples:
         return refined
     return DiversitySampler(seed=seed).sample(refined, num_samples)

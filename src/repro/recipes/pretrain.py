@@ -8,7 +8,8 @@ assembles the three corpora compared in Figure 7:
 
 * ``redpajama``        — RedPajama-like components, unrefined;
 * ``redpajama_pile``   — RedPajama + Pile-like components, unrefined;
-* ``data_juicer``      — the same union refined with the built-in recipe.
+* ``data_juicer``      — the same union, each component refined by its own
+  built-in recipe before the mix (as the paper's Table 7 recipe does).
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.dataset import NestedDataset, dataset_token_count
-from repro.core.executor import Executor
 from repro.formats.mixture_formatter import mix_datasets
-from repro.recipes.registry import get_recipe
+from repro.recipes.registry import get_recipe, run_recipe
 from repro.synth import corpora
 
 #: Table 7 — component token counts (paper values, in tokens) and sampling
@@ -41,15 +41,16 @@ PRETRAIN_COMPONENTS: dict[str, dict] = {
     "NIH ExPorter": {"tokens": 436_414_852, "proportion": 0.0005, "epochs": 1.0},
 }
 
-#: mapping of the paper's components onto the synthetic corpus builders
+#: mapping of the paper's components onto the synthetic corpus builders and
+#: the built-in recipe that refines each one
 _COMPONENT_BUILDERS = {
-    "CommonCrawl": ("common_crawl", {}),
-    "C4": ("c4", {}),
-    "GitHub": ("github", {}),
-    "Books": ("books", {}),
-    "Wikipedia": ("wikipedia", {}),
-    "arXiv": ("arxiv", {}),
-    "StackExchange": ("stackexchange", {}),
+    "CommonCrawl": ("common_crawl", "pretrain-common-crawl-refine-en"),
+    "C4": ("c4", "pretrain-c4-refine-en"),
+    "GitHub": ("github", "pretrain-code-refine"),
+    "Books": ("books", "pretrain-books-refine-en"),
+    "Wikipedia": ("wikipedia", "pretrain-wikipedia-refine-en"),
+    "arXiv": ("arxiv", "pretrain-arxiv-refine-en"),
+    "StackExchange": ("stackexchange", "pretrain-stackexchange-refine-en"),
 }
 
 
@@ -83,9 +84,9 @@ def paper_table7_rows() -> list[dict]:
 def build_component_datasets(samples_per_component: int = 80, seed: int = 0) -> dict[str, NestedDataset]:
     """Build a synthetic counterpart of every mapped component."""
     datasets: dict[str, NestedDataset] = {}
-    for index, (component, (builder, kwargs)) in enumerate(_COMPONENT_BUILDERS.items()):
+    for index, (component, (builder, _)) in enumerate(_COMPONENT_BUILDERS.items()):
         datasets[component] = corpora.make_corpus(
-            builder, num_samples=samples_per_component, seed=seed + index * 101, **kwargs
+            builder, num_samples=samples_per_component, seed=seed + index * 101
         )
     return datasets
 
@@ -98,28 +99,24 @@ def build_pretrain_mixture(
 ) -> NestedDataset:
     """Assemble one of the three Figure 7 corpora.
 
-    ``include_pile_like=False`` models the RedPajama-only corpus (web-heavy
-    components only); ``refined=True`` additionally runs the built-in
-    refinement recipe over the mixture.
+    ``include_pile_like=False`` models the RedPajama-only corpus (without
+    StackExchange); ``refined=True`` first refines each component with the
+    built-in recipe named for it, then mixes the results with the same
+    weights and seed.
     """
     datasets = build_component_datasets(samples_per_component, seed)
     if not include_pile_like:
+        del datasets["StackExchange"]
+    if refined:
         datasets = {
-            name: dataset
+            name: run_recipe(get_recipe(_COMPONENT_BUILDERS[name][1]), dataset)
             for name, dataset in datasets.items()
-            if name in ("CommonCrawl", "C4", "GitHub", "Books", "Wikipedia", "arXiv", "StackExchange")
-            and name not in ("StackExchange",)
         }
     weights = {
         name: PRETRAIN_COMPONENTS[name]["proportion"] * PRETRAIN_COMPONENTS[name]["epochs"]
         for name in datasets
     }
-    mixture = mix_datasets(datasets, weights, seed=seed)
-    if refined:
-        recipe = get_recipe("pretrain-redpajama-pile-refine")
-        with Executor(recipe) as executor:
-            mixture = executor.run(mixture)
-    return mixture
+    return mix_datasets(datasets, weights, seed=seed)
 
 
 def mixture_stats(mixture: NestedDataset) -> list[MixtureStats]:

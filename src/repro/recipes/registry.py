@@ -10,8 +10,11 @@ methodology the paper describes.
 from __future__ import annotations
 
 import copy
+import tempfile
 
+from repro.core.dataset import NestedDataset
 from repro.core.errors import RegistryError
+from repro.core.executor import Executor
 from repro.core.registry import unknown_name_message
 
 # ----------------------------------------------------------------------
@@ -138,10 +141,6 @@ BUILT_IN_RECIPES: dict[str, dict] = {
             {"text_length_filter": {"min_len": 20}},
             {"document_deduplicator": {}},
         ],
-    ),
-    # --- the merged RedPajama + Pile refinement used by Figure 7 / Table 2 ---
-    "pretrain-redpajama-pile-refine": _recipe(
-        "pretrain-redpajama-pile-refine", _COMMON_CLEANING + _WEB_FILTERING + _DEDUP
     ),
     # --- fine-tuning recipes ---
     "finetune-ift-en-refine": _recipe(
@@ -280,3 +279,13 @@ def get_recipe(name: str) -> dict:
     if name not in BUILT_IN_RECIPES:
         raise RegistryError(unknown_name_message("recipe name", name, BUILT_IN_RECIPES))
     return copy.deepcopy(BUILT_IN_RECIPES[name])
+
+
+def run_recipe(recipe: dict, dataset: NestedDataset) -> NestedDataset:
+    """Run a recipe over an in-memory dataset and return the refined dataset.
+
+    The run's work directory (its ``report.json``, any trace) is a temporary
+    one, so nothing is written to the caller's working directory.
+    """
+    with tempfile.TemporaryDirectory() as work_dir, Executor({**recipe, "work_dir": work_dir}) as executor:
+        return executor.run(dataset)

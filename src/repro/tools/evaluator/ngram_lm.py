@@ -1,8 +1,8 @@
 """An interpolated bigram language model: the proxy "LLM" trained on recipes.
 
 The paper trains billion-parameter LLaMA models on its data recipes; the
-reproduction's substitute is a word-level bigram language model with absolute
-discounting and unigram interpolation.  It is small enough to train in
+reproduction's substitute is a word-level bigram language model with add-k
+smoothing, interpolated with an add-k unigram model.  It is small enough to train in
 milliseconds yet responds to the properties that matter for the evaluation:
 more training tokens reduce held-out perplexity, duplicated or noisy training
 text biases the distribution, and diverse corpora yield more diverse
@@ -39,6 +39,8 @@ class BigramLanguageModel:
         self.add_k = add_k
         self.unigram_counts: Counter = Counter()
         self.bigram_counts: dict[str, Counter] = defaultdict(Counter)
+        #: each context's bigram count total, kept as ``fit`` counts
+        self.context_totals: Counter = Counter()
         self.total_tokens = 0
 
     # ------------------------------------------------------------------
@@ -57,6 +59,7 @@ class BigramLanguageModel:
             for token in tokens:
                 self.unigram_counts[token] += 1
                 self.bigram_counts[previous][token] += 1
+                self.context_totals[previous] += 1
                 previous = token
             self.total_tokens += len(tokens)
         return self
@@ -78,8 +81,7 @@ class BigramLanguageModel:
         if not context:
             return self._unigram_prob(token)
         vocab = self.vocabulary_size + 1
-        total = sum(context.values())
-        return (context.get(token, 0) + self.add_k) / (total + self.add_k * vocab)
+        return (context.get(token, 0) + self.add_k) / (self.context_totals[previous] + self.add_k * vocab)
 
     def probability(self, previous: str, token: str) -> float:
         """Interpolated probability P(token | previous)."""

@@ -194,7 +194,7 @@ class TestValidateRecipe:
 
     def test_all_builtins_valid(self, capsys):
         assert main(["validate-recipe", "--all"]) == 0
-        assert "all 23 built-in recipes are valid" in capsys.readouterr().out
+        assert "all 22 built-in recipes are valid" in capsys.readouterr().out
 
     def test_bad_recipe_file_reports_every_problem(self, tmp_path, capsys):
         recipe_path = tmp_path / "bad.json"

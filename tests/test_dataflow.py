@@ -370,7 +370,7 @@ class TestCli:
 
     def test_dataflow_all_builtins_clean(self, capsys):
         assert main(["dataflow", "--all"]) == 0
-        assert "23/23" in capsys.readouterr().out or "dataflow-clean" in ""
+        assert "22/22" in capsys.readouterr().out or "dataflow-clean" in ""
 
     def test_lint_recipes_delegates_to_dataflow(self, capsys):
         assert main(["lint", "--recipes"]) == 0

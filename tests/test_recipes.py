@@ -9,6 +9,7 @@ from repro.recipes import (
     BUILT_IN_RECIPES,
     FINETUNE_CATEGORY_COUNTS,
     PRETRAIN_COMPONENTS,
+    build_component_datasets,
     build_finetune_pool,
     build_pretrain_mixture,
     data_juicer_finetune_dataset,
@@ -74,6 +75,43 @@ class TestPretrainMixture:
         refined = build_pretrain_mixture(samples_per_component=15, seed=0, refined=True)
         assert 0 < len(refined) < len(raw)
 
+    def test_each_component_is_refined_by_its_own_recipe(self, monkeypatch):
+        from repro.recipes import pretrain
+
+        refined = []
+
+        def spy(recipe, dataset):
+            refined.append((recipe["project_name"], dataset.to_list()))
+            return dataset
+
+        monkeypatch.setattr(pretrain, "run_recipe", spy)
+        mixture = build_pretrain_mixture(samples_per_component=5, seed=0, refined=True)
+        components = build_component_datasets(samples_per_component=5, seed=0)
+        assert [name for name, _ in refined] == [
+            "pretrain-common-crawl-refine-en",
+            "pretrain-c4-refine-en",
+            "pretrain-code-refine",
+            "pretrain-books-refine-en",
+            "pretrain-wikipedia-refine-en",
+            "pretrain-arxiv-refine-en",
+            "pretrain-stackexchange-refine-en",
+        ]
+        assert list(components) == [
+            "CommonCrawl", "C4", "GitHub", "Books", "Wikipedia", "arXiv", "StackExchange"
+        ]
+        assert [rows for _, rows in refined] == [dataset.to_list() for dataset in components.values()]
+        # a refine step that keeps every row leaves the raw mixture
+        assert mixture.to_list() == build_pretrain_mixture(samples_per_component=5, seed=0).to_list()
+
+    def test_redpajama_mixture_leaves_out_stackexchange_only(self):
+        sources = {row[Fields.source] for row in build_pretrain_mixture(10, include_pile_like=False)}
+        assert sources == {"CommonCrawl", "C4", "GitHub", "Books", "Wikipedia", "arXiv"}
+
+    def test_refined_mixture_keeps_code(self):
+        # a prose recipe over the mixed corpus dropped every GitHub row
+        refined = build_pretrain_mixture(samples_per_component=15, seed=0, refined=True)
+        assert "GitHub" in {row[Fields.source] for row in refined}
+
     def test_mixture_stats_proportions_sum_to_one(self):
         mixture = build_pretrain_mixture(samples_per_component=10, seed=1)
         stats = mixture_stats(mixture)
@@ -104,6 +142,18 @@ class TestFinetunePool:
         assert len(refined) <= 60
         assert all(row[Fields.meta]["language"] == "EN" for row in refined)
         assert all(row[Fields.meta]["usage"] == "CFT" for row in refined)
+
+
+class TestRecipeHelpers:
+    def test_merged_mixture_recipe_is_gone(self):
+        assert "pretrain-redpajama-pile-refine" not in BUILT_IN_RECIPES
+
+    def test_helpers_write_nothing_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        build_pretrain_mixture(samples_per_component=5, seed=0, refined=True)
+        pool = build_finetune_pool(num_datasets=4, samples_per_dataset=20, seed=0)
+        data_juicer_finetune_dataset(pool, num_samples=10, language="EN", usage="CFT")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRecipeExecution:

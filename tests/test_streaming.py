@@ -76,6 +76,13 @@ class TestIterRecordShards:
         # each shard closes once >= 10 chars are in it (two 5-char rows)
         assert [len(shard) for shard in shards] == [2, 2, 2]
 
+    def test_char_budget_counts_the_named_field(self):
+        records = [{"text": "", "body": {"content": "abcdef"}} for _ in range(5)]
+        by_body = list(iter_record_shards(iter(records), max_chars=10, text_key="body.content"))
+        assert [len(shard) for shard in by_body] == [2, 2, 1]
+        # the default field is empty in every row, so the budget never closes a shard
+        assert [len(shard) for shard in iter_record_shards(iter(records), max_chars=10)] == [5]
+
     def test_default_budget_applies(self):
         shards = list(iter_record_shards(({"text": "x"} for _ in range(5))))
         assert len(shards) == 1 and len(shards[0]) == 5

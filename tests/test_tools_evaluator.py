@@ -62,6 +62,12 @@ class TestBigramLanguageModel:
         assert count == 4
         assert model.perplexity(["the corpus processes data"]) == pytest.approx(2 ** (-log_prob / count))
 
+    def test_context_totals_are_the_bigram_count_sums(self):
+        model = BigramLanguageModel().fit(["a b a c", "b a"]).fit(["a b " * 20], max_tokens=13)
+        assert model.context_totals == {
+            context: sum(counts.values()) for context, counts in model.bigram_counts.items()
+        }
+
     def test_tokenize_lowercases(self):
         assert tokenize("Hello World") == ["hello", "world"]
 
