@@ -32,6 +32,18 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.benchmark_suite)
 
 
+@pytest.fixture(autouse=True)
+def _writes_nothing_to_the_working_directory(tmp_path_factory, monkeypatch):
+    """Every benchmark runs in an empty working directory, which it must leave
+    empty: what it writes (an ``Executor``'s ``work_dir``, whose default is
+    ``./outputs``, included) belongs under its own ``tmp_path``."""
+    here = tmp_path_factory.mktemp("cwd")
+    monkeypatch.chdir(here)
+    yield
+    written = sorted(path.name for path in here.iterdir())
+    assert not written, f"the benchmark wrote {written} into its working directory"
+
+
 def print_table(title: str, rows: list[dict]) -> None:
     """Print a list of row dicts as an aligned text table under a title."""
     print(f"\n=== {title} ===")

@@ -6,7 +6,10 @@ work — counted, not timed: every op is a cache hit and no op is called,
 (b) compressed store entries are substantially smaller than plain ones, and
 (c) checkpoint mode bounds peak space at 3 dataset copies (Appendix A.2) —
 measured on the one store, not only computed: the bytes on disk are sampled
-around every write of a checkpoint-only run.  Cache mode keeps every op's
+around every write of a checkpoint-only run, whose unit "copy" is the largest
+entry the run wrote.  Every op writes a delta, and the run's own store holds
+no more than one copy at an op boundary: an entry that would break that is
+written whole and the chain restarts at it.  Cache mode keeps every op's
 entry, but an entry stores only what the op changed, so the A.2 cache-mode
 formula is an upper bound its measured bytes stay under.
 """
@@ -23,7 +26,10 @@ def reproduce_cache_ablation(tmp_dir: str) -> dict:
     corpus = c4_like(num_samples=150, seed=9)
     process = get_recipe("pretrain-c4-refine-en")["process"]
 
-    cold_config = {"process": process, "use_cache": True, "cache_dir": f"{tmp_dir}/cache"}
+    cold_config = {
+        "process": process, "use_cache": True, "cache_dir": f"{tmp_dir}/cache",
+        "work_dir": f"{tmp_dir}/work",
+    }
     Executor(cold_config).run(corpus)
     warm_executor = Executor(cold_config)
     warm_executor.run(corpus)
@@ -34,11 +40,15 @@ def reproduce_cache_ablation(tmp_dir: str) -> dict:
     plain.put("k", corpus)
     compressed.put("k", corpus)
 
-    # Appendix A.2, measured: checkpoint-only memory mode keeps the latest
-    # entry only, so the disk holds one dataset copy at every op boundary and
-    # two while the next one is being written
+    # Appendix A.2, measured: checkpoint-only memory mode keeps its chain of
+    # deltas within one copy (the largest entry written) at every op boundary,
+    # restarting it at a whole entry past that, so the disk holds at most two
+    # copies while the next entry is being written
     checkpointed = Executor(
-        {"process": process, "use_checkpoint": True, "checkpoint_dir": f"{tmp_dir}/ckpt"}
+        {
+            "process": process, "use_checkpoint": True, "checkpoint_dir": f"{tmp_dir}/ckpt",
+            "work_dir": f"{tmp_dir}/work",
+        }
     )
     store, put = checkpointed.store, checkpointed.store.put
     boundary_bytes, peak_bytes, entry_bytes = [], [], []

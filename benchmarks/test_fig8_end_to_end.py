@@ -29,8 +29,9 @@ def _measure(run) -> dict:
     return monitor.report.as_dict()
 
 
-def reproduce_figure8() -> list[dict]:
+def reproduce_figure8(work_dir: str) -> list[dict]:
     rows = []
+    config = {"op_fusion": True, "work_dir": work_dir}
     for workload, (builder, kwargs, recipe_name) in WORKLOADS.items():
         corpus = builder(**kwargs)
         process = get_recipe(recipe_name)["process"]
@@ -39,7 +40,7 @@ def reproduce_figure8() -> list[dict]:
         # codepoint class tables, token caches) are not per-run costs and
         # would otherwise be billed to whichever system runs first
         warmup = corpus.take(8)
-        Executor({"process": process, "op_fusion": True}).run(warmup)
+        Executor({**config, "process": process}).run(warmup)
         RedPajamaLikePipeline(process).run(warmup)
         DolmaLikePipeline(process).run(warmup)
 
@@ -47,7 +48,7 @@ def reproduce_figure8() -> list[dict]:
         reports = best_of_interleaved(
             {
                 "Data-Juicer": lambda: _measure(
-                    lambda: Executor({"process": process, "op_fusion": True}).run(corpus)
+                    lambda: Executor({**config, "process": process}).run(corpus)
                 ),
                 "RedPajama": lambda: _measure(lambda: RedPajamaLikePipeline(process).run(corpus)),
                 "Dolma": lambda: _measure(lambda: DolmaLikePipeline(process).run(corpus)),
@@ -66,8 +67,8 @@ def reproduce_figure8() -> list[dict]:
     return rows
 
 
-def test_fig8_end_to_end(benchmark):
-    rows = run_once(benchmark, reproduce_figure8)
+def test_fig8_end_to_end(benchmark, tmp_path):
+    rows = run_once(benchmark, reproduce_figure8, str(tmp_path))
     print_table("Figure 8: end-to-end time and memory vs baselines", rows)
 
     by_key = {(row["workload"], row["system"]): row for row in rows}

@@ -34,15 +34,17 @@ FUSION_PROCESS = [
 DATASET_SIZES = {"small": 80, "medium": 200, "large": 400}
 
 
-def reproduce_figure9() -> list[dict]:
+def reproduce_figure9(work_dir: str) -> list[dict]:
     rows = []
     for label, num_samples in DATASET_SIZES.items():
         corpus = c4_like(num_samples=num_samples, seed=17)
         unfused_time, unfused_out = time_call(
-            Executor({"process": FUSION_PROCESS, "op_fusion": False}).run, corpus
+            Executor({"process": FUSION_PROCESS, "op_fusion": False, "work_dir": work_dir}).run,
+            corpus,
         )
         fused_time, fused_out = time_call(
-            Executor({"process": FUSION_PROCESS, "op_fusion": True}).run, corpus
+            Executor({"process": FUSION_PROCESS, "op_fusion": True, "work_dir": work_dir}).run,
+            corpus,
         )
         rows.append(
             {
@@ -56,8 +58,8 @@ def reproduce_figure9() -> list[dict]:
     return rows
 
 
-def test_fig9_op_fusion(benchmark):
-    rows = run_once(benchmark, reproduce_figure9)
+def test_fig9_op_fusion(benchmark, tmp_path):
+    rows = run_once(benchmark, reproduce_figure9, str(tmp_path))
     print_table("Figure 9: processing time before/after OP fusion", rows)
     for row in rows:
         # fusion never changes the surviving sample set

@@ -15,17 +15,21 @@ from dataclasses import dataclass, field
 
 from repro.core.dataset import NestedDataset
 from repro.core.sample import get_field
-from repro.ops.common.helper_funcs import get_words_from_text, words_refinement
+from repro.ops.common.helper_funcs import iter_refined_words
 from repro.ops.common.stopwords import STOPWORDS_EN
 from repro.ops.filters.text_action_filter import looks_like_verb
 
 
 def extract_verb_noun(text: str) -> tuple[str | None, str | None]:
-    """Return the first (verb, following-noun) pair found in the text."""
-    words = words_refinement(get_words_from_text(text, lowercase=True))
-    for index, word in enumerate(words):
+    """Return the first (verb, following-noun) pair found in the text.
+
+    The tokens are read lazily: nothing past the pair's noun is tokenised or
+    refined, however long the text.
+    """
+    words = iter_refined_words(text)
+    for word in words:
         if looks_like_verb(word) and word not in STOPWORDS_EN:
-            nouns = (w for w in words[index + 1:] if w.isalpha() and w not in STOPWORDS_EN)
+            nouns = (w for w in words if w.isalpha() and w not in STOPWORDS_EN)
             return word, next((w for w in nouns if not looks_like_verb(w)), None)
     return None, None
 

@@ -13,11 +13,15 @@ written **once**, as one entry of the :class:`CacheManager` directory a
   late recipe tweak replays the unchanged prefix.  No run deletes from it;
 * the **run's own store** holds the rest — a checkpoint-only run's entries,
   ``#faulted`` ones, a stream's spill — and keeps what the run's root names;
+  in memory mode it holds, at every op boundary, no more bytes than the
+  largest entry the run wrote there (the "one copy" of Appendix A.2): an
+  entry that would break that is written self-contained, and the chain
+  restarts at it (:meth:`CacheManager.written_size` sizes it before the write);
 * the **checkpoint** is a small state file *pointing at* entries
   (:class:`repro.core.checkpoint.CheckpointManager`), never a second copy.
 
 Two kinds of key, one entry codec (:func:`encode` / :func:`decode`).  A
-memory-mode cache entry stores what the op changed, not the whole dataset:
+memory-mode entry stores what the op changed, not the whole dataset:
 it is a delta over the op's parent dataset — one parent row position per
 output row, read off the op's keep flags or mask by the caller (none when the
 op kept the rows as they were) — and only the columns a replay cannot
@@ -28,8 +32,8 @@ maps to (:func:`_changed`), checked at write time against the data, never
 inferred from what the op declares, so the replay is exact for any op.  The parent in memory is what its own entry decodes to because no op
 edits a cell it received: a Filter writes each stat as a column of its own
 (``__stats__.<key>``), so a filter's entry holds its stats and no entry
-re-stores ``meta``.  An entry with no parent is self-contained: the latest
-entry of a checkpoint-only run, which keeps it alone, and every shard's stage
+re-stores ``meta``.  An entry with no parent is self-contained: the one a
+memory-mode chain restarts at in the run's own store, and every shard's stage
 output.
 
 Entries are pickled — lossless for every Python payload, so a replay can
@@ -56,6 +60,7 @@ import uuid
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.dataset import NestedDataset
@@ -168,6 +173,21 @@ class CacheManager:
         else:
             atomic_write(path, _CODECS[self.compression][0](_dumps(payload)))
         return path
+
+    def written_size(self, payload: Any) -> int:
+        """The bytes :meth:`put` writes for ``payload``, counted before it does:
+        a plain pickle is counted as it is written nowhere; a compressing codec
+        compresses it (once more than the write itself will)."""
+        if self.compression != "none":
+            return len(_CODECS[self.compression][0](_dumps(payload)))
+        size = 0
+
+        def count(data: Any) -> None:
+            nonlocal size
+            size += len(data)
+
+        pickle.Pickler(SimpleNamespace(write=count), _PROTOCOL).dump(payload)
+        return size
 
     def get(self, key: str) -> Any | None:
         """The payload stored under ``key``, or None on a miss.

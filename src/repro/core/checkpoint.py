@@ -13,10 +13,11 @@ run* it belongs to and *where* that run got to:
   the shard budget in streaming mode, whose shards key on their input);
 * ``op_index`` / ``keys`` (memory mode) — one past the last completed
   operator, and the chain of store keys whose entries, replayed in order,
-  rebuild its output: one delta entry per op with ``use_cache``,
-  checkpoint-only the one self-contained latest entry.  The chain is the
-  root of the run's own store; a chain that stops reading back midway
-  resumes after its last readable entry.
+  rebuild its output: one delta entry per op, from the input or from the
+  self-contained entry the run's own store last restarted the chain at to
+  stay within one copy.  The chain is the root of the run's own store; a
+  chain that stops reading back midway resumes after its last readable
+  entry.
 
 The state file is written atomically and only *after* the entry it points at,
 so a crash at any point leaves either the previous checkpoint or a complete

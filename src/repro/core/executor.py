@@ -32,7 +32,9 @@ fault ledger and :class:`repro.core.tracer.Tracer` are created per run.
 
 Persistence (:mod:`repro.core.cache`): each op output (memory mode: a delta
 over its input) or shard stage output is written once, to the cache when it
-is clean and ``use_cache`` is on, else to the run's own store; the checkpoint
+is clean and ``use_cache`` is on, else to the run's own store, which in
+memory mode stays within one copy — the largest entry the run wrote there —
+at every op boundary by restarting its chain at a whole entry; the checkpoint
 is a state file pointing at the chain of entries a resume replays.  The
 executor deletes no entry: it names the run's root to ``RunStore.retain``.
 """
@@ -359,9 +361,10 @@ class Executor:
         The state file is honoured only when it describes *this* run — same
         input fingerprint, and for every already-applied op the same name
         *and* config hash (an edited recipe must re-execute, not reuse data
-        of the old configuration).  Its ``keys`` are replayed in order: with
-        ``use_cache`` one delta entry per applied op onto the loaded input,
-        checkpoint-only the one self-contained latest entry.  A chain that
+        of the old configuration).  Its ``keys``, one entry per applied op, are
+        replayed in order: from the loaded input, or — where the run's own
+        store restarted the chain to stay within one copy — from a
+        self-contained entry.  A chain that
         stops reading back midway resumes after the last entry that did;
         nothing read back starts over (the next checkpoint write retains the
         new chain only).
@@ -393,23 +396,26 @@ class Executor:
             restored, first = current, 0
         return restored, first + replayed, keys[:replayed]
 
-    def _put_result(self, key: str, payload: Any, faults_before: int, spill: bool = False) -> str:
-        """Store one op/shard result, once; returns the key it went under.
+    def _result_key(self, key: str, faults_before: int) -> str:
+        """The key an op/shard result goes under: output shaped by a fault (rows
+        dropped by a lenient policy) under one no clean run ever computes."""
+        return key if self._faults.total_faults == faults_before else key + FAULTED
 
-        Output shaped by a fault (rows dropped by a lenient policy) goes under
-        a key no clean run ever computes, in the run's own store, and only
+    def _put_result(self, key: str, payload: Any, spill: bool = False) -> int:
+        """Store one op/shard result under its :meth:`_result_key`, once;
+        returns the bytes written (0 when nothing was).
+
+        A faulted result lives in the run's own store, and is written only
         when something reads it back: this run's checkpoint — it is the
         actual progress — or the mask pass (``spill``).
         """
-        clean = self._faults.total_faults == faults_before
-        if not clean:
-            key += FAULTED
-        if spill or clean or self.checkpoint is not None:
-            place = self._stores.place(key)
-            path = place.put(key, payload)
-            if place is self.store or self.checkpoint is not None:  # not a per-run spill
-                self._cache_stats["bytes_written"] += path.stat().st_size
-        return key
+        if key.endswith(FAULTED) and not (spill or self.checkpoint is not None):
+            return 0
+        place = self._stores.place(key)
+        size = place.put(key, payload).stat().st_size
+        if place is self.store or self.checkpoint is not None:  # not a per-run spill
+            self._cache_stats["bytes_written"] += size
+        return size
 
     def _count_cache(self, counter: str) -> None:
         """Count one ``use_cache`` lookup (checkpoint-only runs report zeros)."""
@@ -591,13 +597,13 @@ class Executor:
                 # chain: the store keys whose entries, replayed in order, give
                 # ``current`` (what the checkpoint state points at)
                 current, start, chain = self._resume(current, run_state)
-                # a cache keeps every entry, so each is a delta over its
-                # parent; checkpoint-only keeps the latest alone, whole
-                delta = self.cfg.use_cache
+                # the largest entry this run wrote to its own store: the one
+                # copy the chain's entries there stay within (Appendix A.2)
+                largest = 0
                 for index in range(start, len(self.ops)):
                     op = self.ops[index]
                     key = CacheManager.make_key(current.fingerprint, op.name, op.config())
-                    cached = decode(current, stores.get(key)) if delta else None
+                    cached = decode(current, stores.get(key))
                     if cached is not None:
                         self._count_cache("hits")
                         current = cached
@@ -605,13 +611,22 @@ class Executor:
                     else:
                         self._count_cache("misses")
                         faults_before = self._faults.total_faults
-                        parent = current if delta else None
+                        parent = current
                         current, positions = self._run_segments([op], current)
                         payload = encode(parent, current, positions)
                         del parent  # not held while the entry is written
-                        key = self._put_result(key, payload, faults_before)
+                        key = self._result_key(key, faults_before)
+                        if checkpoint is not None and stores.place(key) is stores.own:
+                            size = stores.own.written_size(payload)
+                            if stores.own.total_bytes() + size > max(largest, size):
+                                # appended, it would leave the own store over one
+                                # copy: written whole, it restarts the chain
+                                payload, chain = encode(None, current), []
+                            largest = max(largest, self._put_result(key, payload))
+                        else:
+                            self._put_result(key, payload)
                     if checkpoint is not None:
-                        chain = [*chain, key] if delta else [key]
+                        chain = [*chain, key]
                         # entry first, pointer second: a crash in between
                         # leaves the previous (complete) checkpoint
                         checkpoint.write_state({**run_state, "op_index": index + 1, "keys": chain})
@@ -852,7 +867,8 @@ class Executor:
                 self._quarantine.write_rows(quarantined, stage_name, error, shard_id=shard_id)
             output = NestedDataset.empty()
         if key is not None:
-            key = self._put_result(key, encode(None, output), faults_before, spill)
+            key = self._result_key(key, faults_before)
+            self._put_result(key, encode(None, output), spill)
             self._root.add(key)
         progress["executed_shards"] += 1
         return key, output

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.context import ContextKeys, get_or_compute_column
 
@@ -95,6 +95,19 @@ def words_refinement(
     if use_words_aug:
         refined = _merge_short_tokens(refined)
     return refined
+
+
+def iter_refined_words(text: str) -> Iterator[str]:
+    """``words_refinement(get_words_from_text(text, lowercase=True))``, one
+    token at a time: a reader that stops early tokenises and refines nothing
+    past the token it stopped at."""
+    for match in _WORD_PATTERN.finditer(text.lower()):
+        token = match.group()
+        # a token holding CJK splits into characters (:func:`get_words_from_text`)
+        for word in token if _CJK_PATTERN.search(token) else (token,):
+            refined = word.lower().strip(_DEFAULT_STRIP_CHARS)
+            if refined:
+                yield refined
 
 
 def refined_words_column(context: dict | None, texts: list[str]) -> list[list[str]]:

@@ -17,7 +17,11 @@ from repro.core.executor import Executor
 from repro.core.sample import Fields
 from repro.formats.sharded import open_shard
 from repro.ops.filters.text_length_filter import TextLengthFilter
-from repro.synth import instruction_dataset, wikipedia_like
+from repro.ops.common import helper_funcs
+from repro.ops.common.helper_funcs import get_words_from_text, words_refinement
+from repro.ops.common.stopwords import STOPWORDS_EN
+from repro.ops.filters.text_action_filter import looks_like_verb
+from repro.synth import books_like, chinese_web_like, instruction_dataset, wikipedia_like
 
 
 def stats_dataset():
@@ -93,6 +97,55 @@ class TestDiversityAnalysis:
         top = DiversityAnalysis().analyze(dataset).top(num_verbs=5, nouns_per_verb=2)
         assert len(top) <= 5
         assert all(len(nouns) <= 2 for nouns in top.values())
+
+
+def eager_verb_noun(text):
+    """The whole-text scan ``extract_verb_noun`` made before it read lazily."""
+    words = words_refinement(get_words_from_text(text, lowercase=True))
+    for index, word in enumerate(words):
+        if looks_like_verb(word) and word not in STOPWORDS_EN:
+            nouns = (w for w in words[index + 1:] if w.isalpha() and w not in STOPWORDS_EN)
+            return word, next((w for w in nouns if not looks_like_verb(w)), None)
+    return None, None
+
+
+class CountingPattern:
+    """A compiled pattern whose ``finditer`` counts the matches it hands out."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches = pattern, 0
+
+    def finditer(self, text):
+        for match in self.pattern.finditer(text):
+            self.matches += 1
+            yield match
+
+
+class TestLazyVerbNoun:
+    def test_pairs_match_the_whole_text_scan(self):
+        books = [row["text"] for row in books_like(num_samples=12, seed=8)]
+        texts = [
+            *books,
+            " ".join(books) * 2,  # tens of thousands of characters
+            *(row["text"] for row in chinese_web_like(num_samples=40, seed=9)),
+            *(row["text"] for row in instruction_dataset(num_samples=40, seed=10)),
+            "apple banana cherry",
+            "",
+        ]
+        assert max(map(len, texts)) > 16_000
+        pairs = [extract_verb_noun(text) for text in texts]
+        assert pairs == [eager_verb_noun(text) for text in texts]
+        assert sum(verb is not None for verb, _ in pairs) > len(texts) // 2
+
+    def test_a_long_row_is_read_up_to_its_first_pair_only(self, monkeypatch):
+        first = "Summarize the research paper about data systems."
+        text = first + " " + " ".join(row["text"] for row in books_like(num_samples=12, seed=8))
+        assert len(text) > 16_000
+        first_tokens = len(get_words_from_text(first))
+        counting = CountingPattern(helper_funcs._WORD_PATTERN)
+        monkeypatch.setattr(helper_funcs, "_WORD_PATTERN", counting)
+        assert extract_verb_noun(text) == ("summarize", "research")
+        assert 0 < counting.matches <= first_tokens
 
 
 class TestAnalyzer:

@@ -569,8 +569,11 @@ class TestMemoryResumeGuards:
         second, executor = run(tmp_path, "out", path, process, "memory", use_checkpoint=True)
         assert second.startswith(b'{"text": "completely new')
         assert all(op["calls"] == 1 for op in executor.last_report["ops"])
-        # checkpoint-only keeps the latest entry only: the old run's is gone
-        assert len(entry_files(tmp_path / "work" / "checkpoint")) == 1
+        # the store holds the new chain, which the state names, and nothing of the old run
+        keys = executor.checkpoint.read_state()["keys"]
+        assert entry_files(tmp_path / "work" / "checkpoint") == sorted(
+            executor.store._path_for(key) for key in keys
+        )
 
     @pytest.mark.parametrize("persistence", ["cache", "checkpoint"])
     def test_a_row_the_fingerprint_probe_skips_is_part_of_the_input(self, tmp_path, persistence):

@@ -41,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.base_op import Filter, Mapper
-from repro.core.cache import CacheManager, decode, encode
+from repro.core.cache import CacheManager, RunStore, decode, encode
 from repro.core.checkpoint import CheckpointManager
 from repro.core.dataset import NestedDataset
 from repro.core.errors import OpExecutionError
@@ -713,6 +713,51 @@ class TestResumeChain:
         assert entry_files(tmp_path / "work" / "checkpoint") == []
 
 
+@pytest.mark.parametrize("persistence", [
+    {"use_checkpoint": True},
+    {"use_cache": True, "use_checkpoint": True},
+], ids=["checkpoint", "both"])
+def test_the_own_store_holds_exactly_the_chain(tmp_path, persistence):
+    """After every run — cold, crashed, resumed, over an edited input, faulted —
+    the checkpoint directory's entry files are the ones its state's keys place
+    there: nothing orphaned, nothing missing."""
+    options = {**persistence, "op_fusion": False}
+    work = tmp_path / "work"
+    own = CacheManager(work / "checkpoint")
+    stores = RunStore(CacheManager(work / "cache") if "use_cache" in persistence else None, own)
+
+    def assert_own_store_is_the_chain():
+        keys = CheckpointManager(work / "checkpoint").read_state()["keys"]
+        named = sorted(own._path_for(key) for key in keys if stores.place(key) is own)
+        assert entry_files(work / "checkpoint") == named
+        return named
+
+    rows = web_rows(300, seed=11)
+    path = write_jsonl(tmp_path / "in.jsonl", rows)
+    run_recipe(tmp_path, "cold", path, WEB_CLEAN, **options)
+    assert_own_store_is_the_chain()
+
+    marked = [{**row, "text": f"{MARKER} {row['text']}"} if row["id"] == 150 else row
+              for row in rows]
+    write_jsonl(path, marked)
+    with pytest.raises(OpExecutionError, match=CRASH_OP):
+        run_recipe(tmp_path, "crashed", path, WEB_CLEAN, prepare=crash_at_marker, **options)
+    assert_own_store_is_the_chain()
+    resumed, _, _ = run_recipe(tmp_path, "resumed", path, WEB_CLEAN, **options)
+    assert_own_store_is_the_chain()
+    assert resumed == run_recipe(tmp_path, "plain", path, WEB_CLEAN, work="plain")[0]
+
+    write_jsonl(path, [{**row, "text": row["text"].upper()} for row in marked])
+    run_recipe(tmp_path, "edited", path, WEB_CLEAN, **options)
+    assert_own_store_is_the_chain()
+
+    # a lenient run's fault-shaped entries live in the own store whatever the options
+    write_jsonl(path, marked[::-1])
+    run_recipe(tmp_path, "faulted", path, WEB_CLEAN, prepare=crash_at_marker,
+               on_error="skip", **options)
+    assert assert_own_store_is_the_chain()
+
+
 def test_selectors_keeping_the_same_first_rows_share_no_cache_key(tmp_path):
     """Two top-k selectors over other fields keep the same first 64 rows and
     differ after them: the op after each must not read the other's entry.
@@ -758,6 +803,46 @@ class TestBytesWritten:
         _, _, warm = run_recipe(tmp_path, "warm", web_input, WEB_CLEAN, use_cache=True,
                                 op_fusion=True)
         assert warm.last_report["cache"]["bytes_written"] == 0
+
+    def test_checkpoint_only_writes_deltas_within_one_copy(self, tmp_path):
+        """Checkpoint-only writes less than every op output encoded whole, and
+        its store never holds more than the largest entry written so far at an
+        op boundary (sampled before each write and at the end, as the
+        Appendix A.2 ablation samples it)."""
+        path = write_jsonl(tmp_path / "in.jsonl", web_rows(1500, seed=5))
+        _, _, chained = run_recipe(tmp_path, "chained", path, WEB_CLEAN, work="chained",
+                                   use_cache=True, use_checkpoint=True, op_fusion=False)
+        dataset, whole = chained._load_input(None), 0
+        for key in chained.checkpoint.read_state()["keys"]:
+            dataset = decode(dataset, chained.store.get(key))
+            whole += len(pickle.dumps(encode(None, dataset), pickle.HIGHEST_PROTOCOL))
+
+        executor = Executor({
+            "dataset_path": str(path),
+            "work_dir": str(tmp_path / "work"),
+            "process": WEB_CLEAN,
+            "use_checkpoint": True,
+            "op_fusion": False,
+        })
+        store, put = executor.store, executor.store.put
+        boundaries, largest = [], [0]
+
+        def watched_put(key, payload):
+            boundaries.append((store.total_bytes(), largest[-1]))
+            written = put(key, payload)
+            largest.append(max(largest[-1], written.stat().st_size))
+            return written
+
+        store.put = watched_put
+        output = executor.run()
+        boundaries.append((store.total_bytes(), largest[-1]))
+
+        assert output == dataset
+        assert len(boundaries) == len(WEB_CLEAN) + 1
+        # the chain restarted at a whole entry, then grew by deltas again
+        assert 1 < len(executor.checkpoint.read_state()["keys"]) < len(WEB_CLEAN)
+        assert executor.last_report["cache"]["bytes_written"] < whole
+        assert all(held <= bound for held, bound in boundaries), boundaries
 
     def test_a_web_cleaning_cache_holds_under_three_input_sizes(self, tmp_path, web_input):
         _, _, executor = run_recipe(tmp_path, "out", web_input, WEB_CLEAN, use_cache=True,
